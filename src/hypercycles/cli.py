@@ -147,7 +147,7 @@ def _load_pattern(path: str) -> "families.CaseIPattern":
     with open(path) as fh:
         doc = json.load(fh)
     kwargs = {}
-    for key in ("x0_candidates", "odd_nodes", "even_nodes"):
+    for key in ("x0_candidates", "odd_nodes", "even_nodes", "pin_fractions"):
         if key in doc:
             kwargs[key] = tuple(Fraction(v) for v in doc[key])
     if "signs" in doc:

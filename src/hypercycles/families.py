@@ -36,7 +36,7 @@ from .lienard import (
     certify,
 )
 from .polyx import ONE, Poly, X, poly_gcd
-from .rootclass import count_roots, isolate_real_roots, sign_on_interval
+from .rootclass import all_roots_real_simple, isolate_real_roots, sign_on_interval
 
 DEFAULT_S_CAP = 2**60
 
@@ -265,8 +265,7 @@ def _find_b(after_d, make_c, slots, pos_interval, hi0: Fraction, steps: int = 60
 
 
 def _all_simple_real_roots(p: Poly) -> Optional[list]:
-    rc = count_roots(p)
-    if rc.imaginary_pairs != 0 or rc.distinct_real != p.degree:
+    if not all_roots_real_simple(p):
         return None
     return isolate_real_roots(p)
 
@@ -796,8 +795,7 @@ def _case_i_assemble(m, n, L, M, W, c, target):
     # S must be squarefree with all roots real, and coprime to L, M, W
     if S.degree < 1:
         return None
-    rc = count_roots(S)
-    if rc.imaginary_pairs != 0 or rc.distinct_real != S.degree:
+    if not all_roots_real_simple(S):
         return None
     for other in (L, M, W):
         if other.degree >= 1 and poly_gcd(S, other).degree >= 1:

@@ -21,7 +21,6 @@ from typing import Optional
 from .polyx import BivarPoly, Poly, poly_gcd
 from .rootclass import (
     RealRoot,
-    count_roots,
     isolate_real_roots,
     sturm_count,
 )
@@ -284,10 +283,8 @@ def certify(curve: HyperellipticCurve) -> CertificationReport:
     sys = derive_system(curve)
     P, Q, f, g = curve.P, curve.Q, sys.f, sys.g
 
-    rc = count_roots(Q)
-    all_real = rc.imaginary_pairs == 0
-
     roots = isolate_real_roots(Q)
+    all_real = sum(r.multiplicity for r in roots) == Q.degree
     H = P * P - Q
     Qp = Q.derivative()
     R4 = poly_gcd(Qp, f)

@@ -155,11 +155,6 @@ class Poly:
     def derivative(self) -> "Poly":
         return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
 
-    def integral(self, constant: RationalLike = 0) -> "Poly":
-        out = [rat(constant)]
-        out.extend(c / (i + 1) for i, c in enumerate(self.coeffs))
-        return Poly(out)
-
     def eval(self, x: RationalLike) -> Fraction:
         x = rat(x)
         acc = Fraction(0)
@@ -257,22 +252,6 @@ ONE = Poly([1])
 ZERO = Poly()
 
 
-def add(a: Poly, b: Poly) -> Poly:
-    return a + b
-
-
-def mul(a: Poly, b: Poly) -> Poly:
-    return a * b
-
-
-def derivative(p: Poly) -> Poly:
-    return p.derivative()
-
-
-def divrem(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    return a.divrem(b)
-
-
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic greatest common divisor (Euclid with primitive normalization)."""
     if a.is_zero() and b.is_zero():
@@ -281,9 +260,6 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     while not g.is_zero():
         f, g = g, f.divrem(g)[1].primitive()
     return f.monic()
-
-
-gcd = poly_gcd
 
 
 def squarefree_part(p: Poly) -> Poly:
@@ -320,10 +296,6 @@ def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
         b = b2
         k += 1
     return out
-
-
-def compose_shift(p: Poly, a: RationalLike) -> Poly:
-    return p.shift(a)
 
 
 # ---------------------------------------------------------------------------

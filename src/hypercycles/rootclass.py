@@ -2,11 +2,14 @@
 
 Two independent routes to root counts live here on purpose:
 
+* the Sturm-sequence route, the engine behind certification and the family
+  searches: interval isolation, exact sign certificates, and the
+  "all roots real and simple" screen, read off the chain's signs at +-inf.
+  Chains are memoized per polynomial in a small bounded cache;
 * the discrimination-matrix route: leading principal even-order minors of
   the Sylvester-style matrix of f and f', whose (revised) sign pattern
-  counts distinct real roots and conjugate imaginary pairs;
-* a Sturm-sequence route used both as a stand-alone counting oracle and as
-  the engine behind interval isolation and exact sign certificates.
+  counts distinct real roots and conjugate imaginary pairs.  It serves the
+  `roots` command and the criterion 4 cross-check against the Sturm route.
 
 All arithmetic is exact; no floating point enters any code path here.
 """
@@ -15,7 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd as int_gcd
+from typing import Sequence
 
 from .polyx import (
     Poly,
@@ -54,7 +59,7 @@ def _int_coeffs(p: Poly) -> list[int]:
     return [v // g for v in ints]
 
 
-def _sign_at(ints: list[int], x: Fraction) -> int:
+def _sign_at(ints: Sequence[int], x: Fraction) -> int:
     """Sign of the integer polynomial at p/q via homogeneous Horner."""
     if not ints:
         return 0
@@ -271,27 +276,59 @@ def hankel_minor(sums: list[Fraction], k: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _sturm_chain_int(p: Poly) -> list[list[int]]:
+# Certification and the family searches ask for chains of the same few
+# polynomials over and over; a bounded memo keeps that reuse without letting
+# a long run of unrelated polynomials grow the process.
+@lru_cache(maxsize=64)
+def _sturm_chain_int(p: Poly) -> tuple[tuple[int, ...], ...]:
     """Sturm chain of the squarefree part, as primitive integer polynomials.
-    Dividing members by positive constants preserves all sign variations."""
+    Dividing members by positive constants preserves all sign variations.
+    Memoized per `Poly` (immutable and hashable); the chain is returned as
+    nested tuples so callers cannot alter the shared value."""
     sf = squarefree_part(p)
-    chain = [_int_coeffs(sf)]
+    chain = [tuple(_int_coeffs(sf))]
     dp = sf.derivative()
     if not dp.is_zero():
-        chain.append(_int_coeffs(dp))
+        chain.append(tuple(_int_coeffs(dp)))
         while len(chain[-1]) > 1:
             a = Poly(chain[-2])
             b = Poly(chain[-1])
             r = a.divrem(b)[1]
             if r.is_zero():
                 break
-            chain.append(_int_coeffs(-r))
-    return chain
+            chain.append(tuple(_int_coeffs(-r)))
+    return tuple(chain)
 
 
-def _variations(chain: list[list[int]], x: Fraction) -> int:
+def _variations(chain: tuple[tuple[int, ...], ...], x: Fraction) -> int:
     signs = [_sign_at(c, x) for c in chain]
     return _sign_changes(signs)
+
+
+def _sign_at_infinity(c: tuple[int, ...], positive: bool) -> int:
+    """Sign of the integer polynomial as x -> +inf (or -inf)."""
+    lead = (c[-1] > 0) - (c[-1] < 0)
+    return lead if positive or len(c) % 2 == 1 else -lead
+
+
+def distinct_real_roots(f: Poly) -> int:
+    """Number of distinct real roots of f: V(-inf) - V(+inf) on its Sturm
+    chain, where only the leading coefficients and degrees matter."""
+    if f.degree < 1:
+        return 0
+    chain = _sturm_chain_int(f)
+    at_neg = _sign_changes([_sign_at_infinity(c, False) for c in chain])
+    at_pos = _sign_changes([_sign_at_infinity(c, True) for c in chain])
+    return at_neg - at_pos
+
+
+def all_roots_real_simple(f: Poly) -> bool:
+    """True when f has degree >= 1 and all its roots are real and simple:
+    its squarefree part has full degree and f has deg f distinct real roots."""
+    if f.degree < 1:
+        return False
+    squarefree = len(_sturm_chain_int(f)[0]) - 1 == f.degree
+    return squarefree and distinct_real_roots(f) == f.degree
 
 
 class SturmChain:
@@ -302,7 +339,7 @@ class SturmChain:
             raise ValueError("Sturm chain of the zero polynomial")
         self.f = f
         self.ints = _int_coeffs(f)
-        self.chain = _sturm_chain_int(f) if f.degree >= 1 else [self.ints]
+        self.chain = _sturm_chain_int(f) if f.degree >= 1 else (tuple(self.ints),)
 
     def sign(self, x: Fraction) -> int:
         return _sign_at(self.ints, x)
@@ -421,11 +458,6 @@ class RealRoot:
             self.hi = c
         else:
             self.lo = c
-
-    def refine_below(self, width: RationalLike, avoid: list[Poly] = ()) -> None:
-        width = rat(width)
-        while not self.is_exact() and self.width() >= width:
-            self.refine(avoid)
 
     def try_exact(self) -> None:
         """Snap to an exact rational root when a low-height candidate works."""

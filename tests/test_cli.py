@@ -1,8 +1,9 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
-from hypercycles.cli import main
+from hypercycles.cli import _load_pattern, main
 
 
 def run_cli(args, stdin_text=None):
@@ -149,3 +150,12 @@ def test_main_callable_directly(capsys):
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["exact"] is True
+
+
+def test_load_pattern_keeps_pin_fractions(tmp_path):
+    path = tmp_path / "pattern.json"
+    path.write_text(json.dumps({"odd_nodes": ["1/2", 3],
+                                "pin_fractions": ["1/3", "1", 2]}))
+    pattern = _load_pattern(str(path))
+    assert pattern.pin_fractions == (Fraction(1, 3), Fraction(1), Fraction(2))
+    assert pattern.odd_nodes == (Fraction(1, 2), Fraction(3))
