@@ -226,7 +226,7 @@ def _cmd_suite(args) -> dict:
     if args.criteria and args.criteria != "all":
         criteria = [int(c) for c in args.criteria.split(",")]
     results = suite_mod.run_suite(criteria=criteria, seed=args.seed,
-                                  jobs=args.jobs, s_cap=args.s_cap)
+                                  s_cap=args.s_cap)
     return {
         "schema": SCHEMA,
         "results": [
@@ -292,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("suite", help="run the acceptance criteria")
     p.add_argument("--criteria", default="all", help="e.g. 1,4,6")
     p.add_argument("--seed", type=int, default=suite_mod.DEFAULT_SEED)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--s-cap", type=int, default=families.DEFAULT_S_CAP)
     p.set_defaults(func=_cmd_suite)
 

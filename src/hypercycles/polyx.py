@@ -1,8 +1,18 @@
 """Exact univariate polynomial arithmetic over arbitrary-precision rationals.
 
-Coefficients are ``fractions.Fraction`` values (always normalized, positive
-denominator), stored densely in ascending degree order.  The zero polynomial
-is the empty coefficient tuple and reports degree -1.
+A `Poly` holds ``fractions.Fraction`` coefficients (always normalized,
+positive denominator), stored densely in ascending degree order.  The zero
+polynomial is the empty coefficient tuple and reports degree -1.
+
+The hot kernels do not run on `Fraction`s.  `Poly.eval` is a homogeneous
+integer Horner over the common denominator, and `poly_gcd`,
+`squarefree_part` and `squarefree_decomposition` (Yun) run on primitive
+integer coefficient lists: a remainder scaled by |lc(b)| only (a positive
+multiple of the rational remainder), an exact division in Z[x] (Gauss's
+lemma), and the primitive PRS gcd built from them.  Each converts back to a
+`Poly` once, at the end; the monic results are the unique ones, so they are
+the same as Euclid over Q would give.  `Poly.divrem` stays over `Fraction`
+for callers that need true rational quotients.
 
 Everything here is immutable and side-effect free; values can be shared
 freely between threads.
@@ -13,7 +23,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import gcd as int_gcd, lcm
 from typing import Iterable, Sequence, Union
 
 Rational = Fraction
@@ -156,11 +166,21 @@ class Poly:
         return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def eval(self, x: RationalLike) -> Fraction:
+        """p(x), by homogeneous integer Horner over the common denominator
+        of the coefficients; one `Fraction` is built at the end."""
         x = rat(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        cs = self.coeffs
+        if not cs:
+            return Fraction(0)
+        den = lcm(*[c.denominator for c in cs])
+        p, q = x.numerator, x.denominator
+        lead = cs[-1]
+        acc = lead.numerator * (den // lead.denominator)
+        qpow = 1
+        for c in reversed(cs[:-1]):
+            qpow *= q
+            acc = acc * p + c.numerator * (den // c.denominator) * qpow
+        return Fraction(acc, den * qpow)
 
     def shift(self, a: RationalLike) -> "Poly":
         """Taylor shift: returns p(x + a).  Horner form, O(n^2)."""
@@ -252,14 +272,109 @@ ONE = Poly([1])
 ZERO = Poly()
 
 
+# ---------------------------------------------------------------------------
+# integer kernels: coefficient lists in Z[x], ascending degree, no zero top
+# ---------------------------------------------------------------------------
+
+
+def _primitive(a: list[int]) -> list[int]:
+    """a divided by its (positive) content."""
+    g = int_gcd(*a)
+    return [c // g for c in a] if g > 1 else a
+
+
+def _derivative(a: Sequence[int]) -> list[int]:
+    return [i * c for i, c in enumerate(a)][1:]
+
+
+def int_coeffs(p: Poly) -> list[int]:
+    """Primitive integer coefficients of p: denominators and content
+    cleared, the sign of the leading coefficient kept."""
+    if p.is_zero():
+        return []
+    den = lcm(*[c.denominator for c in p.coeffs])
+    return _primitive([c.numerator * (den // c.denominator) for c in p.coeffs])
+
+
+def int_rem(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The primitive positive multiple of rem(a, b) over Q, for b nonzero.
+
+    Each elimination step scales the running remainder by |lc(b)| divided
+    by its gcd with the coefficient being removed, so only positive factors
+    enter and the sign of the rational remainder is kept."""
+    r = list(a)
+    db = len(b) - 1
+    lb = b[-1]
+    sb = 1 if lb > 0 else -1
+    alb = abs(lb)
+    while len(r) > db:
+        c = r.pop()
+        k = len(r) - db
+        g = int_gcd(alb, c)
+        s, t = alb // g, sb * (c // g)
+        if s != 1:
+            r = [s * v for v in r]
+        for i in range(db):
+            r[k + i] -= t * b[i]
+        while r and r[-1] == 0:
+            r.pop()
+    return _primitive(r)
+
+
+def int_exact_div(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """a / b in Z[x].  When b is primitive and divides a over Q, the
+    quotient has integer coefficients (Gauss's lemma); any other case
+    raises ValueError."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero polynomial")
+    r = list(a)
+    db = len(b) - 1
+    lb = b[-1]
+    q = [0] * max(len(r) - db, 0)
+    while len(r) > db:
+        c = r.pop()
+        if c:
+            t, m = divmod(c, lb)
+            if m:
+                raise ValueError("inexact polynomial division")
+            k = len(r) - db
+            q[k] = t
+            for i in range(db):
+                r[k + i] -= t * b[i]
+    if any(r):
+        raise ValueError("inexact polynomial division")
+    return q
+
+
+def int_poly_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Primitive gcd of integer polynomials, not both zero, by the
+    primitive PRS.  Only the inputs are made primitive here; the scale of
+    the caller's own vectors is left alone."""
+    a, b = _primitive(list(a)), _primitive(list(b))
+    while b:
+        a, b = b, int_rem(a, b)
+    return a
+
+
+def _monic_poly(a: Sequence[int]) -> Poly:
+    lead = a[-1]
+    return Poly([Fraction(c, lead) for c in a])
+
+
+def _int_sub(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    out = list(a) + [0] * (len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] -= c
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor (Euclid with primitive normalization)."""
+    """Monic greatest common divisor (primitive PRS over Z[x])."""
     if a.is_zero() and b.is_zero():
         raise ValueError("gcd(0, 0) undefined")
-    f, g = a.primitive(), b.primitive()
-    while not g.is_zero():
-        f, g = g, f.divrem(g)[1].primitive()
-    return f.monic()
+    return _monic_poly(int_poly_gcd(int_coeffs(a), int_coeffs(b)))
 
 
 def squarefree_part(p: Poly) -> Poly:
@@ -268,32 +383,32 @@ def squarefree_part(p: Poly) -> Poly:
         raise ValueError("square-free part of the zero polynomial")
     if p.degree == 0:
         return ONE
-    g = poly_gcd(p, p.derivative())
-    return p.exact_div(g).monic()
+    a = int_coeffs(p)
+    return _monic_poly(int_exact_div(a, int_poly_gcd(a, _derivative(a))))
 
 
 def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
     """Yun's algorithm: [(g_k, k)] with p ~ prod g_k^k, g_k squarefree monic."""
     if p.is_zero():
         raise ValueError("square-free decomposition of the zero polynomial")
-    p = p.monic()
     if p.degree == 0:
         return []
     out: list[tuple[Poly, int]] = []
-    dp = p.derivative()
-    a = poly_gcd(p, dp)
-    b = p.exact_div(a)
-    c = dp.exact_div(a)
-    d = c - b.derivative()
+    # b and d must carry the same scale: dp is the derivative of this very
+    # vector a, never made primitive on its own, and each step divides both
+    # by the same g.
+    a = int_coeffs(p)
+    dp = _derivative(a)
+    g = int_poly_gcd(a, dp)
+    b = int_exact_div(a, g)
+    d = _int_sub(int_exact_div(dp, g), _derivative(b))
     k = 1
-    while b.degree > 0:
-        g = poly_gcd(b, d) if not d.is_zero() else b.monic()
-        if g.degree > 0:
-            out.append((g.monic(), k))
-        b2 = b.exact_div(g)
-        c2 = d.exact_div(g)
-        d = c2 - b2.derivative()
-        b = b2
+    while len(b) > 1:
+        g = int_poly_gcd(b, d) if d else b
+        if len(g) > 1:
+            out.append((_monic_poly(g), k))
+        b = int_exact_div(b, g)
+        d = _int_sub(int_exact_div(d, g), _derivative(b))
         k += 1
     return out
 

@@ -5,11 +5,15 @@ Two independent routes to root counts live here on purpose:
 * the Sturm-sequence route, the engine behind certification and the family
   searches: interval isolation, exact sign certificates, and the
   "all roots real and simple" screen, read off the chain's signs at +-inf.
-  Chains are memoized per polynomial in a small bounded cache;
+  Chains are built on primitive integer polynomials: each member is minus
+  the primitive integer remainder (`polyx.int_rem`) of the two before it,
+  so no `Fraction` division runs.  Chains are memoized per polynomial in a
+  small bounded cache;
 * the discrimination-matrix route: leading principal even-order minors of
-  the Sylvester-style matrix of f and f', whose (revised) sign pattern
-  counts distinct real roots and conjugate imaginary pairs.  It serves the
-  `roots` command and the criterion 4 cross-check against the Sturm route.
+  the Sylvester-style matrix of f and f', from one fraction-free Bareiss
+  sweep, whose (revised) sign pattern counts distinct real roots and
+  conjugate imaginary pairs.  It serves the `roots` command and the
+  criterion 4 cross-check against the Sturm route.
 
 All arithmetic is exact; no floating point enters any code path here.
 """
@@ -25,6 +29,8 @@ from typing import Sequence
 from .polyx import (
     Poly,
     RationalLike,
+    int_coeffs,
+    int_rem,
     poly_gcd,
     rat,
     squarefree_decomposition,
@@ -45,20 +51,6 @@ class RootsCoincide(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _int_coeffs(p: Poly) -> list[int]:
-    """Clear denominators and content; keep the sign of the leading term."""
-    if p.is_zero():
-        return []
-    den = 1
-    for c in p.coeffs:
-        den = den * c.denominator // int_gcd(den, c.denominator)
-    ints = [c.numerator * (den // c.denominator) for c in p.coeffs]
-    g = 0
-    for v in ints:
-        g = int_gcd(g, v)
-    return [v // g for v in ints]
-
-
 def _sign_at(ints: Sequence[int], x: Fraction) -> int:
     """Sign of the integer polynomial at p/q via homogeneous Horner."""
     if not ints:
@@ -72,14 +64,18 @@ def _sign_at(ints: Sequence[int], x: Fraction) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def _int_det(rows: list[list[int]]) -> int:
-    """Fraction-free Bareiss determinant with row pivoting."""
+def _int_det(rows: list[list[int]], prev: int = 1) -> int:
+    """Fraction-free Bareiss determinant with row pivoting.
+
+    With `prev` other than 1, `rows` is the trailing block left by a Bareiss
+    elimination stopped after some steps and `prev` is its last pivot; the
+    elimination continues on the block, and the result is the determinant of
+    the matrix that elimination started from."""
     n = len(rows)
     if n == 0:
         return 1
     m = [row[:] for row in rows]
     sign = 1
-    prev = 1
     for k in range(n - 1):
         if m[k][k] == 0:
             for r in range(k + 1, n):
@@ -102,8 +98,10 @@ def _int_det(rows: list[list[int]]) -> int:
 
 
 def _leading_principal_minors(rows: list[list[int]]) -> list[int]:
-    """Minors of orders 1..n.  One Bareiss sweep while pivots are nonzero,
-    individual pivoted determinants after the first zero pivot."""
+    """Minors of orders 1..n.  One Bareiss sweep while pivots are nonzero.
+    After the first zero pivot, at step k, the minor of each higher order
+    continues the elimination, with pivoting, on the already-reduced block
+    of rows and columns k..order-1."""
     n = len(rows)
     minors: list[int] = []
     m = [row[:] for row in rows]
@@ -125,11 +123,9 @@ def _leading_principal_minors(rows: list[list[int]]) -> list[int]:
                 row_i[j] = (row_i[j] * pivot - mik * row_k[j]) // prev
             row_i[k] = 0
         prev = pivot
-    for order in range(fell_back_at + 1, n + 1):
-        if len(minors) >= order:
-            continue
-        sub = [row[:order] for row in rows[:order]]
-        minors.append(_int_det(sub))
+    k = fell_back_at
+    for order in range(k + 2, n + 1):
+        minors.append(_int_det([row[k:order] for row in m[k:order]], prev))
     return minors
 
 
@@ -282,21 +278,21 @@ def hankel_minor(sums: list[Fraction], k: int) -> Fraction:
 @lru_cache(maxsize=64)
 def _sturm_chain_int(p: Poly) -> tuple[tuple[int, ...], ...]:
     """Sturm chain of the squarefree part, as primitive integer polynomials.
-    Dividing members by positive constants preserves all sign variations.
+    Each member is minus the integer remainder of the two before it (a
+    positive multiple of the rational remainder, made primitive); dividing
+    members by positive constants preserves all sign variations.
     Memoized per `Poly` (immutable and hashable); the chain is returned as
     nested tuples so callers cannot alter the shared value."""
     sf = squarefree_part(p)
-    chain = [tuple(_int_coeffs(sf))]
+    chain = [tuple(int_coeffs(sf))]
     dp = sf.derivative()
     if not dp.is_zero():
-        chain.append(tuple(_int_coeffs(dp)))
+        chain.append(tuple(int_coeffs(dp)))
         while len(chain[-1]) > 1:
-            a = Poly(chain[-2])
-            b = Poly(chain[-1])
-            r = a.divrem(b)[1]
-            if r.is_zero():
+            r = int_rem(chain[-2], chain[-1])
+            if not r:
                 break
-            chain.append(tuple(_int_coeffs(-r)))
+            chain.append(tuple(-c for c in r))
     return tuple(chain)
 
 
@@ -338,7 +334,7 @@ class SturmChain:
         if f.is_zero():
             raise ValueError("Sturm chain of the zero polynomial")
         self.f = f
-        self.ints = _int_coeffs(f)
+        self.ints = int_coeffs(f)
         self.chain = _sturm_chain_int(f) if f.degree >= 1 else (tuple(self.ints),)
 
     def sign(self, x: Fraction) -> int:

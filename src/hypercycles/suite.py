@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -268,27 +267,17 @@ def _ensure_constructions(ctx: SuiteContext) -> None:
         criterion_3(ctx)
 
 
-def run_suite(criteria=None, seed: int = DEFAULT_SEED, jobs: int = 1,
+def run_suite(criteria=None, seed: int = DEFAULT_SEED,
               s_cap: int = 2**60) -> list[CriterionResult]:
-    """Run the requested criteria (all by default) and return their results.
+    """Run the requested criteria (all by default), one after another in
+    ascending order, and return their results.
 
-    Criteria 1-3 always run before 5/7/8 so the dependent checks verify the
-    very curves those constructions produced."""
+    Criteria 1-3 therefore run before 5/7/8, so the dependent checks verify
+    the very curves those constructions produced; when 1-3 are not
+    requested, the dependent criteria build those curves themselves."""
     wanted = sorted(set(criteria or _CRITERIA))
     for k in wanted:
         if k not in _CRITERIA:
             raise ValueError(f"unknown criterion {k}")
     ctx = SuiteContext(seed=seed, s_cap=s_cap)
-    results = []
-    builders = [k for k in wanted if k in (1, 2, 3)]
-    rest = [k for k in wanted if k not in (1, 2, 3)]
-    for k in builders:
-        results.append(_CRITERIA[k](ctx))
-    if jobs > 1 and len(rest) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results.extend(pool.map(lambda k: _CRITERIA[k](ctx), rest))
-    else:
-        for k in rest:
-            results.append(_CRITERIA[k](ctx))
-    results.sort(key=lambda r: r.criterion)
-    return results
+    return [_CRITERIA[k](ctx) for k in wanted]

@@ -1,0 +1,267 @@
+"""The integer kernels behind gcd, square-free parts, Yun, Sturm chains,
+evaluation and the discrimination minors, checked against reference
+`Fraction` Euclid implementations kept here as the oracle, and against
+sympy."""
+
+import random
+from fractions import Fraction
+from math import lcm
+
+import pytest
+
+from hypercycles.polyx import (
+    ONE,
+    Poly,
+    int_coeffs,
+    int_exact_div,
+    int_poly_gcd,
+    int_rem,
+    parse_poly,
+    poly_gcd,
+    squarefree_decomposition,
+    squarefree_part,
+)
+from hypercycles.rootclass import (
+    _int_det,
+    _leading_principal_minors,
+    _sturm_chain_int,
+    discrimination_matrix,
+)
+
+# -- reference implementations over Fraction (the oracle) --------------------
+
+
+def ref_gcd(a: Poly, b: Poly) -> Poly:
+    f, g = a.primitive(), b.primitive()
+    while not g.is_zero():
+        f, g = g, f.divrem(g)[1].primitive()
+    return f.monic()
+
+
+def ref_squarefree_part(p: Poly) -> Poly:
+    if p.degree == 0:
+        return ONE
+    return p.exact_div(ref_gcd(p, p.derivative())).monic()
+
+
+def ref_squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
+    p = p.monic()
+    if p.degree == 0:
+        return []
+    out = []
+    dp = p.derivative()
+    a = ref_gcd(p, dp)
+    b = p.exact_div(a)
+    d = dp.exact_div(a) - b.derivative()
+    k = 1
+    while b.degree > 0:
+        g = ref_gcd(b, d) if not d.is_zero() else b.monic()
+        if g.degree > 0:
+            out.append((g.monic(), k))
+        b2 = b.exact_div(g)
+        d = d.exact_div(g) - b2.derivative()
+        b = b2
+        k += 1
+    return out
+
+
+def _ints(p: Poly) -> tuple[int, ...]:
+    return tuple(int(c) for c in p.primitive().coeffs)
+
+
+def ref_sturm_chain(p: Poly) -> tuple[tuple[int, ...], ...]:
+    sf = ref_squarefree_part(p)
+    chain = [_ints(sf)]
+    dp = sf.derivative()
+    if not dp.is_zero():
+        chain.append(_ints(dp))
+        while len(chain[-1]) > 1:
+            r = Poly(chain[-2]).divrem(Poly(chain[-1]))[1]
+            if r.is_zero():
+                break
+            chain.append(_ints(-r))
+    return tuple(chain)
+
+
+def ref_eval(p: Poly, x: Fraction) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+# -- seeded random polynomials -----------------------------------------------
+
+
+def _rational(rng):
+    return Fraction(rng.randint(-7, 7), rng.choice([1, 1, 2, 3, 5]))
+
+
+def _random_poly(rng: random.Random) -> Poly:
+    """Repeated rational roots, factors with no real root, irrational real
+    pairs, dense rational cofactors and negative or rational leads."""
+    p = Poly([rng.choice([Fraction(-3), Fraction(-1, 2), Fraction(1),
+                          Fraction(7, 3), Fraction(-5, 4)])])
+    for _ in range(rng.randint(0, 4)):
+        kind = rng.random()
+        if kind < 0.5:
+            f = Poly([-_rational(rng), 1])
+        elif kind < 0.7:
+            a, b = _rational(rng), _rational(rng) or Fraction(1)
+            f = Poly([a * a + b * b, -2 * a, 1])
+        elif kind < 0.85:
+            f = Poly([-rng.choice([2, 3, 5, 7]), 0, 1])
+        else:
+            f = Poly([_rational(rng) for _ in range(rng.randint(2, 4))]
+                     + [_rational(rng) or Fraction(1)])
+        p = p * f ** rng.choice([1, 1, 2, 3])
+    return p
+
+
+def _random_pair(rng: random.Random) -> tuple[Poly, Poly]:
+    common = _random_poly(rng)
+    return common * _random_poly(rng), common * _random_poly(rng)
+
+
+@pytest.fixture(scope="module")
+def samples():
+    rng = random.Random(1967)
+    return [_random_poly(rng) for _ in range(300)]
+
+
+# -- the polynomial kernels against the Fraction oracle ----------------------
+
+
+def test_gcd_matches_fraction_euclid():
+    rng = random.Random(1971)
+    for _ in range(200):
+        a, b = _random_pair(rng)
+        if a.is_zero() and b.is_zero():
+            continue
+        assert poly_gcd(a, b) == ref_gcd(a, b)
+
+
+def test_squarefree_kernels_match_fraction_euclid(samples):
+    for p in samples:
+        assert squarefree_part(p) == ref_squarefree_part(p)
+        assert squarefree_decomposition(p) == ref_squarefree_decomposition(p)
+
+
+def test_sturm_chain_matches_fraction_chain(samples):
+    for p in samples:
+        if p.degree >= 1:
+            assert _sturm_chain_int(p) == ref_sturm_chain(p)
+
+
+def test_eval_matches_fraction_horner(samples):
+    rng = random.Random(22)
+    points = [Fraction(0), Fraction(1), Fraction(-3), Fraction(7, 4),
+              Fraction(-22, 9), Fraction(10**12 + 1, 3**20)]
+    for p in samples[:100] + [Poly(), Poly([Fraction(-2, 3)])]:
+        for x in points + [_rational(rng)]:
+            v = p.eval(x)
+            assert type(v) is Fraction
+            assert v == ref_eval(p, x)
+    assert type(parse_poly("x^2 - 2").eval(3)) is Fraction
+
+
+# -- the integer helpers themselves ------------------------------------------
+
+
+def test_int_rem_is_a_positive_multiple_of_the_rational_remainder(samples):
+    rng = random.Random(5)
+    for a in samples[:150]:
+        b = rng.choice(samples)
+        if b.degree < 1:
+            continue
+        r = int_rem(int_coeffs(a), int_coeffs(b))
+        expected = Poly(int_coeffs(a)).divrem(Poly(int_coeffs(b)))[1]
+        assert r == int_coeffs(expected)
+
+
+def test_int_exact_div_recovers_the_cofactor(samples):
+    rng = random.Random(6)
+    for p in samples[:150]:
+        b = int_coeffs(rng.choice(samples))
+        a = int_coeffs(p)
+        prod = int_coeffs(Poly(a) * Poly(b))
+        assert int_exact_div(prod, b) == a
+
+
+def test_int_exact_div_raises_when_inexact():
+    with pytest.raises(ValueError):
+        int_exact_div([1, 0, 1], [1, 1])         # x^2 + 1 by x + 1
+    with pytest.raises(ValueError):
+        int_exact_div([1, 1], [2, 2])            # quotient 1/2 is not in Z[x]
+    with pytest.raises(ValueError):
+        int_exact_div([3], [0, 1])               # degree too small, nonzero
+    with pytest.raises(ZeroDivisionError):
+        int_exact_div([1, 1], [])
+    assert int_exact_div([], [1, 1]) == []
+
+
+def test_gcd_zero_inputs():
+    b = parse_poly("-2(x - 1/3)^2 (x + 5)")
+    assert poly_gcd(Poly(), b) == b.monic()
+    assert poly_gcd(b, Poly()) == b.monic()
+    assert poly_gcd(Poly(), Poly([Fraction(-4, 3)])) == ONE
+    assert int_poly_gcd([], [6, -4]) == [3, -2]
+    with pytest.raises(ValueError):
+        poly_gcd(Poly(), Poly())
+
+
+# -- an outside oracle ------------------------------------------------------
+
+
+def _to_sympy(sympy, x, p: Poly):
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                       for c in reversed(p.coeffs)], x, domain="QQ")
+
+
+def _from_sympy(sp) -> Poly:
+    return Poly([Fraction(int(c.p), int(c.q)) for c in reversed(sp.all_coeffs())])
+
+
+def test_gcd_and_squarefree_agree_with_sympy(samples):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    rng = random.Random(1710)
+    for _ in range(60):
+        a, b = _random_pair(rng)
+        expected = _from_sympy(_to_sympy(sympy, x, a).gcd(_to_sympy(sympy, x, b)))
+        assert poly_gcd(a, b) == expected.monic()
+    for p in samples[:80]:
+        _, factors = _to_sympy(sympy, x, p).sqf_list()
+        expected = [(_from_sympy(f).monic(), k) for f, k in factors]
+        assert squarefree_decomposition(p) == sorted(expected, key=lambda t: t[1])
+
+
+# -- discrimination minors -----------------------------------------------------
+
+
+def _leading_dets(rows):
+    return [_int_det([row[:k] for row in rows[:k]]) for k in range(1, len(rows) + 1)]
+
+
+def _int_matrix(f: Poly) -> list[list[int]]:
+    m = discrimination_matrix(f)
+    den = lcm(*[c.denominator for row in m for c in row])
+    return [[int(c * den) for c in row] for row in m]
+
+
+def test_minors_continue_bareiss_after_a_zero_pivot():
+    for text in ("(x-1)^2 (x+2)", "(x-1)^3 (x+1)^2 (x^2+4)", "x^4 (2x-3)^2",
+                 "-(3x+1)^2 (x^2+x+1)^2 (x-5)", "(x^2-2)^3 (x+1/2)"):
+        rows = _int_matrix(parse_poly(text))
+        minors = _leading_principal_minors(rows)
+        assert 0 in minors[:-1]
+        assert minors == _leading_dets(rows)
+
+
+def test_minors_pivot_inside_the_trailing_block():
+    # order 2 vanishes; the block left for order 3, [[0, -10], [9, -3]],
+    # needs a row swap before it can continue
+    rows = [[2, 1, 3, 0], [4, 2, 1, 1], [1, 5, 0, 2], [3, 0, 2, 1]]
+    minors = _leading_principal_minors(rows)
+    assert minors[1] == 0
+    assert minors == _leading_dets(rows) == [2, 0, 45, _int_det(rows)]

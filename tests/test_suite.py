@@ -11,6 +11,12 @@ def test_run_suite_subset():
     assert all(r.passed for r in results)
 
 
+def test_run_suite_dependents_alone_build_their_curves():
+    results = run_suite(criteria=[7, 5])
+    assert [r.criterion for r in results] == [5, 7]
+    assert all(r.passed for r in results)
+
+
 def test_round_trip_criterion_builds_dependencies():
     ctx = SuiteContext()
     result = criterion_5(ctx)  # must construct criteria 1-3 curves internally
