@@ -10,6 +10,7 @@ status: 0 success, 2 domain errors (no curve exists, pattern not achieved,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -146,6 +147,13 @@ def _cmd_reconstruct(args) -> dict:
 def _load_pattern(path: str) -> "families.CaseIPattern":
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise SystemExit(f"error: --pattern {path}: the top level must be a JSON object")
+    known = {f.name for f in dataclasses.fields(families.CaseIPattern)}
+    unknown = sorted(set(doc) - known)
+    if unknown:
+        raise SystemExit(f"error: --pattern {path}: unknown keys {unknown}; "
+                         f"known keys are {sorted(known)}")
     kwargs = {}
     for key in ("x0_candidates", "odd_nodes", "even_nodes", "pin_fractions"):
         if key in doc:

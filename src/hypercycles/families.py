@@ -18,10 +18,15 @@ Three regimes:
 
 `lift` multiplies P by (x-s) and Q by (x-s)^2, pushing the type from (m, n)
 to (m+1, n+2) while preserving certified cycles for large s.
+
+Every fixed-schedule search (doubling s, halving eps and c, retry scales)
+walks one `_geometric` schedule through one `_first` loop; lemmas 7 and 8
+share one inductive routine, `_perturb_ladder`.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -39,6 +44,8 @@ from .polyx import ONE, Poly, X, poly_gcd
 from .rootclass import all_roots_real_simple, isolate_real_roots, sign_on_interval
 
 DEFAULT_S_CAP = 2**60
+# halving budget of the ladder base cases and of each b window search
+_LADDER_STEPS = 48
 
 
 class SearchExhausted(RuntimeError):
@@ -68,9 +75,24 @@ def _prod_linear(roots: Sequence) -> Poly:
     return p
 
 
-def _interval_is(verdict_pair, a: Fraction, b: Fraction) -> bool:
-    s1, s2 = verdict_pair
-    return s1.equals_rational(a) and s2.equals_rational(b)
+def _geometric(start, ratio, steps: Optional[int] = None, cap=None):
+    """The search schedule start, start*ratio, start*ratio^2, ...: at most
+    `steps` values, and none above `cap`."""
+    v = start
+    for _ in range(steps) if steps is not None else itertools.count():
+        if cap is not None and v > cap:
+            return
+        yield v
+        v *= ratio
+
+
+def _first(schedule, attempt):
+    """The first non-None attempt(v) over the schedule, or None."""
+    for v in schedule:
+        result = attempt(v)
+        if result is not None:
+            return result
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -84,19 +106,7 @@ def construct_high_n(m: int, n: int, s_cap: int = DEFAULT_S_CAP) -> Construction
     [2i-1, 2i] (m even) or [2i, 2i+1] (m odd)."""
     if m < 2 or n < 2 * m + 1:
         raise ValueError("construct_high_n needs m >= 2 and n >= 2m+1")
-    R = _prod_linear(range(1, m + 1))
-    target = m // 2
-    expected = _expected_pairs(m, odd_uses_even_starts=True)
-    s = m + 1
-    while s <= s_cap:
-        P = R * Poly([s, 1])
-        Q = (R * Poly([s, 1]) ** (n - m + 1)).scale(-s)
-        result = _try_certify(P, Q, (m, n), target, expected)
-        if result is not None:
-            result.parameters = {"s": s}
-            return result
-        s *= 2
-    raise SearchExhausted(f"no s up to {s_cap} certifies type ({m},{n})")
+    return _product_family(m, n, n - m + 1, m // 2, True, s_cap)
 
 
 def construct_n_2m(m: int, s_cap: int = DEFAULT_S_CAP) -> ConstructionResult:
@@ -104,36 +114,37 @@ def construct_n_2m(m: int, s_cap: int = DEFAULT_S_CAP) -> ConstructionResult:
     Stated for m >= 4; m = 3 is accepted with a warning note."""
     if m < 3:
         raise ValueError("construct_n_2m needs m >= 3")
+    result = _product_family(m, 2 * m, m + 2, (2 * m - 1) // 4, False, s_cap)
+    if m == 3:
+        result.parameters["warning"] = "m = 3 is below the stated m >= 4 range"
+    return result
+
+
+def _product_family(m, n, k, target, negative_q, s_cap) -> ConstructionResult:
+    """P = R(x+s) and Q = R(x+s)^k, times -s when negative_q, with
+    R = prod_{i<=m}(x-i): the first s doubling from m+1 that certifies
+    `target` cycles wins."""
     R = _prod_linear(range(1, m + 1))
-    target = (2 * m - 1) // 4
-    expected = _expected_pairs(m, odd_uses_even_starts=False)
-    s = m + 1
-    while s <= s_cap:
+    # the cycles sit on alternate integer intervals; the factor -s in Q
+    # (case iii) flips the positive-Q parity relative to the n = 2m family
+    first = 1 if (m % 2 == 0) == negative_q else 2
+    expected = [(i, i + 1) for i in range(first, m, 2)]
+
+    def attempt(s):
         P = R * Poly([s, 1])
-        Q = R * Poly([s, 1]) ** (m + 2)
-        result = _try_certify(P, Q, (m, 2 * m), target, expected)
-        if result is not None:
-            result.parameters = {"s": s}
-            if m == 3:
-                result.parameters["warning"] = "m = 3 is below the stated m >= 4 range"
-            return result
-        s *= 2
-    raise SearchExhausted(f"no s up to {s_cap} certifies type ({m},{2 * m})")
+        Q = R * Poly([s, 1]) ** k
+        if negative_q:
+            Q = Q.scale(-s)
+        return _try_certify(P, Q, (m, n), target, expected, {"s": s})
+
+    result = _first(_geometric(m + 1, 2, cap=s_cap), attempt)
+    if result is None:
+        raise SearchExhausted(f"no s up to {s_cap} certifies type ({m},{n})")
+    return result
 
 
-def _expected_pairs(m: int, odd_uses_even_starts: bool) -> list[tuple[int, int]]:
-    """Integer cycle intervals: which adjacent root pairs carry the cycles.
-
-    For Q containing the factor -s (case iii) the positive-Q parity flips
-    relative to the n = 2m family, which is what the flag encodes."""
-    if m % 2 == (0 if odd_uses_even_starts else 1):
-        starts = range(1, m, 2)
-    else:
-        starts = range(2, m, 2)
-    return [(i, i + 1) for i in starts]
-
-
-def _try_certify(P, Q, mn, target, expected_pairs=None) -> Optional[ConstructionResult]:
+def _try_certify(P, Q, mn, target, expected_pairs=None,
+                 parameters=None) -> Optional[ConstructionResult]:
     try:
         curve = HyperellipticCurve(P=P, Q=Q)
         report = certify(curve)
@@ -145,13 +156,14 @@ def _try_certify(P, Q, mn, target, expected_pairs=None) -> Optional[Construction
         certified = [(v.s1, v.s2) for v in report.intervals if v.certified]
         if len(certified) != len(expected_pairs):
             return None
-        for pair, (a, b) in zip(certified, expected_pairs):
-            if not _interval_is(pair, Fraction(a), Fraction(b)):
+        for (s1, s2), (a, b) in zip(certified, expected_pairs):
+            if not (s1.equals_rational(a) and s2.equals_rational(b)):
                 return None
     if not report.bound_consistent:
         raise AssertionError(
             f"certified count exceeds the proven upper bound for {mn}")
-    return ConstructionResult(curve=curve, system=report.system, report=report)
+    return ConstructionResult(curve=curve, system=report.system, report=report,
+                              parameters=parameters or {})
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +173,6 @@ def _try_certify(P, Q, mn, target, expected_pairs=None) -> Optional[Construction
 
 def lift(
     curve: HyperellipticCurve,
-    s: Optional[Fraction] = None,
     s_cap: int = DEFAULT_S_CAP,
 ) -> ConstructionResult:
     """P -> P*(x-s), Q -> Q*(x-s)^2 with s above every root of Q, doubling
@@ -170,31 +181,31 @@ def lift(
     t = base.certified_count
     if t < 1:
         raise ValueError("lift needs a curve certifying at least one cycle")
-    start = s if s is not None else _next_integer_above_roots(curve.Q)
-    sv = Fraction(start)
-    while sv <= s_cap:
+    lifted_type = (base.system.m + 1, base.system.n + 2)
+
+    def attempt(s):
         lifted = HyperellipticCurve(
-            P=curve.P * Poly([-sv, 1]),
-            Q=curve.Q * Poly([-sv, 1]) ** 2,
+            P=curve.P * _linear(s),
+            Q=curve.Q * _linear(s) ** 2,
         )
         try:
             report = certify(lifted)
         except NonPolynomialSystem:
-            report = None
-        if report is not None and report.certified_count >= t:
-            if (report.system.m, report.system.n) != (base.system.m + 1, base.system.n + 2):
-                report = None
-            else:
-                return ConstructionResult(
-                    curve=lifted,
-                    system=report.system,
-                    report=report,
-                    parameters={"s": sv, "base_type": base.system.type},
-                )
-        if s is not None:
-            break  # caller pinned s; no search
-        sv *= 2
-    raise SearchExhausted("no lift parameter s certified the lifted curve")
+            return None
+        if report.certified_count < t or (report.system.m, report.system.n) != lifted_type:
+            return None
+        return ConstructionResult(
+            curve=lifted,
+            system=report.system,
+            report=report,
+            parameters={"s": s, "base_type": base.system.type},
+        )
+
+    start = Fraction(_next_integer_above_roots(curve.Q))
+    result = _first(_geometric(start, 2, cap=s_cap), attempt)
+    if result is None:
+        raise SearchExhausted("no lift parameter s certified the lifted curve")
+    return result
 
 
 def _next_integer_above_roots(q: Poly) -> int:
@@ -210,14 +221,7 @@ def _next_integer_above_roots(q: Poly) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _halving(start: Fraction, steps: int):
-    v = Fraction(start)
-    for _ in range(steps):
-        yield v
-        v /= 2
-
-
-def _find_b(after_d, make_c, slots, pos_interval, hi0: Fraction, steps: int = 60):
+def _find_b(after_d, make_c, slots, pos_interval, hi0: Fraction):
     """Search the additive constant b of the inductive perturbations.
 
     The admissible set is a window: below it the perturbation polynomial
@@ -226,36 +230,24 @@ def _find_b(after_d, make_c, slots, pos_interval, hi0: Fraction, steps: int = 60
 
     def ladder_ok(b):
         cand = after_d + Poly([b])
-        roots = _all_simple_real_roots(cand)
-        return cand, roots is not None and _roots_fit_slots(roots, slots)
-
-    def pos_ok(b):
-        c = make_c(b)
-        lo, hi = pos_interval
-        return (
-            sign_on_interval(c, lo, hi) == "positive"
-            and c.eval(lo) > 0
-            and c.eval(hi) > 0
-        )
+        return cand, _roots_fit_slots(cand, slots)
 
     lo = Fraction(0)
     hi = Fraction(hi0)
-    grew = False
-    for _ in range(steps):
+    for _ in range(_LADDER_STEPS):
         cand, lok = ladder_ok(hi)
-        if lok and pos_ok(hi):
+        if lok and _positive_on(make_c(hi), pos_interval):
             return make_c(hi), cand
         if lok:
             lo, hi = hi, hi * 2  # ladder fine, positivity short: b too small
-            grew = True
             continue
         break
     else:
         return None
-    for _ in range(steps):
+    for _ in range(_LADDER_STEPS):
         mid = (lo + hi) / 2
         cand, lok = ladder_ok(mid)
-        if lok and pos_ok(mid):
+        if lok and _positive_on(make_c(mid), pos_interval):
             return make_c(mid), cand
         if lok:
             lo = mid
@@ -264,73 +256,63 @@ def _find_b(after_d, make_c, slots, pos_interval, hi0: Fraction, steps: int = 60
     return None
 
 
-def _all_simple_real_roots(p: Poly) -> Optional[list]:
+def _positive_on(c: Poly, interval) -> bool:
+    """c > 0 on the closed interval."""
+    lo, hi = interval
+    return (
+        sign_on_interval(c, lo, hi) == "positive"
+        and c.eval(lo) > 0
+        and c.eval(hi) > 0
+    )
+
+
+def _roots_fit_slots(p: Poly, slots) -> bool:
+    """p has only real simple roots, one per slot in sorted order; slots are
+    open rational bounds (lo, hi), so a root landing exactly on a bound
+    fails its slot."""
     if not all_roots_real_simple(p):
-        return None
-    return isolate_real_roots(p)
-
-
-def _roots_fit_slots(roots, slots) -> bool:
-    """slots: list of (lo, hi) open rational bounds, one per sorted root;
-    None means unconstrained on that side.  Roots landing exactly on a bound
-    fail the (strict) slot."""
+        return False
+    roots = isolate_real_roots(p)
     if len(roots) != len(slots):
         return False
     for r, (lo, hi) in zip(roots, slots):
         for bound in (lo, hi):
             if (
-                bound is not None
-                and not r.is_exact()
+                not r.is_exact()
                 and r.lo < bound < r.hi
                 and r.poly.eval(bound) == 0
             ):
                 r.lo = r.hi = bound  # the unique root in the interval is the bound
-        if lo is not None:
-            if r.is_exact():
-                if not r.value > lo:
-                    return False
-            else:
-                while r.lo < lo < r.hi:
-                    r.refine()
-                if not r.lo >= lo:
-                    return False
-        if hi is not None:
-            if r.is_exact():
-                if not r.value < hi:
-                    return False
-            else:
-                while r.lo < hi < r.hi:
-                    r.refine()
-                if not r.hi <= hi:
-                    return False
+        if r.is_exact():
+            if not r.value > lo:
+                return False
+        else:
+            while r.lo < lo < r.hi:
+                r.refine()
+            if not r.lo >= lo:
+                return False
+        if r.is_exact():
+            if not r.value < hi:
+                return False
+        else:
+            while r.lo < hi < r.hi:
+                r.refine()
+            if not r.hi <= hi:
+                return False
     return True
 
 
-def _lemma7_slots(h: int, l: int, s) -> list:
-    # 0 < x_1 < ... < x_{2h+1} < y_1, with y_1 < 1 only when the chain
-    # continues (l >= 1); then z_i, y_{i+1} pairs above 1, y_{l+1} < s
-    head_hi = Fraction(1) if l >= 1 else Fraction(s)
-    slots = [(Fraction(0), head_hi)] * (2 * h + 2)
-    for _ in range(1, l + 1):
-        slots.append((Fraction(1), Fraction(s)))  # z_i
-        slots.append((Fraction(1), Fraction(s)))  # y_{i+1}
-    return slots
-
-
-def _lemma8_slots(h: int, l: int, s1, s2) -> list:
+def _ladder_slots(below: int, above: int, l: int, s1, s2) -> list:
+    # `below` roots in (s1, 0), then x_i and y_1 in (0, 1), with y_1 < 1
+    # only when the chain continues (l >= 1)
     head_hi = Fraction(1) if l >= 1 else Fraction(s2)
-    slots = [(Fraction(s1), Fraction(0))]            # z_{-1}
-    slots += [(Fraction(s1), Fraction(0))]           # x_1 < 0
-    slots += [(Fraction(0), head_hi)] * (2 * h - 1)  # x_2..x_{2h}
-    slots += [(Fraction(0), head_hi)]                # y_1
-    for _ in range(1, l + 1):
-        slots.append((Fraction(1), Fraction(s2)))    # z_i
-        slots.append((Fraction(1), Fraction(s2)))    # y_{i+1}
+    slots = [(Fraction(s1), Fraction(0))] * below
+    slots += [(Fraction(0), head_hi)] * above
+    slots += [(Fraction(1), Fraction(s2))] * (2 * l)  # z_i, y_{i+1} for i <= l
     return slots
 
 
-
-def _search_d_then_b(A, cstar, gate, slots, pos_interval, start, budget):
+def _search_d_then_b(A, cstar, slots, pos_interval, start, budget):
     """The -dx stage: halve d until the split-at-zero gate passes, then run
     the b window search per d.  Repeated empty b-windows mean the scales the
     induction cascaded into lie far below the current d (the positivity
@@ -341,11 +323,11 @@ def _search_d_then_b(A, cstar, gate, slots, pos_interval, start, budget):
     misses = 0
     for _ in range(budget):
         after_d = A - X.scale(d)
-        if gate(after_d):
+        if _splits_at_zero(after_d):
             def make_c(b, _d=d):
                 return cstar.shift_up(2) - X.scale(_d) + Poly([b])
 
-            found = _find_b(after_d, make_c, slots, pos_interval, d, steps=48)
+            found = _find_b(after_d, make_c, slots, pos_interval, d)
             if found is not None:
                 return found
             misses += 1
@@ -355,64 +337,73 @@ def _search_d_then_b(A, cstar, gate, slots, pos_interval, start, budget):
     return None
 
 
-def perturb_lemma7(
-    h: int,
-    l: int,
-    s,
-    scale: Fraction = Fraction(1, 2),
-    steps: int = 48,
-) -> tuple[Poly, Poly]:
-    """A degree-2h polynomial c(x) > 0 on [0, s] such that Q1 + c, with
-    Q1 = (x-s) x^{2h+1} prod_{i<=l} (x-i)^2, has 2h+2l+2 simple real roots
-    in the ladder 0 < x_1 < ... < x_{2h+1} < y_1 < 1 < z_1 < ... < y_{l+1} < s.
-
-    Base case h = 0 searches a constant; the inductive step perturbs the
-    h-1 solution of Q1/x^2 by x^2*c* - d*x + b with halving searches for d
-    then b, exactly re-checking the ladder at each stage."""
-    s = Fraction(s)
-    if s <= l + 1:
-        raise ValueError("need s > l + 1")
-    if h < 0 or l < 0:
-        raise ValueError("h, l must be nonnegative")
-    Q1 = Poly([-s, 1]) * X ** (2 * h + 1) * _prod_linear(range(1, l + 1)) ** 2
-    slots = _lemma7_slots(h, l, s)
-
-    if h == 0:
-        for eps in _halving(scale, steps):
-            cand = Q1 + Poly([eps])
-            roots = _all_simple_real_roots(cand)
-            if roots is not None and _roots_fit_slots(roots, slots):
-                return Poly([eps]), cand
-        raise SearchExhausted("lemma-7 base case: no eps up to the budget")
-
-    for attempt in range(6):
-        inner_scale = scale / 4**attempt
-        try:
-            cstar, _ = perturb_lemma7(h - 1, l, s, scale=inner_scale, steps=steps)
-        except SearchExhausted:
-            continue
-        A = Q1 + cstar.shift_up(2)  # Q1 + x^2 c*(x)
-
-        def gate(poly):
-            return _lemma7_after_d_ok(poly, h, l, s)
-
-        found = _search_d_then_b(A, cstar, gate, slots, (Fraction(0), s),
-                                 inner_scale, steps + 30 * h)
-        if found is not None:
-            return found
-    raise SearchExhausted("lemma-7 induction: no (c*, d, b) up to the budget")
-
-
-def _lemma7_after_d_ok(p: Poly, h: int, l: int, s: Fraction) -> bool:
+def _splits_at_zero(p: Poly) -> bool:
     """After the -dx perturbation 0 must be an exact simple root and all the
     remaining roots real and simple; the final ladder is checked only after
     the +b stage, so this gate stays minimal."""
     if p.eval(0) != 0:
         return False
     deflated = p.exact_div(X)
-    if deflated.eval(0) == 0:
-        return False
-    return _all_simple_real_roots(deflated) is not None
+    return deflated.eval(0) != 0 and all_roots_real_simple(deflated)
+
+
+def _perturb_ladder(q1, slots, h: int, base_h: int, base: Poly, pos_interval,
+                    scale: Fraction) -> tuple[Poly, Poly]:
+    """The argument shared by lemmas 7 and 8: c(x) > 0 on pos_interval such
+    that q1(h) + c has one simple real root in each of slots(h).
+
+    At h = base_h, c = eps*base with eps halving from `scale`.  Above it,
+    the h-1 solution c* of q1(h-1) = q1(h)/x^2 (retried at scales 1/4 apart)
+    is perturbed by x^2*c* - d*x + b with halving searches for d then b,
+    exactly re-checking the ladder at each stage."""
+    Q1, ladder = q1(h), slots(h)
+    if h == base_h:
+        def attempt(eps):
+            c = base.scale(eps)
+            cand = Q1 + c
+            if _roots_fit_slots(cand, ladder) and _positive_on(c, pos_interval):
+                return c, cand
+            return None
+
+        schedule = _geometric(scale, Fraction(1, 2), steps=_LADDER_STEPS)
+    else:
+        def attempt(inner_scale):
+            try:
+                cstar, _ = _perturb_ladder(q1, slots, h - 1, base_h, base, pos_interval,
+                                           inner_scale)
+            except SearchExhausted:
+                return None
+            A = Q1 + cstar.shift_up(2)  # Q1 + x^2 c*(x)
+            return _search_d_then_b(A, cstar, ladder, pos_interval, inner_scale,
+                                    _LADDER_STEPS + 30 * h)
+
+        schedule = _geometric(scale, Fraction(1, 4), steps=6)
+    found = _first(schedule, attempt)
+    if found is None:
+        raise SearchExhausted(f"ladder h = {h}: no perturbation up to the budget")
+    return found
+
+
+def perturb_lemma7(
+    h: int,
+    l: int,
+    s,
+    scale: Fraction = Fraction(1, 2),
+) -> tuple[Poly, Poly]:
+    """A degree-2h polynomial c(x) > 0 on [0, s] such that Q1 + c, with
+    Q1 = (x-s) x^{2h+1} prod_{i<=l} (x-i)^2, has 2h+2l+2 simple real roots
+    in the ladder 0 < x_1 < ... < x_{2h+1} < y_1 < 1 < z_1 < ... < y_{l+1} < s.
+    Base case h = 0 searches a constant; `_perturb_ladder` has the induction."""
+    s = Fraction(s)
+    if s <= l + 1:
+        raise ValueError("need s > l + 1")
+    if h < 0 or l < 0:
+        raise ValueError("h, l must be nonnegative")
+    rest = _linear(s) * _prod_linear(range(1, l + 1)) ** 2
+    return _perturb_ladder(
+        lambda k: rest * X ** (2 * k + 1),
+        lambda k: _ladder_slots(0, 2 * k + 2, l, 0, s),
+        h, 0, ONE, (Fraction(0), s), Fraction(scale))
 
 
 def perturb_lemma8(
@@ -421,7 +412,6 @@ def perturb_lemma8(
     s1,
     s2,
     scale: Fraction = Fraction(1, 2),
-    steps: int = 48,
 ) -> tuple[Poly, Poly]:
     """Analog of perturb_lemma7 for Q1 = (x-s1)(x-s2) x^{2h} prod (x-i)^2
     with s1 < -1 < 1 < l+1 < s2: returns degree-(2h-1) c(x) positive on
@@ -431,39 +421,12 @@ def perturb_lemma8(
         raise ValueError("lemma 8 needs h >= 1")
     if not (s1 < -1 and s2 > l + 1):
         raise ValueError("need s1 < -1 and s2 > l + 1")
-    Q1 = Poly([-s1, 1]) * Poly([-s2, 1]) * X ** (2 * h) * _prod_linear(range(1, l + 1)) ** 2
-    slots = _lemma8_slots(h, l, s1, s2)
-
-    if h == 1:
-        # c = eps * (x - s1 + 1): linear, positive on [s1, s2]
-        for eps in _halving(scale, steps):
-            c = Poly([eps * (1 - s1), eps])
-            cand = Q1 + c
-            roots = _all_simple_real_roots(cand)
-            if roots is not None and _roots_fit_slots(roots, slots):
-                if sign_on_interval(c, s1, s2) == "positive":
-                    return c, cand
-        raise SearchExhausted("lemma-8 base case: no eps up to the budget")
-
-    for attempt in range(6):
-        inner_scale = scale / 4**attempt
-        try:
-            cstar, _ = perturb_lemma8(h - 1, l, s1, s2, scale=inner_scale, steps=steps)
-        except SearchExhausted:
-            continue
-        A = Q1 + cstar.shift_up(2)
-
-        def gate(poly):
-            if poly.eval(0) != 0:
-                return False
-            deflated = poly.exact_div(X)
-            return deflated.eval(0) != 0 and _all_simple_real_roots(deflated) is not None
-
-        found = _search_d_then_b(A, cstar, gate, slots, (s1, s2),
-                                 inner_scale, steps + 30 * h)
-        if found is not None:
-            return found
-    raise SearchExhausted("lemma-8 induction: no (c*, d, b) up to the budget")
+    rest = _linear(s1) * _linear(s2) * _prod_linear(range(1, l + 1)) ** 2
+    return _perturb_ladder(
+        lambda k: rest * X ** (2 * k),
+        lambda k: _ladder_slots(2, 2 * k, l, s1, s2),  # z_{-1}, x_1 < 0
+        # base c = eps * (x - s1 + 1): linear, positive on [s1, s2]
+        h, 1, Poly([1 - s1, 1]), (s1, s2), Fraction(scale))
 
 
 # ---------------------------------------------------------------------------
@@ -478,83 +441,64 @@ def construct_case_ii(m: int, n: int, s_cap: int = DEFAULT_S_CAP) -> Constructio
     if (m, n) in ((3, 5), (2, 4)):
         raise ValueError(f"type {(m, n)} has no hyperelliptic limit cycles")
     r = (n - 1) % 4
-    if r == 0:
-        return _case_ii_i(m, n)
-    if r == 1:
-        return _case_ii_ii(m, n, s_cap)
-    # r in (2, 3): reduce to (m-1, n-2), then lift
-    try:
-        sub = construct(m - 1, n - 2, s_cap=s_cap)
-    except ValueError as exc:
-        # the reduction can land on an excluded zero cell, e.g. (4,7) -> (3,5)
-        raise PatternNotAchieved(
-            f"reduction of ({m},{n}) lands on the excluded type "
-            f"({m-1},{n-2}): {exc}") from exc
-    result = lift(sub.curve, s_cap=s_cap)
-    result.parameters["reduced_from"] = (m - 1, n - 2)
-    target = (n - 1) // 4
-    if result.report.certified_count != target:
-        raise SearchExhausted(
-            f"lift of ({m-1},{n-2}) gave {result.report.certified_count} cycles, "
-            f"wanted {target}")
+    t = (n - 1) // 4
+    if r in (2, 3):  # reduce to (m-1, n-2), then lift
+        try:
+            sub = construct(m - 1, n - 2, s_cap=s_cap)
+        except ValueError as exc:
+            # the reduction can land on an excluded zero cell, e.g. (4,7) -> (3,5)
+            raise PatternNotAchieved(
+                f"reduction of ({m},{n}) lands on the excluded type "
+                f"({m-1},{n-2}): {exc}") from exc
+        result = lift(sub.curve, s_cap=s_cap)
+        result.parameters["reduced_from"] = (m - 1, n - 2)
+        if result.report.certified_count != t:
+            raise SearchExhausted(
+                f"lift of ({m-1},{n-2}) gave {result.report.certified_count} cycles, "
+                f"wanted {t}")
+        return result
+    if r == 0:  # lemma 7 ladder, pref = x - sigma
+        h = 3 * t - m
+        l = m - 2 * t - 1
+        sigma = 2 * m - 2 * t
+        assert h >= 0 and l >= 0
+        result = _case_ii_assemble(
+            (m, n), t, l, 6 * t - 2 * m + 1, _linear(sigma), 8,
+            lambda scale: perturb_lemma7(h, l, sigma, scale=scale),
+            {"t": t, "h": h, "l": l, "sigma": sigma})
+    else:  # lemma 8 ladder, pref = (x+2)(x-s) with s doubling
+        h = 3 * t - m + 1
+        l = m - 2 * t - 2
+        assert h >= 1 and l >= 0
+
+        def attempt(s):
+            return _case_ii_assemble(
+                (m, n), t, l, 6 * t - 2 * m + 2, Poly([2, 1]) * _linear(s), 4,
+                lambda scale: perturb_lemma8(h, l, -2, s, scale=scale),
+                {"t": t, "h": h, "l": l, "s": s})
+
+        result = _first(_geometric(l + 2, 2, cap=s_cap), attempt)
+    if result is None:
+        raise SearchExhausted(f"case (ii) search failed for ({m},{n})")
     return result
 
 
-def _case_ii_i(m: int, n: int) -> ConstructionResult:
-    t = (n - 1) // 4
-    h = 3 * t - m
-    l = m - 2 * t - 1
-    sigma = 2 * m - 2 * t
-    assert h >= 0 and l >= 0
-    scale = Fraction(1, 2)
-    for attempt in range(8):
+def _case_ii_assemble(mn, t, l, k, pref, retries, perturb, parameters):
+    """P = P1*D*pref and Q = pref*x^k*prod(x-i)^2 * P1*D^2*pref^2, with
+    D = x*prod_{i<=l}(x-i) and (c, P1) = perturb(scale) from a ladder lemma.
+    Condition (iv) can fail for unlucky c; retry with fresh, smaller c."""
+    D = _prod_linear(range(0, l + 1))  # includes the factor x
+    Q1 = pref * X ** k * _prod_linear(range(1, l + 1)) ** 2
+
+    def attempt(scale):
         try:
-            c, P1 = perturb_lemma7(h, l, sigma, scale=scale)
+            c, P1 = perturb(scale)
         except SearchExhausted:
-            scale /= 8
-            continue
-        D = _prod_linear(range(0, l + 1))  # includes the factor x
-        P = P1 * D * _linear(sigma)
-        Q1 = Poly([-Fraction(sigma), 1]) * X ** (6 * t - 2 * m + 1) * _prod_linear(
-            range(1, l + 1)) ** 2
-        Q = Q1 * P1 * D**2 * _linear(sigma) ** 2
-        result = _try_certify(P, Q, (m, n), t)
-        if result is not None:
-            result.parameters = {"t": t, "h": h, "l": l, "sigma": sigma,
-                                 "c": [str(v) for v in c.coeffs]}
-            return result
-        # condition (iv) can fail for unlucky c; retry with fresh, smaller c
-        scale /= 8
-    raise SearchExhausted(f"case (ii-i) search failed for ({m},{n})")
+            return None
+        return _try_certify(P1 * D * pref, Q1 * P1 * D**2 * pref**2, mn, t,
+                            parameters={**parameters, "c": [str(v) for v in c.coeffs]})
 
-
-def _case_ii_ii(m: int, n: int, s_cap: int) -> ConstructionResult:
-    t = (n - 2) // 4
-    h = 3 * t - m + 1
-    l = m - 2 * t - 2
-    assert h >= 1 and l >= 0
-    s = l + 2
-    while s <= s_cap:
-        scale = Fraction(1, 2)
-        for attempt in range(4):
-            try:
-                c, P1 = perturb_lemma8(h, l, -2, s, scale=scale)
-            except SearchExhausted:
-                scale /= 8
-                continue
-            D = _prod_linear(range(0, l + 1))
-            pref = Poly([2, 1]) * Poly([-Fraction(s), 1])  # (x+2)(x-s)
-            P = P1 * D * pref
-            Q1 = pref * X ** (6 * t - 2 * m + 2) * _prod_linear(range(1, l + 1)) ** 2
-            Q = Q1 * P1 * D**2 * pref**2
-            result = _try_certify(P, Q, (m, n), t)
-            if result is not None:
-                result.parameters = {"t": t, "h": h, "l": l, "s": s,
-                                     "c": [str(v) for v in c.coeffs]}
-                return result
-            scale /= 8
-        s *= 2
-    raise SearchExhausted(f"case (ii-ii) search failed for ({m},{n})")
+    return _first(_geometric(Fraction(1, 2), Fraction(1, 8), steps=retries), attempt)
 
 
 # ---------------------------------------------------------------------------
@@ -613,7 +557,6 @@ def construct_case_i(
     m: int,
     n: int,
     pattern: Optional[CaseIPattern] = None,
-    s_cap: int = DEFAULT_S_CAP,
 ) -> ConstructionResult:
     band_hi = (4 * m + 2) // 3
     if not m + 2 <= n <= band_hi:
@@ -771,12 +714,14 @@ def _solve_linear(rows, rhs) -> Optional[list[Fraction]]:
 def _case_i_search_c(m, n, L, M, target, halving: int):
     """t = 0: the perturbation constant only needs to be small; halve until
     the assembled curve certifies."""
-    for c in _halving(Fraction(1), halving):
+
+    def attempt(c):
         cand = _case_i_assemble(m, n, L, M, ONE, c, target)
         if cand is not None:
             cand.parameters["c"] = c
-            return cand
-    return None
+        return cand
+
+    return _first(_geometric(Fraction(1), Fraction(1, 2), steps=halving), attempt)
 
 
 def _case_i_assemble(m, n, L, M, W, c, target):
@@ -825,7 +770,7 @@ def construct(
         return construct_n_2m(m, s_cap)
     band_hi = (4 * m + 2) // 3
     if m + 2 <= n <= band_hi:
-        return construct_case_i(m, n, pattern=pattern, s_cap=s_cap)
+        return construct_case_i(m, n, pattern=pattern)
     if band_hi + 1 <= n <= 2 * m - 1:
         return construct_case_ii(m, n, s_cap)
     raise ValueError(f"type ({m},{n}) admits no hyperelliptic limit cycles")

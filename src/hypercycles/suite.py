@@ -106,11 +106,11 @@ def criterion_3(ctx: SuiteContext) -> CriterionResult:
     """Case (i): (4,6) certifies 1 cycle; (10,13) certifies 2 in [2,3]."""
     t0 = time.monotonic()
     checks = []
-    res46 = construct_case_i(4, 6, s_cap=ctx.s_cap)
+    res46 = construct_case_i(4, 6)
     ctx.remember((4, 6), res46.curve)
     got46 = res46.report.certified_count
     checks.append((got46 == 1, f"(4,6): certified {got46}, expected 1"))
-    res1013 = construct_case_i(10, 13, s_cap=ctx.s_cap)
+    res1013 = construct_case_i(10, 13)
     ctx.remember((10, 13), res1013.curve)
     got = res1013.report.certified_count
     b = bounds(10, 13)

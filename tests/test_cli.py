@@ -3,6 +3,8 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
+
 from hypercycles.cli import _load_pattern, main
 
 
@@ -159,3 +161,17 @@ def test_load_pattern_keeps_pin_fractions(tmp_path):
     pattern = _load_pattern(str(path))
     assert pattern.pin_fractions == (Fraction(1, 3), Fraction(1), Fraction(2))
     assert pattern.odd_nodes == (Fraction(1, 2), Fraction(3))
+
+
+@pytest.mark.parametrize(
+    "doc, complaint",
+    [([1, 2], "JSON object"), ({"max_seed": 1}, "unknown keys ['max_seed']")],
+    ids=["not_an_object", "misspelled_key"],
+)
+def test_construct_rejects_bad_pattern_file(tmp_path, doc, complaint):
+    path = tmp_path / "pattern.json"
+    path.write_text(json.dumps(doc))
+    proc = run_cli(["construct", "--m", "4", "--n", "6", "--pattern", str(path)])
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and complaint in proc.stderr

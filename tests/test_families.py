@@ -5,6 +5,7 @@ import pytest
 from hypercycles.families import (
     CaseIPattern,
     PatternNotAchieved,
+    SearchExhausted,
     construct,
     construct_case_i,
     construct_case_ii,
@@ -221,9 +222,31 @@ def test_focus_node_sign_data_on_certified_intervals():
         assert all(v.gprime_positive_at_alpha is True for v in certified)
 
 
-def test_case_i_79_needs_more_conditions_than_nodes():
+@pytest.mark.parametrize("m, n", [(7, 9), (9, 11), (9, 12), (10, 12)])
+def test_case_i_known_gap_is_reported(m, n):
+    # bounds() credits each cell with a cycle that construct() cannot build.
     # (7,9) asks for t = 2 exact double roots but offers only deg M = 2 free
     # node coefficients; the rational seed families cannot meet the 3
-    # alignment conditions, and the failure is reported, not papered over
+    # alignment conditions, and the failure is reported, not papered over.
+    # (9,11) and (10,12) are short of node coefficients in the same way;
+    # at (9,12) every seed of the default pattern fails.
+    assert bounds(m, n).lower > 0
     with pytest.raises(PatternNotAchieved):
-        construct_case_i(7, 9)
+        construct_case_i(m, n)
+
+
+@pytest.mark.parametrize(
+    "search, message",
+    [
+        (lambda: construct_high_n(2, 5, s_cap=2), r"no s up to 2 certifies type \(2,5\)"),
+        (lambda: construct_n_2m(4, s_cap=4), r"no s up to 4 certifies type \(4,8\)"),
+        (lambda: lift(construct_high_n(2, 5).curve, s_cap=1), "no lift parameter s"),
+        (lambda: construct_case_ii(6, 10, s_cap=1), r"search failed for \(6,10\)"),
+    ],
+    ids=["high_n", "n_2m", "lift", "case_ii"],
+)
+def test_search_exhausted_when_cap_is_below_schedule_start(search, message):
+    # each doubling schedule starts above its cap, so it yields no value
+    # and the search ends at once with SearchExhausted
+    with pytest.raises(SearchExhausted, match=message):
+        search()
