@@ -145,24 +145,36 @@ def _cmd_reconstruct(args) -> dict:
 
 
 def _load_pattern(path: str) -> "families.CaseIPattern":
-    with open(path) as fh:
-        doc = json.load(fh)
+    """The --pattern file as a `CaseIPattern`; any fault in the file is a
+    usage error (exit 1), never a traceback."""
+    def usage(why: str) -> SystemExit:
+        return SystemExit(f"error: --pattern {path}: {why}")
+
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise usage(exc.strerror or str(exc)) from None
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise usage(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
-        raise SystemExit(f"error: --pattern {path}: the top level must be a JSON object")
+        raise usage("the top level must be a JSON object")
     known = {f.name for f in dataclasses.fields(families.CaseIPattern)}
     unknown = sorted(set(doc) - known)
     if unknown:
-        raise SystemExit(f"error: --pattern {path}: unknown keys {unknown}; "
-                         f"known keys are {sorted(known)}")
+        raise usage(f"unknown keys {unknown}; known keys are {sorted(known)}")
     kwargs = {}
-    for key in ("x0_candidates", "odd_nodes", "even_nodes", "pin_fractions"):
-        if key in doc:
-            kwargs[key] = tuple(Fraction(v) for v in doc[key])
-    if "signs" in doc:
-        kwargs["signs"] = tuple(int(v) for v in doc["signs"])
-    for key in ("halving_steps", "max_seeds"):
-        if key in doc:
-            kwargs[key] = int(doc[key])
+    for key, value in doc.items():
+        try:
+            if key in ("halving_steps", "max_seeds"):
+                kwargs[key] = int(value)
+            elif not isinstance(value, list):
+                raise TypeError(f"expected a list, got {json.dumps(value)}")
+            else:
+                convert = int if key == "signs" else Fraction
+                kwargs[key] = tuple(convert(v) for v in value)
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise usage(f"bad value for {key!r}: {type(exc).__name__}: {exc}") from None
     return families.CaseIPattern(**kwargs)
 
 

@@ -9,11 +9,16 @@ Two independent routes to root counts live here on purpose:
   the primitive integer remainder (`polyx.int_rem`) of the two before it,
   so no `Fraction` division runs.  Chains are memoized per polynomial in a
   small bounded cache;
-* the discrimination-matrix route: leading principal even-order minors of
-  the Sylvester-style matrix of f and f', from one fraction-free Bareiss
-  sweep, whose (revised) sign pattern counts distinct real roots and
-  conjugate imaginary pairs.  It serves the `roots` command and the
-  criterion 4 cross-check against the Sturm route.
+* the discrimination-matrix route: Yang's complete discrimination system
+  (Yang, Hou and Zeng), the leading principal even-order minors D_k of the
+  Sylvester-style matrix of f and f', whose (revised) sign pattern counts
+  distinct real roots and conjugate imaginary pairs.  The minors are read
+  off the identity D_k(f) = lc(f) * sRes_{n-k}(f, f'), with every signed
+  subresultant coefficient from one integer pass of the signed subresultant
+  recurrence (Basu, Pollack and Roy, Algorithms in Real Algebraic Geometry,
+  ch. 8); `discrimination_matrix` and the Bareiss `_int_det` stay as the
+  definition that tests check it against.  It serves the `roots` command
+  and the criterion 4 cross-check against the Sturm route.
 
 All arithmetic is exact; no floating point enters any code path here.
 """
@@ -64,18 +69,14 @@ def _sign_at(ints: Sequence[int], x: Fraction) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def _int_det(rows: list[list[int]], prev: int = 1) -> int:
-    """Fraction-free Bareiss determinant with row pivoting.
-
-    With `prev` other than 1, `rows` is the trailing block left by a Bareiss
-    elimination stopped after some steps and `prev` is its last pivot; the
-    elimination continues on the block, and the result is the determinant of
-    the matrix that elimination started from."""
+def _int_det(rows: list[list[int]]) -> int:
+    """Fraction-free Bareiss determinant with row pivoting."""
     n = len(rows)
     if n == 0:
         return 1
     m = [row[:] for row in rows]
     sign = 1
+    prev = 1
     for k in range(n - 1):
         if m[k][k] == 0:
             for r in range(k + 1, n):
@@ -97,36 +98,62 @@ def _int_det(rows: list[list[int]], prev: int = 1) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _leading_principal_minors(rows: list[list[int]]) -> list[int]:
-    """Minors of orders 1..n.  One Bareiss sweep while pivots are nonzero.
-    After the first zero pivot, at step k, the minor of each higher order
-    continues the elimination, with pivoting, on the already-reduced block
-    of rows and columns k..order-1."""
-    n = len(rows)
-    minors: list[int] = []
-    m = [row[:] for row in rows]
-    prev = 1
-    fell_back_at = n
-    for k in range(n):
-        pivot = m[k][k]
-        minors.append(pivot)
-        if pivot == 0:
-            fell_back_at = k
+def _exact_quo(a: int, b: int) -> int:
+    """a / b for integers with b | a; raises ArithmeticError otherwise, so an
+    inexact step can never floor silently."""
+    q, r = divmod(a, b)
+    if r:
+        raise ArithmeticError(f"inexact integer division {a} / {b}")
+    return q
+
+
+def _int_prem(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Pseudo-remainder lc(b)^(deg a - deg b + 1) * rem(a, b) in Z[x], for
+    deg a >= deg b >= 0."""
+    db = len(b) - 1
+    lb = b[-1]
+    r = list(a)
+    for i in range(len(a) - 1 - db, -1, -1):
+        c = r.pop()
+        r = [lb * v for v in r]
+        for t in range(db):
+            r[i + t] -= c * b[t]
+    while r and r[-1] == 0:
+        r.pop()
+    return r
+
+
+def _signed_subresultant_coeffs(p: list[int], q: list[int]) -> list[int]:
+    """[sRes_0, ..., sRes_{deg p - 1}] of integer polynomials p and q with
+    deg q = deg p - 1, by the signed subresultant recurrence (Basu, Pollack
+    and Roy, Algorithms in Real Algebraic Geometry, ch. 8).
+
+    Each step takes A = sResP_{i-1} of degree j and B = sResP_{j-1} of degree
+    k.  A degree gap (k < j - 1) leaves sRes_{j-1} .. sRes_{k+1} zero and
+    reaches t_k, the leading coefficient of sResP_k, through the t updates
+    t_{j-d-1} = (-1)^d t_{j-1} t_{j-d} / s_j; then
+    sResP_{k-1} = -Rem(t_{j-1} s_k A, B) / (s_j t_{i-1}), taken here as
+    -s_k prem(A, B) / (t_{j-1}^(j-k) s_j t_{i-1}).  Each division is exact:
+    sResP_{k-1} is a determinant polynomial in Z[x], and the t updates give
+    +-t_{j-1}^(d+1) / s_j^d, which lies in Z because t_k = sRes_k does
+    (compare the p-adic valuations)."""
+    n = len(p) - 1
+    sres = [0] * n
+    a, b = p, q
+    j, s_j, t_prev = n, 1, 1
+    while b:
+        k = len(b) - 1
+        t_b = b[-1]
+        t_k = t_b
+        for d in range(1, j - k):
+            t_k = _exact_quo((-1) ** d * t_b * t_k, s_j)
+        sres[k] = t_k
+        if k == 0:
             break
-        if k == n - 1:
-            break
-        for i in range(k + 1, n):
-            mik = m[i][k]
-            row_i = m[i]
-            row_k = m[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - mik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
-    k = fell_back_at
-    for order in range(k + 2, n + 1):
-        minors.append(_int_det([row[k:order] for row in m[k:order]], prev))
-    return minors
+        scale = t_b ** (j - k) * s_j * t_prev
+        a, b = b, [-_exact_quo(t_k * v, scale) for v in _int_prem(a, b)]
+        j, s_j, t_prev = k, t_k, t_b
+    return sres
 
 
 def rational_det(rows: list[list[Fraction]]) -> Fraction:
@@ -179,18 +206,24 @@ def discrimination_matrix(f: Poly) -> list[list[Fraction]]:
 
 
 def discriminant_sequence(f: Poly) -> list[Fraction]:
-    """(D_1, ..., D_n): determinants of the leading 2k x 2k submatrices."""
+    """(D_1, ..., D_n): determinants of the leading 2k x 2k submatrices of
+    `discrimination_matrix(f)`, Yang's complete discrimination system
+    (Yang, Hou and Zeng).
+
+    Expanding the 2k x 2k minor along its first column, which holds only
+    lc(f), leaves the Sylvester block of f' and f for j = n - k, so
+    D_k(f) = lc(f) * sRes_{n-k}(f, f') exactly, sign included.  All the
+    sRes_j come from one pass of the signed subresultant recurrence on the
+    primitive integer vector of f and its derivative.  sRes_j is homogeneous
+    of degree 2(n - j) - 1 in the coefficients of the pair, so with
+    f = lam * ints the minors scale back by lam^(2k)."""
     n = f.degree
     if n < 1:
         raise ValueError("discriminant sequence needs degree >= 1")
-    matrix = discrimination_matrix(f)
-    den = 1
-    for row in matrix:
-        for c in row:
-            den = den * c.denominator // int_gcd(den, c.denominator)
-    scaled = [[int(c * den) for c in row] for row in matrix]
-    minors = _leading_principal_minors(scaled)
-    return [Fraction(minors[2 * k - 1], den ** (2 * k)) for k in range(1, n + 1)]
+    ints = int_coeffs(f)
+    sres = _signed_subresultant_coeffs(ints, [i * c for i, c in enumerate(ints)][1:])
+    lam = f.leading() / ints[-1]
+    return [lam ** (2 * k) * (ints[-1] * sres[n - k]) for k in range(1, n + 1)]
 
 
 def sign_list(ds: list[Fraction]) -> list[int]:

@@ -39,6 +39,45 @@ def test_roots_command():
     assert all(isinstance(s, str) for s in doc["discriminant_sequence"])
 
 
+# `roots` documents of the Bareiss-minor implementation, frozen: polynomials
+# with repeated roots, whose discriminant sequences end in zero runs
+_FROZEN_ROOTS = {
+    "(x-1)^3 (x+2)^2 (x^2+1)": {
+        "schema": 1,
+        "degree": 7,
+        "discriminant_sequence": ["7", "62", "616", "-21600", "0", "0", "0"],
+        "sign_list": [1, 1, 1, -1, 0, 0, 0],
+        "revised_sign_list": [1, 1, 1, -1, 0, 0, 0],
+        "distinct_real": 2,
+        "imaginary_pairs": 1,
+        "isolating_intervals": [
+            {"lo": "-2", "hi": "-2", "exact": True, "multiplicity": 2},
+            {"lo": "1", "hi": "1", "exact": True, "multiplicity": 3},
+        ],
+    },
+    "x^4 (2x-3)^2": {
+        "schema": 1,
+        "degree": 6,
+        "discriminant_sequence": ["96", "4608", "0", "0", "0", "0"],
+        "sign_list": [1, 1, 0, 0, 0, 0],
+        "revised_sign_list": [1, 1, 0, 0, 0, 0],
+        "distinct_real": 2,
+        "imaginary_pairs": 0,
+        "isolating_intervals": [
+            {"lo": "0", "hi": "0", "exact": True, "multiplicity": 4},
+            {"lo": "3/2", "hi": "3/2", "exact": True, "multiplicity": 2},
+        ],
+    },
+}
+
+
+@pytest.mark.parametrize("poly", sorted(_FROZEN_ROOTS))
+def test_roots_command_output_is_frozen(poly):
+    proc = run_cli(["roots", poly])
+    assert proc.returncode == 0
+    assert proc.stdout == json.dumps(_FROZEN_ROOTS[poly], indent=2) + "\n"
+
+
 def test_certify_command_inline():
     proc = run_cli([
         "certify",
@@ -164,14 +203,26 @@ def test_load_pattern_keeps_pin_fractions(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "doc, complaint",
-    [([1, 2], "JSON object"), ({"max_seed": 1}, "unknown keys ['max_seed']")],
-    ids=["not_an_object", "misspelled_key"],
+    "text, complaint",
+    [
+        (json.dumps([1, 2]), "JSON object"),
+        (json.dumps({"max_seed": 1}), "unknown keys ['max_seed']"),
+        (json.dumps({"max_seeds": "many"}), "bad value for 'max_seeds': ValueError"),
+        (json.dumps({"signs": 5}), "bad value for 'signs': TypeError"),
+        (json.dumps({"odd_nodes": ["1/0"]}), "bad value for 'odd_nodes': ZeroDivisionError"),
+        ("{not json", "not valid JSON"),
+        (None, "No such file or directory"),
+    ],
+    ids=["not_an_object", "misspelled_key", "non_integer", "not_a_list",
+         "zero_denominator", "not_json", "missing_file"],
 )
-def test_construct_rejects_bad_pattern_file(tmp_path, doc, complaint):
+def test_construct_rejects_bad_pattern_file(tmp_path, text, complaint):
     path = tmp_path / "pattern.json"
-    path.write_text(json.dumps(doc))
+    if text is not None:
+        path.write_text(text)
     proc = run_cli(["construct", "--m", "4", "--n", "6", "--pattern", str(path)])
     assert proc.returncode == 1
     assert proc.stdout == ""
-    assert proc.stderr.startswith("error: ") and complaint in proc.stderr
+    assert proc.stderr.startswith(f"error: --pattern {path}: ")
+    assert complaint in proc.stderr
+    assert "Traceback" not in proc.stderr

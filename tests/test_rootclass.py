@@ -1,11 +1,14 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hypercycles.polyx import ONE, Poly, X, squarefree_part
+from hypercycles.polyx import ONE, Poly, X, parse_poly, squarefree_part
 from hypercycles.rootclass import (
     EndpointRootError,
+    _int_det,
     cauchy_bound,
     count_roots,
     discriminant_sequence,
@@ -73,6 +76,50 @@ def test_minors_match_naive_determinants():
         for k in range(1, p.degree + 1):
             sub = [row[: 2 * k] for row in m[: 2 * k]]
             assert ds[k - 1] == _naive_det(sub)
+
+
+def _bareiss_sequence(f):
+    """The definition: even-order leading minors of the discrimination
+    matrix, each a `_int_det` of the scaled integer block."""
+    m = discrimination_matrix(f)
+    den = lcm(*[c.denominator for row in m for c in row])
+    rows = [[int(c * den) for c in row] for row in m]
+    return [Fraction(_int_det([row[: 2 * k] for row in rows[: 2 * k]]), den ** (2 * k))
+            for k in range(1, f.degree + 1)]
+
+
+_small = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+_factor = st.one_of(
+    st.tuples(_small, st.integers(1, 3)).map(lambda t: Poly([-t[0], 1]) ** t[1]),
+    st.tuples(_small, _small, st.integers(1, 3)).map(
+        lambda t: Poly([t[0], t[1], 1]) ** t[2]),
+    st.integers(1, 4).map(lambda k: X ** k),
+)
+
+
+@st.composite
+def _factored(draw):
+    p = Poly([draw(st.sampled_from([Fraction(-3), Fraction(-1, 2), Fraction(1),
+                                    Fraction(7, 3)]))])
+    for f in draw(st.lists(_factor, min_size=1, max_size=6)):
+        p = p * f
+    return p
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_factored().filter(lambda p: 1 <= p.degree <= 14))
+def test_sequence_matches_bareiss_minors(p):
+    assert discriminant_sequence(p) == _bareiss_sequence(p)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_sequence_matches_bareiss_minors_on_defective_families(n):
+    # degree gaps in the subresultant chain: x^n + c drops from degree n - 1
+    # straight to 0, (x - 1)^n and (x^2 + 1)^k stop at a nontrivial gcd
+    for text in (f"x^{n}", f"x^{n}+3", f"x^{n}-1/2", f"-2x^{n}+5x",
+                 f"(x^2+1)^{(n + 1) // 2}", f"(x-1)^{n}", f"x^{n} (x-1)"):
+        p = parse_poly(text)
+        assert discriminant_sequence(p) == _bareiss_sequence(p), text
 
 
 def test_d2_signs():
