@@ -90,19 +90,54 @@ def _report_json(report) -> dict:
     }
 
 
+def _usage(source: str, why) -> SystemExit:
+    """A usage error (exit 1, message on stderr) blaming `source`."""
+    return SystemExit(f"error: {source}: {why}")
+
+
+def _parse_poly_arg(source: str, text: str) -> Poly:
+    try:
+        return parse_poly(text)
+    except ValueError as exc:
+        raise _usage(source, exc) from None
+
+
 def _poly_arg(args, name: str, stdin_doc: dict | None) -> Poly:
     value = getattr(args, name, None)
     if value is not None:
-        return parse_poly(value)
+        return _parse_poly_arg(f"--{name}", value)
     if stdin_doc is not None and name in stdin_doc:
-        return Poly([Fraction(c) for c in stdin_doc[name]])
+        coeffs = stdin_doc[name]
+        if not isinstance(coeffs, list):
+            raise _usage(f"--stdin {name!r}", f"expected a list, got {json.dumps(coeffs)}")
+        try:
+            return Poly([Fraction(c) for c in coeffs])
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise _usage(f"--stdin {name!r}", f"{type(exc).__name__}: {exc}") from None
     raise SystemExit(f"error: missing polynomial --{name}")
 
 
 def _read_stdin_doc(args) -> dict | None:
-    if getattr(args, "stdin", False):
-        return json.loads(sys.stdin.read())
-    return None
+    if not getattr(args, "stdin", False):
+        return None
+    try:
+        doc = json.loads(sys.stdin.read())
+    except ValueError as exc:
+        raise _usage("--stdin", f"not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise _usage("--stdin", "the top level must be a JSON object")
+    return doc
+
+
+def _rationals(source: str, text: str, count: int) -> tuple:
+    try:
+        values = tuple(Fraction(v) for v in text.split(","))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise _usage(source, exc) from None
+    if len(values) != count:
+        raise _usage(source, f"expected {count} comma-separated rationals, "
+                             f"got {len(values)}")
+    return values
 
 
 def _cmd_certify(args) -> dict:
@@ -148,7 +183,7 @@ def _load_pattern(path: str) -> "families.CaseIPattern":
     """The --pattern file as a `CaseIPattern`; any fault in the file is a
     usage error (exit 1), never a traceback."""
     def usage(why: str) -> SystemExit:
-        return SystemExit(f"error: --pattern {path}: {why}")
+        return _usage(f"--pattern {path}", why)
 
     try:
         with open(path) as fh:
@@ -192,7 +227,7 @@ def _cmd_construct(args) -> dict:
 
 
 def _cmd_roots(args) -> dict:
-    p = parse_poly(args.poly)
+    p = _parse_poly_arg("POLY", args.poly)
     if p.degree < 1:
         raise DomainFailure({"schema": SCHEMA, "error": "DegreeTooSmall",
                              "message": "need degree >= 1"})
@@ -231,20 +266,27 @@ def _cmd_portrait(args) -> str:
         P = _poly_arg(args, "P", doc)
         Q = _poly_arg(args, "Q", doc)
         curve = HyperellipticCurve(P=P, Q=Q)
-    window = tuple(Fraction(v) for v in args.window.split(","))
-    seeds = []
-    for chunk in args.seed_points or []:
-        sx, sy = chunk.split(",")
-        seeds.append((Fraction(sx), Fraction(sy)))
-    spec = PortraitSpec(system=system, curve=curve, window=window,
-                        step=args.step, seeds=seeds)
+    window = _rationals("--window", args.window, 4)
+    seeds = [_rationals("--seed-point", chunk, 2) for chunk in args.seed_points or []]
+    try:
+        spec = PortraitSpec(system=system, curve=curve, window=window,
+                            step=args.step, seeds=seeds)
+    except ValueError as exc:
+        raise _usage("portrait", exc) from None
     return render_portrait(spec)
 
 
 def _cmd_suite(args) -> dict:
     criteria = None
     if args.criteria and args.criteria != "all":
-        criteria = [int(c) for c in args.criteria.split(",")]
+        try:
+            criteria = [int(c) for c in args.criteria.split(",")]
+        except ValueError as exc:
+            raise _usage("--criteria", exc) from None
+        unknown = sorted(set(criteria) - set(suite_mod.CRITERIA))
+        if unknown:
+            raise _usage("--criteria", f"unknown criteria {unknown}; "
+                                       f"known are {sorted(suite_mod.CRITERIA)}")
     results = suite_mod.run_suite(criteria=criteria, seed=args.seed,
                                   s_cap=args.s_cap)
     return {

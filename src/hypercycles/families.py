@@ -19,9 +19,11 @@ Three regimes:
 `lift` multiplies P by (x-s) and Q by (x-s)^2, pushing the type from (m, n)
 to (m+1, n+2) while preserving certified cycles for large s.
 
-Every fixed-schedule search (doubling s, halving eps and c, retry scales)
-walks one `_geometric` schedule through one `_first` loop; lemmas 7 and 8
-share one inductive routine, `_perturb_ladder`.
+Every fixed-schedule search (doubling s, halving eps and c) walks one
+`_geometric` schedule through one `_first` loop; lemmas 7 and 8 share one
+inductive routine, `_perturb_ladder`, whose inductive levels pick d and b
+as the simplest rationals in the middle thirds of exact windows between
+bracketed critical values (`_pick_window`), with no float anywhere.
 """
 
 from __future__ import annotations
@@ -41,10 +43,15 @@ from .lienard import (
     certify,
 )
 from .polyx import ONE, Poly, X, poly_gcd
-from .rootclass import all_roots_real_simple, isolate_real_roots, sign_on_interval
+from .rootclass import (
+    all_roots_real_simple,
+    isolate_real_roots,
+    sign_on_interval,
+    simplest_in_interval,
+)
 
 DEFAULT_S_CAP = 2**60
-# halving budget of the ladder base cases and of each b window search
+# steps of the eps halving at a ladder's base
 _LADDER_STEPS = 48
 
 
@@ -172,12 +179,12 @@ def _try_certify(P, Q, mn, target, expected_pairs=None,
 
 
 def lift(
-    curve: HyperellipticCurve,
+    base: CertificationReport,
     s_cap: int = DEFAULT_S_CAP,
 ) -> ConstructionResult:
     """P -> P*(x-s), Q -> Q*(x-s)^2 with s above every root of Q, doubling
-    until the lifted curve certifies at least as many cycles as the base."""
-    base = certify(curve)
+    until the lifted curve certifies at least as many cycles as `base`."""
+    curve = base.curve
     t = base.certified_count
     if t < 1:
         raise ValueError("lift needs a curve certifying at least one cycle")
@@ -210,10 +217,7 @@ def lift(
 
 def _next_integer_above_roots(q: Poly) -> int:
     roots = isolate_real_roots(q)
-    if not roots:
-        return 1
-    top = roots[-1].hi
-    return max(1, math.floor(top) + 1)
+    return max(1, math.floor(roots[-1].hi) + 1) if roots else 1
 
 
 # ---------------------------------------------------------------------------
@@ -221,49 +225,81 @@ def _next_integer_above_roots(q: Poly) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _find_b(after_d, make_c, slots, pos_interval, hi0: Fraction):
-    """Search the additive constant b of the inductive perturbations.
+# refinement rounds one window pick may spend before it gives up: the b
+# window at the top of a height-4 ladder takes about 680; a height-5 ladder
+# needs more, so it ends here with SearchExhausted instead of running on
+_WINDOW_ROUNDS = 1000
 
-    The admissible set is a window: below it the perturbation polynomial
-    fails positivity, above it the root ladder collapses, so plain halving
-    can step over it.  Bisect using which side failed as the direction."""
 
-    def ladder_ok(b):
-        cand = after_d + Poly([b])
-        return cand, _roots_fit_slots(cand, slots)
+class _Bracket:
+    """A rational interval [lo, hi] holding the critical value p(alpha) at an
+    isolated root alpha of p'.  With mid and rad the midpoint and half-width
+    of alpha's interval, |p(alpha) - p(mid)| <= rad*(|p'(mid)| + rad*M2),
+    where M2 bounds |p''| on the initial interval; `refine` narrows both."""
 
-    lo = Fraction(0)
-    hi = Fraction(hi0)
-    for _ in range(_LADDER_STEPS):
-        cand, lok = ladder_ok(hi)
-        if lok and _positive_on(make_c(hi), pos_interval):
-            return make_c(hi), cand
-        if lok:
-            lo, hi = hi, hi * 2  # ladder fine, positivity short: b too small
-            continue
-        break
-    else:
-        return None
-    for _ in range(_LADDER_STEPS):
-        mid = (lo + hi) / 2
-        cand, lok = ladder_ok(mid)
-        if lok and _positive_on(make_c(mid), pos_interval):
-            return make_c(mid), cand
-        if lok:
-            lo = mid
-        else:
-            hi = mid
+    def __init__(self, p: Poly, dp: Poly, root):
+        self.p, self.dp, self.root = p, dp, root
+        R = max(abs(root.lo), abs(root.hi))
+        self.m2 = sum(k * (k - 1) * abs(a) * R ** (k - 2)
+                      for k, a in enumerate(p.coeffs) if k >= 2)
+        self._update()
+
+    def _update(self):
+        lo, hi = self.root.lo, self.root.hi
+        mid, rad = (lo + hi) / 2, (hi - lo) / 2
+        v = self.p.eval(mid)
+        err = rad * (abs(self.dp.eval(mid)) + rad * self.m2)
+        self.lo, self.hi = v - err, v + err
+
+    def refine(self):
+        self.root.refine()
+        self._update()
+
+
+def _critical_values(p: Poly, kind: int, interval=None) -> list:
+    """Brackets of the critical values of p at its local maxima (kind 1),
+    its local minima (kind -1) or all its critical points (kind 0), keeping
+    only the points strictly inside `interval` when one is given."""
+    dp = p.derivative()
+    ddp = dp.derivative()
+    out = []
+    for r in isolate_real_roots(dp):
+        inside = interval is None or (
+            r.sign_of(_linear(interval[0])) > 0 > r.sign_of(_linear(interval[1])))
+        if inside and (not kind or r.sign_of(ddp) == -kind):
+            out.append(_Bracket(p, dp, r))
+    return out
+
+
+def _pick_window(least: Fraction, floor: list, ceiling: list) -> Optional[Fraction]:
+    """The simplest rational in the middle third of the open window
+    (max(least, floor), min ceiling), with floor and ceiling `_Bracket`s.
+
+    Each round refines the brackets that can still decide an end, until
+    all of them are narrower than an eighth of the window that is certainly
+    open.  None when the window is certainly empty, or after
+    `_WINDOW_ROUNDS` rounds (a window that closes to a point never
+    decides).  The ceiling must not be empty."""
+    for _ in range(_WINDOW_ROUNDS):
+        f_lo = max([least] + [e.lo for e in floor])
+        f_hi = max([least] + [e.hi for e in floor])
+        c_lo, c_hi = min(e.lo for e in ceiling), min(e.hi for e in ceiling)
+        if c_hi <= f_lo:
+            return None
+        gap = c_lo - f_hi
+        deciding = [e for e in floor if e.hi > f_lo] + [e for e in ceiling if e.lo < c_hi]
+        wide = [e for e in deciding if e.hi - e.lo >= gap / 8]
+        if gap > 0 and not wide:
+            return simplest_in_interval(f_hi + gap / 3, c_lo - gap / 3)
+        for e in wide:
+            e.refine()
     return None
 
 
 def _positive_on(c: Poly, interval) -> bool:
     """c > 0 on the closed interval."""
     lo, hi = interval
-    return (
-        sign_on_interval(c, lo, hi) == "positive"
-        and c.eval(lo) > 0
-        and c.eval(hi) > 0
-    )
+    return sign_on_interval(c, lo, hi) == "positive" and c.eval(lo) > 0 and c.eval(hi) > 0
 
 
 def _roots_fit_slots(p: Poly, slots) -> bool:
@@ -273,33 +309,9 @@ def _roots_fit_slots(p: Poly, slots) -> bool:
     if not all_roots_real_simple(p):
         return False
     roots = isolate_real_roots(p)
-    if len(roots) != len(slots):
-        return False
-    for r, (lo, hi) in zip(roots, slots):
-        for bound in (lo, hi):
-            if (
-                not r.is_exact()
-                and r.lo < bound < r.hi
-                and r.poly.eval(bound) == 0
-            ):
-                r.lo = r.hi = bound  # the unique root in the interval is the bound
-        if r.is_exact():
-            if not r.value > lo:
-                return False
-        else:
-            while r.lo < lo < r.hi:
-                r.refine()
-            if not r.lo >= lo:
-                return False
-        if r.is_exact():
-            if not r.value < hi:
-                return False
-        else:
-            while r.lo < hi < r.hi:
-                r.refine()
-            if not r.hi <= hi:
-                return False
-    return True
+    return len(roots) == len(slots) and all(
+        r.sign_of(_linear(lo)) > 0 > r.sign_of(_linear(hi))
+        for r, (lo, hi) in zip(roots, slots))
 
 
 def _ladder_slots(below: int, above: int, l: int, s1, s2) -> list:
@@ -312,28 +324,37 @@ def _ladder_slots(below: int, above: int, l: int, s1, s2) -> list:
     return slots
 
 
-def _search_d_then_b(A, cstar, slots, pos_interval, start, budget):
-    """The -dx stage: halve d until the split-at-zero gate passes, then run
-    the b window search per d.  Repeated empty b-windows mean the scales the
-    induction cascaded into lie far below the current d (the positivity
-    floor falls linearly with d while the ladder ceiling stays put), so the
-    shrink factor accelerates after a few dense misses."""
-    d = Fraction(start)
-    shrink = Fraction(1, 2)
-    misses = 0
-    for _ in range(budget):
-        after_d = A - X.scale(d)
-        if _splits_at_zero(after_d):
-            def make_c(b, _d=d):
-                return cstar.shift_up(2) - X.scale(_d) + Poly([b])
+def _pick_d_then_b(Q1: Poly, cstar: Poly, slots, pos_interval):
+    """The inductive step c = x^2 c*(x) - dx + b, with A = Q1 + x^2 c*.
 
-            found = _find_b(after_d, make_c, slots, pos_interval, d)
-            if found is not None:
-                return found
-            misses += 1
-            if misses >= 6:
-                shrink = Fraction(1, 256)
-        d *= shrink
+    d comes from the window (0, min of the local maxima of A/x and of the
+    local minima of x c*(x) on (0, hi)): below the first, A - dx = x(A/x - d)
+    keeps every root real and simple; below the second, g = dx - x^2 c* =
+    x(d - x c*(x)) is negative away from 0, so only its bump near 0 bounds b
+    from below.  b comes from the window where A - dx + b = b - q keeps
+    every root real and simple (local minima of q below b, local maxima
+    above) and c = b - g stays positive on pos_interval (b above g at both
+    ends and at g's critical points inside), with q = -(A - dx).  The exact
+    gates accept the pick."""
+    A = Q1 + cstar.shift_up(2)
+    B = A.exact_div(X)
+    lo, hi = pos_interval
+    dips = _critical_values(X * cstar, -1, (Fraction(0), hi))
+    d = _pick_window(Fraction(0), _critical_values(B, -1), _critical_values(B, 1) + dips)
+    if d is None:
+        return None
+    after_d = A - X.scale(d)
+    if not _splits_at_zero(after_d):
+        return None
+    q = -after_d
+    g = X.scale(d) - cstar.shift_up(2)
+    floor = _critical_values(g, 0, pos_interval) + _critical_values(q, -1)
+    b = _pick_window(max(g.eval(lo), g.eval(hi)), floor, _critical_values(q, 1))
+    if b is None:
+        return None
+    c, cand = Poly([b]) - g, after_d + Poly([b])
+    if _roots_fit_slots(cand, slots) and _positive_on(c, pos_interval):
+        return c, cand
     return None
 
 
@@ -347,15 +368,14 @@ def _splits_at_zero(p: Poly) -> bool:
     return deflated.eval(0) != 0 and all_roots_real_simple(deflated)
 
 
-def _perturb_ladder(q1, slots, h: int, base_h: int, base: Poly, pos_interval,
-                    scale: Fraction) -> tuple[Poly, Poly]:
+def _perturb_ladder(q1, slots, h: int, base_h: int, base: Poly,
+                    pos_interval) -> tuple[Poly, Poly]:
     """The argument shared by lemmas 7 and 8: c(x) > 0 on pos_interval such
     that q1(h) + c has one simple real root in each of slots(h).
 
-    At h = base_h, c = eps*base with eps halving from `scale`.  Above it,
-    the h-1 solution c* of q1(h-1) = q1(h)/x^2 (retried at scales 1/4 apart)
-    is perturbed by x^2*c* - d*x + b with halving searches for d then b,
-    exactly re-checking the ladder at each stage."""
+    At h = base_h, c = eps*base with eps halving from 1/2.  Above it, the
+    h-1 solution c* of q1(h-1) = q1(h)/x^2 is perturbed to x^2*c* - d*x + b
+    with d and b picked from exact windows (`_pick_d_then_b`)."""
     Q1, ladder = q1(h), slots(h)
     if h == base_h:
         def attempt(eps):
@@ -365,31 +385,17 @@ def _perturb_ladder(q1, slots, h: int, base_h: int, base: Poly, pos_interval,
                 return c, cand
             return None
 
-        schedule = _geometric(scale, Fraction(1, 2), steps=_LADDER_STEPS)
+        found = _first(_geometric(Fraction(1, 2), Fraction(1, 2), steps=_LADDER_STEPS),
+                       attempt)
     else:
-        def attempt(inner_scale):
-            try:
-                cstar, _ = _perturb_ladder(q1, slots, h - 1, base_h, base, pos_interval,
-                                           inner_scale)
-            except SearchExhausted:
-                return None
-            A = Q1 + cstar.shift_up(2)  # Q1 + x^2 c*(x)
-            return _search_d_then_b(A, cstar, ladder, pos_interval, inner_scale,
-                                    _LADDER_STEPS + 30 * h)
-
-        schedule = _geometric(scale, Fraction(1, 4), steps=6)
-    found = _first(schedule, attempt)
+        cstar, _ = _perturb_ladder(q1, slots, h - 1, base_h, base, pos_interval)
+        found = _pick_d_then_b(Q1, cstar, ladder, pos_interval)
     if found is None:
         raise SearchExhausted(f"ladder h = {h}: no perturbation up to the budget")
     return found
 
 
-def perturb_lemma7(
-    h: int,
-    l: int,
-    s,
-    scale: Fraction = Fraction(1, 2),
-) -> tuple[Poly, Poly]:
+def perturb_lemma7(h: int, l: int, s) -> tuple[Poly, Poly]:
     """A degree-2h polynomial c(x) > 0 on [0, s] such that Q1 + c, with
     Q1 = (x-s) x^{2h+1} prod_{i<=l} (x-i)^2, has 2h+2l+2 simple real roots
     in the ladder 0 < x_1 < ... < x_{2h+1} < y_1 < 1 < z_1 < ... < y_{l+1} < s.
@@ -403,16 +409,10 @@ def perturb_lemma7(
     return _perturb_ladder(
         lambda k: rest * X ** (2 * k + 1),
         lambda k: _ladder_slots(0, 2 * k + 2, l, 0, s),
-        h, 0, ONE, (Fraction(0), s), Fraction(scale))
+        h, 0, ONE, (Fraction(0), s))
 
 
-def perturb_lemma8(
-    h: int,
-    l: int,
-    s1,
-    s2,
-    scale: Fraction = Fraction(1, 2),
-) -> tuple[Poly, Poly]:
+def perturb_lemma8(h: int, l: int, s1, s2) -> tuple[Poly, Poly]:
     """Analog of perturb_lemma7 for Q1 = (x-s1)(x-s2) x^{2h} prod (x-i)^2
     with s1 < -1 < 1 < l+1 < s2: returns degree-(2h-1) c(x) positive on
     [s1, s2] with the ladder s1 < z_{-1} < x_1 < 0 < x_2 < ... < y_{l+1} < s2."""
@@ -426,7 +426,7 @@ def perturb_lemma8(
         lambda k: rest * X ** (2 * k),
         lambda k: _ladder_slots(2, 2 * k, l, s1, s2),  # z_{-1}, x_1 < 0
         # base c = eps * (x - s1 + 1): linear, positive on [s1, s2]
-        h, 1, Poly([1 - s1, 1]), (s1, s2), Fraction(scale))
+        h, 1, Poly([1 - s1, 1]), (s1, s2))
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +450,7 @@ def construct_case_ii(m: int, n: int, s_cap: int = DEFAULT_S_CAP) -> Constructio
             raise PatternNotAchieved(
                 f"reduction of ({m},{n}) lands on the excluded type "
                 f"({m-1},{n-2}): {exc}") from exc
-        result = lift(sub.curve, s_cap=s_cap)
+        result = lift(sub.report, s_cap=s_cap)
         result.parameters["reduced_from"] = (m - 1, n - 2)
         if result.report.certified_count != t:
             raise SearchExhausted(
@@ -463,8 +463,8 @@ def construct_case_ii(m: int, n: int, s_cap: int = DEFAULT_S_CAP) -> Constructio
         sigma = 2 * m - 2 * t
         assert h >= 0 and l >= 0
         result = _case_ii_assemble(
-            (m, n), t, l, 6 * t - 2 * m + 1, _linear(sigma), 8,
-            lambda scale: perturb_lemma7(h, l, sigma, scale=scale),
+            (m, n), t, l, 6 * t - 2 * m + 1, _linear(sigma),
+            lambda: perturb_lemma7(h, l, sigma),
             {"t": t, "h": h, "l": l, "sigma": sigma})
     else:  # lemma 8 ladder, pref = (x+2)(x-s) with s doubling
         h = 3 * t - m + 1
@@ -473,8 +473,8 @@ def construct_case_ii(m: int, n: int, s_cap: int = DEFAULT_S_CAP) -> Constructio
 
         def attempt(s):
             return _case_ii_assemble(
-                (m, n), t, l, 6 * t - 2 * m + 2, Poly([2, 1]) * _linear(s), 4,
-                lambda scale: perturb_lemma8(h, l, -2, s, scale=scale),
+                (m, n), t, l, 6 * t - 2 * m + 2, Poly([2, 1]) * _linear(s),
+                lambda: perturb_lemma8(h, l, -2, s),
                 {"t": t, "h": h, "l": l, "s": s})
 
         result = _first(_geometric(l + 2, 2, cap=s_cap), attempt)
@@ -483,22 +483,17 @@ def construct_case_ii(m: int, n: int, s_cap: int = DEFAULT_S_CAP) -> Constructio
     return result
 
 
-def _case_ii_assemble(mn, t, l, k, pref, retries, perturb, parameters):
+def _case_ii_assemble(mn, t, l, k, pref, perturb, parameters):
     """P = P1*D*pref and Q = pref*x^k*prod(x-i)^2 * P1*D^2*pref^2, with
-    D = x*prod_{i<=l}(x-i) and (c, P1) = perturb(scale) from a ladder lemma.
-    Condition (iv) can fail for unlucky c; retry with fresh, smaller c."""
+    D = x*prod_{i<=l}(x-i) and (c, P1) = perturb() from a ladder lemma."""
     D = _prod_linear(range(0, l + 1))  # includes the factor x
     Q1 = pref * X ** k * _prod_linear(range(1, l + 1)) ** 2
-
-    def attempt(scale):
-        try:
-            c, P1 = perturb(scale)
-        except SearchExhausted:
-            return None
-        return _try_certify(P1 * D * pref, Q1 * P1 * D**2 * pref**2, mn, t,
-                            parameters={**parameters, "c": [str(v) for v in c.coeffs]})
-
-    return _first(_geometric(Fraction(1, 2), Fraction(1, 8), steps=retries), attempt)
+    try:
+        c, P1 = perturb()
+    except SearchExhausted:
+        return None
+    return _try_certify(P1 * D * pref, Q1 * P1 * D**2 * pref**2, mn, t,
+                        parameters={**parameters, "c": [str(v) for v in c.coeffs]})
 
 
 # ---------------------------------------------------------------------------

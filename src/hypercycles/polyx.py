@@ -526,6 +526,8 @@ class _Parser:
         return self.toks[self.i] if self.i < len(self.toks) else None
 
     def next(self) -> str:
+        if self.i >= len(self.toks):
+            raise ValueError("unexpected end of polynomial expression")
         tok = self.toks[self.i]
         self.i += 1
         return tok
@@ -595,15 +597,19 @@ class _Parser:
 
 def parse_poly(text: str) -> Poly:
     """Parse either '[c0, c1, ...]' (rationals as 'p/q' strings or numbers)
-    or an expression like '(x - 1/2)^2 * (x+3)' / 'x^2 + 1'."""
+    or an expression like '(x - 1/2)^2 * (x+3)' / 'x^2 + 1'.  Any malformed
+    text, a zero denominator included, raises ValueError."""
     text = text.strip()
     if not text:
         raise ValueError("empty polynomial text")
-    if text.startswith("["):
-        data = json.loads(text)
-        return Poly([rat(c) if isinstance(c, str) else Fraction(c) for c in data])
-    parser = _Parser(_tokenize(text))
-    p = parser.parse_expr()
+    try:
+        if text.startswith("["):
+            data = json.loads(text)
+            return Poly([rat(c) if isinstance(c, str) else Fraction(c) for c in data])
+        parser = _Parser(_tokenize(text))
+        p = parser.parse_expr()
+    except (ZeroDivisionError, TypeError) as exc:
+        raise ValueError(f"bad polynomial {text!r}: {exc}") from None
     if parser.peek() is not None:
         raise ValueError(f"trailing input in polynomial: {parser.toks[parser.i:]!r}")
     return p

@@ -180,10 +180,47 @@ def test_portrait_branch_count_over_cycle():
 
 
 def test_usage_error_exit_1():
-    proc = run_cli(["bounds", "--m", "3"])
-    assert proc.returncode == 2 or proc.returncode != 0  # argparse exits 2
-    proc = run_cli(["nonsense"])
-    assert proc.returncode != 0
+    # argparse rejects a missing option or an unknown command with exit 2
+    for args in (["bounds", "--m", "3"], ["nonsense"]):
+        proc = run_cli(args)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("usage:")
+
+
+@pytest.mark.parametrize(
+    "args, stdin_text, complaint",
+    [
+        (["certify", "--P", "x^", "--Q", "x"], None,
+         "error: --P: unexpected end of polynomial expression"),
+        (["certify", "--P", "3/0", "--Q", "x"], None, "error: --P: bad polynomial"),
+        (["roots", "x^"], None, "error: POLY: unexpected end"),
+        (["certify", "--stdin"], "{not json", "error: --stdin: not valid JSON"),
+        (["certify", "--stdin"], "[1, 2]", "error: --stdin: the top level must be"),
+        (["certify", "--stdin"], json.dumps({"P": ["1/0"], "Q": [1]}),
+         "error: --stdin 'P': ZeroDivisionError"),
+        (["certify", "--stdin"], json.dumps({"P": 5, "Q": [1]}),
+         "error: --stdin 'P': expected a list, got 5"),
+        (["portrait", "--f", "x", "--g", "x", "--window", "1,2,3"], None,
+         "error: --window: expected 4 comma-separated rationals, got 3"),
+        (["portrait", "--f", "x", "--g", "x", "--seed-point", "1"], None,
+         "error: --seed-point: expected 2"),
+        (["portrait", "--f", "x", "--g", "x", "--window", "1,1,0,0"], None,
+         "error: portrait: window must be a nonempty rectangle"),
+        (["suite", "--criteria", "a"], None, "error: --criteria: invalid literal"),
+        (["suite", "--criteria", "1,99"], None, "error: --criteria: unknown criteria [99]"),
+    ],
+    ids=["dangling_power", "zero_denominator", "roots_dangling_power",
+         "stdin_not_json", "stdin_not_object", "stdin_zero_denominator",
+         "stdin_not_a_list", "window_three_values", "seed_point_one_value",
+         "window_empty", "criteria_not_integer", "criteria_unknown"],
+)
+def test_bad_input_is_a_usage_error(args, stdin_text, complaint):
+    proc = run_cli(args, stdin_text=stdin_text)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(complaint)
+    assert "Traceback" not in proc.stderr
 
 
 def test_main_callable_directly(capsys):

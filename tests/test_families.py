@@ -4,6 +4,8 @@ import pytest
 
 from hypercycles.families import (
     CaseIPattern,
+    _critical_values,
+    _pick_window,
     PatternNotAchieved,
     SearchExhausted,
     construct,
@@ -16,7 +18,7 @@ from hypercycles.families import (
     perturb_lemma8,
 )
 from hypercycles.lienard import bounds, invariance_check
-from hypercycles.polyx import X, parse_poly
+from hypercycles.polyx import Poly, X, parse_poly
 from hypercycles.rootclass import isolate_real_roots, sign_on_interval
 
 
@@ -163,17 +165,17 @@ def test_case_ii_47_dead_end_is_reported():
 
 def test_lift_preserves_cycles():
     base = construct_high_n(2, 5)
-    lifted = lift(base.curve)
+    lifted = lift(base.report)
     assert lifted.system.type == (3, 7)
     assert lifted.report.certified_count >= 1
-    again = lift(lifted.curve)
+    again = lift(lifted.report)
     assert again.system.type == (4, 9)
     assert again.report.certified_count >= 1
 
 
 def test_lift_degree_contract():
     base = construct_high_n(2, 5)
-    lifted = lift(base.curve)
+    lifted = lift(base.report)
     assert lifted.curve.P.degree == base.curve.P.degree + 1
     assert lifted.curve.Q.degree == base.curve.Q.degree + 2
 
@@ -183,10 +185,10 @@ def test_lift_requires_certified_base():
     R = parse_poly("(x-1)(x-2)")
     curve_P = R * parse_poly("x+10")
     curve_Q = (R * parse_poly("(x+10)^4")).scale(10)  # wrong sign: 0 cycles
-    from hypercycles.lienard import HyperellipticCurve
+    from hypercycles.lienard import HyperellipticCurve, certify
 
     with pytest.raises(ValueError):
-        lift(HyperellipticCurve(P=curve_P, Q=curve_Q))
+        lift(certify(HyperellipticCurve(P=curve_P, Q=curve_Q)))
 
 
 def test_construct_dispatcher():
@@ -240,7 +242,7 @@ def test_case_i_known_gap_is_reported(m, n):
     [
         (lambda: construct_high_n(2, 5, s_cap=2), r"no s up to 2 certifies type \(2,5\)"),
         (lambda: construct_n_2m(4, s_cap=4), r"no s up to 4 certifies type \(4,8\)"),
-        (lambda: lift(construct_high_n(2, 5).curve, s_cap=1), "no lift parameter s"),
+        (lambda: lift(construct_high_n(2, 5).report, s_cap=1), "no lift parameter s"),
         (lambda: construct_case_ii(6, 10, s_cap=1), r"search failed for \(6,10\)"),
     ],
     ids=["high_n", "n_2m", "lift", "case_ii"],
@@ -250,3 +252,78 @@ def test_search_exhausted_when_cap_is_below_schedule_start(search, message):
     # and the search ends at once with SearchExhausted
     with pytest.raises(SearchExhausted, match=message):
         search()
+
+
+@pytest.mark.parametrize("m, n", [(9, 17), (10, 18), (10, 19)])
+def test_ladder_cells_reach_the_lower_bound(m, n):
+    # (9,17) needs lemma 7 at h = 3, (10,18) lemma 8 at h = 3, and (10,19)
+    # lifts (9,17): each inductive level takes d and b from exact windows
+    res = construct(m, n)
+    assert res.system.type == (m, n)
+    assert res.report.certified_count == 4 == bounds(m, n).lower
+    assert invariance_check(res.system, res.curve)
+
+
+def test_lemma7_height_4_ladder():
+    # the ladder (11,21) needs: four inductive levels above the base, each
+    # with d and b from exact windows
+    c, perturbed = perturb_lemma7(4, 0, 12)
+    assert c.degree == 8
+    assert sign_on_interval(c, 0, 12) == "positive" and c.eval(0) > 0 and c.eval(12) > 0
+    roots = isolate_real_roots(perturbed)
+    assert len(roots) == perturbed.degree == 10
+    assert all(r.multiplicity == 1 for r in roots)
+    assert roots[0].sign_of(X) == 1 and roots[-1].sign_of(X - Poly([12])) == -1
+
+
+# p = x^3 - 2x has critical points -+a, a = sqrt(2/3), both irrational; the
+# local maximum is xi = p(-a) = 4a/3 = 1.0886...
+_CUBIC = Poly([0, -2, 0, 1])
+
+
+def _xi_bracket():
+    [top] = _critical_values(_CUBIC, 1)
+    return top
+
+
+def _xi_plus(k):
+    # k - p has its local maximum k - p(a) = k + xi at x = a
+    [top] = _critical_values(Poly([k]) - _CUBIC, 1)
+    return top
+
+
+def test_critical_values_bracket_the_extrema():
+    [top], [bottom] = _critical_values(_CUBIC, 1), _critical_values(_CUBIC, -1)
+    for bracket, alpha_sign in ((top, -1), (bottom, 1)):
+        assert bracket.root.sign_of(X) == alpha_sign
+        assert bracket.root.sign_of(_CUBIC - Poly([bracket.lo])) > 0
+        assert bracket.root.sign_of(_CUBIC - Poly([bracket.hi])) < 0
+    # kind 0 keeps the critical points strictly inside the interval only
+    assert len(_critical_values(_CUBIC, 0, (Fraction(-1), Fraction(1)))) == 2
+    assert len(_critical_values(_CUBIC, 0, (Fraction(0), Fraction(1)))) == 1
+
+
+def test_pick_window_is_none_on_an_empty_window():
+    # the floor xi above the ceiling xi - 1, or the floor 2 above the ceiling xi
+    assert _pick_window(Fraction(0), [_xi_bracket()], [_xi_plus(-1)]) is None
+    assert _pick_window(Fraction(2), [], [_xi_bracket()]) is None
+    # a window that closes to one irrational point never decides
+    assert _pick_window(Fraction(0), [_xi_bracket()], [_xi_bracket()]) is None
+
+
+def test_pick_window_lies_strictly_inside_a_bracketed_window():
+    top = _xi_bracket()
+    alpha = top.root
+    v = _pick_window(Fraction(1), [], [top])
+    assert isinstance(v, Fraction)
+    # 1 < v < xi, and at least a quarter of the window on each side:
+    # v - 1 > (xi - 1)/4 and xi - v > (xi - 1)/4, that is
+    # (4v - 1)/3 < xi < 4v - 3
+    assert v > 1
+    assert alpha.sign_of(_CUBIC - Poly([v])) > 0
+    assert alpha.sign_of(_CUBIC - Poly([(4 * v - 1) / 3])) > 0
+    assert alpha.sign_of(_CUBIC - Poly([4 * v - 3])) < 0
+    # and with brackets at both ends: xi < w < xi + 2
+    w = _pick_window(Fraction(0), [_xi_bracket()], [_xi_plus(2)])
+    assert alpha.sign_of(_CUBIC - Poly([w])) < 0
+    assert alpha.sign_of(_CUBIC - Poly([w - 2])) > 0

@@ -119,6 +119,13 @@ def test_parse_expressions():
         parse_poly("y + 1")
 
 
+@pytest.mark.parametrize(
+    "text", ["x^", "3/0", "x + 1/0", '["1/0"]', "[null]", "[1, 2", "(x", "x^-1"])
+def test_parse_malformed_text_raises_value_error(text):
+    with pytest.raises(ValueError):
+        parse_poly(text)
+
+
 def test_str_roundtrip():
     p = P(Fraction(1, 2), 0, -3, 1)
     assert parse_poly(str(p)) == p
