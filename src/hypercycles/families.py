@@ -464,9 +464,9 @@ def construct_case_ii(m: int, n: int, s_cap: int = DEFAULT_S_CAP) -> Constructio
         assert h >= 0 and l >= 0
         result = _case_ii_assemble(
             (m, n), t, l, 6 * t - 2 * m + 1, _linear(sigma),
-            lambda: perturb_lemma7(h, l, sigma),
-            {"t": t, "h": h, "l": l, "sigma": sigma})
-    else:  # lemma 8 ladder, pref = (x+2)(x-s) with s doubling
+            perturb_lemma7(h, l, sigma), {"t": t, "h": h, "l": l, "sigma": sigma})
+    else:  # lemma 8 ladder, pref = (x+2)(x-s) with s doubling until certify
+        # accepts; a ladder that fails raises SearchExhausted at once
         h = 3 * t - m + 1
         l = m - 2 * t - 2
         assert h >= 1 and l >= 0
@@ -474,8 +474,7 @@ def construct_case_ii(m: int, n: int, s_cap: int = DEFAULT_S_CAP) -> Constructio
         def attempt(s):
             return _case_ii_assemble(
                 (m, n), t, l, 6 * t - 2 * m + 2, Poly([2, 1]) * _linear(s),
-                lambda: perturb_lemma8(h, l, -2, s),
-                {"t": t, "h": h, "l": l, "s": s})
+                perturb_lemma8(h, l, -2, s), {"t": t, "h": h, "l": l, "s": s})
 
         result = _first(_geometric(l + 2, 2, cap=s_cap), attempt)
     if result is None:
@@ -483,15 +482,12 @@ def construct_case_ii(m: int, n: int, s_cap: int = DEFAULT_S_CAP) -> Constructio
     return result
 
 
-def _case_ii_assemble(mn, t, l, k, pref, perturb, parameters):
+def _case_ii_assemble(mn, t, l, k, pref, ladder, parameters):
     """P = P1*D*pref and Q = pref*x^k*prod(x-i)^2 * P1*D^2*pref^2, with
-    D = x*prod_{i<=l}(x-i) and (c, P1) = perturb() from a ladder lemma."""
+    D = x*prod_{i<=l}(x-i) and (c, P1) = ladder from a ladder lemma."""
     D = _prod_linear(range(0, l + 1))  # includes the factor x
     Q1 = pref * X ** k * _prod_linear(range(1, l + 1)) ** 2
-    try:
-        c, P1 = perturb()
-    except SearchExhausted:
-        return None
+    c, P1 = ladder
     return _try_certify(P1 * D * pref, Q1 * P1 * D**2 * pref**2, mn, t,
                         parameters={**parameters, "c": [str(v) for v in c.coeffs]})
 

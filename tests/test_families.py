@@ -276,6 +276,15 @@ def test_lemma7_height_4_ladder():
     assert roots[0].sign_of(X) == 1 and roots[-1].sign_of(X - Poly([12])) == -1
 
 
+def test_height_5_ladder_is_a_known_gap():
+    # (14,26) needs lemma 8 at h = 5, whose top b window is too narrow for
+    # the window budget: the failing ladder ends the search at once rather
+    # than being retried for every doubled s
+    assert bounds(14, 26).lower == 6
+    with pytest.raises(SearchExhausted, match="ladder h = 5"):
+        construct(14, 26)
+
+
 # p = x^3 - 2x has critical points -+a, a = sqrt(2/3), both irrational; the
 # local maximum is xi = p(-a) = 4a/3 = 1.0886...
 _CUBIC = Poly([0, -2, 0, 1])
