@@ -19,8 +19,9 @@ Three regimes:
 `lift` multiplies P by (x-s) and Q by (x-s)^2, pushing the type from (m, n)
 to (m+1, n+2) while preserving certified cycles for large s.
 
-Every fixed-schedule search (doubling s, halving eps and c) walks one
-`_geometric` schedule through one `_first` loop; lemmas 7 and 8 share one
+Every search walks its schedule through one `_first` loop: the fixed
+`_geometric` ones (doubling s, halving eps and c) and the case (i) seeds,
+cut at the pattern's `max_seeds`; lemmas 7 and 8 share one
 inductive routine, `_perturb_ladder`, whose inductive levels pick d and b
 as the simplest rationals in the middle thirds of exact windows between
 bracketed critical values (`_pick_window`), with no float anywhere.
@@ -33,7 +34,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Optional
 
 from .lienard import (
     CertificationReport,
@@ -42,7 +43,7 @@ from .lienard import (
     NonPolynomialSystem,
     certify,
 )
-from .polyx import ONE, Poly, X, poly_gcd
+from .polyx import ONE, Poly, X, poly_gcd, rref
 from .rootclass import (
     all_roots_real_simple,
     isolate_real_roots,
@@ -73,13 +74,6 @@ class ConstructionResult:
 
 def _linear(r) -> Poly:
     return Poly([-Fraction(r), 1])
-
-
-def _prod_linear(roots: Sequence) -> Poly:
-    p = ONE
-    for r in roots:
-        p = p * _linear(r)
-    return p
 
 
 def _geometric(start, ratio, steps: Optional[int] = None, cap=None):
@@ -131,7 +125,7 @@ def _product_family(m, n, k, target, negative_q, s_cap) -> ConstructionResult:
     """P = R(x+s) and Q = R(x+s)^k, times -s when negative_q, with
     R = prod_{i<=m}(x-i): the first s doubling from m+1 that certifies
     `target` cycles wins."""
-    R = _prod_linear(range(1, m + 1))
+    R = Poly.from_roots(range(1, m + 1))
     # the cycles sit on alternate integer intervals; the factor -s in Q
     # (case iii) flips the positive-Q parity relative to the n = 2m family
     first = 1 if (m % 2 == 0) == negative_q else 2
@@ -405,7 +399,7 @@ def perturb_lemma7(h: int, l: int, s) -> tuple[Poly, Poly]:
         raise ValueError("need s > l + 1")
     if h < 0 or l < 0:
         raise ValueError("h, l must be nonnegative")
-    rest = _linear(s) * _prod_linear(range(1, l + 1)) ** 2
+    rest = _linear(s) * Poly.from_roots(range(1, l + 1)) ** 2
     return _perturb_ladder(
         lambda k: rest * X ** (2 * k + 1),
         lambda k: _ladder_slots(0, 2 * k + 2, l, 0, s),
@@ -421,7 +415,7 @@ def perturb_lemma8(h: int, l: int, s1, s2) -> tuple[Poly, Poly]:
         raise ValueError("lemma 8 needs h >= 1")
     if not (s1 < -1 and s2 > l + 1):
         raise ValueError("need s1 < -1 and s2 > l + 1")
-    rest = _linear(s1) * _linear(s2) * _prod_linear(range(1, l + 1)) ** 2
+    rest = _linear(s1) * _linear(s2) * Poly.from_roots(range(1, l + 1)) ** 2
     return _perturb_ladder(
         lambda k: rest * X ** (2 * k),
         lambda k: _ladder_slots(2, 2 * k, l, s1, s2),  # z_{-1}, x_1 < 0
@@ -485,8 +479,8 @@ def construct_case_ii(m: int, n: int, s_cap: int = DEFAULT_S_CAP) -> Constructio
 def _case_ii_assemble(mn, t, l, k, pref, ladder, parameters):
     """P = P1*D*pref and Q = pref*x^k*prod(x-i)^2 * P1*D^2*pref^2, with
     D = x*prod_{i<=l}(x-i) and (c, P1) = ladder from a ladder lemma."""
-    D = _prod_linear(range(0, l + 1))  # includes the factor x
-    Q1 = pref * X ** k * _prod_linear(range(1, l + 1)) ** 2
+    D = Poly.from_roots(range(0, l + 1))  # includes the factor x
+    Q1 = pref * X ** k * Poly.from_roots(range(1, l + 1)) ** 2
     c, P1 = ladder
     return _try_certify(P1 * D * pref, Q1 * P1 * D**2 * pref**2, mn, t,
                         parameters={**parameters, "c": [str(v) for v in c.coeffs]})
@@ -572,27 +566,26 @@ def _case_i_solve(m, n, t, odd, pattern) -> ConstructionResult:
             f"{deg_m} free node coefficients; no rational seed family is implemented"
         )
     nodes = pattern.odd_nodes if odd else pattern.even_nodes
-    pin_fracs = pattern.pin_fractions if slack > 0 else (Fraction(1),)
-    tried = 0
-    for ws in combinations(nodes, t):
-        for x0 in (pattern.x0_candidates if odd else (None,)):
-            for sign in pattern.signs:
-                for frac in pin_fracs:
-                    tried += 1
-                    if tried > pattern.max_seeds:
-                        raise PatternNotAchieved(
-                            f"case-(i) seed budget exhausted for ({m},{n})")
-                    result = _case_i_attempt(
-                        m, n, t, odd, deg_m, slack, x0, ws, sign, frac, target)
-                    if result is not None:
-                        return result
+    seeds = itertools.product(
+        combinations(nodes, t),
+        pattern.x0_candidates if odd else (None,),
+        pattern.signs,
+        pattern.pin_fractions if slack > 0 else (Fraction(1),),
+    )
+    result = _first(
+        itertools.islice(seeds, max(pattern.max_seeds, 0)),
+        lambda seed: _case_i_attempt(m, n, t, odd, deg_m, slack, *seed, target))
+    if result is not None:
+        return result
+    if next(seeds, None) is not None:
+        raise PatternNotAchieved(f"case-(i) seed budget exhausted for ({m},{n})")
     raise PatternNotAchieved(f"case-(i) seed search failed for ({m},{n})")
 
 
 def _case_i_t0(m, n, odd, deg_m, pattern, target) -> ConstructionResult:
     # free nodes: M's roots, equally spaced inside (0, 1)
     nodes = [Fraction(i, deg_m + 1) for i in range(1, deg_m + 1)]
-    M = _prod_linear(nodes)
+    M = Poly.from_roots(nodes)
     for x0 in (pattern.x0_candidates if odd else (None,)):
         L = _linear(x0) * _linear(1) if odd else _linear(1)
         result = _case_i_search_c(m, n, L, M, target, pattern.halving_steps)
@@ -603,7 +596,7 @@ def _case_i_t0(m, n, odd, deg_m, pattern, target) -> ConstructionResult:
     raise PatternNotAchieved(f"case-(i) t=0 search failed for ({m},{n})")
 
 
-def _case_i_attempt(m, n, t, odd, deg_m, slack, x0, ws, sign, pin_frac, target):
+def _case_i_attempt(m, n, t, odd, deg_m, slack, ws, x0, sign, pin_frac, target):
     """One seed: prescribed double roots z_1 < ... < z_t from the square
     families, a linear solve for the remaining node polynomial M, then the
     assembly and a full certification."""
@@ -622,7 +615,7 @@ def _case_i_attempt(m, n, t, odd, deg_m, slack, x0, ws, sign, pin_frac, target):
         z_top + (1 - z_top) * pin_frac * Fraction(j + 1, slack + 1)
         for j in range(slack)
     ]
-    Mpin = _prod_linear(pins)
+    Mpin = Poly.from_roots(pins)
     free = deg_m - slack  # = 2t - 1
     Mfree = _solve_alignment(L, Mpin, zs, sign, free)
     if Mfree is None:
@@ -630,7 +623,7 @@ def _case_i_attempt(m, n, t, odd, deg_m, slack, x0, ws, sign, pin_frac, target):
     M = Mpin * Mfree
     if any(M.eval(z) == 0 for z in zs):
         return None
-    result = _case_i_assemble(m, n, L, M, _prod_linear(zs),
+    result = _case_i_assemble(m, n, L, M, Poly.from_roots(zs),
                               -(L * M * M).eval(zs[0]), target)
     if result is not None:
         result.parameters.update({
@@ -682,24 +675,14 @@ def _solve_alignment(L, Mpin, zs, sign, free) -> Optional[Poly]:
 
 
 def _solve_linear(rows, rhs) -> Optional[list[Fraction]]:
+    """The unique solution of the square system rows * c = rhs, or None."""
     n = len(rhs)
-    if n == 0:
-        return []
     if any(len(r) != n for r in rows):
         return None
-    a = [list(rows[i]) + [rhs[i]] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return None
-        a[col], a[pivot] = a[pivot], a[col]
-        pv = a[col][col]
-        a[col] = [v / pv for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [v - factor * w for v, w in zip(a[r], a[col])]
-    return [a[i][n] for i in range(n)]
+    a, pivots = rref([list(r) + [b] for r, b in zip(rows, rhs)])
+    if pivots != list(range(n)):
+        return None
+    return [row[n] for row in a]
 
 
 def _case_i_search_c(m, n, L, M, target, halving: int):

@@ -21,6 +21,7 @@ from typing import Optional
 from .polyx import BivarPoly, Poly, poly_gcd
 from .rootclass import (
     RealRoot,
+    interior_point,
     isolate_real_roots,
     sturm_count,
 )
@@ -40,10 +41,6 @@ class HyperellipticCurve:
     def __post_init__(self):
         if self.Q.is_zero():
             raise ValueError("Q must be nonzero")
-
-    def F(self) -> BivarPoly:
-        P, Q = self.P, self.Q
-        return BivarPoly([P * P - Q, P.scale(2), Poly([1])])
 
 
 @dataclass(frozen=True)
@@ -84,7 +81,8 @@ def derive_system(curve: HyperellipticCurve) -> LienardSystem:
     if not r1.is_zero():
         raise NonPolynomialSystem("2Q does not divide P*Q'")
     f = P.derivative() + q1
-    num_g = Qp * (P * P - Q)
+    H = P * P - Q
+    num_g = Qp * H
     q2, r2 = num_g.divrem(Q.scale(2))
     if not r2.is_zero():
         raise NonPolynomialSystem("2Q does not divide Q'*(P^2 - Q)")
@@ -98,9 +96,9 @@ def derive_system(curve: HyperellipticCurve) -> LienardSystem:
         raise NonPolynomialSystem(
             f"degree contract violated: deg P = {P.degree}, expected m+1 = {sys.m + 1}"
         )
-    if (P * P - Q).degree != sys.n + 1:
+    if H.degree != sys.n + 1:
         raise NonPolynomialSystem(
-            f"degree contract violated: deg(P^2-Q) = {(P * P - Q).degree}, "
+            f"degree contract violated: deg(P^2-Q) = {H.degree}, "
             f"expected n+1 = {sys.n + 1}"
         )
     return sys
@@ -117,14 +115,21 @@ def cofactor(curve: HyperellipticCurve) -> Cofactor:
 
 
 def invariance_residual(sys: LienardSystem, curve: HyperellipticCurve) -> BivarPoly:
-    """y*F_x - (f*y + g)*F_y - K*F, fully expanded."""
+    """y*F_x - (f*y + g)*F_y - K*F for F = (y + P)^2 - Q, fully expanded.
+
+    With H = P^2 - Q, F = y^2 + 2P*y + H, so the residual has the three
+    y-coefficients
+        y^0:  -2g*P - K*H,
+        y^1:  H' - 2(f + K)*P - 2g,
+        y^2:  2P' - 2f - K."""
+    P, Q, f, g = curve.P, curve.Q, sys.f, sys.g
     K = cofactor(curve).K
-    F = curve.F()
-    lhs = BivarPoly.y_times(Poly([1])) * F.dx()
-    field_y = BivarPoly([sys.g, sys.f])  # f*y + g
-    lhs = lhs - field_y * F.dy()
-    rhs = BivarPoly.from_x(K) * F
-    return lhs - rhs
+    H = P * P - Q
+    return BivarPoly([
+        -(g * P).scale(2) - K * H,
+        H.derivative() - ((f + K) * P).scale(2) - g.scale(2),
+        P.derivative().scale(2) - f.scale(2) - K,
+    ])
 
 
 def invariance_check(sys: LienardSystem, curve: HyperellipticCurve) -> bool:
@@ -262,14 +267,7 @@ def _count_strictly_between(w: Poly, r1: RealRoot, r2: RealRoot) -> int:
 
 def _sample_between(r1: RealRoot, r2: RealRoot, avoid: list[Poly]) -> Fraction:
     r1.separate_from(r2, avoid=avoid)
-    lo, hi = r1.hi, r2.lo
-    k = 2
-    while True:
-        for num in range(1, k):
-            c = lo + (hi - lo) * Fraction(num, k)
-            if all(p.eval(c) != 0 for p in avoid):
-                return c
-        k += 1
+    return interior_point(r1.hi, r2.lo, avoid)
 
 
 def certify(curve: HyperellipticCurve) -> CertificationReport:

@@ -14,6 +14,10 @@ lemma), and the primitive PRS gcd built from them.  Each converts back to a
 the same as Euclid over Q would give.  `Poly.divrem` stays over `Fraction`
 for callers that need true rational quotients.
 
+`rref` is the one Gauss-Jordan elimination over Q (the case (i) node
+solve and the affine blocks of curve recovery both use it), and
+`BivarPoly` is only the container the invariance residual is returned in.
+
 Everything here is immutable and side-effect free; values can be shared
 freely between threads.
 """
@@ -213,15 +217,6 @@ class Poly:
                     rem[k + i] -= q * b
         return Poly(quot), Poly(rem)
 
-    def __divmod__(self, other: "Poly"):
-        return self.divrem(other)
-
-    def __floordiv__(self, other: "Poly") -> "Poly":
-        return self.divrem(other)[0]
-
-    def __mod__(self, other: "Poly") -> "Poly":
-        return self.divrem(other)[1]
-
     def divides(self, other: "Poly") -> bool:
         """True if self divides other exactly."""
         if self.is_zero():
@@ -269,7 +264,6 @@ class Poly:
 
 X = Poly([0, 1])
 ONE = Poly([1])
-ZERO = Poly()
 
 
 # ---------------------------------------------------------------------------
@@ -414,15 +408,36 @@ def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
 
 
 # ---------------------------------------------------------------------------
-# bivariate helper: polynomials in y with Poly-in-x coefficients
+# linear algebra over Q, and the invariance residual's container
 # ---------------------------------------------------------------------------
 
 
-class BivarPoly:
-    """Polynomial in y whose coefficients are univariate Poly in x.
+def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form by Gauss-Jordan elimination over Q: the
+    reduced rows, and the pivot column of each of the first len(pivot_columns)
+    rows.  The rows below them are zero."""
+    mat = [list(r) for r in rows]
+    pivots: list[int] = []
+    for col in range(len(mat[0]) if mat else 0):
+        top = len(pivots)
+        pivot = next((r for r in range(top, len(mat)) if mat[r][col] != 0), None)
+        if pivot is None:
+            continue
+        mat[top], mat[pivot] = mat[pivot], mat[top]
+        pv = mat[top][col]
+        mat[top] = [v / pv for v in mat[top]]
+        for r in range(len(mat)):
+            if r != top and mat[r][col] != 0:
+                fac = mat[r][col]
+                mat[r] = [a - fac * b for a, b in zip(mat[r], mat[top])]
+        pivots.append(col)
+    return mat, pivots
 
-    Only the small amount of arithmetic needed for invariant-curve residuals.
-    """
+
+class BivarPoly:
+    """Polynomial in y whose coefficients are univariate Poly in x: the
+    container `lienard.invariance_residual` returns, with trailing zero
+    y-coefficients stripped so that the zero residual is `is_zero()`."""
 
     __slots__ = ("ycoeffs",)
 
@@ -442,52 +457,11 @@ class BivarPoly:
     def is_zero(self) -> bool:
         return not self.ycoeffs
 
-    def __getitem__(self, k: int) -> Poly:
-        if 0 <= k < len(self.ycoeffs):
-            return self.ycoeffs[k]
-        return ZERO
-
-    def __add__(self, other: "BivarPoly") -> "BivarPoly":
-        n = max(len(self.ycoeffs), len(other.ycoeffs))
-        return BivarPoly([self[i] + other[i] for i in range(n)])
-
-    def __neg__(self) -> "BivarPoly":
-        return BivarPoly([-c for c in self.ycoeffs])
-
-    def __sub__(self, other: "BivarPoly") -> "BivarPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "BivarPoly") -> "BivarPoly":
-        if self.is_zero() or other.is_zero():
-            return BivarPoly()
-        out = [ZERO] * (len(self.ycoeffs) + len(other.ycoeffs) - 1)
-        for i, a in enumerate(self.ycoeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.ycoeffs):
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return BivarPoly(out)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, BivarPoly) and self.ycoeffs == other.ycoeffs
 
     def __hash__(self):
         return hash(self.ycoeffs)
-
-    @staticmethod
-    def from_x(p: Poly) -> "BivarPoly":
-        return BivarPoly([p])
-
-    @staticmethod
-    def y_times(p: Poly, k: int = 1) -> "BivarPoly":
-        return BivarPoly([ZERO] * k + [p])
-
-    def dx(self) -> "BivarPoly":
-        return BivarPoly([c.derivative() for c in self.ycoeffs])
-
-    def dy(self) -> "BivarPoly":
-        return BivarPoly([c.scale(i) for i, c in enumerate(self.ycoeffs)][1:])
 
 
 # ---------------------------------------------------------------------------

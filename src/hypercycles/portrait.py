@@ -52,6 +52,13 @@ class _Mapper:
         return self.x0 <= x <= self.x1 and self.y0 <= y <= self.y1
 
 
+def _horner(cs: list[float], x: float) -> float:
+    acc = 0.0
+    for c in reversed(cs):
+        acc = acc * x + c
+    return acc
+
+
 def _polyline(points, cls: str, color: str, width: str = "1") -> str:
     coords = " ".join(f"{_fmt(px)},{_fmt(py)}" for px, py in points)
     return (
@@ -69,21 +76,15 @@ def _curve_branches(spec: PortraitSpec, mapper: _Mapper) -> list[str]:
     Pf = [float(c) for c in curve.P.coeffs]
     Qf = [float(c) for c in curve.Q.coeffs]
 
-    def horner(cs, x):
-        acc = 0.0
-        for c in reversed(cs):
-            acc = acc * x + c
-        return acc
-
     n = spec.samples
     xs = [mapper.x0 + (mapper.x1 - mapper.x0) * i / (n - 1) for i in range(n)]
     paths = []
     for sign in (1.0, -1.0):
         run: list[tuple[float, float]] = []
         for x in xs:
-            q = horner(Qf, x)
+            q = _horner(Qf, x)
             if q >= 0.0:
-                y = -horner(Pf, x) + sign * math.sqrt(q)
+                y = -_horner(Pf, x) + sign * math.sqrt(q)
                 run.append(mapper.to_svg(x, y))
             else:
                 if len(run) > 1:
@@ -98,14 +99,8 @@ def _trajectory(spec: PortraitSpec, mapper: _Mapper, seed) -> Optional[str]:
     f = [float(c) for c in spec.system.f.coeffs]
     g = [float(c) for c in spec.system.g.coeffs]
 
-    def horner(cs, x):
-        acc = 0.0
-        for c in reversed(cs):
-            acc = acc * x + c
-        return acc
-
     def rhs(x, y):
-        return y, -horner(f, x) * y - horner(g, x)
+        return y, -_horner(f, x) * y - _horner(g, x)
 
     h = spec.step
     x, y = float(seed[0]), float(seed[1])

@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .lienard import HyperellipticCurve, LienardSystem
-from .polyx import Poly
+from .polyx import Poly, rref
 
 
 class UndeterminedType(ValueError):
@@ -179,7 +179,7 @@ class _Equation:
 
 
 def _affine_block_solve(rows, assign, schedule, pname):
-    """Gaussian elimination over the currently-affine equations.
+    """Gauss-Jordan elimination (`rref`) over the currently-affine equations.
 
     Assigns every variable that the subsystem pins uniquely (its reduced row
     holds a single variable).  Returns "progress", "stuck", or a witness
@@ -190,37 +190,21 @@ def _affine_block_solve(rows, assign, schedule, pname):
     index = {v: i for i, v in enumerate(variables)}
     nv = len(variables)
     mat = []
-    labels = []
     for eq, const, lin in rows:
         row = [Fraction(0)] * (nv + 1)
         for v, c in lin.items():
             row[index[v]] = c
         row[nv] = const
         mat.append(row)
-        labels.append(f"{eq.family} x^{eq.degree}")
-    rank = 0
-    for col in range(nv):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        pv = mat[rank][col]
-        mat[rank] = [v / pv for v in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] != 0:
-                fac = mat[r][col]
-                mat[r] = [a - fac * b for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-        if rank == len(mat):
-            break
-    for r in range(rank, len(mat)):
-        if mat[r][nv] != 0:
-            # elimination mixes equations, so the contradiction is attributed
-            # to the highest-priority equation that entered the block
-            return (rows[0][0].family, rows[0][0].degree)
+    mat, pivots = rref(mat)
+    if nv in pivots:
+        # a pivot in the constant column is a row 0 = 1.  Elimination mixes
+        # equations, so the contradiction is attributed to the
+        # highest-priority equation that entered the block
+        return (rows[0][0].family, rows[0][0].degree)
     progressed = False
     solved_names = []
-    for r in range(rank):
+    for r in range(len(pivots)):
         nz = [c for c in range(nv) if mat[r][c] != 0]
         if len(nz) == 1:
             var = variables[nz[0]]
@@ -229,6 +213,7 @@ def _affine_block_solve(rows, assign, schedule, pname):
                 solved_names.append(pname(var))
                 progressed = True
     if progressed:
+        labels = [f"{eq.family} x^{eq.degree}" for eq, _, _ in rows]
         schedule.append({"unknowns": solved_names,
                          "equations": labels,
                          "pivots": ["affine block elimination"]})
@@ -308,17 +293,6 @@ def recover_curve(sys: LienardSystem) -> RecoveryOutcome:
 
     n_unknowns = n_pvars + deg_q + 1
 
-    def first_nonzero_constant(eqs: list[_Equation]) -> Optional[tuple[str, int]]:
-        order = {"f-identity": 0, "g-identity": 1, "degree-match": 2}
-        best = None
-        for eq in eqs:
-            red = _mp_reduce(eq.expr, assign)
-            if red and all(len(mo) == 0 for mo in red):
-                key = (order[eq.family], -eq.degree)
-                if best is None or key < best[0]:
-                    best = (key, (eq.family, eq.degree))
-        return best[1] if best else None
-
     while len(assign) < n_unknowns:
         # single-unknown equations first: these are the schedule steps the
         # uniqueness argument walks through explicitly
@@ -361,13 +335,12 @@ def recover_curve(sys: LienardSystem) -> RecoveryOutcome:
             "a pivot the uniqueness argument assumes nonzero vanished"
         )
 
-    # full verification of both identities
-    witness = first_nonzero_constant(equations)
-    if witness is None:
-        for eq in equations:
-            if _mp_reduce(eq.expr, assign):
-                witness = (eq.family, eq.degree)
-                break
+    # full verification of both identities: every unknown is assigned, so
+    # each equation reduces to a constant, and `equations` is already in
+    # witness priority order
+    witness = next((
+        (eq.family, eq.degree) for eq in equations if _mp_reduce(eq.expr, assign)
+    ), None)
     if witness is not None:
         return RecoveryOutcome(None, False, witness=witness, schedule=tuple(schedule))
 

@@ -20,12 +20,16 @@ Two independent routes to root counts live here on purpose:
   definition that tests check it against.  It serves the `roots` command
   and the criterion 4 cross-check against the Sturm route.
 
+Every sample point inside an interval comes from `interior_point`, and
+every root at a known rational point is divided out by `_deflate`.
+
 All arithmetic is exact; no floating point enters any code path here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd as int_gcd
@@ -190,18 +194,11 @@ def discrimination_matrix(f: Poly) -> list[list[Fraction]]:
     size = 2 * n
     rows = []
     for k in range(1, n + 1):
-        row = [Fraction(0)] * size
-        for i, c in enumerate(desc):
-            col = (k - 1) + i
-            if col < size:
-                row[col] = c
-        rows.append(row)
-        row = [Fraction(0)] * size
-        for i, c in enumerate(ddesc):
-            col = k + i
-            if col < size:
-                row[col] = c
-        rows.append(row)
+        for start, cs in ((k - 1, desc), (k, ddesc)):
+            row = [Fraction(0)] * size
+            for i, c in enumerate(cs[:size - start]):
+                row[start + i] = c
+            rows.append(row)
     return rows
 
 
@@ -416,6 +413,23 @@ def simplest_in_interval(lo: Fraction, hi: Fraction) -> Fraction:
     return n + 1 / inner
 
 
+def interior_point(lo: Fraction, hi: Fraction, avoid: Sequence[Poly]) -> Fraction:
+    """The first lo + (hi - lo) * j/k, for k = 2, 3, ... and j = 1..k-1, at
+    which no polynomial in `avoid` vanishes; each must be nonzero."""
+    for k in itertools.count(2):
+        for j in range(1, k):
+            c = lo + (hi - lo) * Fraction(j, k)
+            if all(w.eval(c) != 0 for w in avoid):
+                return c
+
+
+def _deflate(w: Poly, v: Fraction) -> Poly:
+    """w with every factor x - v divided out."""
+    while w.degree >= 1 and w.eval(v) == 0:
+        w = w.exact_div(Poly([-v, 1]))
+    return w
+
+
 # ---------------------------------------------------------------------------
 # isolated real roots
 # ---------------------------------------------------------------------------
@@ -434,7 +448,6 @@ class RealRoot:
     lo: Fraction
     hi: Fraction
     multiplicity: int = 1
-    _chain: SturmChain | None = field(default=None, repr=False, compare=False)
 
     # -- basics ---------------------------------------------------------
 
@@ -450,11 +463,6 @@ class RealRoot:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    def chain(self) -> SturmChain:
-        if self._chain is None:
-            self._chain = SturmChain(self.poly)
-        return self._chain
-
     def equals_rational(self, r: RationalLike) -> bool:
         r = rat(r)
         if self.is_exact():
@@ -463,22 +471,12 @@ class RealRoot:
 
     # -- refinement -------------------------------------------------------
 
-    def _pick_interior(self, avoid: list[Poly]) -> Fraction:
-        lo, hi = self.lo, self.hi
-        k = 2
-        while True:
-            for num in range(1, k):
-                c = lo + (hi - lo) * Fraction(num, k)
-                if all(w.eval(c) != 0 for w in avoid):
-                    return c
-            k += 1
-
     def refine(self, avoid: list[Poly] = ()) -> None:
         """One bisection step; new endpoints avoid roots of every `avoid` poly."""
         if self.is_exact():
             return
         avoid = [w for w in avoid if not w.is_zero()]
-        c = self._pick_interior(avoid)
+        c = interior_point(self.lo, self.hi, avoid)
         s = self.poly.eval(c)
         if s == 0:
             self.lo = self.hi = c
@@ -496,18 +494,10 @@ class RealRoot:
             self.refine()
             if self.is_exact():
                 return
-        cands = set()
-        ceil_lo = -((-self.lo.numerator) // self.lo.denominator)
-        if self.lo < ceil_lo < self.hi:
-            cands.add(Fraction(ceil_lo))
-        try:
-            cands.add(simplest_in_interval(self.lo, self.hi))
-        except ValueError:
-            pass
-        for c in cands:
-            if self.poly.eval(c) == 0:
-                self.lo = self.hi = c
-                return
+        # an integer inside the interval is the simplest rational there
+        c = simplest_in_interval(self.lo, self.hi)
+        if self.poly.eval(c) == 0:
+            self.lo = self.hi = c
 
     # -- relations ----------------------------------------------------------
 
@@ -552,23 +542,25 @@ class RealRoot:
         """Exact sign of w at this root (0 when w vanishes there)."""
         if w.is_zero():
             return 0
-        if self.is_exact():
-            v = w.eval(self.value)
-            return (v > 0) - (v < 0)
-        if w.degree >= 1:
-            d = poly_gcd(self.poly, w)
-            if d.degree >= 1 and d.eval(self.lo) != 0 and d.eval(self.hi) != 0:
-                if sturm_count(d, self.lo, self.hi) > 0:
+        if not self.is_exact():
+            if w.degree >= 1:
+                d = poly_gcd(self.poly, w)
+                if (d.degree >= 1 and d.eval(self.lo) != 0 and d.eval(self.hi) != 0
+                        and sturm_count(d, self.lo, self.hi) > 0):
                     return 0
-        wc = SturmChain(w) if w.degree >= 1 else None
-        while True:
-            slo = (w.eval(self.lo) > 0) - (w.eval(self.lo) < 0)
-            if slo != 0 and (
-                wc is None
-                or (w.eval(self.hi) != 0 and wc.count(self.lo, self.hi) == 0)
-            ):
-                return slo
-            self.refine(avoid=[w])
+            wc = SturmChain(w) if w.degree >= 1 else None
+            # a refinement step can land on the root itself; the exact value
+            # then decides below
+            while not self.is_exact():
+                slo = (w.eval(self.lo) > 0) - (w.eval(self.lo) < 0)
+                if slo != 0 and (
+                    wc is None
+                    or (w.eval(self.hi) != 0 and wc.count(self.lo, self.hi) == 0)
+                ):
+                    return slo
+                self.refine(avoid=[w])
+        v = w.eval(self.value)
+        return (v > 0) - (v < 0)
 
     def clear_above(self, w: Poly, cap: Fraction) -> Fraction:
         """A rational u with root < u <= cap, no roots of w in (root, u],
@@ -579,32 +571,14 @@ class RealRoot:
         return self._clear(w, floor, upward=False)
 
     def _clear(self, w: Poly, limit: Fraction, upward: bool) -> Fraction:
-        if self.is_exact():
-            v = self.value
-            # deflate w at the root so the shrinking test has clean endpoints
-            wd = w
-            while wd.degree >= 1 and wd.eval(v) == 0:
-                wd = wd.exact_div(Poly([-v, 1]))
-            u = limit
-            while True:
-                if wd.eval(u) != 0:
-                    if wd.degree < 1:
-                        return u
-                    a, b = (v, u) if upward else (u, v)
-                    if wd.eval(v) != 0 and sturm_count(wd, a, b) == 0:
-                        return u
-                u = (v + u) / 2
-                k = 3
-                while w.eval(u) == 0 or u == v:
-                    u = v + (limit - v) / k
-                    k += 1
-        else:
+        if not self.is_exact():
             # make the whole isolating interval sliver-free for w, then hand
-            # back the boundary on the requested side
+            # back the boundary on the requested side; a refinement step that
+            # lands on the root hands over to the exact branch below
             vanishes = self.sign_of(w) == 0  # refines until the w-sign settles
             target = 1 if vanishes else 0
             wc = SturmChain(w) if w.degree >= 1 else None
-            while True:
+            while not self.is_exact():
                 edge = self.hi if upward else self.lo
                 within = edge < limit if upward else edge > limit
                 if within and w.eval(edge) != 0:
@@ -617,6 +591,22 @@ class RealRoot:
                     ):
                         return edge
                 self.refine(avoid=[w])
+        v = self.value
+        # deflate w at the root so the shrinking test has clean endpoints
+        wd = _deflate(w, v)
+        u = limit
+        while True:
+            if wd.eval(u) != 0:
+                if wd.degree < 1:
+                    return u
+                a, b = (v, u) if upward else (u, v)
+                if wd.eval(v) != 0 and sturm_count(wd, a, b) == 0:
+                    return u
+            u = (v + u) / 2
+            k = 3
+            while w.eval(u) == 0 or u == v:
+                u = v + (limit - v) / k
+                k += 1
 
 
 def _isolate_squarefree(g: Poly) -> list[tuple[Fraction, Fraction]]:
@@ -694,11 +684,7 @@ def sign_on_interval(f: Poly, lo: RationalLike, hi: RationalLike) -> str:
         raise ValueError("need lo < hi")
     if f.is_zero():
         return "mixed-or-zero"
-    g = f
-    while g.degree >= 1 and g.eval(lo) == 0:
-        g = g.exact_div(Poly([-lo, 1]))
-    while g.degree >= 1 and g.eval(hi) == 0:
-        g = g.exact_div(Poly([-hi, 1]))
+    g = _deflate(_deflate(f, lo), hi)
     if g.degree >= 1 and sturm_count(g, lo, hi) > 0:
         return "mixed-or-zero"
     # f now has no root in the open interval, so its sign there is constant

@@ -6,6 +6,7 @@ from hypercycles.families import (
     CaseIPattern,
     _critical_values,
     _pick_window,
+    _solve_linear,
     PatternNotAchieved,
     SearchExhausted,
     construct,
@@ -135,8 +136,29 @@ def test_case_i_infeasible_pattern_reports():
         even_nodes=(Fraction(1, 4),),
         max_seeds=4,
     )
-    with pytest.raises(PatternNotAchieved):
+    # every seed was tried (there are none), so the budget did not stop it
+    with pytest.raises(PatternNotAchieved, match="seed search failed"):
         construct_case_i(10, 13, pattern=pattern)
+
+
+def test_case_i_seed_budget_cuts_the_search():
+    # with sign +1 first, the first seed fails and the second (sign -1)
+    # certifies: a budget of one seed stops with seeds left, two succeed
+    pattern = CaseIPattern(signs=(1, -1), max_seeds=1)
+    with pytest.raises(PatternNotAchieved, match="seed budget exhausted"):
+        construct_case_i(10, 13, pattern=pattern)
+    res = construct_case_i(10, 13, pattern=CaseIPattern(signs=(1, -1), max_seeds=2))
+    assert res.report.certified_count == 2
+    assert res.parameters["sign"] == -1
+
+
+def test_solve_linear_square_systems():
+    F = Fraction
+    assert _solve_linear([[F(2), F(1)], [F(1), F(3)]], [F(3), F(5)]) == [F(4, 5), F(7, 5)]
+    assert _solve_linear([[F(1), F(2)], [F(2), F(4)]], [F(3), F(6)]) is None  # singular
+    assert _solve_linear([[F(1), F(2)], [F(2), F(4)]], [F(3), F(7)]) is None  # inconsistent
+    assert _solve_linear([[F(1), F(2)]], [F(3)]) is None  # not square
+    assert _solve_linear([], []) == []
 
 
 def test_case_ii_ii_i_path():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -189,3 +190,51 @@ def test_cofactor_degenerate_q_equals_p_squared():
     assert cofactor(curve).K == P(0, -4)
     with pytest.raises(NonPolynomialSystem):
         derive_system(curve)
+
+
+def _seeded_curve(rng):
+    """Q = c * prod (x - a_i)^e_i and P = prod (x - a_i) * T, so sqfree(Q)
+    divides P and the cofactor is a polynomial."""
+    roots = rng.sample(range(-5, 6), rng.randint(1, 3))
+    R = Poly.from_roots(roots)
+    Q = R.scale(Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3)))
+    for a in roots:
+        Q = Q * Poly([-a, 1]) ** rng.randint(0, 3)
+    T = Poly([Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+              for _ in range(rng.randint(0, 2))] + [1])
+    return HyperellipticCurve(P=R * T, Q=Q)
+
+
+def test_residual_matches_sympy_expansion():
+    # the closed-form y-coefficients against a direct expansion of
+    # y*F_x - (f*y + g)*F_y - K*F, for derived and perturbed (f, g)
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.symbols("x y")
+
+    def sym(p):
+        return sum(sympy.Rational(c.numerator, c.denominator) * x**k
+                   for k, c in enumerate(p.coeffs))
+
+    rng = random.Random(2024)
+    checked = {"derived": 0, "perturbed": 0}
+    while min(checked.values()) < 12:
+        curve = _seeded_curve(rng)
+        try:
+            sys = derive_system(curve)
+        except NonPolynomialSystem:
+            continue
+        bump = Poly([Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(3)])
+        for kind, s in (("derived", sys), ("perturbed", LienardSystem(
+                f=sys.f + bump, g=sys.g + bump.shift_up(sys.g.degree)))):
+            F = (y + sym(curve.P)) ** 2 - sym(curve.Q)
+            K = sym(cofactor(curve).K)
+            expected = sympy.Poly(sympy.expand(
+                y * sympy.diff(F, x) - (sym(s.f) * y + sym(s.g)) * sympy.diff(F, y)
+                - K * F), y, x)
+            residual = invariance_residual(s, curve)
+            got = sympy.Poly(sum(sym(c) * y**j for j, c in enumerate(residual.ycoeffs)),
+                             y, x)
+            assert got == expected
+            assert residual.is_zero() == (kind == "derived")
+            checked[kind] += 1
+

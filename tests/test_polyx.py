@@ -9,6 +9,7 @@ from hypercycles.polyx import (
     X,
     parse_poly,
     poly_gcd,
+    rref,
     squarefree_decomposition,
     squarefree_part,
 )
@@ -181,3 +182,39 @@ def test_squarefree_coprime_with_derivative():
         sf = squarefree_part(p)
         if sf.degree >= 1:
             assert poly_gcd(sf, sf.derivative()) == ONE
+
+
+def _fr(rows):
+    return [[Fraction(v) for v in row] for row in rows]
+
+
+def test_rref_full_rank_gives_identity_and_solution():
+    # x + 2y = 5, 3x + 4y = 6  ->  x = -4, y = 9/2
+    rows, pivots = rref(_fr([[1, 2, 5], [3, 4, 6]]))
+    assert pivots == [0, 1]
+    assert rows == _fr([[1, 0, -4], [0, 1, Fraction(9, 2)]])
+
+
+def test_rref_singular_system_misses_a_pivot():
+    # the second row is twice the first: rank 1, the zero row goes last
+    rows, pivots = rref(_fr([[1, 2, 3], [2, 4, 6], [0, 0, 0]]))
+    assert pivots == [0]
+    assert rows == _fr([[1, 2, 3], [0, 0, 0], [0, 0, 0]])
+
+
+def test_rref_inconsistent_system_pivots_in_the_constant_column():
+    # x + y = 1 and x + y = 2: the reduced rows hold 0 = 1
+    rows, pivots = rref(_fr([[1, 1, 1], [1, 1, 2]]))
+    assert pivots == [0, 2]
+    assert rows == _fr([[1, 1, 0], [0, 0, 1]])
+
+
+def test_rref_empty_system():
+    assert rref([]) == ([], [])
+
+
+def test_rref_leaves_its_input_alone():
+    rows = _fr([[0, 2, 4], [3, 0, 6]])
+    before = [list(r) for r in rows]
+    rref(rows)
+    assert rows == before

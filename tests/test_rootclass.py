@@ -316,3 +316,31 @@ def test_sign_on_interval_worked_cycle_strip():
     Q = parse_poly("-10(x-1)(x-2)(x+10)^4")
     assert sign_on_interval(Q, 1, 2) == "positive"
     assert sign_on_interval(Q, 2, 3) == "negative"
+
+
+def _third_root():
+    # the root -1/3 of x + 1/3 stays in (-2/3, 0): the simplest rational
+    # there is -1/2, so isolation leaves it inexact, and the next bisection
+    # point is the root itself
+    r, = isolate_real_roots(P(Fraction(1, 3), 1))
+    assert not r.is_exact() and (r.lo, r.hi) == (Fraction(-2, 3), Fraction(0))
+    return r
+
+
+def test_sign_of_when_a_refinement_step_lands_on_the_root():
+    r = _third_root()
+    assert r.sign_of(P(Fraction(1, 7), 1)) == -1     # -1/3 + 1/7 < 0
+    assert r.is_exact() and r.value == Fraction(-1, 3)
+
+
+def test_clear_above_and_below_when_a_refinement_step_lands_on_the_root():
+    r = _third_root()
+    w = P(Fraction(1, 7), 1)
+    u = r.clear_above(w, Fraction(0))
+    # -1/3 < u <= 0, and no root of w (-1/7) in (-1/3, u]
+    assert Fraction(-1, 3) < u < Fraction(-1, 7)
+    assert w.eval(u) != 0
+    r2 = _third_root()
+    v = r2.clear_below(P(Fraction(3, 7), 1), Fraction(-2, 3))
+    # the root of x + 3/7 lies below -1/3, so v must sit above it
+    assert Fraction(-3, 7) < v < Fraction(-1, 3)
