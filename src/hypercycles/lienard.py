@@ -14,11 +14,12 @@ cycles per system type (m, n).
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .polyx import BivarPoly, Poly, poly_gcd
+from .polyx import BivarPoly, Poly, int_coeffs, int_exact_div, poly_gcd
 from .rootclass import (
     RealRoot,
     interior_point,
@@ -72,46 +73,48 @@ class Cofactor:
     K: Poly
 
 
-def derive_system(curve: HyperellipticCurve) -> LienardSystem:
-    """f = P' + PQ'/(2Q), g = Q'(P^2 - Q)/(2Q); exact divisions or error."""
+def _exact_quotient(num: Poly, den: Poly, message: str) -> Poly:
+    """num / den, which must be a polynomial (NonPolynomialSystem otherwise).
+
+    The division runs on the primitive integer vectors (`int_exact_div`,
+    exact by Gauss's lemma when den divides num over Q); the quotient is
+    scaled back by the ratio of the two contents."""
+    if num.is_zero():
+        return Poly()
+    a, b = int_coeffs(num), int_coeffs(den)
+    try:
+        q = int_exact_div(a, b)
+    except ValueError:
+        raise NonPolynomialSystem(message) from None
+    scale = (num.leading() / a[-1]) / (den.leading() / b[-1])
+    return Poly([scale * c for c in q])
+
+
+def _derive(curve: HyperellipticCurve) -> tuple[LienardSystem, Poly]:
+    """The derived system and H = P^2 - Q, which `certify` uses as well."""
     P, Q = curve.P, curve.Q
     Qp = Q.derivative()
-    num_f = P * Qp
-    q1, r1 = num_f.divrem(Q.scale(2))
-    if not r1.is_zero():
-        raise NonPolynomialSystem("2Q does not divide P*Q'")
-    f = P.derivative() + q1
+    f = P.derivative() + _exact_quotient(P * Qp, Q.scale(2), "2Q does not divide P*Q'")
     H = P * P - Q
-    num_g = Qp * H
-    q2, r2 = num_g.divrem(Q.scale(2))
-    if not r2.is_zero():
-        raise NonPolynomialSystem("2Q does not divide Q'*(P^2 - Q)")
-    g = q2
+    g = _exact_quotient(Qp * H, Q.scale(2), "2Q does not divide Q'*(P^2 - Q)")
     if f.is_zero():
         raise NonPolynomialSystem("derived f vanishes; system degree m undefined")
     if g.degree < 1:
         raise NonPolynomialSystem("derived g has degree < 1; system degree n undefined")
-    sys = LienardSystem(f=f, g=g)
-    if P.degree != sys.m + 1:
-        raise NonPolynomialSystem(
-            f"degree contract violated: deg P = {P.degree}, expected m+1 = {sys.m + 1}"
-        )
-    if H.degree != sys.n + 1:
-        raise NonPolynomialSystem(
-            f"degree contract violated: deg(P^2-Q) = {H.degree}, "
-            f"expected n+1 = {sys.n + 1}"
-        )
-    return sys
+    # with both divisions exact, lc(f) = (deg P + deg Q / 2) lc(P) and
+    # deg g = deg H - 1, so deg P = m + 1 and deg H = n + 1 always hold
+    return LienardSystem(f=f, g=g), H
+
+
+def derive_system(curve: HyperellipticCurve) -> LienardSystem:
+    """f = P' + PQ'/(2Q), g = Q'(P^2 - Q)/(2Q); exact divisions or error."""
+    return _derive(curve)[0]
 
 
 def cofactor(curve: HyperellipticCurve) -> Cofactor:
     """K = -P*Q'/Q, which must be an exact polynomial (in x alone)."""
     P, Q = curve.P, curve.Q
-    num = P * Q.derivative()
-    q, r = num.divrem(Q)
-    if not r.is_zero():
-        raise NonPolynomialSystem("Q does not divide P*Q'")
-    return Cofactor(K=-q)
+    return Cofactor(K=-_exact_quotient(P * Q.derivative(), Q, "Q does not divide P*Q'"))
 
 
 def invariance_residual(sys: LienardSystem, curve: HyperellipticCurve) -> BivarPoly:
@@ -277,14 +280,19 @@ def certify(curve: HyperellipticCurve) -> CertificationReport:
     are exact; certified_count counts intervals passing (i)-(iv) with a
     unique interior critical point of Q (the shape the focus/node argument
     needs).  Condition (i) holds by construction once derive_system accepts
-    the curve."""
-    sys = derive_system(curve)
-    P, Q, f, g = curve.P, curve.Q, sys.f, sys.g
+    the curve.
+
+    Each exact quantity is computed once: P^2 - Q comes from the
+    derivation, and Q' is isolated on the first certified interval only.
+    Every interval then locates its critical point among fresh copies of
+    those roots, so no interval's refinement depends on another's."""
+    sys, H = _derive(curve)
+    Q, f, g = curve.Q, sys.f, sys.g
 
     roots = isolate_real_roots(Q)
     all_real = sum(r.multiplicity for r in roots) == Q.degree
-    H = P * P - Q
     Qp = Q.derivative()
+    qp_roots: Optional[list[RealRoot]] = None
     R4 = poly_gcd(Qp, f)
     gp = g.derivative()
 
@@ -324,7 +332,9 @@ def certify(curve: HyperellipticCurve) -> CertificationReport:
         verdict.critical_point_unique = n_crit == 1
 
         if verdict.conditions_met() and verdict.critical_point_unique:
-            alpha = _locate_critical_point(Qp, left, right)
+            if qp_roots is None:
+                qp_roots = isolate_real_roots(Qp)
+            alpha = _locate_critical_point(qp_roots, left, right)
             if alpha is not None:
                 verdict.gprime_positive_at_alpha = alpha.sign_of(gp) > 0
             verdict.certified = True
@@ -336,12 +346,15 @@ def certify(curve: HyperellipticCurve) -> CertificationReport:
     return report
 
 
-def _locate_critical_point(Qp: Poly, left: RealRoot, right: RealRoot) -> Optional[RealRoot]:
-    """The unique root of Q' strictly between two isolated roots of Q.
+def _locate_critical_point(qp_roots: list[RealRoot], left: RealRoot,
+                           right: RealRoot) -> Optional[RealRoot]:
+    """The unique root of Q' strictly between two isolated roots of Q, from
+    the isolated roots of Q', which are left as they are: each candidate is
+    refined as a copy.
 
     The candidate can never coincide with either endpoint: both are simple
     roots of Q, where Q' does not vanish."""
-    for cand in isolate_real_roots(Qp):
+    for cand in map(copy.copy, qp_roots):
         if cand.separate_from(left) == 1 and cand.separate_from(right) == -1:
             return cand
     return None

@@ -4,22 +4,29 @@ A `Poly` holds ``fractions.Fraction`` coefficients (always normalized,
 positive denominator), stored densely in ascending degree order.  The zero
 polynomial is the empty coefficient tuple and reports degree -1.
 
-The hot kernels do not run on `Fraction`s.  `Poly.eval` is a homogeneous
-integer Horner over the common denominator, and `poly_gcd`,
+Each `Poly` also keeps its integer form, filled on first use by
+`Poly.int_form`: the numerators scaled to the least common denominator of
+the coefficients, and that denominator.  It is a function of the
+coefficients alone, so equality and hashing ignore it.  The hot kernels run
+on it instead of on `Fraction`s: `Poly.eval` is a homogeneous integer Horner
+over it, `Poly.__mul__` an integer convolution of the two forms, and the
+root engine's sign tests read its numerators.  `poly_gcd`,
 `squarefree_part` and `squarefree_decomposition` (Yun) run on primitive
-integer coefficient lists: a remainder scaled by |lc(b)| only (a positive
-multiple of the rational remainder), an exact division in Z[x] (Gauss's
-lemma), and the primitive PRS gcd built from them.  Each converts back to a
-`Poly` once, at the end; the monic results are the unique ones, so they are
-the same as Euclid over Q would give.  `Poly.divrem` stays over `Fraction`
-for callers that need true rational quotients.
+integer coefficient lists (`int_coeffs`): a remainder scaled by |lc(b)| only
+(a positive multiple of the rational remainder), an exact division in Z[x]
+(Gauss's lemma, `int_exact_div`, which also serves the exact divisions of
+`lienard.derive_system`), and the primitive PRS gcd built from them.  Each
+converts back to a `Poly` once, at the end; the monic results are the unique
+ones, so they are the same as Euclid over Q would give.  `Poly.divrem` stays
+over `Fraction` for callers that need a rational remainder.
 
 `rref` is the one Gauss-Jordan elimination over Q (the case (i) node
 solve and the affine blocks of curve recovery both use it), and
 `BivarPoly` is only the container the invariance residual is returned in.
 
 Everything here is immutable and side-effect free; values can be shared
-freely between threads.
+freely between threads (two threads filling the same integer form store
+equal values).
 """
 
 from __future__ import annotations
@@ -49,7 +56,7 @@ def rat(value: RationalLike) -> Fraction:
 class Poly:
     """Dense univariate polynomial over Fraction."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_int_form")
 
     coeffs: tuple[Fraction, ...]
 
@@ -58,6 +65,7 @@ class Poly:
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "_int_form", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -98,6 +106,18 @@ class Poly:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
+    def int_form(self) -> tuple[tuple[int, ...], int]:
+        """(nums, den) with coeffs[i] == nums[i] / den, den the least common
+        denominator of the coefficients (1 for the zero polynomial).
+        Computed on first use and kept."""
+        form = self._int_form
+        if form is None:
+            cs = self.coeffs
+            den = lcm(*[c.denominator for c in cs])
+            form = (tuple(c.numerator * (den // c.denominator) for c in cs), den)
+            object.__setattr__(self, "_int_form", form)
+        return form
+
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.coeffs == other.coeffs
 
@@ -130,14 +150,17 @@ class Poly:
             return NotImplemented
         if not self.coeffs or not other.coeffs:
             return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[i + j] += a * b
-        return Poly(out)
+        # integer convolution of the two integer forms, one Fraction per
+        # coefficient at the end
+        a, da = self.int_form()
+        b, db = other.int_form()
+        out = [0] * (len(a) + len(b) - 1)
+        for i, u in enumerate(a):
+            if u:
+                for j, v in enumerate(b):
+                    out[i + j] += u * v
+        den = da * db
+        return Poly([Fraction(c, den) for c in out])
 
     def __rmul__(self, other) -> "Poly":
         return self.__mul__(other)
@@ -170,20 +193,18 @@ class Poly:
         return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def eval(self, x: RationalLike) -> Fraction:
-        """p(x), by homogeneous integer Horner over the common denominator
-        of the coefficients; one `Fraction` is built at the end."""
+        """p(x), by homogeneous integer Horner over the integer form; one
+        `Fraction` is built at the end."""
         x = rat(x)
-        cs = self.coeffs
-        if not cs:
+        nums, den = self.int_form()
+        if not nums:
             return Fraction(0)
-        den = lcm(*[c.denominator for c in cs])
         p, q = x.numerator, x.denominator
-        lead = cs[-1]
-        acc = lead.numerator * (den // lead.denominator)
+        acc = nums[-1]
         qpow = 1
-        for c in reversed(cs[:-1]):
+        for c in reversed(nums[:-1]):
             qpow *= q
-            acc = acc * p + c.numerator * (den // c.denominator) * qpow
+            acc = acc * p + c * qpow
         return Fraction(acc, den * qpow)
 
     def shift(self, a: RationalLike) -> "Poly":
@@ -286,8 +307,7 @@ def int_coeffs(p: Poly) -> list[int]:
     cleared, the sign of the leading coefficient kept."""
     if p.is_zero():
         return []
-    den = lcm(*[c.denominator for c in p.coeffs])
-    return _primitive([c.numerator * (den // c.denominator) for c in p.coeffs])
+    return _primitive(list(p.int_form()[0]))
 
 
 def int_rem(a: Sequence[int], b: Sequence[int]) -> list[int]:

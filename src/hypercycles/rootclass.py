@@ -20,8 +20,16 @@ Two independent routes to root counts live here on purpose:
   definition that tests check it against.  It serves the `roots` command
   and the criterion 4 cross-check against the Sturm route.
 
-Every sample point inside an interval comes from `interior_point`, and
-every root at a known rational point is divided out by `_deflate`.
+Each Sturm chain is evaluated once per point: isolation carries the sign
+variations of each interval's endpoints down its bisection stack, so a split
+evaluates the chain at the midpoint only, and `RealRoot.sign_of` recounts
+only the endpoint that a refinement step moved.  Signs of a polynomial at a
+point come from its cached integer form (`Poly.int_form`), with no
+`Fraction` built.
+
+Every sample point inside an interval comes from `interior_point` (the
+midpoint when there is nothing to avoid), and every root at a known
+rational point is divided out by `_deflate`.
 
 All arithmetic is exact; no floating point enters any code path here.
 """
@@ -326,9 +334,12 @@ def _sturm_chain_int(p: Poly) -> tuple[tuple[int, ...], ...]:
     return tuple(chain)
 
 
+def _chain_signs(chain: tuple[tuple[int, ...], ...], x: Fraction) -> list[int]:
+    return [_sign_at(c, x) for c in chain]
+
+
 def _variations(chain: tuple[tuple[int, ...], ...], x: Fraction) -> int:
-    signs = [_sign_at(c, x) for c in chain]
-    return _sign_changes(signs)
+    return _sign_changes(_chain_signs(chain, x))
 
 
 def _sign_at_infinity(c: tuple[int, ...], positive: bool) -> int:
@@ -364,7 +375,7 @@ class SturmChain:
         if f.is_zero():
             raise ValueError("Sturm chain of the zero polynomial")
         self.f = f
-        self.ints = int_coeffs(f)
+        self.ints = f.int_form()[0]
         self.chain = _sturm_chain_int(f) if f.degree >= 1 else (tuple(self.ints),)
 
     def sign(self, x: Fraction) -> int:
@@ -476,12 +487,14 @@ class RealRoot:
         if self.is_exact():
             return
         avoid = [w for w in avoid if not w.is_zero()]
-        c = interior_point(self.lo, self.hi, avoid)
-        s = self.poly.eval(c)
+        # with nothing to avoid, interior_point would return the midpoint
+        c = interior_point(self.lo, self.hi, avoid) if avoid else (self.lo + self.hi) / 2
+        ints = self.poly.int_form()[0]
+        s = _sign_at(ints, c)
         if s == 0:
             self.lo = self.hi = c
             return
-        if (s > 0) == (self.poly.eval(self.hi) > 0):
+        if (s > 0) == (_sign_at(ints, self.hi) > 0):
             self.hi = c
         else:
             self.lo = c
@@ -542,25 +555,30 @@ class RealRoot:
         """Exact sign of w at this root (0 when w vanishes there)."""
         if w.is_zero():
             return 0
+        if w.degree < 1:
+            return 1 if w[0] > 0 else -1
         if not self.is_exact():
-            if w.degree >= 1:
-                d = poly_gcd(self.poly, w)
-                if (d.degree >= 1 and d.eval(self.lo) != 0 and d.eval(self.hi) != 0
-                        and sturm_count(d, self.lo, self.hi) > 0):
-                    return 0
-            wc = SturmChain(w) if w.degree >= 1 else None
+            d = poly_gcd(self.poly, w)
+            if (d.degree >= 1 and d.eval(self.lo) != 0 and d.eval(self.hi) != 0
+                    and sturm_count(d, self.lo, self.hi) > 0):
+                return 0
+            wc = SturmChain(w)
+            # (endpoint, sign variations of w's chain there): a refinement
+            # step moves one endpoint, and only that one is counted again
+            at_lo = at_hi = None
             # a refinement step can land on the root itself; the exact value
             # then decides below
             while not self.is_exact():
-                slo = (w.eval(self.lo) > 0) - (w.eval(self.lo) < 0)
-                if slo != 0 and (
-                    wc is None
-                    or (w.eval(self.hi) != 0 and wc.count(self.lo, self.hi) == 0)
-                ):
-                    return slo
+                slo = wc.sign(self.lo)
+                if slo != 0 and wc.sign(self.hi) != 0:
+                    if at_lo is None or at_lo[0] != self.lo:
+                        at_lo = (self.lo, _variations(wc.chain, self.lo))
+                    if at_hi is None or at_hi[0] != self.hi:
+                        at_hi = (self.hi, _variations(wc.chain, self.hi))
+                    if at_lo[1] == at_hi[1]:
+                        return slo
                 self.refine(avoid=[w])
-        v = w.eval(self.value)
-        return (v > 0) - (v < 0)
+        return _sign_at(w.int_form()[0], self.value)
 
     def clear_above(self, w: Poly, cap: Fraction) -> Fraction:
         """A rational u with root < u <= cap, no roots of w in (root, u],
@@ -611,42 +629,45 @@ class RealRoot:
 
 def _isolate_squarefree(g: Poly) -> list[tuple[Fraction, Fraction]]:
     """Disjoint open intervals (or exact points lo==hi), one per real root of
-    the squarefree polynomial g, endpoints non-roots."""
+    the squarefree polynomial g, endpoints non-roots.
+
+    Each stack entry carries the sign variations of the chain at both of its
+    endpoints, so a split evaluates the chain at the new point only; the
+    chain's first member has the roots of g."""
     if g.degree < 1:
         return []
-    chain = SturmChain(g)
+    chain = SturmChain(g).chain
     bound = cauchy_bound(g)
-    lo, hi = -bound, bound
     # endpoints beyond the Cauchy bound are never roots
-    total = chain.count(lo, hi)
+    stack = [(-bound, bound, _variations(chain, -bound), _variations(chain, bound))]
     out: list[tuple[Fraction, Fraction]] = []
-    stack = [(lo, hi, total)]
     while stack:
-        a, b, cnt = stack.pop()
-        if cnt == 0:
+        a, b, va, vb = stack.pop()
+        if va == vb:
             continue
-        if cnt == 1:
+        if va - vb == 1:
             out.append((a, b))
             continue
         mid = (a + b) / 2
-        if chain.sign(mid) == 0:
+        signs = _chain_signs(chain, mid)
+        if signs[0] == 0:
             out.append((mid, mid))
             eps = (b - a) / 4
             while True:
                 la, lb = mid - eps, mid + eps
-                if (
-                    chain.sign(la) != 0
-                    and chain.sign(lb) != 0
-                    and chain.count(la, lb) == 1
-                ):
-                    break
+                at_la = _chain_signs(chain, la)
+                if at_la[0] != 0:
+                    at_lb = _chain_signs(chain, lb)
+                    vla, vlb = _sign_changes(at_la), _sign_changes(at_lb)
+                    if at_lb[0] != 0 and vla - vlb == 1:
+                        break
                 eps /= 3
-            stack.append((a, la, chain.count(a, la)))
-            stack.append((lb, b, chain.count(lb, b)))
+            stack.append((a, la, va, vla))
+            stack.append((lb, b, vlb, vb))
         else:
-            cl = chain.count(a, mid)
-            stack.append((a, mid, cl))
-            stack.append((mid, b, cnt - cl))
+            vm = _sign_changes(signs)
+            stack.append((a, mid, va, vm))
+            stack.append((mid, b, vm, vb))
     return sorted(out)
 
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from hypercycles import families, lienard
 from hypercycles.lienard import (
     HyperellipticCurve,
     LienardSystem,
@@ -238,3 +239,51 @@ def test_residual_matches_sympy_expansion():
             assert residual.is_zero() == (kind == "derived")
             checked[kind] += 1
 
+
+
+def _seeded_cancelling_curve(rng):
+    """P = R (s x + t) and Q = s^2 R^2 (x - a)^2 with a a root of R: P^2 and
+    Q share their leading coefficient, so deg(P^2 - Q) drops below 2 deg P."""
+    roots = rng.sample(range(-5, 6), rng.randint(1, 3))
+    R = Poly.from_roots(roots)
+    s = Fraction(rng.choice([-2, -1, 1, 3]), rng.randint(1, 2))
+    t = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    Q = (R * Poly([-rng.choice(roots), 1])) ** 2 * (s * s)
+    return HyperellipticCurve(P=R * Poly([t, s]), Q=Q)
+
+
+def test_every_derived_system_has_deg_p_m_plus_1_and_deg_h_n_plus_1():
+    # once both divisions are exact, lc(f) = (deg P + deg Q/2) lc(P) != 0 and
+    # deg g = deg(P^2 - Q) - 1, so the type (m, n) is read off P and P^2 - Q
+    rng = random.Random(2026)
+    derived = {_seeded_curve: 0, _seeded_cancelling_curve: 0}
+    while min(derived.values()) < 40:
+        for draw in derived:
+            curve = draw(rng)
+            try:
+                sys = derive_system(curve)
+            except NonPolynomialSystem:
+                continue
+            assert curve.P.degree == sys.m + 1
+            assert (curve.P * curve.P - curve.Q).degree == sys.n + 1
+            derived[draw] += 1
+
+
+@pytest.mark.parametrize("mn", [(10, 22), (9, 16)])
+def test_certify_isolates_q_and_q_prime_once(monkeypatch, mn):
+    # Q' is isolated once per certify, however many intervals certify, and
+    # every interval locates its critical point among copies of those roots
+    isolated, certified = [], []
+    isolate, certify_ = lienard.isolate_real_roots, families.certify
+    monkeypatch.setattr(lienard, "isolate_real_roots",
+                        lambda p: isolated.append(p) or isolate(p))
+    monkeypatch.setattr(families, "certify",
+                        lambda curve: certified.append(curve) or certify_(curve))
+    out = families.construct(*mn)
+    assert out.report.certified_count >= 3
+    assert certified and len(isolated) <= 2 * len(certified)
+    isolated.clear()
+    report = certify(out.curve)
+    assert isolated == [out.curve.Q, out.curve.Q.derivative()]
+    assert [(v.s1.lo, v.s1.hi, v.s2.lo, v.s2.hi, v.certified) for v in report.intervals] == [
+        (v.s1.lo, v.s1.hi, v.s2.lo, v.s2.hi, v.certified) for v in out.report.intervals]

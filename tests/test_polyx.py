@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
@@ -7,6 +8,7 @@ from hypercycles.polyx import (
     ONE,
     Poly,
     X,
+    int_coeffs,
     parse_poly,
     poly_gcd,
     rref,
@@ -218,3 +220,66 @@ def test_rref_leaves_its_input_alone():
     before = [list(r) for r in rows]
     rref(rows)
     assert rows == before
+
+
+# -- the cached integer form ---------------------------------------------------
+
+
+def _horner(p, x):
+    acc = Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _convolve(a, b):
+    out = [Fraction(0)] * max(len(a.coeffs) + len(b.coeffs) - 1, 0)
+    for i, u in enumerate(a.coeffs):
+        for j, v in enumerate(b.coeffs):
+            out[i + j] += u * v
+    return Poly(out)
+
+
+def test_filled_integer_form_matches_fraction_arithmetic():
+    rng = random.Random(41)
+    for _ in range(80):
+        a, b = _random_poly(rng, 9), _random_poly(rng, 9)
+        nums, den = a.int_form()
+        assert a.int_form() is a.int_form()        # filled once, then kept
+        assert den == lcm(*[c.denominator for c in a.coeffs])
+        assert [Fraction(v, den) for v in nums] == list(a.coeffs)
+        for _ in range(5):
+            x = Fraction(rng.randint(-40, 40), rng.randint(1, 9))
+            assert a.eval(x) == _horner(a, x)
+        ints = [int(c * den) for c in a.coeffs]
+        assert int_coeffs(a) == [v // gcd(*ints) for v in ints]
+        b.int_form()
+        assert a * b == _convolve(a, b) == b * a
+    zero = Poly()
+    assert zero.int_form() == ((), 1)
+    assert zero.eval(Fraction(3)) == 0 and int_coeffs(zero) == []
+    assert zero * P(1, 2) == Poly() == P(1, 2) * zero
+
+
+@pytest.mark.parametrize("name", ["coeffs", "_int_form", "degree", "extra"])
+def test_poly_attributes_cannot_be_assigned(name):
+    p = P(Fraction(1, 2), 3)
+    for filled in (False, True):
+        if filled:
+            p.int_form()
+        with pytest.raises(AttributeError):
+            setattr(p, name, ())
+    assert p.coeffs == (Fraction(1, 2), Fraction(3))
+
+
+def test_equal_polys_compare_and_hash_equal_with_or_without_the_cache():
+    def build():
+        return P(Fraction(2, 4), 3, Fraction(-4, 6))
+
+    a, b = build(), build()
+    assert a == b and hash(a) == hash(b)
+    a.int_form()                                # only a's cache is filled
+    assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
+    b.eval(Fraction(1, 3))                      # both filled
+    assert a == b and hash(a) == hash(b)
+    assert a * b == _convolve(build(), build())

@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 from math import lcm
@@ -5,15 +6,27 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypercycles.polyx import ONE, Poly, X, parse_poly, squarefree_part
+from hypercycles.polyx import (
+    ONE,
+    Poly,
+    X,
+    parse_poly,
+    poly_gcd,
+    squarefree_decomposition,
+    squarefree_part,
+)
 from hypercycles.rootclass import (
     EndpointRootError,
+    RealRoot,
+    SturmChain,
     _int_det,
+    _isolate_squarefree,
     cauchy_bound,
     count_roots,
     discriminant_sequence,
     discrimination_matrix,
     hankel_minor,
+    interior_point,
     isolate_real_roots,
     power_sums,
     revised_sign_list,
@@ -344,3 +357,163 @@ def test_clear_above_and_below_when_a_refinement_step_lands_on_the_root():
     v = r2.clear_below(P(Fraction(3, 7), 1), Fraction(-2, 3))
     # the root of x + 3/7 lies below -1/3, so v must sit above it
     assert Fraction(-3, 7) < v < Fraction(-1, 3)
+
+
+# -- one chain evaluation per point, against the code it replaced -------------
+#
+# Isolation carries the endpoint variation counts down its stack, `refine`
+# decides with integer signs, and `sign_of` recounts only the endpoint that
+# moved.  The earlier implementations are kept below verbatim (self -> root)
+# as the reference: every interval, exact flag and sign must be the same.
+
+
+def ref_isolate_squarefree(g: Poly) -> list[tuple[Fraction, Fraction]]:
+    if g.degree < 1:
+        return []
+    chain = SturmChain(g)
+    bound = cauchy_bound(g)
+    lo, hi = -bound, bound
+    # endpoints beyond the Cauchy bound are never roots
+    total = chain.count(lo, hi)
+    out: list[tuple[Fraction, Fraction]] = []
+    stack = [(lo, hi, total)]
+    while stack:
+        a, b, cnt = stack.pop()
+        if cnt == 0:
+            continue
+        if cnt == 1:
+            out.append((a, b))
+            continue
+        mid = (a + b) / 2
+        if chain.sign(mid) == 0:
+            out.append((mid, mid))
+            eps = (b - a) / 4
+            while True:
+                la, lb = mid - eps, mid + eps
+                if (
+                    chain.sign(la) != 0
+                    and chain.sign(lb) != 0
+                    and chain.count(la, lb) == 1
+                ):
+                    break
+                eps /= 3
+            stack.append((a, la, chain.count(a, la)))
+            stack.append((lb, b, chain.count(lb, b)))
+        else:
+            cl = chain.count(a, mid)
+            stack.append((a, mid, cl))
+            stack.append((mid, b, cnt - cl))
+    return sorted(out)
+
+
+def ref_refine(root: RealRoot, avoid=()) -> None:
+    if root.is_exact():
+        return
+    avoid = [w for w in avoid if not w.is_zero()]
+    c = interior_point(root.lo, root.hi, avoid)
+    s = root.poly.eval(c)
+    if s == 0:
+        root.lo = root.hi = c
+        return
+    if (s > 0) == (root.poly.eval(root.hi) > 0):
+        root.hi = c
+    else:
+        root.lo = c
+
+
+def ref_sign_of(root: RealRoot, w: Poly) -> int:
+    if w.is_zero():
+        return 0
+    if not root.is_exact():
+        if w.degree >= 1:
+            d = poly_gcd(root.poly, w)
+            if (d.degree >= 1 and d.eval(root.lo) != 0 and d.eval(root.hi) != 0
+                    and sturm_count(d, root.lo, root.hi) > 0):
+                return 0
+        wc = SturmChain(w) if w.degree >= 1 else None
+        while not root.is_exact():
+            slo = (w.eval(root.lo) > 0) - (w.eval(root.lo) < 0)
+            if slo != 0 and (
+                wc is None
+                or (w.eval(root.hi) != 0 and wc.count(root.lo, root.hi) == 0)
+            ):
+                return slo
+            ref_refine(root, avoid=[w])
+    v = w.eval(root.value)
+    return (v > 0) - (v < 0)
+
+
+def _dyadic(draw, top=16, depth=3):
+    return Fraction(draw(st.integers(-top, top)), 2 ** draw(st.integers(0, depth)))
+
+
+@st.composite
+def _isolation_input(draw):
+    """(p, bound, planted): p of degree 1..20 with dyadic rational roots, some
+    repeated, some in close clusters (r, r + 2^-k), maybe a factor with no
+    real root and a leading coefficient of either sign; `planted` are extra
+    roots put at dyadic midpoints of [-bound, bound], bound the Cauchy bound
+    of the rest, where bisection from [-bound, bound] lands exactly."""
+    p = Poly([draw(st.sampled_from([Fraction(-3), Fraction(-1), Fraction(-1, 2),
+                                    Fraction(1, 3), Fraction(1), Fraction(2)]))])
+    for _ in range(draw(st.integers(1, 5))):
+        r = _dyadic(draw)
+        p = p * Poly([-r, 1]) ** draw(st.integers(1, 3))
+        if draw(st.booleans()):
+            p = p * Poly([-r - Fraction(1, 2 ** draw(st.integers(4, 12))), 1])
+    if draw(st.booleans()):
+        p = p * Poly([draw(st.integers(1, 5)), _dyadic(draw, 4, 1), 1])
+    bound = cauchy_bound(p)
+    planted = []
+    for _ in range(draw(st.integers(0, 2))):
+        j = draw(st.integers(1, 4))
+        m = bound * Fraction(draw(st.integers(1 - 2 ** j, 2 ** j - 1)), 2 ** j)
+        planted.append(m)
+        p = p * Poly([-m, 1])
+    return p, bound, planted
+
+
+def _others(p: Poly, g: Poly) -> list[Poly]:
+    """Polynomials whose signs `sign_of` is asked for at the roots of g, a
+    squarefree factor of p: p' (which vanishes at p's repeated roots), g
+    itself, one with irrational roots, g + 1 (close to g) and a constant."""
+    return [p.derivative(), g, P(-2, 0, 1), g + ONE, P(-2)]
+
+
+def _same_refinement(a: RealRoot, b: RealRoot, avoid, steps: int) -> None:
+    for _ in range(steps):
+        a.refine(avoid)
+        ref_refine(b, avoid)
+        assert (a.lo, a.hi, a.is_exact()) == (b.lo, b.hi, b.is_exact())
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_isolation_input().filter(lambda t: 1 <= t[0].degree <= 20))
+def test_isolation_refine_and_sign_of_match_the_reference(case):
+    p, bound, planted = case
+    for g, _ in squarefree_decomposition(p):
+        intervals = _isolate_squarefree(g)
+        assert intervals == ref_isolate_squarefree(g)
+        for lo, hi in intervals:
+            root = RealRoot(poly=g, lo=lo, hi=hi)
+            _same_refinement(root, copy.copy(root), (), 6)
+            _same_refinement(root, copy.copy(root), [g.derivative(), g + ONE], 4)
+            for w in _others(p, g):
+                got, want = copy.copy(root), copy.copy(root)
+                assert got.sign_of(w) == ref_sign_of(want, w)
+                assert (got.lo, got.hi, got.is_exact()) == (want.lo, want.hi, want.is_exact())
+    # bisection from [-bound, bound] lands on a root planted at one of its
+    # dyadic midpoints
+    for m in planted:
+        root = RealRoot(poly=Poly([-m, 1]), lo=-bound, hi=bound)
+        _same_refinement(root, copy.copy(root), (), 5)
+        assert root.is_exact() and root.value == m
+
+
+def test_isolation_lands_on_a_root_at_a_bisection_midpoint():
+    # x^3 - x has Cauchy bound 2; its three roots make the first split land
+    # on 0 and take the exact branch
+    p = P(0, -1, 0, 1)
+    got = _isolate_squarefree(p)
+    assert got == ref_isolate_squarefree(p)
+    assert [lo for lo, hi in got if lo == hi] == [0]
