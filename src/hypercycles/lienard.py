@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .polyx import BivarPoly, Poly, int_coeffs, int_exact_div, poly_gcd
+from .polyx import BivarPoly, Poly, poly_gcd
 from .rootclass import (
     RealRoot,
     interior_point,
@@ -74,20 +74,11 @@ class Cofactor:
 
 
 def _exact_quotient(num: Poly, den: Poly, message: str) -> Poly:
-    """num / den, which must be a polynomial (NonPolynomialSystem otherwise).
-
-    The division runs on the primitive integer vectors (`int_exact_div`,
-    exact by Gauss's lemma when den divides num over Q); the quotient is
-    scaled back by the ratio of the two contents."""
-    if num.is_zero():
-        return Poly()
-    a, b = int_coeffs(num), int_coeffs(den)
+    """num / den, or NonPolynomialSystem(message) when it is no polynomial."""
     try:
-        q = int_exact_div(a, b)
+        return num.exact_div(den)
     except ValueError:
         raise NonPolynomialSystem(message) from None
-    scale = (num.leading() / a[-1]) / (den.leading() / b[-1])
-    return Poly([scale * c for c in q])
 
 
 def _derive(curve: HyperellipticCurve) -> tuple[LienardSystem, Poly]:

@@ -14,8 +14,8 @@ root engine's sign tests read its numerators.  `poly_gcd`,
 `squarefree_part` and `squarefree_decomposition` (Yun) run on primitive
 integer coefficient lists (`int_coeffs`): a remainder scaled by |lc(b)| only
 (a positive multiple of the rational remainder), an exact division in Z[x]
-(Gauss's lemma, `int_exact_div`, which also serves the exact divisions of
-`lienard.derive_system`), and the primitive PRS gcd built from them.  Each
+(Gauss's lemma, `int_exact_div`, which `Poly.exact_div` also runs on), and
+the primitive PRS gcd built from them.  Each
 converts back to a `Poly` once, at the end; the monic results are the unique
 ones, so they are the same as Euclid over Q would give.  `Poly.divrem` stays
 over `Fraction` for callers that need a rational remainder.
@@ -245,10 +245,15 @@ class Poly:
         return other.divrem(self)[1].is_zero()
 
     def exact_div(self, other: "Poly") -> "Poly":
-        q, r = self.divrem(other)
-        if not r.is_zero():
-            raise ValueError("inexact polynomial division")
-        return q
+        """self / other, which must be a polynomial (ValueError otherwise).
+        The primitive integer vectors divide in Z[x] (`int_exact_div`) and
+        the quotient is scaled by the ratio of the two contents."""
+        a, b = int_coeffs(self), int_coeffs(other)
+        q = int_exact_div(a, b)
+        if not q:
+            return Poly()
+        scale = (self.leading() / a[-1]) / (other.leading() / b[-1])
+        return Poly([scale * c for c in q])
 
     # -- normalization ----------------------------------------------------
 

@@ -283,3 +283,16 @@ def test_equal_polys_compare_and_hash_equal_with_or_without_the_cache():
     b.eval(Fraction(1, 3))                      # both filled
     assert a == b and hash(a) == hash(b)
     assert a * b == _convolve(build(), build())
+
+
+def test_exact_div_in_z_x_matches_fraction_division():
+    rng = random.Random(43)
+    for _ in range(80):
+        a, b = _random_poly(rng, 6), _random_poly(rng, 4)
+        assert (a * b).exact_div(b) == a == (a * b).divrem(b)[0]
+        if b.degree >= 1:
+            with pytest.raises(ValueError):
+                (a * b + ONE).exact_div(b)
+    assert Poly().exact_div(P(3, 1)) == Poly()
+    with pytest.raises(ZeroDivisionError):
+        P(3, 1).exact_div(Poly())
