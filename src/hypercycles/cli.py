@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -361,14 +362,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(args, text: str) -> None:
+    """Write the report to --out or stdout.  An --out path that cannot be
+    written is a usage error; a reader that closes stdout early (`| head`)
+    ends the run quietly with status 1."""
     out_path = getattr(args, "out", None)
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _usage(f"--out {out_path}", exc.strerror or exc) from None
+        return
+    if not text.endswith("\n"):
+        text += "\n"
+    try:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit; point it at devnull
+        # so that flush cannot raise a second time (see the SIGPIPE note in
+        # the `signal` module docs)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        raise SystemExit(1) from None
 
 
 def main(argv=None) -> int:

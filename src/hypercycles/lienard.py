@@ -22,6 +22,7 @@ from typing import Optional
 from .polyx import BivarPoly, Poly, poly_gcd
 from .rootclass import (
     RealRoot,
+    SturmChain,
     interior_point,
     isolate_real_roots,
     sturm_count,
@@ -241,13 +242,18 @@ class CertificationReport:
 def _count_strictly_between(w: Poly, r1: RealRoot, r2: RealRoot) -> int:
     """Distinct real roots of w in the open interval (root(r1), root(r2)).
 
-    Exact: the isolating intervals are first made sliver-free for w (no root
-    of w hides between the algebraic endpoint and its rational bracket), so a
-    single Sturm count over a rational middle interval is the true answer."""
+    When both roots are exact rationals, one open Sturm count on w's chain
+    is the answer: it leaves out roots of w at the endpoints themselves, so
+    neither root is touched.  Otherwise the isolating intervals are first
+    made sliver-free for w (no root of w hides between the algebraic
+    endpoint and its rational bracket), so a single Sturm count over a
+    rational middle interval is the true answer."""
     if w.is_zero():
         raise ValueError("cannot count roots of the zero polynomial")
     if w.degree < 1:
         return 0
+    if r1.is_exact() and r2.is_exact():
+        return SturmChain(w).count_open(r1.value, r2.value)
     r1.separate_from(r2, avoid=[w])
     gap = r2.lo - r1.hi
     cap = r1.hi + gap / 3

@@ -26,7 +26,7 @@ solve and the affine blocks of curve recovery both use it), and
 
 Everything here is immutable and side-effect free; values can be shared
 freely between threads (two threads filling the same integer form store
-equal values).
+equal values).  `poly_gcd` keeps its last results in a small bounded memo.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd as int_gcd, lcm
 from typing import Iterable, Sequence, Union
 
@@ -389,8 +390,13 @@ def _int_sub(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
+# Certification asks the gcd of the same few pairs over and over (a root's
+# squarefree factor against each polynomial whose sign it is asked); a bounded
+# memo keeps that reuse, like the Sturm chain memo in `rootclass`.
+@lru_cache(maxsize=64)
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor (primitive PRS over Z[x])."""
+    """Monic greatest common divisor (primitive PRS over Z[x]).  Memoized
+    per pair of `Poly`s (immutable and hashable), so the result is shared."""
     if a.is_zero() and b.is_zero():
         raise ValueError("gcd(0, 0) undefined")
     return _monic_poly(int_poly_gcd(int_coeffs(a), int_coeffs(b)))

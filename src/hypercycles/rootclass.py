@@ -28,8 +28,15 @@ point come from its cached integer form (`Poly.int_form`), with no
 `Fraction` built.
 
 Every sample point inside an interval comes from `interior_point` (the
-midpoint when there is nothing to avoid), and every root at a known
-rational point is divided out by `_deflate`.
+midpoint when there is nothing to avoid).  A rational endpoint that is
+itself a root needs no deflation: `SturmChain.count_open` counts the roots
+in an open interval on the chain already held.  At a root c of the chain's
+head f (squarefree), f' does not vanish, so f and f' have opposite signs
+just left of c and the same sign just right of it; at c itself f drops out
+of the sign list, and a later member that vanishes at c sits between two
+members of opposite signs there.  So V(c) = V(c+) and V(c-) = V(c) + 1,
+and for any rationals a < b the roots in (a, b) number
+V(a) - V(b) - [f(b) = 0] (Basu, Pollack and Roy, ch. 2).
 
 All arithmetic is exact; no floating point enters any code path here.
 """
@@ -390,6 +397,16 @@ class SturmChain:
             raise EndpointRootError(f"endpoint is a root of {self.f}")
         return _variations(self.chain, lo) - _variations(self.chain, hi)
 
+    def count_open(self, lo: Fraction, hi: Fraction) -> int:
+        """Distinct real roots in the open (lo, hi), where lo and hi may be
+        roots themselves: V(lo) - V(hi) - [f(hi) = 0] (module docstring)."""
+        if not lo < hi:
+            raise ValueError("need lo < hi")
+        if self.f.degree < 1:
+            return 0
+        at_hi = _chain_signs(self.chain, hi)
+        return _variations(self.chain, lo) - _sign_changes(at_hi) - (at_hi[0] == 0)
+
 
 def sturm_count(f: Poly, lo: RationalLike, hi: RationalLike) -> int:
     """Number of distinct real roots of f in (lo, hi)."""
@@ -432,13 +449,6 @@ def interior_point(lo: Fraction, hi: Fraction, avoid: Sequence[Poly]) -> Fractio
             c = lo + (hi - lo) * Fraction(j, k)
             if all(w.eval(c) != 0 for w in avoid):
                 return c
-
-
-def _deflate(w: Poly, v: Fraction) -> Poly:
-    """w with every factor x - v divided out."""
-    while w.degree >= 1 and w.eval(v) == 0:
-        w = w.exact_div(Poly([-v, 1]))
-    return w
 
 
 # ---------------------------------------------------------------------------
@@ -559,8 +569,7 @@ class RealRoot:
             return 1 if w[0] > 0 else -1
         if not self.is_exact():
             d = poly_gcd(self.poly, w)
-            if (d.degree >= 1 and d.eval(self.lo) != 0 and d.eval(self.hi) != 0
-                    and sturm_count(d, self.lo, self.hi) > 0):
+            if d.degree >= 1 and SturmChain(d).count_open(self.lo, self.hi) > 0:
                 return 0
             wc = SturmChain(w)
             # (endpoint, sign variations of w's chain there): a refinement
@@ -610,19 +619,17 @@ class RealRoot:
                         return edge
                 self.refine(avoid=[w])
         v = self.value
-        # deflate w at the root so the shrinking test has clean endpoints
-        wd = _deflate(w, v)
+        # the root v may be a root of w as well; the open count allows that
+        wc = SturmChain(w)
         u = limit
         while True:
-            if wd.eval(u) != 0:
-                if wd.degree < 1:
-                    return u
+            if wc.sign(u) != 0:
                 a, b = (v, u) if upward else (u, v)
-                if wd.eval(v) != 0 and sturm_count(wd, a, b) == 0:
+                if wc.count_open(a, b) == 0:
                     return u
             u = (v + u) / 2
             k = 3
-            while w.eval(u) == 0 or u == v:
+            while wc.sign(u) == 0 or u == v:
                 u = v + (limit - v) / k
                 k += 1
 
@@ -696,17 +703,16 @@ def isolate_real_roots(f: Poly) -> list[RealRoot]:
 def sign_on_interval(f: Poly, lo: RationalLike, hi: RationalLike) -> str:
     """'positive' | 'negative' | 'mixed-or-zero' for f on the open (lo, hi).
 
-    Certificate: deflate any roots sitting exactly at the endpoints (they do
-    not lie in the open interval), verify the deflated polynomial has no root
-    strictly inside via a Sturm count, then one interior sample of f decides
-    the constant sign."""
+    Certificate: an open Sturm count on f's own chain shows f has no root
+    strictly inside (roots sitting exactly at the endpoints do not lie in the
+    open interval, and `SturmChain.count_open` leaves them out), then one
+    interior sample of f decides the constant sign."""
     lo, hi = rat(lo), rat(hi)
     if not lo < hi:
         raise ValueError("need lo < hi")
     if f.is_zero():
         return "mixed-or-zero"
-    g = _deflate(_deflate(f, lo), hi)
-    if g.degree >= 1 and sturm_count(g, lo, hi) > 0:
+    if SturmChain(f).count_open(lo, hi) > 0:
         return "mixed-or-zero"
     # f now has no root in the open interval, so its sign there is constant
     sample = f.eval((lo + hi) / 2)

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -263,3 +264,58 @@ def test_construct_rejects_bad_pattern_file(tmp_path, text, complaint):
     assert proc.stderr.startswith(f"error: --pattern {path}: ")
     assert complaint in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_out_path_that_cannot_be_opened_is_a_usage_error(tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    proc = run_cli(["bounds", "--m", "4", "--n", "6", "--out", str(target)])
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"error: --out {target}: ")
+    assert "Traceback" not in proc.stderr
+    assert not target.parent.exists()
+
+
+def test_reader_closing_stdout_early_ends_quietly():
+    # eight trajectories make an SVG of about 260 kB, more than a pipe
+    # buffer holds, so the write is still under way when the reader leaves.
+    # stdout is left buffered, as in a plain shell: with PYTHONUNBUFFERED
+    # set, the text layer drops the unwritten tail of a partial write
+    # without raising, and the broken pipe is never seen
+    seeds = [a for k in range(1, 9) for a in ("--seed-point", f"{k}/4,0")]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hypercycles.cli", "portrait", "--f", "x", "--g", "x", *seeds],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+    )
+    assert proc.stdout.readline().startswith("<svg")
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=300) == 1
+    assert "Traceback" not in stderr
+    assert stderr == ""
+
+
+def test_reader_gone_before_any_output_ends_quietly():
+    # a short report sits in the stdout buffer until the flush meets the
+    # closed pipe; the interpreter's own flush at exit must not meet it again
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hypercycles.cli", "bounds", "--m", "4", "--n", "6"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            timeout=300,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""

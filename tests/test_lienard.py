@@ -1,9 +1,10 @@
+import copy
 import random
 from fractions import Fraction
 
 import pytest
 
-from hypercycles import families, lienard
+from hypercycles import families, lienard, rootclass
 from hypercycles.lienard import (
     HyperellipticCurve,
     LienardSystem,
@@ -16,6 +17,7 @@ from hypercycles.lienard import (
     invariance_residual,
 )
 from hypercycles.polyx import ONE, Poly, X, parse_poly, squarefree_part
+from hypercycles.rootclass import RealRoot
 
 
 def P(*coeffs):
@@ -287,3 +289,20 @@ def test_certify_isolates_q_and_q_prime_once(monkeypatch, mn):
     assert isolated == [out.curve.Q, out.curve.Q.derivative()]
     assert [(v.s1.lo, v.s1.hi, v.s2.lo, v.s2.hi, v.certified) for v in report.intervals] == [
         (v.s1.lo, v.s1.hi, v.s2.lo, v.s2.hi, v.certified) for v in out.report.intervals]
+
+
+def test_count_strictly_between_two_exact_roots_builds_at_most_one_chain():
+    # w vanishes at both endpoints (twice at 1), at 2 and at sqrt(5) between
+    # them, and at -4 and nowhere else on the real line
+    w = P(-1, 1) ** 2 * P(-3, 1) * P(-2, 1) * P(-5, 0, 1) * P(1, 0, 1) * P(4, 1)
+    r1 = RealRoot(poly=P(-1, 1), lo=Fraction(1), hi=Fraction(1))
+    r2 = RealRoot(poly=P(-3, 1), lo=Fraction(3), hi=Fraction(3))
+    before = (copy.copy(r1), copy.copy(r2))
+    rootclass._sturm_chain_int.cache_clear()
+    assert lienard._count_strictly_between(w, r1, r2) == 2
+    assert rootclass._sturm_chain_int.cache_info().misses <= 1
+    assert (r1, r2) == before
+    # the same roots held in open brackets take the refining route
+    s1 = RealRoot(poly=P(-1, 1), lo=Fraction(2, 3), hi=Fraction(6, 5))
+    s2 = RealRoot(poly=P(-3, 1), lo=Fraction(8, 3), hi=Fraction(16, 5))
+    assert lienard._count_strictly_between(w, s1, s2) == 2

@@ -517,3 +517,155 @@ def test_isolation_lands_on_a_root_at_a_bisection_midpoint():
     got = _isolate_squarefree(p)
     assert got == ref_isolate_squarefree(p)
     assert [lo for lo, hi in got if lo == hi] == [0]
+
+
+# -- open counts with rational endpoint roots, against deflation --------------
+#
+# `SturmChain.count_open` replaced dividing every root at a rational endpoint
+# out of the polynomial and building a new chain for the quotient.  That
+# route is kept below verbatim as the reference: `ref_deflate`, the exact
+# branch of `RealRoot._clear` (self -> root) and `sign_on_interval`.
+
+
+def ref_deflate(w: Poly, v: Fraction) -> Poly:
+    """w with every factor x - v divided out."""
+    while w.degree >= 1 and w.eval(v) == 0:
+        w = w.exact_div(Poly([-v, 1]))
+    return w
+
+
+def ref_count_open(f: Poly, lo: Fraction, hi: Fraction) -> int:
+    g = ref_deflate(ref_deflate(f, lo), hi)
+    return sturm_count(g, lo, hi) if g.degree >= 1 else 0
+
+
+def ref_clear_exact(root: RealRoot, w: Poly, limit: Fraction, upward: bool) -> Fraction:
+    v = root.value
+    # deflate w at the root so the shrinking test has clean endpoints
+    wd = ref_deflate(w, v)
+    u = limit
+    while True:
+        if wd.eval(u) != 0:
+            if wd.degree < 1:
+                return u
+            a, b = (v, u) if upward else (u, v)
+            if wd.eval(v) != 0 and sturm_count(wd, a, b) == 0:
+                return u
+        u = (v + u) / 2
+        k = 3
+        while w.eval(u) == 0 or u == v:
+            u = v + (limit - v) / k
+            k += 1
+
+
+def ref_sign_on_interval(f: Poly, lo, hi) -> str:
+    lo, hi = Fraction(lo), Fraction(hi)
+    if not lo < hi:
+        raise ValueError("need lo < hi")
+    if f.is_zero():
+        return "mixed-or-zero"
+    g = ref_deflate(ref_deflate(f, lo), hi)
+    if g.degree >= 1 and sturm_count(g, lo, hi) > 0:
+        return "mixed-or-zero"
+    sample = f.eval((lo + hi) / 2)
+    return "positive" if sample > 0 else "negative"
+
+
+def _chain_member_roots(f: Poly) -> list[Fraction]:
+    """Rational roots of the linear members of f's Sturm chain after the
+    first: points where a later member vanishes."""
+    if f.degree < 1:
+        return []
+    return [Fraction(-c[0], c[1]) for c in SturmChain(f).chain[1:] if len(c) == 2]
+
+
+@st.composite
+def _endpoint_input(draw):
+    """(f, lo, hi): f a product of a lead, linear factors with multiplicity
+    1..3 (possibly none, so degree 0), maybe a factor with no real root;
+    roots planted at neither, one or both endpoints, and endpoints also
+    drawn from the roots of later chain members."""
+    lo = _dyadic(draw, 8, 2)
+    hi = lo + Fraction(draw(st.integers(1, 16)), 2 ** draw(st.integers(0, 3)))
+    f = Poly([draw(st.sampled_from([Fraction(-2), Fraction(-1, 3), Fraction(1), Fraction(5, 2)]))])
+    for end in draw(st.sampled_from([(), (lo,), (hi,), (lo, hi)])):
+        f = f * Poly([-end, 1]) ** draw(st.integers(1, 3))
+    for _ in range(draw(st.integers(0, 3))):
+        f = f * Poly([-_dyadic(draw, 8, 3), 1]) ** draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        f = f * Poly([draw(st.integers(1, 5)), _dyadic(draw, 4, 1), 1])
+    points = [lo, hi] + _chain_member_roots(f)
+    a = draw(st.sampled_from(points))
+    b = draw(st.sampled_from(points))
+    if a == b:
+        b = a + Fraction(1, 2 ** draw(st.integers(0, 3)))
+    return f, min(a, b), max(a, b)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_endpoint_input())
+def test_count_open_matches_deflation(case):
+    f, lo, hi = case
+    assert SturmChain(f).count_open(lo, hi) == ref_count_open(f, lo, hi)
+    assert sign_on_interval(f, lo, hi) == ref_sign_on_interval(f, lo, hi)
+
+
+def test_count_open_where_a_later_chain_member_vanishes():
+    # x^3 - 3x + 1: the third chain member is 2x - 1, zero at 1/2, where f
+    # is not; x^3 - 3x: the third member is a multiple of x, zero at the
+    # root 0 of f itself
+    f = P(1, -3, 0, 1)
+    assert Fraction(1, 2) in _chain_member_roots(f)
+    g = P(0, -3, 0, 1)
+    assert 0 in _chain_member_roots(g)
+    for p, points in ((f, [Fraction(1, 2)]), (g, [Fraction(0)])):
+        for c in points:
+            for lo, hi in ((c, c + 2), (c - 2, c), (c - 1, c + 1), (-3, c), (c, 3)):
+                assert SturmChain(p).count_open(lo, hi) == ref_count_open(p, lo, hi)
+    assert SturmChain(g).count_open(0, 2) == 1           # sqrt(3)
+    assert SturmChain(g).count_open(-2, 0) == 1          # -sqrt(3)
+    assert SturmChain(g).count_open(-Fraction(1, 2), 0) == 0
+
+
+def test_count_open_keeps_the_count_contract():
+    chain = SturmChain(P(-1, 0, 1))
+    assert chain.count_open(-1, 1) == 0
+    assert chain.count_open(-1, Fraction(3, 2)) == 1
+    with pytest.raises(ValueError):
+        chain.count_open(1, 1)
+    with pytest.raises(EndpointRootError):
+        chain.count(-1, 1)
+    assert SturmChain(P(7)).count_open(0, 1) == 0
+
+
+@st.composite
+def _clear_input(draw):
+    """(v, w, limit, upward): an exact root v, a w with roots planted at v
+    (multiplicity 0..3), near v and at dyadic points on the way to the
+    limit, maybe no real root at all, and a limit strictly on one side."""
+    v = _dyadic(draw, 8, 2)
+    upward = draw(st.booleans())
+    step = Fraction(draw(st.integers(1, 8)), 2 ** draw(st.integers(0, 2)))
+    limit = v + step if upward else v - step
+    w = Poly([draw(st.sampled_from([Fraction(-3), Fraction(1, 2), Fraction(2)]))])
+    w = w * Poly([-v, 1]) ** draw(st.integers(0, 3))
+    for _ in range(draw(st.integers(0, 3))):
+        t = Fraction(draw(st.integers(0, 8)), 8)
+        r = v + (limit - v) * t
+        if draw(st.booleans()):
+            r = v + (limit - v) / 2 ** draw(st.integers(1, 10))
+        w = w * Poly([-r, 1]) ** draw(st.integers(1, 2))
+    if draw(st.booleans()):
+        w = w * Poly([draw(st.integers(1, 5)), _dyadic(draw, 4, 1), 1])
+    return v, w, limit, upward
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_clear_input())
+def test_clear_on_an_exact_root_matches_deflation(case):
+    v, w, limit, upward = case
+    root = RealRoot(poly=Poly([-v, 1]), lo=v, hi=v)
+    want = ref_clear_exact(root, w, limit, upward)
+    got = root.clear_above(w, limit) if upward else root.clear_below(w, limit)
+    assert got == want
+    assert root.is_exact() and root.value == v
