@@ -361,6 +361,25 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _write_stdout(text: str) -> None:
+    """Write all of `text` to stdout.  The bytes go through `sys.stdout.buffer`
+    in a loop: with PYTHONUNBUFFERED set that buffer is a raw `FileIO`, whose
+    `write` may take only part of the bytes (a pipe whose reader is leaving),
+    and the text layer would drop the rest without an error.  A stdout
+    without a byte layer takes the text as it is."""
+    out = sys.stdout
+    raw = getattr(out, "buffer", None)
+    if raw is None:
+        out.write(text)
+        out.flush()
+        return
+    out.flush()
+    data = memoryview(text.encode(out.encoding or "utf-8", out.errors or "strict"))
+    while data:
+        data = data[raw.write(data):]
+    raw.flush()
+
+
 def _emit(args, text: str) -> None:
     """Write the report to --out or stdout.  An --out path that cannot be
     written is a usage error; a reader that closes stdout early (`| head`)
@@ -376,8 +395,7 @@ def _emit(args, text: str) -> None:
     if not text.endswith("\n"):
         text += "\n"
     try:
-        sys.stdout.write(text)
-        sys.stdout.flush()
+        _write_stdout(text)
     except BrokenPipeError:
         # the interpreter flushes stdout again at exit; point it at devnull
         # so that flush cannot raise a second time (see the SIGPIPE note in

@@ -7,20 +7,25 @@ identities
     (I)   2 Q f = 2 Q P' + P Q'
     (II)  2 Q g = Q' (P^2 - Q)
 
-by matching coefficients from the top degree downward.  We materialize both
-identities with symbolic coefficients p_i, q_j, seed the two top unknowns
-with their closed forms, and then run a propagation solve: repeatedly find a
-coefficient equation that has become affine in one unknown (or a pair of
-equations jointly affine in two), divide by its pivot, and substitute.  The
-executed schedule, with every pivot, is recorded for audit.
+by matching coefficients from the top degree downward.  Every coefficient
+p_i of P and q_j of Q is one unknown, so the coefficient of x^d in (I) or
+(II) is a closed-form sum over index pairs (index triples for the cubic
+term Q' P^2); `_equations` writes each one down directly as a polynomial in
+the unknowns.  The two top unknowns are seeded with their closed forms, and
+a propagation solve follows: repeatedly find a coefficient equation that
+has become affine in one unknown (or a block of equations jointly affine),
+divide by its pivot, and substitute.  Each equation keeps its reduced form
+and is reduced again only when an unknown it holds has been assigned since.
+The executed schedule, with every pivot, is recorded for audit.
 
 When n < 2m+1 the top of (II) forces the coefficients of x^{n+2}..x^{2m+2}
 of P^2 and Q to agree; these derived equations are labeled "degree-match" and fed to
 the solver alongside (I) ("f-identity") and (II) ("g-identity").
 
-A candidate assignment is always verified by full expansion of both
-identities; failure reports the first equation (f-identity before g-identity before
-degree-match, descending degree) with a nonzero residual.
+A candidate assignment is always verified exactly: every equation is reduced
+under the full assignment, and failure reports the first equation
+(f-identity before g-identity before degree-match, descending degree) with a
+nonzero residual.
 """
 
 from __future__ import annotations
@@ -41,63 +46,32 @@ class DegenerateLeadingCoefficient(ValueError):
     """A pivot the uniqueness argument needs turned out to vanish."""
 
 
-# -- tiny multivariate layer -------------------------------------------------
-# monomial: sorted tuple of variable ids; MPoly: {monomial: Fraction}
+# -- polynomials in the unknowns ---------------------------------------------
+# monomial: sorted tuple of variable ids; MPoly: {monomial: coefficient}.
+# Coefficients are Fractions, or ints on monomials of two or more unknowns,
+# which become Fractions once an unknown is substituted.
 
 Mono = tuple[int, ...]
 MPoly = dict[Mono, Fraction]
 
 
-def _mp_const(c: Fraction) -> MPoly:
-    return {(): c} if c else {}
-
-
-def _mp_var(v: int) -> MPoly:
-    return {(v,): Fraction(1)}
-
-
-def _mp_add_inplace(a: MPoly, b: MPoly, scale: Fraction = Fraction(1)) -> None:
-    for mono, c in b.items():
-        new = a.get(mono, Fraction(0)) + c * scale
-        if new:
-            a[mono] = new
-        else:
-            a.pop(mono, None)
-
-
-def _mp_mul(a: MPoly, b: MPoly) -> MPoly:
-    out: MPoly = {}
-    for ma, ca in a.items():
-        for mb, cb in b.items():
-            mono = tuple(sorted(ma + mb))
-            new = out.get(mono, Fraction(0)) + ca * cb
-            if new:
-                out[mono] = new
-            else:
-                out.pop(mono, None)
-    return out
-
-
 def _mp_reduce(a: MPoly, assign: dict[int, Fraction]) -> MPoly:
     out: MPoly = {}
-    for mono, c in a.items():
+    for mono, coeff in a.items():
         rest: list[int] = []
-        coeff = c
         for v in mono:
             if v in assign:
                 coeff *= assign[v]
-                if coeff == 0:
-                    break
             else:
                 rest.append(v)
-        if coeff == 0:
+        if not coeff:
             continue
         mono2 = tuple(rest)
-        new = out.get(mono2, Fraction(0)) + coeff
+        new = out.get(mono2, 0) + coeff
         if new:
             out[mono2] = new
         else:
-            out.pop(mono2, None)
+            del out[mono2]
     return out
 
 
@@ -109,51 +83,10 @@ def _mp_affine(a: MPoly) -> Optional[tuple[Fraction, dict[int, Fraction]]]:
         if len(mono) == 0:
             const = c
         elif len(mono) == 1:
-            lin[mono[0]] = lin.get(mono[0], Fraction(0)) + c
+            lin[mono[0]] = c
         else:
             return None
     return const, lin
-
-
-XPoly = list  # list[MPoly], ascending x-degree
-
-
-def _xp_from_poly(p: Poly) -> XPoly:
-    return [_mp_const(c) for c in p.coeffs]
-
-
-def _xp_vars(first_var: int, count: int) -> XPoly:
-    return [_mp_var(first_var + i) for i in range(count)]
-
-
-def _xp_mul(a: XPoly, b: XPoly) -> XPoly:
-    if not a or not b:
-        return []
-    out: XPoly = [dict() for _ in range(len(a) + len(b) - 1)]
-    for i, ca in enumerate(a):
-        if not ca:
-            continue
-        for j, cb in enumerate(b):
-            if cb:
-                _mp_add_inplace(out[i + j], _mp_mul(ca, cb))
-    return out
-
-
-def _xp_sub(a: XPoly, b: XPoly, scale_b: Fraction = Fraction(1)) -> XPoly:
-    out = [dict(c) for c in a]
-    while len(out) < len(b):
-        out.append({})
-    for j, cb in enumerate(b):
-        _mp_add_inplace(out[j], cb, -scale_b)
-    return out
-
-
-def _xp_scale(a: XPoly, s: Fraction) -> XPoly:
-    return [{m: c * s for m, c in mp.items()} for mp in a]
-
-
-def _xp_derivative(a: XPoly) -> XPoly:
-    return [{m: c * k for m, c in mp.items()} for k, mp in enumerate(a)][1:]
 
 
 # -- outcome -------------------------------------------------------------------
@@ -171,21 +104,84 @@ class RecoveryOutcome:
         return self.curve is not None and self.verified
 
 
-@dataclass
 class _Equation:
-    family: str
-    degree: int
-    expr: MPoly
+    """One coefficient equation: its reduced form under the assignment as of
+    its last reduction, and that form's (constant, linear part) when affine."""
+
+    __slots__ = ("family", "degree", "expr", "affine", "stale")
+
+    def __init__(self, family: str, degree: int, expr: MPoly):
+        self.family = family
+        self.degree = degree
+        self.expr = expr
+        self.affine = None
+        self.stale = True
+
+    def refresh(self, assign: dict[int, Fraction]) -> None:
+        self.expr = _mp_reduce(self.expr, assign)
+        self.affine = _mp_affine(self.expr) if self.expr else None
+        self.stale = False
 
 
-def _affine_block_solve(rows, assign, schedule, pname):
+def _equations(f: Poly, g: Poly, m: int, n: int, deg_q: int) -> list[_Equation]:
+    """The coefficient equations of (I), (II) and, when n < 2m+1,
+    degree-match, in witness priority order; p_i is unknown i and q_j is
+    unknown m+2+j.  An equation whose every coefficient vanishes is left
+    out."""
+    q0 = m + 2
+    top_p = m + 1
+    fc, gc = f.coeffs, g.coeffs
+
+    def data_terms(expr: MPoly, d: int, h: tuple) -> None:
+        # 2 Q h at x^d, for h = f or g
+        for j in range(max(0, d - len(h) + 1), min(deg_q, d) + 1):
+            if h[d - j]:
+                expr[(q0 + j,)] = 2 * h[d - j]
+
+    equations = []
+    # (I): 2 Q f - 2 Q P' - P Q'; p_i q_j sits at x^{i+j-1} with -(2i + j)
+    for d in range(deg_q + m, -1, -1):
+        expr: MPoly = {}
+        data_terms(expr, d, fc)
+        for i in range(max(0, d + 1 - deg_q), min(top_p, d + 1) + 1):
+            j = d + 1 - i
+            expr[(i, q0 + j)] = -(2 * i + j)
+        if expr:
+            equations.append(_Equation("f-identity", d, expr))
+    # (II): 2 Q g - Q' P^2 + Q' Q
+    for d in range(max(deg_q + n, deg_q + 2 * m + 1, 2 * deg_q - 1), -1, -1):
+        expr = {}
+        data_terms(expr, d, gc)
+        # -Q' P^2: j q_j p_a p_b at x^{j-1+a+b}, ordered pairs (a, b)
+        for j in range(max(1, d + 1 - 2 * top_p), min(deg_q, d + 1) + 1):
+            s = d + 1 - j
+            for a in range(max(0, s - top_p), s // 2 + 1):
+                expr[(a, s - a, q0 + j)] = -j if 2 * a == s else -2 * j
+        # +Q' Q: a q_a q_b at x^{a-1+b}, ordered pairs (a, b)
+        for a in range(max(0, d + 1 - deg_q), (d + 1) // 2 + 1):
+            b = d + 1 - a
+            expr[(q0 + a, q0 + b)] = a if a == b else d + 1
+        if expr:
+            equations.append(_Equation("g-identity", d, expr))
+    if n < 2 * m + 1:
+        # matching coefficients of P^2 and Q above degree n+1
+        for d in range(2 * m + 2, n + 1, -1):
+            expr = {(a, d - a): 1 if 2 * a == d else 2
+                    for a in range(max(0, d - top_p), d // 2 + 1)}
+            expr[(q0 + d,)] = Fraction(-1)
+            equations.append(_Equation("degree-match", d, expr))
+    return equations
+
+
+def _affine_block_solve(rows):
     """Gauss-Jordan elimination (`rref`) over the currently-affine equations.
 
-    Assigns every variable that the subsystem pins uniquely (its reduced row
-    holds a single variable).  Returns "progress", "stuck", or a witness
-    tuple when the affine subsystem is inconsistent (no curve can exist)."""
+    Returns the [(variable, value)] that the subsystem pins uniquely (their
+    reduced row holds a single variable), empty when it pins none, or a
+    witness tuple when the affine subsystem is inconsistent (no curve can
+    exist)."""
     if not rows:
-        return "stuck"
+        return []
     variables = sorted({v for _, _, lin in rows for v in lin}, reverse=True)
     index = {v: i for i, v in enumerate(variables)}
     nv = len(variables)
@@ -202,23 +198,12 @@ def _affine_block_solve(rows, assign, schedule, pname):
         # equations, so the contradiction is attributed to the
         # highest-priority equation that entered the block
         return (rows[0][0].family, rows[0][0].degree)
-    progressed = False
-    solved_names = []
+    solved = []
     for r in range(len(pivots)):
         nz = [c for c in range(nv) if mat[r][c] != 0]
         if len(nz) == 1:
-            var = variables[nz[0]]
-            if var not in assign:
-                assign[var] = -mat[r][nv]
-                solved_names.append(pname(var))
-                progressed = True
-    if progressed:
-        labels = [f"{eq.family} x^{eq.degree}" for eq, _, _ in rows]
-        schedule.append({"unknowns": solved_names,
-                         "equations": labels,
-                         "pivots": ["affine block elimination"]})
-        return "progress"
-    return "stuck"
+            solved.append((variables[nz[0]], -mat[r][nv]))
+    return solved
 
 
 def recover_curve(sys: LienardSystem) -> RecoveryOutcome:
@@ -235,88 +220,62 @@ def recover_curve(sys: LienardSystem) -> RecoveryOutcome:
 
     deg_q = n + 1 if n > 2 * m + 1 else 2 * m + 2
     n_pvars = m + 2
-    p_first = 0
     q_first = n_pvars
-    P_sym: XPoly = _xp_vars(p_first, n_pvars)
-    Q_sym: XPoly = _xp_vars(q_first, deg_q + 1)
 
     def pname(v: int) -> str:
-        return f"p{v - p_first}" if v < q_first else f"q{v - q_first}"
+        return f"p{v}" if v < q_first else f"q{v - q_first}"
 
     assign: dict[int, Fraction] = {}
     schedule: list[dict] = []
 
     # seeds from the top-degree comparisons
     if n > 2 * m + 1:
-        seed_p = 2 * a_m / (2 * m + n + 3)
-        seed_q_var = q_first + n + 1
-        seed_q = -2 * b_n / (n + 1)
-        assign[p_first + m + 1] = seed_p
-        assign[seed_q_var] = seed_q
+        assign[m + 1] = 2 * a_m / (2 * m + n + 3)
+        assign[q_first + n + 1] = -2 * b_n / (n + 1)
         schedule.append({"unknowns": [f"p{m+1}", f"q{n+1}"],
                          "equations": ["seed f-identity top", "seed g-identity top"],
                          "pivots": [str(2 * m + n + 3), str(n + 1)]})
     else:
-        seed_p = a_m / (2 * (m + 1))
-        assign[p_first + m + 1] = seed_p
+        assign[m + 1] = a_m / (2 * (m + 1))
         schedule.append({"unknowns": [f"p{m+1}"],
                          "equations": ["seed f-identity top"],
                          "pivots": [str(2 * (m + 1))]})
 
-    # residuals of (I) and (II)
-    dP = _xp_derivative(P_sym)
-    dQ = _xp_derivative(Q_sym)
-    P2 = _xp_mul(P_sym, P_sym)
-    r9 = _xp_sub(
-        _xp_sub(_xp_scale(_xp_mul(Q_sym, _xp_from_poly(f)), Fraction(2)),
-                _xp_scale(_xp_mul(Q_sym, dP), Fraction(2))),
-        _xp_mul(P_sym, dQ),
-    )
-    r10 = _xp_sub(
-        _xp_scale(_xp_mul(Q_sym, _xp_from_poly(g)), Fraction(2)),
-        _xp_mul(dQ, _xp_sub(P2, Q_sym)),
-    )
+    equations = _equations(f, g, m, n, deg_q)
+    holders: dict[int, list[_Equation]] = {}
+    for eq in equations:
+        for v in {v for mono in eq.expr for v in mono}:
+            holders.setdefault(v, []).append(eq)
 
-    equations: list[_Equation] = []
-    for deg in range(len(r9) - 1, -1, -1):
-        if r9[deg]:
-            equations.append(_Equation("f-identity", deg, r9[deg]))
-    for deg in range(len(r10) - 1, -1, -1):
-        if r10[deg]:
-            equations.append(_Equation("g-identity", deg, r10[deg]))
-    if n < 2 * m + 1:
-        # matching coefficients of P^2 and Q above degree n+1
-        for deg in range(2 * m + 2, n + 1, -1):
-            expr: MPoly = dict(P2[deg]) if deg < len(P2) else {}
-            _mp_add_inplace(expr, _mp_var(q_first + deg), Fraction(-1))
-            equations.append(_Equation("degree-match", deg, expr))
+    def set_var(var: int, value: Fraction) -> None:
+        assign[var] = value
+        for eq in holders.get(var, ()):
+            eq.stale = True
 
     n_unknowns = n_pvars + deg_q + 1
 
     while len(assign) < n_unknowns:
         # single-unknown equations first: these are the schedule steps the
-        # uniqueness argument walks through explicitly
+        # uniqueness argument walks through explicitly.  An equation later
+        # in the pass sees the assignments made earlier in it
         progressed = False
         affine_rows: list[tuple[_Equation, Fraction, dict[int, Fraction]]] = []
         for eq in equations:
-            red = _mp_reduce(eq.expr, assign)
-            if not red:
+            if eq.stale:
+                eq.refresh(assign)
+            if eq.affine is None:
                 continue
-            aff = _mp_affine(red)
-            if aff is None:
-                continue
-            const, lin = aff
+            const, lin = eq.affine
             if not lin:
                 return RecoveryOutcome(None, False, witness=(eq.family, eq.degree),
                                        schedule=tuple(schedule))
             if len(lin) == 1:
                 (var, coeff), = lin.items()
-                if var not in assign:
-                    assign[var] = -const / coeff
-                    schedule.append({"unknowns": [pname(var)],
-                                     "equations": [f"{eq.family} x^{eq.degree}"],
-                                     "pivots": [str(coeff)]})
-                    progressed = True
+                set_var(var, -const / coeff)
+                schedule.append({"unknowns": [pname(var)],
+                                 "equations": [f"{eq.family} x^{eq.degree}"],
+                                 "pivots": [str(coeff)]})
+                progressed = True
             else:
                 affine_rows.append((eq, const, lin))
         if progressed:
@@ -324,27 +283,32 @@ def recover_curve(sys: LienardSystem) -> RecoveryOutcome:
 
         # joint elimination over every equation that is affine right now;
         # variables whose reduced row pins them uniquely get assigned
-        outcome = _affine_block_solve(affine_rows, assign, schedule, pname)
-        if outcome == "progress":
-            continue
+        outcome = _affine_block_solve(affine_rows)
         if isinstance(outcome, tuple):
             return RecoveryOutcome(None, False, witness=outcome,
                                    schedule=tuple(schedule))
-        raise DegenerateLeadingCoefficient(
-            f"solve stalled with {n_unknowns - len(assign)} unknowns left; "
-            "a pivot the uniqueness argument assumes nonzero vanished"
-        )
+        if not outcome:
+            raise DegenerateLeadingCoefficient(
+                f"solve stalled with {n_unknowns - len(assign)} unknowns left; "
+                "a pivot the uniqueness argument assumes nonzero vanished"
+            )
+        for var, value in outcome:
+            set_var(var, value)
+        schedule.append({"unknowns": [pname(var) for var, _ in outcome],
+                         "equations": [f"{eq.family} x^{eq.degree}" for eq, _, _ in affine_rows],
+                         "pivots": ["affine block elimination"]})
 
     # full verification of both identities: every unknown is assigned, so
     # each equation reduces to a constant, and `equations` is already in
     # witness priority order
-    witness = next((
-        (eq.family, eq.degree) for eq in equations if _mp_reduce(eq.expr, assign)
-    ), None)
-    if witness is not None:
-        return RecoveryOutcome(None, False, witness=witness, schedule=tuple(schedule))
+    for eq in equations:
+        if eq.stale:
+            eq.refresh(assign)
+        if eq.expr:
+            return RecoveryOutcome(None, False, witness=(eq.family, eq.degree),
+                                   schedule=tuple(schedule))
 
-    P = Poly([assign[p_first + i] for i in range(n_pvars)])
+    P = Poly([assign[i] for i in range(n_pvars)])
     Q = Poly([assign[q_first + i] for i in range(deg_q + 1)])
     if Q.is_zero():
         return RecoveryOutcome(None, False, witness=("g-identity", 0), schedule=tuple(schedule))

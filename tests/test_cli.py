@@ -276,14 +276,11 @@ def test_out_path_that_cannot_be_opened_is_a_usage_error(tmp_path):
     assert not target.parent.exists()
 
 
-def test_reader_closing_stdout_early_ends_quietly():
-    # eight trajectories make an SVG of about 260 kB, more than a pipe
-    # buffer holds, so the write is still under way when the reader leaves.
-    # stdout is left buffered, as in a plain shell: with PYTHONUNBUFFERED
-    # set, the text layer drops the unwritten tail of a partial write
-    # without raising, and the broken pipe is never seen
+def _portrait_read_one_line(env) -> tuple[int, str]:
+    """Run a portrait whose SVG (about 260 kB) is larger than a pipe buffer,
+    read its first line and close stdout while the write is still under
+    way: the exit status and stderr."""
     seeds = [a for k in range(1, 9) for a in ("--seed-point", f"{k}/4,0")]
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     proc = subprocess.Popen(
         [sys.executable, "-m", "hypercycles.cli", "portrait", "--f", "x", "--g", "x", *seeds],
         stdout=subprocess.PIPE,
@@ -295,7 +292,25 @@ def test_reader_closing_stdout_early_ends_quietly():
     proc.stdout.close()
     stderr = proc.stderr.read()
     proc.stderr.close()
-    assert proc.wait(timeout=300) == 1
+    return proc.wait(timeout=300), stderr
+
+
+def test_reader_closing_stdout_early_ends_quietly():
+    # stdout is left buffered, as in a plain shell
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    returncode, stderr = _portrait_read_one_line(env)
+    assert returncode == 1
+    assert "Traceback" not in stderr
+    assert stderr == ""
+
+
+def test_reader_closing_unbuffered_stdout_early_ends_quietly():
+    # with PYTHONUNBUFFERED set, stdout's byte layer is a raw FileIO whose
+    # write can take part of the bytes; the rest must still be written, so
+    # the closed pipe is seen and the run fails instead of exiting 0 with
+    # its output cut short
+    returncode, stderr = _portrait_read_one_line({**os.environ, "PYTHONUNBUFFERED": "1"})
+    assert returncode == 1
     assert "Traceback" not in stderr
     assert stderr == ""
 

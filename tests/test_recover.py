@@ -11,7 +11,7 @@ from hypercycles.lienard import (
     invariance_check,
 )
 from hypercycles.polyx import Poly, parse_poly
-from hypercycles.recover import UndeterminedType, recover_curve
+from hypercycles.recover import UndeterminedType, _equations, _mp_reduce, recover_curve
 
 
 def _roundtrip(curve: HyperellipticCurve):
@@ -98,3 +98,79 @@ def test_schedule_records_pivots():
     steps = list(out.schedule)
     assert steps[0]["unknowns"] == ["p3", "q7"]  # seeds for (m,n) = (2,6)
     assert all("pivots" in step for step in steps)
+
+
+def _deg_q(m: int, n: int) -> int:
+    return n + 1 if n > 2 * m + 1 else 2 * m + 2
+
+
+# small types of both branches: n < 2m+1 adds degree-match equations
+ORACLE_TYPES = [(1, 2), (2, 3), (2, 4), (3, 5), (1, 4), (2, 6), (2, 7)]
+
+
+@pytest.mark.parametrize("m, n", ORACLE_TYPES, ids=str)
+def test_equations_match_sympy_expansion(m, n):
+    # the closed-form coefficient equations against a direct expansion of
+    # (I) 2Qf - 2QP' - PQ', (II) 2Qg - Q'(P^2 - Q) and, when n < 2m+1, the
+    # coefficients of P^2 - Q above degree n+1; f and g have zero
+    # coefficients, whose terms must be left out
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    deg_q = _deg_q(m, n)
+    unknowns = sympy.symbols(f"p0:{m + 2}") + sympy.symbols(f"q0:{deg_q + 1}")
+    P = sum(unknowns[i] * x**i for i in range(m + 2))
+    Q = sum(unknowns[m + 2 + j] * x**j for j in range(deg_q + 1))
+    rng = random.Random(100 * m + n)
+    f = Poly([Fraction(rng.choice([0, 0, 1, -2, 5]), rng.randint(1, 3)) for _ in range(m)] + [1])
+    g = Poly([Fraction(rng.choice([0, 0, 3, -1, 7]), rng.randint(1, 3)) for _ in range(n)] + [-2])
+
+    def sym(p):
+        return sum(sympy.Rational(c.numerator, c.denominator) * x**k
+                   for k, c in enumerate(p.coeffs))
+
+    identities = [
+        ("f-identity", 2 * Q * sym(f) - 2 * Q * sympy.diff(P, x) - P * sympy.diff(Q, x)),
+        ("g-identity", 2 * Q * sym(g) - sympy.diff(Q, x) * (P**2 - Q)),
+    ]
+    expected = {}
+    for family, identity in identities:
+        for (d,), c in sympy.Poly(sympy.expand(identity), x).terms():
+            expected[(family, d)] = c
+    if n < 2 * m + 1:
+        square = sympy.Poly(sympy.expand(P**2 - Q), x)
+        for d in range(n + 2, 2 * m + 3):
+            expected[("degree-match", d)] = square.coeff_monomial(x**d)
+
+    got = {}
+    for eq in _equations(f, g, m, n, deg_q):
+        assert all(c != 0 for c in eq.expr.values())
+        assert all(list(mono) == sorted(mono) for mono in eq.expr)
+        got[(eq.family, eq.degree)] = sympy.expand(sum(
+            sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(unknowns[v] for v in mono))
+            for mono, c in eq.expr.items()))
+    assert got.keys() == {k for k, c in expected.items() if c != 0}
+    for key, value in got.items():
+        assert sympy.expand(value - expected[key]) == 0, key
+
+
+@pytest.mark.parametrize("curve", [
+    HyperellipticCurve(P=parse_poly("(x-1)(x-2)(x+5)"),
+                       Q=parse_poly("(x-1)(x-2)(x+5)^5").scale(-5)),           # (2,6)
+    HyperellipticCurve(P=parse_poly("(x-1)(x-2)(x-3)(x-4)(x+5)"),
+                       Q=parse_poly("(x-1)(x-2)(x-3)(x-4)(x+5)^6")),           # (4,8)
+], ids=["n>2m+1", "n<2m+1"])
+def test_derived_curve_zeroes_every_equation(curve):
+    sys = derive_system(curve)
+    m, n = sys.m, sys.n
+    deg_q = _deg_q(m, n)
+    equations = _equations(sys.f, sys.g, m, n, deg_q)
+    assert {eq.family for eq in equations} >= {"f-identity", "g-identity"}
+
+    def residuals(Q):
+        assign = dict(enumerate(curve.P.coeffs))
+        assign.update({m + 2 + j: c for j, c in enumerate(Q.coeffs)})
+        return [(eq.family, eq.degree) for eq in equations if _mp_reduce(eq.expr, assign)]
+
+    assert residuals(curve.Q) == []
+    bumped = curve.Q + Poly([0, Fraction(1, 7)])
+    assert residuals(bumped) != []
