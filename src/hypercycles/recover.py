@@ -219,8 +219,7 @@ def recover_curve(sys: LienardSystem) -> RecoveryOutcome:
     b_n = g.leading()
 
     deg_q = n + 1 if n > 2 * m + 1 else 2 * m + 2
-    n_pvars = m + 2
-    q_first = n_pvars
+    q_first = m + 2   # p_0..p_{m+1}, then q_0..q_{deg_q}
 
     def pname(v: int) -> str:
         return f"p{v}" if v < q_first else f"q{v - q_first}"
@@ -252,7 +251,7 @@ def recover_curve(sys: LienardSystem) -> RecoveryOutcome:
         for eq in holders.get(var, ()):
             eq.stale = True
 
-    n_unknowns = n_pvars + deg_q + 1
+    n_unknowns = q_first + deg_q + 1
 
     while len(assign) < n_unknowns:
         # single-unknown equations first: these are the schedule steps the
@@ -308,7 +307,7 @@ def recover_curve(sys: LienardSystem) -> RecoveryOutcome:
             return RecoveryOutcome(None, False, witness=(eq.family, eq.degree),
                                    schedule=tuple(schedule))
 
-    P = Poly([assign[i] for i in range(n_pvars)])
+    P = Poly([assign[i] for i in range(q_first)])
     Q = Poly([assign[q_first + i] for i in range(deg_q + 1)])
     if Q.is_zero():
         return RecoveryOutcome(None, False, witness=("g-identity", 0), schedule=tuple(schedule))
