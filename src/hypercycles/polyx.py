@@ -25,8 +25,10 @@ solve and the affine blocks of curve recovery both use it), and
 `BivarPoly` is only the container the invariance residual is returned in.
 
 Everything here is immutable and side-effect free; values can be shared
-freely between threads (two threads filling the same integer form store
-equal values).  `poly_gcd` keeps its last results in a small bounded memo.
+freely between threads (two threads filling the same integer form or hash
+store equal values).  `poly_gcd` keeps its last results in a small bounded
+memo; a `Poly` keeps the hash of its coefficients from its first use, since
+the memo keys here and in `rootclass` hash the same `Poly` over and over.
 """
 
 from __future__ import annotations
@@ -57,7 +59,8 @@ def rat(value: RationalLike) -> Fraction:
 class Poly:
     """Dense univariate polynomial over Fraction."""
 
-    __slots__ = ("coeffs", "_int_form")
+    # `_hash` stays unset until `__hash__` first fills it
+    __slots__ = ("coeffs", "_int_form", "_hash")
 
     coeffs: tuple[Fraction, ...]
 
@@ -123,7 +126,12 @@ class Poly:
         return isinstance(other, Poly) and self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(self.coeffs)
+            object.__setattr__(self, "_hash", h)
+            return h
 
     # -- ring operations -----------------------------------------------
 

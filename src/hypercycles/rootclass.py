@@ -7,8 +7,12 @@ Two independent routes to root counts live here on purpose:
   "all roots real and simple" screen, read off the chain's signs at +-inf.
   Chains are built on primitive integer polynomials: each member is minus
   the primitive integer remainder (`polyx.int_rem`) of the two before it,
-  so no `Fraction` division runs.  Chains are memoized per polynomial in a
-  small bounded cache;
+  so no `Fraction` division runs.  One remainder sequence serves each
+  chain: started at p and p', its last member is gcd(p, p') up to sign, so
+  when that is a constant the sequence already is the chain of the
+  squarefree p, and otherwise the chain is that of p / gcd(p, p').  Chains
+  are memoized per polynomial and, behind that, per primitive integer
+  vector, both in small bounded caches;
 * the discrimination-matrix route: Yang's complete discrimination system
   (Yang, Hou and Zeng), the leading principal even-order minors D_k of the
   Sylvester-style matrix of f and f', whose (revised) sign pattern counts
@@ -27,6 +31,19 @@ only the endpoint that a refinement step moved.  Signs of a polynomial at a
 point come from its cached integer form (`Poly.int_form`), with no
 `Fraction` built.
 
+Each chain member carries an exponent e with every complex root z of the
+member inside |z| < 2**e: Fujiwara's bound 2 max_i |a_{n-i}/a_n|^(1/i)
+(1916), rounded up to a power of two from bit lengths alone
+(`_root_exponent`).  A real polynomial keeps one sign on each side beyond
+its largest real root in absolute value, so at a point p/q with
+|p| > q * 2**e the member's sign is its sign at +-inf, read off its leading
+coefficient and degree, and Horner runs only inside the bound.  The answer
+is the same sign that Horner would give, so every count, interval and
+refinement step is unchanged; the Cauchy bound that starts isolation is
+often far larger than the roots, and bisection spends its first levels on
+such points.  `RealRoot.refine` does the same with the exponent of its
+own polynomial, kept on the root.
+
 Every sample point inside an interval comes from `interior_point` (the
 midpoint when there is nothing to avoid).  A rational endpoint that is
 itself a root needs no deflation: `SturmChain.count_open` counts the roots
@@ -44,7 +61,7 @@ All arithmetic is exact; no floating point enters any code path here.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd as int_gcd
@@ -54,11 +71,11 @@ from .polyx import (
     Poly,
     RationalLike,
     int_coeffs,
+    int_exact_div,
     int_rem,
     poly_gcd,
     rat,
     squarefree_decomposition,
-    squarefree_part,
 )
 
 
@@ -264,7 +281,7 @@ def revised_sign_list(signs: list[int]) -> list[int]:
     return out
 
 
-def _sign_changes(signs: list[int]) -> int:
+def _sign_changes(signs: Sequence[int]) -> int:
     nz = [s for s in signs if s != 0]
     return sum(1 for a, b in zip(nz, nz[1:]) if a * b < 0)
 
@@ -317,42 +334,112 @@ def hankel_minor(sums: list[Fraction], k: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-# Certification and the family searches ask for chains of the same few
-# polynomials over and over; a bounded memo keeps that reuse without letting
-# a long run of unrelated polynomials grow the process.
-@lru_cache(maxsize=64)
-def _sturm_chain_int(p: Poly) -> tuple[tuple[int, ...], ...]:
-    """Sturm chain of the squarefree part, as primitive integer polynomials.
-    Each member is minus the integer remainder of the two before it (a
-    positive multiple of the rational remainder, made primitive); dividing
-    members by positive constants preserves all sign variations.
-    Memoized per `Poly` (immutable and hashable); the chain is returned as
-    nested tuples so callers cannot alter the shared value."""
-    sf = squarefree_part(p)
-    chain = [tuple(int_coeffs(sf))]
-    dp = sf.derivative()
-    if not dp.is_zero():
-        chain.append(tuple(int_coeffs(dp)))
-        while len(chain[-1]) > 1:
-            r = int_rem(chain[-2], chain[-1])
-            if not r:
-                break
-            chain.append(tuple(-c for c in r))
-    return tuple(chain)
-
-
-def _chain_signs(chain: tuple[tuple[int, ...], ...], x: Fraction) -> list[int]:
-    return [_sign_at(c, x) for c in chain]
-
-
-def _variations(chain: tuple[tuple[int, ...], ...], x: Fraction) -> int:
-    return _sign_changes(_chain_signs(chain, x))
-
-
 def _sign_at_infinity(c: tuple[int, ...], positive: bool) -> int:
     """Sign of the integer polynomial as x -> +inf (or -inf)."""
     lead = (c[-1] > 0) - (c[-1] < 0)
     return lead if positive or len(c) % 2 == 1 else -lead
+
+
+class _Chain(tuple):
+    """Sturm chain members, primitive integer coefficient tuples.  For
+    member i, every complex root z has |z| < 2**exps[i] (`_root_exponent`),
+    and at_neg[i], at_pos[i] are its signs at -inf and +inf."""
+
+    exps: tuple[int, ...]
+    at_neg: tuple[int, ...]
+    at_pos: tuple[int, ...]
+
+
+def _make_chain(members: Sequence[tuple[int, ...]]) -> _Chain:
+    chain = _Chain(members)
+    chain.exps = tuple(_root_exponent(c) for c in members)
+    chain.at_neg = tuple(_sign_at_infinity(c, False) for c in members)
+    chain.at_pos = tuple(_sign_at_infinity(c, True) for c in members)
+    return chain
+
+
+def _root_exponent(c: Sequence[int]) -> int:
+    """e >= 0 with every complex root z of the integer polynomial c inside
+    |z| < 2**e, from bit lengths only.
+
+    Fujiwara's bound (1916) puts every root within 2 max_i |c_{n-i}/c_n|^(1/i).
+    With b_i the bit length of c_{n-i} and t + 1 that of c_n,
+    |c_{n-i}/c_n| < 2**(b_i - t), so each term is below 2**ceil((b_i - t)/i)
+    and e = 1 + max_i ceil((b_i - t)/i) will do; a zero c_{n-i} adds no
+    term, and e is kept at least 0 so that 2**e is an integer."""
+    n = len(c) - 1
+    top = abs(c[-1]).bit_length() - 1
+    e = 0
+    for i in range(1, n + 1):
+        a = c[n - i]
+        if a:
+            e = max(e, 1 - (top - abs(a).bit_length()) // i)
+    return e
+
+
+def _sign_bounded(c: Sequence[int], e: int, x: Fraction) -> int:
+    """Sign of the integer polynomial c at x, where |z| < 2**e for every
+    root z of c: beyond that bound the sign is the sign at +-inf, and
+    Horner runs only inside it."""
+    p, q = x.numerator, x.denominator
+    if abs(p) > q << e:
+        return _sign_at_infinity(c, p > 0)
+    return _sign_at(c, x)
+
+
+# Certification and the family searches ask for chains of the same few
+# polynomials over and over; a bounded memo keeps that reuse without letting
+# a long run of unrelated polynomials grow the process.
+@lru_cache(maxsize=64)
+def _sturm_chain_int(p: Poly) -> _Chain:
+    """Sturm chain of the squarefree part, as primitive integer polynomials.
+    Each member is minus the integer remainder of the two before it (a
+    positive multiple of the rational remainder, made primitive); dividing
+    members by positive constants preserves all sign variations.
+    Memoized per `Poly` (immutable and hashable), and behind that per
+    primitive integer vector (`_int_chain`), so a polynomial and its monic
+    multiple share one chain; the chain is returned as nested tuples so
+    callers cannot alter the shared value."""
+    if p.is_zero():
+        raise ValueError("Sturm chain of the zero polynomial")
+    a = int_coeffs(p)
+    return _int_chain(tuple(a) if a[-1] > 0 else tuple(-c for c in a))
+
+
+@lru_cache(maxsize=64)
+def _int_chain(a: tuple[int, ...]) -> _Chain:
+    """Sturm chain of the squarefree part of a, a primitive integer vector
+    with a positive leading coefficient.
+
+    One remainder sequence serves both ends: it starts at a and a', so its
+    last member is gcd(a, a') up to sign.  When that is a constant, a is
+    squarefree and the sequence is its chain; otherwise the chain is that of
+    the quotient a / gcd(a, a'), primitive by Gauss's lemma."""
+    chain = [a]
+    if len(a) > 1:
+        da = [i * c for i, c in enumerate(a)][1:]
+        g = int_gcd(*da)
+        chain.append(tuple(c // g for c in da))
+        while len(chain[-1]) > 1:
+            r = int_rem(chain[-2], chain[-1])
+            if not r:
+                q = int_exact_div(a, chain[-1])
+                return _int_chain(tuple(q) if q[-1] > 0 else tuple(-c for c in q))
+            chain.append(tuple(-c for c in r))
+    return _make_chain(chain)
+
+
+def _chain_signs(chain: _Chain, x: Fraction) -> list[int]:
+    """Signs of the chain's members at x (`_sign_bounded`, inlined)."""
+    p, q = x.numerator, x.denominator
+    ap = abs(p)
+    ends = chain.at_pos if p > 0 else chain.at_neg
+    return [s if ap > q << e else _sign_at(c, x)
+            for c, e, s in zip(chain, chain.exps, ends)]
+
+
+def _variations(chain: _Chain, x: Fraction) -> int:
+    return _sign_changes(_chain_signs(chain, x))
 
 
 def distinct_real_roots(f: Poly) -> int:
@@ -361,9 +448,7 @@ def distinct_real_roots(f: Poly) -> int:
     if f.degree < 1:
         return 0
     chain = _sturm_chain_int(f)
-    at_neg = _sign_changes([_sign_at_infinity(c, False) for c in chain])
-    at_pos = _sign_changes([_sign_at_infinity(c, True) for c in chain])
-    return at_neg - at_pos
+    return _sign_changes(chain.at_neg) - _sign_changes(chain.at_pos)
 
 
 def all_roots_real_simple(f: Poly) -> bool:
@@ -383,7 +468,10 @@ class SturmChain:
             raise ValueError("Sturm chain of the zero polynomial")
         self.f = f
         self.ints = f.int_form()[0]
-        self.chain = _sturm_chain_int(f) if f.degree >= 1 else (tuple(self.ints),)
+        if f.degree >= 1:
+            self.chain = _sturm_chain_int(f)
+        else:
+            self.chain = _make_chain((tuple(self.ints),))
 
     def sign(self, x: Fraction) -> int:
         return _sign_at(self.ints, x)
@@ -417,8 +505,9 @@ def cauchy_bound(f: Poly) -> Fraction:
     """B with every complex root of f inside |z| < B."""
     if f.degree < 1:
         raise ValueError("no roots to bound")
-    lead = abs(f.leading())
-    return 1 + max(abs(c) / lead for c in f.coeffs[:-1])
+    # the coefficients share one denominator in the integer form
+    nums = f.int_form()[0]
+    return 1 + Fraction(max(abs(c) for c in nums[:-1]), abs(nums[-1]))
 
 
 def simplest_in_interval(lo: Fraction, hi: Fraction) -> Fraction:
@@ -469,6 +558,8 @@ class RealRoot:
     lo: Fraction
     hi: Fraction
     multiplicity: int = 1
+    # `_root_exponent` of poly's integer form, filled by the first `refine`
+    _exp: int | None = field(default=None, init=False, repr=False, compare=False)
 
     # -- basics ---------------------------------------------------------
 
@@ -500,11 +591,13 @@ class RealRoot:
         # with nothing to avoid, interior_point would return the midpoint
         c = interior_point(self.lo, self.hi, avoid) if avoid else (self.lo + self.hi) / 2
         ints = self.poly.int_form()[0]
-        s = _sign_at(ints, c)
+        if self._exp is None:
+            self._exp = _root_exponent(ints)
+        s = _sign_bounded(ints, self._exp, c)
         if s == 0:
             self.lo = self.hi = c
             return
-        if (s > 0) == (_sign_at(ints, self.hi) > 0):
+        if (s > 0) == (_sign_bounded(ints, self._exp, self.hi) > 0):
             self.hi = c
         else:
             self.lo = c

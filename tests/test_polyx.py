@@ -285,6 +285,16 @@ def test_equal_polys_compare_and_hash_equal_with_or_without_the_cache():
     assert a * b == _convolve(build(), build())
 
 
+def test_hash_is_kept_from_its_first_use():
+    p = P(Fraction(1, 2), 3)
+    with pytest.raises(AttributeError):
+        p._hash                                 # __init__ leaves it unset
+    assert hash(p) == hash(p.coeffs) == p._hash
+    assert hash(p) == hash(P(Fraction(1, 2), 3))
+    with pytest.raises(AttributeError):
+        p._hash = 0
+
+
 def test_exact_div_in_z_x_matches_fraction_division():
     rng = random.Random(43)
     for _ in range(80):

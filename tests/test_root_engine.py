@@ -11,11 +11,17 @@ from hypercycles.families import construct_case_i, construct_high_n, construct_n
 from hypercycles.lienard import HyperellipticCurve, certify
 from hypercycles.polyx import Poly, parse_poly
 from hypercycles.rootclass import (
+    _chain_signs,
+    _int_chain,
+    _root_exponent,
+    _sign_at,
+    _sign_bounded,
     _sturm_chain_int,
     all_roots_real_simple,
     count_roots,
     distinct_real_roots,
     isolate_real_roots,
+    sturm_count,
 )
 
 _small = st.fractions(min_value=-5, max_value=5, max_denominator=4)
@@ -71,6 +77,68 @@ def test_memo_returns_shared_immutable_chain():
     before = _sturm_chain_int.cache_info().hits
     assert _sturm_chain_int(b) is chain
     assert _sturm_chain_int.cache_info().hits == before + 1
+
+
+# -- signs beyond a root bound -----------------------------------------------
+
+
+def _probe_points(e: int, k: int) -> list[Fraction]:
+    """Points at, just around, far beyond and inside the bound 2**e, on both
+    sides of 0."""
+    edge = Fraction(2) ** e
+    tiny = Fraction(1, 2**k)
+    points = [edge, edge + tiny, edge - tiny, edge * 2**40 + Fraction(1, 3),
+              Fraction(0), edge / 3, Fraction(1, 7)]
+    return points + [-x for x in points]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_polys, st.integers(0, 20))
+def test_bounded_signs_match_horner(p, k):
+    chain = _sturm_chain_int(p)
+    for e in set(chain.exps):
+        for x in _probe_points(e, k):
+            assert _chain_signs(chain, x) == [_sign_at(c, x) for c in chain]
+    # the single-polynomial form that refinement runs on p's integer form
+    ints = p.int_form()[0]
+    e = _root_exponent(ints)
+    for x in _probe_points(e, k):
+        assert _sign_bounded(ints, e, x) == _sign_at(ints, x)
+
+
+def test_root_exponent_bounds_every_complex_root():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    rng = random.Random(1916)
+    polys = [parse_poly(t) for t in (
+        "1000x - 1", "x^4 - 1000000x^2 + 1", "1000000000x^2 + 1", "x^5",
+        "x^7 - 2", "(x^2-2)(x^3-3x+1)(x^2+1)", "(x - 1/3)^3 (x + 40)^2")]
+    for _ in range(40):
+        polys.append(Poly([Fraction(rng.randint(-10**rng.randint(0, 9), 10**6),
+                                    rng.randint(1, 10**rng.randint(0, 4)))
+                           for _ in range(rng.randint(2, 12))] + [rng.choice([-7, 1, 3])]))
+    members = []
+    for p in polys:
+        members.append(p.int_form()[0])
+        members.extend(_sturm_chain_int(p)[:-1])    # the last is a constant
+    for c in members:
+        e = _root_exponent(c)
+        # the same roots without multiplicity, where nroots converges
+        roots = sympy.Poly(list(reversed(c)), x).sqf_part().nroots(n=20, maxsteps=500)
+        radius = max((abs(z) for z in roots), default=0)
+        assert radius < 2**e
+        # and the bound is not vacuous: within a factor 16 deg(c) of the roots
+        assert 2**e <= max(1, 16 * (len(c) - 1) * radius)
+
+
+def test_sturm_count_after_isolation_builds_no_chain():
+    # squarefree and not monic: isolation builds the chain of its monic
+    # factor, which has the same primitive integer vector
+    p = parse_poly("3 (x^2-2)(x^3-3x+1)(x+5)")
+    assert len(isolate_real_roots(p)) == 6
+    before = _int_chain.cache_info().misses
+    assert sturm_count(p, -10, 10) == 6
+    assert _int_chain.cache_info().misses == before
 
 
 # -- certify's all_roots_real against the discrimination matrix -------------

@@ -15,9 +15,11 @@ from hypercycles.polyx import (
     squarefree_decomposition,
     squarefree_part,
 )
+from hypercycles import rootclass
 from hypercycles.rootclass import (
     EndpointRootError,
     RealRoot,
+    RootsCoincide,
     SturmChain,
     _int_det,
     _isolate_squarefree,
@@ -357,6 +359,43 @@ def test_clear_above_and_below_when_a_refinement_step_lands_on_the_root():
     v = r2.clear_below(P(Fraction(3, 7), 1), Fraction(-2, 3))
     # the root of x + 3/7 lies below -1/3, so v must sit above it
     assert Fraction(-3, 7) < v < Fraction(-1, 3)
+
+
+# -- separating two roots that coincide ---------------------------------------
+
+
+def test_separate_from_exact_roots_that_coincide():
+    half = RealRoot(poly=P(-1, 2), lo=Fraction(1, 2), hi=Fraction(1, 2))
+    also_half = RealRoot(poly=P(-1, 0, 4), lo=Fraction(1, 2), hi=Fraction(1, 2))
+    with pytest.raises(RootsCoincide, match="coincide"):
+        half.separate_from(also_half)
+    # the same value held in an open bracket of 4x^2 - 1, on either side
+    bracket = RealRoot(poly=P(-1, 0, 4), lo=Fraction(0), hi=Fraction(1))
+    with pytest.raises(RootsCoincide, match="coincide"):
+        half.separate_from(bracket)
+    with pytest.raises(RootsCoincide, match="coincide"):
+        bracket.separate_from(half)
+
+
+def test_separate_from_irrational_roots_that_coincide(monkeypatch):
+    # sqrt(2) as a root of x^2 - 2 and of x^3 - 2x: bisection never parts the
+    # brackets, so after 8 rounds the gcd x^2 - 2 is found to change sign
+    # across their intersection
+    gcds = []
+
+    def counting_gcd(a, b):
+        gcds.append((a, b))
+        return poly_gcd(a, b)
+
+    monkeypatch.setattr(rootclass, "poly_gcd", counting_gcd)
+    s = RealRoot(poly=P(-2, 0, 1), lo=Fraction(1), hi=Fraction(2))
+    t = RealRoot(poly=P(0, -2, 0, 1), lo=Fraction(1), hi=Fraction(2))
+    with pytest.raises(RootsCoincide, match="share a common value"):
+        s.separate_from(t)
+    assert gcds == [(s.poly, t.poly)]
+    # the 8 rounds refine the wider bracket, the two in turn
+    assert s.width() == t.width() == Fraction(1, 16)
+    assert s.lo < t.hi and t.lo < s.hi
 
 
 # -- one chain evaluation per point, against the code it replaced -------------
