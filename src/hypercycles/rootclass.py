@@ -400,8 +400,6 @@ def _sturm_chain_int(p: Poly) -> _Chain:
     primitive integer vector (`_int_chain`), so a polynomial and its monic
     multiple share one chain; the chain is returned as nested tuples so
     callers cannot alter the shared value."""
-    if p.is_zero():
-        raise ValueError("Sturm chain of the zero polynomial")
     a = int_coeffs(p)
     return _int_chain(tuple(a) if a[-1] > 0 else tuple(-c for c in a))
 
