@@ -341,20 +341,17 @@ def _sign_at_infinity(c: tuple[int, ...], positive: bool) -> int:
 
 
 class _Chain(tuple):
-    """Sturm chain members, primitive integer coefficient tuples.  For
-    member i, every complex root z has |z| < 2**exps[i] (`_root_exponent`),
-    and at_neg[i], at_pos[i] are its signs at -inf and +inf."""
+    """Sturm chain members, primitive integer coefficient tuples.  ends[i]
+    is (e, sign at -inf, sign at +inf) of member i, where every complex
+    root z of the member has |z| < 2**e (`_root_exponent`)."""
 
-    exps: tuple[int, ...]
-    at_neg: tuple[int, ...]
-    at_pos: tuple[int, ...]
+    ends: tuple[tuple[int, int, int], ...]
 
 
 def _make_chain(members: Sequence[tuple[int, ...]]) -> _Chain:
     chain = _Chain(members)
-    chain.exps = tuple(_root_exponent(c) for c in members)
-    chain.at_neg = tuple(_sign_at_infinity(c, False) for c in members)
-    chain.at_pos = tuple(_sign_at_infinity(c, True) for c in members)
+    chain.ends = tuple((_root_exponent(c), _sign_at_infinity(c, False),
+                        _sign_at_infinity(c, True)) for c in members)
     return chain
 
 
@@ -431,9 +428,9 @@ def _chain_signs(chain: _Chain, x: Fraction) -> list[int]:
     """Signs of the chain's members at x (`_sign_bounded`, inlined)."""
     p, q = x.numerator, x.denominator
     ap = abs(p)
-    ends = chain.at_pos if p > 0 else chain.at_neg
-    return [s if ap > q << e else _sign_at(c, x)
-            for c, e, s in zip(chain, chain.exps, ends)]
+    k = 2 if p > 0 else 1
+    return [end[k] if ap > q << end[0] else _sign_at(c, x)
+            for c, end in zip(chain, chain.ends)]
 
 
 def _variations(chain: _Chain, x: Fraction) -> int:
@@ -446,7 +443,8 @@ def distinct_real_roots(f: Poly) -> int:
     if f.degree < 1:
         return 0
     chain = _sturm_chain_int(f)
-    return _sign_changes(chain.at_neg) - _sign_changes(chain.at_pos)
+    return (_sign_changes([end[1] for end in chain.ends])
+            - _sign_changes([end[2] for end in chain.ends]))
 
 
 def all_roots_real_simple(f: Poly) -> bool:
