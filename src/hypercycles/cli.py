@@ -28,7 +28,7 @@ from .polyx import Poly, coeff_strings, parse_poly
 from .portrait import PortraitSpec, render_portrait
 from .recover import DegenerateLeadingCoefficient, UndeterminedType, recover_curve
 from .rootclass import (
-    count_roots,
+    RootCount,
     discriminant_sequence,
     isolate_real_roots,
     revised_sign_list,
@@ -235,7 +235,7 @@ def _cmd_roots(args) -> dict:
     ds = discriminant_sequence(p)
     signs = sign_list(ds)
     revised = revised_sign_list(signs)
-    rc = count_roots(p)
+    rc = RootCount.from_revised(revised)
     roots = isolate_real_roots(p)
     return {
         "schema": SCHEMA,

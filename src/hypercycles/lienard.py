@@ -20,13 +20,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .polyx import BivarPoly, Poly, poly_gcd
-from .rootclass import (
-    RealRoot,
-    SturmChain,
-    interior_point,
-    isolate_real_roots,
-    sturm_count,
-)
+from .rootclass import RealRoot, SturmChain, interior_point, isolate_real_roots
 
 
 class NonPolynomialSystem(ValueError):
@@ -240,29 +234,23 @@ class CertificationReport:
 
 
 def _count_strictly_between(w: Poly, r1: RealRoot, r2: RealRoot) -> int:
-    """Distinct real roots of w in the open interval (root(r1), root(r2)).
+    """Distinct real roots of w in the open interval (root(r1), root(r2)),
+    for r1 below r2.
 
-    When both roots are exact rationals, one open Sturm count on w's chain
-    is the answer: it leaves out roots of w at the endpoints themselves, so
-    neither root is touched.  Otherwise the isolating intervals are first
-    made sliver-free for w (no root of w hides between the algebraic
-    endpoint and its rational bracket), so a single Sturm count over a
-    rational middle interval is the true answer."""
+    Once the two intervals are disjoint, `RealRoot.clear` refines each
+    inexact one until no root of w but its own root lies in it and w is
+    nonzero at its ends; an exact root is its own interval.  One open Sturm
+    count over (r1.hi, r2.lo) is then the answer: it leaves out a root of w
+    at an exact endpoint, and an inexact endpoint is no root of w.  Two
+    distinct exact roots are disjoint already, so neither is touched."""
     if w.is_zero():
         raise ValueError("cannot count roots of the zero polynomial")
     if w.degree < 1:
         return 0
-    if r1.is_exact() and r2.is_exact():
-        return SturmChain(w).count_open(r1.value, r2.value)
     r1.separate_from(r2, avoid=[w])
-    gap = r2.lo - r1.hi
-    cap = r1.hi + gap / 3
-    floor = r2.lo - gap / 3
-    u = r1.clear_above(w, cap)
-    v = r2.clear_below(w, floor)
-    if not u < v:
-        raise AssertionError("clearance windows collapsed")
-    return sturm_count(w, u, v)
+    r1.clear(w)
+    r2.clear(w)
+    return SturmChain(w).count_open(r1.hi, r2.lo)
 
 
 def _sample_between(r1: RealRoot, r2: RealRoot, avoid: list[Poly]) -> Fraction:

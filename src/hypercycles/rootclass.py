@@ -26,10 +26,11 @@ Two independent routes to root counts live here on purpose:
 
 Each Sturm chain is evaluated once per point: isolation carries the sign
 variations of each interval's endpoints down its bisection stack, so a split
-evaluates the chain at the midpoint only, and `RealRoot.sign_of` recounts
-only the endpoint that a refinement step moved.  Signs of a polynomial at a
-point come from its cached integer form (`Poly.int_form`), with no
-`Fraction` built.
+evaluates the chain at the midpoint only, and the one refinement loop of an
+isolated root (`RealRoot._settle`, behind both `sign_of` and `clear`)
+recounts only the endpoint that a refinement step moved.  Signs of a
+polynomial at a point come from its cached integer form (`Poly.int_form`),
+with no `Fraction` built.
 
 Each chain member carries an exponent e with every complex root z of the
 member inside |z| < 2**e: Fujiwara's bound 2 max_i |a_{n-i}/a_n|^(1/i)
@@ -42,7 +43,8 @@ is the same sign that Horner would give, so every count, interval and
 refinement step is unchanged; the Cauchy bound that starts isolation is
 often far larger than the roots, and bisection spends its first levels on
 such points.  `RealRoot.refine` does the same with the exponent of its
-own polynomial, kept on the root.
+own polynomial, kept on the root beside the polynomial's sign at hi, which
+no refinement step changes.
 
 Every sample point inside an interval comes from `interior_point` (the
 midpoint when there is nothing to avoid).  A rational endpoint that is
@@ -53,7 +55,12 @@ just left of c and the same sign just right of it; at c itself f drops out
 of the sign list, and a later member that vanishes at c sits between two
 members of opposite signs there.  So V(c) = V(c+) and V(c-) = V(c) + 1,
 and for any rationals a < b the roots in (a, b) number
-V(a) - V(b) - [f(b) = 0] (Basu, Pollack and Roy, ch. 2).
+V(a) - V(b) - [f(b) = 0] (Basu, Pollack and Roy, ch. 2).  So the roots of w
+strictly between two isolated roots need no rational window beside either
+root: `RealRoot.clear` refines an inexact interval until w is nonzero at its
+ends and has no root in it but the isolated root itself, an exact root is
+its own interval, and one open count from the lower root's hi to the upper
+root's lo is the answer.
 
 All arithmetic is exact; no floating point enters any code path here.
 """
@@ -214,6 +221,14 @@ class RootCount:
     distinct_real: int
     imaginary_pairs: int
 
+    @classmethod
+    def from_revised(cls, revised: list[int]) -> "RootCount":
+        """Counts from a revised sign list: pairs = sign changes v, reals =
+        nonvanishing members l - 2v."""
+        v = _sign_changes(revised)
+        l = sum(1 for s in revised if s != 0)
+        return cls(distinct_real=l - 2 * v, imaginary_pairs=v)
+
 
 def discrimination_matrix(f: Poly) -> list[list[Fraction]]:
     """2n x 2n matrix from interleaved, progressively shifted rows of the
@@ -288,13 +303,11 @@ def _sign_changes(signs: Sequence[int]) -> int:
 
 def count_roots(f: Poly) -> RootCount:
     """Distinct real roots and conjugate imaginary pairs of f via the revised
-    sign list: pairs = sign changes v, reals = nonvanishing members l - 2v."""
+    sign list (`RootCount.from_revised`)."""
     if f.degree < 1:
         raise ValueError("count_roots needs degree >= 1")
     revised = revised_sign_list(sign_list(discriminant_sequence(f)))
-    v = _sign_changes(revised)
-    l = sum(1 for s in revised if s != 0)
-    return RootCount(distinct_real=l - 2 * v, imaginary_pairs=v)
+    return RootCount.from_revised(revised)
 
 
 # ---------------------------------------------------------------------------
@@ -473,13 +486,9 @@ class SturmChain:
         return _sign_at(self.ints, x)
 
     def count(self, lo: Fraction, hi: Fraction) -> int:
-        if not lo < hi:
-            raise ValueError("need lo < hi")
-        if self.f.degree < 1:
-            return 0
         if self.sign(lo) == 0 or self.sign(hi) == 0:
             raise EndpointRootError(f"endpoint is a root of {self.f}")
-        return _variations(self.chain, lo) - _variations(self.chain, hi)
+        return self.count_open(lo, hi)
 
     def count_open(self, lo: Fraction, hi: Fraction) -> int:
         """Distinct real roots in the open (lo, hi), where lo and hi may be
@@ -554,8 +563,10 @@ class RealRoot:
     lo: Fraction
     hi: Fraction
     multiplicity: int = 1
-    # `_root_exponent` of poly's integer form, filled by the first `refine`
-    _exp: int | None = field(default=None, init=False, repr=False, compare=False)
+    # (`_root_exponent` of poly's integer form, sign of poly at hi), filled
+    # by the first `refine`; every step keeps the sign at hi
+    _ends: tuple[int, int] | None = field(default=None, init=False, repr=False,
+                                          compare=False)
 
     # -- basics ---------------------------------------------------------
 
@@ -587,13 +598,15 @@ class RealRoot:
         # with nothing to avoid, interior_point would return the midpoint
         c = interior_point(self.lo, self.hi, avoid) if avoid else (self.lo + self.hi) / 2
         ints = self.poly.int_form()[0]
-        if self._exp is None:
-            self._exp = _root_exponent(ints)
-        s = _sign_bounded(ints, self._exp, c)
+        if self._ends is None:
+            e = _root_exponent(ints)
+            self._ends = (e, _sign_bounded(ints, e, self.hi))
+        e, at_hi = self._ends
+        s = _sign_bounded(ints, e, c)
         if s == 0:
             self.lo = self.hi = c
             return
-        if (s > 0) == (_sign_bounded(ints, self._exp, self.hi) > 0):
+        if s == at_hi:
             self.hi = c
         else:
             self.lo = c
@@ -650,6 +663,31 @@ class RealRoot:
             rounds += 1
         return -1 if self.hi < other.lo else 1
 
+    def _vanishes(self, w: Poly) -> bool:
+        """True when w vanishes at this inexact root, that is, when gcd(poly,
+        w) has a root in the open (lo, hi), where poly has this one only."""
+        d = poly_gcd(self.poly, w)
+        return d.degree >= 1 and SturmChain(d).count_open(self.lo, self.hi) > 0
+
+    def _settle(self, wc: SturmChain, target: int) -> int:
+        """Refine, avoiding the roots of w (the head of `wc`), until w is
+        nonzero at lo and hi and has `target` roots in between; returns the
+        sign of w at lo, or 0 once a refinement step lands on the root."""
+        # (endpoint, sign variations of w's chain there): a refinement step
+        # moves one endpoint, and only that one is counted again
+        at_lo = at_hi = None
+        while not self.is_exact():
+            slo = wc.sign(self.lo)
+            if slo != 0 and wc.sign(self.hi) != 0:
+                if at_lo is None or at_lo[0] != self.lo:
+                    at_lo = (self.lo, _variations(wc.chain, self.lo))
+                if at_hi is None or at_hi[0] != self.hi:
+                    at_hi = (self.hi, _variations(wc.chain, self.hi))
+                if at_lo[1] - at_hi[1] == target:
+                    return slo
+            self.refine(avoid=[wc.f])
+        return 0
+
     def sign_of(self, w: Poly) -> int:
         """Exact sign of w at this root (0 when w vanishes there)."""
         if w.is_zero():
@@ -657,70 +695,20 @@ class RealRoot:
         if w.degree < 1:
             return 1 if w[0] > 0 else -1
         if not self.is_exact():
-            d = poly_gcd(self.poly, w)
-            if d.degree >= 1 and SturmChain(d).count_open(self.lo, self.hi) > 0:
+            if self._vanishes(w):
                 return 0
-            wc = SturmChain(w)
-            # (endpoint, sign variations of w's chain there): a refinement
-            # step moves one endpoint, and only that one is counted again
-            at_lo = at_hi = None
-            # a refinement step can land on the root itself; the exact value
-            # then decides below
-            while not self.is_exact():
-                slo = wc.sign(self.lo)
-                if slo != 0 and wc.sign(self.hi) != 0:
-                    if at_lo is None or at_lo[0] != self.lo:
-                        at_lo = (self.lo, _variations(wc.chain, self.lo))
-                    if at_hi is None or at_hi[0] != self.hi:
-                        at_hi = (self.hi, _variations(wc.chain, self.hi))
-                    if at_lo[1] == at_hi[1]:
-                        return slo
-                self.refine(avoid=[w])
+            # with no root of w in [lo, hi], w has its sign at lo on the root
+            s = self._settle(SturmChain(w), 0)
+            if s:
+                return s
         return _sign_at(w.int_form()[0], self.value)
 
-    def clear_above(self, w: Poly, cap: Fraction) -> Fraction:
-        """A rational u with root < u <= cap, no roots of w in (root, u],
-        and w(u) != 0.  `cap` must lie strictly above the root."""
-        return self._clear(w, cap, upward=True)
-
-    def clear_below(self, w: Poly, floor: Fraction) -> Fraction:
-        return self._clear(w, floor, upward=False)
-
-    def _clear(self, w: Poly, limit: Fraction, upward: bool) -> Fraction:
+    def clear(self, w: Poly) -> None:
+        """Refine until w is nonzero at lo and hi and has no root in [lo, hi]
+        but maybe this root itself: an open count of the roots of w from hi,
+        or up to lo, then counts those beyond the root, or below it."""
         if not self.is_exact():
-            # make the whole isolating interval sliver-free for w, then hand
-            # back the boundary on the requested side; a refinement step that
-            # lands on the root hands over to the exact branch below
-            vanishes = self.sign_of(w) == 0  # refines until the w-sign settles
-            target = 1 if vanishes else 0
-            wc = SturmChain(w) if w.degree >= 1 else None
-            while not self.is_exact():
-                edge = self.hi if upward else self.lo
-                within = edge < limit if upward else edge > limit
-                if within and w.eval(edge) != 0:
-                    if wc is None:
-                        return edge
-                    if (
-                        w.eval(self.lo) != 0
-                        and w.eval(self.hi) != 0
-                        and wc.count(self.lo, self.hi) == target
-                    ):
-                        return edge
-                self.refine(avoid=[w])
-        v = self.value
-        # the root v may be a root of w as well; the open count allows that
-        wc = SturmChain(w)
-        u = limit
-        while True:
-            if wc.sign(u) != 0:
-                a, b = (v, u) if upward else (u, v)
-                if wc.count_open(a, b) == 0:
-                    return u
-            u = (v + u) / 2
-            k = 3
-            while wc.sign(u) == 0 or u == v:
-                u = v + (limit - v) / k
-                k += 1
+            self._settle(SturmChain(w), 1 if self._vanishes(w) else 0)
 
 
 def _isolate_squarefree(g: Poly) -> list[tuple[Fraction, Fraction]]:

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from hypercycles import cli, rootclass
 from hypercycles.cli import _load_pattern, main
 
 
@@ -222,6 +223,17 @@ def test_bad_input_is_a_usage_error(args, stdin_text, complaint):
     assert proc.stdout == ""
     assert proc.stderr.startswith(complaint)
     assert "Traceback" not in proc.stderr
+
+
+def test_roots_computes_the_discriminant_sequence_once(monkeypatch, capsys):
+    calls = []
+    sequence = rootclass.discriminant_sequence
+    counting = lambda p: calls.append(p) or sequence(p)
+    monkeypatch.setattr(rootclass, "discriminant_sequence", counting)
+    monkeypatch.setattr(cli, "discriminant_sequence", counting)
+    assert main(["roots", "(x^2-2)(x-3)(x^2+1)"]) == 0
+    assert json.loads(capsys.readouterr().out)["distinct_real"] == 3
+    assert len(calls) == 1
 
 
 def test_main_callable_directly(capsys):

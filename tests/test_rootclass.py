@@ -1,10 +1,10 @@
 import copy
 import random
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from hypercycles.polyx import (
     ONE,
@@ -15,7 +15,7 @@ from hypercycles.polyx import (
     squarefree_decomposition,
     squarefree_part,
 )
-from hypercycles import rootclass
+from hypercycles import lienard, rootclass
 from hypercycles.rootclass import (
     EndpointRootError,
     RealRoot,
@@ -348,17 +348,17 @@ def test_sign_of_when_a_refinement_step_lands_on_the_root():
     assert r.is_exact() and r.value == Fraction(-1, 3)
 
 
-def test_clear_above_and_below_when_a_refinement_step_lands_on_the_root():
-    r = _third_root()
-    w = P(Fraction(1, 7), 1)
-    u = r.clear_above(w, Fraction(0))
-    # -1/3 < u <= 0, and no root of w (-1/7) in (-1/3, u]
-    assert Fraction(-1, 3) < u < Fraction(-1, 7)
-    assert w.eval(u) != 0
-    r2 = _third_root()
-    v = r2.clear_below(P(Fraction(3, 7), 1), Fraction(-2, 3))
-    # the root of x + 3/7 lies below -1/3, so v must sit above it
-    assert Fraction(-3, 7) < v < Fraction(-1, 3)
+def test_refine_evaluates_its_polynomial_once_per_step(monkeypatch):
+    # the first step also reads the sign at hi, which no step changes
+    calls = []
+    sign_bounded = rootclass._sign_bounded
+    monkeypatch.setattr(rootclass, "_sign_bounded",
+                        lambda *a: calls.append(a) or sign_bounded(*a))
+    r = RealRoot(poly=P(-2, 0, 1), lo=Fraction(0), hi=Fraction(3))
+    for step in range(1, 21):
+        r.refine()
+        assert len(calls) == step + 1
+    assert r.lo * r.lo < 2 < r.hi * r.hi and r.width() == Fraction(3, 2**20)
 
 
 # -- separating two roots that coincide ---------------------------------------
@@ -402,8 +402,9 @@ def test_separate_from_irrational_roots_that_coincide(monkeypatch):
 #
 # Isolation carries the endpoint variation counts down its stack, `refine`
 # decides with integer signs, and `sign_of` recounts only the endpoint that
-# moved.  The earlier implementations are kept below verbatim (self -> root)
-# as the reference: every interval, exact flag and sign must be the same.
+# moved (`RealRoot._settle`).  The earlier implementations are kept below
+# verbatim (self -> root) as the reference: every interval, exact flag and
+# sign must be the same.
 
 
 def ref_isolate_squarefree(g: Poly) -> list[tuple[Fraction, Fraction]]:
@@ -562,8 +563,8 @@ def test_isolation_lands_on_a_root_at_a_bisection_midpoint():
 #
 # `SturmChain.count_open` replaced dividing every root at a rational endpoint
 # out of the polynomial and building a new chain for the quotient.  That
-# route is kept below verbatim as the reference: `ref_deflate`, the exact
-# branch of `RealRoot._clear` (self -> root) and `sign_on_interval`.
+# route is kept below verbatim as the reference: `ref_deflate` and
+# `sign_on_interval`.
 
 
 def ref_deflate(w: Poly, v: Fraction) -> Poly:
@@ -576,25 +577,6 @@ def ref_deflate(w: Poly, v: Fraction) -> Poly:
 def ref_count_open(f: Poly, lo: Fraction, hi: Fraction) -> int:
     g = ref_deflate(ref_deflate(f, lo), hi)
     return sturm_count(g, lo, hi) if g.degree >= 1 else 0
-
-
-def ref_clear_exact(root: RealRoot, w: Poly, limit: Fraction, upward: bool) -> Fraction:
-    v = root.value
-    # deflate w at the root so the shrinking test has clean endpoints
-    wd = ref_deflate(w, v)
-    u = limit
-    while True:
-        if wd.eval(u) != 0:
-            if wd.degree < 1:
-                return u
-            a, b = (v, u) if upward else (u, v)
-            if wd.eval(v) != 0 and sturm_count(wd, a, b) == 0:
-                return u
-        u = (v + u) / 2
-        k = 3
-        while w.eval(u) == 0 or u == v:
-            u = v + (limit - v) / k
-            k += 1
 
 
 def ref_sign_on_interval(f: Poly, lo, hi) -> str:
@@ -677,34 +659,100 @@ def test_count_open_keeps_the_count_contract():
     assert SturmChain(P(7)).count_open(0, 1) == 0
 
 
+# -- roots of w strictly between two isolated roots -------------------------
+
+
+def _sqrt_near(k: Fraction, bits: int = 40) -> Fraction:
+    """A rational within 2^-bits of sqrt(k)."""
+    return Fraction(isqrt(k.numerator * k.denominator * 4**bits), k.denominator * 2**bits)
+
+
 @st.composite
-def _clear_input(draw):
-    """(v, w, limit, upward): an exact root v, a w with roots planted at v
-    (multiplicity 0..3), near v and at dyadic points on the way to the
-    limit, maybe no real root at all, and a limit strictly on one side."""
-    v = _dyadic(draw, 8, 2)
-    upward = draw(st.booleans())
-    step = Fraction(draw(st.integers(1, 8)), 2 ** draw(st.integers(0, 2)))
-    limit = v + step if upward else v - step
+def _between_input(draw, irrational: bool):
+    """(Q, w, i, j, ends): Q a product of distinct linear factors and, when
+    `irrational`, of factors x^2 - k with k no square, so that its roots
+    i < j are rational (isolated exactly or not) or irrational neighbours;
+    `ends` holds the two roots, irrational ones by a rational within 2^-40.
+    w has roots planted at the two roots, next to them and between them,
+    and maybe a factor with no real root."""
+    Q = Poly([draw(st.sampled_from([Fraction(-2), Fraction(1, 3), Fraction(1)]))])
+    roots = []
+    for a in draw(st.lists(
+            st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 2, 3, 4, 7])),
+            min_size=0 if irrational else 2, max_size=4, unique=True)):
+        q = Poly([-a, 1])
+        Q, roots = Q * q, roots + [(a, q)]
+    if irrational:
+        for k in draw(st.lists(st.sampled_from(
+                [Fraction(2), Fraction(3), Fraction(7), Fraction(5, 4), Fraction(10, 9)]),
+                min_size=1, max_size=2, unique=True)):
+            q = Poly([-k, 0, 1])
+            Q, roots = Q * q, roots + [(_sqrt_near(k), q), (-_sqrt_near(k), q)]
+    roots.sort(key=lambda t: t[0])
+    assume(len(roots) >= 2)
+    i = draw(st.integers(0, len(roots) - 2))
+    j = draw(st.integers(i + 1, len(roots) - 1))
+    (a, qa), (b, qb) = roots[i], roots[j]
     w = Poly([draw(st.sampled_from([Fraction(-3), Fraction(1, 2), Fraction(2)]))])
-    w = w * Poly([-v, 1]) ** draw(st.integers(0, 3))
-    for _ in range(draw(st.integers(0, 3))):
-        t = Fraction(draw(st.integers(0, 8)), 8)
-        r = v + (limit - v) * t
+    for q in (qa, qb):
+        w = w * q ** draw(st.integers(0, 2))
+    for c in (a, b):
         if draw(st.booleans()):
-            r = v + (limit - v) / 2 ** draw(st.integers(1, 10))
-        w = w * Poly([-r, 1]) ** draw(st.integers(1, 2))
+            w = w * Poly([-c - Fraction(draw(st.sampled_from([-1, 1])),
+                                       2 ** draw(st.integers(1, 12))), 1])
+    for _ in range(draw(st.integers(0, 3))):
+        w = w * Poly([-(a + (b - a) * Fraction(draw(st.integers(1, 7)), 8)), 1])
     if draw(st.booleans()):
         w = w * Poly([draw(st.integers(1, 5)), _dyadic(draw, 4, 1), 1])
-    return v, w, limit, upward
+    return Q, w, i, j, (a, b)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(_clear_input())
-def test_clear_on_an_exact_root_matches_deflation(case):
-    v, w, limit, upward = case
-    root = RealRoot(poly=Poly([-v, 1]), lo=v, hi=v)
-    want = ref_clear_exact(root, w, limit, upward)
-    got = root.clear_above(w, limit) if upward else root.clear_below(w, limit)
-    assert got == want
-    assert root.is_exact() and root.value == v
+@given(_between_input(irrational=False))
+def test_count_strictly_between_rational_roots_matches_deflation(case):
+    Q, w, i, j, (a, b) = case
+    roots = isolate_real_roots(Q)
+    r1, r2 = roots[i], roots[j]
+    assert lienard._count_strictly_between(w, r1, r2) == ref_count_open(w, a, b)
+    # both brackets still hold their roots, and only touch when w is a
+    # constant, which leaves them as they were
+    for r, c in ((r1, a), (r2, b)):
+        assert r.lo <= c <= r.hi
+    assert r1.hi <= r2.lo
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_between_input(irrational=True))
+def test_count_strictly_between_matches_sympy(case):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    Q, w, i, j, _ = case
+
+    def sym(p):
+        return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                           for c in reversed(p.coeffs)], x)
+
+    lo, hi = sympy.CRootOf(sym(Q), i), sympy.CRootOf(sym(Q), j)
+    want = len({z for z in sympy.real_roots(sym(w)) if lo < z < hi})
+    roots = isolate_real_roots(Q)
+    r1, r2 = roots[i], roots[j]
+    assert lienard._count_strictly_between(w, r1, r2) == want
+
+
+def test_count_strictly_between_when_a_refinement_step_lands_on_the_root():
+    # the roots of x + 1/7 and x + 3/7 lie in the bracket (-2/3, 0) of
+    # -1/3, so clearing it bisects at -1/3 itself, and the root turns exact
+    one = RealRoot(poly=P(-1, 1), lo=Fraction(1), hi=Fraction(1))
+    r = _third_root()
+    assert lienard._count_strictly_between(P(Fraction(1, 7), 1), r, one) == 1
+    assert r.is_exact() and r.value == Fraction(-1, 3)
+    minus_one = RealRoot(poly=P(1, 1), lo=Fraction(-1), hi=Fraction(-1))
+    r = _third_root()
+    assert lienard._count_strictly_between(P(Fraction(3, 7), 1), minus_one, r) == 1
+    assert r.is_exact() and r.value == Fraction(-1, 3)
+    # where w vanishes at the root too, refinement avoids -1/3 and clears
+    # the bracket down to (-4/9, -2/9), around the root only
+    w = P(Fraction(1, 3), 1) * P(Fraction(1, 7), 1) * P(Fraction(-1, 2), 1)
+    r = _third_root()
+    assert lienard._count_strictly_between(w, r, one) == 2
+    assert (r.lo, r.hi) == (Fraction(-4, 9), Fraction(-2, 9))
