@@ -358,6 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s-cap", type=int, default=families.DEFAULT_S_CAP)
     p.set_defaults(func=_cmd_suite)
 
+    for p in sub.choices.values():
+        p.add_argument("--out", help="write the report to a file instead of stdout")
     return top
 
 
@@ -406,10 +408,7 @@ def _emit(args, text: str) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    for sp in parser._subparsers._group_actions[0].choices.values():  # type: ignore[attr-defined]
-        sp.add_argument("--out", help="write the report to a file instead of stdout")
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         result = args.func(args)
     except DomainFailure as exc:

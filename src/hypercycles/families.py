@@ -11,7 +11,7 @@ Three regimes:
   are not free: we prescribe the z_i and solve linear conditions for M
   (criticality K(z_i) = 0 plus value alignment M(z_i) = +-rho M(z_t), made
   rational by square-ratio seed families), then verify the full root ladder
-  exactly.  t = 0 keeps the plain halving search on c.
+  exactly.  At t = 0 the nodes are fixed and the seeds pair x0 with c.
 * the band floor((4m+2)/3)+1 <= n <= 2m-1 ("case ii"): polynomial
   perturbations c(x) built by the two inductive lemmas below, then either a
   direct assembly or a reduction to (m-1, n-2) followed by `lift`.
@@ -20,10 +20,11 @@ Three regimes:
 to (m+1, n+2) while preserving certified cycles for large s.
 
 Every search walks its schedule through one `_first` loop: the fixed
-`_geometric` ones (doubling s, halving eps and c) and the case (i) seeds,
-cut at the pattern's `max_seeds`; lemmas 7 and 8 share one
-inductive routine, `_perturb_ladder`, whose inductive levels pick d and b
-as the simplest rationals in the middle thirds of exact windows between
+`_geometric` ones (doubling s, also in `lift`, and halving eps) and the
+case (i) seeds, (x0, c) pairs at t = 0, cut at the pattern's `max_seeds`;
+every construction attempt certifies through `_try_certify`; lemmas 7 and 8
+share one inductive routine, `_perturb_ladder`, whose inductive levels pick d
+and b as the simplest rationals in the middle thirds of exact windows between
 bracketed critical values (`_pick_window`), with no float anywhere.
 """
 
@@ -177,7 +178,7 @@ def lift(
     s_cap: int = DEFAULT_S_CAP,
 ) -> ConstructionResult:
     """P -> P*(x-s), Q -> Q*(x-s)^2 with s above every root of Q, doubling
-    until the lifted curve certifies at least as many cycles as `base`."""
+    until the lifted curve certifies exactly as many cycles as `base`."""
     curve = base.curve
     t = base.certified_count
     if t < 1:
@@ -185,22 +186,9 @@ def lift(
     lifted_type = (base.system.m + 1, base.system.n + 2)
 
     def attempt(s):
-        lifted = HyperellipticCurve(
-            P=curve.P * _linear(s),
-            Q=curve.Q * _linear(s) ** 2,
-        )
-        try:
-            report = certify(lifted)
-        except NonPolynomialSystem:
-            return None
-        if report.certified_count < t or (report.system.m, report.system.n) != lifted_type:
-            return None
-        return ConstructionResult(
-            curve=lifted,
-            system=report.system,
-            report=report,
-            parameters={"s": s, "base_type": base.system.type},
-        )
+        return _try_certify(curve.P * _linear(s), curve.Q * _linear(s) ** 2,
+                            lifted_type, t,
+                            parameters={"s": s, "base_type": base.system.type})
 
     start = Fraction(_next_integer_above_roots(curve.Q))
     result = _first(_geometric(start, 2, cap=s_cap), attempt)
@@ -543,6 +531,12 @@ def construct_case_i(
     n: int,
     pattern: Optional[CaseIPattern] = None,
 ) -> ConstructionResult:
+    """P1 = L*M^2 + c with t = (4m - 3n + 3)/2 (n odd) or (4m - 3n + 2)/2
+    (n even) prescribed double roots.  At t = 0 the seeds are (x0, c) pairs,
+    c halving from 1, over a fixed M with equally spaced roots in (0, 1); at
+    t >= 1 they are node tuples, x0, signs and pin fractions for
+    `_case_i_attempt`.  Either walk is one `_first` loop cut at
+    `pattern.max_seeds`."""
     band_hi = (4 * m + 2) // 3
     if not m + 2 <= n <= band_hi:
         raise ValueError(f"({m},{n}) outside the case-(i) band")
@@ -551,49 +545,47 @@ def construct_case_i(
     t2 = 4 * m - 3 * n + (3 if odd else 2)
     if t2 % 2 or t2 < 0:
         raise PatternNotAchieved(f"no valid double-root count t for ({m},{n})")
-    return _case_i_solve(m, n, t2 // 2, odd=odd, pattern=pattern)
-
-
-def _case_i_solve(m, n, t, odd, pattern) -> ConstructionResult:
+    t = t2 // 2
     target = n - m - 1
     deg_m = t + (n - m - 2 if odd else n - m - 1)
+    x0s = pattern.x0_candidates if odd else (None,)
     if t == 0:
-        return _case_i_t0(m, n, odd, deg_m, pattern, target)
-    slack = deg_m - (2 * t - 1)
-    if slack < 0:
-        raise PatternNotAchieved(
-            f"case-(i) cell ({m},{n}) needs {2*t-1} alignment conditions but only "
-            f"{deg_m} free node coefficients; no rational seed family is implemented"
+        nodes = [Fraction(i, deg_m + 1) for i in range(1, deg_m + 1)]
+        M = Poly.from_roots(nodes)
+        seeds = itertools.product(
+            x0s, _geometric(Fraction(1), Fraction(1, 2), steps=pattern.halving_steps))
+
+        def attempt(seed):
+            x0, c = seed
+            L = _linear(x0) * _linear(1) if odd else _linear(1)
+            result = _case_i_assemble(m, n, L, M, ONE, c, target)
+            if result is not None:
+                result.parameters.update(
+                    {"c": c, "x0": x0, "nodes": [str(v) for v in nodes], "t": 0})
+            return result
+    else:
+        slack = deg_m - (2 * t - 1)
+        if slack < 0:
+            raise PatternNotAchieved(
+                f"case-(i) cell ({m},{n}) needs {2*t-1} alignment conditions but only "
+                f"{deg_m} free node coefficients; no rational seed family is implemented"
+            )
+        seeds = itertools.product(
+            combinations(pattern.odd_nodes if odd else pattern.even_nodes, t),
+            x0s,
+            pattern.signs,
+            pattern.pin_fractions if slack > 0 else (Fraction(1),),
         )
-    nodes = pattern.odd_nodes if odd else pattern.even_nodes
-    seeds = itertools.product(
-        combinations(nodes, t),
-        pattern.x0_candidates if odd else (None,),
-        pattern.signs,
-        pattern.pin_fractions if slack > 0 else (Fraction(1),),
-    )
-    result = _first(
-        itertools.islice(seeds, max(pattern.max_seeds, 0)),
-        lambda seed: _case_i_attempt(m, n, t, odd, deg_m, slack, *seed, target))
+
+        def attempt(seed):
+            return _case_i_attempt(m, n, t, odd, deg_m, slack, *seed, target)
+
+    result = _first(itertools.islice(seeds, max(pattern.max_seeds, 0)), attempt)
     if result is not None:
         return result
     if next(seeds, None) is not None:
         raise PatternNotAchieved(f"case-(i) seed budget exhausted for ({m},{n})")
     raise PatternNotAchieved(f"case-(i) seed search failed for ({m},{n})")
-
-
-def _case_i_t0(m, n, odd, deg_m, pattern, target) -> ConstructionResult:
-    # free nodes: M's roots, equally spaced inside (0, 1)
-    nodes = [Fraction(i, deg_m + 1) for i in range(1, deg_m + 1)]
-    M = Poly.from_roots(nodes)
-    for x0 in (pattern.x0_candidates if odd else (None,)):
-        L = _linear(x0) * _linear(1) if odd else _linear(1)
-        result = _case_i_search_c(m, n, L, M, target, pattern.halving_steps)
-        if result is not None:
-            result.parameters.update(
-                {"x0": x0, "nodes": [str(v) for v in nodes], "t": 0})
-            return result
-    raise PatternNotAchieved(f"case-(i) t=0 search failed for ({m},{n})")
 
 
 def _case_i_attempt(m, n, t, odd, deg_m, slack, ws, x0, sign, pin_frac, target):
@@ -683,19 +675,6 @@ def _solve_linear(rows, rhs) -> Optional[list[Fraction]]:
     if pivots != list(range(n)):
         return None
     return [row[n] for row in a]
-
-
-def _case_i_search_c(m, n, L, M, target, halving: int):
-    """t = 0: the perturbation constant only needs to be small; halve until
-    the assembled curve certifies."""
-
-    def attempt(c):
-        cand = _case_i_assemble(m, n, L, M, ONE, c, target)
-        if cand is not None:
-            cand.parameters["c"] = c
-        return cand
-
-    return _first(_geometric(Fraction(1), Fraction(1, 2), steps=halving), attempt)
 
 
 def _case_i_assemble(m, n, L, M, W, c, target):

@@ -15,16 +15,20 @@ from typing import Optional, Sequence
 from .lienard import HyperellipticCurve, LienardSystem
 
 
+# RK4 steps at most per trajectory, x samples per curve branch, and the
+# SVG width and height in pixels
+_STEPS = 2000
+_SAMPLES = 600
+_SIZE = (480, 480)
+
+
 @dataclass
 class PortraitSpec:
     system: LienardSystem
     curve: Optional[HyperellipticCurve] = None
     window: tuple = (Fraction(-3), Fraction(-3), Fraction(3), Fraction(3))
     step: float = 0.01
-    steps: int = 2000
     seeds: Sequence[tuple] = field(default_factory=list)
-    samples: int = 600
-    size: tuple = (480, 480)
 
     def __post_init__(self):
         x0, y0, x1, y1 = self.window
@@ -41,7 +45,7 @@ def _fmt(v: float) -> str:
 class _Mapper:
     def __init__(self, spec: PortraitSpec):
         self.x0, self.y0, self.x1, self.y1 = (float(v) for v in spec.window)
-        self.w, self.h = spec.size
+        self.w, self.h = _SIZE
 
     def to_svg(self, x: float, y: float) -> tuple[float, float]:
         sx = (x - self.x0) / (self.x1 - self.x0) * self.w
@@ -76,7 +80,7 @@ def _curve_branches(spec: PortraitSpec, mapper: _Mapper) -> list[str]:
     Pf = [float(c) for c in curve.P.coeffs]
     Qf = [float(c) for c in curve.Q.coeffs]
 
-    n = spec.samples
+    n = _SAMPLES
     xs = [mapper.x0 + (mapper.x1 - mapper.x0) * i / (n - 1) for i in range(n)]
     paths = []
     for sign in (1.0, -1.0):
@@ -105,7 +109,7 @@ def _trajectory(spec: PortraitSpec, mapper: _Mapper, seed) -> Optional[str]:
     h = spec.step
     x, y = float(seed[0]), float(seed[1])
     pts = []
-    for _ in range(spec.steps):
+    for _ in range(_STEPS):
         if not mapper.inside(x, y):
             break
         pts.append(mapper.to_svg(x, y))
@@ -122,7 +126,7 @@ def _trajectory(spec: PortraitSpec, mapper: _Mapper, seed) -> Optional[str]:
 
 def render_portrait(spec: PortraitSpec) -> str:
     mapper = _Mapper(spec)
-    w, h = spec.size
+    w, h = _SIZE
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
         f'viewBox="0 0 {w} {h}">',

@@ -1,7 +1,9 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
+from hypercycles import families
 from hypercycles.families import (
     CaseIPattern,
     _critical_values,
@@ -18,7 +20,7 @@ from hypercycles.families import (
     perturb_lemma7,
     perturb_lemma8,
 )
-from hypercycles.lienard import bounds, invariance_check
+from hypercycles.lienard import bounds, certify, invariance_check
 from hypercycles.polyx import Poly, X, parse_poly
 from hypercycles.rootclass import isolate_real_roots, sign_on_interval
 
@@ -152,6 +154,16 @@ def test_case_i_seed_budget_cuts_the_search():
     assert res.parameters["sign"] == -1
 
 
+def test_case_i_t0_walk_keeps_the_seed_budget():
+    # (4,6) has t = 0: its seeds are (x0, c) pairs (x0 = None, n even),
+    # and the default walk certifies at the seventh, c = 1/64
+    with pytest.raises(PatternNotAchieved, match="seed budget exhausted"):
+        construct_case_i(4, 6, pattern=CaseIPattern(max_seeds=1))
+    res = construct_case_i(4, 6, pattern=CaseIPattern(max_seeds=7))
+    assert res.parameters == construct_case_i(4, 6).parameters
+    assert res.parameters["c"] == Fraction(1, 64) and res.parameters["t"] == 0
+
+
 def test_solve_linear_square_systems():
     F = Fraction
     assert _solve_linear([[F(2), F(1)], [F(1), F(3)]], [F(3), F(5)]) == [F(4, 5), F(7, 5)]
@@ -193,6 +205,26 @@ def test_lift_preserves_cycles():
     again = lift(lifted.report)
     assert again.system.type == (4, 9)
     assert again.report.certified_count >= 1
+
+
+def test_lift_skips_an_s_that_certifies_too_many(monkeypatch):
+    # the first lifted curve reports one cycle more than the base: lift
+    # needs exactly the base count, so it doubles s and takes the next one
+    base = construct_high_n(2, 5)
+    calls = []
+
+    def inflated(curve):
+        report = certify(curve)
+        calls.append(curve)
+        if len(calls) == 1:
+            report = dataclasses.replace(report, certified_count=report.certified_count + 1)
+        return report
+
+    monkeypatch.setattr(families, "certify", inflated)
+    lifted = lift(base.report)
+    assert len(calls) == 2
+    assert lifted.parameters["s"] == 6
+    assert lifted.report.certified_count == base.report.certified_count == 1
 
 
 def test_lift_degree_contract():
