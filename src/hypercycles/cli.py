@@ -180,6 +180,20 @@ def _cmd_reconstruct(args) -> dict:
     }
 
 
+def _pattern_int(value) -> int:
+    """A JSON integer, or a string of one: `int` alone would truncate a
+    float and read a boolean as 0 or 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise TypeError(f"expected an integer, got {json.dumps(value)}")
+    return int(value)
+
+
+def _pattern_sign(value) -> int:
+    if _pattern_int(value) not in (-1, 1):
+        raise ValueError(f"a sign must be -1 or 1, got {json.dumps(value)}")
+    return int(value)
+
+
 def _load_pattern(path: str) -> "families.CaseIPattern":
     """The --pattern file as a `CaseIPattern`; any fault in the file is a
     usage error (exit 1), never a traceback."""
@@ -203,11 +217,11 @@ def _load_pattern(path: str) -> "families.CaseIPattern":
     for key, value in doc.items():
         try:
             if key in ("halving_steps", "max_seeds"):
-                kwargs[key] = int(value)
+                kwargs[key] = _pattern_int(value)
             elif not isinstance(value, list):
                 raise TypeError(f"expected a list, got {json.dumps(value)}")
             else:
-                convert = int if key == "signs" else Fraction
+                convert = _pattern_sign if key == "signs" else Fraction
                 kwargs[key] = tuple(convert(v) for v in value)
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise usage(f"bad value for {key!r}: {type(exc).__name__}: {exc}") from None

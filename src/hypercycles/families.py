@@ -10,7 +10,8 @@ Three regimes:
   No generic rational c can create a double root, so for t >= 1 the nodes
   are not free: we prescribe the z_i and solve linear conditions for M
   (criticality K(z_i) = 0 plus value alignment M(z_i) = +-rho M(z_t), made
-  rational by square-ratio seed families), then verify the full root ladder
+  rational by square-ratio seed families; each row is the condition's value
+  on the basis polynomials Mpin*x^j), then verify the full root ladder
   exactly.  At t = 0 the nodes are fixed and the seeds pair x0 with c.
 * the band floor((4m+2)/3)+1 <= n <= 2m-1 ("case ii"): polynomial
   perturbations c(x) built by the two inductive lemmas below, then either a
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -46,6 +48,7 @@ from .lienard import (
 )
 from .polyx import ONE, Poly, X, poly_gcd, rref
 from .rootclass import (
+    SturmChain,
     all_roots_real_simple,
     isolate_real_roots,
     sign_on_interval,
@@ -222,8 +225,7 @@ class _Bracket:
     def __init__(self, p: Poly, dp: Poly, root):
         self.p, self.dp, self.root = p, dp, root
         R = max(abs(root.lo), abs(root.hi))
-        self.m2 = sum(k * (k - 1) * abs(a) * R ** (k - 2)
-                      for k, a in enumerate(p.coeffs) if k >= 2)
+        self.m2 = Poly([abs(a) for a in dp.derivative().coeffs]).eval(R)
         self._update()
 
     def _update(self):
@@ -285,15 +287,14 @@ def _positive_on(c: Poly, interval) -> bool:
 
 
 def _roots_fit_slots(p: Poly, slots) -> bool:
-    """p has only real simple roots, one per slot in sorted order; slots are
-    open rational bounds (lo, hi), so a root landing exactly on a bound
-    fails its slot."""
-    if not all_roots_real_simple(p):
+    """p has only real simple roots, one per slot: a slot (lo, hi) listed k
+    times holds k roots strictly inside, counted on p's Sturm chain.  The
+    distinct slots must be disjoint, as `_ladder_slots` builds them."""
+    if p.degree != len(slots) or not all_roots_real_simple(p):
         return False
-    roots = isolate_real_roots(p)
-    return len(roots) == len(slots) and all(
-        r.sign_of(_linear(lo)) > 0 > r.sign_of(_linear(hi))
-        for r, (lo, hi) in zip(roots, slots))
+    chain = SturmChain(p)
+    return all(chain.sign(lo) != 0 != chain.sign(hi) and chain.count_open(lo, hi) == k
+               for (lo, hi), k in Counter(slots).items())
 
 
 def _ladder_slots(below: int, above: int, l: int, s1, s2) -> list:
@@ -631,50 +632,28 @@ def _solve_alignment(L, Mpin, zs, sign, free) -> Optional[Poly]:
     and M(z_i) = sign*rho_i*M(z_t) with rho_i = sqrt(L(z_t)/L(z_i))
     (so the critical values of L*M^2 at the z_i all coincide).
 
-    The seed families make every rho_i rational, so this is one rational
-    linear solve.  Returns None on a singular system or irrational rho."""
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
+    Both are linear in M: a row holds the condition's values on the basis
+    Mpin*x^j, the last (the monic top) moved to the right, and the seed
+    families make every rho_i rational, so the t + (t-1) = free rows are one
+    rational `rref`.  None on a singular or inconsistent system or an
+    irrational rho."""
+    basis = [Mpin.shift_up(j) for j in range(free + 1)]
+    derivs = [B.derivative() for B in basis]
     Lp = L.derivative()
-    Mp = Mpin
-    Mpd = Mpin.derivative()
-
-    def m_of(z, j):
-        # value of d/dc_j [M](z) for Mfree coefficient c_j of x^j
-        return Mp.eval(z) * z**j
-
-    def dm_of(z, j):
-        v = Mpd.eval(z) * z**j
-        if j >= 1:
-            v += Mp.eval(z) * j * z ** (j - 1)
-        return v
-
+    rows = []
     for z in zs:  # K(z) = 0
         a, b = Lp.eval(z), 2 * L.eval(z)
-        rows.append([a * m_of(z, j) + b * dm_of(z, j) for j in range(free)])
-        rhs.append(-(a * m_of(z, free) + b * dm_of(z, free)))
+        rows.append([a * B.eval(z) + b * dB.eval(z) for B, dB in zip(basis, derivs)])
     z_t = zs[-1]
     for z in zs[:-1]:  # value alignment
         rho = _sqrt_fraction(L.eval(z_t) / L.eval(z))
         if rho is None:
             return None
-        rows.append([m_of(z, j) - sign * rho * m_of(z_t, j) for j in range(free)])
-        rhs.append(-(m_of(z, free) - sign * rho * m_of(z_t, free)))
-    coeffs = _solve_linear(rows, rhs)
-    if coeffs is None:
+        rows.append([B.eval(z) - sign * rho * B.eval(z_t) for B in basis])
+    a, pivots = rref([row[:-1] + [-row[-1]] for row in rows])
+    if pivots != list(range(free)):
         return None
-    return Poly(coeffs + [Fraction(1)])
-
-
-def _solve_linear(rows, rhs) -> Optional[list[Fraction]]:
-    """The unique solution of the square system rows * c = rhs, or None."""
-    n = len(rhs)
-    if any(len(r) != n for r in rows):
-        return None
-    a, pivots = rref([list(r) + [b] for r, b in zip(rows, rhs)])
-    if pivots != list(range(n)):
-        return None
-    return [row[n] for row in a]
+    return Poly([row[free] for row in a] + [Fraction(1)])
 
 
 def _case_i_assemble(m, n, L, M, W, c, target):

@@ -17,8 +17,10 @@ integer coefficient lists (`int_coeffs`): a remainder scaled by |lc(b)| only
 (Gauss's lemma, `int_exact_div`, which `Poly.exact_div` also runs on), and
 the primitive PRS gcd built from them.  Each
 converts back to a `Poly` once, at the end; the monic results are the unique
-ones, so they are the same as Euclid over Q would give.  `Poly.divrem` stays
-over `Fraction` for callers that need a rational remainder.
+ones, so they are the same as Euclid over Q would give.  `Poly.divrem`,
+`Poly.content` and `Poly.primitive` stay over `Fraction`: the integer-kernel
+tests use them as the rational reference, and the bench trace
+(`perfbench/tracing.py`) wraps `divrem`.
 
 `rref` is the one Gauss-Jordan elimination over Q (the case (i) node
 solve and the affine blocks of curve recovery both use it), and
@@ -39,8 +41,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd as int_gcd, lcm
 from typing import Iterable, Sequence, Union
-
-Rational = Fraction
 
 RationalLike = Union[Fraction, int, str]
 
@@ -216,16 +216,6 @@ class Poly:
             acc = acc * p + c * qpow
         return Fraction(acc, den * qpow)
 
-    def shift(self, a: RationalLike) -> "Poly":
-        """Taylor shift: returns p(x + a).  Horner form, O(n^2)."""
-        a = rat(a)
-        if a == 0 or not self.coeffs:
-            return self
-        acc = Poly()
-        for c in reversed(self.coeffs):
-            acc = acc * Poly([a, 1]) + Poly([c])
-        return acc
-
     # -- division -------------------------------------------------------
 
     def divrem(self, other: "Poly") -> tuple["Poly", "Poly"]:
@@ -246,12 +236,6 @@ class Poly:
                 for i, b in enumerate(dco):
                     rem[k + i] -= q * b
         return Poly(quot), Poly(rem)
-
-    def divides(self, other: "Poly") -> bool:
-        """True if self divides other exactly."""
-        if self.is_zero():
-            return other.is_zero()
-        return other.divrem(self)[1].is_zero()
 
     def exact_div(self, other: "Poly") -> "Poly":
         """self / other, which must be a polynomial (ValueError otherwise).
@@ -488,10 +472,6 @@ class BivarPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("BivarPoly is immutable")
-
-    @property
-    def ydegree(self) -> int:
-        return len(self.ycoeffs) - 1
 
     def is_zero(self) -> bool:
         return not self.ycoeffs

@@ -258,13 +258,20 @@ def test_load_pattern_keeps_pin_fractions(tmp_path):
         (json.dumps([1, 2]), "JSON object"),
         (json.dumps({"max_seed": 1}), "unknown keys ['max_seed']"),
         (json.dumps({"max_seeds": "many"}), "bad value for 'max_seeds': ValueError"),
+        (json.dumps({"max_seeds": 2.9}), "bad value for 'max_seeds': TypeError"),
+        (json.dumps({"max_seeds": True}), "bad value for 'max_seeds': TypeError"),
+        (json.dumps({"halving_steps": 40.0}), "bad value for 'halving_steps': TypeError"),
+        (json.dumps({"signs": [0.5, 1]}), "bad value for 'signs': TypeError"),
+        (json.dumps({"signs": [0, 1]}), "bad value for 'signs': ValueError: a sign must be"),
+        (json.dumps({"signs": [-1, False]}), "bad value for 'signs': TypeError"),
         (json.dumps({"signs": 5}), "bad value for 'signs': TypeError"),
         (json.dumps({"odd_nodes": ["1/0"]}), "bad value for 'odd_nodes': ZeroDivisionError"),
         ("{not json", "not valid JSON"),
         (None, "No such file or directory"),
     ],
-    ids=["not_an_object", "misspelled_key", "non_integer", "not_a_list",
-         "zero_denominator", "not_json", "missing_file"],
+    ids=["not_an_object", "misspelled_key", "non_integer", "float_integer",
+         "boolean_integer", "float_steps", "float_sign", "zero_sign", "boolean_sign",
+         "not_a_list", "zero_denominator", "not_json", "missing_file"],
 )
 def test_construct_rejects_bad_pattern_file(tmp_path, text, complaint):
     path = tmp_path / "pattern.json"

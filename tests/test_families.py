@@ -1,4 +1,6 @@
 import dataclasses
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -7,8 +9,10 @@ from hypercycles import families
 from hypercycles.families import (
     CaseIPattern,
     _critical_values,
+    _ladder_slots,
     _pick_window,
-    _solve_linear,
+    _roots_fit_slots,
+    _solve_alignment,
     PatternNotAchieved,
     SearchExhausted,
     construct,
@@ -21,8 +25,13 @@ from hypercycles.families import (
     perturb_lemma8,
 )
 from hypercycles.lienard import bounds, certify, invariance_check
-from hypercycles.polyx import Poly, X, parse_poly
-from hypercycles.rootclass import isolate_real_roots, sign_on_interval
+from hypercycles.polyx import Poly, X, parse_poly, rref
+from hypercycles.rootclass import (
+    SturmChain,
+    all_roots_real_simple,
+    isolate_real_roots,
+    sign_on_interval,
+)
 
 
 def _certified_pairs(report):
@@ -164,13 +173,161 @@ def test_case_i_t0_walk_keeps_the_seed_budget():
     assert res.parameters["c"] == Fraction(1, 64) and res.parameters["t"] == 0
 
 
-def test_solve_linear_square_systems():
-    F = Fraction
-    assert _solve_linear([[F(2), F(1)], [F(1), F(3)]], [F(3), F(5)]) == [F(4, 5), F(7, 5)]
-    assert _solve_linear([[F(1), F(2)], [F(2), F(4)]], [F(3), F(6)]) is None  # singular
-    assert _solve_linear([[F(1), F(2)], [F(2), F(4)]], [F(3), F(7)]) is None  # inconsistent
-    assert _solve_linear([[F(1), F(2)]], [F(3)]) is None  # not square
-    assert _solve_linear([], []) == []
+def _alignment_by_product_rule(L, Mpin, zs, sign, free):
+    """Reference for `_solve_alignment`: the entry of coefficient c_j of
+    x^j in Mfree is d/dc_j of the condition, with M = Mpin*Mfree and M'
+    differentiated by the product rule; the top coefficient is 1."""
+    Lp, Mpd = L.derivative(), Mpin.derivative()
+
+    def m_of(z, j):
+        return Mpin.eval(z) * z**j
+
+    def dm_of(z, j):
+        v = Mpd.eval(z) * z**j
+        if j >= 1:
+            v += Mpin.eval(z) * j * z ** (j - 1)
+        return v
+
+    rows = []
+    for z in zs:
+        a, b = Lp.eval(z), 2 * L.eval(z)
+        rows.append([a * m_of(z, j) + b * dm_of(z, j) for j in range(free)]
+                    + [-(a * m_of(z, free) + b * dm_of(z, free))])
+    for z in zs[:-1]:
+        rho = families._sqrt_fraction(L.eval(zs[-1]) / L.eval(z))
+        if rho is None:
+            return None
+        rows.append([m_of(z, j) - sign * rho * m_of(zs[-1], j) for j in range(free)]
+                    + [-(m_of(z, free) - sign * rho * m_of(zs[-1], free))])
+    reduced, pivots = rref(rows)
+    if pivots != list(range(free)):
+        return None
+    return Poly([row[free] for row in reduced] + [1])
+
+
+def test_solve_alignment_rejects_a_singular_system():
+    # L = x^2 - 1, z = 0: K(0) = 2 L(0) M'(0) = 0 asks for M'(0) = 0, which
+    # no monic M = x + c0 meets
+    L = parse_poly("x^2 - 1")
+    assert _solve_alignment(L, Poly([1]), [Fraction(0)], 1, 1) is None
+
+
+def test_solve_alignment_rejects_an_irrational_rho():
+    # L(z_2)/L(z_1) = (-1)/(-2) = 1/2 is not a rational square
+    L = parse_poly("x - 1")
+    assert _solve_alignment(L, Poly([1]), [Fraction(-1), Fraction(0)], 1, 3) is None
+
+
+@pytest.mark.parametrize("mn", [(10, 13), (11, 14)])
+def test_solve_alignment_matches_the_product_rule(monkeypatch, mn):
+    # every seed of the cell's walk, with the assembly stubbed out so that
+    # the walk tries them all; (11,14) pins one node (Mpin of degree 1)
+    calls = []
+
+    def recording(*args):
+        calls.append((args, _solve_alignment(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(families, "_solve_alignment", recording)
+    monkeypatch.setattr(families, "_case_i_assemble", lambda *args: None)
+    with pytest.raises(PatternNotAchieved):
+        construct_case_i(*mn, pattern=CaseIPattern(max_seeds=60))
+    assert len(calls) >= 40
+    assert any(Mfree is not None for _, Mfree in calls)
+    assert any(args[1].degree >= 1 for args, _ in calls) == (mn == (11, 14))
+    for args, Mfree in calls:
+        assert Mfree == _alignment_by_product_rule(*args)
+
+
+def _fit_by_isolation(p, slots):
+    """Reference for `_roots_fit_slots`: isolate p's roots and compare
+    each, in order, with its slot's bounds."""
+    if not all_roots_real_simple(p):
+        return False
+    roots = isolate_real_roots(p)
+    return len(roots) == len(slots) and all(
+        r.sign_of(Poly([-lo, 1])) > 0 > r.sign_of(Poly([-hi, 1]))
+        for r, (lo, hi) in zip(roots, slots))
+
+
+def _planted_ladder(rng, plant):
+    """Slots from `_ladder_slots` (lemma 7 or lemma 8 shape) and a
+    polynomial with one root inside each, then changed by `plant`: the
+    rejecting gate the change must reach, or None when it keeps the fit."""
+    l = rng.randint(0, 2)
+    s2 = l + 1 + Fraction(rng.randint(1, 12), rng.randint(1, 4))
+    if rng.random() < 0.5:
+        slots = _ladder_slots(0, 2 * rng.randint(0, 2) + 2, l, 0, s2)
+    else:
+        s1 = -1 - Fraction(rng.randint(1, 12), rng.randint(1, 4))
+        slots = _ladder_slots(2, 2 * rng.randint(1, 2), l, s1, s2)
+    roots = []
+    for (lo, hi), k in Counter(slots).items():
+        roots += [lo + (hi - lo) * Fraction(j, 100) for j in rng.sample(range(1, 100), k)]
+    i, j = rng.sample(range(len(roots)), 2)
+    extra = Poly([1])
+    if plant == "bound":  # exactly on a bound of its slot: 0, 1, s1 or s2
+        roots[i] = rng.choice(slots[i])
+    elif plant == "count":  # outside every slot
+        roots[i] = rng.choice([slots[0][0] - Fraction(rng.randint(1, 8), 4),
+                               slots[-1][1] + Fraction(rng.randint(1, 8), 4)])
+    elif plant == "degree":
+        del roots[i]
+    elif plant == "real" and rng.random() < 0.5:  # a double root ...
+        roots[i] = roots[j]
+    elif plant == "real":  # ... or a complex pair in place of two real roots
+        extra = Poly([roots[i] ** 2 + Fraction(rng.randint(1, 9), 16), -2 * roots[i], 1])
+        roots = [r for k, r in enumerate(roots) if k not in (i, j)]
+    lead = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 5))
+    return Poly.from_roots(roots, lead) * extra, slots
+
+
+def test_roots_fit_slots_agrees_with_isolation(monkeypatch):
+    # each rejection is told apart by the gate that refused it: the spies
+    # below see a failed realness test or a slot bound that is a root, and
+    # a refusal neither saw is the degree test (p.degree != len(slots))
+    # or else a slot's root count
+    seen = []
+
+    def real_simple(p):
+        ok = all_roots_real_simple(p)
+        seen.extend([] if ok else ["real"])
+        return ok
+
+    class Chain(SturmChain):
+        def sign(self, x):
+            s = super().sign(x)
+            seen.extend(["bound"] if s == 0 else [])
+            return s
+
+    monkeypatch.setattr(families, "all_roots_real_simple", real_simple)
+    monkeypatch.setattr(families, "SturmChain", Chain)
+    rng = random.Random(20261018)
+    reached = Counter()
+    for _ in range(200):
+        plant = rng.choice([None, "bound", "count", "degree", "real"])
+        p, slots = _planted_ladder(rng, plant)
+        seen.clear()
+        fits = _roots_fit_slots(p, slots)
+        assert fits == _fit_by_isolation(p, slots) == (plant is None)
+        gate = None if fits else seen[0] if seen else (
+            "degree" if p.degree != len(slots) else "count")
+        assert gate == plant
+        reached[gate] += 1
+    assert set(reached) == {None, "bound", "count", "degree", "real"}
+
+
+def test_roots_fit_slots_needs_no_isolation(monkeypatch):
+    # a passing lemma 7 candidate: the slot counts come from p's Sturm
+    # chain, so no root of p is isolated
+    slots = _ladder_slots(0, 2, 1, 0, 3)
+    _, cand = perturb_lemma7(0, 1, 3)
+
+    def no_isolation(p):
+        raise AssertionError("isolate_real_roots called")
+
+    monkeypatch.setattr(families, "isolate_real_roots", no_isolation)
+    assert _roots_fit_slots(cand, slots)
 
 
 def test_case_ii_ii_i_path():

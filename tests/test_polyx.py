@@ -94,16 +94,6 @@ def test_eval():
     assert P(-2, 5, -4, 1).eval(3) == 4                  # hand arithmetic
 
 
-def test_shift():
-    assert P(0, 0, 1).shift(1) == P(1, 2, 1)             # (x+1)^2
-    p = P(3, -2, 1, 9)
-    assert p.shift(0) == p
-    # roots of p(x+a) are roots of p minus a
-    p = P(-1, 1) * P(-2, 1)
-    shifted = p.shift(1)
-    assert shifted.eval(0) == 0 and shifted.eval(1) == 0
-
-
 def test_parse_coefficient_list():
     assert parse_poly("[1, 0, 1]") == P(1, 0, 1)
     assert parse_poly('["1/2", "-3/4", 2]') == Poly([Fraction(1, 2), Fraction(-3, 4), 2])

@@ -49,7 +49,7 @@ def test_random_curves_derive_invariant_and_bounded():
             continue
         derived += 1
         assert invariance_check(sys, curve)
-        assert squarefree_part(curve.Q).divides(curve.P)
+        assert curve.P.divrem(squarefree_part(curve.Q))[1].is_zero()
         report = certify(curve)
         b = bounds(sys.m, sys.n)
         if b.upper is not None:
@@ -129,7 +129,6 @@ def test_invariance_residual_is_bivariate_zero_object():
             continue
         res = invariance_residual(sys, curve)
         assert res.is_zero()
-        assert res.ydegree == -1
 
 
 def test_gcd_content_primitive_contracts():
