@@ -180,12 +180,21 @@ def _cmd_reconstruct(args) -> dict:
     }
 
 
-def _pattern_int(value) -> int:
-    """A JSON integer, or a string of one: `int` alone would truncate a
-    float and read a boolean as 0 or 1."""
+def _pattern_scalar(value, expected: str):
+    """value if it is a JSON integer or string: `int` and `Fraction` alone
+    would truncate a float or take its binary value, and read a boolean as
+    0 or 1."""
     if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise TypeError(f"expected an integer, got {json.dumps(value)}")
-    return int(value)
+        raise TypeError(f"expected {expected}, got {json.dumps(value)}")
+    return value
+
+
+def _pattern_int(value) -> int:
+    return int(_pattern_scalar(value, "an integer"))
+
+
+def _pattern_rational(value) -> Fraction:
+    return Fraction(_pattern_scalar(value, 'an integer or a string such as "3/2"'))
 
 
 def _pattern_sign(value) -> int:
@@ -221,7 +230,7 @@ def _load_pattern(path: str) -> "families.CaseIPattern":
             elif not isinstance(value, list):
                 raise TypeError(f"expected a list, got {json.dumps(value)}")
             else:
-                convert = _pattern_sign if key == "signs" else Fraction
+                convert = _pattern_sign if key == "signs" else _pattern_rational
                 kwargs[key] = tuple(convert(v) for v in value)
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise usage(f"bad value for {key!r}: {type(exc).__name__}: {exc}") from None

@@ -438,7 +438,9 @@ def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form by Gauss-Jordan elimination over Q: the
     reduced rows, and the pivot column of each of the first len(pivot_columns)
-    rows.  The rows below them are zero."""
+    rows.  The rows below them are zero.  Where the pivot row holds a zero,
+    the entries of that column are left as they are instead of being
+    divided or updated by zero."""
     mat = [list(r) for r in rows]
     pivots: list[int] = []
     for col in range(len(mat[0]) if mat else 0):
@@ -448,11 +450,11 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list
             continue
         mat[top], mat[pivot] = mat[pivot], mat[top]
         pv = mat[top][col]
-        mat[top] = [v / pv for v in mat[top]]
+        mat[top] = [v / pv if v else v for v in mat[top]]
         for r in range(len(mat)):
             if r != top and mat[r][col] != 0:
                 fac = mat[r][col]
-                mat[r] = [a - fac * b for a, b in zip(mat[r], mat[top])]
+                mat[r] = [a - fac * b if b else a for a, b in zip(mat[r], mat[top])]
         pivots.append(col)
     return mat, pivots
 

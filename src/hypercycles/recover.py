@@ -15,7 +15,9 @@ the unknowns.  The two top unknowns are seeded with their closed forms, and
 a propagation solve follows: repeatedly find a coefficient equation that
 has become affine in one unknown (or a block of equations jointly affine),
 divide by its pivot, and substitute.  Each equation keeps its reduced form
-and is reduced again only when an unknown it holds has been assigned since.
+and is reduced again only when an unknown it holds has been assigned since;
+that reduction touches only the terms holding a newly assigned unknown, and
+every other term keeps its coefficient as it stands.
 The executed schedule, with every pivot, is recorded for audit.
 
 When n < 2m+1 the top of (II) forces the coefficients of x^{n+2}..x^{2m+2}
@@ -56,22 +58,28 @@ MPoly = dict[Mono, Fraction]
 
 
 def _mp_reduce(a: MPoly, assign: dict[int, Fraction]) -> MPoly:
+    """a under `assign`.  Every coefficient of a is nonzero, so a term with
+    no assigned unknown is kept as it is, coefficient object included, and
+    only added to when a reduced term lands on its monomial."""
     out: MPoly = {}
+    assigned = assign.keys()
     for mono, coeff in a.items():
-        rest: list[int] = []
-        for v in mono:
-            if v in assign:
-                coeff *= assign[v]
-            else:
-                rest.append(v)
-        if not coeff:
-            continue
-        mono2 = tuple(rest)
-        new = out.get(mono2, 0) + coeff
-        if new:
-            out[mono2] = new
-        else:
-            del out[mono2]
+        if not assigned.isdisjoint(mono):
+            rest = []
+            for v in mono:
+                if v in assign:
+                    coeff *= assign[v]
+                else:
+                    rest.append(v)
+            if not coeff:
+                continue
+            mono = tuple(rest)
+        if mono in out:
+            coeff = out[mono] + coeff
+            if not coeff:
+                del out[mono]
+                continue
+        out[mono] = coeff
     return out
 
 
@@ -130,19 +138,20 @@ def _equations(f: Poly, g: Poly, m: int, n: int, deg_q: int) -> list[_Equation]:
     out."""
     q0 = m + 2
     top_p = m + 1
-    fc, gc = f.coeffs, g.coeffs
+    f2 = [2 * c for c in f.coeffs]
+    g2 = [2 * c for c in g.coeffs]
 
-    def data_terms(expr: MPoly, d: int, h: tuple) -> None:
-        # 2 Q h at x^d, for h = f or g
-        for j in range(max(0, d - len(h) + 1), min(deg_q, d) + 1):
-            if h[d - j]:
-                expr[(q0 + j,)] = 2 * h[d - j]
+    def data_terms(expr: MPoly, d: int, h2: list) -> None:
+        # 2 Q h at x^d, for h = f or g; h2 holds 2h
+        for j in range(max(0, d - len(h2) + 1), min(deg_q, d) + 1):
+            if h2[d - j]:
+                expr[(q0 + j,)] = h2[d - j]
 
     equations = []
     # (I): 2 Q f - 2 Q P' - P Q'; p_i q_j sits at x^{i+j-1} with -(2i + j)
     for d in range(deg_q + m, -1, -1):
         expr: MPoly = {}
-        data_terms(expr, d, fc)
+        data_terms(expr, d, f2)
         for i in range(max(0, d + 1 - deg_q), min(top_p, d + 1) + 1):
             j = d + 1 - i
             expr[(i, q0 + j)] = -(2 * i + j)
@@ -151,7 +160,7 @@ def _equations(f: Poly, g: Poly, m: int, n: int, deg_q: int) -> list[_Equation]:
     # (II): 2 Q g - Q' P^2 + Q' Q
     for d in range(max(deg_q + n, deg_q + 2 * m + 1, 2 * deg_q - 1), -1, -1):
         expr = {}
-        data_terms(expr, d, gc)
+        data_terms(expr, d, g2)
         # -Q' P^2: j q_j p_a p_b at x^{j-1+a+b}, ordered pairs (a, b)
         for j in range(max(1, d + 1 - 2 * top_p), min(deg_q, d + 1) + 1):
             s = d + 1 - j

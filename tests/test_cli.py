@@ -266,12 +266,19 @@ def test_load_pattern_keeps_pin_fractions(tmp_path):
         (json.dumps({"signs": [-1, False]}), "bad value for 'signs': TypeError"),
         (json.dumps({"signs": 5}), "bad value for 'signs': TypeError"),
         (json.dumps({"odd_nodes": ["1/0"]}), "bad value for 'odd_nodes': ZeroDivisionError"),
+        (json.dumps({"odd_nodes": [0.1, 1]}),
+         "bad value for 'odd_nodes': TypeError: expected an integer or a string"),
+        (json.dumps({"x0_candidates": ["1/2", True]}),
+         "bad value for 'x0_candidates': TypeError: expected an integer or a string"),
+        (json.dumps({"pin_fractions": [None]}),
+         "bad value for 'pin_fractions': TypeError: expected an integer or a string"),
         ("{not json", "not valid JSON"),
         (None, "No such file or directory"),
     ],
     ids=["not_an_object", "misspelled_key", "non_integer", "float_integer",
          "boolean_integer", "float_steps", "float_sign", "zero_sign", "boolean_sign",
-         "not_a_list", "zero_denominator", "not_json", "missing_file"],
+         "not_a_list", "zero_denominator", "float_rational", "boolean_rational",
+         "null_rational", "not_json", "missing_file"],
 )
 def test_construct_rejects_bad_pattern_file(tmp_path, text, complaint):
     path = tmp_path / "pattern.json"

@@ -212,6 +212,50 @@ def test_rref_leaves_its_input_alone():
     assert rows == before
 
 
+def _rref_every_entry(rows):
+    """Gauss-Jordan elimination that divides and updates every entry of a
+    row, zeros included: the reference `rref` must agree with."""
+    mat = [list(r) for r in rows]
+    pivots = []
+    for col in range(len(mat[0]) if mat else 0):
+        top = len(pivots)
+        pivot = next((r for r in range(top, len(mat)) if mat[r][col] != 0), None)
+        if pivot is None:
+            continue
+        mat[top], mat[pivot] = mat[pivot], mat[top]
+        pv = mat[top][col]
+        mat[top] = [v / pv for v in mat[top]]
+        for r in range(len(mat)):
+            if r != top and mat[r][col] != 0:
+                fac = mat[r][col]
+                mat[r] = [a - fac * b for a, b in zip(mat[r], mat[top])]
+        pivots.append(col)
+    return mat, pivots
+
+
+def test_rref_matches_the_elimination_that_touches_every_entry():
+    # sparse augmented systems, each with a zero column, a row dependent on
+    # two others and a row that contradicts it in the last column
+    rng = random.Random(15)
+    for _ in range(200):
+        ncols = rng.randint(3, 7)
+        rows = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < 0.4
+                 else Fraction(0) for _ in range(ncols)]
+                for _ in range(rng.randint(2, 5))]
+        zero_col = rng.randrange(ncols - 1)
+        for row in rows:
+            row[zero_col] = Fraction(0)
+        a, b = rng.sample(rows, 2)
+        s, t = Fraction(rng.randint(-3, 3), 2), Fraction(rng.randint(1, 3))
+        dependent = [s * x + t * y for x, y in zip(a, b)]
+        rows += [dependent, dependent[:-1] + [dependent[-1] + 1]]
+        rng.shuffle(rows)
+        got, want = rref(rows), _rref_every_entry(rows)
+        assert got == want
+        assert [[type(v) for v in r] for r in got[0]] == [[type(v) for v in r] for r in want[0]]
+        assert zero_col not in got[1] and ncols - 1 in got[1]
+
+
 # -- the cached integer form ---------------------------------------------------
 
 

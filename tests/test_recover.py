@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hypercycles.lienard import (
     HyperellipticCurve,
@@ -174,3 +175,76 @@ def test_derived_curve_zeroes_every_equation(curve):
     assert residuals(curve.Q) == []
     bumped = curve.Q + Poly([0, Fraction(1, 7)])
     assert residuals(bumped) != []
+
+
+def _mp_reduce_rebuild(a, assign):
+    """The reduction that rebuilds every coefficient, 0 + coeff included:
+    the reference `_mp_reduce` must agree with."""
+    out = {}
+    for mono, coeff in a.items():
+        rest = []
+        for v in mono:
+            if v in assign:
+                coeff *= assign[v]
+            else:
+                rest.append(v)
+        if not coeff:
+            continue
+        mono2 = tuple(rest)
+        new = out.get(mono2, 0) + coeff
+        if new:
+            out[mono2] = new
+        else:
+            del out[mono2]
+    return out
+
+
+def test_refresh_keeps_the_coefficients_of_untouched_terms():
+    # an assignment that touches some terms of an equation leaves every
+    # other term, its coefficient object included, as it was
+    sys = derive_system(HyperellipticCurve(
+        P=parse_poly("(x-1)(x-2)(x+5)"), Q=parse_poly("(x-1)(x-2)(x+5)^5").scale(-5)))
+    m, n = sys.m, sys.n
+    eq = next(e for e in _equations(sys.f, sys.g, m, n, _deg_q(m, n))
+              if e.family == "f-identity" and len(e.expr) >= 6)
+    before = dict(eq.expr)
+    var = max(v for mono in before for v in mono)
+    assign = {var: Fraction(3, 7)}
+    eq.refresh(assign)
+    landed = {tuple(v for v in mono if v != var) for mono in before if var in mono}
+    kept = [mono for mono in before if var not in mono and mono not in landed]
+    assert any(type(before[mono]) is Fraction for mono in kept)
+    for mono in kept:
+        assert eq.expr[mono] is before[mono]
+    assert eq.expr == _mp_reduce_rebuild(before, assign)
+
+
+# unknowns 0..5 with repeats, so monomials like p_0^2 q_4; small
+# coefficients and values, so reduced terms often meet and cancel
+_monos = st.lists(st.integers(0, 5), max_size=3).map(lambda vs: tuple(sorted(vs)))
+_mpolys = st.dictionaries(
+    _monos, st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)]), max_size=12)
+_batches = st.lists(st.dictionaries(
+    st.integers(0, 5),
+    st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-3, 2),
+                     Fraction(0)]),
+    min_size=1, max_size=3), min_size=2, max_size=3)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_mpolys, _batches)
+@example({(0,): Fraction(1, 2), (0, 1): 1, (0, 0, 2): 2, (2,): Fraction(1, 2)},
+         [{1: Fraction(-1, 2)}, {0: Fraction(-1, 2)}])
+def test_mp_reduce_matches_the_rebuild(expr, batches):
+    # each batch adds unknowns to the assignment, as the propagation solve
+    # does; the forms must agree term by term, in order and in type
+    assign = {}
+    fast = slow = expr
+    for batch in batches:
+        for v, value in batch.items():
+            assign.setdefault(v, value)
+        fast = _mp_reduce(fast, assign)
+        slow = _mp_reduce_rebuild(slow, assign)
+        assert list(fast.items()) == list(slow.items())
+        assert [type(c) for c in fast.values()] == [type(c) for c in slow.values()]
+        assert all(c != 0 for c in fast.values())
