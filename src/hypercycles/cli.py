@@ -4,7 +4,9 @@ Subcommands: certify, reconstruct, construct, roots, bounds, portrait,
 suite.  All reports are JSON on stdout with a top-level `"schema": 1`;
 rational numbers are emitted as exact "p/q" strings, never floats.  Exit
 status: 0 success, 2 domain errors (no curve exists, pattern not achieved,
-...), 1 usage errors.
+...), 1 usage errors found by the command itself (a malformed polynomial,
+--stdin document or --pattern file), 2 options that argparse rejects (a
+missing or unknown option, an unknown command), with a usage line.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .lienard import (
     bounds,
     certify,
 )
-from .polyx import Poly, coeff_strings, parse_poly
+from .polyx import Poly, coeff_strings, json_rational, json_scalar, parse_poly
 from .portrait import PortraitSpec, render_portrait
 from .recover import DegenerateLeadingCoefficient, UndeterminedType, recover_curve
 from .rootclass import (
@@ -112,7 +114,7 @@ def _poly_arg(args, name: str, stdin_doc: dict | None) -> Poly:
         if not isinstance(coeffs, list):
             raise _usage(f"--stdin {name!r}", f"expected a list, got {json.dumps(coeffs)}")
         try:
-            return Poly([Fraction(c) for c in coeffs])
+            return Poly([json_rational(c) for c in coeffs])
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise _usage(f"--stdin {name!r}", f"{type(exc).__name__}: {exc}") from None
     raise SystemExit(f"error: missing polynomial --{name}")
@@ -180,21 +182,8 @@ def _cmd_reconstruct(args) -> dict:
     }
 
 
-def _pattern_scalar(value, expected: str):
-    """value if it is a JSON integer or string: `int` and `Fraction` alone
-    would truncate a float or take its binary value, and read a boolean as
-    0 or 1."""
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise TypeError(f"expected {expected}, got {json.dumps(value)}")
-    return value
-
-
 def _pattern_int(value) -> int:
-    return int(_pattern_scalar(value, "an integer"))
-
-
-def _pattern_rational(value) -> Fraction:
-    return Fraction(_pattern_scalar(value, 'an integer or a string such as "3/2"'))
+    return int(json_scalar(value, "an integer"))
 
 
 def _pattern_sign(value) -> int:
@@ -230,7 +219,7 @@ def _load_pattern(path: str) -> "families.CaseIPattern":
             elif not isinstance(value, list):
                 raise TypeError(f"expected a list, got {json.dumps(value)}")
             else:
-                convert = _pattern_sign if key == "signs" else _pattern_rational
+                convert = _pattern_sign if key == "signs" else json_rational
                 kwargs[key] = tuple(convert(v) for v in value)
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise usage(f"bad value for {key!r}: {type(exc).__name__}: {exc}") from None

@@ -10,12 +10,18 @@ sufficient conditions for a closed branch of the curve to be a limit cycle
 into exact decision procedures over isolating intervals, and `bounds` is the
 lookup table of known lower/upper estimates for the maximum number of such
 cycles per system type (m, n).
+
+The focus/node sign is read, not decided: at a critical point alpha of Q,
+2Q(alpha) g'(alpha) = Q''(alpha) H(alpha) with H = P^2 - Q, and on a certified
+interval (Q > 0, H < 0, alpha the only root of Q') alpha is a strict maximum
+of Q, so g'(alpha) > 0 exactly when alpha is a simple root of Q'.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional
 
@@ -27,9 +33,19 @@ class NonPolynomialSystem(ValueError):
     """(P, Q) does not define a polynomial Lienard system."""
 
 
+def _exact_quotient(num: Poly, den: Poly, message: str) -> Poly:
+    """num / den, or NonPolynomialSystem(message) when it is no polynomial."""
+    try:
+        return num.exact_div(den)
+    except ValueError:
+        raise NonPolynomialSystem(message) from None
+
+
 @dataclass(frozen=True)
 class HyperellipticCurve:
-    """F(x, y) = (y + P(x))^2 - Q(x)."""
+    """F(x, y) = (y + P(x))^2 - Q(x), with `H` = P^2 - Q and the cofactor
+    `K` = -PQ'/Q computed on first use and kept; the cache writes to the
+    instance `__dict__`, which a frozen dataclass allows."""
 
     P: Poly
     Q: Poly
@@ -37,6 +53,16 @@ class HyperellipticCurve:
     def __post_init__(self):
         if self.Q.is_zero():
             raise ValueError("Q must be nonzero")
+
+    @cached_property
+    def H(self) -> Poly:
+        return self.P * self.P - self.Q
+
+    @cached_property
+    def K(self) -> Poly:
+        """-PQ'/Q, or NonPolynomialSystem when 2Q does not divide PQ'."""
+        return -_exact_quotient(self.P * self.Q.derivative(), self.Q,
+                                "2Q does not divide P*Q'")
 
 
 @dataclass(frozen=True)
@@ -68,39 +94,25 @@ class Cofactor:
     K: Poly
 
 
-def _exact_quotient(num: Poly, den: Poly, message: str) -> Poly:
-    """num / den, or NonPolynomialSystem(message) when it is no polynomial."""
-    try:
-        return num.exact_div(den)
-    except ValueError:
-        raise NonPolynomialSystem(message) from None
-
-
-def _derive(curve: HyperellipticCurve) -> tuple[LienardSystem, Poly]:
-    """The derived system and H = P^2 - Q, which `certify` uses as well."""
-    P, Q = curve.P, curve.Q
-    Qp = Q.derivative()
-    f = P.derivative() + _exact_quotient(P * Qp, Q.scale(2), "2Q does not divide P*Q'")
-    H = P * P - Q
-    g = _exact_quotient(Qp * H, Q.scale(2), "2Q does not divide Q'*(P^2 - Q)")
+def derive_system(curve: HyperellipticCurve) -> LienardSystem:
+    """f = P' - K/2 = P' + PQ'/(2Q), g = Q'H/(2Q); exact divisions (K first)
+    or error."""
+    Q = curve.Q
+    f = curve.P.derivative() - curve.K.scale(Fraction(1, 2))
+    g = _exact_quotient(Q.derivative() * curve.H, Q.scale(2),
+                        "2Q does not divide Q'*(P^2 - Q)")
     if f.is_zero():
         raise NonPolynomialSystem("derived f vanishes; system degree m undefined")
     if g.degree < 1:
         raise NonPolynomialSystem("derived g has degree < 1; system degree n undefined")
     # with both divisions exact, lc(f) = (deg P + deg Q / 2) lc(P) and
     # deg g = deg H - 1, so deg P = m + 1 and deg H = n + 1 always hold
-    return LienardSystem(f=f, g=g), H
-
-
-def derive_system(curve: HyperellipticCurve) -> LienardSystem:
-    """f = P' + PQ'/(2Q), g = Q'(P^2 - Q)/(2Q); exact divisions or error."""
-    return _derive(curve)[0]
+    return LienardSystem(f=f, g=g)
 
 
 def cofactor(curve: HyperellipticCurve) -> Cofactor:
     """K = -P*Q'/Q, which must be an exact polynomial (in x alone)."""
-    P, Q = curve.P, curve.Q
-    return Cofactor(K=-_exact_quotient(P * Q.derivative(), Q, "Q does not divide P*Q'"))
+    return Cofactor(K=curve.K)
 
 
 def invariance_residual(sys: LienardSystem, curve: HyperellipticCurve) -> BivarPoly:
@@ -111,9 +123,7 @@ def invariance_residual(sys: LienardSystem, curve: HyperellipticCurve) -> BivarP
         y^0:  -2g*P - K*H,
         y^1:  H' - 2(f + K)*P - 2g,
         y^2:  2P' - 2f - K."""
-    P, Q, f, g = curve.P, curve.Q, sys.f, sys.g
-    K = cofactor(curve).K
-    H = P * P - Q
+    P, K, H, f, g = curve.P, curve.K, curve.H, sys.f, sys.g
     return BivarPoly([
         -(g * P).scale(2) - K * H,
         H.derivative() - ((f + K) * P).scale(2) - g.scale(2),
@@ -253,11 +263,6 @@ def _count_strictly_between(w: Poly, r1: RealRoot, r2: RealRoot) -> int:
     return SturmChain(w).count_open(r1.hi, r2.lo)
 
 
-def _sample_between(r1: RealRoot, r2: RealRoot, avoid: list[Poly]) -> Fraction:
-    r1.separate_from(r2, avoid=avoid)
-    return interior_point(r1.hi, r2.lo, avoid)
-
-
 def certify(curve: HyperellipticCurve) -> CertificationReport:
     """Decide the four sufficient conditions on every candidate interval.
 
@@ -267,26 +272,24 @@ def certify(curve: HyperellipticCurve) -> CertificationReport:
     needs).  Condition (i) holds by construction once derive_system accepts
     the curve.
 
-    Each exact quantity is computed once: P^2 - Q comes from the
-    derivation, and Q' is isolated on the first certified interval only.
-    Every interval then locates its critical point among fresh copies of
+    The focus/node sign is not decided: differentiating 2Qg = Q'H at the
+    critical point alpha gives 2Q(alpha) g'(alpha) = Q''(alpha) H(alpha).
+    Inside a certified interval Q > 0, H < 0 and alpha is the only root of
+    Q', so alpha is a strict maximum of Q and g'(alpha) > 0 exactly when
+    alpha is a simple root of Q'.  Q' is isolated on the first certified
+    interval only, and each interval locates alpha among fresh copies of
     those roots, so no interval's refinement depends on another's."""
-    sys, H = _derive(curve)
-    Q, f, g = curve.Q, sys.f, sys.g
+    sys = derive_system(curve)
+    Q, f, H = curve.Q, sys.f, curve.H
 
     roots = isolate_real_roots(Q)
     all_real = sum(r.multiplicity for r in roots) == Q.degree
     Qp = Q.derivative()
     qp_roots: Optional[list[RealRoot]] = None
     R4 = poly_gcd(Qp, f)
-    gp = g.derivative()
 
-    report = CertificationReport(
-        curve=curve,
-        system=sys,
-        all_roots_real=all_real,
-        bounds=bounds(sys.m, sys.n),
-    )
+    report = CertificationReport(curve=curve, system=sys, all_roots_real=all_real,
+                                 bounds=bounds(sys.m, sys.n))
 
     for left, right in zip(roots, roots[1:]):
         if left.multiplicity != 1 or right.multiplicity != 1:
@@ -294,7 +297,8 @@ def certify(curve: HyperellipticCurve) -> CertificationReport:
         verdict = IntervalVerdict(s1=left, s2=right)
         report.intervals.append(verdict)
 
-        sample = _sample_between(left, right, avoid=[Q, H])
+        left.separate_from(right, avoid=[Q, H])
+        sample = interior_point(left.hi, right.lo, [Q, H])
         verdict.q_positive_between = Q.eval(sample) > 0
         if not verdict.q_positive_between or not all_real:
             # per the conservative reading of condition (ii), remaining checks
@@ -313,33 +317,25 @@ def certify(curve: HyperellipticCurve) -> CertificationReport:
             R4.degree < 1 or _count_strictly_between(R4, left, right) == 0
         )
 
-        n_crit = _count_strictly_between(Qp, left, right)
-        verdict.critical_point_unique = n_crit == 1
+        verdict.critical_point_unique = _count_strictly_between(Qp, left, right) == 1
 
         if verdict.conditions_met() and verdict.critical_point_unique:
             if qp_roots is None:
                 qp_roots = isolate_real_roots(Qp)
             alpha = _locate_critical_point(qp_roots, left, right)
-            if alpha is not None:
-                verdict.gprime_positive_at_alpha = alpha.sign_of(gp) > 0
+            verdict.gprime_positive_at_alpha = alpha.multiplicity == 1
             verdict.certified = True
             report.certified_count += 1
 
-    b = report.bounds
-    if b is not None and b.upper is not None:
-        report.bound_consistent = report.certified_count <= b.upper
+    if report.bounds.upper is not None:
+        report.bound_consistent = report.certified_count <= report.bounds.upper
     return report
 
 
 def _locate_critical_point(qp_roots: list[RealRoot], left: RealRoot,
-                           right: RealRoot) -> Optional[RealRoot]:
-    """The unique root of Q' strictly between two isolated roots of Q, from
-    the isolated roots of Q', which are left as they are: each candidate is
-    refined as a copy.
-
-    The candidate can never coincide with either endpoint: both are simple
-    roots of Q, where Q' does not vanish."""
-    for cand in map(copy.copy, qp_roots):
-        if cand.separate_from(left) == 1 and cand.separate_from(right) == -1:
-            return cand
-    return None
+                           right: RealRoot) -> RealRoot:
+    """The unique root of Q' strictly between two isolated simple roots of Q,
+    where Q' does not vanish, so it never coincides with either.  The roots
+    of Q' are left as they are: each candidate is refined as a copy."""
+    return next(cand for cand in map(copy.copy, qp_roots)
+                if cand.separate_from(left) == 1 and cand.separate_from(right) == -1)

@@ -590,17 +590,32 @@ class _Parser:
         raise ValueError(f"unexpected token {tok!r}")
 
 
+def json_scalar(value, expected: str):
+    """value if it is a JSON integer or string: `int` and `Fraction` alone
+    would truncate a float or take its binary value, and read a boolean as
+    0 or 1.  Anything else raises TypeError naming `expected`."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise TypeError(f"expected {expected}, got {json.dumps(value)}")
+    return value
+
+
+def json_rational(value) -> Fraction:
+    """A JSON coefficient, an integer or a string such as "3/2", as a Fraction."""
+    return Fraction(json_scalar(value, 'an integer or a string such as "3/2"'))
+
+
 def parse_poly(text: str) -> Poly:
-    """Parse either '[c0, c1, ...]' (rationals as 'p/q' strings or numbers)
+    """Parse either '[c0, c1, ...]' (each a JSON integer or a 'p/q' string)
     or an expression like '(x - 1/2)^2 * (x+3)' / 'x^2 + 1'.  Any malformed
-    text, a zero denominator included, raises ValueError."""
+    text, a zero denominator, a float, a boolean or null included, raises
+    ValueError."""
     text = text.strip()
     if not text:
         raise ValueError("empty polynomial text")
     try:
         if text.startswith("["):
             data = json.loads(text)
-            return Poly([rat(c) if isinstance(c, str) else Fraction(c) for c in data])
+            return Poly([json_rational(c) for c in data])
         parser = _Parser(_tokenize(text))
         p = parser.parse_expr()
     except (ZeroDivisionError, TypeError) as exc:

@@ -211,11 +211,26 @@ def test_usage_error_exit_1():
          "error: portrait: window must be a nonempty rectangle"),
         (["suite", "--criteria", "a"], None, "error: --criteria: invalid literal"),
         (["suite", "--criteria", "1,99"], None, "error: --criteria: unknown criteria [99]"),
+        (["roots", "[0.5, 1, 1]"], None,
+         "error: POLY: bad polynomial '[0.5, 1, 1]': expected an integer or a string"),
+        (["certify", "--P", "[1, true]", "--Q", "x^2-1"], None,
+         "error: --P: bad polynomial '[1, true]': expected an integer or a string"),
+        (["roots", "[null, 1]"], None,
+         "error: POLY: bad polynomial '[null, 1]': expected an integer or a string"),
+        (["reconstruct", "--stdin"], json.dumps({"f": [0.1, 1], "g": [0, 0, 1]}),
+         "error: --stdin 'f': TypeError: expected an integer or a string"),
+        (["reconstruct", "--stdin"], json.dumps({"f": [1], "g": [0, True]}),
+         "error: --stdin 'g': TypeError: expected an integer or a string"),
+        (["certify", "--stdin"], json.dumps({"P": [1, None], "Q": [1]}),
+         "error: --stdin 'P': TypeError: expected an integer or a string"),
     ],
     ids=["dangling_power", "zero_denominator", "roots_dangling_power",
          "stdin_not_json", "stdin_not_object", "stdin_zero_denominator",
          "stdin_not_a_list", "window_three_values", "seed_point_one_value",
-         "window_empty", "criteria_not_integer", "criteria_unknown"],
+         "window_empty", "criteria_not_integer", "criteria_unknown",
+         "float_coefficient", "boolean_coefficient", "null_coefficient",
+         "stdin_float_coefficient", "stdin_boolean_coefficient",
+         "stdin_null_coefficient"],
 )
 def test_bad_input_is_a_usage_error(args, stdin_text, complaint):
     proc = run_cli(args, stdin_text=stdin_text)

@@ -17,7 +17,7 @@ from hypercycles.lienard import (
     invariance_residual,
 )
 from hypercycles.polyx import ONE, Poly, X, parse_poly, squarefree_part
-from hypercycles.rootclass import RealRoot
+from hypercycles.rootclass import RealRoot, SturmChain, isolate_real_roots
 
 
 def P(*coeffs):
@@ -306,3 +306,82 @@ def test_count_strictly_between_two_exact_roots_builds_at_most_one_chain():
     s1 = RealRoot(poly=P(-1, 1), lo=Fraction(2, 3), hi=Fraction(6, 5))
     s2 = RealRoot(poly=P(-3, 1), lo=Fraction(8, 3), hi=Fraction(16, 5))
     assert lienard._count_strictly_between(w, s1, s2) == 2
+
+
+def test_certify_decides_no_sign_at_the_critical_point(monkeypatch):
+    # the focus/node flag is read off alpha's multiplicity in Q', so
+    # certify asks no isolated root for a sign
+    curve = families.construct(10, 18).curve
+    signs = []
+    sign_of = RealRoot.sign_of
+    monkeypatch.setattr(RealRoot, "sign_of",
+                        lambda self, w: signs.append(w) or sign_of(self, w))
+    report = certify(curve)
+    assert report.certified_count == 4
+    assert signs == []
+
+
+@pytest.mark.parametrize("mn", [(2, 5), (4, 6), (4, 8), (5, 9), (9, 16), (10, 13), (10, 18)])
+def test_focus_node_flag_matches_the_sign_of_g_prime_at_alpha(mn):
+    # the reference is the decision certify no longer makes: isolate Q',
+    # locate its one root alpha between copies of s1 and s2, and ask alpha
+    # for the sign of g'
+    report = families.construct(*mn).report
+    gp = report.system.g.derivative()
+    qp_roots = isolate_real_roots(report.curve.Q.derivative())
+    certified = [v for v in report.intervals if v.certified]
+    assert certified
+    for v in certified:
+        s1, s2 = copy.copy(v.s1), copy.copy(v.s2)
+        [alpha] = [c for c in map(copy.copy, qp_roots)
+                   if c.separate_from(s1) == 1 and c.separate_from(s2) == -1]
+        assert (alpha.sign_of(gp) > 0) == v.gprime_positive_at_alpha
+
+
+def test_each_gap_of_a_real_rooted_q_holds_one_simple_critical_point():
+    # Rolle puts a root of Q' in each gap between adjacent distinct roots of
+    # Q, and a root of Q of multiplicity e is a root of Q' of multiplicity
+    # e - 1; with all roots of Q real that accounts for all deg Q - 1 roots
+    # of Q', so each gap holds exactly one, and it is simple
+    rng = random.Random(1606)
+    grid = sorted({Fraction(a, b) for a in range(-6, 7) for b in (1, 2, 3)})
+    for _ in range(60):
+        roots = sorted(rng.sample(grid, rng.randint(2, 5)))
+        Q = Poly([Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4))])
+        for r in roots:
+            Q = Q * Poly([-r, 1]) ** rng.randint(1, 3)
+        Qp = Q.derivative()
+        qp_roots = isolate_real_roots(Qp)
+        for a, b in zip(roots, roots[1:]):
+            ends = [RealRoot(poly=Poly([-r, 1]), lo=r, hi=r) for r in (a, b)]
+            inside = [c for c in map(copy.copy, qp_roots)
+                      if not (c.equals_rational(a) or c.equals_rational(b))
+                      and c.separate_from(ends[0]) == 1 and c.separate_from(ends[1]) == -1]
+            assert len(inside) == 1 and inside[0].multiplicity == 1, (Q, a, b)
+            assert SturmChain(Qp).count_open(a, b) == 1
+
+
+def test_a_curve_divides_out_k_once_and_g_once_per_derivation(monkeypatch):
+    curve = worked_25_curve()
+    divisors = []
+    exact_div = Poly.exact_div
+    monkeypatch.setattr(Poly, "exact_div",
+                        lambda self, other: divisors.append(other) or exact_div(self, other))
+    sys = derive_system(curve)
+    assert invariance_residual(sys, curve).is_zero()
+    K = cofactor(curve).K
+    assert certify(curve).certified_count == 1
+    # K by Q, then g by 2Q in derive_system and again in certify
+    assert divisors == [curve.Q, curve.Q.scale(2), curve.Q.scale(2)]
+    assert K is curve.K
+
+
+def test_a_cofactor_that_is_no_polynomial_fails_everywhere_it_is_read():
+    # Q = x^2 + 1 does not divide P*Q' = 2x, so neither K nor f exists
+    curve = HyperellipticCurve(P=ONE, Q=P(1, 0, 1))
+    system = LienardSystem(f=ONE, g=X)
+    for read in (lambda: cofactor(curve), lambda: derive_system(curve),
+                 lambda: certify(curve), lambda: invariance_residual(system, curve)):
+        with pytest.raises(NonPolynomialSystem, match=r"^2Q does not divide P\*Q'$"):
+            read()
+    assert invariance_check(system, curve) is False

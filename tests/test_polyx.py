@@ -113,7 +113,8 @@ def test_parse_expressions():
 
 
 @pytest.mark.parametrize(
-    "text", ["x^", "3/0", "x + 1/0", '["1/0"]', "[null]", "[1, 2", "(x", "x^-1"])
+    "text", ["x^", "3/0", "x + 1/0", '["1/0"]', "[null]", "[1, 2", "(x", "x^-1",
+             "[0.5, 1]", "[1.0]", "[true, 1]", "[1, false]"])
 def test_parse_malformed_text_raises_value_error(text):
     with pytest.raises(ValueError):
         parse_poly(text)
