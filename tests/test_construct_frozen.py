@@ -1,6 +1,11 @@
 """The `construct` CLI output is frozen for every grid cell that constructs
 (m = 2..10, n = m+2..2m+2).
 
+`STRIPPED_DIGESTS` pin the same output with the `lo` and `hi` of every
+reported interval left out: the type, P, Q, f, g, the parameters, every
+verdict and `certified_count`, which no choice of isolating interval may
+move.
+
 Cells marked "ladder" take the perturbation c of at least one inductive
 lemma 7/8 level from the exact windows of `_pick_d_then_b`, directly or
 through the base curve of a lift: a different pick rule changes their
@@ -9,6 +14,7 @@ other cells never reach that code.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -79,3 +85,79 @@ def test_construct_json_is_frozen(m, n, capsys):
     assert main(["construct", "--m", str(m), "--n", str(n)]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[(m, n)]
+
+
+STRIPPED_DIGESTS = {
+    (2, 5): "61b58f67bd69aa07a4f2b80e48c9790aaf5ba7203baf7adf39a6b97f794ff0ae",
+    (2, 6): "58b7c8c84b29d41790b38abdbdab6cf31ca95244e20b535efefdeb6091615b3c",
+    (3, 6): "cd7354f6c580c809ca133a1b615ccc51d8ea1d7f84a5e0876df5ebe3d69cb18a",
+    (3, 7): "882afc4f5ad838ca42f7f774133d3f4a70b7f28298b67c5ab3f170d680c79bfc",
+    (3, 8): "d8e28b0416cbd9d229a1cddcdc578c134a6d3fdd2e6d29401fd36561a4c8c8eb",
+    (4, 6): "efe6b9c4c76f6263c7fc3866b68dbaf9b9b9c74659738cdc57d529a19372792d",
+    (4, 8): "78117645679e8f02bfd83ac73fb800e8c47eed485e14b1f59e9722d63e55aa22",
+    (4, 9): "69e09a0ef5a44efbf0ec17fd97b11b462d263a5e3b979e9688a00ced18ee161b",
+    (4, 10): "4d890d139b01567524ab71af35ecf1c1360037ff9b6dfbf4aec51e5569c949bc",
+    (5, 7): "fbb2b771245c8761258850371ea3dfb58fb18c4a6b214a42e6a473444b3ebf64",
+    (5, 8): "c974095b74dec31474c6fb56a4f428bd6b595a252f240cbc966ab635d21c73d3",
+    (5, 9): "ef761a1a60032c8d9c4dabc31cf19b03392ce0eca3fb24933a3edb1d10b490bc",  # ladder
+    (5, 10): "e33baf20e4c7c8d44610568d91f3c316fb438eaae0d7f28cadbb302f7c7857aa",
+    (5, 11): "985a98945ae971144b4bfc926a3079e6449d2dc3e017b63602e9d24b1e25fe7d",
+    (5, 12): "23f967c7cdf9c5853c0d1c3252061b2f2188ce1adc3ff560d1b2f061a4982e55",
+    (6, 8): "7d692b0ed17608b403fcd378737ce527da4c873582e64039a90b5c0f2b987ebf",
+    (6, 9): "e409e0d043a7bc3554316c0e1aeef217d040b2304b62ed9fdcea16c5ff9af485",
+    (6, 10): "04a8c195482470fa984583ae5a0946c1d1feb9015823f1838dba24e43b77b971",
+    (6, 11): "07af0905495f2328d888cf4fdf7f1ee593b715efd306e7b3ee4861f06c218849",  # ladder
+    (6, 12): "4d7e743d70b5862c00532b5150cace55aed633a7b900fc7e985ee4830e2a5b65",
+    (6, 13): "987a0b0e86e611166849e528bd7309432b6fd221a492f3440c1dd44fe580e12e",
+    (6, 14): "17d83ad75cac3697edc3ca300e6e19570397db348de6fe99df416bf08c079fa4",
+    (7, 10): "238ae1a0c73a3fe48580115beb1868562671163d0e67f59ffabcc9e85e4a6750",
+    (7, 11): "09b0a170707a21e5f98217ddc0967df22c78503321bf6a4f02ade636b58b5baf",
+    (7, 12): "de67b7ddba40760ed9d8d1d394a69c3b2dc5ac2518f72f9df3093362044a788d",
+    (7, 13): "bfbe7d47cb7738fbaa229e0ead3cf770707725e93126e8b736e7a71b8072c369",  # ladder
+    (7, 14): "6fb082798ca8c36519a83334eea804583f2f9f93fac469544194f1b57efe2cb5",
+    (7, 15): "53f0c63ecf3a9863708d6b7d0e8b1833207e992933e21c685def7e848f9f81e3",
+    (7, 16): "4d63b3d5fc5a32f33a4d6108a33953850beff0d4e7927921394b340ccba3c98f",
+    (8, 10): "55ef18369e4f655dce0bd93c5b94621b83624381285084ca0085aaddc0ed6fdc",
+    (8, 11): "654c6ee800fee20174a31d47f2d70c3f1c666f58da674b99190af3331fe70432",
+    (8, 12): "4cb486216818ba724ebf00d2a9ce14e780121a0bf7458061871936380840cb43",
+    (8, 13): "85dcf0eb05103250e21008b18230df505dbec93cb40d431526cea5081e0c6914",  # ladder
+    (8, 14): "52dbe0d4b804cf45d97ff913cb39cab4fc75f2842fda0069187c8e5ec0406db0",  # ladder
+    (8, 15): "9cd20fbb392c10abdfc8587fdfd05dcd2c330306b654de8a3668893ccf3ce164",  # ladder
+    (8, 16): "9f578fb12cb8017499143b97ca1850065d1d4ff02485059de7d8707962465a70",
+    (8, 17): "2886f28d8ec097f495530061b8e0bf6ef166f97752eb06035efe3847610b4dff",
+    (8, 18): "670561ea7442c9eb8ae3b9ca8b41f9c289110880536179f0ce61c68f12d907ee",
+    (9, 13): "a0604e20dd312570106deb12476402cbbfac2823e8ea1f7988639e7e59e483f8",
+    (9, 14): "61105c3ff092e97b91fc2d7331cc0d8ff0682cfb5c59175e3cc7218ddf76d186",
+    (9, 15): "8cf575d40c7dcb930607bd9351ff6fed53559ef21f5c3025fcf0f22ec94f096f",  # ladder
+    (9, 16): "31de78d952f01ba6a1670c69ebb647ca645eb42e18312354b1afecbf84b09c5a",  # ladder
+    (9, 17): "f5d797bed7883e63b92e7f373ecb440e7562384f732d05d2e65e4d966af47dad",  # ladder
+    (9, 18): "f6420df82a8df69e90146c4aacfdcbae81ca49e6fc08dd6ba9ae0b82bd58a4aa",
+    (9, 19): "46c4b89846e015558395be87de40a8734c66f3565e1946291ca13264604d318a",
+    (9, 20): "43e08e159d8381e0dfacec00ba22606ad39b2e2a2f10415242acecdaedf1f865",
+    (10, 13): "7c54089e4aaea091ed323271c7104cb8355e3f6ff22a42ce78b69fcab836341d",
+    (10, 14): "5a8ad9d3a1e7666128a1a59e6378aeeef78861067e21b3d7b8a84ecfcea5e666",
+    (10, 15): "f62a887bc8b72a276dc440f9341a3f2a14a158e497c7b1c8097c82604afef982",
+    (10, 16): "e989829015fce7db799aa928f2065e6218df137c1d0000b0b640d0c0bd65b4b2",
+    (10, 17): "365895355c29196c87d4a1842b09e05f68065ef1e3bd9ca31263ebce1931d657",  # ladder
+    (10, 18): "dbd87286c30ceb11b75ac43c8bfef23c5f3c8950187ff84eb3750106e9000be3",  # ladder
+    (10, 19): "9301ee4fd34e04b511c06a2a6d533ce2e94099e7db0e552b306b9146e382e730",  # ladder
+    (10, 20): "0023a76905d0414e17ad11c2f1c91e84c9b9baac53d48d998404eee309515a30",
+    (10, 21): "02cab280b9d1988f5976efd9952df72f8a39a3fc26f08ed35d305dd018b3792e",
+    (10, 22): "f209bbf7c95e92c2f1f48ee39ad937639ef5c64b97ae92b16902655d91a9c51c",
+}
+
+
+def _without_endpoints(out: str) -> str:
+    """sha256 of the report with the lo and hi of each interval left out."""
+    doc = json.loads(out)
+    for verdict in doc["conditions"]:
+        for end in (verdict["s1"], verdict["s2"]):
+            del end["lo"], end["hi"]
+    return hashlib.sha256(json.dumps(doc, indent=2).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("m, n", sorted(STRIPPED_DIGESTS), ids=lambda v: str(v))
+def test_construct_verdicts_are_frozen(m, n, capsys):
+    assert main(["construct", "--m", str(m), "--n", str(n)]) == 0
+    out = capsys.readouterr().out
+    assert _without_endpoints(out) == STRIPPED_DIGESTS[(m, n)]

@@ -10,6 +10,10 @@ Two sets of inputs:
   whatever the bisection and refinement history left behind.
 
 A faster root engine must print the same bytes.
+
+The `STRIPPED` digests pin the same output with only the multiplicity kept
+of each isolating interval: the discriminant sequence, the sign lists and
+every root count, which no choice of isolating interval may move.
 """
 
 import hashlib
@@ -134,6 +138,16 @@ def _roots_digest(poly: str, capsys) -> str:
     return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
 
 
+def _counts_digest(poly: str, capsys) -> str:
+    """sha256 of the `roots` report with lo, hi and exact left out of each
+    isolating interval."""
+    assert main(["roots", poly]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    for interval in doc["isolating_intervals"]:
+        del interval["lo"], interval["hi"], interval["exact"]
+    return hashlib.sha256(json.dumps(doc, indent=2).encode()).hexdigest()
+
+
 @pytest.mark.parametrize("seed", sorted(DRAW_DIGESTS))
 def test_roots_of_classify_draw_is_frozen(seed, capsys):
     assert _roots_digest(_draw(seed), capsys) == DRAW_DIGESTS[seed]
@@ -142,3 +156,60 @@ def test_roots_of_classify_draw_is_frozen(seed, capsys):
 @pytest.mark.parametrize("name", sorted(IRRATIONAL_DIGESTS))
 def test_roots_with_irrational_roots_is_frozen(name, capsys):
     assert _roots_digest(IRRATIONAL[name], capsys) == IRRATIONAL_DIGESTS[name]
+
+
+STRIPPED_DRAW_DIGESTS = {
+    0: "4d6486dab9a74e6eb1df8663269098bb7410759003ceffcacf98e7f53c53e3f3",
+    1: "78373bc44a59688dc150caf1396399d1e3006e5d3f148c06196953328798cd73",
+    2: "c581a42360b21670a108c44a4b0649fd79ac113ceb5d4c773fef030f0e3f7e57",
+    3: "03182904771700e2f345b77f667ced22a1f8a6ea0ddc6a736a45f40e4dd011d4",
+    4: "8ec128b130d2bf6161d68be83e74b6259988b0386484e8bbed1dc895ca464a58",
+    5: "3a108c7e30c39b74aa0defd148afeba1bc2ee2a30b14fc985697ed4f984ba023",
+    6: "eb0cfdcb94a7c8551fc05649ab0c19f78a06c5989829f628cd3356bf8d319e5b",
+    7: "39554eec434cee3ab667017ea972977f50ebc7c89ab50527ae21d6d344ab62f8",
+    8: "e6c9d80d0b0d6abeb3b3a05f838bb95d62b48ed9957f13203ceb64ce0b105aca",
+    9: "f795ed75aaa02b3f32a970fb8a5f49b5ceec806dd0abaac73201ec26a4a001b6",
+    10: "fead5404c6b611548a3c75684669df0553bd7c405eaa13a95688c8142ea90775",
+    11: "93d7a1534c48169bbbe4d59ee46a9a397684a815391872179aef01782da7aaee",
+    12: "5f7ce76da40600dc9488c478742264f5d88e747a2486470acb9ae4dc1ae3536b",
+    13: "c3c6ba8db089e7eaaa4198d8dac3295686936078698c41ede2aaa6e8249ce2e9",
+    14: "6dfd08141711690c052b401abe039a23f783211b4eae27c784b382e9b6bd7054",
+    15: "92fe1832948ee02220509d2b1dd527f30e3d9638b8dbdc4372d687a93bb82844",
+    16: "8a2fc9c9b55cfa356580f6f1891e8b7b5d88e6ec6498bfeb3cf38afa00594d8b",
+    17: "8c42550f21cb8524689aba93dbf2195d79696f90e64547fcdbe5496bef6197b4",
+    18: "93981f006ed5d98c2abff6bb8d78b9d6203346ce9ea5fb112135327484fd3b8d",
+    19: "3bb8f669368c270c10a4b0a048990c77063a85f11dad1f89b5239740d367da82",
+    20: "9e02c2ec8d4e291a042803035e9aecaf7948baf8ede6031ec9663a610762429c",
+    21: "d7e095dccacc3707ed382cffd260bf1bac97f97e75a5eaf3861380248fe26850",
+    22: "6bb8d00d81f92807795dc3bd5e8caa0f07dd131dbb2a6f49560da3e14fcca9de",
+    23: "5f8b45721f93c9121bbfbe876069cddbadcf0a5bc70d491b40954bdd5c9bbbe8",
+    24: "65b7583c8730ba2ff178134f3cb39952c33f9f8a116cd8c3025585d14a679926",
+    25: "4f41a3d3493da71515ee43e6e6788435acf8c2c7f7f7f2fe70cbc6631429714d",
+    26: "7206de17fdc55fde27a176ae764568cd7326d180d6df527c06f3c48ccbf71a9e",
+    27: "f6cbcc96818e7e48d2ea614ef3ce5986f3e5e0fc08251a603da031a92e38804c",
+    28: "73396ef80a35dd9d1006431f421fb461136f4f508ff9fd69d209c036c933f81f",
+    29: "53e9032ed8fba0c712f3947af8a9d33b98cc3fc4de5c2f696029580027175f9b",
+}
+
+STRIPPED_IRRATIONAL_DIGESTS = {
+    "Q_2_5": "3851100aedefbc72a8d3bbaa691e746b8d5fdddb1c4c410a3a5e6db5d439ff9a",
+    "Q_4_6": "7479638a5345858caa0821f880b60a85cfeab16dbd2cbefcfd1cdb6cabc33655",
+    "Q_5_8": "e3129cce49428563b4ba55bc3dcefccb696d86adef1b755d081caca399bb1f56",
+    "Q_6_9": "1a65df29ee99eedb7eb1c4994dcfa088175387906c6d272ba40f05783bec78b3",
+    "close_triples": "e460c6880a62b15356202fad2f346732ffeb2dde898ab2e4b148633c92930598",
+    "cube_root": "3df99529d997446f2ecd8b6554d69ded7676fa20b9aa2136277a9f6a78569297",
+    "double_sqrt": "491ec8252707d0f77293dab5f23b540045c1c900a5a09c10a372b5f9df2e80eb",
+    "mixed": "760385b6c11dfa68eca28c2a45c5b402b575fceece148896ce4d96bd99313c18",
+    "wide": "4c873eef1962d5aaf9cedc4a1370f66f8e3c31fabec5f134d510bd317c0ed138",
+    "x5": "4889fb41b294eca3a436bb3cbee33a038cf01a0f6d285f09d76f6577b6a08be7",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(STRIPPED_DRAW_DIGESTS))
+def test_root_counts_of_classify_draw_are_frozen(seed, capsys):
+    assert _counts_digest(_draw(seed), capsys) == STRIPPED_DRAW_DIGESTS[seed]
+
+
+@pytest.mark.parametrize("name", sorted(STRIPPED_IRRATIONAL_DIGESTS))
+def test_root_counts_with_irrational_roots_are_frozen(name, capsys):
+    assert _counts_digest(IRRATIONAL[name], capsys) == STRIPPED_IRRATIONAL_DIGESTS[name]
