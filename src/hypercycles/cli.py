@@ -47,10 +47,13 @@ class DomainFailure(Exception):
 
 
 def _interval_json(root) -> dict:
+    """The root's canonical isolating interval (`RealRoot.canonical`), so
+    the bytes do not depend on how far the root was refined."""
+    lo, hi = root.canonical()
     return {
-        "lo": str(root.lo),
-        "hi": str(root.hi),
-        "exact": root.is_exact(),
+        "lo": str(lo),
+        "hi": str(hi),
+        "exact": lo == hi,
         "multiplicity": root.multiplicity,
     }
 
@@ -262,7 +265,11 @@ def _cmd_roots(args) -> dict:
 
 
 def _cmd_bounds(args) -> dict:
-    b = bounds(args.m, args.n)
+    try:
+        b = bounds(args.m, args.n)
+    except ValueError as exc:
+        raise DomainFailure({"schema": SCHEMA, "error": "ValueError",
+                             "message": str(exc)})
     out = {"schema": SCHEMA, "m": args.m, "n": args.n}
     out.update(_bounds_json(b))
     return out
@@ -300,8 +307,12 @@ def _cmd_suite(args) -> dict:
         if unknown:
             raise _usage("--criteria", f"unknown criteria {unknown}; "
                                        f"known are {sorted(suite_mod.CRITERIA)}")
-    results = suite_mod.run_suite(criteria=criteria, seed=args.seed,
-                                  s_cap=args.s_cap)
+    try:
+        results = suite_mod.run_suite(criteria=criteria, seed=args.seed,
+                                      s_cap=args.s_cap)
+    except (families.SearchExhausted, families.PatternNotAchieved, ValueError) as exc:
+        raise DomainFailure({"schema": SCHEMA, "error": type(exc).__name__,
+                             "message": str(exc)})
     return {
         "schema": SCHEMA,
         "results": [

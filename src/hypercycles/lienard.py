@@ -11,15 +11,17 @@ into exact decision procedures over isolating intervals, and `bounds` is the
 lookup table of known lower/upper estimates for the maximum number of such
 cycles per system type (m, n).
 
-The focus/node sign is read, not decided: at a critical point alpha of Q,
-2Q(alpha) g'(alpha) = Q''(alpha) H(alpha) with H = P^2 - Q, and on a certified
-interval (Q > 0, H < 0, alpha the only root of Q') alpha is a strict maximum
-of Q, so g'(alpha) > 0 exactly when alpha is a simple root of Q'.
+Neither the critical point nor the focus/node sign is decided.  Once all
+roots of Q are real, Rolle's theorem puts exactly one root alpha of Q' in
+each gap between adjacent roots, and it is simple: a root of Q of
+multiplicity e is a root of Q' of multiplicity e - 1, and the gaps take the
+rest of the deg Q - 1 roots of Q'.  At alpha, 2Q(alpha) g'(alpha) =
+Q''(alpha) H(alpha) with H = P^2 - Q; on a certified interval Q > 0 and
+H < 0, so alpha is a strict maximum of Q, Q''(alpha) < 0 and g'(alpha) > 0.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -31,14 +33,6 @@ from .rootclass import RealRoot, SturmChain, interior_point, isolate_real_roots
 
 class NonPolynomialSystem(ValueError):
     """(P, Q) does not define a polynomial Lienard system."""
-
-
-def _exact_quotient(num: Poly, den: Poly, message: str) -> Poly:
-    """num / den, or NonPolynomialSystem(message) when it is no polynomial."""
-    try:
-        return num.exact_div(den)
-    except ValueError:
-        raise NonPolynomialSystem(message) from None
 
 
 @dataclass(frozen=True)
@@ -61,8 +55,10 @@ class HyperellipticCurve:
     @cached_property
     def K(self) -> Poly:
         """-PQ'/Q, or NonPolynomialSystem when 2Q does not divide PQ'."""
-        return -_exact_quotient(self.P * self.Q.derivative(), self.Q,
-                                "2Q does not divide P*Q'")
+        try:
+            return -(self.P * self.Q.derivative()).exact_div(self.Q)
+        except ValueError:
+            raise NonPolynomialSystem("2Q does not divide P*Q'") from None
 
 
 @dataclass(frozen=True)
@@ -95,17 +91,17 @@ class Cofactor:
 
 
 def derive_system(curve: HyperellipticCurve) -> LienardSystem:
-    """f = P' - K/2 = P' + PQ'/(2Q), g = Q'H/(2Q); exact divisions (K first)
-    or error."""
-    Q = curve.Q
-    f = curve.P.derivative() - curve.K.scale(Fraction(1, 2))
-    g = _exact_quotient(Q.derivative() * curve.H, Q.scale(2),
-                        "2Q does not divide Q'*(P^2 - Q)")
+    """f = P' - K/2 = P' + PQ'/(2Q) and g = -(PK + Q')/2 = Q'H/(2Q), or
+    NonPolynomialSystem when Q does not divide PQ' (K is no polynomial);
+    once K is one, g needs no second division."""
+    half = Fraction(1, 2)
+    f = curve.P.derivative() - curve.K.scale(half)
+    g = -(curve.P * curve.K + curve.Q.derivative()).scale(half)
     if f.is_zero():
         raise NonPolynomialSystem("derived f vanishes; system degree m undefined")
     if g.degree < 1:
         raise NonPolynomialSystem("derived g has degree < 1; system degree n undefined")
-    # with both divisions exact, lc(f) = (deg P + deg Q / 2) lc(P) and
+    # with K exact, lc(f) = (deg P + deg Q / 2) lc(P) and, from 2Qg = Q'H,
     # deg g = deg H - 1, so deg P = m + 1 and deg H = n + 1 always hold
     return LienardSystem(f=f, g=g)
 
@@ -212,8 +208,8 @@ class IntervalVerdict:
     q_positive_between: bool = False          # condition (ii), per-interval part
     p2_minus_q_negative: bool = False         # condition (iii)
     no_common_root_qprime_f: bool = False     # condition (iv)
-    critical_point_unique: bool = False       # single root of Q' inside (proof shape)
-    gprime_positive_at_alpha: Optional[bool] = None  # focus/node sign data
+    critical_point_unique: bool = False       # single root of Q' inside (Rolle)
+    gprime_positive_at_alpha: Optional[bool] = None  # focus/node sign, when certified
     certified: bool = False
 
     def conditions_met(self) -> bool:
@@ -267,26 +263,20 @@ def certify(curve: HyperellipticCurve) -> CertificationReport:
     """Decide the four sufficient conditions on every candidate interval.
 
     Candidates are pairs of adjacent simple real roots of Q.  All verdicts
-    are exact; certified_count counts intervals passing (i)-(iv) with a
-    unique interior critical point of Q (the shape the focus/node argument
-    needs).  Condition (i) holds by construction once derive_system accepts
-    the curve.
+    are exact; certified_count counts intervals passing (i)-(iv).
+    Condition (i) holds by construction once derive_system accepts the
+    curve.  Q is the only polynomial isolated.
 
-    The focus/node sign is not decided: differentiating 2Qg = Q'H at the
-    critical point alpha gives 2Q(alpha) g'(alpha) = Q''(alpha) H(alpha).
-    Inside a certified interval Q > 0, H < 0 and alpha is the only root of
-    Q', so alpha is a strict maximum of Q and g'(alpha) > 0 exactly when
-    alpha is a simple root of Q'.  Q' is isolated on the first certified
-    interval only, and each interval locates alpha among fresh copies of
-    those roots, so no interval's refinement depends on another's."""
+    The critical point and the focus/node sign are read, not decided (module
+    docstring): the later checks run only when all roots of Q are real, so
+    the gap holds exactly one root alpha of Q', which is simple, and on a
+    certified interval g'(alpha) > 0."""
     sys = derive_system(curve)
     Q, f, H = curve.Q, sys.f, curve.H
 
     roots = isolate_real_roots(Q)
     all_real = sum(r.multiplicity for r in roots) == Q.degree
-    Qp = Q.derivative()
-    qp_roots: Optional[list[RealRoot]] = None
-    R4 = poly_gcd(Qp, f)
+    R4 = poly_gcd(Q.derivative(), f)
 
     report = CertificationReport(curve=curve, system=sys, all_roots_real=all_real,
                                  bounds=bounds(sys.m, sys.n))
@@ -304,6 +294,7 @@ def certify(curve: HyperellipticCurve) -> CertificationReport:
             # per the conservative reading of condition (ii), remaining checks
             # run only when all roots of Q are real and the sign screen passes
             continue
+        verdict.critical_point_unique = True
 
         # (iii): P^2 - Q < 0 strictly inside; H vanishes at the endpoints
         # whenever sqfree(Q) | P, so count interior roots exactly first.
@@ -317,25 +308,11 @@ def certify(curve: HyperellipticCurve) -> CertificationReport:
             R4.degree < 1 or _count_strictly_between(R4, left, right) == 0
         )
 
-        verdict.critical_point_unique = _count_strictly_between(Qp, left, right) == 1
-
-        if verdict.conditions_met() and verdict.critical_point_unique:
-            if qp_roots is None:
-                qp_roots = isolate_real_roots(Qp)
-            alpha = _locate_critical_point(qp_roots, left, right)
-            verdict.gprime_positive_at_alpha = alpha.multiplicity == 1
+        if verdict.conditions_met():
+            verdict.gprime_positive_at_alpha = True
             verdict.certified = True
             report.certified_count += 1
 
     if report.bounds.upper is not None:
         report.bound_consistent = report.certified_count <= report.bounds.upper
     return report
-
-
-def _locate_critical_point(qp_roots: list[RealRoot], left: RealRoot,
-                           right: RealRoot) -> RealRoot:
-    """The unique root of Q' strictly between two isolated simple roots of Q,
-    where Q' does not vanish, so it never coincides with either.  The roots
-    of Q' are left as they are: each candidate is refined as a copy."""
-    return next(cand for cand in map(copy.copy, qp_roots)
-                if cand.separate_from(left) == 1 and cand.separate_from(right) == -1)

@@ -624,6 +624,49 @@ class RealRoot:
         if self.poly.eval(c) == 0:
             self.lo = self.hi = c
 
+    def canonical(self) -> tuple[Fraction, Fraction]:
+        """(lo, hi) isolating this root in `poly`, fixed by the root and
+        `poly` alone: the same whatever refinement ran before.  The root
+        itself is left as it is; the work runs on a copy.
+
+        A rational root v gives (v, v).  With lc the leading coefficient of
+        poly's primitive integer form, a root p/q in lowest terms has q | lc,
+        so |lc| * v is an integer; once |lc| * width < 1 the interval holds at
+        most one such candidate, and one evaluation decides it.  An
+        irrational root gives the first cell of the dyadic halving of
+        [0, 2**e] or [-2**e, 0] toward the root (e the `_root_exponent` of
+        poly, so the start holds the root) whose ends are no roots of poly
+        and which holds no other root of poly."""
+        if self.is_exact():
+            return self.lo, self.hi
+        ints = int_coeffs(self.poly)
+        lead = abs(ints[-1])
+        r = RealRoot(poly=self.poly, lo=self.lo, hi=self.hi)
+        while lead * r.width() >= 1:
+            r.refine()
+            if r.is_exact():
+                return r.lo, r.hi
+        k = Fraction((lead * r.lo) // 1 + 1, lead)
+        if k < r.hi and _sign_at(ints, k) == 0:
+            return k, k
+        # the root is irrational: no rational point is a root, and poly has
+        # no other root in (r.lo, r.hi), so its sign there places the root
+        at_hi = _sign_at(ints, r.hi)
+
+        def below(x: Fraction) -> bool:
+            return x >= r.hi or (x > r.lo and _sign_at(ints, x) == at_hi)
+
+        chain = SturmChain(self.poly)
+        top = Fraction(2 ** _root_exponent(ints))
+        lo, hi = (-top, Fraction(0)) if below(Fraction(0)) else (Fraction(0), top)
+        while not (chain.sign(lo) and chain.sign(hi) and chain.count_open(lo, hi) == 1):
+            mid = (lo + hi) / 2
+            if below(mid):
+                hi = mid
+            else:
+                lo = mid
+        return lo, hi
+
     # -- relations ----------------------------------------------------------
 
     def separate_from(self, other: "RealRoot", avoid: list[Poly] = ()) -> int:

@@ -146,6 +146,20 @@ def test_construct_domain_error():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("args, error", [
+    (["bounds", "--m", "-1", "--n", "3"], "ValueError"),
+    (["construct", "--m", "2", "--n", "5", "--s-cap", "1"], "SearchExhausted"),
+    (["suite", "--criteria", "1", "--s-cap", "1"], "SearchExhausted"),
+])
+def test_domain_failure_is_a_json_error_with_exit_2(args, error):
+    # every command reports a failed search or an out-of-range type the
+    # same way: a JSON error document on stdout, no traceback
+    proc = run_cli(args)
+    assert (proc.returncode, proc.stderr) == (2, "")
+    doc = json.loads(proc.stdout)
+    assert (doc["schema"], doc["error"]) == (1, error) and doc["message"]
+
+
 def test_determinism():
     a = run_cli(["roots", "(x-1)^2 (x+2)"])
     b = run_cli(["roots", "(x-1)^2 (x+2)"])

@@ -255,8 +255,9 @@ def _seeded_cancelling_curve(rng):
 
 
 def test_every_derived_system_has_deg_p_m_plus_1_and_deg_h_n_plus_1():
-    # once both divisions are exact, lc(f) = (deg P + deg Q/2) lc(P) != 0 and
-    # deg g = deg(P^2 - Q) - 1, so the type (m, n) is read off P and P^2 - Q
+    # once K is exact, lc(f) = (deg P + deg Q/2) lc(P) != 0 and, since
+    # g = -(PK + Q')/2 solves 2Qg = Q'(P^2 - Q), deg g = deg(P^2 - Q) - 1,
+    # so the type (m, n) is read off P and P^2 - Q
     rng = random.Random(2026)
     derived = {_seeded_curve: 0, _seeded_cancelling_curve: 0}
     while min(derived.values()) < 40:
@@ -266,15 +267,16 @@ def test_every_derived_system_has_deg_p_m_plus_1_and_deg_h_n_plus_1():
                 sys = derive_system(curve)
             except NonPolynomialSystem:
                 continue
+            assert sys.g.scale(2) * curve.Q == curve.Q.derivative() * curve.H
             assert curve.P.degree == sys.m + 1
             assert (curve.P * curve.P - curve.Q).degree == sys.n + 1
             derived[draw] += 1
 
 
 @pytest.mark.parametrize("mn", [(10, 22), (9, 16)])
-def test_certify_isolates_q_and_q_prime_once(monkeypatch, mn):
-    # Q' is isolated once per certify, however many intervals certify, and
-    # every interval locates its critical point among copies of those roots
+def test_certify_isolates_q_once(monkeypatch, mn):
+    # Q is the one polynomial certify isolates, however many intervals
+    # certify: Rolle places the critical point, so Q' is never isolated
     isolated, certified = [], []
     isolate, certify_ = lienard.isolate_real_roots, families.certify
     monkeypatch.setattr(lienard, "isolate_real_roots",
@@ -283,12 +285,12 @@ def test_certify_isolates_q_and_q_prime_once(monkeypatch, mn):
                         lambda curve: certified.append(curve) or certify_(curve))
     out = families.construct(*mn)
     assert out.report.certified_count >= 3
-    assert certified and len(isolated) <= 2 * len(certified)
+    assert isolated == [curve.Q for curve in certified]
     isolated.clear()
     report = certify(out.curve)
-    assert isolated == [out.curve.Q, out.curve.Q.derivative()]
-    assert [(v.s1.lo, v.s1.hi, v.s2.lo, v.s2.hi, v.certified) for v in report.intervals] == [
-        (v.s1.lo, v.s1.hi, v.s2.lo, v.s2.hi, v.certified) for v in out.report.intervals]
+    assert isolated == [out.curve.Q]
+    assert [(v.s1.canonical(), v.s2.canonical(), v.certified) for v in report.intervals] == [
+        (v.s1.canonical(), v.s2.canonical(), v.certified) for v in out.report.intervals]
 
 
 def test_count_strictly_between_two_exact_roots_builds_at_most_one_chain():
@@ -361,7 +363,7 @@ def test_each_gap_of_a_real_rooted_q_holds_one_simple_critical_point():
             assert SturmChain(Qp).count_open(a, b) == 1
 
 
-def test_a_curve_divides_out_k_once_and_g_once_per_derivation(monkeypatch):
+def test_a_curve_divides_out_k_once_per_derivation(monkeypatch):
     curve = worked_25_curve()
     divisors = []
     exact_div = Poly.exact_div
@@ -371,8 +373,8 @@ def test_a_curve_divides_out_k_once_and_g_once_per_derivation(monkeypatch):
     assert invariance_residual(sys, curve).is_zero()
     K = cofactor(curve).K
     assert certify(curve).certified_count == 1
-    # K by Q, then g by 2Q in derive_system and again in certify
-    assert divisors == [curve.Q, curve.Q.scale(2), curve.Q.scale(2)]
+    # K by Q, once; g = -(PK + Q')/2 needs no division of its own
+    assert divisors == [curve.Q]
     assert K is curve.K
 
 

@@ -756,3 +756,82 @@ def test_count_strictly_between_when_a_refinement_step_lands_on_the_root():
     r = _third_root()
     assert lienard._count_strictly_between(w, r, one) == 2
     assert (r.lo, r.hi) == (Fraction(-4, 9), Fraction(-2, 9))
+
+
+# -- canonical isolating intervals ---------------------------------------------
+
+
+@st.composite
+def _canonical_input(draw):
+    """p with rational roots of small denominators (which the low-height
+    guess of `try_exact` can miss), close pairs r, r + 2^-k, factors
+    x^2 - k with irrational roots, maybe repeated, and maybe a factor with
+    no real root."""
+    p = Poly([draw(st.sampled_from([Fraction(-3), Fraction(1, 2), Fraction(5)]))])
+    for _ in range(draw(st.integers(0, 3))):
+        r = Fraction(draw(st.integers(-40, 40)), draw(st.sampled_from([1, 3, 5, 7, 9])))
+        p = p * Poly([-r, 1]) ** draw(st.integers(1, 2))
+        if draw(st.booleans()):
+            p = p * Poly([-r - Fraction(1, 2 ** draw(st.integers(2, 10))), 1])
+    for _ in range(draw(st.integers(0, 2))):
+        k = draw(st.sampled_from([Fraction(2), Fraction(3), Fraction(1, 5),
+                                  Fraction(50, 9), Fraction(1001)]))
+        p = p * Poly([-k, 0, 1]) ** draw(st.integers(1, 2))
+    if draw(st.booleans()):
+        p = p * Poly([draw(st.integers(1, 5)), _dyadic(draw, 4, 1), 1])
+    return p
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_canonical_input().filter(lambda p: p.degree >= 1))
+def test_canonical_does_not_depend_on_refinement(p):
+    for root in isolate_real_roots(p):
+        want = root.canonical()
+        before = (root.lo, root.hi)
+        assert root.canonical() == want and (root.lo, root.hi) == before
+        # 0..30 extra steps: midpoints first, then points that avoid p'
+        other = copy.copy(root)
+        for _ in range(31):
+            assert other.canonical() == want
+            other.refine([p.derivative()] if other.width() < 1 else ())
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_canonical_input().filter(lambda p: p.degree >= 1))
+def test_canonical_isolates_the_root_in_its_factor(p):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+
+    def sym(q):
+        return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                           for c in reversed(q.coeffs)], x)
+
+    roots = isolate_real_roots(p)
+    exact_roots = sorted(set(sympy.real_roots(sym(p))))
+    assert len(roots) == len(exact_roots)
+    for root, z in zip(roots, exact_roots):
+        lo, hi = root.canonical()
+        assert [w for w in set(sympy.real_roots(sym(root.poly))) if lo <= w <= hi] == [z]
+        # exact exactly when the root is rational
+        assert (lo == hi) == bool(z.is_rational)
+        if lo < hi:
+            # a dyadic cell [k 2^j, (k+1) 2^j] on one side of 0, with ends
+            # that are no roots
+            width = hi - lo
+            scale = width.numerator * width.denominator
+            assert 1 in (width.numerator, width.denominator) and scale & (scale - 1) == 0
+            assert (lo / width).denominator == 1 and (lo >= 0 or hi <= 0)
+            assert root.poly.eval(lo) != 0 and root.poly.eval(hi) != 0
+
+
+def test_canonical_reports_a_rational_root_that_try_exact_left_inexact_as_exact():
+    # x - 9/7 isolates to (8/7, 12/7), where the simplest rational is 3/2
+    [root] = isolate_real_roots(P(Fraction(-9, 7), 1))
+    assert not root.is_exact() and (root.lo, root.hi) == (Fraction(8, 7), Fraction(12, 7))
+    assert root.canonical() == (Fraction(9, 7), Fraction(9, 7))
+    # 13/5 shares its factor with the irrational roots of x^2 - 2
+    roots = isolate_real_roots(P(Fraction(-13, 5), 1) * P(-2, 0, 1))
+    assert [r.is_exact() for r in roots] == [False] * 3
+    assert [r.canonical() for r in roots] == [
+        (Fraction(-8), Fraction(0)), (Fraction(0), Fraction(2)),
+        (Fraction(13, 5), Fraction(13, 5))]

@@ -4,14 +4,15 @@ Two sets of inputs:
 
 * seeded draws in the style of the classify benchmark: planted rational
   roots (some in close clusters, some repeated) times quadratics with no
-  real root, over all four root shapes and every degree 2..24;
+  real root, over all four root shapes and every degree 2..24.  Each root
+  is rational, so each is reported as an exact point;
 * polynomials with irrational real roots, among them the Q of a few grid
-  cells.  Their isolating intervals stay inexact, so their endpoints are
-  whatever the bisection and refinement history left behind.
+  cells.  Each irrational root is reported as its canonical dyadic cell
+  (`RealRoot.canonical`), which no refinement history moves.
 
 A faster root engine must print the same bytes.
 
-The `STRIPPED` digests pin the same output with only the multiplicity kept
+The `STRIPPED_*` digests pin the same output with only the multiplicity kept
 of each isolating interval: the discriminant sequence, the sign lists and
 every root count, which no choice of isolating interval may move.
 """
@@ -30,36 +31,36 @@ SHAPES = ((1.0, (1,)), (0.5, (1,)), (0.5, (1, 2, 3)), (0.0, (1,)))
 
 # the comments read: inexact isolating intervals / distinct real roots
 DRAW_DIGESTS = {
-    0: "f379bc20fa394245268bb1b9a16085d5ce5b873ac6ddd032b2f8b48425f1e894",  # degree 2, shape 0, 1/2 inexact
-    1: "c1eb80ea9e9c76905d66baf2da4c2c0d6a9e406bcb44b9b2c42149e34c229742",  # degree 7, shape 1, 1/3 inexact
-    2: "90762d4a5bfee144cd58ea82b6a3f2aa01fc5e5aa1c1d9e477ac90d163183b58",  # degree 12, shape 2, 1/2 inexact
+    0: "b8c1fda8587878b60b9eaeace189aa15491980fd98a9d96b24a9ae3d47db097e",  # degree 2, shape 0, 0/2 inexact
+    1: "3a9374393e0aedda089e64171c0ef333e17886ef0614174f18fca63ed7bc969f",  # degree 7, shape 1, 0/3 inexact
+    2: "9cf7b6590e7196cb7a1b616b12257908b3c58e3150fdee9a5db990be73ff4d0c",  # degree 12, shape 2, 0/2 inexact
     3: "ba733528f5c14dc16b7e324fb42983c60dbcd588119338bb4720eb7a4094f70d",  # degree 17, shape 3, 0/1 inexact
-    4: "a1cda4ceaa2bd3608bde877e9ce1363b790e1fbb068bdcc290dc35bd5803245b",  # degree 22, shape 0, 11/22 inexact
-    5: "4fb8598c3aec2179e1ae363e887fedbea6b4bc039987448892dfb2ec5a4c33a5",  # degree 4, shape 1, 1/2 inexact
-    6: "21dc0a51f88ebf3b2df5a3378fa69eb16856befc1255d504c7c73d33621b3bec",  # degree 9, shape 2, 1/1 inexact
-    7: "f66488e75cfce3df9d31de54bbd0c4aa0f504fd40c82f7f24b8425e0c13ad741",  # degree 14, shape 3, 1/2 inexact
-    8: "9f1c06e61fd43ea9c0f6a0bba60fa9b5a7cc6bb448f942fb678a74986ae734ac",  # degree 19, shape 0, 7/19 inexact
-    9: "96f47a34f87b90ac86f142d8511b6f65876b3a6f8c34631927c7c521dbbbca82",  # degree 24, shape 1, 5/12 inexact
-    10: "9ec163a02053b4adaa7b19fdad4ccc37dad0743593123a794aaea59444608602",  # degree 6, shape 2, 2/2 inexact
-    11: "66d2799320430e2b36f34ee02af0ebca01027f407772b562c01b5660c19edde1",  # degree 11, shape 3, 1/1 inexact
-    12: "54fd5f252c2c190f14b9be6ddb2f21e97cd6c06ea3ac41a6e5a94bc2c87f4684",  # degree 16, shape 0, 11/16 inexact
-    13: "638761f986fd62e87d5ae0d4fd60a24aeb6c359bdc86510bfc2d63206604c3a0",  # degree 21, shape 1, 2/9 inexact
+    4: "24c4323b5779e7f1331a290fd908a096c1b0f0722192bd2774af8925301e0e2e",  # degree 22, shape 0, 0/22 inexact
+    5: "6ea376c943d2c0f0fefe685fb458537ae94da640cad55466c3c8f151d66aa935",  # degree 4, shape 1, 0/2 inexact
+    6: "88b7a5f09f9d33df1a32cfec237f41a6e07b6f594f990bae17aae371bc878e9e",  # degree 9, shape 2, 0/1 inexact
+    7: "17fd65e134115694141e98f97f5b0b1203d283ea07645da16469309e92f629b1",  # degree 14, shape 3, 0/2 inexact
+    8: "f26f6a5a8b97fc2da47f80a2ad1a3f4ef30f486eb6f67c9da854ba6730c19b3a",  # degree 19, shape 0, 0/19 inexact
+    9: "82affe50cc4d082348179cdd56f5e4c7ece0ae1f8d39da7a073c8a9f5ded14e0",  # degree 24, shape 1, 0/12 inexact
+    10: "aee6dabb020f7167b142e2758a6d8acf0ad2fd0d3cdb173fba16cc00874413c2",  # degree 6, shape 2, 0/2 inexact
+    11: "ac7ba1cba4c3734d23989e6430da8e34cfdb683cf3a4f7f7969a8d1b06240d1a",  # degree 11, shape 3, 0/1 inexact
+    12: "0c544694cd10f859c92a4efc3f491a95c2a23a8fd99e6df6d4bf44b14248bc6f",  # degree 16, shape 0, 0/16 inexact
+    13: "e28b161c1ce5f3a0f6397b074da6db921c3d9d6657b0d2781658adb9126ba294",  # degree 21, shape 1, 0/9 inexact
     14: "b30bcf8590315b7986a88b6a5871f329a0bdb146cead9181232c53cd1346d5f4",  # degree 3, shape 2, 0/1 inexact
-    15: "d879ef3e73b02362068d6d004f36ff1c1201bbe6b0a6a0c2fbf9f40bc30b286a",  # degree 8, shape 3, 1/2 inexact
-    16: "7fa2cc30553ff3fb31cc5eaa440da4f99785ce29bdb3a92e90d014873a07d62a",  # degree 13, shape 0, 4/13 inexact
-    17: "eaf61a78f6aecc38d917bccae2df959dfc590782821bd4c48ba0a2dd1b265695",  # degree 18, shape 1, 4/8 inexact
-    18: "a4132702b9dfffd2145063f0dc1819f9b8d7916ae3524c03b22c69237f21fc65",  # degree 23, shape 2, 5/6 inexact
+    15: "0f726a76876c3a1f8cc2ca5dac84ac2df62f0dc83bb812a34a14eebfc94c5a42",  # degree 8, shape 3, 0/2 inexact
+    16: "76a064c5ff29366ff9e6eee4edcc4d2b3027df2b05b86fd6c9d2201f6ccbffb6",  # degree 13, shape 0, 0/13 inexact
+    17: "ab3f04949680639a75963c977a0ac801b581f8a354f2ce1926b9187404279bd6",  # degree 18, shape 1, 0/8 inexact
+    18: "5206fd21a44558de42d96ff7c118a4be7a55029559f4e923f083206498190d24",  # degree 23, shape 2, 0/6 inexact
     19: "de4d2af6d4f3f8fba31f77cc6b85f8d8d9344e01c93b2e4f4598d3b3c088f051",  # degree 5, shape 3, 0/1 inexact
-    20: "a7fbb2b3b339a410a6dab87cd7ecb54397f3f5906fc090e23d7863f3052a8160",  # degree 10, shape 0, 4/10 inexact
-    21: "e5385d3ed5145df36b5ed8ec33712357cf2f1b3774f0c66d5a1c8b4a0ce03bf0",  # degree 15, shape 1, 1/7 inexact
-    22: "338af04a3ee8621afeaad0927c0cc331622d66913a9b9024d3dbfac02324a59d",  # degree 20, shape 2, 2/4 inexact
-    23: "3136af4be968a34b4a884b157a143d3f854bf7c6b7e02165e147a5c6ab4934e6",  # degree 2, shape 3, 1/2 inexact
-    24: "dc5989efefc2492c9a50290b8bc5988d21715f3a9abd1b2a53fbb4139cd5c788",  # degree 7, shape 0, 4/7 inexact
-    25: "2e0144e0593ad090d33a3be27b0740948e2b43476b33c6a02c2f3c5decd5eda7",  # degree 12, shape 1, 1/6 inexact
-    26: "721e5971af4c744a1e21f0c96266638144e4a95f521752f7489aa24afec026f9",  # degree 17, shape 2, 2/3 inexact
-    27: "97427a0849eb157e7ca448abf6af1ad027ad44a863a77e25fa72d5f08a58a1b9",  # degree 22, shape 3, 1/2 inexact
-    28: "84d962687d21a443177faae74f3694341963c901eca0ca2d23a8f17677c87fdc",  # degree 4, shape 0, 2/4 inexact
-    29: "029f6faa211bbd4cb0056e9f6f5f16392c5113781ea25a6fa89a1c05bb834a85",  # degree 9, shape 1, 1/3 inexact
+    20: "51bb9c9eb9ce8420586bf1f0172ab1a563b1f3d712a64cdb9dfc15e692395980",  # degree 10, shape 0, 0/10 inexact
+    21: "2fda919500a2c831f95dfd25a5eca3181700caaed3e4e782bb22c3c818d43908",  # degree 15, shape 1, 0/7 inexact
+    22: "38fa0f0b7a4d5145d39bbcc933e84c8ba059c5f002f14c1a7cc73a4f0fed99af",  # degree 20, shape 2, 0/4 inexact
+    23: "dcbc1c8dd21f14afbc5866b18f7a9f4980520beae389737c0fc4110f394e2698",  # degree 2, shape 3, 0/2 inexact
+    24: "ed578d3fe3979797dbda93ff86e6921997da03b22a7485704694e33992762758",  # degree 7, shape 0, 0/7 inexact
+    25: "211e102665d15ada8c450260d34db73ac121346c7d47a5c03af3a59f81da508b",  # degree 12, shape 1, 0/6 inexact
+    26: "054faed122e9c8830a4cf17c254c7c066b3e129df48a62eb226ca1864da86c8a",  # degree 17, shape 2, 0/3 inexact
+    27: "4075330be8eaf7d0497b505e45b5a9408761bead3774608c30f9aeb805bad681",  # degree 22, shape 3, 0/2 inexact
+    28: "fb3e3b4d532a741c0968ac37145458379c5691f746b8cb5e4697b2f9de6f1e1a",  # degree 4, shape 0, 0/4 inexact
+    29: "cfae39a78cf3eb280a9db02d5930e537a8ef74b40a3347a2bf5d91b767013154",  # degree 9, shape 1, 0/3 inexact
 }
 
 IRRATIONAL = {
@@ -80,16 +81,16 @@ IRRATIONAL = {
 }
 
 IRRATIONAL_DIGESTS = {
-    "mixed": "fe05709b7320107920c54d87a4e3782f742594be635c6198e507a928e0ea1579",  # 5/5 inexact
-    "x5": "d362ead89c09abd50464848e47ed37070a4cdcd334efb20479a479bc2eee9d94",  # 1/1 inexact
-    "double_sqrt": "7bd75a1f4d441c05a46c3b38361b7bc2fd432b764e73c5e9c5f34b90ffbd73bf",  # 5/5 inexact
-    "cube_root": "aca359834df20a8acb281aae890b5020bd904df2fae84f679d6937180e0a1afa",  # 1/1 inexact
-    "close_triples": "2d90617cf75165d3fb54168300f931c48bba08926b08526dc734e3047ba7e47d",  # 6/6 inexact
-    "wide": "9721a3bd21bc7c56c0df8677739d8342f213d2f76c0900edc0c868e0c0306a34",  # 4/4 inexact
+    "mixed": "d0c7a8b3c2535012383bb187e56b140125a51053349fa31b715ae46496e01114",  # 5/5 inexact
+    "x5": "005a409f8eeba150ad5ab451f9a821a855e786d8ccce28d02c44d33a3cb9fd92",  # 1/1 inexact
+    "double_sqrt": "c02ad551160b4ccfe847da8e3d38503b3c8633dd60d18defd7fa4b3dbeaeaaf0",  # 4/5 inexact
+    "cube_root": "7418a37b7191072bd3e276de00e3de7dca7275a491a44f5761fb470135dd3c36",  # 1/1 inexact
+    "close_triples": "dc4201b7d64f23d54bad28ed6045a1e7aeca3190809354f7249c55e446a56567",  # 6/6 inexact
+    "wide": "c3148ab806100c1cd3f2dd34929480675a134f3116a5e09587d5d9e6bd96b556",  # 4/4 inexact
     "Q_2_5": "d100a7060996ea0095240c292dedca4573a467cafe131e9fe88aaa8690582311",  # 0/3 inexact
-    "Q_4_6": "3057c040a0ac3a21c4b87459a7e670e22eda187a78b0cf95fdbee810b2bb4053",  # 2/5 inexact
-    "Q_5_8": "dad5d2beaea973c00688e7b81515e6c4f49f44b3532be856744086823ffedbca",  # 2/6 inexact
-    "Q_6_9": "0673cf8275fe1b919849beef1d387486465af601fad6d2814f49b8e32cbf3259",  # 4/7 inexact
+    "Q_4_6": "be153ab1c8a8f84c1e3e2e8365fa9361395c0f727ff486ddbc7d102cc4db503f",  # 2/5 inexact
+    "Q_5_8": "061aa92d67ff2034ab34d990b447bba9bf623aa04d92049f674748c527cb5d82",  # 2/6 inexact
+    "Q_6_9": "c1deda6a1f33157f4b2894e72f15541d3568e17e286d77f40a549f78c4d58b82",  # 4/7 inexact
 }
 
 
