@@ -45,6 +45,16 @@ class DomainFailure(Exception):
         self.payload = payload
         super().__init__(payload.get("error", "domain error"))
 
+    @classmethod
+    def of(cls, exc: Exception) -> "DomainFailure":
+        """The error document for an exception the library raised."""
+        return cls({"schema": SCHEMA, "error": type(exc).__name__,
+                    "message": str(exc)})
+
+
+# what a construction search raises when it cannot deliver
+_SEARCH_FAILURES = (families.SearchExhausted, families.PatternNotAchieved, ValueError)
+
 
 def _interval_json(root) -> dict:
     """The root's canonical isolating interval (`RealRoot.canonical`), so
@@ -153,8 +163,7 @@ def _cmd_certify(args) -> dict:
     try:
         report = certify(HyperellipticCurve(P=P, Q=Q))
     except NonPolynomialSystem as exc:
-        raise DomainFailure({"schema": SCHEMA, "error": "NonPolynomialSystem",
-                             "message": str(exc)})
+        raise DomainFailure.of(exc)
     return _report_json(report)
 
 
@@ -166,8 +175,7 @@ def _cmd_reconstruct(args) -> dict:
         sys_ = LienardSystem(f=f, g=g)
         outcome = recover_curve(sys_)
     except (UndeterminedType, DegenerateLeadingCoefficient, ValueError) as exc:
-        raise DomainFailure({"schema": SCHEMA, "error": type(exc).__name__,
-                             "message": str(exc)})
+        raise DomainFailure.of(exc)
     if outcome.found:
         return {
             "schema": SCHEMA,
@@ -234,9 +242,8 @@ def _cmd_construct(args) -> dict:
     try:
         result = families.construct(args.m, args.n, s_cap=args.s_cap,
                                     pattern=pattern)
-    except (families.SearchExhausted, families.PatternNotAchieved, ValueError) as exc:
-        raise DomainFailure({"schema": SCHEMA, "error": type(exc).__name__,
-                             "message": str(exc)})
+    except _SEARCH_FAILURES as exc:
+        raise DomainFailure.of(exc)
     out = _report_json(result.report)
     out["parameters"] = {k: str(v) for k, v in result.parameters.items()}
     return out
@@ -268,8 +275,7 @@ def _cmd_bounds(args) -> dict:
     try:
         b = bounds(args.m, args.n)
     except ValueError as exc:
-        raise DomainFailure({"schema": SCHEMA, "error": "ValueError",
-                             "message": str(exc)})
+        raise DomainFailure.of(exc)
     out = {"schema": SCHEMA, "m": args.m, "n": args.n}
     out.update(_bounds_json(b))
     return out
@@ -310,9 +316,8 @@ def _cmd_suite(args) -> dict:
     try:
         results = suite_mod.run_suite(criteria=criteria, seed=args.seed,
                                       s_cap=args.s_cap)
-    except (families.SearchExhausted, families.PatternNotAchieved, ValueError) as exc:
-        raise DomainFailure({"schema": SCHEMA, "error": type(exc).__name__,
-                             "message": str(exc)})
+    except _SEARCH_FAILURES as exc:
+        raise DomainFailure.of(exc)
     return {
         "schema": SCHEMA,
         "results": [

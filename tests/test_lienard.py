@@ -311,8 +311,8 @@ def test_count_strictly_between_two_exact_roots_builds_at_most_one_chain():
 
 
 def test_certify_decides_no_sign_at_the_critical_point(monkeypatch):
-    # the focus/node flag is read off alpha's multiplicity in Q', so
-    # certify asks no isolated root for a sign
+    # the focus/node flag follows from Rolle's theorem and the certified
+    # signs of Q and H, so certify asks no isolated root for a sign
     curve = families.construct(10, 18).curve
     signs = []
     sign_of = RealRoot.sign_of
