@@ -1,10 +1,13 @@
 """The `reconstruct` CLI output is frozen.
 
-Two sets of inputs:
+Three sets of inputs:
 
 * every grid cell that constructs (m = 2..10, n = m+2..2m+2) with
   n != 2m+1, fed the f and g of that cell's `construct` report: the curve,
   the `verified` flag and the whole schedule with its pivots;
+* seeded random curves with rational data of both branches, fed the f and g
+  that `derive_system` gives: the same, for curves whose P and Q have
+  fractional coefficients;
 * seeded random systems of both branches (n < 2m+1 and n > 2m+1) that carry
   no curve: the witness equation and degree, and the schedule up to it.
 
@@ -20,6 +23,8 @@ from fractions import Fraction
 import pytest
 
 from hypercycles.cli import main
+from hypercycles.lienard import HyperellipticCurve, derive_system
+from hypercycles.polyx import Poly, coeff_strings
 
 CELL_DIGESTS = {
     (2, 6): "f6e07f470334ea57a337acaa0666478ed819f5bcd2cbfcc5a1bd3d7edf950862",
@@ -71,6 +76,17 @@ CELL_DIGESTS = {
     (10, 22): "3c26a0121f1d16254bd1a53d711142a7595d09e275067859dfc0ee8b697ff552",
 }
 
+CURVE_DIGESTS = {
+    0: "15a9196defa7dbe844a246a3a2a5e33125faa4278cbdb11989f4c1572616a94b",  # (2,7)
+    1: "e6d3c412934a36edb6d6a23609fbaf0088dc819e77c3c87e35bb01ac631ce3e9",  # (1,2)
+    2: "a91d3b4c1ca3249440f167eafb51a458403820825a3bb9e9f306dd8a9d2bf711",  # (2,7)
+    3: "21907913062e80a54239428898b2f1e570b834cc01314023b87994ed33095011",  # (2,4)
+    4: "2ac8ea61fe9464db35c086e0dfacf57e4259cae9000cbabf1802b2d20efab39c",  # (2,6)
+    5: "518e8d65f2868191cffc20db13244b7b38de41c4e8149e590a3ba560971c1d68",  # (3,6)
+    6: "f909bc735642df535cdf22a2751081363c1a41ebf2f25afb4e41679c14f51ec6",  # (1,6)
+    7: "40e84ea271be0af79139c2ca2bca37ced77de588031d90ca5aed0fedafb394a7",  # (1,2)
+}
+
 NO_CURVE_DIGESTS = {
     0: "1817017eeaa3dd11f267526db66ac3176f73e096d95691d7222e221735c51eb1",  # f-identity x^10
     1: "f9ff5988cb06c0bcb69ad0f482527105de123362169e45c5e823a3cc2813dbad",  # f-identity x^6
@@ -89,6 +105,36 @@ def _reconstruct(doc: dict, capsys, monkeypatch) -> str:
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
     assert main(["reconstruct", "--stdin"]) == 0
     return capsys.readouterr().out
+
+
+def _curve(seed: int) -> HyperellipticCurve:
+    """Q = c (x - a_1)^e_1 ... (x - a_k)^e_k and P = (x - a_1)...(x - a_k) T,
+    with a_i of denominator 1 or 2 and c and T fractional.  Even seeds draw
+    deg Q > 2 deg P, so n > 2m+1; odd seeds draw deg Q = 2 deg P and
+    c = lc(T)^2, so the top of P^2 - Q cancels and n < 2m+1."""
+    rng = random.Random(seed)
+    while True:
+        k = rng.randint(2, 3)
+        mults = [rng.randint(1, 4) for _ in range(k)]
+        q = sum(mults)
+        if seed % 2:
+            if q % 2 or not 0 <= q // 2 - k <= 2:
+                continue
+            t = q // 2 - k
+        else:
+            t_max = (q - 1) // 2 - k
+            if t_max < 0:
+                continue
+            t = rng.randint(0, min(t_max, 2))
+        break
+    roots = [Fraction(a, rng.randint(1, 2)) for a in rng.sample(range(-5, 6), k)]
+    lead = Fraction(rng.choice([-3, -1, 1, 2, 3]), rng.randint(2, 3))
+    T = Poly([Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(t)] + [lead])
+    c = lead * lead if seed % 2 else Fraction(rng.choice([-5, -2, 1, 3]), rng.randint(2, 3))
+    Q = Poly.constant(c)
+    for a, e in zip(roots, mults):
+        Q = Q * Poly([-a, 1]) ** e
+    return HyperellipticCurve(P=Poly.from_roots(roots) * T, Q=Q)
 
 
 def _no_curve_system(seed: int) -> dict:
@@ -114,6 +160,19 @@ def test_reconstruct_of_grid_cell_is_frozen(m, n, capsys, monkeypatch):
     assert doc["verified"] is True
     assert (doc["P"], doc["Q"]) == (built["P"], built["Q"])
     assert hashlib.sha256(out.encode()).hexdigest() == CELL_DIGESTS[(m, n)]
+
+
+@pytest.mark.parametrize("seed", sorted(CURVE_DIGESTS))
+def test_reconstruct_of_rational_curve_is_frozen(seed, capsys, monkeypatch):
+    curve = _curve(seed)
+    sys_ = derive_system(curve)
+    assert (sys_.n < 2 * sys_.m + 1) == (seed % 2 == 1)
+    out = _reconstruct({"f": coeff_strings(sys_.f), "g": coeff_strings(sys_.g)},
+                       capsys, monkeypatch)
+    doc = json.loads(out)
+    assert doc["verified"] is True
+    assert (doc["P"], doc["Q"]) == (coeff_strings(curve.P), coeff_strings(curve.Q))
+    assert hashlib.sha256(out.encode()).hexdigest() == CURVE_DIGESTS[seed]
 
 
 @pytest.mark.parametrize("seed", sorted(NO_CURVE_DIGESTS))
