@@ -11,13 +11,19 @@ by matching coefficients from the top degree downward.  Every coefficient
 p_i of P and q_j of Q is one unknown, so the coefficient of x^d in (I) or
 (II) is a closed-form sum over index pairs (index triples for the cubic
 term Q' P^2); `_equations` writes each one down directly as a polynomial in
-the unknowns.  The two top unknowns are seeded with their closed forms, and
-a propagation solve follows: repeatedly find a coefficient equation that
-has become affine in one unknown (or a block of equations jointly affine),
-divide by its pivot, and substitute.  Each equation keeps its reduced form
-and is reduced again only when an unknown it holds has been assigned since;
-that reduction touches only the terms holding a newly assigned unknown, and
-every other term keeps its coefficient as it stands.
+the unknowns.  Each equation is an integer vector over one positive
+denominator, as `Poly.int_form` is for a polynomial: (I) is written times
+the common denominator of f, (II) times that of g.  The two top unknowns
+are seeded with their closed forms, and a propagation solve follows:
+repeatedly find a coefficient equation that has become affine in one
+unknown (or a block of equations jointly affine), divide by its pivot, and
+substitute.  Each equation keeps its reduced form and is reduced again only
+when an unknown it holds has been assigned since; that reduction touches
+only the terms holding a newly assigned unknown, scales every other term
+by the lcm of the denominators the touched ones picked up, and divides the
+equation by the common factor of its integers and its denominator.  No
+coefficient becomes a `Fraction`; only the assigned values, the pivots and
+the rows of an affine block are.
 The executed schedule, with every pivot, is recorded for audit.
 
 When n < 2m+1 the top of (II) forces the coefficients of x^{n+2}..x^{2m+2}
@@ -34,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional
 
 from .lienard import HyperellipticCurve, LienardSystem
@@ -50,43 +57,58 @@ class DegenerateLeadingCoefficient(ValueError):
 
 # -- polynomials in the unknowns ---------------------------------------------
 # monomial: sorted tuple of variable ids; MPoly: {monomial: coefficient}.
-# Coefficients are Fractions, or ints on monomials of two or more unknowns,
-# which become Fractions once an unknown is substituted.
+# Coefficients are ints: an equation is an integer vector over one positive
+# denominator that its `_Equation` keeps, as `Poly.int_form` is for a Poly.
 
 Mono = tuple[int, ...]
-MPoly = dict[Mono, Fraction]
+MPoly = dict[Mono, int]
 
 
-def _mp_reduce(a: MPoly, assign: dict[int, Fraction]) -> MPoly:
-    """a under `assign`.  Every coefficient of a is nonzero, so a term with
-    no assigned unknown is kept as it is, coefficient object included, and
-    only added to when a reduced term lands on its monomial."""
-    out: MPoly = {}
+def _mp_reduce(a: MPoly, assign: dict[int, Fraction]) -> tuple[MPoly, int]:
+    """(b, L) with b / L equal to a under `assign`: L is the lcm of the
+    denominators the touched terms pick up, so every coefficient of b is an
+    int.  Every coefficient of a is nonzero, so a term with no assigned
+    unknown is kept as c * L, the same object when L = 1, and only added to
+    when a reduced term lands on its monomial."""
     assigned = assign.keys()
+    terms = []   # (monomial, numerator, denominator); 0 marks an untouched term
+    scale = 1
     for mono, coeff in a.items():
-        if not assigned.isdisjoint(mono):
-            rest = []
-            for v in mono:
-                if v in assign:
-                    coeff *= assign[v]
-                else:
-                    rest.append(v)
-            if not coeff:
-                continue
-            mono = tuple(rest)
+        if assigned.isdisjoint(mono):
+            terms.append((mono, coeff, 0))
+            continue
+        den = 1
+        rest = []
+        for v in mono:
+            if v in assign:
+                value = assign[v]
+                coeff *= value.numerator
+                den *= value.denominator
+            else:
+                rest.append(v)
+        if coeff:
+            terms.append((tuple(rest), coeff, den))
+            if den != 1:
+                scale = lcm(scale, den)
+    out: MPoly = {}
+    for mono, coeff, den in terms:
+        if den:
+            coeff *= scale // den
+        elif scale != 1:
+            coeff *= scale
         if mono in out:
             coeff = out[mono] + coeff
             if not coeff:
                 del out[mono]
                 continue
         out[mono] = coeff
-    return out
+    return out, scale
 
 
-def _mp_affine(a: MPoly) -> Optional[tuple[Fraction, dict[int, Fraction]]]:
+def _mp_affine(a: MPoly) -> Optional[tuple[int, dict[int, int]]]:
     """(constant, {var: coeff}) when a is affine, else None."""
-    const = Fraction(0)
-    lin: dict[int, Fraction] = {}
+    const = 0
+    lin: dict[int, int] = {}
     for mono, c in a.items():
         if len(mono) == 0:
             const = c
@@ -114,20 +136,31 @@ class RecoveryOutcome:
 
 class _Equation:
     """One coefficient equation: its reduced form under the assignment as of
-    its last reduction, and that form's (constant, linear part) when affine."""
+    its last reduction, over the positive denominator `den` (the coefficient
+    of a monomial is expr[mono] / den), and that form's integer (constant,
+    linear part) when affine."""
 
-    __slots__ = ("family", "degree", "expr", "affine", "stale")
+    __slots__ = ("family", "degree", "expr", "den", "affine", "stale")
 
-    def __init__(self, family: str, degree: int, expr: MPoly):
+    def __init__(self, family: str, degree: int, expr: MPoly, den: int):
         self.family = family
         self.degree = degree
         self.expr = expr
+        self.den = den
         self.affine = None
         self.stale = True
 
     def refresh(self, assign: dict[int, Fraction]) -> None:
-        self.expr = _mp_reduce(self.expr, assign)
-        self.affine = _mp_affine(self.expr) if self.expr else None
+        expr, scale = _mp_reduce(self.expr, assign)
+        den = self.den * scale
+        # divide out the common factor, so the integers stay small
+        common = gcd(den, *expr.values())
+        if common != 1:
+            den //= common
+            expr = {mono: c // common for mono, c in expr.items()}
+        self.expr = expr
+        self.den = den
+        self.affine = _mp_affine(expr) if expr else None
         self.stale = False
 
 
@@ -135,55 +168,61 @@ def _equations(f: Poly, g: Poly, m: int, n: int, deg_q: int) -> list[_Equation]:
     """The coefficient equations of (I), (II) and, when n < 2m+1,
     degree-match, in witness priority order; p_i is unknown i and q_j is
     unknown m+2+j.  An equation whose every coefficient vanishes is left
-    out."""
+    out.  (I) and (II) are written times the common denominator D_f of f
+    (D_g of g), so the data terms are 2 F_k with f = F / D_f and every
+    structural term is scaled by D_f."""
     q0 = m + 2
     top_p = m + 1
-    f2 = [2 * c for c in f.coeffs]
-    g2 = [2 * c for c in g.coeffs]
+    f_nums, f_den = f.int_form()
+    g_nums, g_den = g.int_form()
 
-    def data_terms(expr: MPoly, d: int, h2: list) -> None:
-        # 2 Q h at x^d, for h = f or g; h2 holds 2h
-        for j in range(max(0, d - len(h2) + 1), min(deg_q, d) + 1):
-            if h2[d - j]:
-                expr[(q0 + j,)] = h2[d - j]
+    def data_terms(expr: MPoly, d: int, nums: tuple[int, ...]) -> None:
+        # 2 Q h at x^d times D_h, for h = F / D_h = f or g
+        for j in range(max(0, d - len(nums) + 1), min(deg_q, d) + 1):
+            if nums[d - j]:
+                expr[(q0 + j,)] = 2 * nums[d - j]
 
     equations = []
     # (I): 2 Q f - 2 Q P' - P Q'; p_i q_j sits at x^{i+j-1} with -(2i + j)
     for d in range(deg_q + m, -1, -1):
         expr: MPoly = {}
-        data_terms(expr, d, f2)
+        data_terms(expr, d, f_nums)
         for i in range(max(0, d + 1 - deg_q), min(top_p, d + 1) + 1):
             j = d + 1 - i
-            expr[(i, q0 + j)] = -(2 * i + j)
+            expr[(i, q0 + j)] = -(2 * i + j) * f_den
         if expr:
-            equations.append(_Equation("f-identity", d, expr))
+            equations.append(_Equation("f-identity", d, expr, f_den))
     # (II): 2 Q g - Q' P^2 + Q' Q
     for d in range(max(deg_q + n, deg_q + 2 * m + 1, 2 * deg_q - 1), -1, -1):
         expr = {}
-        data_terms(expr, d, g2)
+        data_terms(expr, d, g_nums)
         # -Q' P^2: j q_j p_a p_b at x^{j-1+a+b}, ordered pairs (a, b)
         for j in range(max(1, d + 1 - 2 * top_p), min(deg_q, d + 1) + 1):
             s = d + 1 - j
             for a in range(max(0, s - top_p), s // 2 + 1):
-                expr[(a, s - a, q0 + j)] = -j if 2 * a == s else -2 * j
+                expr[(a, s - a, q0 + j)] = (-j if 2 * a == s else -2 * j) * g_den
         # +Q' Q: a q_a q_b at x^{a-1+b}, ordered pairs (a, b)
         for a in range(max(0, d + 1 - deg_q), (d + 1) // 2 + 1):
             b = d + 1 - a
-            expr[(q0 + a, q0 + b)] = a if a == b else d + 1
+            expr[(q0 + a, q0 + b)] = (a if a == b else d + 1) * g_den
         if expr:
-            equations.append(_Equation("g-identity", d, expr))
+            equations.append(_Equation("g-identity", d, expr, g_den))
     if n < 2 * m + 1:
         # matching coefficients of P^2 and Q above degree n+1
         for d in range(2 * m + 2, n + 1, -1):
             expr = {(a, d - a): 1 if 2 * a == d else 2
                     for a in range(max(0, d - top_p), d // 2 + 1)}
-            expr[(q0 + d,)] = Fraction(-1)
-            equations.append(_Equation("degree-match", d, expr))
+            expr[(q0 + d,)] = -1
+            equations.append(_Equation("degree-match", d, expr, 1))
     return equations
 
 
 def _affine_block_solve(rows):
     """Gauss-Jordan elimination (`rref`) over the currently-affine equations.
+    Each row is an equation's integer (constant, linear part), which is its
+    rational row times its `den`; scaling a row leaves the reduced row echelon
+    form as it is.  `rref` gets the entries as Fractions, so that its
+    divisions stay exact.
 
     Returns the [(variable, value)] that the subsystem pins uniquely (their
     reduced row holds a single variable), empty when it pins none, or a
@@ -198,8 +237,8 @@ def _affine_block_solve(rows):
     for eq, const, lin in rows:
         row = [Fraction(0)] * (nv + 1)
         for v, c in lin.items():
-            row[index[v]] = c
-        row[nv] = const
+            row[index[v]] = Fraction(c)
+        row[nv] = Fraction(const)
         mat.append(row)
     mat, pivots = rref(mat)
     if nv in pivots:
@@ -267,7 +306,7 @@ def recover_curve(sys: LienardSystem) -> RecoveryOutcome:
         # uniqueness argument walks through explicitly.  An equation later
         # in the pass sees the assignments made earlier in it
         progressed = False
-        affine_rows: list[tuple[_Equation, Fraction, dict[int, Fraction]]] = []
+        affine_rows: list[tuple[_Equation, int, dict[int, int]]] = []
         for eq in equations:
             if eq.stale:
                 eq.refresh(assign)
@@ -279,10 +318,10 @@ def recover_curve(sys: LienardSystem) -> RecoveryOutcome:
                                        schedule=tuple(schedule))
             if len(lin) == 1:
                 (var, coeff), = lin.items()
-                set_var(var, -const / coeff)
+                set_var(var, Fraction(-const, coeff))
                 schedule.append({"unknowns": [pname(var)],
                                  "equations": [f"{eq.family} x^{eq.degree}"],
-                                 "pivots": [str(coeff)]})
+                                 "pivots": [str(Fraction(coeff, eq.den))]})
                 progressed = True
             else:
                 affine_rows.append((eq, const, lin))

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -12,7 +13,14 @@ from hypercycles.lienard import (
     invariance_check,
 )
 from hypercycles.polyx import Poly, parse_poly
-from hypercycles.recover import UndeterminedType, _equations, _mp_reduce, recover_curve
+from hypercycles.recover import (
+    UndeterminedType,
+    _affine_block_solve,
+    _equations,
+    _Equation,
+    _mp_reduce,
+    recover_curve,
+)
 
 
 def _roundtrip(curve: HyperellipticCurve):
@@ -144,10 +152,11 @@ def test_equations_match_sympy_expansion(m, n):
 
     got = {}
     for eq in _equations(f, g, m, n, deg_q):
-        assert all(c != 0 for c in eq.expr.values())
+        assert all(type(c) is int and c != 0 for c in eq.expr.values())
+        assert type(eq.den) is int and eq.den > 0
         assert all(list(mono) == sorted(mono) for mono in eq.expr)
         got[(eq.family, eq.degree)] = sympy.expand(sum(
-            sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(unknowns[v] for v in mono))
+            sympy.Rational(c, eq.den) * sympy.Mul(*(unknowns[v] for v in mono))
             for mono, c in eq.expr.items()))
     assert got.keys() == {k for k, c in expected.items() if c != 0}
     for key, value in got.items():
@@ -170,7 +179,7 @@ def test_derived_curve_zeroes_every_equation(curve):
     def residuals(Q):
         assign = dict(enumerate(curve.P.coeffs))
         assign.update({m + 2 + j: c for j, c in enumerate(Q.coeffs)})
-        return [(eq.family, eq.degree) for eq in equations if _mp_reduce(eq.expr, assign)]
+        return [(eq.family, eq.degree) for eq in equations if _mp_reduce(eq.expr, assign)[0]]
 
     assert residuals(curve.Q) == []
     bumped = curve.Q + Poly([0, Fraction(1, 7)])
@@ -201,29 +210,79 @@ def _mp_reduce_rebuild(a, assign):
 
 def test_refresh_keeps_the_coefficients_of_untouched_terms():
     # an assignment that touches some terms of an equation leaves every
-    # other term, its coefficient object included, as it was
+    # other term as it was, over the denominator times the lcm L of the
+    # denominators the touched terms picked up: when L = 1 the coefficient
+    # object itself is kept, otherwise it becomes c * L
     sys = derive_system(HyperellipticCurve(
         P=parse_poly("(x-1)(x-2)(x+5)"), Q=parse_poly("(x-1)(x-2)(x+5)^5").scale(-5)))
     m, n = sys.m, sys.n
-    eq = next(e for e in _equations(sys.f, sys.g, m, n, _deg_q(m, n))
-              if e.family == "f-identity" and len(e.expr) >= 6)
-    before = dict(eq.expr)
-    var = max(v for mono in before for v in mono)
-    assign = {var: Fraction(3, 7)}
-    eq.refresh(assign)
-    landed = {tuple(v for v in mono if v != var) for mono in before if var in mono}
-    kept = [mono for mono in before if var not in mono and mono not in landed]
-    assert any(type(before[mono]) is Fraction for mono in kept)
-    for mono in kept:
-        assert eq.expr[mono] is before[mono]
-    assert eq.expr == _mp_reduce_rebuild(before, assign)
+    for value, scale in [(Fraction(3), 1), (Fraction(3, 4), 4)]:
+        eq = next(e for e in _equations(sys.f, sys.g, m, n, _deg_q(m, n))
+                  if e.family == "f-identity" and len(e.expr) >= 6)
+        eq.refresh({})   # divides out the content the equation was written with
+        before, den = dict(eq.expr), eq.den
+        var = max(v for mono in before for v in mono)
+        assign = {var: value}
+        eq.refresh(assign)
+        assert eq.den == den * scale
+        landed = {tuple(v for v in mono if v != var) for mono in before if var in mono}
+        kept = [mono for mono in before if var not in mono and mono not in landed]
+        assert kept
+        for mono in kept:
+            if scale == 1:
+                assert eq.expr[mono] is before[mono]
+            else:
+                assert eq.expr[mono] == before[mono] * scale
+        assert all(type(c) is int for c in eq.expr.values())
+        reference = _mp_reduce_rebuild({mono: Fraction(c, den) for mono, c in before.items()},
+                                       assign)
+        assert {mono: Fraction(c, eq.den) for mono, c in eq.expr.items()} == reference
+
+
+def test_every_refresh_leaves_int_coefficients(monkeypatch):
+    # through whole solves of both branches, with fractional data: no
+    # reduced equation holds a Fraction, its denominator is positive, and
+    # the integers share no factor with it, so they stay small
+    refresh = _Equation.refresh
+    seen = []
+
+    def checked(eq, assign):
+        refresh(eq, assign)
+        assert type(eq.den) is int and eq.den > 0
+        assert all(type(c) is int and c != 0 for c in eq.expr.values())
+        assert math.gcd(eq.den, *eq.expr.values()) == 1
+        seen.append(eq.den)
+
+    monkeypatch.setattr(_Equation, "refresh", checked)
+    for P, Q in [("(x-1/2)(x+3)", "-(x-1/2)(x+3)^5"),
+                 ("(x-1/2)(x+2)(2/3x+1)", "4/9(x-1/2)^3(x+2)^3")]:
+        curve = HyperellipticCurve(P=parse_poly(P), Q=parse_poly(Q))
+        _roundtrip(curve)
+    assert max(seen) > 1
+
+
+def test_affine_block_solve_of_integer_rows_is_exact():
+    # the rows are integer (constant, linear part) pairs; a solve that
+    # divided ints would return floats
+    eq = _Equation("f-identity", 3, {}, 1)
+    # 2x + 3y + 1 = 0 and x - y - 2 = 0: x = 1, y = -1
+    solved = _affine_block_solve([(eq, 1, {0: 2, 1: 3}), (eq, -2, {0: 1, 1: -1})])
+    assert sorted(solved) == [(0, Fraction(1)), (1, Fraction(-1))]
+    # 3x + 3y - 1 = 0 and 3x - 3y - 2 = 0: x = 1/2, y = -1/6
+    solved = _affine_block_solve([(eq, -1, {0: 3, 1: 3}), (eq, -2, {0: 3, 1: -3})])
+    assert sorted(solved) == [(0, Fraction(1, 2)), (1, Fraction(-1, 6))]
+    assert all(type(value) is Fraction for _, value in solved)
+    # x + y = 1 and 2x + 2y = 3 contradict each other: the witness is the
+    # first equation of the block
+    first = _Equation("g-identity", 5, {}, 1)
+    assert _affine_block_solve([(first, -1, {0: 1, 1: 1}), (eq, -3, {0: 2, 1: 2})]) == (
+        "g-identity", 5)
 
 
 # unknowns 0..5 with repeats, so monomials like p_0^2 q_4; small
 # coefficients and values, so reduced terms often meet and cancel
 _monos = st.lists(st.integers(0, 5), max_size=3).map(lambda vs: tuple(sorted(vs)))
-_mpolys = st.dictionaries(
-    _monos, st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)]), max_size=12)
+_mpolys = st.dictionaries(_monos, st.sampled_from([1, -1, 2, -3, 4, -6]), max_size=12)
 _batches = st.lists(st.dictionaries(
     st.integers(0, 5),
     st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-3, 2),
@@ -232,19 +291,21 @@ _batches = st.lists(st.dictionaries(
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(_mpolys, _batches)
-@example({(0,): Fraction(1, 2), (0, 1): 1, (0, 0, 2): 2, (2,): Fraction(1, 2)},
+@given(_mpolys, st.sampled_from([1, 2, 3, 6]), _batches)
+@example({(0,): 1, (0, 1): 2, (0, 0, 2): 4, (2,): 1}, 2,
          [{1: Fraction(-1, 2)}, {0: Fraction(-1, 2)}])
-def test_mp_reduce_matches_the_rebuild(expr, batches):
+def test_mp_reduce_matches_the_rebuild(expr, den, batches):
     # each batch adds unknowns to the assignment, as the propagation solve
-    # does; the forms must agree term by term, in order and in type
+    # does; the integer form over its denominator must agree with the
+    # Fraction rebuild term by term and in order, and hold only ints
     assign = {}
-    fast = slow = expr
+    fast = expr
+    slow = {mono: Fraction(c, den) for mono, c in expr.items()}
     for batch in batches:
         for v, value in batch.items():
             assign.setdefault(v, value)
-        fast = _mp_reduce(fast, assign)
+        fast, scale = _mp_reduce(fast, assign)
+        den *= scale
         slow = _mp_reduce_rebuild(slow, assign)
-        assert list(fast.items()) == list(slow.items())
-        assert [type(c) for c in fast.values()] == [type(c) for c in slow.values()]
-        assert all(c != 0 for c in fast.values())
+        assert [(mono, Fraction(c, den)) for mono, c in fast.items()] == list(slow.items())
+        assert all(type(c) is int and c != 0 for c in fast.values())
