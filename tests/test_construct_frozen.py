@@ -12,7 +12,8 @@ Cells marked "ladder" take the perturbation c of at least one inductive
 lemma 7/8 level from the exact windows of `_pick_d_then_b`, directly or
 through the base curve of a lift: a different pick rule changes their
 digests, and must keep their type, verdicts and certified counts.  The
-other cells never reach that code.
+other cells never reach that code.  `LADDER_VERDICTS` pin what those
+cells must keep.
 """
 
 import hashlib
@@ -21,6 +22,8 @@ import json
 import pytest
 
 from hypercycles.cli import main
+from hypercycles.families import construct
+from hypercycles.lienard import invariance_check
 
 DIGESTS = {
     (2, 5): "b715db75c2c89e36a69851ec911e380a1a8e44a717db5ff5a0610a9b6fc7f051",
@@ -163,3 +166,43 @@ def test_construct_verdicts_are_frozen(m, n, capsys):
     assert main(["construct", "--m", str(m), "--n", str(n)]) == 0
     out = capsys.readouterr().out
     assert _without_endpoints(out) == STRIPPED_DIGESTS[(m, n)]
+
+
+# The verdicts of the ladder cells, pinned apart from the bytes: a different
+# pick of d and b moves c, P, Q, f and g, and must leave all of these.  Each
+# interval's flags read, in order, q_positive_between, p2_minus_q_negative,
+# no_common_root_qprime_f, critical_point_unique, gprime_positive_at_alpha
+# ("-" when it is None) and certified.
+LADDER_VERDICTS = {
+    (5, 9): (2, (2, 2, True), "111111 0000-0 111111"),
+    (6, 11): (2, (2, 2, True), "111111 0000-0 111111"),
+    (7, 13): (3, (3, 3, True), "111111 0000-0 111111 0000-0 111111"),
+    (8, 13): (3, (3, 3, True), "111111 0000-0 111111 111111"),
+    (8, 14): (3, (3, 3, True), "111111 111111 0000-0 111111"),
+    (8, 15): (3, (3, 3, True), "111111 0000-0 111111 0000-0 111111"),
+    (9, 15): (3, (3, 4, False), "111111 0000-0 111111 111111"),
+    (9, 16): (3, (3, 4, False), "111111 111111 0000-0 111111"),
+    (9, 17): (4, (4, 4, True), "111111 0000-0 111111 0000-0 111111 0000-0 111111"),
+    (10, 17): (4, (4, 4, True), "111111 0000-0 111111 0000-0 111111 111111"),
+    (10, 18): (4, (4, 4, True), "111111 111111 0000-0 111111 0000-0 111111"),
+    (10, 19): (4, (4, 4, True), "111111 0000-0 111111 0000-0 111111 0000-0 111111"),
+}
+
+
+def _flags(v) -> str:
+    return "".join("-" if x is None else str(int(x)) for x in (
+        v.q_positive_between, v.p2_minus_q_negative, v.no_common_root_qprime_f,
+        v.critical_point_unique, v.gprime_positive_at_alpha, v.certified))
+
+
+@pytest.mark.parametrize("m, n", sorted(LADDER_VERDICTS), ids=lambda v: str(v))
+def test_ladder_cells_keep_their_verdicts(m, n):
+    result = construct(m, n)
+    report = result.report
+    count, (lower, upper, exact), flags = LADDER_VERDICTS[(m, n)]
+    assert report.system.type == (m, n) and report.all_roots_real
+    assert report.certified_count == count
+    assert (report.bounds.lower, report.bounds.upper, report.bounds.exact) == (lower, upper, exact)
+    assert report.bound_consistent
+    assert " ".join(_flags(v) for v in report.intervals) == flags
+    assert invariance_check(result.system, result.curve)
