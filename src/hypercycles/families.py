@@ -50,6 +50,7 @@ from .polyx import ONE, Poly, X, poly_gcd, rref
 from .rootclass import (
     SturmChain,
     all_roots_real_simple,
+    cauchy_bound,
     isolate_real_roots,
     sign_on_interval,
     simplest_in_interval,
@@ -201,8 +202,22 @@ def lift(
 
 
 def _next_integer_above_roots(q: Poly) -> int:
-    roots = isolate_real_roots(q)
-    return max(1, math.floor(roots[-1].hi) + 1) if roots else 1
+    """The least integer k >= 1 above every real root of q, decided exactly:
+    q(k) != 0 and no root of q in (k, top), with top an integer past the
+    Cauchy bound.  Every integer past the least one passes too, so a
+    bisection on the integers in [1, top] finds it."""
+    if q.degree < 1:
+        return 1
+    chain = SturmChain(q)
+    top = math.floor(cauchy_bound(q)) + 1
+    lo, hi = 0, top  # the least such k lies in (lo, hi]
+    while hi - lo > 1:
+        k = (lo + hi) // 2
+        if chain.sign(k) != 0 and chain.count_open(k, top) == 0:
+            hi = k
+        else:
+            lo = k
+    return hi
 
 
 # ---------------------------------------------------------------------------
@@ -248,11 +263,26 @@ def _critical_values(p: Poly, kind: int, interval=None) -> list:
     ddp = dp.derivative()
     out = []
     for r in isolate_real_roots(dp):
-        inside = interval is None or (
-            r.sign_of(_linear(interval[0])) > 0 > r.sign_of(_linear(interval[1])))
+        inside = interval is None or _inside(r, interval)
         if inside and (not kind or r.sign_of(ddp) == -kind):
             out.append(_Bracket(p, dp, r))
     return out
+
+
+def _inside(r, interval) -> bool:
+    """The isolated root r lies in the open interval, decided by refining r
+    until its interval lies inside or outside.  An end of `interval` that
+    is a root of r.poly inside r's interval is r itself, so not inside."""
+    a, b = interval
+    while not r.is_exact():
+        if a <= r.lo and r.hi <= b:
+            return True
+        if r.hi <= a or b <= r.lo:
+            return False
+        if any(r.lo < e < r.hi and r.poly.eval(e) == 0 for e in (a, b)):
+            return False
+        r.refine()
+    return a < r.lo < b
 
 
 def _pick_window(least: Fraction, floor: list, ceiling: list) -> Optional[Fraction]:

@@ -99,11 +99,10 @@ class RootsCoincide(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _sign_at(ints: Sequence[int], x: Fraction) -> int:
-    """Sign of the integer polynomial at p/q via homogeneous Horner."""
+def _sign_at(ints: Sequence[int], p: int, q: int) -> int:
+    """Sign of the integer polynomial at p/q, q > 0, via homogeneous Horner."""
     if not ints:
         return 0
-    p, q = x.numerator, x.denominator
     acc = 0
     qpow = 1
     for c in reversed(ints):
@@ -394,7 +393,7 @@ def _sign_bounded(c: Sequence[int], e: int, x: Fraction) -> int:
     p, q = x.numerator, x.denominator
     if abs(p) > q << e:
         return _sign_at_infinity(c, p > 0)
-    return _sign_at(c, x)
+    return _sign_at(c, p, q)
 
 
 # Certification and the family searches ask for chains of the same few
@@ -437,17 +436,17 @@ def _int_chain(a: tuple[int, ...]) -> _Chain:
     return _make_chain(chain)
 
 
-def _chain_signs(chain: _Chain, x: Fraction) -> list[int]:
-    """Signs of the chain's members at x (`_sign_bounded`, inlined)."""
-    p, q = x.numerator, x.denominator
+def _chain_signs(chain: _Chain, p: int, q: int) -> list[int]:
+    """Signs of the chain's members at p/q, q > 0 (`_sign_bounded`,
+    inlined)."""
     ap = abs(p)
     k = 2 if p > 0 else 1
-    return [end[k] if ap > q << end[0] else _sign_at(c, x)
+    return [end[k] if ap > q << end[0] else _sign_at(c, p, q)
             for c, end in zip(chain, chain.ends)]
 
 
 def _variations(chain: _Chain, x: Fraction) -> int:
-    return _sign_changes(_chain_signs(chain, x))
+    return _sign_changes(_chain_signs(chain, x.numerator, x.denominator))
 
 
 def distinct_real_roots(f: Poly) -> int:
@@ -483,7 +482,7 @@ class SturmChain:
             self.chain = _make_chain((tuple(self.ints),))
 
     def sign(self, x: Fraction) -> int:
-        return _sign_at(self.ints, x)
+        return _sign_at(self.ints, x.numerator, x.denominator)
 
     def count(self, lo: Fraction, hi: Fraction) -> int:
         if self.sign(lo) == 0 or self.sign(hi) == 0:
@@ -497,7 +496,7 @@ class SturmChain:
             raise ValueError("need lo < hi")
         if self.f.degree < 1:
             return 0
-        at_hi = _chain_signs(self.chain, hi)
+        at_hi = _chain_signs(self.chain, hi.numerator, hi.denominator)
         return _variations(self.chain, lo) - _sign_changes(at_hi) - (at_hi[0] == 0)
 
 
@@ -647,14 +646,15 @@ class RealRoot:
             if r.is_exact():
                 return r.lo, r.hi
         k = Fraction((lead * r.lo) // 1 + 1, lead)
-        if k < r.hi and _sign_at(ints, k) == 0:
+        if k < r.hi and _sign_at(ints, k.numerator, k.denominator) == 0:
             return k, k
         # the root is irrational: no rational point is a root, and poly has
         # no other root in (r.lo, r.hi), so its sign there places the root
-        at_hi = _sign_at(ints, r.hi)
+        at_hi = _sign_at(ints, r.hi.numerator, r.hi.denominator)
 
         def below(x: Fraction) -> bool:
-            return x >= r.hi or (x > r.lo and _sign_at(ints, x) == at_hi)
+            return x >= r.hi or (x > r.lo and
+                                 _sign_at(ints, x.numerator, x.denominator) == at_hi)
 
         chain = SturmChain(self.poly)
         top = Fraction(2 ** _root_exponent(ints))
@@ -744,7 +744,8 @@ class RealRoot:
             s = self._settle(SturmChain(w), 0)
             if s:
                 return s
-        return _sign_at(w.int_form()[0], self.value)
+        v = self.value
+        return _sign_at(w.int_form()[0], v.numerator, v.denominator)
 
     def clear(self, w: Poly) -> None:
         """Refine until w is nonzero at lo and hi and has no root in [lo, hi]
@@ -758,43 +759,57 @@ def _isolate_squarefree(g: Poly) -> list[tuple[Fraction, Fraction]]:
     """Disjoint open intervals (or exact points lo==hi), one per real root of
     the squarefree polynomial g, endpoints non-roots.
 
-    Each stack entry carries the sign variations of the chain at both of its
-    endpoints, so a split evaluates the chain at the new point only; the
-    chain's first member has the roots of g."""
+    Bisection starts at [-2**e, 2**e], e the `_root_exponent` that the
+    chain's head (which has the roots of g) carries, so both ends lie
+    strictly beyond every root.  Every point is dyadic and held as integers:
+    a stack entry (ka, kb, j, va, vb) is the interval [ka/2**j, kb/2**j]
+    with the chain's sign variations at both ends, so a split takes one add
+    for the midpoint (ka + kb)/2**(j+1) and evaluates the chain there only,
+    on the integer pair (`_chain_signs`).  A midpoint that is a root is
+    returned as it is, and the two sides resume at mid -+ eps, eps halving
+    from a quarter of the interval until that root alone lies between them,
+    so these points stay dyadic too.  `Fraction`s are built only for the
+    intervals returned."""
     if g.degree < 1:
         return []
     chain = SturmChain(g).chain
-    bound = cauchy_bound(g)
-    # endpoints beyond the Cauchy bound are never roots
-    stack = [(-bound, bound, _variations(chain, -bound), _variations(chain, bound))]
-    out: list[tuple[Fraction, Fraction]] = []
+    top = 1 << chain.ends[0][0]
+    stack = [(-top, top, 0, _sign_changes(_chain_signs(chain, -top, 1)),
+              _sign_changes(_chain_signs(chain, top, 1)))]
+    found: list[tuple[int, int, int]] = []
     while stack:
-        a, b, va, vb = stack.pop()
+        ka, kb, j, va, vb = stack.pop()
         if va == vb:
             continue
         if va - vb == 1:
-            out.append((a, b))
+            found.append((ka, kb, j))
             continue
-        mid = (a + b) / 2
-        signs = _chain_signs(chain, mid)
-        if signs[0] == 0:
-            out.append((mid, mid))
-            eps = (b - a) / 4
-            while True:
-                la, lb = mid - eps, mid + eps
-                at_la = _chain_signs(chain, la)
-                if at_la[0] != 0:
-                    at_lb = _chain_signs(chain, lb)
-                    vla, vlb = _sign_changes(at_la), _sign_changes(at_lb)
-                    if at_lb[0] != 0 and vla - vlb == 1:
-                        break
-                eps /= 3
-            stack.append((a, la, va, vla))
-            stack.append((lb, b, vlb, vb))
-        else:
+        km = ka + kb
+        signs = _chain_signs(chain, km, 1 << (j + 1))
+        if signs[0]:
             vm = _sign_changes(signs)
-            stack.append((a, mid, va, vm))
-            stack.append((mid, b, vm, vb))
+            stack.append((2 * ka, km, j + 1, va, vm))
+            stack.append((km, 2 * kb, j + 1, vm, vb))
+            continue
+        found.append((km, km, j + 1))
+        # mid = km/2**i and eps = d/2**i, first a quarter of the interval;
+        # halving eps doubles km at the next level
+        d, km, i = kb - ka, 2 * km, j + 2
+        while True:
+            den = 1 << i
+            at_la = _chain_signs(chain, km - d, den)
+            if at_la[0]:
+                at_lb = _chain_signs(chain, km + d, den)
+                vla, vlb = _sign_changes(at_la), _sign_changes(at_lb)
+                if at_lb[0] and vla - vlb == 1:
+                    break
+            km, i = 2 * km, i + 1
+        stack.append((ka << (i - j), km - d, i, va, vla))
+        stack.append((km + d, kb << (i - j), i, vlb, vb))
+    out = []
+    for ka, kb, j in found:
+        lo = Fraction(ka, 1 << j)
+        out.append((lo, lo) if ka == kb else (lo, Fraction(kb, 1 << j)))
     return sorted(out)
 
 

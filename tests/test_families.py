@@ -27,6 +27,7 @@ from hypercycles.families import (
 from hypercycles.lienard import bounds, certify, invariance_check
 from hypercycles.polyx import Poly, X, parse_poly, rref
 from hypercycles.rootclass import (
+    RealRoot,
     SturmChain,
     all_roots_real_simple,
     isolate_real_roots,
@@ -384,6 +385,21 @@ def test_lift_skips_an_s_that_certifies_too_many(monkeypatch):
     assert lifted.report.certified_count == base.report.certified_count == 1
 
 
+@pytest.mark.parametrize("q, start", [
+    ("x^2 - 8", 3),                 # roots -+2.83
+    ("x^2 - 899/100", 3),           # roots -+2.998, just below 3
+    ("(x - 3)(x + 1)", 4),          # an integer root is not above itself
+    ("-2(x - 3)^2 (x + 5)", 4),
+    ("(x - 29/10)(x + 1)", 3),
+    ("(x + 2)(x^2 + 1)", 1),        # no root above 0: the start is still 1
+    ("x^2 + 1", 1),
+    ("(x - 1000)(x - 1/2)", 1001),
+])
+def test_lift_starts_at_the_least_integer_above_every_root(q, start):
+    # decided exactly, whatever the width of the isolating intervals
+    assert families._next_integer_above_roots(parse_poly(q)) == start
+
+
 def test_lift_degree_contract():
     base = construct_high_n(2, 5)
     lifted = lift(base.report)
@@ -521,6 +537,23 @@ def test_critical_values_bracket_the_extrema():
     # kind 0 keeps the critical points strictly inside the interval only
     assert len(_critical_values(_CUBIC, 0, (Fraction(-1), Fraction(1)))) == 2
     assert len(_critical_values(_CUBIC, 0, (Fraction(0), Fraction(1)))) == 1
+
+
+def test_critical_values_leave_out_a_critical_point_at_an_end():
+    # p = x^3 - 3x has critical points -+1, both rational: one at an end of
+    # the interval is not inside, whether isolation made it exact or not
+    p = Poly([0, -3, 0, 1])
+    assert len(_critical_values(p, 0, (Fraction(-1), Fraction(1)))) == 0
+    assert len(_critical_values(p, 0, (Fraction(-1), Fraction(2)))) == 1
+    assert len(_critical_values(p, 0, (Fraction(-2), Fraction(2)))) == 2
+    # an end of the interval strictly inside the root's isolating interval,
+    # and a root of its polynomial there: the end is the root itself
+    dp = p.derivative()
+    for end in (Fraction(1), Fraction(-1)):
+        root = RealRoot(poly=dp, lo=end - Fraction(1, 3), hi=end + Fraction(1, 5))
+        assert not families._inside(root, (end, end + 5))
+        assert not families._inside(root, (end - 5, end))
+        assert families._inside(root, (end - Fraction(1, 2), end + Fraction(1, 2)))
 
 
 def test_pick_window_is_none_on_an_empty_window():

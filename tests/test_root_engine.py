@@ -98,12 +98,13 @@ def test_bounded_signs_match_horner(p, k):
     chain = _sturm_chain_int(p)
     for e in {end[0] for end in chain.ends}:
         for x in _probe_points(e, k):
-            assert _chain_signs(chain, x) == [_sign_at(c, x) for c in chain]
+            signs = [_sign_at(c, x.numerator, x.denominator) for c in chain]
+            assert _chain_signs(chain, x.numerator, x.denominator) == signs
     # the single-polynomial form that refinement runs on p's integer form
     ints = p.int_form()[0]
     e = _root_exponent(ints)
     for x in _probe_points(e, k):
-        assert _sign_bounded(ints, e, x) == _sign_at(ints, x)
+        assert _sign_bounded(ints, e, x) == _sign_at(ints, x.numerator, x.denominator)
 
 
 def test_root_exponent_bounds_every_complex_root():

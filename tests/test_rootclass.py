@@ -23,6 +23,7 @@ from hypercycles.rootclass import (
     SturmChain,
     _int_det,
     _isolate_squarefree,
+    _root_exponent,
     cauchy_bound,
     count_roots,
     discriminant_sequence,
@@ -334,12 +335,9 @@ def test_sign_on_interval_worked_cycle_strip():
 
 
 def _third_root():
-    # the root -1/3 of x + 1/3 stays in (-2/3, 0): the simplest rational
-    # there is -1/2, so isolation leaves it inexact, and the next bisection
-    # point is the root itself
-    r, = isolate_real_roots(P(Fraction(1, 3), 1))
-    assert not r.is_exact() and (r.lo, r.hi) == (Fraction(-2, 3), Fraction(0))
-    return r
+    # the root -1/3 of x + 1/3 held inexact in (-2/3, 0), where the next
+    # bisection point is the root itself
+    return RealRoot(poly=P(Fraction(1, 3), 1), lo=Fraction(-2, 3), hi=Fraction(0))
 
 
 def test_sign_of_when_a_refinement_step_lands_on_the_root():
@@ -400,11 +398,12 @@ def test_separate_from_irrational_roots_that_coincide(monkeypatch):
 
 # -- one chain evaluation per point, against the code it replaced -------------
 #
-# Isolation carries the endpoint variation counts down its stack, `refine`
-# decides with integer signs, and `sign_of` recounts only the endpoint that
-# moved (`RealRoot._settle`).  The earlier implementations are kept below
-# verbatim (self -> root) as the reference: every interval, exact flag and
-# sign must be the same.
+# Isolation carries the endpoint variation counts down its stack on dyadic
+# points from the root exponent, `refine` decides with integer signs, and
+# `sign_of` recounts only the endpoint that moved (`RealRoot._settle`).  The
+# earlier implementations are kept below verbatim (self -> root) as the
+# reference: isolation must find the same roots, one per interval, and every
+# refined interval, exact flag and sign must be the same.
 
 
 def ref_isolate_squarefree(g: Poly) -> list[tuple[Fraction, Fraction]]:
@@ -489,11 +488,11 @@ def _dyadic(draw, top=16, depth=3):
 
 @st.composite
 def _isolation_input(draw):
-    """(p, bound, planted): p of degree 1..20 with dyadic rational roots, some
+    """(p, top, planted): p of degree 1..20 with dyadic rational roots, some
     repeated, some in close clusters (r, r + 2^-k), maybe a factor with no
     real root and a leading coefficient of either sign; `planted` are extra
-    roots put at dyadic midpoints of [-bound, bound], bound the Cauchy bound
-    of the rest, where bisection from [-bound, bound] lands exactly."""
+    roots put at dyadic midpoints of [-top, top], top = 2**e with e the root
+    exponent of the rest, where bisection from [-top, top] lands exactly."""
     p = Poly([draw(st.sampled_from([Fraction(-3), Fraction(-1), Fraction(-1, 2),
                                     Fraction(1, 3), Fraction(1), Fraction(2)]))])
     for _ in range(draw(st.integers(1, 5))):
@@ -503,14 +502,14 @@ def _isolation_input(draw):
             p = p * Poly([-r - Fraction(1, 2 ** draw(st.integers(4, 12))), 1])
     if draw(st.booleans()):
         p = p * Poly([draw(st.integers(1, 5)), _dyadic(draw, 4, 1), 1])
-    bound = cauchy_bound(p)
+    top = Fraction(2) ** _root_exponent(p.int_form()[0])
     planted = []
     for _ in range(draw(st.integers(0, 2))):
         j = draw(st.integers(1, 4))
-        m = bound * Fraction(draw(st.integers(1 - 2 ** j, 2 ** j - 1)), 2 ** j)
+        m = top * Fraction(draw(st.integers(1 - 2 ** j, 2 ** j - 1)), 2 ** j)
         planted.append(m)
         p = p * Poly([-m, 1])
-    return p, bound, planted
+    return p, top, planted
 
 
 def _others(p: Poly, g: Poly) -> list[Poly]:
@@ -527,13 +526,33 @@ def _same_refinement(a: RealRoot, b: RealRoot, avoid, steps: int) -> None:
         assert (a.lo, a.hi, a.is_exact()) == (b.lo, b.hi, b.is_exact())
 
 
+def _same_root(chain: SturmChain, got, want) -> bool:
+    """Two isolating intervals of g (chain on g) hold the same root: an
+    exact root lies in, or is, the other; two open ones share an open
+    stretch with one root of g in it."""
+    (a, b), (c, d) = got, want
+    if a == b or c == d:
+        v, (lo, hi) = (a, want) if a == b else (c, got)
+        return lo == v == hi or lo < v < hi
+    lo, hi = max(a, c), min(b, d)
+    return lo < hi and chain.count_open(lo, hi) == 1
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(_isolation_input().filter(lambda t: 1 <= t[0].degree <= 20))
 def test_isolation_refine_and_sign_of_match_the_reference(case):
-    p, bound, planted = case
+    p, top, planted = case
     for g, _ in squarefree_decomposition(p):
         intervals = _isolate_squarefree(g)
-        assert intervals == ref_isolate_squarefree(g)
+        want = ref_isolate_squarefree(g)
+        assert len(intervals) == len(want)
+        chain = SturmChain(g)
+        assert all(_same_root(chain, a, b) for a, b in zip(intervals, want))
+        # every end is a dyadic k/2^j inside [-2^e, 2^e], e the root
+        # exponent of the chain's head
+        edge = 2 ** chain.chain.ends[0][0]
+        for x in {x for iv in intervals for x in iv}:
+            assert x.denominator & (x.denominator - 1) == 0 and -edge <= x <= edge
         for lo, hi in intervals:
             root = RealRoot(poly=g, lo=lo, hi=hi)
             _same_refinement(root, copy.copy(root), (), 6)
@@ -542,21 +561,47 @@ def test_isolation_refine_and_sign_of_match_the_reference(case):
                 got, want = copy.copy(root), copy.copy(root)
                 assert got.sign_of(w) == ref_sign_of(want, w)
                 assert (got.lo, got.hi, got.is_exact()) == (want.lo, want.hi, want.is_exact())
-    # bisection from [-bound, bound] lands on a root planted at one of its
+    # bisection from [-top, top] lands on a root planted at one of its
     # dyadic midpoints
     for m in planted:
-        root = RealRoot(poly=Poly([-m, 1]), lo=-bound, hi=bound)
+        root = RealRoot(poly=Poly([-m, 1]), lo=-top, hi=top)
         _same_refinement(root, copy.copy(root), (), 5)
         assert root.is_exact() and root.value == m
 
 
 def test_isolation_lands_on_a_root_at_a_bisection_midpoint():
-    # x^3 - x has Cauchy bound 2; its three roots make the first split land
-    # on 0 and take the exact branch
+    # x^3 - x has root exponent 2; its three roots make the first split of
+    # [-4, 4] land on 0 and take the exact branch, where eps halves from 2
+    # (three roots between 0 -+ eps) past 1 (ends at the roots -+1) to 1/2
     p = P(0, -1, 0, 1)
     got = _isolate_squarefree(p)
-    assert got == ref_isolate_squarefree(p)
-    assert [lo for lo, hi in got if lo == hi] == [0]
+    assert got == [(-4, Fraction(-1, 2)), (0, 0), (Fraction(1, 2), 4)]
+    assert len(got) == len(ref_isolate_squarefree(p))
+
+
+@pytest.mark.parametrize("p", [
+    P(0, -1, 0, 1),                                      # x^3 - x
+    parse_poly("x(2x-1)(x^2-2)"),
+    parse_poly("(x - 3/8)(x + 1/4)(x - 1)(x + 5)(x^2 - 3)"),
+    parse_poly("(x - 1/3)(x - 1)(x + 1)(x - 2)(x^2 + 1)"),
+])
+def test_isolation_builds_fractions_only_for_the_intervals_it_returns(p, monkeypatch):
+    # each input makes a bisection midpoint land on a root, where eps halves.
+    # Every `Fraction` built is counted: those the module names, and those
+    # that `Fraction` arithmetic builds through `Fraction.__new__`
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    p.int_form()
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    got = _isolate_squarefree(p)
+    monkeypatch.undo()
+    assert any(lo == hi for lo, hi in got)
+    assert len(got) == count_roots(p).distinct_real and len(built) <= 2 * len(got)
 
 
 # -- open counts with rational endpoint roots, against deflation --------------
@@ -825,9 +870,9 @@ def test_canonical_isolates_the_root_in_its_factor(p):
 
 
 def test_canonical_reports_a_rational_root_that_try_exact_left_inexact_as_exact():
-    # x - 9/7 isolates to (8/7, 12/7), where the simplest rational is 3/2
+    # x - 9/7 isolates to (1, 2), where the simplest rational is 3/2
     [root] = isolate_real_roots(P(Fraction(-9, 7), 1))
-    assert not root.is_exact() and (root.lo, root.hi) == (Fraction(8, 7), Fraction(12, 7))
+    assert not root.is_exact() and (root.lo, root.hi) == (Fraction(1), Fraction(2))
     assert root.canonical() == (Fraction(9, 7), Fraction(9, 7))
     # 13/5 shares its factor with the irrational roots of x^2 - 2
     roots = isolate_real_roots(P(Fraction(-13, 5), 1) * P(-2, 0, 1))
