@@ -37,38 +37,38 @@ DIGESTS = {
     (4, 10): "a02a0d1047a11a8b5286be56f09a167aca515f664cd56edf76eb23ab87d63a69",
     (5, 7): "52fcc45e43d8d239b3298e3c572431f7ffdb6d2d9c461a6ac468fae7dbce4771",
     (5, 8): "fd4e4ba881155b7d20410a367e67116cf7507a0ab0cb313f76fbabc6c9809652",
-    (5, 9): "2cce4c49afa702bda4cb95cd35d6b93d16b8551334d95b89796e0e76e320f28f",  # ladder
+    (5, 9): "4b82f766506cf1f2ae69e78988d5a417c3c1883abb01c312dd0849c4142bbfab",  # ladder
     (5, 10): "813203daae47b1f4b3199f0e36e71c53b281cccca405c2ea9aac3464dae06d3a",
     (5, 11): "69696ee3e6ba32d5064267747055528a32d69b1d08cfaaa58d82e4cc796409e6",
     (5, 12): "e8a844c099a2f8c8fad494c87744977edc33e7539f397dd0245d52a03234e84c",
     (6, 8): "b7afb290fbf5d1f495c80a0719baea044fb08e7a593307df016ebc76e7195687",
     (6, 9): "1d131fe77a31f30b9efd2a06741bc28e886194ec3a0040a42204d16f02cc97df",
     (6, 10): "6333dac0dd4f8cfdafec4e27d0d4eaed6d57d6d478935254de1a562f3a2e339d",
-    (6, 11): "077633a5330e1e8a860370661d15d51ac218b2921bdbe038b368eb0d7a475dc3",  # ladder
+    (6, 11): "3e56b83cb359c7877b754f05756024f7b06621e3d6b6a3e9c571237a3e9315ea",  # ladder
     (6, 12): "2f8f4c1c8c59d43c6f59f6b3d8f4e78a4dc63b5dfa4ac094c8720c711b48d9d6",
     (6, 13): "66ae5e6f93f46c28a8ba82e689bd0672c81ea589dcdea984286ec65700b3b528",
     (6, 14): "1194f3cc0679d20dcbd6fa6e98718f2146e6736f276b60dc8c12c3bb128f673a",
     (7, 10): "1fbe99ab6e428544894c2e8b7c48c1bbceb1aa0c686280437fa24722ffd2de57",
     (7, 11): "d6352ec8bc169cad90a9c4dab4196327dccb8674b9a008febf7d3a2c0a50ad2f",
     (7, 12): "441d14e5e5a20e22f61154f596d2544d231b5062e79b4ba314bf7e8ca843077b",
-    (7, 13): "0736c797a7080fb965cb46457e76ed3753d18c34aa462b84ae2d796537311ae6",  # ladder
+    (7, 13): "180b56bb9e92646b71878af7c34292de7e71b5c9cfe5b882f0e920c34ea01470",  # ladder
     (7, 14): "00180948bde59543133e0af7abba3b5bb70b2ee79c2bda6e98c7f79e65ffab56",
     (7, 15): "f5161f988b98c7da754c9230290bb4c04ce5723f92b572c35b177718b4ca8740",
     (7, 16): "02674e98cebd01f41172fc28f3de4fb2ef7d734e6fbb34070aefdb67a2778828",
     (8, 10): "7f8dca5893779a8af2c2772045cdfef707c6559b5e25dedb0ce1900c72703b2c",
     (8, 11): "7bd76468e3a668923d6895266c943b6fd20342175092e7857851921573cbe91b",
     (8, 12): "c3518d7bbfd4840b2b46aaa082cdbbf11fd52c1ead85c2373dc1cbfbc6a1eec4",
-    (8, 13): "02f89b7c60cfe074817ec0b28638e092b17eee621429e6c12687195212bc3684",  # ladder
-    (8, 14): "f14991060dd82b37b4ad31a317241ffe4b48def00650aee8ee87fb0434ece6c8",  # ladder
-    (8, 15): "2b336da07c14969d7d2d39e04996e9be1d3a34ed1e0063b01338e5e85056b465",  # ladder
+    (8, 13): "84340e818c50d23295ae213e3a4726dbbe30ff9d3117bc2cc1ff6aae91a3baae",  # ladder
+    (8, 14): "4d0bf18096b2f2131f14d33ce3ef5c9b572ef52a22827ffff8799f91ca46b171",  # ladder
+    (8, 15): "162dabdeec9d3bdaa797b1a25f06cd3781556017d327bc086716a8595d42b31e",  # ladder
     (8, 16): "5fddf4c332a4d4f3f0d2a198b87301c8e3142d0ed2cce76eef5aad45d07381ba",
     (8, 17): "0cabbb190ba0228471714957f0409024c4c7eaafc6da10dce67dc564730c18e5",
     (8, 18): "3900a9ceaf957b4042e80c502e7c800e4d8a9db0769b6512e8e4364ddbfcc872",
     (9, 13): "8a2ef9e138a69c3545b88fece415c623630890b9879c6f12248266d6f516006d",
     (9, 14): "927713b9fbc25b7e978383fe7e4fa9ab7adc35487bf713a945b940ffe6897444",
-    (9, 15): "bb6b1f4e9fc265950722ef253891385e87749dcbfe94e12aa7fb85a26ff489f7",  # ladder
-    (9, 16): "dad4951e85ae77ad0ffb4de9f082d1c9d5f2a955e4b4cb7e475685d708cb8519",  # ladder
-    (9, 17): "1482168d31c92d6210128da83449f2f3af01c005f0711348fa96d35d874edad4",  # ladder
+    (9, 15): "7b2610770dcdaeb8c911436bfa264ee467cfcd4e9be80463d5c5267e7ea4c60c",  # ladder
+    (9, 16): "fdb75176ebe4a794796c75dea6a34f1db1e831621a07c38f252a6036c4a59abd",  # ladder
+    (9, 17): "76d00d03a191dc9b4e3009852059f474cbdbacd7161a129bea79bc9bd35bf005",  # ladder
     (9, 18): "465b7e7b594d99c30e97535d0457fdb9fe3fadf330454bcaca799d63c89a6019",
     (9, 19): "76102a77adf95629c1dac55c8fec5c15e3d08ed6db6a10ccd97b5e1384e63cce",
     (9, 20): "90a54c723052ab1e3e89721cb4dfb7bc61cfc7ff773138a9b8435a81d0804110",
@@ -76,9 +76,9 @@ DIGESTS = {
     (10, 14): "686dcedded963032801fc58512e3048fccea4ad8f45ab88c1bbfcc42504ca4d8",
     (10, 15): "0d07792a5676714453e3016159a0a7a211f8372d9c9e7b3c56591fed604243e3",
     (10, 16): "28fe90076fd8056543a5eef7aaa2da259c1da01adcb057f1e7e172d06d052f3d",
-    (10, 17): "99e5bc580a0c3490dce0b9fa825e4835fdce49fe82751b8a50ba43691fed6636",  # ladder
-    (10, 18): "042c52f63f225df8cd00499417bb8be68f619dfd06cd95578c090e44a848ad85",  # ladder
-    (10, 19): "23c489aeb7738180e4069f264f836ca6909fa9b62dcd9172cc523a9d41cc0c2e",  # ladder
+    (10, 17): "d5d3fc14ba9d3a8dc054a69c31d5d555201a2b4be68313f512e61a4251de139e",  # ladder
+    (10, 18): "76b1889d4f43d34889eb9da4aa7e109c5b7d29dc41fc5914cc700ee8b7f83933",  # ladder
+    (10, 19): "3091fa9b71b13e7c47ca1f9d94175165efd96cb8a66707715d0e33a062745073",  # ladder
     (10, 20): "f5a911204655943fb7655d90bf2fdaf07e5e4425bf2d8a1abda445a564cfa917",
     (10, 21): "8a29ea173ea9117a39888833f611899f07aa1b206cacab8f1246c88a5aa4cda6",
     (10, 22): "b18ca933796b403b2e253582c667141c7f8d887c2459ae7bab1d0632a8891753",
@@ -104,38 +104,38 @@ STRIPPED_DIGESTS = {
     (4, 10): "4d890d139b01567524ab71af35ecf1c1360037ff9b6dfbf4aec51e5569c949bc",
     (5, 7): "fbb2b771245c8761258850371ea3dfb58fb18c4a6b214a42e6a473444b3ebf64",
     (5, 8): "c974095b74dec31474c6fb56a4f428bd6b595a252f240cbc966ab635d21c73d3",
-    (5, 9): "ef761a1a60032c8d9c4dabc31cf19b03392ce0eca3fb24933a3edb1d10b490bc",  # ladder
+    (5, 9): "1e1bc47c5fa0fd69066ff300d3c0323274ddc33e01795e2e31a574488fcf6ce0",  # ladder
     (5, 10): "e33baf20e4c7c8d44610568d91f3c316fb438eaae0d7f28cadbb302f7c7857aa",
     (5, 11): "985a98945ae971144b4bfc926a3079e6449d2dc3e017b63602e9d24b1e25fe7d",
     (5, 12): "23f967c7cdf9c5853c0d1c3252061b2f2188ce1adc3ff560d1b2f061a4982e55",
     (6, 8): "7d692b0ed17608b403fcd378737ce527da4c873582e64039a90b5c0f2b987ebf",
     (6, 9): "e409e0d043a7bc3554316c0e1aeef217d040b2304b62ed9fdcea16c5ff9af485",
     (6, 10): "04a8c195482470fa984583ae5a0946c1d1feb9015823f1838dba24e43b77b971",
-    (6, 11): "07af0905495f2328d888cf4fdf7f1ee593b715efd306e7b3ee4861f06c218849",  # ladder
+    (6, 11): "1a0639557f5410fbf7802ae8df5346cf66de44c79f57949f0e3b375c00913f59",  # ladder
     (6, 12): "4d7e743d70b5862c00532b5150cace55aed633a7b900fc7e985ee4830e2a5b65",
     (6, 13): "987a0b0e86e611166849e528bd7309432b6fd221a492f3440c1dd44fe580e12e",
     (6, 14): "17d83ad75cac3697edc3ca300e6e19570397db348de6fe99df416bf08c079fa4",
     (7, 10): "238ae1a0c73a3fe48580115beb1868562671163d0e67f59ffabcc9e85e4a6750",
     (7, 11): "09b0a170707a21e5f98217ddc0967df22c78503321bf6a4f02ade636b58b5baf",
     (7, 12): "de67b7ddba40760ed9d8d1d394a69c3b2dc5ac2518f72f9df3093362044a788d",
-    (7, 13): "bfbe7d47cb7738fbaa229e0ead3cf770707725e93126e8b736e7a71b8072c369",  # ladder
+    (7, 13): "379f7ffb081908143fe47266cfedb08a32c627c74f5ad350da87f5106f9d24ee",  # ladder
     (7, 14): "6fb082798ca8c36519a83334eea804583f2f9f93fac469544194f1b57efe2cb5",
     (7, 15): "53f0c63ecf3a9863708d6b7d0e8b1833207e992933e21c685def7e848f9f81e3",
     (7, 16): "4d63b3d5fc5a32f33a4d6108a33953850beff0d4e7927921394b340ccba3c98f",
     (8, 10): "55ef18369e4f655dce0bd93c5b94621b83624381285084ca0085aaddc0ed6fdc",
     (8, 11): "654c6ee800fee20174a31d47f2d70c3f1c666f58da674b99190af3331fe70432",
     (8, 12): "4cb486216818ba724ebf00d2a9ce14e780121a0bf7458061871936380840cb43",
-    (8, 13): "85dcf0eb05103250e21008b18230df505dbec93cb40d431526cea5081e0c6914",  # ladder
-    (8, 14): "52dbe0d4b804cf45d97ff913cb39cab4fc75f2842fda0069187c8e5ec0406db0",  # ladder
-    (8, 15): "9cd20fbb392c10abdfc8587fdfd05dcd2c330306b654de8a3668893ccf3ce164",  # ladder
+    (8, 13): "5b5463a8871eb1ad7444830bc86a5ff5e12488060452d9d279eda805effa8943",  # ladder
+    (8, 14): "2d7bb6be3d578b76173c2df86ffa75097250b2e27d685569e8114d198567825f",  # ladder
+    (8, 15): "be537960ce9983dc073b9ef668d067cee2f9046d93631bea8a116c5f49594012",  # ladder
     (8, 16): "9f578fb12cb8017499143b97ca1850065d1d4ff02485059de7d8707962465a70",
     (8, 17): "2886f28d8ec097f495530061b8e0bf6ef166f97752eb06035efe3847610b4dff",
     (8, 18): "670561ea7442c9eb8ae3b9ca8b41f9c289110880536179f0ce61c68f12d907ee",
     (9, 13): "a0604e20dd312570106deb12476402cbbfac2823e8ea1f7988639e7e59e483f8",
     (9, 14): "61105c3ff092e97b91fc2d7331cc0d8ff0682cfb5c59175e3cc7218ddf76d186",
-    (9, 15): "8cf575d40c7dcb930607bd9351ff6fed53559ef21f5c3025fcf0f22ec94f096f",  # ladder
-    (9, 16): "31de78d952f01ba6a1670c69ebb647ca645eb42e18312354b1afecbf84b09c5a",  # ladder
-    (9, 17): "f5d797bed7883e63b92e7f373ecb440e7562384f732d05d2e65e4d966af47dad",  # ladder
+    (9, 15): "77a8db52e4443424aa11efa282e3501e156f7d7a692b3f637eb1fb0f5cad4a27",  # ladder
+    (9, 16): "3ba45c432e9fb27879b07650644ede403cac34fd341cf5c6bd9fc798d7c6355f",  # ladder
+    (9, 17): "8f773cbb1baaca55e18b54690652a215aa63ba7e0e24f5ce1cdc464962cb646d",  # ladder
     (9, 18): "f6420df82a8df69e90146c4aacfdcbae81ca49e6fc08dd6ba9ae0b82bd58a4aa",
     (9, 19): "46c4b89846e015558395be87de40a8734c66f3565e1946291ca13264604d318a",
     (9, 20): "43e08e159d8381e0dfacec00ba22606ad39b2e2a2f10415242acecdaedf1f865",
@@ -143,9 +143,9 @@ STRIPPED_DIGESTS = {
     (10, 14): "5a8ad9d3a1e7666128a1a59e6378aeeef78861067e21b3d7b8a84ecfcea5e666",
     (10, 15): "f62a887bc8b72a276dc440f9341a3f2a14a158e497c7b1c8097c82604afef982",
     (10, 16): "e989829015fce7db799aa928f2065e6218df137c1d0000b0b640d0c0bd65b4b2",
-    (10, 17): "365895355c29196c87d4a1842b09e05f68065ef1e3bd9ca31263ebce1931d657",  # ladder
-    (10, 18): "dbd87286c30ceb11b75ac43c8bfef23c5f3c8950187ff84eb3750106e9000be3",  # ladder
-    (10, 19): "9301ee4fd34e04b511c06a2a6d533ce2e94099e7db0e552b306b9146e382e730",  # ladder
+    (10, 17): "03350d295e0b7d53db6a02f764336b4f55d5121ec74a08214731963639605bdb",  # ladder
+    (10, 18): "5f93ee70918a378e66a229720b3214ab689da39ecd4779a5225dc21eb8cf157d",  # ladder
+    (10, 19): "fbdbf826575db7fd3380035afed7dcfd5371fe646bc21c61054ca416e5864e7e",  # ladder
     (10, 20): "0023a76905d0414e17ad11c2f1c91e84c9b9baac53d48d998404eee309515a30",
     (10, 21): "02cab280b9d1988f5976efd9952df72f8a39a3fc26f08ed35d305dd018b3792e",
     (10, 22): "f209bbf7c95e92c2f1f48ee39ad937639ef5c64b97ae92b16902655d91a9c51c",

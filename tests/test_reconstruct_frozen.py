@@ -35,43 +35,43 @@ CELL_DIGESTS = {
     (4, 10): "434cacc3e206d1e065b480d05037dbf6a27f3123f2a7c4c9660aebd595e6b059",
     (5, 7): "032e77afcbdca0f958a86f252e14d791d5a1f772d80e7d488cbc0b10a444f35b",
     (5, 8): "7e8f31f6f99a4fe407f5fd338688aa5e310eb6ab2b9e0afe52ffeb5127bc6756",
-    (5, 9): "b828effaf121accb7ff69172394257eee7ca10c96508ef31e87744882c563fe6",
+    (5, 9): "e9c17c192330968a1f9178ebfb0759c5ac5ccd3d7466b0ebbf5dfa401f37ca5f",
     (5, 10): "667401f20bda05529de189240d8e4aeecf5a96dde5da6421329a95bc086846c6",
     (5, 12): "2c35147ac91301c99da8b07548ca8314f869118eaa56e9e2073d86b2ef94e614",
     (6, 8): "5b66eda45b9dba5240bab054ac93f681f353412b5ef9eac3e8b0136c484fd3f0",
     (6, 9): "c4b30d54b423f1ef24328f76ff156b164612435355d5b1bb5600842277228810",
     (6, 10): "306ccfab42a0e0d99ebd3d5b477982b6be8fbf7951712111c8d2ef6a04182eed",
-    (6, 11): "c55249ee62c7a1567f5b4926088f52d07833b4e4e2a34bd335f7db1b5b746823",
+    (6, 11): "a7ae4250d215b536ee56600955161e1032893705b44f822b850fa1d2009f2efe",
     (6, 12): "7a66d3543c9b5b75dde7365cf53e2e43b94ac12e67ab72d8e70d6029426c5740",
     (6, 14): "fa4d908700cba4255ee3183f744521825cf31f7de2ec2a66acc754772c60f4c2",
     (7, 10): "9a724b52504a693ba23de503dae76ad7c806d6bb22997432e6d31d01829d5e8d",
     (7, 11): "a13cb3fb2f86325db40d4dea426f34d32d646e935716600b84cad74826b39b8c",
     (7, 12): "632bb3f0d04b68a4b17ab3503fece62dea3c182e956bf86c90cb24fce61e941e",
-    (7, 13): "b80f656a32a35adcc08b0393eda7c6382d1823ff2ac3c5bc84a62ca0508e72f9",
+    (7, 13): "43f93b9fdb49fd19fcf026dc1b69d76e24194fb524ca4d2fc86b12ac4790e897",
     (7, 14): "28dc6db5e0f99645b97a1c5d4c8b30a86b542329d5eaba5f27aeddbdf6f17d83",
     (7, 16): "0a86257b8f18321919f6c73a2f4d94fa8b9ce1ac04d9f029360a8bf4360096b9",
     (8, 10): "2caa5db342bdd685735d1257eae985a504ce3dbd40c1983e589ab697beca7617",
     (8, 11): "1c3fe1732fd57833f107083c7cca1a42014f3d7629a0c84a6c7ddf2be6387400",
     (8, 12): "f780e41273819108fea65e5c68eaf640ee86c21e03b62454966e7a0c68246fda",
-    (8, 13): "380c5db3be0ae4dbaccf84ff32be1afb7770e8e8edc3a90242e03e350def54af",
-    (8, 14): "7195be34cc7b662afc34d52bbaa43c61218eab102133cd03419782950ee32507",
-    (8, 15): "acd1c86e88fa541b1f9a506cbbd5ccdd5319c99d1c0eaff0a0daa67387468727",
+    (8, 13): "9ca7e27434383410651aa35055b710416b658c630b9dc3e65c88ff2c5ca9fc2c",
+    (8, 14): "62e60761900178e5c74a1223e1b117856708c49f5f35f8535d87445069731449",
+    (8, 15): "1e6f6057eaa06f5360d62c92ad0b3b15e8b6bab7b9a76adba35a207467cdd1af",
     (8, 16): "0e69ff985f16e72bbfe86758ce2208e23e194cdb4dab8be4fa724a84e24d3581",
     (8, 18): "77993364a099855dad11aa268f1538b7820bb7f32559dda0c117d1d6532b1091",
     (9, 13): "5021217354b0165c9ed6b9731718567bb69ef29b48710dc67f71a76b48f1baf4",
     (9, 14): "29d93e33a5b354882920c1f2394e6d68905176b90c48868976c20d3d76e5e6bb",
-    (9, 15): "f4afc80f8527c19bc29af73ad77651762bf7c90f28eb1316d50c84256a8b2a37",
-    (9, 16): "6c1ee12b8c4895e920aeeac2f602b0883b000c8c96e18678a4602f1a8799575a",
-    (9, 17): "6e86551f441a1154a920083338e3d91331cb677f1bafa0a71fccbcb3212adc9a",
+    (9, 15): "1ba7d3908134c3e9f0b91d3cffd3513d9886b2e67991b28714b950d1d46bfd4c",
+    (9, 16): "f99d33e1061a0fb18b76bf520e7381b3287cace09c564f55fc7905fa97050602",
+    (9, 17): "b8d06a72ff31c61d930755648e0c1f46a6011c312ad1fbaa12faaffa353a590d",
     (9, 18): "44da697da28ea3ceb0ba7ab386c11c13b52b0493ae951a0b6a6b5f663122d466",
     (9, 20): "13782a9f4f6c965cfe2d1a7f809f3d4e2e98a72a1d5f05a14f5a359b0be07b6a",
     (10, 13): "69156675378b2cf17f4f931907aeaf8846fbabbed1cc24e758f510fb3e46c35d",
     (10, 14): "883aad6564e8325fda4d6152871bdf4fb5ca2aab7a29145ad53f43059fc6848b",
     (10, 15): "0f084fffe335f5c8495e2de1e8e7ce82f11b528cb8b30bde812c338e75962a58",
     (10, 16): "2c813f2b9c859f1b518e4d8cc23c63c9ee685729b739da30f001a39d63e6d3f6",
-    (10, 17): "fde2059f8b71370ebf4b69ca11d1347fd7ab6657a18a23c724c81226e3d568d7",
-    (10, 18): "163202141169611bfd532892b2bd5a61938fa844c701547913b89948dd9583ef",
-    (10, 19): "94a593598deb14527a49a5c91cff31808438e874d9bed4fefe9129042b0ba7f0",
+    (10, 17): "b8ed37aca99bc41f900735308a583a1f46a8c8066ab60ef29b8df0726df37ace",
+    (10, 18): "1555e25fb9a45742fd6dea65995d479f9114127bafaae2f36eeb4856b9a4e4f1",
+    (10, 19): "fe4efb5f14b01afa4cb3c41aadc665b6a3e262b245e65c51152799eb21a9efb1",
     (10, 20): "992ed102281eae05f8ffef86dfd4b6c2b1f6326ce057fc77cc6b6c1326f33ed4",
     (10, 22): "3c26a0121f1d16254bd1a53d711142a7595d09e275067859dfc0ee8b697ff552",
 }
