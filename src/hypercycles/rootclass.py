@@ -29,8 +29,9 @@ variations of each interval's endpoints down its bisection stack, so a split
 evaluates the chain at the midpoint only, and the one refinement loop of an
 isolated root (`RealRoot._settle`, behind both `sign_of` and `clear`)
 recounts only the endpoint that a refinement step moved.  Signs of a
-polynomial at a point come from its cached integer form (`Poly.int_form`),
-with no `Fraction` built.
+polynomial at a point come from its cached integer form (`Poly.int_form`)
+by one homogeneous Horner on the point as an integer pair p/q (`_sign_at`,
+and `_chain_signs` for a whole chain), with no `Fraction` built.
 
 Each chain member carries an exponent e with every complex root z of the
 member inside |z| < 2**e: Fujiwara's bound 2 max_i |a_{n-i}/a_n|^(1/i)
@@ -39,12 +40,17 @@ member inside |z| < 2**e: Fujiwara's bound 2 max_i |a_{n-i}/a_n|^(1/i)
 its largest real root in absolute value, so at a point p/q with
 |p| > q * 2**e the member's sign is its sign at +-inf, read off its leading
 coefficient and degree, and Horner runs only inside the bound.  The answer
-is the same sign that Horner would give, so every count, interval and
-refinement step is unchanged; the Cauchy bound that starts isolation is
-often far larger than the roots, and bisection spends its first levels on
-such points.  `RealRoot.refine` does the same with the exponent of its
-own polynomial, kept on the root beside the polynomial's sign at hi, which
-no refinement step changes.
+is the same sign that Horner would give.  `RealRoot.refine` does the same
+with the exponent of its own polynomial, kept on the root beside the
+polynomial's sign at hi, which no refinement step changes.
+
+Isolation (`_isolate_squarefree`) bisects [-2**e, 2**e], e the exponent of
+the chain's head, whose ends the strict bound keeps from being roots.  Every
+point it visits is dyadic, k/2**j, held as the integers k and j: a midpoint
+is one add, and the chain is evaluated on (k, 2**j).  A midpoint that is a
+root is kept as an exact interval, and the search for the two sides around
+it halves its distance eps, so those points stay dyadic as well; `Fraction`s
+are built only for the intervals returned.
 
 Every sample point inside an interval comes from `interior_point` (the
 midpoint when there is nothing to avoid).  A rational endpoint that is

@@ -596,7 +596,6 @@ def test_isolation_builds_fractions_only_for_the_intervals_it_returns(p, monkeyp
         built.append(args)
         return new(cls, *args, **kwargs)
 
-    p.int_form()
     monkeypatch.setattr(Fraction, "__new__", counting)
     got = _isolate_squarefree(p)
     monkeypatch.undo()
