@@ -587,8 +587,8 @@ def test_isolation_lands_on_a_root_at_a_bisection_midpoint():
 ])
 def test_isolation_builds_fractions_only_for_the_intervals_it_returns(p, monkeypatch):
     # each input makes a bisection midpoint land on a root, where eps halves.
-    # Every `Fraction` built is counted: those the module names, and those
-    # that `Fraction` arithmetic builds through `Fraction.__new__`
+    # `Fraction.__new__` sees every `Fraction(...)` call and, before Python
+    # 3.12, every result of `Fraction` arithmetic too
     built = []
     new = Fraction.__new__
 
