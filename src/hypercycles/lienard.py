@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .polyx import BivarPoly, Poly, poly_gcd
-from .rootclass import RealRoot, SturmChain, interior_point, isolate_real_roots
+from .rootclass import RealRoot, SturmChain, isolate_real_roots
 
 
 class NonPolynomialSystem(ValueError):
@@ -253,7 +253,7 @@ def _count_strictly_between(w: Poly, r1: RealRoot, r2: RealRoot) -> int:
         raise ValueError("cannot count roots of the zero polynomial")
     if w.degree < 1:
         return 0
-    r1.separate_from(r2, avoid=[w])
+    r1.separate_from(r2)
     r1.clear(w)
     r2.clear(w)
     return SturmChain(w).count_open(r1.hi, r2.lo)
@@ -287,8 +287,11 @@ def certify(curve: HyperellipticCurve) -> CertificationReport:
         verdict = IntervalVerdict(s1=left, s2=right)
         report.intervals.append(verdict)
 
-        left.separate_from(right, avoid=[Q, H])
-        sample = interior_point(left.hi, right.lo, [Q, H])
+        # the midpoint of the gap between the two disjoint intervals: Q has
+        # no root in the gap, so Q(sample) is Q's sign on it; H(sample) is
+        # read only after an exact count finds no root of H in the gap
+        left.separate_from(right)
+        sample = (left.hi + right.lo) / 2
         verdict.q_positive_between = Q.eval(sample) > 0
         if not verdict.q_positive_between or not all_real:
             # per the conservative reading of condition (ii), remaining checks

@@ -52,9 +52,10 @@ root is kept as an exact interval, and the search for the two sides around
 it halves its distance eps, so those points stay dyadic as well; `Fraction`s
 are built only for the intervals returned.
 
-Every sample point inside an interval comes from `interior_point` (the
-midpoint when there is nothing to avoid).  A rational endpoint that is
-itself a root needs no deflation: `SturmChain.count_open` counts the roots
+Every refinement step of an isolated root (`RealRoot.refine`) bisects at the
+midpoint (lo + hi) / 2, whatever other polynomial vanishes there: a midpoint
+that is the root makes the root exact, and a rational endpoint that is a
+root needs no deflation: `SturmChain.count_open` counts the roots
 in an open interval on the chain already held.  At a root c of the chain's
 head f (squarefree), f' does not vanish, so f and f' have opposite signs
 just left of c and the same sign just right of it; at c itself f drops out
@@ -73,7 +74,6 @@ All arithmetic is exact; no floating point enters any code path here.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -540,16 +540,6 @@ def simplest_in_interval(lo: Fraction, hi: Fraction) -> Fraction:
     return n + 1 / inner
 
 
-def interior_point(lo: Fraction, hi: Fraction, avoid: Sequence[Poly]) -> Fraction:
-    """The first lo + (hi - lo) * j/k, for k = 2, 3, ... and j = 1..k-1, at
-    which no polynomial in `avoid` vanishes; each must be nonzero."""
-    for k in itertools.count(2):
-        for j in range(1, k):
-            c = lo + (hi - lo) * Fraction(j, k)
-            if all(w.eval(c) != 0 for w in avoid):
-                return c
-
-
 # ---------------------------------------------------------------------------
 # isolated real roots
 # ---------------------------------------------------------------------------
@@ -595,13 +585,12 @@ class RealRoot:
 
     # -- refinement -------------------------------------------------------
 
-    def refine(self, avoid: list[Poly] = ()) -> None:
-        """One bisection step; new endpoints avoid roots of every `avoid` poly."""
+    def refine(self) -> None:
+        """One bisection step at the midpoint; a midpoint that is the root
+        makes the root exact."""
         if self.is_exact():
             return
-        avoid = [w for w in avoid if not w.is_zero()]
-        # with nothing to avoid, interior_point would return the midpoint
-        c = interior_point(self.lo, self.hi, avoid) if avoid else (self.lo + self.hi) / 2
+        c = (self.lo + self.hi) / 2
         ints = self.poly.int_form()[0]
         if self._ends is None:
             e = _root_exponent(ints)
@@ -675,9 +664,9 @@ class RealRoot:
 
     # -- relations ----------------------------------------------------------
 
-    def separate_from(self, other: "RealRoot", avoid: list[Poly] = ()) -> int:
-        """Refine both until the closed intervals are disjoint.
-        Returns -1 if self < other, +1 if self > other.
+    def separate_from(self, other: "RealRoot") -> int:
+        """Halve the wider interval at its midpoint until the closed
+        intervals are disjoint.  Returns -1 if self < other, +1 if self > other.
 
         Termination is unconditional: when the roots are equal, the common
         factor d = gcd changes sign across the shrinking intersection and the
@@ -706,9 +695,9 @@ class RealRoot:
                             raise RootsCoincide(
                                 "isolated roots share a common value")
             if self.width() >= other.width():
-                self.refine(avoid)
+                self.refine()
             else:
-                other.refine(avoid)
+                other.refine()
             rounds += 1
         return -1 if self.hi < other.lo else 1
 
@@ -719,9 +708,11 @@ class RealRoot:
         return d.degree >= 1 and SturmChain(d).count_open(self.lo, self.hi) > 0
 
     def _settle(self, wc: SturmChain, target: int) -> int:
-        """Refine, avoiding the roots of w (the head of `wc`), until w is
-        nonzero at lo and hi and has `target` roots in between; returns the
-        sign of w at lo, or 0 once a refinement step lands on the root."""
+        """Refine until w (the head of `wc`) is nonzero at lo and hi and has
+        `target` roots in between; returns the sign of w at lo, or 0 once a
+        refinement step lands on the root.  An end on a root of w moves off it
+        within finitely many halvings: both ends close in on this root, and
+        w has finitely many roots."""
         # (endpoint, sign variations of w's chain there): a refinement step
         # moves one endpoint, and only that one is counted again
         at_lo = at_hi = None
@@ -734,7 +725,7 @@ class RealRoot:
                     at_hi = (self.hi, _variations(wc.chain, self.hi))
                 if at_lo[1] - at_hi[1] == target:
                     return slo
-            self.refine(avoid=[wc.f])
+            self.refine()
         return 0
 
     def sign_of(self, w: Poly) -> int:

@@ -2,6 +2,7 @@
 certification bounds and reconstruction round trips on one seeded stream."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -141,3 +142,77 @@ def test_gcd_content_primitive_contracts():
         assert c > 0
         assert prim.scale(c) == p
         assert prim.content() == 1
+
+
+def _oracle_verdicts(sympy, curve: HyperellipticCurve) -> list[tuple[bool, bool, bool, bool]]:
+    """(q_positive_between, p2_minus_q_negative, no_common_root_qprime_f,
+    certified) for each gap between adjacent simple real roots of Q, from
+    sympy alone: each of Q, H = P^2 - Q and gcd(Q', f) has its real roots
+    in the open gap counted, and Q and H are evaluated at the gap's
+    midpoint.  As in `certify`, (iii) and (iv) hold only where Q is
+    positive on the gap and all roots of Q are real."""
+    x = sympy.symbols("x")
+
+    def sym(p: Poly):
+        return sum(sympy.Rational(c.numerator, c.denominator) * x**i
+                   for i, c in enumerate(p.coeffs))
+
+    P, Q = sym(curve.P), sym(curve.Q)
+    H = sympy.expand(P**2 - Q)
+    f = sympy.cancel(sympy.diff(P, x) + P * sympy.diff(Q, x) / (2 * Q))
+    R4 = sympy.gcd(sympy.diff(Q, x), f)
+    q_roots = Counter(sympy.real_roots(sympy.Poly(Q, x)))
+    all_real = sum(q_roots.values()) == sympy.degree(Q, x)
+    zs = sorted(q_roots)
+
+    def inside(p, a, b) -> int:
+        if sympy.degree(p, x) < 1:
+            return 0
+        return len({z for z in sympy.real_roots(sympy.Poly(p, x)) if a < z < b})
+
+    out = []
+    for a, b in zip(zs, zs[1:]):
+        if q_roots[a] != 1 or q_roots[b] != 1:
+            continue
+        mid = (a + b) / 2
+        q_pos = inside(Q, a, b) == 0 and Q.subs(x, mid) > 0
+        rest = q_pos and all_real
+        h_neg = rest and inside(H, a, b) == 0 and H.subs(x, mid) < 0
+        no_common = rest and inside(R4, a, b) == 0
+        out.append((bool(q_pos), bool(h_neg), bool(no_common),
+                    bool(q_pos and h_neg and no_common)))
+    return out
+
+
+def _verdicts(curve: HyperellipticCurve) -> list[tuple[bool, bool, bool, bool]]:
+    return [(v.q_positive_between, v.p2_minus_q_negative,
+             v.no_common_root_qprime_f, v.certified)
+            for v in certify(curve).intervals]
+
+
+def test_certify_interval_verdicts_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2024)
+    # P = 3x(1 - x^2), Q = 1 - x^2: H < 0 at the midpoint 0 of the gap
+    # (-1, 1), yet H has two roots in it, where 9x^2(1 - x^2) = 1
+    curves = [HyperellipticCurve(P=Poly([0, 3, 0, -3]), Q=Poly([1, 0, -1]))]
+    curves += [_random_curve(rng) for _ in range(30)]
+    seen = []
+    for curve in curves:
+        got = _verdicts(curve)
+        assert got == _oracle_verdicts(sympy, curve), (curve.P, curve.Q)
+        seen += got
+    # the draws must reach both certified and refused gaps
+    assert any(v[3] for v in seen) and not all(v[3] for v in seen)
+
+
+def test_certify_samples_a_gap_at_a_double_root_of_h():
+    # P = Q = 1 - x^2 has type (1,3) and one gap (-1, 1), whose midpoint 0
+    # is a double root of H = x^2 (x^2 - 1) and a root of gcd(Q', f) = x
+    curve = HyperellipticCurve(P=Poly([1, 0, -1]), Q=Poly([1, 0, -1]))
+    assert derive_system(curve).type == (1, 3)
+    report = certify(curve)
+    assert [(v.s1.value, v.s2.value) for v in report.intervals] == [(-1, 1)]
+    assert _verdicts(curve) == [(True, False, False, False)]
+    sympy = pytest.importorskip("sympy")
+    assert _oracle_verdicts(sympy, curve) == [(True, False, False, False)]

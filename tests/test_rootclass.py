@@ -29,7 +29,6 @@ from hypercycles.rootclass import (
     discriminant_sequence,
     discrimination_matrix,
     hankel_minor,
-    interior_point,
     isolate_real_roots,
     power_sums,
     revised_sign_list,
@@ -445,11 +444,10 @@ def ref_isolate_squarefree(g: Poly) -> list[tuple[Fraction, Fraction]]:
     return sorted(out)
 
 
-def ref_refine(root: RealRoot, avoid=()) -> None:
+def ref_refine(root: RealRoot) -> None:
     if root.is_exact():
         return
-    avoid = [w for w in avoid if not w.is_zero()]
-    c = interior_point(root.lo, root.hi, avoid)
+    c = (root.lo + root.hi) / 2
     s = root.poly.eval(c)
     if s == 0:
         root.lo = root.hi = c
@@ -477,7 +475,7 @@ def ref_sign_of(root: RealRoot, w: Poly) -> int:
                 or (w.eval(root.hi) != 0 and wc.count(root.lo, root.hi) == 0)
             ):
                 return slo
-            ref_refine(root, avoid=[w])
+            ref_refine(root)
     v = w.eval(root.value)
     return (v > 0) - (v < 0)
 
@@ -519,10 +517,10 @@ def _others(p: Poly, g: Poly) -> list[Poly]:
     return [p.derivative(), g, P(-2, 0, 1), g + ONE, P(-2)]
 
 
-def _same_refinement(a: RealRoot, b: RealRoot, avoid, steps: int) -> None:
+def _same_refinement(a: RealRoot, b: RealRoot, steps: int) -> None:
     for _ in range(steps):
-        a.refine(avoid)
-        ref_refine(b, avoid)
+        a.refine()
+        ref_refine(b)
         assert (a.lo, a.hi, a.is_exact()) == (b.lo, b.hi, b.is_exact())
 
 
@@ -555,8 +553,7 @@ def test_isolation_refine_and_sign_of_match_the_reference(case):
             assert x.denominator & (x.denominator - 1) == 0 and -edge <= x <= edge
         for lo, hi in intervals:
             root = RealRoot(poly=g, lo=lo, hi=hi)
-            _same_refinement(root, copy.copy(root), (), 6)
-            _same_refinement(root, copy.copy(root), [g.derivative(), g + ONE], 4)
+            _same_refinement(root, copy.copy(root), 6)
             for w in _others(p, g):
                 got, want = copy.copy(root), copy.copy(root)
                 assert got.sign_of(w) == ref_sign_of(want, w)
@@ -565,7 +562,7 @@ def test_isolation_refine_and_sign_of_match_the_reference(case):
     # dyadic midpoints
     for m in planted:
         root = RealRoot(poly=Poly([-m, 1]), lo=-top, hi=top)
-        _same_refinement(root, copy.copy(root), (), 5)
+        _same_refinement(root, copy.copy(root), 5)
         assert root.is_exact() and root.value == m
 
 
@@ -794,12 +791,12 @@ def test_count_strictly_between_when_a_refinement_step_lands_on_the_root():
     r = _third_root()
     assert lienard._count_strictly_between(P(Fraction(3, 7), 1), minus_one, r) == 1
     assert r.is_exact() and r.value == Fraction(-1, 3)
-    # where w vanishes at the root too, refinement avoids -1/3 and clears
-    # the bracket down to (-4/9, -2/9), around the root only
+    # where w vanishes at the root too, the same midpoint step makes the
+    # root exact, and the open count from -1/3 leaves that root of w out
     w = P(Fraction(1, 3), 1) * P(Fraction(1, 7), 1) * P(Fraction(-1, 2), 1)
     r = _third_root()
     assert lienard._count_strictly_between(w, r, one) == 2
-    assert (r.lo, r.hi) == (Fraction(-4, 9), Fraction(-2, 9))
+    assert r.is_exact() and r.value == Fraction(-1, 3)
 
 
 # -- canonical isolating intervals ---------------------------------------------
@@ -833,11 +830,11 @@ def test_canonical_does_not_depend_on_refinement(p):
         want = root.canonical()
         before = (root.lo, root.hi)
         assert root.canonical() == want and (root.lo, root.hi) == before
-        # 0..30 extra steps: midpoints first, then points that avoid p'
+        # after 0..30 extra midpoint steps
         other = copy.copy(root)
         for _ in range(31):
             assert other.canonical() == want
-            other.refine([p.derivative()] if other.width() < 1 else ())
+            other.refine()
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
