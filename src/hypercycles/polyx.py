@@ -15,7 +15,10 @@ root engine's sign tests read its numerators.  `poly_gcd`,
 integer coefficient lists (`int_coeffs`): a remainder scaled by |lc(b)| only
 (a positive multiple of the rational remainder), an exact division in Z[x]
 (Gauss's lemma, `int_exact_div`, which `Poly.exact_div` also runs on), and
-the primitive PRS gcd built from them.  Each
+the primitive PRS gcd built from them.  The first gcd of `squarefree_part`
+and `squarefree_decomposition`, gcd(p, p'), is the last member of the
+remainder sequence of p and p' (`int_remainder_sequence`), the same
+sequence the Sturm chain of p in `rootclass` is read from.  Each
 converts back to a `Poly` once, at the end; the monic results are the unique
 ones, so they are the same as Euclid over Q would give.  `Poly.divrem`,
 `Poly.content` and `Poly.primitive` stay over `Fraction`: the integer-kernel
@@ -29,8 +32,9 @@ solve and the affine blocks of curve recovery both use it), and
 Everything here is immutable and side-effect free; values can be shared
 freely between threads (two threads filling the same integer form or hash
 store equal values).  `poly_gcd` keeps its last results in a small bounded
-memo; a `Poly` keeps the hash of its coefficients from its first use, since
-the memo keys here and in `rootclass` hash the same `Poly` over and over.
+memo, and `int_remainder_sequence` its last sequences in another; a `Poly`
+keeps the hash of its coefficients from its first use, since the memo keys
+here and in `rootclass` hash the same `Poly` over and over.
 """
 
 from __future__ import annotations
@@ -394,18 +398,52 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return _monic_poly(int_poly_gcd(int_coeffs(a), int_coeffs(b)))
 
 
+def int_key(a: Sequence[int]) -> tuple[int, ...]:
+    """The nonzero integer vector a as a tuple with a positive leading
+    coefficient: the key of `int_remainder_sequence` and of the chain memo
+    in `rootclass`."""
+    return tuple(a) if a[-1] > 0 else tuple(-c for c in a)
+
+
+# Isolation runs Yun on p, then builds Sturm chains in `rootclass` on the
+# same vectors (a squarefree p is its own only factor, and counts run on p's
+# chain), so both start the same remainder sequence; a bounded memo runs it
+# once.
+@lru_cache(maxsize=64)
+def int_remainder_sequence(a: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """(a, prim(a'), -int_rem, ...) for a primitive integer vector a with a
+    positive leading coefficient (`int_key`): each member after the second
+    is minus the primitive integer remainder of the two before it, up to
+    the last nonzero one, which is gcd(a, a') up to sign.  When that is a
+    constant the sequence is the Sturm chain of a.  Memoized per vector."""
+    seq = [a]
+    if len(a) > 1:
+        seq.append(tuple(_primitive(_derivative(a))))
+        while len(seq[-1]) > 1:
+            r = int_rem(seq[-2], seq[-1])
+            if not r:
+                break
+            seq.append(tuple(-c for c in r))
+    return tuple(seq)
+
+
 def squarefree_part(p: Poly) -> Poly:
-    """p / gcd(p, p'), monic."""
+    """p / gcd(p, p'), monic, with the gcd read off the shared remainder
+    sequence (`int_remainder_sequence`)."""
     if p.is_zero():
         raise ValueError("square-free part of the zero polynomial")
     if p.degree == 0:
         return ONE
-    a = int_coeffs(p)
-    return _monic_poly(int_exact_div(a, int_poly_gcd(a, _derivative(a))))
+    a = int_key(int_coeffs(p))
+    return _monic_poly(int_exact_div(a, int_remainder_sequence(a)[-1]))
 
 
 def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
-    """Yun's algorithm: [(g_k, k)] with p ~ prod g_k^k, g_k squarefree monic."""
+    """Yun's algorithm: [(g_k, k)] with p ~ prod g_k^k, g_k squarefree monic.
+    The first gcd, gcd(p, p'), is the last member of the shared remainder
+    sequence (`int_remainder_sequence`), which the Sturm chain of p reads
+    too; the later gcds run `int_poly_gcd`.  Every factor is made monic, so
+    neither the sign of that gcd nor the scale of any vector moves them."""
     if p.is_zero():
         raise ValueError("square-free decomposition of the zero polynomial")
     if p.degree == 0:
@@ -414,9 +452,9 @@ def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
     # b and d must carry the same scale: dp is the derivative of this very
     # vector a, never made primitive on its own, and each step divides both
     # by the same g.
-    a = int_coeffs(p)
+    a = int_key(int_coeffs(p))
     dp = _derivative(a)
-    g = int_poly_gcd(a, dp)
+    g = int_remainder_sequence(a)[-1]
     b = int_exact_div(a, g)
     d = _int_sub(int_exact_div(dp, g), _derivative(b))
     k = 1

@@ -7,12 +7,16 @@ Two independent routes to root counts live here on purpose:
   "all roots real and simple" screen, read off the chain's signs at +-inf.
   Chains are built on primitive integer polynomials: each member is minus
   the primitive integer remainder (`polyx.int_rem`) of the two before it,
-  so no `Fraction` division runs.  One remainder sequence serves each
-  chain: started at p and p', its last member is gcd(p, p') up to sign, so
-  when that is a constant the sequence already is the chain of the
-  squarefree p, and otherwise the chain is that of p / gcd(p, p').  Chains
-  are memoized per polynomial and, behind that, per primitive integer
-  vector, both in small bounded caches;
+  so no `Fraction` division runs.  One remainder sequence, started at p and
+  p' (`polyx.int_remainder_sequence`, memoized per primitive integer
+  vector), serves both the chain and the squarefree decomposition: its last
+  member is gcd(p, p') up to sign, which `squarefree_decomposition` and
+  `squarefree_part` read as their first gcd; when it is a constant the
+  sequence already is the chain of the squarefree p, and otherwise the
+  chain is that of p / gcd(p, p').  So isolating the factors of p and then
+  counting on p's own chain runs the (p, p') sequence once.  Chains are
+  memoized per polynomial and, behind that, per primitive integer vector,
+  both in small bounded caches;
 * the discrimination-matrix route: Yang's complete discrimination system
   (Yang, Hou and Zeng), the leading principal even-order minors D_k of the
   Sylvester-style matrix of f and f', whose (revised) sign pattern counts
@@ -20,9 +24,11 @@ Two independent routes to root counts live here on purpose:
   off the identity D_k(f) = lc(f) * sRes_{n-k}(f, f'), with every signed
   subresultant coefficient from one integer pass of the signed subresultant
   recurrence (Basu, Pollack and Roy, Algorithms in Real Algebraic Geometry,
-  ch. 8); `discrimination_matrix` and the Bareiss `_int_det` stay as the
-  definition that tests check it against.  It serves the `roots` command
-  and the criterion 4 cross-check against the Sturm route.
+  ch. 8).  The matrix itself, the definition that the minors are checked
+  against, lives in the tests; the Bareiss `_int_det` stays for
+  `rational_det`, behind the Hankel minors of suite criterion 4.  The route
+  serves the `roots` command and the criterion 4 cross-check against the
+  Sturm route.
 
 Each Sturm chain is evaluated once per point: isolation carries the sign
 variations of each interval's endpoints down its bisection stack, so a split
@@ -31,7 +37,11 @@ isolated root (`RealRoot._settle`, behind both `sign_of` and `clear`)
 recounts only the endpoint that a refinement step moved.  Signs of a
 polynomial at a point come from its cached integer form (`Poly.int_form`)
 by one homogeneous Horner on the point as an integer pair p/q (`_sign_at`,
-and `_chain_signs` for a whole chain), with no `Fraction` built.
+and `_chain_signs` for a whole chain), with no `Fraction` built.  Nearly
+every point isolation and refinement visit is dyadic, k/2**j; there the
+powers of q are shifts, acc = acc*k + (c << s) with s growing by j per
+coefficient (`_sign_dyadic`), which `_sign_int` and `_chain_signs` choose
+whenever q is a power of two.
 
 Each chain member carries an exponent e with every complex root z of the
 member inside |z| < 2**e: Fujiwara's bound 2 max_i |a_{n-i}/a_n|^(1/i)
@@ -51,6 +61,14 @@ is one add, and the chain is evaluated on (k, 2**j).  A midpoint that is a
 root is kept as an exact interval, and the search for the two sides around
 it halves its distance eps, so those points stay dyadic as well; `Fraction`s
 are built only for the intervals returned.
+
+A `RealRoot` holds its ends as integers a/d and b/d over one common
+denominator d: a power of two for every root isolation returns, any
+positive integer for a root built by hand.  `lo` and `hi` read them as
+`Fraction`s.  A refinement step is one add and one sign on the integer
+pair, and `try_exact` (up to its candidate, the integer continued-fraction
+walk `_simplest`) and the width loop of `canonical` run on those integers,
+so none of them builds a `Fraction` per step.
 
 Every refinement step of an isolated root (`RealRoot.refine`) bisects at the
 midpoint (lo + hi) / 2, whatever other polynomial vanishes there: a midpoint
@@ -74,10 +92,11 @@ All arithmetic is exact; no floating point enters any code path here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd as int_gcd
+from math import gcd as int_gcd, lcm
 from typing import Sequence
 
 from .polyx import (
@@ -85,7 +104,8 @@ from .polyx import (
     RationalLike,
     int_coeffs,
     int_exact_div,
-    int_rem,
+    int_key,
+    int_remainder_sequence,
     poly_gcd,
     rat,
     squarefree_decomposition,
@@ -115,6 +135,25 @@ def _sign_at(ints: Sequence[int], p: int, q: int) -> int:
         acc = acc * p + c * qpow
         qpow *= q
     return (acc > 0) - (acc < 0)
+
+
+def _sign_dyadic(ints: Sequence[int], k: int, j: int) -> int:
+    """Sign of the integer polynomial at k/2**j, j >= 0: the homogeneous
+    Horner of `_sign_at` with each power of 2**j applied as a shift."""
+    acc = 0
+    s = 0
+    for c in reversed(ints):
+        acc = acc * k + (c << s)
+        s += j
+    return (acc > 0) - (acc < 0)
+
+
+def _sign_int(ints: Sequence[int], p: int, q: int) -> int:
+    """Sign of the integer polynomial at p/q, q > 0: by shifts
+    (`_sign_dyadic`) when q is a power of two, else by `_sign_at`."""
+    if q & (q - 1):
+        return _sign_at(ints, p, q)
+    return _sign_dyadic(ints, p, q.bit_length() - 1)
 
 
 def _int_det(rows: list[list[int]]) -> int:
@@ -235,29 +274,11 @@ class RootCount:
         return cls(distinct_real=l - 2 * v, imaginary_pairs=v)
 
 
-def discrimination_matrix(f: Poly) -> list[list[Fraction]]:
-    """2n x 2n matrix from interleaved, progressively shifted rows of the
-    coefficients of f and f' (leading coefficient first in each row)."""
-    n = f.degree
-    if n < 1:
-        raise ValueError("discrimination matrix needs degree >= 1")
-    desc = list(reversed(f.coeffs))                      # a0 .. an, a0 leading
-    ddesc = list(reversed(f.derivative().coeffs))        # n*a0 .. a_{n-1}
-    size = 2 * n
-    rows = []
-    for k in range(1, n + 1):
-        for start, cs in ((k - 1, desc), (k, ddesc)):
-            row = [Fraction(0)] * size
-            for i, c in enumerate(cs[:size - start]):
-                row[start + i] = c
-            rows.append(row)
-    return rows
-
-
 def discriminant_sequence(f: Poly) -> list[Fraction]:
     """(D_1, ..., D_n): determinants of the leading 2k x 2k submatrices of
-    `discrimination_matrix(f)`, Yang's complete discrimination system
-    (Yang, Hou and Zeng).
+    the discrimination matrix of f (2n x 2n, interleaved and progressively
+    shifted rows of the coefficients of f and f'), Yang's complete
+    discrimination system (Yang, Hou and Zeng).
 
     Expanding the 2k x 2k minor along its first column, which holds only
     lc(f), leaves the Sylvester block of f' and f for j = n - k, so
@@ -392,14 +413,14 @@ def _root_exponent(c: Sequence[int]) -> int:
     return e
 
 
-def _sign_bounded(c: Sequence[int], e: int, x: Fraction) -> int:
-    """Sign of the integer polynomial c at x, where |z| < 2**e for every
-    root z of c: beyond that bound the sign is the sign at +-inf, and
-    Horner runs only inside it."""
-    p, q = x.numerator, x.denominator
+def _sign_bounded(c: Sequence[int], e: int, p, q: int = 1) -> int:
+    """Sign of the integer polynomial c at p/q, q > 0, where |z| < 2**e for
+    every root z of c: beyond that bound the sign is the sign at +-inf, and
+    Horner (`_sign_int`) runs only inside it.  p may also be a `Fraction`
+    with q = 1."""
     if abs(p) > q << e:
         return _sign_at_infinity(c, p > 0)
-    return _sign_at(c, p, q)
+    return _sign_int(c, p, q)
 
 
 # Certification and the family searches ask for chains of the same few
@@ -415,8 +436,7 @@ def _sturm_chain_int(p: Poly) -> _Chain:
     primitive integer vector (`_int_chain`), so a polynomial and its monic
     multiple share one chain; the chain is returned as nested tuples so
     callers cannot alter the shared value."""
-    a = int_coeffs(p)
-    return _int_chain(tuple(a) if a[-1] > 0 else tuple(-c for c in a))
+    return _int_chain(int_key(int_coeffs(p)))
 
 
 @lru_cache(maxsize=64)
@@ -424,30 +444,27 @@ def _int_chain(a: tuple[int, ...]) -> _Chain:
     """Sturm chain of the squarefree part of a, a primitive integer vector
     with a positive leading coefficient.
 
-    One remainder sequence serves both ends: it starts at a and a', so its
-    last member is gcd(a, a') up to sign.  When that is a constant, a is
-    squarefree and the sequence is its chain; otherwise the chain is that of
-    the quotient a / gcd(a, a'), primitive by Gauss's lemma."""
-    chain = [a]
-    if len(a) > 1:
-        da = [i * c for i, c in enumerate(a)][1:]
-        g = int_gcd(*da)
-        chain.append(tuple(c // g for c in da))
-        while len(chain[-1]) > 1:
-            r = int_rem(chain[-2], chain[-1])
-            if not r:
-                q = int_exact_div(a, chain[-1])
-                return _int_chain(tuple(q) if q[-1] > 0 else tuple(-c for c in q))
-            chain.append(tuple(-c for c in r))
-    return _make_chain(chain)
+    The remainder sequence of a and a' (`polyx.int_remainder_sequence`,
+    shared with the squarefree kernels) ends at gcd(a, a') up to sign.
+    When that is a constant, a is squarefree and the sequence is its chain;
+    otherwise the chain is that of the quotient a / gcd(a, a'), primitive
+    by Gauss's lemma."""
+    seq = int_remainder_sequence(a)
+    if len(seq[-1]) == 1:
+        return _make_chain(seq)
+    return _int_chain(int_key(int_exact_div(a, seq[-1])))
 
 
 def _chain_signs(chain: _Chain, p: int, q: int) -> list[int]:
     """Signs of the chain's members at p/q, q > 0 (`_sign_bounded`,
-    inlined)."""
+    inlined): a dyadic q = 2**j evaluates by shifts (`_sign_dyadic`)."""
     ap = abs(p)
     k = 2 if p > 0 else 1
-    return [end[k] if ap > q << end[0] else _sign_at(c, p, q)
+    if q & (q - 1):
+        return [end[k] if ap > q << end[0] else _sign_at(c, p, q)
+                for c, end in zip(chain, chain.ends)]
+    j = q.bit_length() - 1
+    return [end[k] if ap > q << end[0] else _sign_dyadic(c, p, j)
             for c, end in zip(chain, chain.ends)]
 
 
@@ -488,7 +505,7 @@ class SturmChain:
             self.chain = _make_chain((tuple(self.ints),))
 
     def sign(self, x: Fraction) -> int:
-        return _sign_at(self.ints, x.numerator, x.denominator)
+        return _sign_int(self.ints, x.numerator, x.denominator)
 
     def count(self, lo: Fraction, hi: Fraction) -> int:
         if self.sign(lo) == 0 or self.sign(hi) == 0:
@@ -520,24 +537,40 @@ def cauchy_bound(f: Poly) -> Fraction:
     return 1 + Fraction(max(abs(c) for c in nums[:-1]), abs(nums[-1]))
 
 
+def _simplest(lp: int, lq: int, hp: int, hq: int) -> tuple[int, int]:
+    """(p, q), q > 0, with p/q a smallest-denominator rational strictly
+    inside (lp/lq, hp/hq), for lq, hq > 0 and lp/lq < hp/hq.
+
+    The continued-fraction walk, one term per round and no recursion: with
+    n = floor(lo), the integer n + 1 is the answer if it lies below hi;
+    otherwise 0 <= lo - n < hi - n <= 1, and either lo = n, where the
+    answer is n + 1/k with k = floor(1/(hi - n)) + 1, or the walk goes on
+    to (1/(hi - n), 1/(lo - n)), and the answer is n + 1/(its answer).
+    The ends need not be in lowest terms."""
+    terms = []
+    while True:
+        n = lp // lq
+        if (n + 1) * hq < hp:
+            p, q = n + 1, 1
+            break
+        a, b = lp - n * lq, hp - n * hq     # lo - n = a/lq, hi - n = b/hq
+        terms.append(n)
+        if a == 0:
+            p, q = hq // b + 1, 1
+            break
+        lp, lq, hp, hq = hq, b, lq, a
+    for n in reversed(terms):
+        p, q = n * p + q, p
+    return p, q
+
+
 def simplest_in_interval(lo: Fraction, hi: Fraction) -> Fraction:
-    """A smallest-denominator rational strictly inside (lo, hi)."""
+    """A smallest-denominator rational strictly inside (lo, hi)
+    (`_simplest`)."""
     if not lo < hi:
         raise ValueError("empty interval")
-    # an integer inside wins outright
-    ceil_lo = -((-lo.numerator) // lo.denominator)
-    if lo < ceil_lo < hi:
-        return Fraction(ceil_lo)
-    if lo == ceil_lo and lo + 1 < hi:
-        return lo + 1
-    n = lo.numerator // lo.denominator  # floor(lo)
-    a, b = lo - n, hi - n               # 0 <= a < b, no integer in (a, b)
-    if a == 0:
-        # (0, b) with b <= 1: answer 1/ceil(1/b + epsilon-ish)
-        k = b.denominator // b.numerator + 1
-        return n + Fraction(1, k)
-    inner = simplest_in_interval(1 / b, 1 / a)
-    return n + 1 / inner
+    return Fraction(*_simplest(lo.numerator, lo.denominator,
+                               hi.numerator, hi.denominator))
 
 
 # ---------------------------------------------------------------------------
@@ -545,28 +578,67 @@ def simplest_in_interval(lo: Fraction, hi: Fraction) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class RealRoot:
-    """One distinct real root of `origin`, held in [lo, hi].
+    """One distinct real root of a squarefree polynomial `poly`, held in
+    [lo, hi], with its `multiplicity` in the polynomial it was isolated from.
 
-    `poly` is a squarefree polynomial with exactly one root in the interval;
-    lo == hi marks an exact rational root.  For open intervals the invariant
+    `poly` has exactly one root in the interval; lo == hi marks an exact
+    rational root.  For open intervals the invariant
     sign(poly(lo)) * sign(poly(hi)) < 0 holds throughout refinement.
+
+    The ends are held as integers over one common denominator, lo = a/d and
+    hi = b/d with d > 0, not necessarily in lowest terms; d is a power of
+    two for every root that isolation returns, but need not be.  `lo` and
+    `hi` read (and set) them as `Fraction`s.
     """
 
-    poly: Poly
-    lo: Fraction
-    hi: Fraction
-    multiplicity: int = 1
-    # (`_root_exponent` of poly's integer form, sign of poly at hi), filled
-    # by the first `refine`; every step keeps the sign at hi
-    _ends: tuple[int, int] | None = field(default=None, init=False, repr=False,
-                                          compare=False)
+    def __init__(self, poly: Poly, lo: RationalLike, hi: RationalLike,
+                 multiplicity: int = 1):
+        self.poly = poly
+        self.multiplicity = multiplicity
+        self._put(rat(lo), rat(hi))
+        # (`_root_exponent` of poly's integer form, sign of poly at hi),
+        # filled by the first `refine`; every step keeps the sign at hi
+        self._ends: tuple[int, int] | None = None
+
+    def _put(self, lo: Fraction, hi: Fraction) -> None:
+        d = lcm(lo.denominator, hi.denominator)
+        self._a = lo.numerator * (d // lo.denominator)
+        self._b = hi.numerator * (d // hi.denominator)
+        self._d = d
+
+    @property
+    def lo(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @lo.setter
+    def lo(self, value: RationalLike) -> None:
+        self._put(rat(value), self.hi)
+
+    @property
+    def hi(self) -> Fraction:
+        return Fraction(self._b, self._d)
+
+    @hi.setter
+    def hi(self, value: RationalLike) -> None:
+        self._put(self.lo, rat(value))
+
+    def __repr__(self) -> str:
+        return (f"RealRoot(poly={self.poly!r}, lo={self.lo!r}, hi={self.hi!r}, "
+                f"multiplicity={self.multiplicity!r})")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RealRoot):
+            return NotImplemented
+        return ((self.poly, self.lo, self.hi, self.multiplicity)
+                == (other.poly, other.lo, other.hi, other.multiplicity))
+
+    __hash__ = None  # mutable: refinement moves the ends
 
     # -- basics ---------------------------------------------------------
 
     def is_exact(self) -> bool:
-        return self.lo == self.hi
+        return self._a == self._b
 
     @property
     def value(self) -> Fraction:
@@ -575,7 +647,7 @@ class RealRoot:
         return self.lo
 
     def width(self) -> Fraction:
-        return self.hi - self.lo
+        return Fraction(self._b - self._a, self._d)
 
     def equals_rational(self, r: RationalLike) -> bool:
         r = rat(r)
@@ -583,40 +655,48 @@ class RealRoot:
             return self.lo == r
         return self.lo < r < self.hi and self.poly.eval(r) == 0
 
+    def _below(self, other: "RealRoot") -> bool:
+        """hi < other.lo, on the integer ends."""
+        return self._b * other._d < other._a * self._d
+
     # -- refinement -------------------------------------------------------
 
     def refine(self) -> None:
-        """One bisection step at the midpoint; a midpoint that is the root
-        makes the root exact."""
-        if self.is_exact():
+        """One bisection step at the midpoint (a + b)/(2d): one add, and one
+        sign of poly there on the integer pair (`_sign_bounded`).  A midpoint
+        that is the root makes the root exact.  No `Fraction` is built."""
+        a, b, d = self._a, self._b, self._d
+        if a == b:
             return
-        c = (self.lo + self.hi) / 2
         ints = self.poly.int_form()[0]
         if self._ends is None:
             e = _root_exponent(ints)
-            self._ends = (e, _sign_bounded(ints, e, self.hi))
+            self._ends = (e, _sign_bounded(ints, e, b, d))
         e, at_hi = self._ends
-        s = _sign_bounded(ints, e, c)
+        m = a + b
+        s = _sign_bounded(ints, e, m, 2 * d)
         if s == 0:
-            self.lo = self.hi = c
-            return
-        if s == at_hi:
-            self.hi = c
+            self._a = self._b = m
+        elif s == at_hi:
+            self._a, self._b = 2 * a, m
         else:
-            self.lo = c
+            self._a, self._b = m, 2 * b
+        self._d = 2 * d
 
     def try_exact(self) -> None:
-        """Snap to an exact rational root when a low-height candidate works."""
+        """Snap to an exact rational root when a low-height candidate works:
+        `refine` until the interval is at most 1 wide, then test the simplest
+        rational inside it (`_simplest`) by one sign of poly's integer form
+        (`_sign_at`).  All of it runs on the integer ends; no `Fraction` is
+        built."""
+        while self._b - self._a > self._d:
+            self.refine()
         if self.is_exact():
             return
-        while self.width() > 1:
-            self.refine()
-            if self.is_exact():
-                return
-        # an integer inside the interval is the simplest rational there
-        c = simplest_in_interval(self.lo, self.hi)
-        if self.poly.eval(c) == 0:
-            self.lo = self.hi = c
+        p, q = _simplest(self._a, self._d, self._b, self._d)
+        if _sign_at(self.poly.int_form()[0], p, q) == 0:
+            self._a = self._b = p
+            self._d = q
 
     def canonical(self) -> tuple[Fraction, Fraction]:
         """(lo, hi) isolating this root in `poly`, fixed by the root and
@@ -626,29 +706,32 @@ class RealRoot:
         A rational root v gives (v, v).  With lc the leading coefficient of
         poly's primitive integer form, a root p/q in lowest terms has q | lc,
         so |lc| * v is an integer; once |lc| * width < 1 the interval holds at
-        most one such candidate, and one evaluation decides it.  An
-        irrational root gives the first cell of the dyadic halving of
-        [0, 2**e] or [-2**e, 0] toward the root (e the `_root_exponent` of
-        poly, so the start holds the root) whose ends are no roots of poly
-        and which holds no other root of poly."""
+        most one such candidate, and one evaluation decides it.  That width
+        loop is `refine` on the integer ends, and the candidate is tested on
+        integers too.  An irrational root gives the first cell of the dyadic
+        halving of [0, 2**e] or [-2**e, 0] toward the root (e the
+        `_root_exponent` of poly, so the start holds the root) whose ends are
+        no roots of poly and which holds no other root of poly."""
         if self.is_exact():
             return self.lo, self.hi
         ints = int_coeffs(self.poly)
         lead = abs(ints[-1])
-        r = RealRoot(poly=self.poly, lo=self.lo, hi=self.hi)
-        while lead * r.width() >= 1:
+        r = copy.copy(self)
+        while lead * (r._b - r._a) >= r._d:
             r.refine()
             if r.is_exact():
                 return r.lo, r.hi
-        k = Fraction((lead * r.lo) // 1 + 1, lead)
-        if k < r.hi and _sign_at(ints, k.numerator, k.denominator) == 0:
-            return k, k
+        k = (lead * r._a) // r._d + 1       # floor(lc * lo) + 1
+        if k * r._d < r._b * lead and _sign_at(ints, k, lead) == 0:
+            v = Fraction(k, lead)
+            return v, v
         # the root is irrational: no rational point is a root, and poly has
         # no other root in (r.lo, r.hi), so its sign there places the root
-        at_hi = _sign_at(ints, r.hi.numerator, r.hi.denominator)
+        at_hi = _sign_int(ints, r._b, r._d)
+        r_lo, r_hi = r.lo, r.hi
 
         def below(x: Fraction) -> bool:
-            return x >= r.hi or (x > r.lo and
+            return x >= r_hi or (x > r_lo and
                                  _sign_at(ints, x.numerator, x.denominator) == at_hi)
 
         chain = SturmChain(self.poly)
@@ -674,7 +757,7 @@ class RealRoot:
         endpoints, which are never roots of their own polynomials)."""
         d: Poly | None = None
         rounds = 0
-        while not (self.hi < other.lo or other.hi < self.lo):
+        while not (self._below(other) or other._below(self)):
             if self.is_exact() and other.is_exact():
                 if self.lo == other.lo:
                     raise RootsCoincide("isolated roots coincide")
@@ -694,12 +777,13 @@ class RealRoot:
                         if slo != 0 and shi != 0 and (slo > 0) != (shi > 0):
                             raise RootsCoincide(
                                 "isolated roots share a common value")
-            if self.width() >= other.width():
+            # the wider of the two, compared on the integer ends
+            if (self._b - self._a) * other._d >= (other._b - other._a) * self._d:
                 self.refine()
             else:
                 other.refine()
             rounds += 1
-        return -1 if self.hi < other.lo else 1
+        return -1 if self._below(other) else 1
 
     def _vanishes(self, w: Poly) -> bool:
         """True when w vanishes at this inexact root, that is, when gcd(poly,
@@ -713,17 +797,20 @@ class RealRoot:
         refinement step lands on the root.  An end on a root of w moves off it
         within finitely many halvings: both ends close in on this root, and
         w has finitely many roots."""
-        # (endpoint, sign variations of w's chain there): a refinement step
-        # moves one endpoint, and only that one is counted again
+        # (numerator, denominator, sign variations of w's chain there) of
+        # each end: a refinement step moves one end, and only that one is
+        # counted again
         at_lo = at_hi = None
+        ints, chain = wc.ints, wc.chain
         while not self.is_exact():
-            slo = wc.sign(self.lo)
-            if slo != 0 and wc.sign(self.hi) != 0:
-                if at_lo is None or at_lo[0] != self.lo:
-                    at_lo = (self.lo, _variations(wc.chain, self.lo))
-                if at_hi is None or at_hi[0] != self.hi:
-                    at_hi = (self.hi, _variations(wc.chain, self.hi))
-                if at_lo[1] - at_hi[1] == target:
+            a, b, d = self._a, self._b, self._d
+            slo = _sign_int(ints, a, d)
+            if slo != 0 and _sign_int(ints, b, d) != 0:
+                if at_lo is None or at_lo[0] * d != a * at_lo[1]:
+                    at_lo = (a, d, _sign_changes(_chain_signs(chain, a, d)))
+                if at_hi is None or at_hi[0] * d != b * at_hi[1]:
+                    at_hi = (b, d, _sign_changes(_chain_signs(chain, b, d)))
+                if at_lo[2] - at_hi[2] == target:
                     return slo
             self.refine()
         return 0
@@ -741,8 +828,7 @@ class RealRoot:
             s = self._settle(SturmChain(w), 0)
             if s:
                 return s
-        v = self.value
-        return _sign_at(w.int_form()[0], v.numerator, v.denominator)
+        return _sign_int(w.int_form()[0], self._a, self._d)
 
     def clear(self, w: Poly) -> None:
         """Refine until w is nonzero at lo and hi and has no root in [lo, hi]

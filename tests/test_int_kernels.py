@@ -25,8 +25,8 @@ from hypercycles.rootclass import (
     _int_det,
     _sturm_chain_int,
     discriminant_sequence,
-    discrimination_matrix,
 )
+from test_rootclass import discrimination_matrix
 
 # -- reference implementations over Fraction (the oracle) --------------------
 
@@ -145,6 +145,49 @@ def test_squarefree_kernels_match_fraction_euclid(samples):
     for p in samples:
         assert squarefree_part(p) == ref_squarefree_part(p)
         assert squarefree_decomposition(p) == ref_squarefree_decomposition(p)
+
+
+def ref_int_yun(p: Poly) -> list[tuple[Poly, int]]:
+    """Yun's algorithm on integer vectors as it ran before its first gcd was
+    read off the shared remainder sequence: every gcd by `int_poly_gcd`."""
+    if p.degree == 0:
+        return []
+
+    def derivative(a):
+        return [i * c for i, c in enumerate(a)][1:]
+
+    def sub(a, b):
+        out = list(a) + [0] * (len(b) - len(a))
+        for i, c in enumerate(b):
+            out[i] -= c
+        while out and out[-1] == 0:
+            out.pop()
+        return out
+
+    def monic(a):
+        return Poly([Fraction(c, a[-1]) for c in a])
+
+    out = []
+    a = int_coeffs(p)
+    dp = derivative(a)
+    g = int_poly_gcd(a, dp)
+    b = int_exact_div(a, g)
+    d = sub(int_exact_div(dp, g), derivative(b))
+    k = 1
+    while len(b) > 1:
+        g = int_poly_gcd(b, d) if d else b
+        if len(g) > 1:
+            out.append((monic(g), k))
+        b = int_exact_div(b, g)
+        d = sub(int_exact_div(d, g), derivative(b))
+        k += 1
+    return out
+
+
+def test_squarefree_decomposition_matches_the_int_poly_gcd_yun(samples):
+    for p in samples:
+        assert squarefree_decomposition(p) == ref_int_yun(p)
+        assert squarefree_decomposition(-p) == ref_int_yun(p)
 
 
 def test_sturm_chain_matches_fraction_chain(samples):

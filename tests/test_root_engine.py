@@ -9,13 +9,21 @@ from hypothesis import given, settings, strategies as st
 
 from hypercycles.families import construct_case_i, construct_high_n, construct_n_2m
 from hypercycles.lienard import HyperellipticCurve, certify
-from hypercycles.polyx import Poly, parse_poly
+from hypercycles.polyx import (
+    Poly,
+    int_coeffs,
+    int_key,
+    int_remainder_sequence,
+    parse_poly,
+    squarefree_part,
+)
 from hypercycles.rootclass import (
     _chain_signs,
     _int_chain,
     _root_exponent,
     _sign_at,
     _sign_bounded,
+    _sign_dyadic,
     _sturm_chain_int,
     all_roots_real_simple,
     count_roots,
@@ -140,6 +148,47 @@ def test_sturm_count_after_isolation_builds_no_chain():
     before = _int_chain.cache_info().misses
     assert sturm_count(p, -10, 10) == 6
     assert _int_chain.cache_info().misses == before
+
+
+def test_sturm_count_after_isolation_starts_no_new_p_dp_sequence():
+    # isolation's squarefree decomposition ran the remainder sequence of
+    # (p, p'), and p's chain reads its gcd off the same memo entry.  Here
+    # the squarefree part is Yun's only factor, whose chain isolation built
+    p = parse_poly("(x^2-2)^2 (x+3)^2")
+    assert len(isolate_real_roots(p)) == 3
+    before = int_remainder_sequence.cache_info().misses
+    assert sturm_count(p, -10, 10) == 3
+    assert int_remainder_sequence.cache_info().misses == before
+
+
+def test_sturm_count_after_isolation_starts_only_the_squarefree_sequence():
+    # Yun splits off (x^2-2)(x+3) and x - 1, so the squarefree part
+    # (x-1)(x^2-2)(x+3), on whose chain p is counted, is no factor that
+    # isolation built a chain for: its sequence is the one new one, and
+    # the (p, p') sequence is not run again
+    p = parse_poly("(x-1)^2 (x^2-2)(x+3)")
+    assert len(isolate_real_roots(p)) == 4
+    before = int_remainder_sequence.cache_info().misses
+    assert sturm_count(p, -10, 10) == 4
+    assert int_remainder_sequence.cache_info().misses == before + 1
+    # that one was the squarefree part's
+    int_remainder_sequence(int_key(int_coeffs(squarefree_part(p))))
+    assert int_remainder_sequence.cache_info().misses == before + 1
+
+
+# -- signs at dyadic points ------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=12),
+       st.integers(-2**50, 2**50), st.integers(0, 40))
+def test_dyadic_signs_match_horner(ints, k, j):
+    # j = 0 (integers), k <= 0 and points far beyond the root bound included
+    assert _sign_dyadic(ints, k, j) == _sign_at(ints, k, 1 << j)
+    if ints[-1]:
+        chain = _sturm_chain_int(Poly(ints))
+        for point in ((k, 1 << j), (-k, 1 << j), (k << 60, 1 << j)):
+            assert _chain_signs(chain, *point) == [_sign_at(c, *point) for c in chain]
 
 
 # -- certify's all_roots_real against the discrimination matrix -------------

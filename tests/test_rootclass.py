@@ -27,7 +27,6 @@ from hypercycles.rootclass import (
     cauchy_bound,
     count_roots,
     discriminant_sequence,
-    discrimination_matrix,
     hankel_minor,
     isolate_real_roots,
     power_sums,
@@ -58,6 +57,26 @@ def _naive_det(rows):
 
 
 # -- discrimination matrix ---------------------------------------------------
+
+
+def discrimination_matrix(f: Poly) -> list[list[Fraction]]:
+    """The definition that `discriminant_sequence` is checked against: the
+    2n x 2n matrix from interleaved, progressively shifted rows of the
+    coefficients of f and f' (leading coefficient first in each row)."""
+    n = f.degree
+    if n < 1:
+        raise ValueError("discrimination matrix needs degree >= 1")
+    desc = list(reversed(f.coeffs))                      # a0 .. an, a0 leading
+    ddesc = list(reversed(f.derivative().coeffs))        # n*a0 .. a_{n-1}
+    size = 2 * n
+    rows = []
+    for k in range(1, n + 1):
+        for start, cs in ((k - 1, desc), (k, ddesc)):
+            row = [Fraction(0)] * size
+            for i, c in enumerate(cs[:size - start]):
+                row[start + i] = c
+            rows.append(row)
+    return rows
 
 
 def test_matrix_layout_quadratic():
@@ -282,6 +301,65 @@ def test_simplest_in_interval():
     assert Fraction(141, 100) < v < Fraction(142, 100)
 
 
+def ref_simplest_in_interval(lo: Fraction, hi: Fraction) -> Fraction:
+    """The recursive continued-fraction walk that `simplest_in_interval`
+    replaced, kept verbatim as the reference: one frame per term."""
+    if not lo < hi:
+        raise ValueError("empty interval")
+    # an integer inside wins outright
+    ceil_lo = -((-lo.numerator) // lo.denominator)
+    if lo < ceil_lo < hi:
+        return Fraction(ceil_lo)
+    if lo == ceil_lo and lo + 1 < hi:
+        return lo + 1
+    n = lo.numerator // lo.denominator  # floor(lo)
+    a, b = lo - n, hi - n               # 0 <= a < b, no integer in (a, b)
+    if a == 0:
+        # (0, b) with b <= 1: answer 1/ceil(1/b + epsilon-ish)
+        k = b.denominator // b.numerator + 1
+        return n + Fraction(1, k)
+    inner = ref_simplest_in_interval(1 / b, 1 / a)
+    return n + 1 / inner
+
+
+def _fibonacci(n: int) -> list[int]:
+    fib = [0, 1]
+    while len(fib) <= n:
+        fib.append(fib[-1] + fib[-2])
+    return fib
+
+
+@pytest.mark.parametrize("n", [5, 100, 500, 1500])
+def test_simplest_between_consecutive_fibonacci_ratios_is_their_mediant(n):
+    # F(n+1)/F(n) and F(n+2)/F(n+1) are Farey neighbours, so the simplest
+    # rational strictly between them is the mediant F(n+3)/F(n+2).  Their
+    # continued fractions share about n terms: a walk with one stack frame
+    # per term overflows the stack from n = 1000 on
+    fib = _fibonacci(n + 3)
+    lo, hi = sorted([Fraction(fib[n + 1], fib[n]), Fraction(fib[n + 2], fib[n + 1])])
+    assert simplest_in_interval(lo, hi) == Fraction(fib[n + 3], fib[n + 2])
+    if n <= 500:
+        assert ref_simplest_in_interval(lo, hi) == Fraction(fib[n + 3], fib[n + 2])
+
+
+_ends = st.one_of(
+    st.fractions(min_value=-50, max_value=50, max_denominator=10**6),
+    st.integers(-20, 20).map(Fraction),
+    st.tuples(st.integers(-2**45, 2**45), st.integers(0, 40)).map(
+        lambda t: Fraction(t[0], 2 ** t[1])),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_ends, _ends, st.one_of(st.none(), st.integers(1, 60)))
+def test_simplest_in_interval_matches_the_recursive_walk(x, y, gap):
+    # gap: hi just above lo, by 2^-gap, so the two ends share many terms
+    lo, hi = (x, x + Fraction(1, 2 ** gap)) if gap else (min(x, y), max(x, y))
+    assume(lo < hi)
+    v = simplest_in_interval(lo, hi)
+    assert v == ref_simplest_in_interval(lo, hi) and lo < v < hi
+
+
 def test_cauchy_bound_contains_roots():
     p = P(-6, 11, -6, 1)  # roots 1, 2, 3
     b = cauchy_bound(p)
@@ -356,6 +434,38 @@ def test_refine_evaluates_its_polynomial_once_per_step(monkeypatch):
         r.refine()
         assert len(calls) == step + 1
     assert r.lo * r.lo < 2 < r.hi * r.hi and r.width() == Fraction(3, 2**20)
+
+
+@pytest.mark.parametrize("poly, exact", [
+    (P(-2, 0, 1), False),       # sqrt(2): (1, 2), whose simplest rational 3/2 is no root
+    (P(-3, 2), True),           # 3/2: the candidate in (1, 2) is the root
+])
+def test_try_exact_builds_no_fraction_however_many_halvings(poly, exact, monkeypatch):
+    # from [0, 2^e] try_exact halves e times down to (1, 2), then tests one
+    # candidate, all on the integer ends; canonical's width loop halves as
+    # often, and what it builds after that loop does not depend on e
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    counts, canonical_counts = [], []
+    for e in (10, 20, 40):
+        root = RealRoot(poly=poly, lo=Fraction(0), hi=Fraction(2 ** e))
+        other = copy.copy(root)
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        root.try_exact()
+        counts.append(len(built))
+        other.canonical()
+        canonical_counts.append(len(built) - counts[-1])
+        monkeypatch.undo()
+        built.clear()
+        want = (Fraction(3, 2),) * 2 if exact else (Fraction(1), Fraction(2))
+        assert root.is_exact() == exact and (root.lo, root.hi) == want
+    assert counts == [0, 0, 0]
+    assert len(set(canonical_counts)) == 1
 
 
 # -- separating two roots that coincide ---------------------------------------
