@@ -3,8 +3,10 @@
 Two independent routes to root counts live here on purpose:
 
 * the Sturm-sequence route, the engine behind certification and the family
-  searches: interval isolation, exact sign certificates, and the
-  "all roots real and simple" screen, read off the chain's signs at +-inf.
+  searches: interval isolation, exact sign certificates, and the root
+  counts of `count_roots` (behind `distinct_real_roots` and the "all roots
+  real and simple" screen), read off the chain's signs at +-inf and the
+  degree of its head, the squarefree part.
   Chains are built on primitive integer polynomials: each member is minus
   the primitive integer remainder (`polyx.int_rem`) of the two before it,
   so no `Fraction` division runs.  One remainder sequence, started at p and
@@ -27,8 +29,11 @@ Two independent routes to root counts live here on purpose:
   ch. 8).  The matrix itself, the definition that the minors are checked
   against, lives in the tests; the Bareiss `_int_det` stays for
   `rational_det`, behind the Hankel minors of suite criterion 4.  The route
-  serves the `roots` command and the criterion 4 cross-check against the
-  Sturm route.
+  serves the `roots` command, suite criterion 4 (its Hankel identity and its
+  count against the Sturm route) and the tests, where it is the reference
+  that `count_roots` is checked against.  `count_roots` does not run it,
+  so counting, isolating and Sturm-counting one polynomial runs one
+  remainder sequence of (p, p').
 
 Each Sturm chain is evaluated once per point: isolation carries the sign
 variations of each interval's endpoints down its bisection stack, so a split
@@ -327,15 +332,6 @@ def _sign_changes(signs: Sequence[int]) -> int:
     return sum(1 for a, b in zip(nz, nz[1:]) if a * b < 0)
 
 
-def count_roots(f: Poly) -> RootCount:
-    """Distinct real roots and conjugate imaginary pairs of f via the revised
-    sign list (`RootCount.from_revised`)."""
-    if f.degree < 1:
-        raise ValueError("count_roots needs degree >= 1")
-    revised = revised_sign_list(sign_list(discriminant_sequence(f)))
-    return RootCount.from_revised(revised)
-
-
 # ---------------------------------------------------------------------------
 # power sums / Hankel route
 # ---------------------------------------------------------------------------
@@ -472,23 +468,42 @@ def _variations(chain: _Chain, x: Fraction) -> int:
     return _sign_changes(_chain_signs(chain, x.numerator, x.denominator))
 
 
-def distinct_real_roots(f: Poly) -> int:
-    """Number of distinct real roots of f: V(-inf) - V(+inf) on its Sturm
-    chain, where only the leading coefficients and degrees matter."""
-    if f.degree < 1:
-        return 0
-    chain = _sturm_chain_int(f)
+def _real_roots_on(chain: _Chain) -> int:
+    """Distinct real roots of the chain's head: V(-inf) - V(+inf), where
+    only the members' leading coefficients and degrees matter."""
     return (_sign_changes([end[1] for end in chain.ends])
             - _sign_changes([end[2] for end in chain.ends]))
 
 
+def count_roots(f: Poly) -> RootCount:
+    """Distinct real roots and conjugate imaginary pairs of f, read off its
+    memoized Sturm chain (`_sturm_chain_int`), the chain that isolation and
+    `sturm_count` use: the real roots number V(-inf) - V(+inf), and since
+    the chain's head is the squarefree part of f, its other deg head - real
+    roots come in conjugate pairs.  These are the counts that Yang's revised
+    sign list gives (`RootCount.from_revised` on `discriminant_sequence`),
+    the independent route the tests check this one against."""
+    if f.degree < 1:
+        raise ValueError("count_roots needs degree >= 1")
+    chain = _sturm_chain_int(f)
+    real = _real_roots_on(chain)
+    return RootCount(distinct_real=real,
+                     imaginary_pairs=(len(chain[0]) - 1 - real) // 2)
+
+
+def distinct_real_roots(f: Poly) -> int:
+    """Number of distinct real roots of f, on the chain `count_roots`
+    reads; 0 for a constant."""
+    if f.degree < 1:
+        return 0
+    return _real_roots_on(_sturm_chain_int(f))
+
+
 def all_roots_real_simple(f: Poly) -> bool:
     """True when f has degree >= 1 and all its roots are real and simple:
-    its squarefree part has full degree and f has deg f distinct real roots."""
-    if f.degree < 1:
-        return False
-    squarefree = len(_sturm_chain_int(f)[0]) - 1 == f.degree
-    return squarefree and distinct_real_roots(f) == f.degree
+    f has deg f distinct real roots, which leaves no room for a repeated or
+    a non-real root."""
+    return f.degree >= 1 and distinct_real_roots(f) == f.degree
 
 
 class SturmChain:

@@ -24,11 +24,13 @@ from .lienard import (
 from .polyx import Poly
 from .recover import UndeterminedType, recover_curve
 from .rootclass import (
+    RootCount,
     cauchy_bound,
-    count_roots,
     discriminant_sequence,
     hankel_minor,
     power_sums,
+    revised_sign_list,
+    sign_list,
     sturm_count,
 )
 from .polyx import squarefree_part
@@ -133,8 +135,9 @@ def _random_poly(rng: random.Random, monic: bool) -> Poly:
 
 
 def criterion_4(ctx: SuiteContext) -> CriterionResult:
-    """Root classification agrees with the Sturm oracle 500/500; the Hankel
-    identity D_k = S_k holds for 200 random monic polynomials."""
+    """Root classification by the discrimination system (revised sign list
+    of `discriminant_sequence`) agrees with the Sturm oracle 500/500; the
+    Hankel identity D_k = S_k holds for 200 random monic polynomials."""
     t0 = time.monotonic()
     rng = random.Random(ctx.seed)
     agree = 0
@@ -143,7 +146,9 @@ def criterion_4(ctx: SuiteContext) -> CriterionResult:
         p = _random_poly(rng, monic=False)
         sf = squarefree_part(p)
         bound = cauchy_bound(sf) + 1
-        if count_roots(p).distinct_real == sturm_count(sf, -bound, bound):
+        revised = revised_sign_list(sign_list(discriminant_sequence(p)))
+        real = RootCount.from_revised(revised).distinct_real
+        if real == sturm_count(sf, -bound, bound):
             agree += 1
     hankel_ok = 0
     hankel_total = 200

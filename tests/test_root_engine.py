@@ -1,12 +1,14 @@
-"""The Sturm engine behind certification and the family screens, checked
-against the discrimination-matrix route and against sympy."""
+"""The Sturm engine behind certification, `count_roots` and the family
+screens, checked against the discrimination-matrix route and against
+sympy."""
 
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from hypercycles import rootclass
 from hypercycles.families import construct_case_i, construct_high_n, construct_n_2m
 from hypercycles.lienard import HyperellipticCurve, certify
 from hypercycles.polyx import (
@@ -18,6 +20,7 @@ from hypercycles.polyx import (
     squarefree_part,
 )
 from hypercycles.rootclass import (
+    RootCount,
     _chain_signs,
     _int_chain,
     _root_exponent,
@@ -27,8 +30,11 @@ from hypercycles.rootclass import (
     _sturm_chain_int,
     all_roots_real_simple,
     count_roots,
+    discriminant_sequence,
     distinct_real_roots,
     isolate_real_roots,
+    revised_sign_list,
+    sign_list,
     sturm_count,
 )
 
@@ -56,14 +62,49 @@ _dense = st.tuples(st.lists(_small, min_size=1, max_size=8), _lead).map(
     lambda t: Poly(t[0] + [t[1]]))
 _polys = st.one_of(_factored(), _dense).filter(lambda p: 1 <= p.degree <= 14)
 
+# its sign list [1, 0, -1, 1, 1, 1] has an interior zero, so its count needs
+# the revised list
+_DEFECTIVE = parse_poly("1/4x^6-2/3x^3+4x^2+4x+1/3")
+
+
+def _discrimination_count(p: Poly) -> RootCount:
+    """Yang's count from the revised sign list of the discriminant sequence:
+    the discrimination-matrix route, which shares nothing with the Sturm
+    chain that `count_roots` reads."""
+    return RootCount.from_revised(revised_sign_list(sign_list(discriminant_sequence(p))))
+
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(_polys)
 def test_sturm_count_at_infinity_matches_discrimination(p):
-    rc = count_roots(p)
+    rc = _discrimination_count(p)
     assert distinct_real_roots(p) == rc.distinct_real
     expected = rc.imaginary_pairs == 0 and rc.distinct_real == p.degree
     assert all_roots_real_simple(p) == expected
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_polys)
+@example(_DEFECTIVE)
+def test_count_roots_matches_the_discrimination_route(p):
+    assert count_roots(p) == _discrimination_count(p)
+
+
+def test_defective_sign_list_is_counted_after_revision():
+    signs = sign_list(discriminant_sequence(_DEFECTIVE))
+    assert signs == [1, 0, -1, 1, 1, 1]
+    assert revised_sign_list(signs) == [1, -1, -1, 1, 1, 1]
+    assert count_roots(_DEFECTIVE) == RootCount(distinct_real=2, imaginary_pairs=2)
+
+
+def test_count_roots_runs_no_subresultant_pass(monkeypatch):
+    def refuse(p, q):
+        raise AssertionError("the signed subresultant recurrence ran")
+
+    monkeypatch.setattr(rootclass, "_signed_subresultant_coeffs", refuse)
+    p = parse_poly("(x-1)^2 (x^2+1)(3x+7)")
+    assert count_roots(p) == RootCount(distinct_real=2, imaginary_pairs=1)
+    assert distinct_real_roots(p) == 2 and not all_roots_real_simple(p)
 
 
 def test_real_simple_predicate_edge_cases():
@@ -161,6 +202,16 @@ def test_sturm_count_after_isolation_starts_no_new_p_dp_sequence():
     assert int_remainder_sequence.cache_info().misses == before
 
 
+def test_isolation_after_count_roots_starts_no_new_sequence():
+    # count_roots built p's chain from the (p, p') sequence, and isolating
+    # the squarefree p reads that sequence off the same memo entry
+    p = parse_poly("7x^5 - 3x^4 - 11x^2 + 2x + 5/3")
+    assert count_roots(p) == RootCount(distinct_real=3, imaginary_pairs=1)
+    before = int_remainder_sequence.cache_info().misses
+    assert len(isolate_real_roots(p)) == 3
+    assert int_remainder_sequence.cache_info().misses == before
+
+
 def test_sturm_count_after_isolation_starts_only_the_squarefree_sequence():
     # Yun splits off (x^2-2)(x+3) and x - 1, so the squarefree part
     # (x-1)(x^2-2)(x+3), on whose chain p is counted, is no factor that
@@ -218,7 +269,7 @@ def test_certify_all_roots_real_matches_discrimination_oracle():
     flags = []
     for curve in curves:
         report = certify(curve)
-        oracle = count_roots(curve.Q).imaginary_pairs == 0
+        oracle = _discrimination_count(curve.Q).imaginary_pairs == 0
         assert report.all_roots_real == oracle
         flags.append(oracle)
     assert True in flags and False in flags
