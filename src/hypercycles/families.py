@@ -664,9 +664,9 @@ def _solve_alignment(L, Mpin, zs, sign, free) -> Optional[Poly]:
 
     Both are linear in M: a row holds the condition's values on the basis
     Mpin*x^j, the last (the monic top) moved to the right, and the seed
-    families make every rho_i rational, so the t + (t-1) = free rows are one
-    rational `rref`.  None on a singular or inconsistent system or an
-    irrational rho."""
+    families make every rho_i rational, so the t + (t-1) = free rows, each
+    scaled to integers, are one `rref`.  None on a singular or inconsistent
+    system or an irrational rho."""
     basis = [Mpin.shift_up(j) for j in range(free + 1)]
     derivs = [B.derivative() for B in basis]
     Lp = L.derivative()
@@ -680,10 +680,15 @@ def _solve_alignment(L, Mpin, zs, sign, free) -> Optional[Poly]:
         if rho is None:
             return None
         rows.append([B.eval(z) - sign * rho * B.eval(z_t) for B in basis])
-    a, pivots = rref([row[:-1] + [-row[-1]] for row in rows])
+    int_rows = []
+    for row in rows:
+        row = row[:-1] + [-row[-1]]
+        den = math.lcm(*[v.denominator for v in row])
+        int_rows.append([v.numerator * (den // v.denominator) for v in row])
+    a, pivots = rref(int_rows)
     if pivots != list(range(free)):
         return None
-    return Poly([row[free] for row in a] + [Fraction(1)])
+    return Poly([Fraction(row[free], row[r]) for r, row in enumerate(a)] + [Fraction(1)])
 
 
 def _case_i_assemble(m, n, L, M, W, c, target):

@@ -25,9 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from typing import Optional
+from math import lcm
+from typing import Optional, Sequence
 
-from .polyx import BivarPoly, Poly, poly_gcd
+from .polyx import BivarPoly, Poly, int_derivative, int_mul, poly_gcd
 from .rootclass import RealRoot, SturmChain, isolate_real_roots
 
 
@@ -111,6 +112,15 @@ def cofactor(curve: HyperellipticCurve) -> Cofactor:
     return Cofactor(K=curve.K)
 
 
+def _int_combine(*terms: tuple[int, Sequence[int]]) -> list[int]:
+    """The sum of scale * a over the (scale, a) pairs."""
+    out = [0] * max(len(a) for _, a in terms)
+    for scale, a in terms:
+        for i, v in enumerate(a):
+            out[i] += scale * v
+    return out
+
+
 def invariance_residual(sys: LienardSystem, curve: HyperellipticCurve) -> BivarPoly:
     """y*F_x - (f*y + g)*F_y - K*F for F = (y + P)^2 - Q, fully expanded.
 
@@ -118,13 +128,27 @@ def invariance_residual(sys: LienardSystem, curve: HyperellipticCurve) -> BivarP
     y-coefficients
         y^0:  -2g*P - K*H,
         y^1:  H' - 2(f + K)*P - 2g,
-        y^2:  2P' - 2f - K."""
-    P, K, H, f, g = curve.P, curve.K, curve.H, sys.f, sys.g
-    return BivarPoly([
-        -(g * P).scale(2) - K * H,
-        H.derivative() - ((f + K) * P).scale(2) - g.scale(2),
-        P.derivative().scale(2) - f.scale(2) - K,
-    ])
+        y^2:  2P' - 2f - K.
+    Each is computed on the integer forms of P, K, H, f and g, as an
+    integer list over the one common denominator D of the terms; a `Poly`
+    is built only for a nonzero coefficient, so the residual of an
+    invariant curve builds none."""
+    (p, dp), (k, dk), (h, dh) = curve.P.int_form(), curve.K.int_form(), curve.H.int_form()
+    (f, df), (g, dg) = sys.f.int_form(), sys.g.int_form()
+    D = lcm(dg * dp, dk * dh, df * dp, dk * dp)
+    ycoeffs = [
+        _int_combine((-2 * (D // (dg * dp)), int_mul(g, p)),
+                     (-(D // (dk * dh)), int_mul(k, h))),
+        _int_combine((D // dh, int_derivative(h)),
+                     (-2 * (D // (df * dp)), int_mul(f, p)),
+                     (-2 * (D // (dk * dp)), int_mul(k, p)),
+                     (-2 * (D // dg), g)),
+        _int_combine((2 * (D // dp), int_derivative(p)),
+                     (-2 * (D // df), f),
+                     (-(D // dk), k)),
+    ]
+    return BivarPoly([Poly([Fraction(c, D) for c in nums]) if any(nums) else Poly()
+                      for nums in ycoeffs])
 
 
 def invariance_check(sys: LienardSystem, curve: HyperellipticCurve) -> bool:

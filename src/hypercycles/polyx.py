@@ -25,8 +25,12 @@ ones, so they are the same as Euclid over Q would give.  `Poly.divrem`,
 tests use them as the rational reference, and the bench trace
 (`perfbench/tracing.py`) wraps `divrem`.
 
-`rref` is the one Gauss-Jordan elimination over Q (the case (i) node
-solve and the affine blocks of curve recovery both use it), and
+`rref` is the one Gauss-Jordan elimination (the case (i) node solve and the
+affine blocks of curve recovery both use it).  It runs fraction-free on
+integer rows, each kept primitive, and returns the reduced row echelon form
+as primitive integer rows with a positive pivot: a caller that scales its
+rational rows to integers first gets the unique reduced rows over Q back as
+row / row[pivot], and builds a `Fraction` only for an entry it reads.
 `BivarPoly` is only the container the invariance residual is returned in.
 
 Everything here is immutable and side-effect free; values can be shared
@@ -167,13 +171,8 @@ class Poly:
         # coefficient at the end
         a, da = self.int_form()
         b, db = other.int_form()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, u in enumerate(a):
-            if u:
-                for j, v in enumerate(b):
-                    out[i + j] += u * v
         den = da * db
-        return Poly([Fraction(c, den) for c in out])
+        return Poly([Fraction(c, den) for c in int_mul(a, b)])
 
     def __rmul__(self, other) -> "Poly":
         return self.__mul__(other)
@@ -300,8 +299,20 @@ def _primitive(a: list[int]) -> list[int]:
     return [c // g for c in a] if g > 1 else a
 
 
-def _derivative(a: Sequence[int]) -> list[int]:
+def int_derivative(a: Sequence[int]) -> list[int]:
     return [i * c for i, c in enumerate(a)][1:]
+
+
+def int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The product a * b, by convolution."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        if u:
+            for j, v in enumerate(b):
+                out[i + j] += u * v
+    return out
 
 
 def int_coeffs(p: Poly) -> list[int]:
@@ -418,7 +429,7 @@ def int_remainder_sequence(a: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     constant the sequence is the Sturm chain of a.  Memoized per vector."""
     seq = [a]
     if len(a) > 1:
-        seq.append(tuple(_primitive(_derivative(a))))
+        seq.append(tuple(_primitive(int_derivative(a))))
         while len(seq[-1]) > 1:
             r = int_rem(seq[-2], seq[-1])
             if not r:
@@ -453,47 +464,58 @@ def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
     # vector a, never made primitive on its own, and each step divides both
     # by the same g.
     a = int_key(int_coeffs(p))
-    dp = _derivative(a)
+    dp = int_derivative(a)
     g = int_remainder_sequence(a)[-1]
     b = int_exact_div(a, g)
-    d = _int_sub(int_exact_div(dp, g), _derivative(b))
+    d = _int_sub(int_exact_div(dp, g), int_derivative(b))
     k = 1
     while len(b) > 1:
         g = int_poly_gcd(b, d) if d else b
         if len(g) > 1:
             out.append((_monic_poly(g), k))
         b = int_exact_div(b, g)
-        d = _int_sub(int_exact_div(d, g), _derivative(b))
+        d = _int_sub(int_exact_div(d, g), int_derivative(b))
         k += 1
     return out
 
 
 # ---------------------------------------------------------------------------
-# linear algebra over Q, and the invariance residual's container
+# Gauss-Jordan elimination, and the invariance residual's container
 # ---------------------------------------------------------------------------
 
 
-def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form by Gauss-Jordan elimination over Q: the
-    reduced rows, and the pivot column of each of the first len(pivot_columns)
-    rows.  The rows below them are zero.  Where the pivot row holds a zero,
-    the entries of that column are left as they are instead of being
-    divided or updated by zero."""
-    mat = [list(r) for r in rows]
+def rref(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form of an integer matrix by fraction-free
+    Gauss-Jordan elimination: the reduced rows and the pivot column of each
+    of the first len(pivot_columns) rows; the rows below them are zero.
+
+    Eliminating column c from row r replaces r by p * r - a * t, with t
+    the pivot row and p / a its pivot over r's entry in c in lowest terms,
+    and every row is kept primitive.  Each pivot row comes out primitive
+    with a positive pivot, zero in every other pivot column: it is the
+    reduced row over Q times a positive integer, so the entry of the
+    reduced form over Q is row[c] / row[pivot]."""
+    mat = [_primitive(list(r)) for r in rows]
     pivots: list[int] = []
     for col in range(len(mat[0]) if mat else 0):
         top = len(pivots)
-        pivot = next((r for r in range(top, len(mat)) if mat[r][col] != 0), None)
+        pivot = next((r for r in range(top, len(mat)) if mat[r][col]), None)
         if pivot is None:
             continue
         mat[top], mat[pivot] = mat[pivot], mat[top]
-        pv = mat[top][col]
-        mat[top] = [v / pv if v else v for v in mat[top]]
-        for r in range(len(mat)):
-            if r != top and mat[r][col] != 0:
-                fac = mat[r][col]
-                mat[r] = [a - fac * b if b else a for a, b in zip(mat[r], mat[top])]
+        prow = mat[top]
+        pv = prow[col]
+        for r, row in enumerate(mat):
+            a = row[col]
+            if a and r != top:
+                g = int_gcd(pv, a)
+                p, a = pv // g, a // g
+                mat[r] = _primitive([p * u - a * v if v else p * u
+                                     for u, v in zip(row, prow)])
         pivots.append(col)
+    for r, col in enumerate(pivots):
+        if mat[r][col] < 0:
+            mat[r] = [-v for v in mat[r]]
     return mat, pivots
 
 

@@ -18,13 +18,26 @@ are seeded with their closed forms, and a propagation solve follows:
 repeatedly find a coefficient equation that has become affine in one
 unknown (or a block of equations jointly affine), divide by its pivot, and
 substitute.  Each equation keeps its reduced form and is reduced again only
-when an unknown it holds has been assigned since; that reduction touches
-only the terms holding a newly assigned unknown, scales every other term
-by the lcm of the denominators the touched ones picked up, and divides the
-equation by the common factor of its integers and its denominator.  No
-coefficient becomes a `Fraction`; only the assigned values, the pivots and
-the rows of an affine block are.
+when an unknown it holds has been assigned since and the reduction can
+leave it affine; that reduction touches only the terms holding a newly
+assigned unknown, scales every other term by the lcm of the denominators
+the touched ones picked up, and divides the equation by the common factor
+of its integers and its denominator.  No coefficient becomes a `Fraction`;
+only the assigned values and the pivots are, and an affine block is
+eliminated on its integer rows.
 The executed schedule, with every pivot, is recorded for audit.
+
+Two monomials of one coefficient equation share at most one unknown,
+counted with multiplicity (the terms of (I) are p_i q_j and q_j, those of
+(II) p_a p_b q_j, q_a q_b and q_j, with the index sum fixed by the degree),
+and a reduced monomial is part of an original one, so the same holds for
+every reduced form.  A term left with two or more unassigned unknowns thus
+never meets another term when reduced, and no cancellation can remove it.
+So a stale equation stays non-affine exactly when one of its monomials
+holds two unassigned unknowns (with multiplicity) and no unknown assigned
+the value 0 (`_Equation.may_be_affine`).  Such an equation is left stale:
+its reduced form, with gcd 1, is canonical, so a later reduction gives the
+same integers, pivots and schedule.
 
 When n < 2m+1 the top of (II) forces the coefficients of x^{n+2}..x^{2m+2}
 of P^2 and Q to agree; these derived equations are labeled "degree-match" and fed to
@@ -150,6 +163,23 @@ class _Equation:
         self.affine = None
         self.stale = True
 
+    def may_be_affine(self, assign: dict[int, Fraction]) -> bool:
+        """False when reducing under `assign` must leave a monomial of two
+        unassigned unknowns: one that holds them and no unknown assigned 0
+        (see the module docstring)."""
+        for mono in self.expr:
+            if len(mono) > 1:
+                free = 0
+                for v in mono:
+                    if v not in assign:
+                        free += 1
+                    elif not assign[v]:
+                        break
+                else:
+                    if free > 1:
+                        return False
+        return True
+
     def refresh(self, assign: dict[int, Fraction]) -> None:
         expr, scale = _mp_reduce(self.expr, assign)
         den = self.den * scale
@@ -221,8 +251,9 @@ def _affine_block_solve(rows):
     """Gauss-Jordan elimination (`rref`) over the currently-affine equations.
     Each row is an equation's integer (constant, linear part), which is its
     rational row times its `den`; scaling a row leaves the reduced row echelon
-    form as it is.  `rref` gets the entries as Fractions, so that its
-    divisions stay exact.
+    form as it is, so `rref` takes the integer rows as they are.  A value is
+    read off a reduced row as minus its constant over its pivot, the one
+    `Fraction` built per solved variable.
 
     Returns the [(variable, value)] that the subsystem pins uniquely (their
     reduced row holds a single variable), empty when it pins none, or a
@@ -235,10 +266,10 @@ def _affine_block_solve(rows):
     nv = len(variables)
     mat = []
     for eq, const, lin in rows:
-        row = [Fraction(0)] * (nv + 1)
+        row = [0] * (nv + 1)
         for v, c in lin.items():
-            row[index[v]] = Fraction(c)
-        row[nv] = Fraction(const)
+            row[index[v]] = c
+        row[nv] = const
         mat.append(row)
     mat, pivots = rref(mat)
     if nv in pivots:
@@ -247,10 +278,10 @@ def _affine_block_solve(rows):
         # highest-priority equation that entered the block
         return (rows[0][0].family, rows[0][0].degree)
     solved = []
-    for r in range(len(pivots)):
-        nz = [c for c in range(nv) if mat[r][c] != 0]
-        if len(nz) == 1:
-            solved.append((variables[nz[0]], -mat[r][nv]))
+    for row, col in zip(mat, pivots):
+        # the pivot is the row's first nonzero entry
+        if not any(row[col + 1:nv]):
+            solved.append((variables[col], Fraction(-row[nv], row[col])))
     return solved
 
 
@@ -309,6 +340,9 @@ def recover_curve(sys: LienardSystem) -> RecoveryOutcome:
         affine_rows: list[tuple[_Equation, int, dict[int, int]]] = []
         for eq in equations:
             if eq.stale:
+                if not eq.may_be_affine(assign):
+                    # still non-affine (its `affine` is None); reduced later
+                    continue
                 eq.refresh(assign)
             if eq.affine is None:
                 continue

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -200,10 +201,13 @@ def _alignment_by_product_rule(L, Mpin, zs, sign, free):
             return None
         rows.append([m_of(z, j) - sign * rho * m_of(zs[-1], j) for j in range(free)]
                     + [-(m_of(z, free) - sign * rho * m_of(zs[-1], free))])
-    reduced, pivots = rref(rows)
+    # `rref` runs on integer rows: scale each by its denominators, and
+    # read the solution as the constant over the pivot
+    dens = [math.lcm(*[v.denominator for v in row]) for row in rows]
+    reduced, pivots = rref([[(v * d).numerator for v in row] for row, d in zip(rows, dens)])
     if pivots != list(range(free)):
         return None
-    return Poly([row[free] for row in reduced] + [1])
+    return Poly([Fraction(row[free], row[r]) for r, row in enumerate(reduced)] + [1])
 
 
 def test_solve_alignment_rejects_a_singular_system():

@@ -3,6 +3,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hypercycles.polyx import (
     ONE,
@@ -181,25 +182,45 @@ def _fr(rows):
     return [[Fraction(v) for v in row] for row in rows]
 
 
+def _over_q(reduced):
+    """The reduced rows over Q that `rref`'s integer rows stand for: each
+    pivot row divided by its pivot, its first nonzero entry."""
+    rows, pivots = reduced
+    over = [[Fraction(v, row[col]) for v in row] for row, col in zip(rows, pivots)]
+    return over + _fr(rows[len(pivots):])
+
+
+def _is_canonical(reduced):
+    # each pivot row primitive with a positive pivot, zero in the other
+    # pivot columns; the rows below the pivot rows zero
+    rows, pivots = reduced
+    for r, (row, col) in enumerate(zip(rows, pivots)):
+        assert all(type(v) is int for v in row)
+        assert gcd(*row) == 1 and row[col] > 0 and not any(row[:col])
+        assert all(rows[s][col] == 0 for s in range(len(pivots)) if s != r)
+    assert not any(v for row in rows[len(pivots):] for v in row)
+    return True
+
+
 def test_rref_full_rank_gives_identity_and_solution():
     # x + 2y = 5, 3x + 4y = 6  ->  x = -4, y = 9/2
-    rows, pivots = rref(_fr([[1, 2, 5], [3, 4, 6]]))
-    assert pivots == [0, 1]
-    assert rows == _fr([[1, 0, -4], [0, 1, Fraction(9, 2)]])
+    reduced = rref([[1, 2, 5], [3, 4, 6]])
+    assert reduced == ([[1, 0, -4], [0, 2, 9]], [0, 1])
+    assert _over_q(reduced) == _fr([[1, 0, -4], [0, 1, Fraction(9, 2)]])
 
 
 def test_rref_singular_system_misses_a_pivot():
     # the second row is twice the first: rank 1, the zero row goes last
-    rows, pivots = rref(_fr([[1, 2, 3], [2, 4, 6], [0, 0, 0]]))
-    assert pivots == [0]
-    assert rows == _fr([[1, 2, 3], [0, 0, 0], [0, 0, 0]])
+    reduced = rref([[1, 2, 3], [2, 4, 6], [0, 0, 0]])
+    assert reduced[1] == [0]
+    assert _over_q(reduced) == _fr([[1, 2, 3], [0, 0, 0], [0, 0, 0]])
 
 
 def test_rref_inconsistent_system_pivots_in_the_constant_column():
     # x + y = 1 and x + y = 2: the reduced rows hold 0 = 1
-    rows, pivots = rref(_fr([[1, 1, 1], [1, 1, 2]]))
-    assert pivots == [0, 2]
-    assert rows == _fr([[1, 1, 0], [0, 0, 1]])
+    reduced = rref([[1, 1, 1], [1, 1, 2]])
+    assert reduced[1] == [0, 2]
+    assert _over_q(reduced) == _fr([[1, 1, 0], [0, 0, 1]])
 
 
 def test_rref_empty_system():
@@ -207,15 +228,38 @@ def test_rref_empty_system():
 
 
 def test_rref_leaves_its_input_alone():
-    rows = _fr([[0, 2, 4], [3, 0, 6]])
+    rows = [[0, 2, 4], [3, 0, 6]]
     before = [list(r) for r in rows]
-    rref(rows)
+    assert rref(rows) == ([[1, 0, 2], [0, 1, 2]], [0, 1])
     assert rows == before
+
+
+def ref_rref(rows):
+    """Gauss-Jordan elimination over Q on `Fraction` rows, the rational
+    `rref` the integer kernel replaced: the reference it must agree with.
+    Where the pivot row holds a zero, the entries of that column are left
+    as they are instead of being divided or updated by zero."""
+    mat = [list(r) for r in rows]
+    pivots = []
+    for col in range(len(mat[0]) if mat else 0):
+        top = len(pivots)
+        pivot = next((r for r in range(top, len(mat)) if mat[r][col] != 0), None)
+        if pivot is None:
+            continue
+        mat[top], mat[pivot] = mat[pivot], mat[top]
+        pv = mat[top][col]
+        mat[top] = [v / pv if v else v for v in mat[top]]
+        for r in range(len(mat)):
+            if r != top and mat[r][col] != 0:
+                fac = mat[r][col]
+                mat[r] = [a - fac * b if b else a for a, b in zip(mat[r], mat[top])]
+        pivots.append(col)
+    return mat, pivots
 
 
 def _rref_every_entry(rows):
     """Gauss-Jordan elimination that divides and updates every entry of a
-    row, zeros included: the reference `rref` must agree with."""
+    row, zeros included: a second reference, for `ref_rref`'s skipping."""
     mat = [list(r) for r in rows]
     pivots = []
     for col in range(len(mat[0]) if mat else 0):
@@ -232,6 +276,15 @@ def _rref_every_entry(rows):
                 mat[r] = [a - fac * b for a, b in zip(mat[r], mat[top])]
         pivots.append(col)
     return mat, pivots
+
+
+def _int_rows(rows):
+    """Each rational row times the lcm of its denominators."""
+    out = []
+    for row in rows:
+        den = lcm(*[v.denominator for v in row])
+        out.append([v.numerator * (den // v.denominator) for v in row])
+    return out
 
 
 def test_rref_matches_the_elimination_that_touches_every_entry():
@@ -251,10 +304,28 @@ def test_rref_matches_the_elimination_that_touches_every_entry():
         dependent = [s * x + t * y for x, y in zip(a, b)]
         rows += [dependent, dependent[:-1] + [dependent[-1] + 1]]
         rng.shuffle(rows)
-        got, want = rref(rows), _rref_every_entry(rows)
-        assert got == want
-        assert [[type(v) for v in r] for r in got[0]] == [[type(v) for v in r] for r in want[0]]
+        got, want = rref(_int_rows(rows)), _rref_every_entry(rows)
+        assert _is_canonical(got)
+        assert (_over_q(got), got[1]) == want == ref_rref(rows)
         assert zero_col not in got[1] and ncols - 1 in got[1]
+
+
+_entries = st.one_of(st.just(0), st.integers(-6, 6), st.integers(-10**12, 10**12))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(1, 6).flatmap(lambda ncols: st.lists(
+    st.lists(_entries, min_size=ncols, max_size=ncols), max_size=6)))
+@example([[0, 0, 3], [2, 4, 6], [-1, -2, -3], [0, 0, 0]])
+def test_rref_matches_the_rational_elimination(rows):
+    # integer rows of any rank, dependent or zero rows included, against
+    # the Fraction elimination: the same pivots, and the same reduced rows
+    # once each pivot row is divided by its pivot
+    got = rref(rows)
+    want = ref_rref(_fr(rows))
+    assert _is_canonical(got)
+    assert got[1] == want[1]
+    assert _over_q(got) == want[0]
 
 
 # -- the cached integer form ---------------------------------------------------

@@ -309,3 +309,110 @@ def test_mp_reduce_matches_the_rebuild(expr, den, batches):
         slow = _mp_reduce_rebuild(slow, assign)
         assert [(mono, Fraction(c, den)) for mono, c in fast.items()] == list(slow.items())
         assert all(type(c) is int and c != 0 for c in fast.values())
+
+
+# -- which stale equations get reduced -----------------------------------------
+
+
+def _shared(a, b):
+    """The number of unknowns monomials a and b share, with multiplicity."""
+    return sum(min(a.count(v), b.count(v)) for v in set(a))
+
+
+def test_two_monomials_of_an_equation_share_at_most_one_unknown():
+    # the fact `may_be_affine` rests on, over every equation of every type
+    # with m <= 8 and n <= 2m+6, n != 2m+1; f and g have no zero
+    # coefficient, so every data term is written
+    checked = 0
+    for m in range(9):
+        for n in range(1, 2 * m + 7):
+            if n == 2 * m + 1:
+                continue
+            f, g = Poly([1] * (m + 1)), Poly([1] * (n + 1))
+            for eq in _equations(f, g, m, n, _deg_q(m, n)):
+                monos = list(eq.expr)
+                for i, a in enumerate(monos):
+                    assert all(_shared(a, b) <= 1 for b in monos[:i]), (m, n, eq.family)
+                checked += 1
+    assert checked > 4000
+
+
+_values = st.sampled_from([Fraction(0), Fraction(0), Fraction(1), Fraction(-2),
+                           Fraction(1, 2), Fraction(-3, 4)])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from(ORACLE_TYPES + [(3, 4), (3, 8)]), st.data())
+def test_may_be_affine_is_exactly_what_a_reduction_finds(mn, data):
+    # batches of assignments, zeros included, to the unknowns of one
+    # equation.  Before each reduction, `may_be_affine` must say False
+    # exactly when reducing leaves a non-empty form that is not affine.
+    # The equation is reduced only when it says True, as the solve does;
+    # the result must equal the form of a twin reduced after every batch
+    m, n = mn
+    deg_q = _deg_q(m, n)
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    f = Poly([Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(m)] + [1])
+    g = Poly([Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)] + [-2])
+    equations = _equations(f, g, m, n, deg_q)
+    eq = data.draw(st.sampled_from(equations))
+    twin = _Equation(eq.family, eq.degree, dict(eq.expr), eq.den)
+    unknowns = sorted({v for mono in eq.expr for v in mono})
+    assign = {}
+    for _ in range(data.draw(st.integers(1, 4))):
+        for v in data.draw(st.lists(st.sampled_from(unknowns), min_size=1, max_size=3)):
+            assign.setdefault(v, data.draw(_values))
+        probe = _Equation(eq.family, eq.degree, dict(eq.expr), eq.den)
+        probe.refresh(assign)
+        may = eq.may_be_affine(assign)
+        assert may == (not probe.expr or probe.affine is not None)
+        twin.refresh(assign)
+        if may:
+            eq.refresh(assign)
+            assert (eq.expr, eq.den, eq.affine) == (twin.expr, twin.den, twin.affine)
+    eq.refresh(assign)
+    assert (eq.expr, eq.den) == (twin.expr, twin.den)
+
+
+def test_an_unknown_assigned_zero_can_make_an_equation_affine():
+    # -p0 p2 q3 holds two unassigned unknowns, but p2 = 0 drops it
+    expr = {(0, 2, 7): -1, (0, 1): 2, (7,): 3}
+    eq = _Equation("g-identity", 4, dict(expr), 1)
+    assert not eq.may_be_affine({1: Fraction(1), 2: Fraction(5)})
+    assert eq.may_be_affine({1: Fraction(1), 2: Fraction(0)})
+    eq.refresh({1: Fraction(1), 2: Fraction(0)})
+    assert eq.affine == (0, {0: 2, 7: 3})
+    # P = x^3 - x, Q = x^6 - x^4, type (2,3): p2 = 0 and q5 = 0 are assigned
+    # before the last affine block, and they make g-identity x^4 affine in
+    # q3 and p0, so it enters that block; a test that ignored the zeros
+    # would leave it out
+    out = _roundtrip(HyperellipticCurve(P=parse_poly("x^3 - x"), Q=parse_poly("x^6 - x^4")))
+    last = out.schedule[-1]
+    assert last["unknowns"] == ["q3", "p0"]
+    assert last["equations"] == ["f-identity x^5", "f-identity x^3", "g-identity x^8",
+                                 "g-identity x^6", "g-identity x^4"]
+
+
+def test_no_reduction_is_wasted_on_an_equation_that_stays_non_affine(monkeypatch):
+    # through whole solves of both branches, with and without a curve,
+    # every reduction leaves an affine or empty form: one that must stay
+    # non-affine is left stale until it can help
+    refresh = _Equation.refresh
+    reductions = []
+
+    def checked(eq, assign):
+        refresh(eq, assign)
+        assert not eq.expr or eq.affine is not None, (eq.family, eq.degree)
+        reductions.append(eq)
+
+    monkeypatch.setattr(_Equation, "refresh", checked)
+    for P, Q in [("(x-1)(x-2)(x+5)", "-5(x-1)(x-2)(x+5)^5"),
+                 ("(x-1)(x-2)(x-3)(x-4)(x+5)", "(x-1)(x-2)(x-3)(x-4)(x+5)^6"),
+                 ("(x-1/2)(x+2)(2/3x+1)", "4/9(x-1/2)^3(x+2)^3"),
+                 ("x^3 - x", "x^6 - x^4")]:
+        _roundtrip(HyperellipticCurve(P=parse_poly(P), Q=parse_poly(Q)))
+    for f, g in [("2x+1", "x^4+x+1"), ("x^2+1", "x^4+x"),
+                 ("2/3x^2-4x+1", "-2/3x^7+7/2x^6-5/3x^4-2x^3-5x^2-6x+2")]:
+        out = recover_curve(LienardSystem(f=parse_poly(f), g=parse_poly(g)))
+        assert not out.found and out.witness is not None
+    assert len(reductions) > 100
