@@ -13,13 +13,11 @@ from .rootclass import (
 )
 from .lienard import (
     CertificationReport,
-    Cofactor,
     HyperellipticCurve,
     LienardSystem,
     NonPolynomialSystem,
     bounds,
     certify,
-    cofactor,
     derive_system,
     invariance_check,
 )
@@ -55,13 +53,11 @@ __all__ = [
     "sign_on_interval",
     "sturm_count",
     "CertificationReport",
-    "Cofactor",
     "HyperellipticCurve",
     "LienardSystem",
     "NonPolynomialSystem",
     "bounds",
     "certify",
-    "cofactor",
     "derive_system",
     "invariance_check",
     "DegenerateLeadingCoefficient",

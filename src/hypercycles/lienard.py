@@ -86,11 +86,6 @@ class LienardSystem:
         return (self.m, self.n)
 
 
-@dataclass(frozen=True)
-class Cofactor:
-    K: Poly
-
-
 def derive_system(curve: HyperellipticCurve) -> LienardSystem:
     """f = P' - K/2 = P' + PQ'/(2Q) and g = -(PK + Q')/2 = Q'H/(2Q), or
     NonPolynomialSystem when Q does not divide PQ' (K is no polynomial);
@@ -105,11 +100,6 @@ def derive_system(curve: HyperellipticCurve) -> LienardSystem:
     # with K exact, lc(f) = (deg P + deg Q / 2) lc(P) and, from 2Qg = Q'H,
     # deg g = deg H - 1, so deg P = m + 1 and deg H = n + 1 always hold
     return LienardSystem(f=f, g=g)
-
-
-def cofactor(curve: HyperellipticCurve) -> Cofactor:
-    """K = -P*Q'/Q, which must be an exact polynomial (in x alone)."""
-    return Cofactor(K=curve.K)
 
 
 def _int_combine(*terms: tuple[int, Sequence[int]]) -> list[int]:

@@ -15,10 +15,10 @@ Two independent routes to root counts live here on purpose:
   member is gcd(p, p') up to sign, which `squarefree_decomposition` and
   `squarefree_part` read as their first gcd; when it is a constant the
   sequence already is the chain of the squarefree p, and otherwise the
-  chain is that of p / gcd(p, p').  So isolating the factors of p and then
-  counting on p's own chain runs the (p, p') sequence once.  Chains are
-  memoized per polynomial and, behind that, per primitive integer vector,
-  both in small bounded caches;
+  chain is the sequence of the squarefree p / gcd(p, p').  So isolating the
+  factors of p and then counting on p's own chain runs the (p, p') sequence
+  once.  Chains are memoized per polynomial in one small bounded cache,
+  and the sequences behind them per primitive integer vector;
 * the discrimination-matrix route: Yang's complete discrimination system
   (Yang, Hou and Zeng), the leading principal even-order minors D_k of the
   Sylvester-style matrix of f and f', whose (revised) sign pattern counts
@@ -55,17 +55,23 @@ member inside |z| < 2**e: Fujiwara's bound 2 max_i |a_{n-i}/a_n|^(1/i)
 its largest real root in absolute value, so at a point p/q with
 |p| > q * 2**e the member's sign is its sign at +-inf, read off its leading
 coefficient and degree, and Horner runs only inside the bound.  The answer
-is the same sign that Horner would give.  `RealRoot.refine` does the same
-with the exponent of its own polynomial, kept on the root beside the
-polynomial's sign at hi, which no refinement step changes.
+is the same sign that Horner would give.  `RealRoot.refine` runs Horner at
+each midpoint without that test: an isolated root starts inside the root
+box of its polynomial, where the test never holds.  Each step compares that
+one sign with the polynomial's sign at hi, which the root keeps and no
+refinement step changes.
 
-Isolation (`_isolate_squarefree`) bisects [-2**e, 2**e], e the exponent of
-the chain's head, whose ends the strict bound keeps from being roots.  Every
-point it visits is dyadic, k/2**j, held as the integers k and j: a midpoint
-is one add, and the chain is evaluated on (k, 2**j).  A midpoint that is a
-root is kept as an exact interval, and the search for the two sides around
-it halves its distance eps, so those points stay dyadic as well; `Fraction`s
-are built only for the intervals returned.
+Isolation (`_isolate_squarefree`) bisects from the halves [-2**e, 0] and
+[0, 2**e] of the root box, e the exponent of the chain's head, whose outer
+ends the strict bound keeps from being roots.  One rule decides every cell
+[a, b], on the open count V(a) - V(b) - [f(b) = 0] below: a count of 0
+drops the cell, a count of 1 with no root at either end returns it, and
+every other cell splits at its midpoint; a midpoint that is a root is
+returned as an exact point.  Every point it visits is dyadic, k/2**j, held
+as the integers k and j: a midpoint is one add, and the chain is evaluated
+on (k, 2**j); `Fraction`s are built only for the intervals returned.  The
+canonical cell of an irrational root (`RealRoot.canonical`) is its cell in
+this isolation, so every report prints the cells that isolation finds.
 
 A `RealRoot` holds its ends as integers a/d and b/d over one common
 denominator d: a power of two for every root isolation returns, any
@@ -409,16 +415,6 @@ def _root_exponent(c: Sequence[int]) -> int:
     return e
 
 
-def _sign_bounded(c: Sequence[int], e: int, p, q: int = 1) -> int:
-    """Sign of the integer polynomial c at p/q, q > 0, where |z| < 2**e for
-    every root z of c: beyond that bound the sign is the sign at +-inf, and
-    Horner (`_sign_int`) runs only inside it.  p may also be a `Fraction`
-    with q = 1."""
-    if abs(p) > q << e:
-        return _sign_at_infinity(c, p > 0)
-    return _sign_int(c, p, q)
-
-
 # Certification and the family searches ask for chains of the same few
 # polynomials over and over; a bounded memo keeps that reuse without letting
 # a long run of unrelated polynomials grow the process.
@@ -428,32 +424,26 @@ def _sturm_chain_int(p: Poly) -> _Chain:
     Each member is minus the integer remainder of the two before it (a
     positive multiple of the rational remainder, made primitive); dividing
     members by positive constants preserves all sign variations.
-    Memoized per `Poly` (immutable and hashable), and behind that per
-    primitive integer vector (`_int_chain`), so a polynomial and its monic
-    multiple share one chain; the chain is returned as nested tuples so
-    callers cannot alter the shared value."""
-    return _int_chain(int_key(int_coeffs(p)))
 
-
-@lru_cache(maxsize=64)
-def _int_chain(a: tuple[int, ...]) -> _Chain:
-    """Sturm chain of the squarefree part of a, a primitive integer vector
-    with a positive leading coefficient.
-
-    The remainder sequence of a and a' (`polyx.int_remainder_sequence`,
-    shared with the squarefree kernels) ends at gcd(a, a') up to sign.
-    When that is a constant, a is squarefree and the sequence is its chain;
-    otherwise the chain is that of the quotient a / gcd(a, a'), primitive
-    by Gauss's lemma."""
+    With a the primitive integer vector of p, the remainder sequence of a
+    and a' (`polyx.int_remainder_sequence`, memoized per vector and shared
+    with the squarefree kernels) ends at gcd(a, a') up to sign.  When that
+    is a constant, a is squarefree and the sequence is its chain; otherwise
+    the chain is the sequence of the quotient a / gcd(a, a'), which is
+    squarefree, so its own sequence ends at a constant, and primitive by
+    Gauss's lemma.  Memoized per `Poly` (immutable and hashable); the chain
+    is returned as nested tuples so callers cannot alter the shared value."""
+    a = int_key(int_coeffs(p))
     seq = int_remainder_sequence(a)
-    if len(seq[-1]) == 1:
-        return _make_chain(seq)
-    return _int_chain(int_key(int_exact_div(a, seq[-1])))
+    if len(seq[-1]) > 1:
+        seq = int_remainder_sequence(int_key(int_exact_div(a, seq[-1])))
+    return _make_chain(seq)
 
 
 def _chain_signs(chain: _Chain, p: int, q: int) -> list[int]:
-    """Signs of the chain's members at p/q, q > 0 (`_sign_bounded`,
-    inlined): a dyadic q = 2**j evaluates by shifts (`_sign_dyadic`)."""
+    """Signs of the chain's members at p/q, q > 0: beyond a member's root
+    bound, |p| > q * 2**e, its sign at +-inf, and otherwise Horner, by
+    shifts (`_sign_dyadic`) for a dyadic q = 2**j."""
     ap = abs(p)
     k = 2 if p > 0 else 1
     if q & (q - 1):
@@ -462,10 +452,6 @@ def _chain_signs(chain: _Chain, p: int, q: int) -> list[int]:
     j = q.bit_length() - 1
     return [end[k] if ap > q << end[0] else _sign_dyadic(c, p, j)
             for c, end in zip(chain, chain.ends)]
-
-
-def _variations(chain: _Chain, x: Fraction) -> int:
-    return _sign_changes(_chain_signs(chain, x.numerator, x.denominator))
 
 
 def _real_roots_on(chain: _Chain) -> int:
@@ -534,8 +520,9 @@ class SturmChain:
             raise ValueError("need lo < hi")
         if self.f.degree < 1:
             return 0
+        at_lo = _chain_signs(self.chain, lo.numerator, lo.denominator)
         at_hi = _chain_signs(self.chain, hi.numerator, hi.denominator)
-        return _variations(self.chain, lo) - _sign_changes(at_hi) - (at_hi[0] == 0)
+        return _sign_changes(at_lo) - _sign_changes(at_hi) - (at_hi[0] == 0)
 
 
 def sturm_count(f: Poly, lo: RationalLike, hi: RationalLike) -> int:
@@ -612,9 +599,9 @@ class RealRoot:
         self.poly = poly
         self.multiplicity = multiplicity
         self._put(rat(lo), rat(hi))
-        # (`_root_exponent` of poly's integer form, sign of poly at hi),
-        # filled by the first `refine`; every step keeps the sign at hi
-        self._ends: tuple[int, int] | None = None
+        # the sign of poly at hi, read by the first `refine`; every step
+        # keeps it
+        self._at_hi: int | None = None
 
     def _put(self, lo: Fraction, hi: Fraction) -> None:
         d = lcm(lo.denominator, hi.denominator)
@@ -678,21 +665,20 @@ class RealRoot:
 
     def refine(self) -> None:
         """One bisection step at the midpoint (a + b)/(2d): one add, and one
-        sign of poly there on the integer pair (`_sign_bounded`).  A midpoint
-        that is the root makes the root exact.  No `Fraction` is built."""
+        sign of poly there on the integer pair (`_sign_int`), compared with
+        its sign at hi, which the first step reads.  A midpoint that is the
+        root makes the root exact.  No `Fraction` is built."""
         a, b, d = self._a, self._b, self._d
         if a == b:
             return
         ints = self.poly.int_form()[0]
-        if self._ends is None:
-            e = _root_exponent(ints)
-            self._ends = (e, _sign_bounded(ints, e, b, d))
-        e, at_hi = self._ends
+        if self._at_hi is None:
+            self._at_hi = _sign_int(ints, b, d)
         m = a + b
-        s = _sign_bounded(ints, e, m, 2 * d)
+        s = _sign_int(ints, m, 2 * d)
         if s == 0:
             self._a = self._b = m
-        elif s == at_hi:
+        elif s == self._at_hi:
             self._a, self._b = 2 * a, m
         else:
             self._a, self._b = m, 2 * b
@@ -723,10 +709,12 @@ class RealRoot:
         so |lc| * v is an integer; once |lc| * width < 1 the interval holds at
         most one such candidate, and one evaluation decides it.  That width
         loop is `refine` on the integer ends, and the candidate is tested on
-        integers too.  An irrational root gives the first cell of the dyadic
-        halving of [0, 2**e] or [-2**e, 0] toward the root (e the
-        `_root_exponent` of poly, so the start holds the root) whose ends are
-        no roots of poly and which holds no other root of poly."""
+        integers too.  An irrational root gives its cell in the isolation of
+        poly (`_isolate_squarefree`): the first cell of the dyadic halving of
+        [0, 2**e] or [-2**e, 0] toward the root (e the `_root_exponent` of
+        poly) whose ends are no roots of poly and which holds no other root
+        of poly.  The copy is refined until no cell end lies strictly inside
+        it, and the cell that then holds it is the answer."""
         if self.is_exact():
             return self.lo, self.hi
         ints = int_coeffs(self.poly)
@@ -740,25 +728,15 @@ class RealRoot:
         if k * r._d < r._b * lead and _sign_at(ints, k, lead) == 0:
             v = Fraction(k, lead)
             return v, v
-        # the root is irrational: no rational point is a root, and poly has
-        # no other root in (r.lo, r.hi), so its sign there places the root
-        at_hi = _sign_int(ints, r._b, r._d)
-        r_lo, r_hi = r.lo, r.hi
-
-        def below(x: Fraction) -> bool:
-            return x >= r_hi or (x > r_lo and
-                                 _sign_at(ints, x.numerator, x.denominator) == at_hi)
-
-        chain = SturmChain(self.poly)
-        top = Fraction(2 ** _root_exponent(ints))
-        lo, hi = (-top, Fraction(0)) if below(Fraction(0)) else (Fraction(0), top)
-        while not (chain.sign(lo) and chain.sign(hi) and chain.count_open(lo, hi) == 1):
-            mid = (lo + hi) / 2
-            if below(mid):
-                hi = mid
-            else:
-                lo = mid
-        return lo, hi
+        # the root is irrational, so it lies inside one cell of poly's
+        # isolation and at no cell end: refined far enough, the copy lies in
+        # that cell
+        cells = _isolate_squarefree(self.poly)
+        while True:
+            for lo, hi in cells:
+                if lo <= r.lo and r.hi <= hi:
+                    return lo, hi
+            r.refine()
 
     # -- relations ----------------------------------------------------------
 
@@ -854,61 +832,49 @@ class RealRoot:
 
 
 def _isolate_squarefree(g: Poly) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint open intervals (or exact points lo==hi), one per real root of
-    the squarefree polynomial g, endpoints non-roots.
+    """Disjoint intervals, one per real root of the squarefree polynomial g:
+    open cells whose ends are no roots, and exact points lo == hi.
 
-    Bisection starts at [-2**e, 2**e], e the `_root_exponent` that the
-    chain's head (which has the roots of g) carries, so both ends lie
-    strictly beyond every root.  Every point is dyadic and held as integers:
-    a stack entry (ka, kb, j, va, vb) is the interval [ka/2**j, kb/2**j]
-    with the chain's sign variations at both ends, so a split takes one add
-    for the midpoint (ka + kb)/2**(j+1) and evaluates the chain there only,
-    on the integer pair (`_chain_signs`).  A midpoint that is a root is
-    returned as it is, and the two sides resume at mid -+ eps, eps halving
-    from a quarter of the interval until that root alone lies between them,
-    so these points stay dyadic too.  `Fraction`s are built only for the
-    intervals returned."""
+    Bisection splits the box [-2**e, 2**e] at 0 first, whatever it holds,
+    e the `_root_exponent` that the chain's head (which has the roots of g)
+    carries, so the box's ends lie strictly beyond every root.  From there
+    one rule decides each cell [a, b]: its open count
+    V(a) - V(b) - [g(b) = 0] (module docstring) drops it at 0 and returns it
+    at 1 when neither end is a root; every other cell splits at its
+    midpoint, and a midpoint that is a root is returned as an exact point.
+    Every point is dyadic and held as integers: a stack entry
+    (ka, kb, j, at_a, at_b) is the cell [ka/2**j, kb/2**j] with (sign
+    variations of the chain, g vanishes) at both ends, so a split takes one
+    add for the midpoint (ka + kb)/2**(j+1) and evaluates the chain there
+    only, on the integer pair (`_chain_signs`).  `Fraction`s are built only
+    for the intervals returned."""
     if g.degree < 1:
         return []
     chain = SturmChain(g).chain
+
+    def at(k: int, j: int) -> tuple[int, bool]:
+        signs = _chain_signs(chain, k, 1 << j)
+        return _sign_changes(signs), not signs[0]
+
     top = 1 << chain.ends[0][0]
-    stack = [(-top, top, 0, _sign_changes(_chain_signs(chain, -top, 1)),
-              _sign_changes(_chain_signs(chain, top, 1)))]
-    found: list[tuple[int, int, int]] = []
+    stack = [(-top, top, 0, at(-top, 0), at(top, 0))]
+    found = []
     while stack:
-        ka, kb, j, va, vb = stack.pop()
-        if va == vb:
+        ka, kb, j, at_a, at_b = stack.pop()
+        count = at_a[0] - at_b[0] - at_b[1]
+        if count == 0:
             continue
-        if va - vb == 1:
+        # j = 0 only for the box, which splits at 0 whatever it holds
+        if count == 1 and j and not (at_a[1] or at_b[1]):
             found.append((ka, kb, j))
             continue
         km = ka + kb
-        signs = _chain_signs(chain, km, 1 << (j + 1))
-        if signs[0]:
-            vm = _sign_changes(signs)
-            stack.append((2 * ka, km, j + 1, va, vm))
-            stack.append((km, 2 * kb, j + 1, vm, vb))
-            continue
-        found.append((km, km, j + 1))
-        # mid = km/2**i and eps = d/2**i, first a quarter of the interval;
-        # halving eps doubles km at the next level
-        d, km, i = kb - ka, 2 * km, j + 2
-        while True:
-            den = 1 << i
-            at_la = _chain_signs(chain, km - d, den)
-            if at_la[0]:
-                at_lb = _chain_signs(chain, km + d, den)
-                vla, vlb = _sign_changes(at_la), _sign_changes(at_lb)
-                if at_lb[0] and vla - vlb == 1:
-                    break
-            km, i = 2 * km, i + 1
-        stack.append((ka << (i - j), km - d, i, va, vla))
-        stack.append((km + d, kb << (i - j), i, vlb, vb))
-    out = []
-    for ka, kb, j in found:
-        lo = Fraction(ka, 1 << j)
-        out.append((lo, lo) if ka == kb else (lo, Fraction(kb, 1 << j)))
-    return sorted(out)
+        at_m = at(km, j + 1)
+        if at_m[1]:
+            found.append((km, km, j + 1))
+        stack.append((2 * ka, km, j + 1, at_a, at_m))
+        stack.append((km, 2 * kb, j + 1, at_m, at_b))
+    return sorted((Fraction(ka, 1 << j), Fraction(kb, 1 << j)) for ka, kb, j in found)
 
 
 def isolate_real_roots(f: Poly) -> list[RealRoot]:

@@ -11,7 +11,6 @@ from hypercycles.lienard import (
     NonPolynomialSystem,
     bounds,
     certify,
-    cofactor,
     derive_system,
     invariance_check,
     invariance_residual,
@@ -61,7 +60,7 @@ def test_derive_divisibility_failure():
 
 def test_cofactor_worked_25():
     curve = worked_25_curve()
-    K = cofactor(curve).K
+    K = curve.K
     # K = -P Q'/Q exactly: independently check K*Q == -P*Q'
     assert K * curve.Q == -(curve.P * curve.Q.derivative())
     # closed form: -(R'(x+10) + 4R) with R = (x-1)(x-2)
@@ -73,7 +72,7 @@ def test_cofactor_worked_25():
 def test_cofactor_zero_when_q_prime_zero():
     # Q constant: K = -P*0/Q = 0
     curve = HyperellipticCurve(P=P(0, 1), Q=P(4))
-    assert cofactor(curve).K.is_zero()
+    assert curve.K.is_zero()
 
 
 def test_invariance_worked_25():
@@ -190,7 +189,7 @@ def test_cofactor_degenerate_q_equals_p_squared():
     # Q = P^2: the cofactor division succeeds whenever P | Q', even though
     # the derived system itself is rejected (g vanishes)
     curve = HyperellipticCurve(P=P(0, 0, 1), Q=P(0, 0, 0, 0, 1))
-    assert cofactor(curve).K == P(0, -4)
+    assert curve.K == P(0, -4)
     with pytest.raises(NonPolynomialSystem):
         derive_system(curve)
 
@@ -230,7 +229,7 @@ def test_residual_matches_sympy_expansion():
         for kind, s in (("derived", sys), ("perturbed", LienardSystem(
                 f=sys.f + bump, g=sys.g + bump.shift_up(sys.g.degree)))):
             F = (y + sym(curve.P)) ** 2 - sym(curve.Q)
-            K = sym(cofactor(curve).K)
+            K = sym(curve.K)
             expected = sympy.Poly(sympy.expand(
                 y * sympy.diff(F, x) - (sym(s.f) * y + sym(s.g)) * sympy.diff(F, y)
                 - K * F), y, x)
@@ -371,7 +370,7 @@ def test_a_curve_divides_out_k_once_per_derivation(monkeypatch):
                         lambda self, other: divisors.append(other) or exact_div(self, other))
     sys = derive_system(curve)
     assert invariance_residual(sys, curve).is_zero()
-    K = cofactor(curve).K
+    K = curve.K
     assert certify(curve).certified_count == 1
     # K by Q, once; g = -(PK + Q')/2 needs no division of its own
     assert divisors == [curve.Q]
@@ -382,7 +381,7 @@ def test_a_cofactor_that_is_no_polynomial_fails_everywhere_it_is_read():
     # Q = x^2 + 1 does not divide P*Q' = 2x, so neither K nor f exists
     curve = HyperellipticCurve(P=ONE, Q=P(1, 0, 1))
     system = LienardSystem(f=ONE, g=X)
-    for read in (lambda: cofactor(curve), lambda: derive_system(curve),
+    for read in (lambda: curve.K, lambda: derive_system(curve),
                  lambda: certify(curve), lambda: invariance_residual(system, curve)):
         with pytest.raises(NonPolynomialSystem, match=r"^2Q does not divide P\*Q'$"):
             read()

@@ -22,10 +22,8 @@ from hypercycles.polyx import (
 from hypercycles.rootclass import (
     RootCount,
     _chain_signs,
-    _int_chain,
     _root_exponent,
     _sign_at,
-    _sign_bounded,
     _sign_dyadic,
     _sturm_chain_int,
     all_roots_real_simple,
@@ -149,11 +147,6 @@ def test_bounded_signs_match_horner(p, k):
         for x in _probe_points(e, k):
             signs = [_sign_at(c, x.numerator, x.denominator) for c in chain]
             assert _chain_signs(chain, x.numerator, x.denominator) == signs
-    # the single-polynomial form that refinement runs on p's integer form
-    ints = p.int_form()[0]
-    e = _root_exponent(ints)
-    for x in _probe_points(e, k):
-        assert _sign_bounded(ints, e, x) == _sign_at(ints, x.numerator, x.denominator)
 
 
 def test_root_exponent_bounds_every_complex_root():
@@ -183,12 +176,13 @@ def test_root_exponent_bounds_every_complex_root():
 
 def test_sturm_count_after_isolation_builds_no_chain():
     # squarefree and not monic: isolation builds the chain of its monic
-    # factor, which has the same primitive integer vector
+    # factor, which has the same primitive integer vector, so p's chain reads
+    # the (p, p') sequence off the memo entry that isolation started
     p = parse_poly("3 (x^2-2)(x^3-3x+1)(x+5)")
     assert len(isolate_real_roots(p)) == 6
-    before = _int_chain.cache_info().misses
+    before = int_remainder_sequence.cache_info().misses
     assert sturm_count(p, -10, 10) == 6
-    assert _int_chain.cache_info().misses == before
+    assert int_remainder_sequence.cache_info().misses == before
 
 
 def test_sturm_count_after_isolation_starts_no_new_p_dp_sequence():

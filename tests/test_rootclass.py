@@ -10,6 +10,7 @@ from hypercycles.polyx import (
     ONE,
     Poly,
     X,
+    int_coeffs,
     parse_poly,
     poly_gcd,
     squarefree_decomposition,
@@ -25,9 +26,12 @@ from hypercycles.rootclass import (
     _int_det,
     _isolate_squarefree,
     _root_exponent,
+    _sign_at,
+    _sign_int,
     cauchy_bound,
     count_roots,
     discriminant_sequence,
+    distinct_real_roots,
     hankel_minor,
     isolate_real_roots,
     power_sums,
@@ -433,9 +437,9 @@ def test_sign_of_when_a_refinement_step_lands_on_the_root():
 def test_refine_evaluates_its_polynomial_once_per_step(monkeypatch):
     # the first step also reads the sign at hi, which no step changes
     calls = []
-    sign_bounded = rootclass._sign_bounded
-    monkeypatch.setattr(rootclass, "_sign_bounded",
-                        lambda *a: calls.append(a) or sign_bounded(*a))
+    sign_int = rootclass._sign_int
+    monkeypatch.setattr(rootclass, "_sign_int",
+                        lambda *a: calls.append(a) or sign_int(*a))
     r = RealRoot(poly=P(-2, 0, 1), lo=Fraction(0), hi=Fraction(3))
     for step in range(1, 21):
         r.refine()
@@ -683,13 +687,36 @@ def test_isolation_refine_and_sign_of_match_the_reference(case):
         assert root.is_exact() and root.value == m
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_isolation_input().filter(lambda t: 1 <= t[0].degree <= 20))
+def test_isolation_cells_follow_one_rule(case):
+    # every cell is an exact root, or has ends that are no roots and an open
+    # count of 1; the cells are disjoint, one per distinct real root, and
+    # each lies in [-2^e, 0] or [0, 2^e], the halves bisection starts from
+    p, _, _ = case
+    for g, _ in squarefree_decomposition(p):
+        chain = SturmChain(g)
+        cells = _isolate_squarefree(g)
+        assert len(cells) == distinct_real_roots(g)
+        for lo, hi in cells:
+            if lo == hi:
+                assert g.eval(lo) == 0
+            else:
+                assert g.eval(lo) != 0 and g.eval(hi) != 0
+                assert chain.count_open(lo, hi) == 1
+                assert lo >= 0 or hi <= 0
+        for (a, b), (c, d) in zip(cells, cells[1:]):
+            assert b < c or (a < b == c < d)
+
+
 def test_isolation_lands_on_a_root_at_a_bisection_midpoint():
-    # x^3 - x has root exponent 2; its three roots make the first split of
-    # [-4, 4] land on 0 and take the exact branch, where eps halves from 2
-    # (three roots between 0 -+ eps) past 1 (ends at the roots -+1) to 1/2
+    # x^3 - x has root exponent 2: bisection starts from [-4, 0] and [0, 4],
+    # whose common end 0 is a root.  Each half holds one more root, but
+    # with a root at its end it splits, at -+2 and then at the roots -+1
+    # themselves, and the cells left over hold no root
     p = P(0, -1, 0, 1)
     got = _isolate_squarefree(p)
-    assert got == [(-4, Fraction(-1, 2)), (0, 0), (Fraction(1, 2), 4)]
+    assert got == [(-1, -1), (0, 0), (1, 1)]
     assert len(got) == len(ref_isolate_squarefree(p))
 
 
@@ -700,7 +727,8 @@ def test_isolation_lands_on_a_root_at_a_bisection_midpoint():
     parse_poly("(x - 1/3)(x - 1)(x + 1)(x - 2)(x^2 + 1)"),
 ])
 def test_isolation_builds_fractions_only_for_the_intervals_it_returns(p, monkeypatch):
-    # each input makes a bisection midpoint land on a root, where eps halves.
+    # each input puts a root at 0 or on a bisection midpoint, which isolation
+    # returns as an exact point.
     # `Fraction.__new__` sees every `Fraction(...)` call and, before Python
     # 3.12, every result of `Fraction` arithmetic too
     built = []
@@ -993,3 +1021,81 @@ def test_canonical_reports_a_rational_root_that_try_exact_left_inexact_as_exact(
     assert [r.canonical() for r in roots] == [
         (Fraction(-8), Fraction(0)), (Fraction(0), Fraction(2)),
         (Fraction(13, 5), Fraction(13, 5))]
+
+
+@pytest.mark.parametrize("p, cells", [
+    # isolation used to return (19/16, 17/8) for sqrt(2), past the exact
+    # midpoint 1/2, and the whole box (-4, 4) for the cube root of 2
+    (parse_poly("x(2x-1)(x^2-2)"), [(-2, -1), (1, 2)]),
+    (parse_poly("x^3-2"), [(0, 4)]),
+])
+def test_isolation_cell_of_an_irrational_root_is_its_canonical_cell(p, cells):
+    got = [(lo, hi) for lo, hi in _isolate_squarefree(p) if lo < hi]
+    assert got == cells
+    for lo, hi in got:
+        assert RealRoot(poly=p, lo=lo, hi=hi).canonical() == (lo, hi)
+
+
+# -- canonical cells, against the halving walk they replaced -------------------
+#
+# `RealRoot.canonical` read an irrational root's cell off its own halving of
+# [0, 2^e] or [-2^e, 0] toward the root; it now reads it off the isolation of
+# the root's polynomial.  That walk is kept below verbatim (self -> root) as
+# the reference.
+
+
+def ref_canonical_cell(root: RealRoot) -> tuple[Fraction, Fraction]:
+    if root.is_exact():
+        return root.lo, root.hi
+    ints = int_coeffs(root.poly)
+    lead = abs(ints[-1])
+    r = copy.copy(root)
+    while lead * (r._b - r._a) >= r._d:
+        r.refine()
+        if r.is_exact():
+            return r.lo, r.hi
+    k = (lead * r._a) // r._d + 1       # floor(lc * lo) + 1
+    if k * r._d < r._b * lead and _sign_at(ints, k, lead) == 0:
+        v = Fraction(k, lead)
+        return v, v
+    # the root is irrational: no rational point is a root, and poly has
+    # no other root in (r.lo, r.hi), so its sign there places the root
+    at_hi = _sign_int(ints, r._b, r._d)
+    r_lo, r_hi = r.lo, r.hi
+
+    def below(x: Fraction) -> bool:
+        return x >= r_hi or (x > r_lo and
+                             _sign_at(ints, x.numerator, x.denominator) == at_hi)
+
+    chain = SturmChain(root.poly)
+    top = Fraction(2 ** _root_exponent(ints))
+    lo, hi = (-top, Fraction(0)) if below(Fraction(0)) else (Fraction(0), top)
+    while not (chain.sign(lo) and chain.sign(hi) and chain.count_open(lo, hi) == 1):
+        mid = (lo + hi) / 2
+        if below(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_canonical_input().filter(lambda p: p.degree >= 1),
+       st.lists(st.integers(0, 5), max_size=12))
+def test_canonical_matches_the_halving_walk_it_replaced(p, steps):
+    # from each isolation cell, and after each of a run of steps: a
+    # midpoint refinement (5) or the sign of one of `_others` (0..4)
+    for g, _ in squarefree_decomposition(p):
+        others = _others(p, g)
+        for lo, hi in _isolate_squarefree(g):
+            root = RealRoot(poly=g, lo=lo, hi=hi)
+            want = ref_canonical_cell(root)
+            assert root.canonical() == want
+            # an irrational root's canonical cell is its isolation cell
+            assert want == (lo, hi) or want[0] == want[1]
+            for step in steps:
+                if step == 5:
+                    root.refine()
+                else:
+                    root.sign_of(others[step])
+                assert root.canonical() == ref_canonical_cell(root) == want
