@@ -255,21 +255,24 @@ class CertificationReport:
 
 def _count_strictly_between(w: Poly, r1: RealRoot, r2: RealRoot) -> int:
     """Distinct real roots of w in the open interval (root(r1), root(r2)),
-    for r1 below r2.
+    for r1 below r2 with r1.hi <= r2.lo, as the roots of one
+    `isolate_real_roots` call are.
 
-    Once the two intervals are disjoint, `RealRoot.clear` refines each
-    inexact one until no root of w but its own root lies in it and w is
-    nonzero at its ends; an exact root is its own interval.  One open Sturm
-    count over (r1.hi, r2.lo) is then the answer: it leaves out a root of w
-    at an exact endpoint, and an inexact endpoint is no root of w.  Two
-    distinct exact roots are disjoint already, so neither is touched."""
+    `RealRoot.clear` refines each inexact interval until no root of w but
+    its own root lies in it and w is nonzero at its ends; an exact root is
+    its own interval.  Intervals that then still share an end leave no room
+    between them: every root of w between the two roots would lie in one of
+    them, so the answer is 0.  Otherwise one open Sturm count over
+    (r1.hi, r2.lo) is the answer: it leaves out a root of w at an exact
+    endpoint, and an inexact endpoint is no root of w."""
     if w.is_zero():
         raise ValueError("cannot count roots of the zero polynomial")
     if w.degree < 1:
         return 0
-    r1.separate_from(r2)
     r1.clear(w)
     r2.clear(w)
+    if r1.hi == r2.lo:
+        return 0
     return SturmChain(w).count_open(r1.hi, r2.lo)
 
 
@@ -301,10 +304,10 @@ def certify(curve: HyperellipticCurve) -> CertificationReport:
         verdict = IntervalVerdict(s1=left, s2=right)
         report.intervals.append(verdict)
 
-        # the midpoint of the gap between the two disjoint intervals: Q has
-        # no root in the gap, so Q(sample) is Q's sign on it; H(sample) is
-        # read only after an exact count finds no root of H in the gap
-        left.separate_from(right)
+        # isolation leaves left.hi <= right.lo, so the midpoint of the gap
+        # lies strictly between the two roots (an end the cells share is no
+        # root of Q) and is no root of Q: Q(sample) is Q's sign on the gap;
+        # H(sample) is read only after an exact count finds no root of H there
         sample = (left.hi + right.lo) / 2
         verdict.q_positive_between = Q.eval(sample) > 0
         if not verdict.q_positive_between or not all_real:

@@ -15,8 +15,9 @@ Two independent routes to root counts live here on purpose:
   member is gcd(p, p') up to sign, which `squarefree_decomposition` and
   `squarefree_part` read as their first gcd; when it is a constant the
   sequence already is the chain of the squarefree p, and otherwise the
-  chain is the sequence of the squarefree p / gcd(p, p').  So isolating the
-  factors of p and then counting on p's own chain runs the (p, p') sequence
+  chain is the sequence of the squarefree p / gcd(p, p').  Isolation
+  bisects on p's own chain and labels each cell with its Yun factor, so
+  isolating p and then counting on its chain runs the (p, p') sequence
   once.  Chains are memoized per polynomial in one small bounded cache,
   and the sequences behind them per primitive integer vector;
 * the discrimination-matrix route: Yang's complete discrimination system
@@ -67,11 +68,17 @@ ends the strict bound keeps from being roots.  One rule decides every cell
 [a, b], on the open count V(a) - V(b) - [f(b) = 0] below: a count of 0
 drops the cell, a count of 1 with no root at either end returns it, and
 every other cell splits at its midpoint; a midpoint that is a root is
-returned as an exact point.  Every point it visits is dyadic, k/2**j, held
-as the integers k and j: a midpoint is one add, and the chain is evaluated
-on (k, 2**j); `Fraction`s are built only for the intervals returned.  The
-canonical cell of an irrational root (`RealRoot.canonical`) is its cell in
-this isolation, so every report prints the cells that isolation finds.
+returned as an exact point.  The chain's head is the squarefree part of f,
+so the count is of distinct roots and the rule needs no squarefree f.
+Every point it visits is dyadic, k/2**j, held as the integers k and j: a
+midpoint is one add, and the chain is evaluated on (k, 2**j); `Fraction`s
+are built only for the intervals returned.  `isolate_real_roots` runs it
+once on f and hands each cell to the one Yun factor that changes sign
+across it (or vanishes at an exact point), so its roots come out in order,
+and no two of them overlap under any later refinement.  The canonical cell
+of an irrational root (`RealRoot.canonical`) is its cell in the isolation
+of its own factor, so every report prints cells that the isolation of one
+factor finds.
 
 A `RealRoot` holds its ends as integers a/d and b/d over one common
 denominator d: a power of two for every root isolation returns, any
@@ -96,7 +103,8 @@ strictly between two isolated roots need no rational window beside either
 root: `RealRoot.clear` refines an inexact interval until w is nonzero at its
 ends and has no root in it but the isolated root itself, an exact root is
 its own interval, and one open count from the lower root's hi to the upper
-root's lo is the answer.
+root's lo is the answer, or 0 when the two intervals of one isolation still
+share an end.
 
 All arithmetic is exact; no floating point enters any code path here.
 """
@@ -125,10 +133,6 @@ from .polyx import (
 
 class EndpointRootError(ValueError):
     """Raised when a Sturm count is requested with a root at an endpoint."""
-
-
-class RootsCoincide(ValueError):
-    """Raised when two allegedly distinct isolated roots turn out equal."""
 
 
 # ---------------------------------------------------------------------------
@@ -657,10 +661,6 @@ class RealRoot:
             return self.lo == r
         return self.lo < r < self.hi and self.poly.eval(r) == 0
 
-    def _below(self, other: "RealRoot") -> bool:
-        """hi < other.lo, on the integer ends."""
-        return self._b * other._d < other._a * self._d
-
     # -- refinement -------------------------------------------------------
 
     def refine(self) -> None:
@@ -740,44 +740,6 @@ class RealRoot:
 
     # -- relations ----------------------------------------------------------
 
-    def separate_from(self, other: "RealRoot") -> int:
-        """Halve the wider interval at its midpoint until the closed
-        intervals are disjoint.  Returns -1 if self < other, +1 if self > other.
-
-        Termination is unconditional: when the roots are equal, the common
-        factor d = gcd changes sign across the shrinking intersection and the
-        coincidence is detected exactly (d cannot vanish at the interval
-        endpoints, which are never roots of their own polynomials)."""
-        d: Poly | None = None
-        rounds = 0
-        while not (self._below(other) or other._below(self)):
-            if self.is_exact() and other.is_exact():
-                if self.lo == other.lo:
-                    raise RootsCoincide("isolated roots coincide")
-            elif self.is_exact() and other.poly.eval(self.value) == 0:
-                raise RootsCoincide("isolated roots coincide")
-            elif other.is_exact() and self.poly.eval(other.value) == 0:
-                raise RootsCoincide("isolated roots coincide")
-            if rounds >= 8:
-                if d is None:
-                    d = poly_gcd(self.poly, other.poly)
-                if d.degree >= 1:
-                    ilo = max(self.lo, other.lo)
-                    ihi = min(self.hi, other.hi)
-                    if ilo < ihi:
-                        slo = d.eval(ilo)
-                        shi = d.eval(ihi)
-                        if slo != 0 and shi != 0 and (slo > 0) != (shi > 0):
-                            raise RootsCoincide(
-                                "isolated roots share a common value")
-            # the wider of the two, compared on the integer ends
-            if (self._b - self._a) * other._d >= (other._b - other._a) * self._d:
-                self.refine()
-            else:
-                other.refine()
-            rounds += 1
-        return -1 if self._below(other) else 1
-
     def _vanishes(self, w: Poly) -> bool:
         """True when w vanishes at this inexact root, that is, when gcd(poly,
         w) has a root in the open (lo, hi), where poly has this one only."""
@@ -832,8 +794,10 @@ class RealRoot:
 
 
 def _isolate_squarefree(g: Poly) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint intervals, one per real root of the squarefree polynomial g:
-    open cells whose ends are no roots, and exact points lo == hi.
+    """Disjoint, sorted intervals, one per distinct real root of the nonzero
+    polynomial g: open cells whose ends are no roots of g, and exact points
+    lo == hi.  Bisection runs on g's chain, whose head is the squarefree
+    part of g, so a repeated root is one root here.
 
     Bisection splits the box [-2**e, 2**e] at 0 first, whatever it holds,
     e the `_root_exponent` that the chain's head (which has the roots of g)
@@ -878,24 +842,33 @@ def _isolate_squarefree(g: Poly) -> list[tuple[Fraction, Fraction]]:
 
 
 def isolate_real_roots(f: Poly) -> list[RealRoot]:
-    """Disjoint, sorted isolating intervals for the distinct real roots of f,
-    each carrying the root's multiplicity in f."""
+    """The distinct real roots of f in ascending order, each held by its
+    Yun factor (`squarefree_decomposition`) with its multiplicity in f.
+
+    One isolation of f (`_isolate_squarefree`) finds them all, and each
+    cell is labelled by the one factor that holds its root: the factor that
+    vanishes at an exact point, and the factor whose signs at the two ends
+    of an open cell differ.  The factors are squarefree and pairwise
+    coprime and an open cell's ends are no roots of f, so the factor with
+    the cell's root changes sign across it and every other factor keeps
+    one sign on it; one test, sign(lo) * sign(hi) <= 0, picks the factor
+    in both cases.
+
+    Neighbours satisfy r_i.hi <= r_{i+1}.lo, and may share an end, which is
+    then no root of f.  That holds under every refinement: a step moves one
+    end of a cell to a midpoint inside it, which is no root of f unless it
+    is the cell's root, and then the root turns exact."""
     if f.is_zero():
         raise ValueError("cannot isolate roots of the zero polynomial")
-    if f.degree == 0:
-        return []
+    factors = [(g, g.int_form()[0], mult) for g, mult in squarefree_decomposition(f)]
     roots: list[RealRoot] = []
-    for factor, mult in squarefree_decomposition(f):
-        for lo, hi in _isolate_squarefree(factor):
-            r = RealRoot(poly=factor, lo=lo, hi=hi, multiplicity=mult)
-            r.try_exact()
-            roots.append(r)
-    # cross-factor separation (factors are pairwise coprime, so roots differ)
-    for i in range(len(roots)):
-        for j in range(i + 1, len(roots)):
-            if roots[i].poly is not roots[j].poly:
-                roots[i].separate_from(roots[j])
-    roots.sort(key=lambda r: (r.lo, r.hi))
+    for lo, hi in _isolate_squarefree(f):
+        g, mult = next((g, mult) for g, ints, mult in factors
+                       if _sign_int(ints, lo.numerator, lo.denominator)
+                       * _sign_int(ints, hi.numerator, hi.denominator) <= 0)
+        r = RealRoot(poly=g, lo=lo, hi=hi, multiplicity=mult)
+        r.try_exact()
+        roots.append(r)
     return roots
 
 

@@ -17,6 +17,7 @@ from hypercycles.lienard import (
 )
 from hypercycles.polyx import ONE, Poly, X, parse_poly, squarefree_part
 from hypercycles.rootclass import RealRoot, SturmChain, isolate_real_roots
+from test_rootclass import ref_separate_from
 
 
 def P(*coeffs):
@@ -335,7 +336,7 @@ def test_focus_node_flag_matches_the_sign_of_g_prime_at_alpha(mn):
     for v in certified:
         s1, s2 = copy.copy(v.s1), copy.copy(v.s2)
         [alpha] = [c for c in map(copy.copy, qp_roots)
-                   if c.separate_from(s1) == 1 and c.separate_from(s2) == -1]
+                   if ref_separate_from(c, s1) == 1 and ref_separate_from(c, s2) == -1]
         assert (alpha.sign_of(gp) > 0) == v.gprime_positive_at_alpha
 
 
@@ -357,7 +358,8 @@ def test_each_gap_of_a_real_rooted_q_holds_one_simple_critical_point():
             ends = [RealRoot(poly=Poly([-r, 1]), lo=r, hi=r) for r in (a, b)]
             inside = [c for c in map(copy.copy, qp_roots)
                       if not (c.equals_rational(a) or c.equals_rational(b))
-                      and c.separate_from(ends[0]) == 1 and c.separate_from(ends[1]) == -1]
+                      and ref_separate_from(c, ends[0]) == 1
+                      and ref_separate_from(c, ends[1]) == -1]
             assert len(inside) == 1 and inside[0].multiplicity == 1, (Q, a, b)
             assert SturmChain(Qp).count_open(a, b) == 1
 

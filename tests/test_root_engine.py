@@ -206,19 +206,17 @@ def test_isolation_after_count_roots_starts_no_new_sequence():
     assert int_remainder_sequence.cache_info().misses == before
 
 
-def test_sturm_count_after_isolation_starts_only_the_squarefree_sequence():
-    # Yun splits off (x^2-2)(x+3) and x - 1, so the squarefree part
-    # (x-1)(x^2-2)(x+3), on whose chain p is counted, is no factor that
-    # isolation built a chain for: its sequence is the one new one, and
-    # the (p, p') sequence is not run again
+def test_sturm_count_after_isolating_several_factors_starts_no_new_sequence():
+    # Yun splits off (x^2-2)(x+3) and x - 1, but isolation bisects on p's
+    # own chain, the one the Sturm count reads, so the count starts no
+    # sequence: neither (p, p') nor that of the squarefree part
     p = parse_poly("(x-1)^2 (x^2-2)(x+3)")
     assert len(isolate_real_roots(p)) == 4
     before = int_remainder_sequence.cache_info().misses
     assert sturm_count(p, -10, 10) == 4
-    assert int_remainder_sequence.cache_info().misses == before + 1
-    # that one was the squarefree part's
+    assert int_remainder_sequence.cache_info().misses == before
     int_remainder_sequence(int_key(int_coeffs(squarefree_part(p))))
-    assert int_remainder_sequence.cache_info().misses == before + 1
+    assert int_remainder_sequence.cache_info().misses == before
 
 
 # -- signs at dyadic points ------------------------------------------------------

@@ -21,7 +21,6 @@ from hypercycles.rootclass import (
     EndpointRootError,
     RealRoot,
     RootCount,
-    RootsCoincide,
     SturmChain,
     _int_det,
     _isolate_squarefree,
@@ -479,41 +478,161 @@ def test_try_exact_builds_no_fraction_however_many_halvings(poly, exact, monkeyp
     assert len(set(canonical_counts)) == 1
 
 
-# -- separating two roots that coincide ---------------------------------------
+# -- one isolation per polynomial, against the per-factor one it replaced -------
+#
+# `isolate_real_roots` bisects f once and labels each cell with its Yun
+# factor.  It used to isolate each factor on its own and order the roots by
+# separating every cross-factor pair; that code, and the separation method
+# it called (self -> root), are kept below verbatim as the reference.  The
+# oracles of test_lienard separate roots of two isolations with it too.
 
 
-def test_separate_from_exact_roots_that_coincide():
-    half = RealRoot(poly=P(-1, 2), lo=Fraction(1, 2), hi=Fraction(1, 2))
-    also_half = RealRoot(poly=P(-1, 0, 4), lo=Fraction(1, 2), hi=Fraction(1, 2))
-    with pytest.raises(RootsCoincide, match="coincide"):
-        half.separate_from(also_half)
-    # the same value held in an open bracket of 4x^2 - 1, on either side
-    bracket = RealRoot(poly=P(-1, 0, 4), lo=Fraction(0), hi=Fraction(1))
-    with pytest.raises(RootsCoincide, match="coincide"):
-        half.separate_from(bracket)
-    with pytest.raises(RootsCoincide, match="coincide"):
-        bracket.separate_from(half)
+class RootsCoincide(ValueError):
+    """Raised when two allegedly distinct isolated roots turn out equal."""
 
 
-def test_separate_from_irrational_roots_that_coincide(monkeypatch):
-    # sqrt(2) as a root of x^2 - 2 and of x^3 - 2x: bisection never parts the
-    # brackets, so after 8 rounds the gcd x^2 - 2 is found to change sign
-    # across their intersection
-    gcds = []
+def ref_below(root: RealRoot, other: RealRoot) -> bool:
+    """hi < other.lo, on the integer ends."""
+    return root._b * other._d < other._a * root._d
 
-    def counting_gcd(a, b):
-        gcds.append((a, b))
-        return poly_gcd(a, b)
 
-    monkeypatch.setattr(rootclass, "poly_gcd", counting_gcd)
-    s = RealRoot(poly=P(-2, 0, 1), lo=Fraction(1), hi=Fraction(2))
-    t = RealRoot(poly=P(0, -2, 0, 1), lo=Fraction(1), hi=Fraction(2))
-    with pytest.raises(RootsCoincide, match="share a common value"):
-        s.separate_from(t)
-    assert gcds == [(s.poly, t.poly)]
-    # the 8 rounds refine the wider bracket, the two in turn
-    assert s.width() == t.width() == Fraction(1, 16)
-    assert s.lo < t.hi and t.lo < s.hi
+def ref_separate_from(root: RealRoot, other: RealRoot) -> int:
+    """Halve the wider interval at its midpoint until the closed
+    intervals are disjoint.  Returns -1 if root < other, +1 if root > other.
+
+    Termination is unconditional: when the roots are equal, the common
+    factor d = gcd changes sign across the shrinking intersection and the
+    coincidence is detected exactly (d cannot vanish at the interval
+    endpoints, which are never roots of their own polynomials)."""
+    d: Poly | None = None
+    rounds = 0
+    while not (ref_below(root, other) or ref_below(other, root)):
+        if root.is_exact() and other.is_exact():
+            if root.lo == other.lo:
+                raise RootsCoincide("isolated roots coincide")
+        elif root.is_exact() and other.poly.eval(root.value) == 0:
+            raise RootsCoincide("isolated roots coincide")
+        elif other.is_exact() and root.poly.eval(other.value) == 0:
+            raise RootsCoincide("isolated roots coincide")
+        if rounds >= 8:
+            if d is None:
+                d = poly_gcd(root.poly, other.poly)
+            if d.degree >= 1:
+                ilo = max(root.lo, other.lo)
+                ihi = min(root.hi, other.hi)
+                if ilo < ihi:
+                    slo = d.eval(ilo)
+                    shi = d.eval(ihi)
+                    if slo != 0 and shi != 0 and (slo > 0) != (shi > 0):
+                        raise RootsCoincide(
+                            "isolated roots share a common value")
+        # the wider of the two, compared on the integer ends
+        if (root._b - root._a) * other._d >= (other._b - other._a) * root._d:
+            root.refine()
+        else:
+            other.refine()
+        rounds += 1
+    return -1 if ref_below(root, other) else 1
+
+
+def ref_isolate_real_roots(f: Poly) -> list[RealRoot]:
+    if f.is_zero():
+        raise ValueError("cannot isolate roots of the zero polynomial")
+    if f.degree == 0:
+        return []
+    roots: list[RealRoot] = []
+    for factor, mult in squarefree_decomposition(f):
+        for lo, hi in _isolate_squarefree(factor):
+            r = RealRoot(poly=factor, lo=lo, hi=hi, multiplicity=mult)
+            r.try_exact()
+            roots.append(r)
+    # cross-factor separation (factors are pairwise coprime, so roots differ)
+    for i in range(len(roots)):
+        for j in range(i + 1, len(roots)):
+            if roots[i].poly is not roots[j].poly:
+                ref_separate_from(roots[i], roots[j])
+    roots.sort(key=lambda r: (r.lo, r.hi))
+    return roots
+
+
+# factors that share roots, rational (dyadic or not) and irrational, so that
+# their products have repeated roots and Yun factors of several degrees
+_SHARING = [P(-1, 1), P(Fraction(1, 3), 1), P(-1, 3), P(0, 1), P(-3, 2),
+            P(-2, 0, 1), P(0, -2, 0, 1), P(-1, -2, 1), P(-3, 0, 1), P(-9, 0, 4),
+            P(-1, 0, 2), P(1, -3, 0, 1), P(1, 0, 1), P(-2, 0, 0, 1)]
+
+
+@st.composite
+def _product_input(draw):
+    """(f, steps): f a product of factors from `_SHARING`, some raised to a
+    power, and steps (index, op, w) to run on f's roots afterwards."""
+    f = P(draw(st.sampled_from([Fraction(-2), Fraction(1, 3), Fraction(5)])))
+    for _ in range(draw(st.integers(1, 5))):
+        f = f * draw(st.sampled_from(_SHARING)) ** draw(st.integers(1, 3))
+    steps = draw(st.lists(st.tuples(st.integers(0, 20),
+                                    st.sampled_from(["refine", "sign_of", "clear"]),
+                                    st.sampled_from(_SHARING + [P(-2, 3), P(-7, 5)])),
+                          max_size=12))
+    return f, steps
+
+
+def _assert_ordered_on_non_roots(f: Poly, roots: list[RealRoot]) -> None:
+    assert all(r.hi <= s.lo for r, s in zip(roots, roots[1:]))
+    for r in roots:
+        assert r.is_exact() or (f.eval(r.lo) != 0 and f.eval(r.hi) != 0)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_product_input().filter(lambda t: t[0].degree <= 20))
+def test_isolation_of_a_product_matches_the_per_factor_isolation(case):
+    f, steps = case
+    roots = isolate_real_roots(f)
+    want = ref_isolate_real_roots(f)
+    assert ([(r.canonical(), r.multiplicity, r.poly) for r in roots]
+            == [(r.canonical(), r.multiplicity, r.poly) for r in want])
+    _assert_ordered_on_non_roots(f, roots)
+    # no refinement, sign or clearing step makes two neighbours overlap or
+    # moves an end onto a root of f
+    for i, op, w in steps:
+        if roots:
+            r = roots[i % len(roots)]
+            if op == "refine":
+                r.refine()
+            else:
+                getattr(r, op)(w)
+            _assert_ordered_on_non_roots(f, roots)
+    assert [r.canonical() for r in roots] == [r.canonical() for r in want]
+
+
+def test_isolation_of_three_yun_factors_bisects_once(monkeypatch):
+    p = parse_poly("(x-1)^3 (x^2-2)^2 (x+3)(x^2-5)")
+    assert len(squarefree_decomposition(p)) == 3
+    isolated = []
+    isolate = rootclass._isolate_squarefree
+    monkeypatch.setattr(rootclass, "_isolate_squarefree",
+                        lambda g: isolated.append(g) or isolate(g))
+    roots = isolate_real_roots(p)
+    assert isolated == [p]
+    assert [r.multiplicity for r in roots] == [1, 1, 2, 3, 2, 1]
+
+
+def test_neighbours_that_share_an_end_count_what_lies_between():
+    # sqrt(2) and sqrt(3) are isolated in cells that touch at 3/2, which is
+    # no root of (x^2-2)(x^2-3)
+    def neighbours():
+        roots = isolate_real_roots(parse_poly("(x^2-2)(x^2-3)"))
+        assert roots[2].hi == roots[3].lo == Fraction(3, 2)
+        return roots[2], roots[3]
+
+    # x^2 + 1 is nonzero on both cells, so they stay as they were, and the
+    # shared end leaves no room for a root
+    s2, s3 = neighbours()
+    assert lienard._count_strictly_between(P(1, 0, 1), s2, s3) == 0
+    assert s2.hi == s3.lo == Fraction(3, 2)
+    # the shared end is a root of w
+    assert lienard._count_strictly_between(P(-9, 0, 4), *neighbours()) == 1
+    w = P(Fraction(-3, 2), 1) * P(Fraction(-8, 5), 1) * P(1, 0, 1)
+    assert lienard._count_strictly_between(w, *neighbours()) == 2
 
 
 # -- one chain evaluation per point, against the code it replaced -------------
