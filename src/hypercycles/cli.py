@@ -287,8 +287,8 @@ def _cmd_portrait(args) -> str:
     g = _poly_arg(args, "g", doc)
     system = LienardSystem(f=f, g=g)
     curve = None
-    has_p = getattr(args, "P", None) is not None or (doc and "P" in doc)
-    if has_p:
+    # a curve needs both P and Q: either one given alone is a usage error
+    if any(getattr(args, name, None) is not None or (doc and name in doc) for name in "PQ"):
         P = _poly_arg(args, "P", doc)
         Q = _poly_arg(args, "Q", doc)
         curve = HyperellipticCurve(P=P, Q=Q)

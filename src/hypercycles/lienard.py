@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
 
-from .polyx import BivarPoly, Poly, int_derivative, int_mul, poly_gcd
+from .polyx import BivarPoly, Poly, int_coeffs, int_derivative, int_exact_div, int_mul, poly_gcd
 from .rootclass import RealRoot, SturmChain, isolate_real_roots
 
 
@@ -255,25 +255,25 @@ class CertificationReport:
 
 def _count_strictly_between(w: Poly, r1: RealRoot, r2: RealRoot) -> int:
     """Distinct real roots of w in the open interval (root(r1), root(r2)),
-    for r1 below r2 with r1.hi <= r2.lo, as the roots of one
-    `isolate_real_roots` call are.
+    for r1 below r2 and a w that vanishes at neither root.
 
-    `RealRoot.clear` refines each inexact interval until no root of w but
-    its own root lies in it and w is nonzero at its ends; an exact root is
-    its own interval.  Intervals that then still share an end leave no room
-    between them: every root of w between the two roots would lie in one of
-    them, so the answer is 0.  Otherwise one open Sturm count over
-    (r1.hi, r2.lo) is the answer: it leaves out a root of w at an exact
-    endpoint, and an inexact endpoint is no root of w."""
-    if w.is_zero():
-        raise ValueError("cannot count roots of the zero polynomial")
-    if w.degree < 1:
-        return 0
+    `RealRoot.clear` refines each inexact interval until it holds no root of
+    w and w is nonzero at its ends; an exact root is its own interval, and
+    w is nonzero there.  So the two cleared intervals hold no root of w, and
+    one open Sturm count over (r1.lo, r2.hi) counts exactly the roots of w
+    strictly between the two roots."""
     r1.clear(w)
     r2.clear(w)
-    if r1.hi == r2.lo:
-        return 0
-    return SturmChain(w).count_open(r1.hi, r2.lo)
+    return SturmChain(w).count_open(r1.lo, r2.hi)
+
+
+def _coprime_part(w: Poly, Q: Poly) -> Poly:
+    """A positive multiple of w with every root it shares with Q divided
+    out: w is divided by gcd(w, Q), on the primitive integer vectors
+    (`int_exact_div`), until the gcd is a constant."""
+    while (d := poly_gcd(w, Q)).degree >= 1:
+        w = Poly(int_exact_div(int_coeffs(w), int_coeffs(d)))
+    return w
 
 
 def certify(curve: HyperellipticCurve) -> CertificationReport:
@@ -293,7 +293,10 @@ def certify(curve: HyperellipticCurve) -> CertificationReport:
 
     roots = isolate_real_roots(Q)
     all_real = sum(r.multiplicity for r in roots) == Q.degree
-    R4 = poly_gcd(Q.derivative(), f)
+    # Q | PQ' puts every root of Q in P, and so in H: no root of Q lies in a
+    # gap, so the counts run on the parts of H and gcd(Q', f) coprime to Q
+    H1 = _coprime_part(H, Q)
+    R4 = _coprime_part(poly_gcd(Q.derivative(), f), Q)
 
     report = CertificationReport(curve=curve, system=sys, all_roots_real=all_real,
                                  bounds=bounds(sys.m, sys.n))
@@ -316,10 +319,10 @@ def certify(curve: HyperellipticCurve) -> CertificationReport:
             continue
         verdict.critical_point_unique = True
 
-        # (iii): P^2 - Q < 0 strictly inside; H vanishes at the endpoints
-        # whenever sqfree(Q) | P, so count interior roots exactly first.
+        # (iii): P^2 - Q < 0 strictly inside; H vanishes at the endpoints,
+        # so count the interior roots of H1 exactly first.
         verdict.p2_minus_q_negative = (
-            _count_strictly_between(H, left, right) == 0 and H.eval(sample) < 0
+            _count_strictly_between(H1, left, right) == 0 and H.eval(sample) < 0
         )
 
         # (iv): any common root of Q' and f inside the interval is a root of

@@ -39,15 +39,14 @@ Two independent routes to root counts live here on purpose:
 Each Sturm chain is evaluated once per point: isolation carries the sign
 variations of each interval's endpoints down its bisection stack, so a split
 evaluates the chain at the midpoint only, and the one refinement loop of an
-isolated root (`RealRoot._settle`, behind both `sign_of` and `clear`)
-recounts only the endpoint that a refinement step moved.  Signs of a
-polynomial at a point come from its cached integer form (`Poly.int_form`)
-by one homogeneous Horner on the point as an integer pair p/q (`_sign_at`,
-and `_chain_signs` for a whole chain), with no `Fraction` built.  Nearly
-every point isolation and refinement visit is dyadic, k/2**j; there the
-powers of q are shifts, acc = acc*k + (c << s) with s growing by j per
-coefficient (`_sign_dyadic`), which `_sign_int` and `_chain_signs` choose
-whenever q is a power of two.
+isolated root (`RealRoot.clear`, which `sign_of` calls too) recounts only
+the endpoint that a refinement step moved.  Signs of a polynomial at a point
+come from its cached integer form (`Poly.int_form`) by one homogeneous
+Horner on the point as an integer pair p/q (`_sign_at`, and `_chain_signs`
+for a whole chain), with no `Fraction` built.  Nearly every point isolation
+and refinement visit is dyadic, k/2**j; there the powers of q are shifts,
+acc = acc*k + (c << s) with s growing by j per coefficient (`_sign_dyadic`),
+which `_sign_int` and `_chain_signs` choose whenever q is a power of two.
 
 Each chain member carries an exponent e with every complex root z of the
 member inside |z| < 2**e: Fujiwara's bound 2 max_i |a_{n-i}/a_n|^(1/i)
@@ -100,11 +99,15 @@ members of opposite signs there.  So V(c) = V(c+) and V(c-) = V(c) + 1,
 and for any rationals a < b the roots in (a, b) number
 V(a) - V(b) - [f(b) = 0] (Basu, Pollack and Roy, ch. 2).  So the roots of w
 strictly between two isolated roots need no rational window beside either
-root: `RealRoot.clear` refines an inexact interval until w is nonzero at its
-ends and has no root in it but the isolated root itself, an exact root is
-its own interval, and one open count from the lower root's hi to the upper
-root's lo is the answer, or 0 when the two intervals of one isolation still
-share an end.
+root, for a w that vanishes at neither of them: `RealRoot.clear` refines an
+inexact interval until it holds no root of w and w is nonzero at its ends,
+an exact root is its own interval, and one open count from the lower root's
+lo to the upper root's hi is the answer.  `clear` has that one mode: a w
+that vanishes at an inexact root breaks its precondition and raises
+ValueError, and certification never asks, since it divides the roots of Q
+out of every polynomial it counts.  Whether w vanishes at an inexact root
+is read off gcd(poly, w) by two signs, with no Sturm chain
+(`RealRoot._vanishes`).
 
 All arithmetic is exact; no floating point enters any code path here.
 """
@@ -741,34 +744,12 @@ class RealRoot:
     # -- relations ----------------------------------------------------------
 
     def _vanishes(self, w: Poly) -> bool:
-        """True when w vanishes at this inexact root, that is, when gcd(poly,
-        w) has a root in the open (lo, hi), where poly has this one only."""
-        d = poly_gcd(self.poly, w)
-        return d.degree >= 1 and SturmChain(d).count_open(self.lo, self.hi) > 0
-
-    def _settle(self, wc: SturmChain, target: int) -> int:
-        """Refine until w (the head of `wc`) is nonzero at lo and hi and has
-        `target` roots in between; returns the sign of w at lo, or 0 once a
-        refinement step lands on the root.  An end on a root of w moves off it
-        within finitely many halvings: both ends close in on this root, and
-        w has finitely many roots."""
-        # (numerator, denominator, sign variations of w's chain there) of
-        # each end: a refinement step moves one end, and only that one is
-        # counted again
-        at_lo = at_hi = None
-        ints, chain = wc.ints, wc.chain
-        while not self.is_exact():
-            a, b, d = self._a, self._b, self._d
-            slo = _sign_int(ints, a, d)
-            if slo != 0 and _sign_int(ints, b, d) != 0:
-                if at_lo is None or at_lo[0] * d != a * at_lo[1]:
-                    at_lo = (a, d, _sign_changes(_chain_signs(chain, a, d)))
-                if at_hi is None or at_hi[0] * d != b * at_hi[1]:
-                    at_hi = (b, d, _sign_changes(_chain_signs(chain, b, d)))
-                if at_lo[2] - at_hi[2] == target:
-                    return slo
-            self.refine()
-        return 0
+        """True when w vanishes at this inexact root.  gcd(poly, w) divides
+        poly, which is squarefree, has only this root in [lo, hi] and has no
+        root at either end; so the gcd vanishes at the root exactly when its
+        signs at lo and hi differ.  Two signs, and no Sturm chain."""
+        ints = poly_gcd(self.poly, w).int_form()[0]
+        return _sign_int(ints, self._a, self._d) != _sign_int(ints, self._b, self._d)
 
     def sign_of(self, w: Poly) -> int:
         """Exact sign of w at this root (0 when w vanishes there)."""
@@ -779,18 +760,40 @@ class RealRoot:
         if not self.is_exact():
             if self._vanishes(w):
                 return 0
-            # with no root of w in [lo, hi], w has its sign at lo on the root
-            s = self._settle(SturmChain(w), 0)
+            s = self.clear(w)
             if s:
                 return s
         return _sign_int(w.int_form()[0], self._a, self._d)
 
-    def clear(self, w: Poly) -> None:
-        """Refine until w is nonzero at lo and hi and has no root in [lo, hi]
-        but maybe this root itself: an open count of the roots of w from hi,
-        or up to lo, then counts those beyond the root, or below it."""
-        if not self.is_exact():
-            self._settle(SturmChain(w), 1 if self._vanishes(w) else 0)
+    def clear(self, w: Poly) -> int:
+        """Refine until w is nonzero at lo and hi and has no root in [lo, hi];
+        returns the sign of w at lo, which is its sign at the root, or 0 once
+        the root turns exact.
+
+        The precondition is that w does not vanish at this root: a w that
+        vanishes at an inexact root raises ValueError and leaves the root as
+        it was.  An end on a root of w moves off it within finitely many
+        halvings, since both ends close in on this root and w has finitely
+        many roots."""
+        if not self.is_exact() and self._vanishes(w):
+            raise ValueError(f"{w} vanishes at the root in [{self.lo}, {self.hi}]")
+        ints, chain = w.int_form()[0], SturmChain(w).chain
+        # (numerator, denominator, sign variations of w's chain there) of
+        # each end: a refinement step moves one end, and only that one is
+        # counted again
+        at_lo = at_hi = None
+        while not self.is_exact():
+            a, b, d = self._a, self._b, self._d
+            slo = _sign_int(ints, a, d)
+            if slo != 0 and _sign_int(ints, b, d) != 0:
+                if at_lo is None or at_lo[0] * d != a * at_lo[1]:
+                    at_lo = (a, d, _sign_changes(_chain_signs(chain, a, d)))
+                if at_hi is None or at_hi[0] * d != b * at_hi[1]:
+                    at_hi = (b, d, _sign_changes(_chain_signs(chain, b, d)))
+                if at_lo[2] == at_hi[2]:
+                    return slo
+            self.refine()
+        return 0
 
 
 def _isolate_squarefree(g: Poly) -> list[tuple[Fraction, Fraction]]:

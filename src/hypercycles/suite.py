@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .families import construct_high_n, construct_n_2m, construct_case_i, lift
+from .families import DEFAULT_S_CAP, construct_high_n, construct_n_2m, construct_case_i, lift
 from .lienard import (
     HyperellipticCurve,
     LienardSystem,
@@ -50,7 +50,7 @@ class CriterionResult:
 class SuiteContext:
     """Carries the constructed curves across criteria."""
 
-    def __init__(self, seed: int = DEFAULT_SEED, s_cap: int = 2**60):
+    def __init__(self, seed: int = DEFAULT_SEED, s_cap: int = DEFAULT_S_CAP):
         self.seed = seed
         self.s_cap = s_cap
         self.curves: dict[tuple[int, int], HyperellipticCurve] = {}
@@ -273,7 +273,7 @@ def _ensure_constructions(ctx: SuiteContext) -> None:
 
 
 def run_suite(criteria=None, seed: int = DEFAULT_SEED,
-              s_cap: int = 2**60) -> list[CriterionResult]:
+              s_cap: int = DEFAULT_S_CAP) -> list[CriterionResult]:
     """Run the requested criteria (all by default), one after another in
     ascending order, and return their results.
 

@@ -237,6 +237,10 @@ def test_usage_error_exit_1():
          "error: --stdin 'g': TypeError: expected an integer or a string"),
         (["certify", "--stdin"], json.dumps({"P": [1, None], "Q": [1]}),
          "error: --stdin 'P': TypeError: expected an integer or a string"),
+        (["portrait", "--f", "x", "--g", "x", "--Q", "1-x^2"], None,
+         "error: missing polynomial --P"),
+        (["portrait", "--stdin"], json.dumps({"f": [0, 1], "g": [0, 1], "Q": [1, 0, -1]}),
+         "error: missing polynomial --P"),
     ],
     ids=["dangling_power", "zero_denominator", "roots_dangling_power",
          "stdin_not_json", "stdin_not_object", "stdin_zero_denominator",
@@ -244,7 +248,7 @@ def test_usage_error_exit_1():
          "window_empty", "criteria_not_integer", "criteria_unknown",
          "float_coefficient", "boolean_coefficient", "null_coefficient",
          "stdin_float_coefficient", "stdin_boolean_coefficient",
-         "stdin_null_coefficient"],
+         "stdin_null_coefficient", "portrait_lone_Q", "portrait_stdin_lone_Q"],
 )
 def test_bad_input_is_a_usage_error(args, stdin_text, complaint):
     proc = run_cli(args, stdin_text=stdin_text)

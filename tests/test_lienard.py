@@ -15,7 +15,7 @@ from hypercycles.lienard import (
     invariance_check,
     invariance_residual,
 )
-from hypercycles.polyx import ONE, Poly, X, parse_poly, squarefree_part
+from hypercycles.polyx import ONE, Poly, X, parse_poly, poly_gcd, squarefree_part
 from hypercycles.rootclass import RealRoot, SturmChain, isolate_real_roots
 from test_rootclass import ref_separate_from
 
@@ -294,9 +294,9 @@ def test_certify_isolates_q_once(monkeypatch, mn):
 
 
 def test_count_strictly_between_two_exact_roots_builds_at_most_one_chain():
-    # w vanishes at both endpoints (twice at 1), at 2 and at sqrt(5) between
-    # them, and at -4 and nowhere else on the real line
-    w = P(-1, 1) ** 2 * P(-3, 1) * P(-2, 1) * P(-5, 0, 1) * P(1, 0, 1) * P(4, 1)
+    # w vanishes at 2 and at sqrt(5) between the endpoints 1 and 3, and at
+    # -4 and nowhere else on the real line
+    w = P(-2, 1) * P(-5, 0, 1) * P(1, 0, 1) * P(4, 1)
     r1 = RealRoot(poly=P(-1, 1), lo=Fraction(1), hi=Fraction(1))
     r2 = RealRoot(poly=P(-3, 1), lo=Fraction(3), hi=Fraction(3))
     before = (copy.copy(r1), copy.copy(r2))
@@ -308,6 +308,39 @@ def test_count_strictly_between_two_exact_roots_builds_at_most_one_chain():
     s1 = RealRoot(poly=P(-1, 1), lo=Fraction(2, 3), hi=Fraction(6, 5))
     s2 = RealRoot(poly=P(-3, 1), lo=Fraction(8, 3), hi=Fraction(16, 5))
     assert lienard._count_strictly_between(w, s1, s2) == 2
+
+
+def test_certify_counts_only_what_is_coprime_to_q(monkeypatch):
+    # Q | PQ' puts every root of Q in H, so certify counts on H with Q's
+    # roots divided out and never builds the chain of H itself
+    curve = families.construct(10, 18).curve
+    chains, counted = [], []
+    chain_of, count = rootclass._sturm_chain_int, lienard._count_strictly_between
+    monkeypatch.setattr(rootclass, "_sturm_chain_int",
+                        lambda p: chains.append(p) or chain_of(p))
+    monkeypatch.setattr(lienard, "_count_strictly_between",
+                        lambda w, r1, r2: counted.append(w) or count(w, r1, r2))
+    assert certify(curve).certified_count == 4
+    assert curve.H not in chains
+    assert counted and all(poly_gcd(w, curve.Q).degree == 0 for w in counted)
+
+
+def test_dividing_q_out_of_h_takes_two_passes_at_a_double_root():
+    # H = P^2 - Q vanishes to order 3 at 0, the double root of Q: after one
+    # division by gcd(H, Q) = Q the quotient still vanishes at 0
+    curve = HyperellipticCurve(P=parse_poly("1/24x(x-1)(x-2)(x-3)(x-4)"),
+                               Q=parse_poly("1/24x^2(x-1)(x-2)(x-3)(x-4)"))
+    assert poly_gcd(curve.H.exact_div(curve.Q), curve.Q) == X
+    H1 = lienard._coprime_part(curve.H, curve.Q)
+    assert H1.degree == 3 and poly_gcd(H1, curve.Q).degree == 0
+    report = certify(curve)
+    assert (report.m, report.n, report.certified_count) == (4, 9, 1)
+    assert [(v.s1.value, v.s2.value, v.q_positive_between, v.p2_minus_q_negative,
+             v.no_common_root_qprime_f, v.certified) for v in report.intervals] == [
+        (1, 2, False, False, False, False),
+        (2, 3, True, True, True, True),
+        (3, 4, False, False, False, False),
+    ]
 
 
 def test_certify_decides_no_sign_at_the_critical_point(monkeypatch):

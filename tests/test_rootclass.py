@@ -433,6 +433,34 @@ def test_sign_of_when_a_refinement_step_lands_on_the_root():
     assert r.is_exact() and r.value == Fraction(-1, 3)
 
 
+def test_clear_refuses_a_w_that_vanishes_at_the_root():
+    # sqrt(2) held in (1, 2): w = (x^2 - 2)(x + 5) vanishes there
+    for w in (P(-2, 0, 1) * P(5, 1), P(-2, 0, 1).scale(3), Poly()):
+        r = RealRoot(poly=P(-2, 0, 1), lo=1, hi=2)
+        with pytest.raises(ValueError):
+            r.clear(w)
+        assert (r.lo, r.hi, r.is_exact()) == (1, 2, False)
+
+
+def test_sign_of_and_clear_build_no_chain_of_the_gcd(monkeypatch):
+    # sqrt(2) held in (1, 3/2) by (x^2 - 2)(x^2 - 3); gcd(poly, w) = x^2 - 3
+    # does not vanish there, and two signs decide that
+    poly = P(-2, 0, 1) * P(-3, 0, 1)
+    w = P(-3, 0, 1) * P(7, 1)
+    built = []
+    chain_of = rootclass._sturm_chain_int
+    monkeypatch.setattr(rootclass, "_sturm_chain_int",
+                        lambda p: built.append(p) or chain_of(p))
+    assert RealRoot(poly=poly, lo=1, hi=Fraction(3, 2)).sign_of(w) == -1
+    assert built and all(p == w for p in built)
+    assert RealRoot(poly=poly, lo=1, hi=Fraction(3, 2)).clear(w) == -1
+    assert all(p == w for p in built)
+    # a w that vanishes at the root needs no chain at all
+    built.clear()
+    assert RealRoot(poly=poly, lo=1, hi=Fraction(3, 2)).sign_of(P(-2, 0, 1) * P(7, 1)) == 0
+    assert built == []
+
+
 def test_refine_evaluates_its_polynomial_once_per_step(monkeypatch):
     # the first step also reads the sign at hi, which no step changes
     calls = []
@@ -598,6 +626,13 @@ def test_isolation_of_a_product_matches_the_per_factor_isolation(case):
             r = roots[i % len(roots)]
             if op == "refine":
                 r.refine()
+            elif op == "clear" and not r.is_exact() and ref_sign_of(copy.copy(r), w) == 0:
+                # w vanishes at the inexact root: clear refuses and moves
+                # nothing
+                before = copy.copy(r)
+                with pytest.raises(ValueError):
+                    r.clear(w)
+                assert r == before and not r.is_exact()
             else:
                 getattr(r, op)(w)
             _assert_ordered_on_non_roots(f, roots)
@@ -624,8 +659,8 @@ def test_neighbours_that_share_an_end_count_what_lies_between():
         assert roots[2].hi == roots[3].lo == Fraction(3, 2)
         return roots[2], roots[3]
 
-    # x^2 + 1 is nonzero on both cells, so they stay as they were, and the
-    # shared end leaves no room for a root
+    # x^2 + 1 is nonzero on both cells, so they stay as they were, and it
+    # has no root over their union
     s2, s3 = neighbours()
     assert lienard._count_strictly_between(P(1, 0, 1), s2, s3) == 0
     assert s2.hi == s3.lo == Fraction(3, 2)
@@ -639,7 +674,7 @@ def test_neighbours_that_share_an_end_count_what_lies_between():
 #
 # Isolation carries the endpoint variation counts down its stack on dyadic
 # points from the root exponent, `refine` decides with integer signs, and
-# `sign_of` recounts only the endpoint that moved (`RealRoot._settle`).  The
+# `sign_of` recounts only the endpoint that moved (`RealRoot.clear`).  The
 # earlier implementations are kept below verbatim (self -> root) as the
 # reference: isolation must find the same roots, one per interval, and every
 # refined interval, exact flag and sign must be the same.
@@ -978,8 +1013,8 @@ def _between_input(draw, irrational: bool):
     `irrational`, of factors x^2 - k with k no square, so that its roots
     i < j are rational (isolated exactly or not) or irrational neighbours;
     `ends` holds the two roots, irrational ones by a rational within 2^-40.
-    w has roots planted at the two roots, next to them and between them,
-    and maybe a factor with no real root."""
+    w has roots planted next to the two roots and between them, and maybe a
+    quadratic factor, but vanishes at neither root."""
     Q = Poly([draw(st.sampled_from([Fraction(-2), Fraction(1, 3), Fraction(1)]))])
     roots = []
     for a in draw(st.lists(
@@ -997,10 +1032,8 @@ def _between_input(draw, irrational: bool):
     assume(len(roots) >= 2)
     i = draw(st.integers(0, len(roots) - 2))
     j = draw(st.integers(i + 1, len(roots) - 1))
-    (a, qa), (b, qb) = roots[i], roots[j]
+    a, b = roots[i][0], roots[j][0]
     w = Poly([draw(st.sampled_from([Fraction(-3), Fraction(1, 2), Fraction(2)]))])
-    for q in (qa, qb):
-        w = w * q ** draw(st.integers(0, 2))
     for c in (a, b):
         if draw(st.booleans()):
             w = w * Poly([-c - Fraction(draw(st.sampled_from([-1, 1])),
@@ -1009,6 +1042,9 @@ def _between_input(draw, irrational: bool):
         w = w * Poly([-(a + (b - a) * Fraction(draw(st.integers(1, 7)), 8)), 1])
     if draw(st.booleans()):
         w = w * Poly([draw(st.integers(1, 5)), _dyadic(draw, 4, 1), 1])
+    # a root planted next to one root, or the quadratic factor, may land on
+    # a rational root of Q; no factor of w vanishes at an irrational root
+    assume(w.eval(a) != 0 and w.eval(b) != 0)
     return Q, w, i, j, (a, b)
 
 
@@ -1055,12 +1091,13 @@ def test_count_strictly_between_when_a_refinement_step_lands_on_the_root():
     r = _third_root()
     assert lienard._count_strictly_between(P(Fraction(3, 7), 1), minus_one, r) == 1
     assert r.is_exact() and r.value == Fraction(-1, 3)
-    # where w vanishes at the root too, the same midpoint step makes the
-    # root exact, and the open count from -1/3 leaves that root of w out
+    # a w that vanishes at the inexact root breaks the precondition of
+    # `RealRoot.clear`, which raises before any refinement step
     w = P(Fraction(1, 3), 1) * P(Fraction(1, 7), 1) * P(Fraction(-1, 2), 1)
     r = _third_root()
-    assert lienard._count_strictly_between(w, r, one) == 2
-    assert r.is_exact() and r.value == Fraction(-1, 3)
+    with pytest.raises(ValueError):
+        lienard._count_strictly_between(w, r, one)
+    assert (r.lo, r.hi) == (Fraction(-2, 3), 0) and not r.is_exact()
 
 
 # -- canonical isolating intervals ---------------------------------------------
