@@ -156,12 +156,22 @@ def _rationals(source: str, text: str, count: int) -> tuple:
     return values
 
 
+def _domain(cls, **polys):
+    """cls(**polys), a curve or a system; the ValueError of a degenerate one
+    (Q = 0, f = 0, deg g < 1) becomes a JSON error document."""
+    try:
+        return cls(**polys)
+    except ValueError as exc:
+        raise DomainFailure.of(exc)
+
+
 def _cmd_certify(args) -> dict:
     doc = _read_stdin_doc(args)
     P = _poly_arg(args, "P", doc)
     Q = _poly_arg(args, "Q", doc)
+    curve = _domain(HyperellipticCurve, P=P, Q=Q)
     try:
-        report = certify(HyperellipticCurve(P=P, Q=Q))
+        report = certify(curve)
     except NonPolynomialSystem as exc:
         raise DomainFailure.of(exc)
     return _report_json(report)
@@ -285,13 +295,13 @@ def _cmd_portrait(args) -> str:
     doc = _read_stdin_doc(args)
     f = _poly_arg(args, "f", doc)
     g = _poly_arg(args, "g", doc)
-    system = LienardSystem(f=f, g=g)
+    system = _domain(LienardSystem, f=f, g=g)
     curve = None
     # a curve needs both P and Q: either one given alone is a usage error
     if any(getattr(args, name, None) is not None or (doc and name in doc) for name in "PQ"):
         P = _poly_arg(args, "P", doc)
         Q = _poly_arg(args, "Q", doc)
-        curve = HyperellipticCurve(P=P, Q=Q)
+        curve = _domain(HyperellipticCurve, P=P, Q=Q)
     window = _rationals("--window", args.window, 4)
     seeds = [_rationals("--seed-point", chunk, 2) for chunk in args.seed_points or []]
     try:

@@ -240,7 +240,8 @@ class _Bracket:
     def __init__(self, p: Poly, dp: Poly, root):
         self.p, self.dp, self.root = p, dp, root
         R = max(abs(root.lo), abs(root.hi))
-        self.m2 = Poly([abs(a) for a in dp.derivative().coeffs]).eval(R)
+        nums, den = dp.derivative().int_form()
+        self.m2 = Poly.from_int_form([abs(a) for a in nums], den).eval(R)
         self._update()
 
     def _update(self):

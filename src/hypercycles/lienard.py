@@ -120,9 +120,9 @@ def invariance_residual(sys: LienardSystem, curve: HyperellipticCurve) -> BivarP
         y^1:  H' - 2(f + K)*P - 2g,
         y^2:  2P' - 2f - K.
     Each is computed on the integer forms of P, K, H, f and g, as an
-    integer list over the one common denominator D of the terms; a `Poly`
-    is built only for a nonzero coefficient, so the residual of an
-    invariant curve builds none."""
+    integer list over the one common denominator D of the terms, and
+    becomes a `Poly` by `Poly.from_int_form`, so the residual builds no
+    `Fraction`."""
     (p, dp), (k, dk), (h, dh) = curve.P.int_form(), curve.K.int_form(), curve.H.int_form()
     (f, df), (g, dg) = sys.f.int_form(), sys.g.int_form()
     D = lcm(dg * dp, dk * dh, df * dp, dk * dp)
@@ -137,8 +137,7 @@ def invariance_residual(sys: LienardSystem, curve: HyperellipticCurve) -> BivarP
                      (-2 * (D // df), f),
                      (-(D // dk), k)),
     ]
-    return BivarPoly([Poly([Fraction(c, D) for c in nums]) if any(nums) else Poly()
-                      for nums in ycoeffs])
+    return BivarPoly([Poly.from_int_form(nums, D) for nums in ycoeffs])
 
 
 def invariance_check(sys: LienardSystem, curve: HyperellipticCurve) -> bool:
@@ -272,7 +271,7 @@ def _coprime_part(w: Poly, Q: Poly) -> Poly:
     out: w is divided by gcd(w, Q), on the primitive integer vectors
     (`int_exact_div`), until the gcd is a constant."""
     while (d := poly_gcd(w, Q)).degree >= 1:
-        w = Poly(int_exact_div(int_coeffs(w), int_coeffs(d)))
+        w = Poly.from_int_form(int_exact_div(int_coeffs(w), int_coeffs(d)))
     return w
 
 

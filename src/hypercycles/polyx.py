@@ -1,29 +1,33 @@
 """Exact univariate polynomial arithmetic over arbitrary-precision rationals.
 
-A `Poly` holds ``fractions.Fraction`` coefficients (always normalized,
-positive denominator), stored densely in ascending degree order.  The zero
-polynomial is the empty coefficient tuple and reports degree -1.
-
-Each `Poly` also keeps its integer form, filled on first use by
-`Poly.int_form`: the numerators scaled to the least common denominator of
-the coefficients, and that denominator.  It is a function of the
-coefficients alone, so equality and hashing ignore it.  The hot kernels run
-on it instead of on `Fraction`s: `Poly.eval` is a homogeneous integer Horner
-over it, `Poly.__mul__` an integer convolution of the two forms, and the
-root engine's sign tests read its numerators.  `poly_gcd`,
+A `Poly` is Q[x] as Z[x] over one denominator: it stores exactly one pair
+(nums, den), the integer numerators in ascending degree order with no zero
+on top, and a denominator den >= 1 with gcd(den, *nums) = 1.  So den is the
+least common denominator of the coefficients, the pair is unique, and
+equality and hashing compare pairs; the zero polynomial is ((), 1) and
+reports degree -1.  `Poly.int_form` returns the stored pair, and
+`Poly.from_int_form` builds a `Poly` from any integer list over a nonzero
+denominator, dividing out the common factor.  The ring operations run on
+the pairs: a sum over the lcm of the denominators, a product as an integer
+convolution over their product, `scale`, `derivative`, `shift_up` and `**`
+on the numerators (a power needs no gcd, by Gauss's lemma), and
+`exact_div` as an exact division in Z[x] by the primitive part of the
+divisor (`int_exact_div`).  Each ends with at most one gcd over the
+result, and none builds a `Fraction`: only a caller that
+reads a coefficient does, through `coeffs`, `p[k]` or `leading()`, and
+`eval` builds one at the end of its integer Horner.  `poly_gcd`,
 `squarefree_part` and `squarefree_decomposition` (Yun) run on primitive
 integer coefficient lists (`int_coeffs`): a remainder scaled by |lc(b)| only
 (a positive multiple of the rational remainder), an exact division in Z[x]
-(Gauss's lemma, `int_exact_div`, which `Poly.exact_div` also runs on), and
-the primitive PRS gcd built from them.  The first gcd of `squarefree_part`
-and `squarefree_decomposition`, gcd(p, p'), is the last member of the
-remainder sequence of p and p' (`int_remainder_sequence`), the same
-sequence the Sturm chain of p in `rootclass` is read from.  Each
-converts back to a `Poly` once, at the end; the monic results are the unique
-ones, so they are the same as Euclid over Q would give.  `Poly.divrem`,
-`Poly.content` and `Poly.primitive` stay over `Fraction`: the integer-kernel
-tests use them as the rational reference, and the bench trace
-(`perfbench/tracing.py`) wraps `divrem`.
+(Gauss's lemma, `int_exact_div`), and the primitive PRS gcd built from
+them.  The first gcd of `squarefree_part` and `squarefree_decomposition`,
+gcd(p, p'), is the last member of the remainder sequence of p and p'
+(`int_remainder_sequence`), the same sequence the Sturm chain of p in
+`rootclass` is read from.  Each converts back to a `Poly` once, at the end;
+the monic results are the unique ones, so they are the same as Euclid over
+Q would give.  `Poly.divrem`, `Poly.content` and `Poly.primitive` stay over
+`Fraction`: the integer-kernel tests use them as the rational reference,
+and the bench trace (`perfbench/tracing.py`) wraps `divrem`.
 
 `rref` is the one Gauss-Jordan elimination (the case (i) node solve and the
 affine blocks of curve recovery both use it).  It runs fraction-free on
@@ -34,11 +38,11 @@ row / row[pivot], and builds a `Fraction` only for an entry it reads.
 `BivarPoly` is only the container the invariance residual is returned in.
 
 Everything here is immutable and side-effect free; values can be shared
-freely between threads (two threads filling the same integer form or hash
-store equal values).  `poly_gcd` keeps its last results in a small bounded
-memo, and `int_remainder_sequence` its last sequences in another; a `Poly`
-keeps the hash of its coefficients from its first use, since the memo keys
-here and in `rootclass` hash the same `Poly` over and over.
+freely between threads (two threads filling the same hash store equal
+values).  `poly_gcd` keeps its last results in a small bounded memo, and
+`int_remainder_sequence` its last sequences in another; a `Poly` keeps the
+hash of its pair from its first use, since the memo keys here and in
+`rootclass` hash the same `Poly` over and over.
 """
 
 from __future__ import annotations
@@ -65,24 +69,46 @@ def rat(value: RationalLike) -> Fraction:
 
 
 class Poly:
-    """Dense univariate polynomial over Fraction."""
+    """Dense univariate polynomial over Q, held as one integer form."""
 
     # `_hash` stays unset until `__hash__` first fills it
-    __slots__ = ("coeffs", "_int_form", "_hash")
-
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("_form", "_hash")
 
     def __init__(self, coeffs: Iterable[RationalLike] = ()):
         cs = [rat(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "_int_form", None)
+        # the lcm of the reduced denominators leaves gcd(den, *nums) = 1
+        den = lcm(*[c.denominator for c in cs])
+        nums = tuple(c.numerator * (den // c.denominator) for c in cs)
+        object.__setattr__(self, "_form", (nums, den))
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
     # -- constructors -------------------------------------------------
+
+    @staticmethod
+    def _of(nums: tuple[int, ...], den: int) -> "Poly":
+        """The Poly of a pair that is already canonical."""
+        p = object.__new__(Poly)
+        object.__setattr__(p, "_form", (nums, den))
+        return p
+
+    @staticmethod
+    def from_int_form(nums: Iterable[int], den: int = 1) -> "Poly":
+        """The polynomial with coefficients nums[i] / den, for integers nums
+        and a nonzero integer den: the zero top is stripped, the sign of
+        den moved onto nums and gcd(den, *nums) divided out."""
+        nums = list(nums)
+        while nums and nums[-1] == 0:
+            nums.pop()
+        if den < 0:
+            nums, den = [-c for c in nums], -den
+        g = int_gcd(den, *nums)
+        if g != 1:
+            nums, den = [c // g for c in nums], den // g
+        return Poly._of(tuple(nums), den)
 
     @staticmethod
     def constant(c: RationalLike) -> "Poly":
@@ -98,117 +124,127 @@ class Poly:
     # -- basic queries -------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients, ascending, as `Fraction`s built on each read."""
+        nums, den = self._form
+        return tuple(Fraction(c, den) for c in nums)
+
+    @property
     def degree(self) -> int:
         """Degree; -1 is the zero-polynomial sentinel."""
-        return len(self.coeffs) - 1
+        return len(self._form[0]) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._form[0]
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self._form[0])
 
     def __getitem__(self, k: int) -> Fraction:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+        nums, den = self._form
+        if 0 <= k < len(nums):
+            return Fraction(nums[k], den)
         return Fraction(0)
 
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        nums, den = self._form
+        if not nums:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(nums[-1], den)
 
     def int_form(self) -> tuple[tuple[int, ...], int]:
-        """(nums, den) with coeffs[i] == nums[i] / den, den the least common
-        denominator of the coefficients (1 for the zero polynomial).
-        Computed on first use and kept."""
-        form = self._int_form
-        if form is None:
-            cs = self.coeffs
-            den = lcm(*[c.denominator for c in cs])
-            form = (tuple(c.numerator * (den // c.denominator) for c in cs), den)
-            object.__setattr__(self, "_int_form", form)
-        return form
+        """The stored pair (nums, den): coefficient i is nums[i] / den, with
+        den >= 1 and gcd(den, *nums) == 1, so den is the least common
+        denominator of the coefficients; ((), 1) for the zero polynomial."""
+        return self._form
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
+        return isinstance(other, Poly) and self._form == other._form
 
     def __hash__(self) -> int:
         try:
             return self._hash
         except AttributeError:
-            h = hash(self.coeffs)
+            h = hash(self._form)
             object.__setattr__(self, "_hash", h)
             return h
 
     # -- ring operations -----------------------------------------------
 
-    def __add__(self, other: "Poly") -> "Poly":
+    def _combine(self, other: "Poly", sign: int) -> "Poly":
+        """self + sign * other, over the lcm of the two denominators."""
         if not isinstance(other, Poly):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
+        (a, da), (b, db) = self._form, other._form
+        g = int_gcd(da, db)
+        sa, sb = db // g, sign * (da // g)
+        out = [sa * c for c in a] + [0] * (len(b) - len(a))
         for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
+            out[i] += sb * c
+        return Poly.from_int_form(out, da * sa)
 
-    def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
+    def __add__(self, other: "Poly") -> "Poly":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        return self._combine(other, -1)
+
+    def __neg__(self) -> "Poly":
+        nums, den = self._form
+        return Poly._of(tuple(-c for c in nums), den)
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return Poly()
-        # integer convolution of the two integer forms, one Fraction per
-        # coefficient at the end
-        a, da = self.int_form()
-        b, db = other.int_form()
-        den = da * db
-        return Poly([Fraction(c, den) for c in int_mul(a, b)])
+        (a, da), (b, db) = self._form, other._form
+        return Poly.from_int_form(int_mul(a, b), da * db)
 
     def __rmul__(self, other) -> "Poly":
         return self.__mul__(other)
 
     def scale(self, c: RationalLike) -> "Poly":
-        c = rat(c)
-        return Poly([a * c for a in self.coeffs])
+        c = c if isinstance(c, int) else rat(c)   # an int has numerator, denominator
+        nums, den = self._form
+        return Poly.from_int_form([c.numerator * v for v in nums], c.denominator * den)
 
     def __pow__(self, k: int) -> "Poly":
+        """self**k; den**k stays coprime to the content of the powered
+        numerators (Gauss's lemma), so no gcd is taken."""
         if k < 0:
             raise ValueError("negative polynomial power")
-        result = Poly([1])
-        base = self
+        nums, den = self._form
+        den **= k
+        result: list[int] = [1]
         while k:
             if k & 1:
-                result = result * base
-            base = base * base
+                result = int_mul(result, nums)
             k >>= 1
-        return result
+            if k:
+                nums = int_mul(nums, nums)
+        return Poly._of(tuple(result), den)
 
     def shift_up(self, k: int) -> "Poly":
-        """Multiply by x**k."""
-        if not self.coeffs:
+        """Multiply by x**k, for k >= 0."""
+        if k < 0:
+            raise ValueError("negative shift")
+        nums, den = self._form
+        if not nums:
             return self
-        return Poly([Fraction(0)] * k + list(self.coeffs))
+        return Poly._of((0,) * k + nums, den)
 
     # -- calculus / evaluation ------------------------------------------
 
     def derivative(self) -> "Poly":
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
+        nums, den = self._form
+        return Poly.from_int_form([i * c for i, c in enumerate(nums)][1:], den)
 
     def eval(self, x: RationalLike) -> Fraction:
         """p(x), by homogeneous integer Horner over the integer form; one
         `Fraction` is built at the end."""
         x = rat(x)
-        nums, den = self.int_form()
+        nums, den = self._form
         if not nums:
             return Fraction(0)
         p, q = x.numerator, x.denominator
@@ -242,21 +278,20 @@ class Poly:
 
     def exact_div(self, other: "Poly") -> "Poly":
         """self / other, which must be a polynomial (ValueError otherwise).
-        The primitive integer vectors divide in Z[x] (`int_exact_div`) and
-        the quotient is scaled by the ratio of the two contents."""
-        a, b = int_coeffs(self), int_coeffs(other)
-        q = int_exact_div(a, b)
-        if not q:
-            return Poly()
-        scale = (self.leading() / a[-1]) / (other.leading() / b[-1])
-        return Poly([scale * c for c in q])
+        With other = cb * b / db for a primitive b, the numerators of self
+        divide by b in Z[x] (Gauss's lemma, `int_exact_div`), and the
+        quotient is that times db / (den(self) * cb)."""
+        (na, da), (nb, db) = self._form, other._form
+        cb = int_gcd(*nb)
+        q = int_exact_div(na, [c // cb for c in nb])
+        return Poly.from_int_form([db * c for c in q], da * cb)
 
     # -- normalization ----------------------------------------------------
 
     def monic(self) -> "Poly":
         if self.is_zero():
             return self
-        return self.scale(1 / self.leading())
+        return _monic_poly(self._form[0])
 
     def content(self) -> Fraction:
         """Positive rational c with self = c * primitive integer polynomial."""
@@ -384,8 +419,7 @@ def int_poly_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
 
 
 def _monic_poly(a: Sequence[int]) -> Poly:
-    lead = a[-1]
-    return Poly([Fraction(c, lead) for c in a])
+    return Poly.from_int_form(a, a[-1])
 
 
 def _int_sub(a: Sequence[int], b: Sequence[int]) -> list[int]:

@@ -147,13 +147,27 @@ class RecoveryOutcome:
         return self.curve is not None and self.verified
 
 
+def _blocks(mono: Mono, assign: dict[int, Fraction]) -> bool:
+    """The monomial holds two unassigned unknowns (with multiplicity) and no
+    unknown assigned 0, so reducing under `assign` leaves it non-affine."""
+    free = 0
+    for v in mono:
+        if v not in assign:
+            free += 1
+        elif not assign[v]:
+            return False
+    return free > 1
+
+
 class _Equation:
     """One coefficient equation: its reduced form under the assignment as of
     its last reduction, over the positive denominator `den` (the coefficient
     of a monomial is expr[mono] / den), and that form's integer (constant,
-    linear part) when affine."""
+    linear part) when affine.  `block` is the monomial that last kept the
+    form from being affine, and `scan` iterates over the monomials after
+    it."""
 
-    __slots__ = ("family", "degree", "expr", "den", "affine", "stale")
+    __slots__ = ("family", "degree", "expr", "den", "affine", "stale", "block", "scan")
 
     def __init__(self, family: str, degree: int, expr: MPoly, den: int):
         self.family = family
@@ -162,22 +176,26 @@ class _Equation:
         self.den = den
         self.affine = None
         self.stale = True
+        self.block = None
+        self.scan = iter(expr)
 
     def may_be_affine(self, assign: dict[int, Fraction]) -> bool:
         """False when reducing under `assign` must leave a monomial of two
         unassigned unknowns: one that holds them and no unknown assigned 0
-        (see the module docstring)."""
-        for mono in self.expr:
-            if len(mono) > 1:
-                free = 0
-                for v in mono:
-                    if v not in assign:
-                        free += 1
-                    elif not assign[v]:
-                        break
-                else:
-                    if free > 1:
-                        return False
+        (see the module docstring).
+
+        The assignment only grows and never changes a value, so a monomial
+        that has stopped blocking never blocks again.  The monomial that
+        blocked last time is tested first, and when it no longer blocks the
+        scan goes on after it: between two reductions, no monomial is
+        examined again once it has been found not to block."""
+        if self.block is not None and _blocks(self.block, assign):
+            return False
+        for mono in self.scan:
+            if len(mono) > 1 and _blocks(mono, assign):
+                self.block = mono
+                return False
+        self.block = None
         return True
 
     def refresh(self, assign: dict[int, Fraction]) -> None:
@@ -192,6 +210,8 @@ class _Equation:
         self.den = den
         self.affine = _mp_affine(expr) if expr else None
         self.stale = False
+        self.block = None
+        self.scan = iter(expr)
 
 
 def _equations(f: Poly, g: Poly, m: int, n: int, deg_q: int) -> list[_Equation]:

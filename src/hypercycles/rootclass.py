@@ -41,7 +41,7 @@ variations of each interval's endpoints down its bisection stack, so a split
 evaluates the chain at the midpoint only, and the one refinement loop of an
 isolated root (`RealRoot.clear`, which `sign_of` calls too) recounts only
 the endpoint that a refinement step moved.  Signs of a polynomial at a point
-come from its cached integer form (`Poly.int_form`) by one homogeneous
+come from its stored integer form (`Poly.int_form`) by one homogeneous
 Horner on the point as an integer pair p/q (`_sign_at`, and `_chain_signs`
 for a whole chain), with no `Fraction` built.  Nearly every point isolation
 and refinement visit is dyadic, k/2**j; there the powers of q are shifts,

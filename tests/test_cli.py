@@ -150,6 +150,10 @@ def test_construct_domain_error():
     (["bounds", "--m", "-1", "--n", "3"], "ValueError"),
     (["construct", "--m", "2", "--n", "5", "--s-cap", "1"], "SearchExhausted"),
     (["suite", "--criteria", "1", "--s-cap", "1"], "SearchExhausted"),
+    (["certify", "--P", "x", "--Q", "0"], "ValueError"),
+    (["portrait", "--f", "0", "--g", "x"], "ValueError"),
+    (["portrait", "--f", "x", "--g", "1"], "ValueError"),
+    (["portrait", "--f", "x", "--g", "x", "--P", "x", "--Q", "0"], "ValueError"),
 ])
 def test_domain_failure_is_a_json_error_with_exit_2(args, error):
     # every command reports a failed search or an out-of-range type the

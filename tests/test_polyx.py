@@ -328,7 +328,7 @@ def test_rref_matches_the_rational_elimination(rows):
     assert _over_q(got) == want[0]
 
 
-# -- the cached integer form ---------------------------------------------------
+# -- the stored integer form ---------------------------------------------------
 
 
 def _horner(p, x):
@@ -351,7 +351,7 @@ def test_filled_integer_form_matches_fraction_arithmetic():
     for _ in range(80):
         a, b = _random_poly(rng, 9), _random_poly(rng, 9)
         nums, den = a.int_form()
-        assert a.int_form() is a.int_form()        # filled once, then kept
+        assert a.int_form() is a.int_form()        # the pair stored at construction
         assert den == lcm(*[c.denominator for c in a.coeffs])
         assert [Fraction(v, den) for v in nums] == list(a.coeffs)
         for _ in range(5):
@@ -395,10 +395,19 @@ def test_hash_is_kept_from_its_first_use():
     p = P(Fraction(1, 2), 3)
     with pytest.raises(AttributeError):
         p._hash                                 # __init__ leaves it unset
-    assert hash(p) == hash(p.coeffs) == p._hash
+    q = Poly.from_int_form([1, 6], 2)
+    assert p == q and hash(p) == hash(q) == p._hash
     assert hash(p) == hash(P(Fraction(1, 2), 3))
     with pytest.raises(AttributeError):
         p._hash = 0
+
+
+def test_shift_up_by_a_negative_power_raises():
+    # multiplying by x**k is undefined for k < 0, as a negative power is
+    assert P(1, 2).shift_up(0) == P(1, 2) and P(1, 2).shift_up(2) == P(0, 0, 1, 2)
+    for p in (P(1, 2), Poly()):
+        with pytest.raises(ValueError):
+            p.shift_up(-1)
 
 
 def test_exact_div_in_z_x_matches_fraction_division():

@@ -4,8 +4,10 @@ certification bounds and reconstruction round trips on one seeded stream."""
 import random
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypercycles.lienard import (
     HyperellipticCurve,
@@ -216,3 +218,92 @@ def test_certify_samples_a_gap_at_a_double_root_of_h():
     assert _verdicts(curve) == [(True, False, False, False)]
     sympy = pytest.importorskip("sympy")
     assert _oracle_verdicts(sympy, curve) == [(True, False, False, False)]
+
+
+# -- Poly's integer form against Fraction-coefficient arithmetic ---------------
+
+_rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+_coeff_lists = st.lists(st.one_of(st.just(Fraction(0)), _rationals), max_size=6)
+
+
+def _strip(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def _ref_add(a, b, sign=1):
+    out = [Fraction(0)] * max(len(a), len(b))
+    for i, c in enumerate(a):
+        out[i] += c
+    for i, c in enumerate(b):
+        out[i] += sign * c
+    return _strip(out)
+
+
+def _ref_mul(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] += u * v
+    return _strip(out)
+
+
+def _ref_eval(a, x):
+    acc = Fraction(0)
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def _canonical(p: Poly) -> Poly:
+    """p, after checking its stored pair: den >= 1, gcd(den, *nums) = 1,
+    no zero on top, and ((), 1) for the zero polynomial."""
+    nums, den = p.int_form()
+    assert isinstance(nums, tuple) and den >= 1
+    assert gcd(den, *nums) == 1
+    assert not nums or nums[-1] != 0
+    return p
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_coeff_lists, _coeff_lists, _rationals, st.integers(0, 4), st.integers(0, 3), _rationals)
+def test_integer_form_arithmetic_matches_fraction_coefficients(ca, cb, c, k, e, x):
+    a, b = Poly(ca), Poly(cb)
+    ra, rb = _strip(ca), _strip(cb)
+    assert list(_canonical(a).coeffs) == ra
+    nums, den = a.int_form()
+    assert _canonical(Poly.from_int_form([-3 * v for v in nums] + [0], -3 * den)) == a
+    assert list(_canonical(a + b).coeffs) == _ref_add(ra, rb)
+    assert list(_canonical(a - b).coeffs) == _ref_add(ra, rb, -1)
+    assert list(_canonical(-a).coeffs) == _ref_add([], ra, -1)
+    assert list(_canonical(a * b).coeffs) == _ref_mul(ra, rb)
+    assert list(_canonical(a.scale(c)).coeffs) == _strip(v * c for v in ra)
+    assert list(_canonical(a.derivative()).coeffs) == [i * v for i, v in enumerate(ra)][1:]
+    assert list(_canonical(a.shift_up(k)).coeffs) == ([Fraction(0)] * k + ra if ra else [])
+    power = [Fraction(1)]
+    for _ in range(e):
+        power = _ref_mul(power, ra)
+    assert list(_canonical(a ** e).coeffs) == power
+    assert a.eval(x) == _ref_eval(ra, x)
+    if rb:
+        assert list(_canonical((a * b).exact_div(b)).coeffs) == ra
+        assert list(_canonical(b.monic()).coeffs) == [v / rb[-1] for v in rb]
+
+
+def test_ring_operations_build_no_fraction(monkeypatch):
+    # they run on the stored integer pairs; only a coefficient read builds
+    # a Fraction
+    a = Poly([Fraction(1, 2), Fraction(-3, 4), 2])
+    b = Poly([Fraction(2, 3), 1])
+    c = Fraction(-2, 5)
+    built = []
+    new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__",
+                        lambda cls, *args, **kw: built.append(args) or new(cls, *args, **kw))
+    results = [a + b, a - b, -a, a * b, a.scale(3), a.scale(c), 2 * a, a.derivative(),
+               a.shift_up(2), a ** 3, (a * b).exact_div(b), a.monic()]
+    assert built == []
+    assert results[4].coeffs == (Fraction(3, 2), Fraction(-9, 4), Fraction(6))
+    assert len(built) == 6      # three read, three to compare

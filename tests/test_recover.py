@@ -12,6 +12,7 @@ from hypercycles.lienard import (
     derive_system,
     invariance_check,
 )
+from hypercycles import recover
 from hypercycles.polyx import Poly, parse_poly
 from hypercycles.recover import (
     UndeterminedType,
@@ -391,6 +392,32 @@ def test_an_unknown_assigned_zero_can_make_an_equation_affine():
     assert last["unknowns"] == ["q3", "p0"]
     assert last["equations"] == ["f-identity x^5", "f-identity x^3", "g-identity x^8",
                                  "g-identity x^6", "g-identity x^4"]
+
+
+def test_may_be_affine_resumes_after_the_monomial_that_blocked(monkeypatch):
+    # a monomial that stops blocking never blocks again, since the
+    # assignment only grows: the last blocker is tried first, and the scan
+    # goes on after it, so no monomial is examined once it has stopped
+    # blocking, and a reduction starts the scan over on the new form
+    examined = []
+    blocks = recover._blocks
+    monkeypatch.setattr(recover, "_blocks",
+                        lambda mono, assign: examined.append(mono) or blocks(mono, assign))
+    eq = _Equation("g-identity", 4, {(0, 1, 7): 1, (2, 8): 2, (9,): 3}, 1)
+    assert not eq.may_be_affine({})
+    assert not eq.may_be_affine({0: Fraction(2)})
+    assert examined == [(0, 1, 7), (0, 1, 7)]
+    examined.clear()
+    assign = {0: Fraction(2), 1: Fraction(1)}
+    assert not eq.may_be_affine(assign)
+    assert examined == [(0, 1, 7), (2, 8)]
+    examined.clear()
+    assign[8] = Fraction(1)
+    assert eq.may_be_affine(assign)
+    assert examined == [(2, 8)]
+    eq.refresh(assign)
+    assert eq.affine == (0, {7: 2, 2: 2, 9: 3})
+    assert eq.may_be_affine(assign) and examined == [(2, 8)]
 
 
 def test_no_reduction_is_wasted_on_an_equation_that_stays_non_affine(monkeypatch):
