@@ -314,7 +314,7 @@ def _cmd_portrait(args) -> str:
 
 def _cmd_suite(args) -> dict:
     criteria = None
-    if args.criteria and args.criteria != "all":
+    if args.criteria != "all":
         try:
             criteria = [int(c) for c in args.criteria.split(",")]
         except ValueError as exc:

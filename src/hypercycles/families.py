@@ -452,7 +452,7 @@ def construct_case_ii(m: int, n: int, s_cap: int = DEFAULT_S_CAP) -> Constructio
     band_lo = (4 * m + 2) // 3 + 1
     if not band_lo <= n <= 2 * m - 1:
         raise ValueError(f"({m},{n}) outside the case-(ii) band")
-    if (m, n) in ((3, 5), (2, 4)):
+    if (m, n) == (3, 5):
         raise ValueError(f"type {(m, n)} has no hyperelliptic limit cycles")
     r = (n - 1) % 4
     t = (n - 1) // 4
@@ -574,10 +574,9 @@ def construct_case_i(
         raise ValueError(f"({m},{n}) outside the case-(i) band")
     pattern = pattern or CaseIPattern()
     odd = n % 2 == 1
-    t2 = 4 * m - 3 * n + (3 if odd else 2)
-    if t2 % 2 or t2 < 0:
-        raise PatternNotAchieved(f"no valid double-root count t for ({m},{n})")
-    t = t2 // 2
+    # 4m - 3n + 3 (n odd) and 4m - 3n + 2 (n even) are even, and the band's
+    # 3n <= 4m + 2 keeps them >= 0
+    t = (4 * m - 3 * n + (3 if odd else 2)) // 2
     target = n - m - 1
     deg_m = t + (n - m - 2 if odd else n - m - 1)
     x0s = pattern.x0_candidates if odd else (None,)

@@ -254,15 +254,17 @@ class CertificationReport:
 
 def _count_strictly_between(w: Poly, r1: RealRoot, r2: RealRoot) -> int:
     """Distinct real roots of w in the open interval (root(r1), root(r2)),
-    for r1 below r2 and a w that vanishes at neither root.
+    for r1 below r2 and a w that vanishes at neither root; a w that
+    vanishes at an inexact root raises ValueError.
 
-    `RealRoot.clear` refines each inexact interval until it holds no root of
-    w and w is nonzero at its ends; an exact root is its own interval, and
-    w is nonzero there.  So the two cleared intervals hold no root of w, and
-    one open Sturm count over (r1.lo, r2.hi) counts exactly the roots of w
-    strictly between the two roots."""
-    r1.clear(w)
-    r2.clear(w)
+    `RealRoot.sign_of` refines each inexact interval until it holds no root
+    of w and w is nonzero at its ends; an exact root is its own interval,
+    and a root of w there is left out of the open count.  So one open Sturm
+    count over (r1.lo, r2.hi) counts exactly the roots of w strictly between
+    the two roots."""
+    for r in (r1, r2):
+        if r.sign_of(w) == 0 and not r.is_exact():
+            raise ValueError(f"{w} vanishes at the root in [{r.lo}, {r.hi}]")
     return SturmChain(w).count_open(r1.lo, r2.hi)
 
 

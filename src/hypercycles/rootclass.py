@@ -39,11 +39,11 @@ Two independent routes to root counts live here on purpose:
 Each Sturm chain is evaluated once per point: isolation carries the sign
 variations of each interval's endpoints down its bisection stack, so a split
 evaluates the chain at the midpoint only, and the one refinement loop of an
-isolated root (`RealRoot.clear`, which `sign_of` calls too) recounts only
-the endpoint that a refinement step moved.  Signs of a polynomial at a point
-come from its stored integer form (`Poly.int_form`) by one homogeneous
-Horner on the point as an integer pair p/q (`_sign_at`, and `_chain_signs`
-for a whole chain), with no `Fraction` built.  Nearly every point isolation
+isolated root (`RealRoot.sign_of`) recounts only the endpoint that a
+refinement step moved.  Signs of a polynomial at a point come from its
+stored integer form (`Poly.int_form`) by one homogeneous Horner on the
+point as an integer pair p/q (`_sign_at`, and `_chain_signs` for a whole
+chain), with no `Fraction` built.  Nearly every point isolation
 and refinement visit is dyadic, k/2**j; there the powers of q are shifts,
 acc = acc*k + (c << s) with s growing by j per coefficient (`_sign_dyadic`),
 which `_sign_int` and `_chain_signs` choose whenever q is a power of two.
@@ -99,15 +99,13 @@ members of opposite signs there.  So V(c) = V(c+) and V(c-) = V(c) + 1,
 and for any rationals a < b the roots in (a, b) number
 V(a) - V(b) - [f(b) = 0] (Basu, Pollack and Roy, ch. 2).  So the roots of w
 strictly between two isolated roots need no rational window beside either
-root, for a w that vanishes at neither of them: `RealRoot.clear` refines an
-inexact interval until it holds no root of w and w is nonzero at its ends,
-an exact root is its own interval, and one open count from the lower root's
-lo to the upper root's hi is the answer.  `clear` has that one mode: a w
-that vanishes at an inexact root breaks its precondition and raises
-ValueError, and certification never asks, since it divides the roots of Q
-out of every polynomial it counts.  Whether w vanishes at an inexact root
-is read off gcd(poly, w) by two signs, with no Sturm chain
-(`RealRoot._vanishes`).
+root, for a w that vanishes at neither of them: `RealRoot.sign_of` refines
+an inexact interval until it holds no root of w and w is nonzero at its
+ends, an exact root is its own interval, and one open count from the lower
+root's lo to the upper root's hi is the answer.  `sign_of` is the one way an
+isolated root answers a question about another polynomial.  Whether w
+vanishes at an inexact root it reads off gcd(poly, w) by two signs, with no
+Sturm chain, and then it returns 0 and moves nothing.
 
 All arithmetic is exact; no floating point enters any code path here.
 """
@@ -507,10 +505,7 @@ class SturmChain:
             raise ValueError("Sturm chain of the zero polynomial")
         self.f = f
         self.ints = f.int_form()[0]
-        if f.degree >= 1:
-            self.chain = _sturm_chain_int(f)
-        else:
-            self.chain = _make_chain((tuple(self.ints),))
+        self.chain = _sturm_chain_int(f)
 
     def sign(self, x: Fraction) -> int:
         return _sign_int(self.ints, x.numerator, x.denominator)
@@ -743,57 +738,42 @@ class RealRoot:
 
     # -- relations ----------------------------------------------------------
 
-    def _vanishes(self, w: Poly) -> bool:
-        """True when w vanishes at this inexact root.  gcd(poly, w) divides
-        poly, which is squarefree, has only this root in [lo, hi] and has no
-        root at either end; so the gcd vanishes at the root exactly when its
-        signs at lo and hi differ.  Two signs, and no Sturm chain."""
-        ints = poly_gcd(self.poly, w).int_form()[0]
-        return _sign_int(ints, self._a, self._d) != _sign_int(ints, self._b, self._d)
-
     def sign_of(self, w: Poly) -> int:
-        """Exact sign of w at this root (0 when w vanishes there)."""
-        if w.is_zero():
-            return 0
-        if w.degree < 1:
-            return 1 if w[0] > 0 else -1
-        if not self.is_exact():
-            if self._vanishes(w):
+        """Exact sign of w at this root: 0 when w vanishes there, and the
+        sign of a constant w at once.
+
+        At an inexact root, gcd(poly, w) decides first whether w vanishes:
+        the gcd divides poly, which is squarefree, has only this root in
+        [lo, hi] and has no root at either end, so it vanishes at the root
+        exactly when its signs at lo and hi differ.  Two signs, no Sturm
+        chain, and the root is left as it was.  Otherwise the root is refined
+        until w is nonzero at lo and hi and w's chain shows no root in
+        [lo, hi], and w's sign at lo is its sign at the root.  An end on a
+        root of w moves off it within finitely many halvings, since both
+        ends close in on this root and w has finitely many roots; a root
+        that turns exact on the way is read at its value."""
+        ints = w.int_form()[0]
+        if w.degree >= 1 and not self.is_exact():
+            g = poly_gcd(self.poly, w).int_form()[0]
+            if _sign_int(g, self._a, self._d) != _sign_int(g, self._b, self._d):
                 return 0
-            s = self.clear(w)
-            if s:
-                return s
-        return _sign_int(w.int_form()[0], self._a, self._d)
-
-    def clear(self, w: Poly) -> int:
-        """Refine until w is nonzero at lo and hi and has no root in [lo, hi];
-        returns the sign of w at lo, which is its sign at the root, or 0 once
-        the root turns exact.
-
-        The precondition is that w does not vanish at this root: a w that
-        vanishes at an inexact root raises ValueError and leaves the root as
-        it was.  An end on a root of w moves off it within finitely many
-        halvings, since both ends close in on this root and w has finitely
-        many roots."""
-        if not self.is_exact() and self._vanishes(w):
-            raise ValueError(f"{w} vanishes at the root in [{self.lo}, {self.hi}]")
-        ints, chain = w.int_form()[0], SturmChain(w).chain
-        # (numerator, denominator, sign variations of w's chain there) of
-        # each end: a refinement step moves one end, and only that one is
-        # counted again
-        at_lo = at_hi = None
-        while not self.is_exact():
-            a, b, d = self._a, self._b, self._d
-            slo = _sign_int(ints, a, d)
-            if slo != 0 and _sign_int(ints, b, d) != 0:
-                if at_lo is None or at_lo[0] * d != a * at_lo[1]:
-                    at_lo = (a, d, _sign_changes(_chain_signs(chain, a, d)))
-                if at_hi is None or at_hi[0] * d != b * at_hi[1]:
-                    at_hi = (b, d, _sign_changes(_chain_signs(chain, b, d)))
-                if at_lo[2] == at_hi[2]:
-                    return slo
-            self.refine()
-        return 0
+            chain = SturmChain(w).chain
+            # (numerator, denominator, sign variations of w's chain there) of
+            # each end: a refinement step moves one end, and only that one is
+            # counted again
+            at_lo = at_hi = None
+            while not self.is_exact():
+                a, b, d = self._a, self._b, self._d
+                slo = _sign_int(ints, a, d)
+                if slo != 0 and _sign_int(ints, b, d) != 0:
+                    if at_lo is None or at_lo[0] * d != a * at_lo[1]:
+                        at_lo = (a, d, _sign_changes(_chain_signs(chain, a, d)))
+                    if at_hi is None or at_hi[0] * d != b * at_hi[1]:
+                        at_hi = (b, d, _sign_changes(_chain_signs(chain, b, d)))
+                    if at_lo[2] == at_hi[2]:
+                        return slo
+                self.refine()
+        return _sign_int(ints, self._a, self._d)
 
 
 def _isolate_squarefree(g: Poly) -> list[tuple[Fraction, Fraction]]:

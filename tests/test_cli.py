@@ -229,6 +229,7 @@ def test_usage_error_exit_1():
          "error: portrait: window must be a nonempty rectangle"),
         (["suite", "--criteria", "a"], None, "error: --criteria: invalid literal"),
         (["suite", "--criteria", "1,99"], None, "error: --criteria: unknown criteria [99]"),
+        (["suite", "--criteria", ""], None, "error: --criteria: invalid literal"),
         (["roots", "[0.5, 1, 1]"], None,
          "error: POLY: bad polynomial '[0.5, 1, 1]': expected an integer or a string"),
         (["certify", "--P", "[1, true]", "--Q", "x^2-1"], None,
@@ -250,6 +251,7 @@ def test_usage_error_exit_1():
          "stdin_not_json", "stdin_not_object", "stdin_zero_denominator",
          "stdin_not_a_list", "window_three_values", "seed_point_one_value",
          "window_empty", "criteria_not_integer", "criteria_unknown",
+         "criteria_empty",
          "float_coefficient", "boolean_coefficient", "null_coefficient",
          "stdin_float_coefficient", "stdin_boolean_coefficient",
          "stdin_null_coefficient", "portrait_lone_Q", "portrait_stdin_lone_Q"],

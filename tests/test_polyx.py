@@ -367,27 +367,20 @@ def test_filled_integer_form_matches_fraction_arithmetic():
     assert zero * P(1, 2) == Poly() == P(1, 2) * zero
 
 
-@pytest.mark.parametrize("name", ["coeffs", "_int_form", "degree", "extra"])
+@pytest.mark.parametrize("name", ["coeffs", "_form", "_hash", "degree", "extra"])
 def test_poly_attributes_cannot_be_assigned(name):
     p = P(Fraction(1, 2), 3)
-    for filled in (False, True):
-        if filled:
-            p.int_form()
-        with pytest.raises(AttributeError):
-            setattr(p, name, ())
+    with pytest.raises(AttributeError):
+        setattr(p, name, ())
     assert p.coeffs == (Fraction(1, 2), Fraction(3))
 
 
-def test_equal_polys_compare_and_hash_equal_with_or_without_the_cache():
+def test_equal_polys_compare_and_hash_equal():
     def build():
         return P(Fraction(2, 4), 3, Fraction(-4, 6))
 
     a, b = build(), build()
-    assert a == b and hash(a) == hash(b)
-    a.int_form()                                # only a's cache is filled
     assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
-    b.eval(Fraction(1, 3))                      # both filled
-    assert a == b and hash(a) == hash(b)
     assert a * b == _convolve(build(), build())
 
 

@@ -433,16 +433,23 @@ def test_sign_of_when_a_refinement_step_lands_on_the_root():
     assert r.is_exact() and r.value == Fraction(-1, 3)
 
 
-def test_clear_refuses_a_w_that_vanishes_at_the_root():
-    # sqrt(2) held in (1, 2): w = (x^2 - 2)(x + 5) vanishes there
+def test_count_strictly_between_refuses_a_w_that_vanishes_at_an_inexact_root():
+    # sqrt(2) held in (1, 2): w = (x^2 - 2)(x + 5) vanishes there; sign_of
+    # says so and moves nothing, and a count with sqrt(2) as either end
+    # raises and leaves both roots as they were
     for w in (P(-2, 0, 1) * P(5, 1), P(-2, 0, 1).scale(3), Poly()):
         r = RealRoot(poly=P(-2, 0, 1), lo=1, hi=2)
-        with pytest.raises(ValueError):
-            r.clear(w)
+        assert r.sign_of(w) == 0
         assert (r.lo, r.hi, r.is_exact()) == (1, 2, False)
+        for pair in ((r, RealRoot(poly=P(-3, 1), lo=3, hi=3)),
+                     (RealRoot(poly=P(3, 1), lo=-3, hi=-3), r)):
+            before = [copy.copy(s) for s in pair]
+            with pytest.raises(ValueError, match="vanishes at the root in"):
+                lienard._count_strictly_between(w, *pair)
+            assert list(pair) == before and not r.is_exact()
 
 
-def test_sign_of_and_clear_build_no_chain_of_the_gcd(monkeypatch):
+def test_sign_of_builds_no_chain_of_the_gcd(monkeypatch):
     # sqrt(2) held in (1, 3/2) by (x^2 - 2)(x^2 - 3); gcd(poly, w) = x^2 - 3
     # does not vanish there, and two signs decide that
     poly = P(-2, 0, 1) * P(-3, 0, 1)
@@ -453,12 +460,29 @@ def test_sign_of_and_clear_build_no_chain_of_the_gcd(monkeypatch):
                         lambda p: built.append(p) or chain_of(p))
     assert RealRoot(poly=poly, lo=1, hi=Fraction(3, 2)).sign_of(w) == -1
     assert built and all(p == w for p in built)
-    assert RealRoot(poly=poly, lo=1, hi=Fraction(3, 2)).clear(w) == -1
-    assert all(p == w for p in built)
     # a w that vanishes at the root needs no chain at all
     built.clear()
     assert RealRoot(poly=poly, lo=1, hi=Fraction(3, 2)).sign_of(P(-2, 0, 1) * P(7, 1)) == 0
     assert built == []
+
+
+@pytest.mark.parametrize("w, want", [
+    (P(-3, 0, 1) * P(7, 1), -1),     # refines until w's chain clears the cell
+    (P(-2, 0, 1) * P(7, 1), 0),      # vanishes at the root
+    (P(Fraction(-7, 5), 1), 1),      # 7/5 < sqrt(2)
+])
+def test_sign_of_an_inexact_root_looks_up_one_gcd(w, want, monkeypatch):
+    gcds = []
+    gcd_of = rootclass.poly_gcd
+    monkeypatch.setattr(rootclass, "poly_gcd",
+                        lambda a, b: gcds.append((a, b)) or gcd_of(a, b))
+    poly = P(-2, 0, 1) * P(-3, 0, 1)
+    assert RealRoot(poly=poly, lo=1, hi=Fraction(3, 2)).sign_of(w) == want
+    assert gcds == [(poly, w)]
+    # an exact root and a constant w look up none
+    assert RealRoot(poly=P(-1, 1), lo=1, hi=1).sign_of(w) != 0
+    assert RealRoot(poly=poly, lo=1, hi=Fraction(3, 2)).sign_of(P(-2)) == -1
+    assert len(gcds) == 1
 
 
 def test_refine_evaluates_its_polynomial_once_per_step(monkeypatch):
@@ -598,7 +622,7 @@ def _product_input(draw):
     for _ in range(draw(st.integers(1, 5))):
         f = f * draw(st.sampled_from(_SHARING)) ** draw(st.integers(1, 3))
     steps = draw(st.lists(st.tuples(st.integers(0, 20),
-                                    st.sampled_from(["refine", "sign_of", "clear"]),
+                                    st.sampled_from(["refine", "sign_of"]),
                                     st.sampled_from(_SHARING + [P(-2, 3), P(-7, 5)])),
                           max_size=12))
     return f, steps
@@ -619,22 +643,19 @@ def test_isolation_of_a_product_matches_the_per_factor_isolation(case):
     assert ([(r.canonical(), r.multiplicity, r.poly) for r in roots]
             == [(r.canonical(), r.multiplicity, r.poly) for r in want])
     _assert_ordered_on_non_roots(f, roots)
-    # no refinement, sign or clearing step makes two neighbours overlap or
-    # moves an end onto a root of f
+    # no refinement or sign step makes two neighbours overlap or moves an
+    # end onto a root of f
     for i, op, w in steps:
         if roots:
             r = roots[i % len(roots)]
             if op == "refine":
                 r.refine()
-            elif op == "clear" and not r.is_exact() and ref_sign_of(copy.copy(r), w) == 0:
-                # w vanishes at the inexact root: clear refuses and moves
-                # nothing
-                before = copy.copy(r)
-                with pytest.raises(ValueError):
-                    r.clear(w)
-                assert r == before and not r.is_exact()
             else:
-                getattr(r, op)(w)
+                before, sign = copy.copy(r), ref_sign_of(copy.copy(r), w)
+                assert r.sign_of(w) == sign
+                if sign == 0 and not before.is_exact():
+                    # w vanishes at the inexact root: sign_of moves nothing
+                    assert r == before
             _assert_ordered_on_non_roots(f, roots)
     assert [r.canonical() for r in roots] == [r.canonical() for r in want]
 
@@ -674,10 +695,10 @@ def test_neighbours_that_share_an_end_count_what_lies_between():
 #
 # Isolation carries the endpoint variation counts down its stack on dyadic
 # points from the root exponent, `refine` decides with integer signs, and
-# `sign_of` recounts only the endpoint that moved (`RealRoot.clear`).  The
-# earlier implementations are kept below verbatim (self -> root) as the
-# reference: isolation must find the same roots, one per interval, and every
-# refined interval, exact flag and sign must be the same.
+# `sign_of` recounts only the endpoint that moved.  The earlier
+# implementations are kept below verbatim (self -> root) as the reference:
+# isolation must find the same roots, one per interval, and every refined
+# interval, exact flag and sign must be the same.
 
 
 def ref_isolate_squarefree(g: Poly) -> list[tuple[Fraction, Fraction]]:
@@ -1091,8 +1112,8 @@ def test_count_strictly_between_when_a_refinement_step_lands_on_the_root():
     r = _third_root()
     assert lienard._count_strictly_between(P(Fraction(3, 7), 1), minus_one, r) == 1
     assert r.is_exact() and r.value == Fraction(-1, 3)
-    # a w that vanishes at the inexact root breaks the precondition of
-    # `RealRoot.clear`, which raises before any refinement step
+    # a w that vanishes at the inexact root breaks the precondition of the
+    # count, which raises before any refinement step
     w = P(Fraction(1, 3), 1) * P(Fraction(1, 7), 1) * P(Fraction(-1, 2), 1)
     r = _third_root()
     with pytest.raises(ValueError):
