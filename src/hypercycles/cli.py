@@ -12,7 +12,9 @@ missing or unknown option, an unknown command), with a usage line.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -106,11 +108,43 @@ def _report_json(report) -> dict:
     }
 
 
+# Python caps the decimal digits of an int it converts to or from text
+# (`sys.set_int_max_str_digits`, from 3.10.7 and 3.11).  Inputs keep the cap
+# the process starts with, so a huge literal stays a usage error; `main`
+# lifts it for everything else, so that a report prints its exact values,
+# such as the discriminant sequence of x^1500 - 1, at any length.
+_INPUT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@contextlib.contextmanager
+def _int_digits(limit: int):
+    """Run the block under the digit cap `limit` (0: none)."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # no cap before 3.10.7
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def _reads_input(read):
+    """`read` runs under the input digit cap (`_INPUT_DIGITS`)."""
+    @functools.wraps(read)
+    def wrapper(*args, **kwargs):
+        with _int_digits(_INPUT_DIGITS):
+            return read(*args, **kwargs)
+    return wrapper
+
+
 def _usage(source: str, why) -> SystemExit:
     """A usage error (exit 1, message on stderr) blaming `source`."""
     return SystemExit(f"error: {source}: {why}")
 
 
+@_reads_input
 def _parse_poly_arg(source: str, text: str) -> Poly:
     try:
         return parse_poly(text)
@@ -118,6 +152,7 @@ def _parse_poly_arg(source: str, text: str) -> Poly:
         raise _usage(source, exc) from None
 
 
+@_reads_input
 def _poly_arg(args, name: str, stdin_doc: dict | None) -> Poly:
     value = getattr(args, name, None)
     if value is not None:
@@ -133,6 +168,7 @@ def _poly_arg(args, name: str, stdin_doc: dict | None) -> Poly:
     raise SystemExit(f"error: missing polynomial --{name}")
 
 
+@_reads_input
 def _read_stdin_doc(args) -> dict | None:
     if not getattr(args, "stdin", False):
         return None
@@ -145,6 +181,7 @@ def _read_stdin_doc(args) -> dict | None:
     return doc
 
 
+@_reads_input
 def _rationals(source: str, text: str, count: int) -> tuple:
     try:
         values = tuple(Fraction(v) for v in text.split(","))
@@ -213,6 +250,7 @@ def _pattern_sign(value) -> int:
     return int(value)
 
 
+@_reads_input
 def _load_pattern(path: str) -> "families.CaseIPattern":
     """The --pattern file as a `CaseIPattern`; any fault in the file is a
     usage error (exit 1), never a traceback."""
@@ -312,17 +350,24 @@ def _cmd_portrait(args) -> str:
     return render_portrait(spec)
 
 
+@_reads_input
+def _criteria(text: str) -> list[int] | None:
+    """The --criteria list; None for "all"."""
+    if text == "all":
+        return None
+    try:
+        criteria = [int(c) for c in text.split(",")]
+    except ValueError as exc:
+        raise _usage("--criteria", exc) from None
+    unknown = sorted(set(criteria) - set(suite_mod.CRITERIA))
+    if unknown:
+        raise _usage("--criteria", f"unknown criteria {unknown}; "
+                                   f"known are {sorted(suite_mod.CRITERIA)}")
+    return criteria
+
+
 def _cmd_suite(args) -> dict:
-    criteria = None
-    if args.criteria != "all":
-        try:
-            criteria = [int(c) for c in args.criteria.split(",")]
-        except ValueError as exc:
-            raise _usage("--criteria", exc) from None
-        unknown = sorted(set(criteria) - set(suite_mod.CRITERIA))
-        if unknown:
-            raise _usage("--criteria", f"unknown criteria {unknown}; "
-                                       f"known are {sorted(suite_mod.CRITERIA)}")
+    criteria = _criteria(args.criteria)
     try:
         results = suite_mod.run_suite(criteria=criteria, seed=args.seed,
                                       s_cap=args.s_cap)
@@ -447,15 +492,16 @@ def _emit(args, text: str) -> None:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        result = args.func(args)
-    except DomainFailure as exc:
-        _emit(args, json.dumps(exc.payload, indent=2))
-        return 2
-    if isinstance(result, str):
-        _emit(args, result)
-    else:
-        _emit(args, json.dumps(result, indent=2))
+    with _int_digits(0):
+        try:
+            result = args.func(args)
+        except DomainFailure as exc:
+            _emit(args, json.dumps(exc.payload, indent=2))
+            return 2
+        if isinstance(result, str):
+            _emit(args, result)
+        else:
+            _emit(args, json.dumps(result, indent=2))
     return 0
 
 

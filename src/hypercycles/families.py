@@ -26,7 +26,10 @@ case (i) seeds, (x0, c) pairs at t = 0, cut at the pattern's `max_seeds`;
 every construction attempt certifies through `_try_certify`; lemmas 7 and 8
 share one inductive routine, `_perturb_ladder`, whose inductive levels pick d
 and b as the simplest rationals in the middle thirds of exact windows between
-bracketed critical values (`_pick_window`), with no float anywhere.
+bracketed critical values (`_pick_window`), with no float anywhere.  Each
+level isolates each derivative once (`_extrema` splits the critical points
+of B and of q into minima and maxima), and the brackets (`_Bracket`) and
+the window ends they bound are computed and compared on integers.
 """
 
 from __future__ import annotations
@@ -235,25 +238,60 @@ class _Bracket:
     """A rational interval [lo, hi] holding the critical value p(alpha) at an
     isolated root alpha of p'.  With mid and rad the midpoint and half-width
     of alpha's interval, |p(alpha) - p(mid)| <= rad*(|p'(mid)| + rad*M2),
-    where M2 bounds |p''| on the initial interval; `refine` narrows both."""
+    where M2 bounds |p''| on the initial interval; `refine` narrows both.
 
-    def __init__(self, p: Poly, dp: Poly, root):
-        self.p, self.dp, self.root = p, dp, root
+    The ends are v -+ rad*(|p'(mid)| + rad*M2) with v = p(mid), computed on
+    integers: with alpha's interval [a/d, b/d] (`RealRoot`'s integer ends),
+    x = a + b, w = b - a and D = 2d, one homogeneous Horner pass on p's
+    numerators c_i (over den) gives P = sum c_i x^i D^(n-i) and
+    P_x = sum i c_i x^(i-1) D^(n-i), so v = P/(den D^n),
+    rad*|p'(mid)| = w|P_x|/(den D^n) and rad^2 M2 = w^2 M2/D^2, and both
+    ends are built over the one denominator den * den(M2) * D^n.  They are
+    held as (numerator, denominator) pairs, `lo_q` and `hi_q`, which
+    `_pick_window` compares by cross-multiplication; `lo` and `hi` read
+    them as `Fraction`s."""
+
+    def __init__(self, p: Poly, root):
+        self.root = root
+        self.nums, self.den = p.int_form()
         R = max(abs(root.lo), abs(root.hi))
-        nums, den = dp.derivative().int_form()
-        self.m2 = Poly.from_int_form([abs(a) for a in nums], den).eval(R)
+        # |p''| <= sum |i (i-1) c_i| R^(i-2) / den on the initial interval
+        self.m2 = Fraction(sum(abs(i * (i - 1) * c) * R ** (i - 2)
+                               for i, c in enumerate(self.nums) if i > 1), self.den)
         self._update()
 
     def _update(self):
-        lo, hi = self.root.lo, self.root.hi
-        mid, rad = (lo + hi) / 2, (hi - lo) / 2
-        v = self.p.eval(mid)
-        err = rad * (abs(self.dp.eval(mid)) + rad * self.m2)
-        self.lo, self.hi = v - err, v + err
+        a, b, d = self.root.int_ends()
+        x, w, D = a + b, b - a, 2 * d
+        nums = self.nums
+        P, P_x, Dpow = nums[-1], 0, 1
+        for c in reversed(nums[:-1]):
+            P_x = P_x * x + P
+            Dpow *= D
+            P = P * x + c * Dpow
+        # Dpow = D^n; n >= 2, since p has a critical point
+        m2n, m2d = self.m2.numerator, self.m2.denominator
+        center = P * m2d
+        spread = w * (abs(P_x) * m2d + w * m2n * self.den * (Dpow // (D * D)))
+        base = self.den * m2d * Dpow
+        self.lo_q, self.hi_q = (center - spread, base), (center + spread, base)
+
+    @property
+    def lo(self) -> Fraction:
+        return Fraction(*self.lo_q)
+
+    @property
+    def hi(self) -> Fraction:
+        return Fraction(*self.hi_q)
 
     def refine(self):
         self.root.refine()
         self._update()
+
+
+def _below(x: tuple[int, int], y: tuple[int, int]) -> bool:
+    """x < y for rationals held as (numerator, positive denominator)."""
+    return x[0] * y[1] < y[0] * x[1]
 
 
 def _critical_values(p: Poly, kind: int, interval=None) -> list:
@@ -266,8 +304,21 @@ def _critical_values(p: Poly, kind: int, interval=None) -> list:
     for r in isolate_real_roots(dp):
         inside = interval is None or _inside(r, interval)
         if inside and (not kind or r.sign_of(ddp) == -kind):
-            out.append(_Bracket(p, dp, r))
+            out.append(_Bracket(p, r))
     return out
+
+
+def _extrema(p: Poly) -> tuple[list, list]:
+    """Brackets of the critical values of p at its local minima and at its
+    local maxima, from one isolation of p'.  A critical point where p'' is 0
+    is in neither list."""
+    ddp = p.derivative().derivative()
+    minima, maxima = [], []
+    for r in isolate_real_roots(p.derivative()):
+        s = r.sign_of(ddp)
+        if s:
+            (minima if s > 0 else maxima).append(_Bracket(p, r))
+    return minima, maxima
 
 
 def _inside(r, interval) -> bool:
@@ -294,18 +345,35 @@ def _pick_window(least: Fraction, floor: list, ceiling: list) -> Optional[Fracti
     all of them are narrower than an eighth of the window that is certainly
     open.  None when the window is certainly empty, or after
     `_WINDOW_ROUNDS` rounds (a window that closes to a point never
-    decides).  The ceiling must not be empty."""
+    decides).  The ceiling must not be empty.  Every comparison runs on the
+    brackets' integer pairs (`_below`); `Fraction`s are built only for the
+    window picked."""
+    least = (least.numerator, least.denominator)
     for _ in range(_WINDOW_ROUNDS):
-        f_lo = max([least] + [e.lo for e in floor])
-        f_hi = max([least] + [e.hi for e in floor])
-        c_lo, c_hi = min(e.lo for e in ceiling), min(e.hi for e in ceiling)
-        if c_hi <= f_lo:
+        f_lo = f_hi = least
+        for e in floor:
+            if _below(f_lo, e.lo_q):
+                f_lo = e.lo_q
+            if _below(f_hi, e.hi_q):
+                f_hi = e.hi_q
+        c_lo, c_hi = ceiling[0].lo_q, ceiling[0].hi_q
+        for e in ceiling[1:]:
+            if _below(e.lo_q, c_lo):
+                c_lo = e.lo_q
+            if _below(e.hi_q, c_hi):
+                c_hi = e.hi_q
+        if not _below(f_lo, c_hi):
             return None
-        gap = c_lo - f_hi
-        deciding = [e for e in floor if e.hi > f_lo] + [e for e in ceiling if e.lo < c_hi]
-        wide = [e for e in deciding if e.hi - e.lo >= gap / 8]
-        if gap > 0 and not wide:
-            return simplest_in_interval(f_hi + gap / 3, c_lo - gap / 3)
+        # gap = c_lo - f_hi = gap_n / gap_d
+        gap_n, gap_d = c_lo[0] * f_hi[1] - f_hi[0] * c_lo[1], c_lo[1] * f_hi[1]
+        deciding = ([e for e in floor if _below(f_lo, e.hi_q)]
+                    + [e for e in ceiling if _below(e.lo_q, c_hi)])
+        # hi - lo >= gap / 8, over the bracket's one denominator
+        wide = [e for e in deciding
+                if 8 * (e.hi_q[0] - e.lo_q[0]) * gap_d >= gap_n * e.lo_q[1]]
+        if gap_n > 0 and not wide:
+            start, third = Fraction(*f_hi), Fraction(gap_n, 3 * gap_d)
+            return simplest_in_interval(start + third, start + 2 * third)
         for e in wide:
             e.refine()
     return None
@@ -354,7 +422,8 @@ def _pick_d_then_b(Q1: Poly, cstar: Poly, slots, pos_interval):
     B = A.exact_div(X)
     lo, hi = pos_interval
     dips = _critical_values(X * cstar, -1, (Fraction(0), hi))
-    d = _pick_window(Fraction(0), _critical_values(B, -1), _critical_values(B, 1) + dips)
+    minima, maxima = _extrema(B)
+    d = _pick_window(Fraction(0), minima, maxima + dips)
     if d is None:
         return None
     after_d = A - X.scale(d)
@@ -362,8 +431,9 @@ def _pick_d_then_b(Q1: Poly, cstar: Poly, slots, pos_interval):
         return None
     q = -after_d
     g = X.scale(d) - cstar.shift_up(2)
-    floor = _critical_values(g, 0, pos_interval) + _critical_values(q, -1)
-    b = _pick_window(max(g.eval(lo), g.eval(hi)), floor, _critical_values(q, 1))
+    minima, maxima = _extrema(q)
+    floor = _critical_values(g, 0, pos_interval) + minima
+    b = _pick_window(max(g.eval(lo), g.eval(hi)), floor, maxima)
     if b is None:
         return None
     c, cand = Poly([b]) - g, after_d + Poly([b])

@@ -17,17 +17,30 @@ result, and none builds a `Fraction`: only a caller that
 reads a coefficient does, through `coeffs`, `p[k]` or `leading()`, and
 `eval` builds one at the end of its integer Horner.  `poly_gcd`,
 `squarefree_part` and `squarefree_decomposition` (Yun) run on primitive
-integer coefficient lists (`int_coeffs`): a remainder scaled by |lc(b)| only
-(a positive multiple of the rational remainder), an exact division in Z[x]
-(Gauss's lemma, `int_exact_div`), and the primitive PRS gcd built from
-them.  The first gcd of `squarefree_part` and `squarefree_decomposition`,
-gcd(p, p'), is the last member of the remainder sequence of p and p'
-(`int_remainder_sequence`), the same sequence the Sturm chain of p in
-`rootclass` is read from.  Each converts back to a `Poly` once, at the end;
-the monic results are the unique ones, so they are the same as Euclid over
-Q would give.  `Poly.divrem`, `Poly.content` and `Poly.primitive` stay over
-`Fraction`: the integer-kernel tests use them as the rational reference,
-and the bench trace (`perfbench/tracing.py`) wraps `divrem`.
+integer coefficient lists (`int_coeffs`), with an exact division in Z[x]
+(Gauss's lemma, `int_exact_div`), and every gcd among them, Yun's first
+gcd(p, p') included, comes from `int_poly_gcd`.  Each converts back to a
+`Poly` once, at the end; the monic results are the unique ones, so they
+are the same as Euclid over Q would give.  `Poly.divrem`, `Poly.content`
+and `Poly.primitive` stay over `Fraction`: the integer-kernel tests use
+them as the rational reference, and the bench trace
+(`perfbench/tracing.py`) wraps `divrem`.
+
+`int_poly_gcd` is GCDHEU (B. W. Char, K. O. Geddes and G. H. Gonnet,
+"GCDHEU: Heuristic polynomial GCD algorithm based on integer GCD
+computation", J. Symbolic Computation 7, 1989; also Geddes, Czapor and
+Labahn, Algorithms for Computer Algebra, 1992, ch. 7).  For primitive a
+and b and an integer xi >= 2 min(|a|, |b|) + 2 (max norms), it takes
+gamma = gcd(a(xi), b(xi)), one big-integer gcd, and reads a candidate off
+gamma's symmetric xi-adic digits, made primitive.  A candidate that
+divides both a and b exactly is their gcd, by the theorem of that paper,
+so the answer is exact; a constant candidate is the gcd 1.  Otherwise xi
+grows, `_HEU_TRIES` times by `_HEU_GROWTH`, and then the primitive PRS
+(`_prs_gcd`, on `int_rem`, a remainder scaled by |lc(b)| only, so a
+positive multiple of the rational remainder) answers instead.  The
+remainder sequence of p and p' (`int_remainder_sequence`) is what
+`rootclass` reads the Sturm chain of a squarefree p from; no gcd here
+reads it.
 
 `rref` is the one Gauss-Jordan elimination (the case (i) node solve and the
 affine blocks of curve recovery both use it).  It runs fraction-free on
@@ -408,14 +421,69 @@ def int_exact_div(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return q
 
 
-def int_poly_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Primitive gcd of integer polynomials, not both zero, by the
-    primitive PRS.  Only the inputs are made primitive here; the scale of
-    the caller's own vectors is left alone."""
-    a, b = _primitive(list(a)), _primitive(list(b))
+# GCDHEU tries this many evaluation points, each the last times the growth
+# factor (Char, Geddes and Gonnet's 73794/27011, about 2.73), before the PRS
+_HEU_TRIES = 6
+_HEU_GROWTH = (73794, 27011)
+
+
+def _heu_candidate(a: Sequence[int], b: Sequence[int], xi: int) -> list[int]:
+    """The GCDHEU candidate at xi: gamma = gcd(a(xi), b(xi)) by integer
+    Horner, written in symmetric xi-adic digits (each in (-xi/2, xi/2]) as
+    the coefficients of a polynomial, made primitive."""
+    gamma = int_gcd(_int_eval(a, xi), _int_eval(b, xi))
+    half = xi // 2
+    digits = []
+    while gamma:
+        gamma, r = divmod(gamma, xi)
+        if r > half:
+            r -= xi
+            gamma += 1
+        digits.append(r)
+    return _primitive(digits)
+
+
+def _int_eval(a: Sequence[int], xi: int) -> int:
+    acc = 0
+    for c in reversed(a):
+        acc = acc * xi + c
+    return acc
+
+
+def _prs_gcd(a: list[int], b: list[int]) -> list[int]:
+    """The primitive PRS gcd of primitive a and b: GCDHEU's fallback, and
+    the tests' reference."""
     while b:
         a, b = b, int_rem(a, b)
     return a
+
+
+def int_poly_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Primitive gcd of integer polynomials, not both zero: the other input
+    when one is zero, [1] when one is a constant, and otherwise by GCDHEU
+    (module docstring) with the primitive PRS as the fallback.  Only the
+    inputs are made primitive here; the scale of the caller's own vectors
+    is left alone."""
+    a, b = _primitive(list(a)), _primitive(list(b))
+    if not a or not b:
+        return a or b
+    if len(a) == 1 or len(b) == 1:
+        return [1]
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
+    top = min(len(a), len(b))
+    for _ in range(_HEU_TRIES):
+        g = _heu_candidate(a, b, xi)
+        if len(g) == 1:
+            return [1]
+        if len(g) <= top:
+            try:
+                int_exact_div(a, g)
+                int_exact_div(b, g)
+                return g
+            except ValueError:
+                pass
+        xi = xi * _HEU_GROWTH[0] // _HEU_GROWTH[1]
+    return _prs_gcd(a, b)
 
 
 def _monic_poly(a: Sequence[int]) -> Poly:
@@ -450,17 +518,18 @@ def int_key(a: Sequence[int]) -> tuple[int, ...]:
     return tuple(a) if a[-1] > 0 else tuple(-c for c in a)
 
 
-# Isolation runs Yun on p, then builds Sturm chains in `rootclass` on the
-# same vectors (a squarefree p is its own only factor, and counts run on p's
-# chain), so both start the same remainder sequence; a bounded memo runs it
-# once.
+# `rootclass` builds the Sturm chains of a polynomial and of its monic Yun
+# factors, which share one primitive vector; a bounded memo runs the
+# sequence once per vector.
 @lru_cache(maxsize=64)
 def int_remainder_sequence(a: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """(a, prim(a'), -int_rem, ...) for a primitive integer vector a with a
     positive leading coefficient (`int_key`): each member after the second
     is minus the primitive integer remainder of the two before it, up to
-    the last nonzero one, which is gcd(a, a') up to sign.  When that is a
-    constant the sequence is the Sturm chain of a.  Memoized per vector."""
+    the last nonzero one, which is gcd(a, a') up to sign.  `rootclass`
+    runs it on squarefree vectors only, where that last member is a
+    constant and the sequence is the Sturm chain of a.  Memoized per
+    vector."""
     seq = [a]
     if len(a) > 1:
         seq.append(tuple(_primitive(int_derivative(a))))
@@ -473,22 +542,20 @@ def int_remainder_sequence(a: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 
 
 def squarefree_part(p: Poly) -> Poly:
-    """p / gcd(p, p'), monic, with the gcd read off the shared remainder
-    sequence (`int_remainder_sequence`)."""
+    """p / gcd(p, p'), monic, with the gcd from `int_poly_gcd`."""
     if p.is_zero():
         raise ValueError("square-free part of the zero polynomial")
     if p.degree == 0:
         return ONE
-    a = int_key(int_coeffs(p))
-    return _monic_poly(int_exact_div(a, int_remainder_sequence(a)[-1]))
+    a = int_coeffs(p)
+    return _monic_poly(int_exact_div(a, int_poly_gcd(a, int_derivative(a))))
 
 
 def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
     """Yun's algorithm: [(g_k, k)] with p ~ prod g_k^k, g_k squarefree monic.
-    The first gcd, gcd(p, p'), is the last member of the shared remainder
-    sequence (`int_remainder_sequence`), which the Sturm chain of p reads
-    too; the later gcds run `int_poly_gcd`.  Every factor is made monic, so
-    neither the sign of that gcd nor the scale of any vector moves them."""
+    Every gcd, the first one gcd(p, p') included, runs `int_poly_gcd`.
+    Every factor is made monic, so neither the sign of a gcd nor the scale
+    of any vector moves them."""
     if p.is_zero():
         raise ValueError("square-free decomposition of the zero polynomial")
     if p.degree == 0:
@@ -497,9 +564,9 @@ def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
     # b and d must carry the same scale: dp is the derivative of this very
     # vector a, never made primitive on its own, and each step divides both
     # by the same g.
-    a = int_key(int_coeffs(p))
+    a = int_coeffs(p)
     dp = int_derivative(a)
-    g = int_remainder_sequence(a)[-1]
+    g = int_poly_gcd(a, dp)
     b = int_exact_div(a, g)
     d = _int_sub(int_exact_div(dp, g), int_derivative(b))
     k = 1
@@ -583,6 +650,18 @@ class BivarPoly:
 # text format
 # ---------------------------------------------------------------------------
 
+# the highest degree, and exponent, that a polynomial expression may reach:
+# `parse_poly` refuses more before it expands anything, so a short text
+# such as x^99999999999 cannot fill memory.  It bounds memory, not time: a
+# dense polynomial far below it can still take long to classify.
+MAX_DEGREE = 10_000
+
+
+def _check_degree(degree: int) -> None:
+    if degree > MAX_DEGREE:
+        raise ValueError(f"degree {degree} is above MAX_DEGREE = {MAX_DEGREE}")
+
+
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+(?:\s*/\s*\d+)?)|(?P<var>x)|(?P<op>[-+*^()]))",
     re.IGNORECASE,
@@ -639,11 +718,12 @@ class _Parser:
             tok = self.peek()
             if tok == "*":
                 self.next()
-                acc = acc * self.parse_power()
-            elif tok is not None and (tok == "x" or tok == "(" or tok[0].isdigit()):
-                acc = acc * self.parse_power()  # juxtaposition, e.g. "3x"
-            else:
+            elif tok is None or not (tok == "x" or tok == "(" or tok[0].isdigit()):
                 return acc
+            # "a * b", or juxtaposition, e.g. "3x"
+            factor = self.parse_power()
+            _check_degree(acc.degree + factor.degree)
+            acc = acc * factor
 
     def parse_power(self) -> Poly:
         base = self.parse_atom()
@@ -658,7 +738,11 @@ class _Parser:
                 raise ValueError("exponent must be a nonnegative integer")
             if neg:
                 raise ValueError("negative exponents not supported")
-            return base ** int(tok)
+            k = int(tok)
+            if k > MAX_DEGREE:
+                raise ValueError(f"exponent {k} is above MAX_DEGREE = {MAX_DEGREE}")
+            _check_degree(base.degree * k)
+            return base ** k
         return base
 
     def parse_atom(self) -> Poly:

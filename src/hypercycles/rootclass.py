@@ -9,17 +9,16 @@ Two independent routes to root counts live here on purpose:
   degree of its head, the squarefree part.
   Chains are built on primitive integer polynomials: each member is minus
   the primitive integer remainder (`polyx.int_rem`) of the two before it,
-  so no `Fraction` division runs.  One remainder sequence, started at p and
-  p' (`polyx.int_remainder_sequence`, memoized per primitive integer
-  vector), serves both the chain and the squarefree decomposition: its last
-  member is gcd(p, p') up to sign, which `squarefree_decomposition` and
-  `squarefree_part` read as their first gcd; when it is a constant the
-  sequence already is the chain of the squarefree p, and otherwise the
-  chain is the sequence of the squarefree p / gcd(p, p').  Isolation
-  bisects on p's own chain and labels each cell with its Yun factor, so
-  isolating p and then counting on its chain runs the (p, p') sequence
-  once.  Chains are memoized per polynomial in one small bounded cache,
-  and the sequences behind them per primitive integer vector;
+  so no `Fraction` division runs.  gcd(p, p') comes first, by integer
+  evaluation (`polyx.int_poly_gcd`, the kernel behind Yun's algorithm
+  too), and the chain is the remainder sequence of the squarefree
+  p / gcd(p, p') (`polyx.int_remainder_sequence`, memoized per primitive
+  integer vector), of p itself when the gcd is a constant.  So the
+  sequence only ever runs as a Sturm chain, never just to find a gcd.
+  Isolation bisects on p's own chain and labels each cell with its Yun
+  factor, so isolating p and then counting on its chain runs one sequence.
+  Chains are memoized per polynomial in one small bounded cache, and the
+  sequences behind them per primitive integer vector;
 * the discrimination-matrix route: Yang's complete discrimination system
   (Yang, Hou and Zeng), the leading principal even-order minors D_k of the
   Sylvester-style matrix of f and f', whose (revised) sign pattern counts
@@ -34,7 +33,7 @@ Two independent routes to root counts live here on purpose:
   count against the Sturm route) and the tests, where it is the reference
   that `count_roots` is checked against.  `count_roots` does not run it,
   so counting, isolating and Sturm-counting one polynomial runs one
-  remainder sequence of (p, p').
+  remainder sequence, the chain of its squarefree part.
 
 Each Sturm chain is evaluated once per point: isolation carries the sign
 variations of each interval's endpoints down its bisection stack, so a split
@@ -123,8 +122,10 @@ from .polyx import (
     Poly,
     RationalLike,
     int_coeffs,
+    int_derivative,
     int_exact_div,
     int_key,
+    int_poly_gcd,
     int_remainder_sequence,
     poly_gcd,
     rat,
@@ -430,19 +431,19 @@ def _sturm_chain_int(p: Poly) -> _Chain:
     positive multiple of the rational remainder, made primitive); dividing
     members by positive constants preserves all sign variations.
 
-    With a the primitive integer vector of p, the remainder sequence of a
-    and a' (`polyx.int_remainder_sequence`, memoized per vector and shared
-    with the squarefree kernels) ends at gcd(a, a') up to sign.  When that
-    is a constant, a is squarefree and the sequence is its chain; otherwise
-    the chain is the sequence of the quotient a / gcd(a, a'), which is
-    squarefree, so its own sequence ends at a constant, and primitive by
-    Gauss's lemma.  Memoized per `Poly` (immutable and hashable); the chain
-    is returned as nested tuples so callers cannot alter the shared value."""
-    a = int_key(int_coeffs(p))
-    seq = int_remainder_sequence(a)
-    if len(seq[-1]) > 1:
-        seq = int_remainder_sequence(int_key(int_exact_div(a, seq[-1])))
-    return _make_chain(seq)
+    With a the primitive integer vector of p, g = gcd(a, a') comes first,
+    from `polyx.int_poly_gcd`.  The chain is the remainder sequence
+    (`polyx.int_remainder_sequence`, memoized per vector) of a when g is a
+    constant, and otherwise of the quotient a / g, which is squarefree and
+    primitive by Gauss's lemma.  So the sequence only ever runs on a
+    squarefree vector, and ends at a constant.  Memoized per `Poly`
+    (immutable and hashable); the chain is returned as nested tuples so
+    callers cannot alter the shared value."""
+    a = int_coeffs(p)
+    g = int_poly_gcd(a, int_derivative(a))
+    if len(g) > 1:
+        a = int_exact_div(a, g)
+    return _make_chain(int_remainder_sequence(int_key(a)))
 
 
 def _chain_signs(chain: _Chain, p: int, q: int) -> list[int]:
@@ -626,6 +627,10 @@ class RealRoot:
     @hi.setter
     def hi(self, value: RationalLike) -> None:
         self._put(self.lo, rat(value))
+
+    def int_ends(self) -> tuple[int, int, int]:
+        """(a, b, d): the ends lo = a/d and hi = b/d as held."""
+        return self._a, self._b, self._d
 
     def __repr__(self) -> str:
         return (f"RealRoot(poly={self.poly!r}, lo={self.lo!r}, hi={self.hi!r}, "

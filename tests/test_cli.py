@@ -246,6 +246,13 @@ def test_usage_error_exit_1():
          "error: missing polynomial --P"),
         (["portrait", "--stdin"], json.dumps({"f": [0, 1], "g": [0, 1], "Q": [1, 0, -1]}),
          "error: missing polynomial --P"),
+        (["roots", "x^99999999999"], None,
+         "error: POLY: exponent 99999999999 is above MAX_DEGREE = 10000"),
+        (["roots", "x^5000 x^5001"], None,
+         "error: POLY: degree 10001 is above MAX_DEGREE = 10000"),
+        (["roots", "7" * 5000 + "x + 1"], None, "error: POLY: Exceeds the limit"),
+        (["certify", "--stdin"], '{"P": [' + "7" * 5000 + '], "Q": [1]}',
+         "error: --stdin: not valid JSON: Exceeds the limit"),
     ],
     ids=["dangling_power", "zero_denominator", "roots_dangling_power",
          "stdin_not_json", "stdin_not_object", "stdin_zero_denominator",
@@ -254,7 +261,9 @@ def test_usage_error_exit_1():
          "criteria_empty",
          "float_coefficient", "boolean_coefficient", "null_coefficient",
          "stdin_float_coefficient", "stdin_boolean_coefficient",
-         "stdin_null_coefficient", "portrait_lone_Q", "portrait_stdin_lone_Q"],
+         "stdin_null_coefficient", "portrait_lone_Q", "portrait_stdin_lone_Q",
+         "exponent_above_max_degree", "product_above_max_degree",
+         "coefficient_digits_above_limit", "stdin_digits_above_limit"],
 )
 def test_bad_input_is_a_usage_error(args, stdin_text, complaint):
     proc = run_cli(args, stdin_text=stdin_text)
@@ -262,6 +271,26 @@ def test_bad_input_is_a_usage_error(args, stdin_text, complaint):
     assert proc.stdout == ""
     assert proc.stderr.startswith(complaint)
     assert "Traceback" not in proc.stderr
+
+
+def test_roots_prints_exact_values_of_any_length():
+    # the discriminant sequence of x^1500 - 1 holds values of more than
+    # 4,300 digits, the cap Python puts on int-to-text conversion by default
+    proc = run_cli(["roots", "x^1500-1"])
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    doc = json.loads(proc.stdout)
+    assert doc["degree"] == 1500
+    assert max(len(d) for d in doc["discriminant_sequence"]) > 4300
+    assert [(i["lo"], i["hi"]) for i in doc["isolating_intervals"]] == [
+        ("-1", "-1"), ("1", "1")]
+
+
+def test_main_restores_the_digit_cap(capsys):
+    limit = sys.get_int_max_str_digits()
+    assert main(["roots", "x^1500-1"]) == 0
+    assert json.loads(capsys.readouterr().out)["degree"] == 1500
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_roots_computes_the_discriminant_sequence_once(monkeypatch, capsys):

@@ -5,6 +5,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from hypercycles import families
 from hypercycles.families import (
@@ -584,3 +585,57 @@ def test_pick_window_lies_strictly_inside_a_bracketed_window():
     w = _pick_window(Fraction(0), [_xi_bracket()], [_xi_plus(2)])
     assert alpha.sign_of(_CUBIC - Poly([w])) < 0
     assert alpha.sign_of(_CUBIC - Poly([w - 2])) > 0
+
+
+def _fraction_bracket(p, root, m2):
+    """The bracket ends by the `Fraction` formula: v -+ rad*(|p'(mid)| +
+    rad*M2), with v = p(mid) and mid, rad the midpoint and half-width of
+    the root's interval."""
+    lo, hi = root.lo, root.hi
+    mid, rad = (lo + hi) / 2, (hi - lo) / 2
+    v = p.eval(mid)
+    err = rad * (abs(p.derivative().eval(mid)) + rad * m2)
+    return v - err, v + err
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=5),
+                min_size=4, max_size=8),
+       st.integers(0, 12))
+def test_integer_bracket_ends_are_the_fraction_formula(coeffs, k):
+    p = Poly(coeffs)
+    assume(p.degree >= 2)
+    ddp = p.derivative().derivative()
+    for root in isolate_real_roots(p.derivative()):
+        # M2: |p''| bounded on the first interval, by the absolute values of
+        # its coefficients at R = max(|lo|, |hi|)
+        R = max(abs(root.lo), abs(root.hi))
+        m2 = sum(abs(c) * R ** i for i, c in enumerate(ddp.coeffs))
+        bracket = families._Bracket(p, root)
+        assert bracket.m2 == m2
+        for _ in range(k + 1):
+            assert (bracket.lo, bracket.hi) == _fraction_bracket(p, root, m2)
+            bracket.refine()
+
+
+def test_pick_d_then_b_isolates_each_derivative_once(monkeypatch):
+    # lemma 7 at h = 1 is one inductive level: d from the critical values of
+    # B = A/x and of x c*, b from those of g and q.  Each of the four
+    # derivatives is isolated once, B' and q' for both their minima and
+    # their maxima
+    l, s = 1, Fraction(3)
+    cstar, _ = perturb_lemma7(0, l, s)
+    Q1 = Poly([-s, 1]) * Poly([-1, 1]) ** 2 * X ** 3
+    expected = perturb_lemma7(1, l, s)
+    isolated = []
+
+    def counting(p):
+        isolated.append(p)
+        return isolate_real_roots(p)
+
+    monkeypatch.setattr(families, "isolate_real_roots", counting)
+    found = families._pick_d_then_b(Q1, cstar, _ladder_slots(0, 4, l, 0, s),
+                                    (Fraction(0), s))
+    assert found == expected
+    assert len(isolated) == 4
+    assert max(Counter(isolated).values()) == 1

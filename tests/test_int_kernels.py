@@ -8,12 +8,18 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hypercycles import polyx
 from hypercycles.polyx import (
     ONE,
     Poly,
+    _heu_candidate,
+    _primitive,
+    _prs_gcd,
     int_coeffs,
     int_exact_div,
+    int_mul,
     int_poly_gcd,
     int_rem,
     parse_poly,
@@ -148,8 +154,8 @@ def test_squarefree_kernels_match_fraction_euclid(samples):
 
 
 def ref_int_yun(p: Poly) -> list[tuple[Poly, int]]:
-    """Yun's algorithm on integer vectors as it ran before its first gcd was
-    read off the shared remainder sequence: every gcd by `int_poly_gcd`."""
+    """Yun's algorithm on integer vectors written out here, every gcd by
+    `int_poly_gcd`, with the sign of p's vector kept as it comes."""
     if p.degree == 0:
         return []
 
@@ -249,8 +255,78 @@ def test_gcd_zero_inputs():
     assert poly_gcd(b, Poly()) == b.monic()
     assert poly_gcd(Poly(), Poly([Fraction(-4, 3)])) == ONE
     assert int_poly_gcd([], [6, -4]) == [3, -2]
+    assert int_poly_gcd([6, -4], []) == [3, -2]
+    assert int_poly_gcd([-5], [1, 1]) == int_poly_gcd([1, 1], [7]) == [1]
     with pytest.raises(ValueError):
         poly_gcd(Poly(), Poly())
+
+
+# -- GCDHEU against the primitive PRS ------------------------------------------
+
+_int_vector = st.lists(st.integers(-9, 9), min_size=1, max_size=6).filter(
+    lambda v: v[-1] != 0)
+
+
+@st.composite
+def _planted_pair(draw):
+    """a = c * u and b = c * v for integer vectors c, u and v: a pair with
+    the common factor c planted, and often more when u and v share one."""
+    c, u, v = draw(_int_vector), draw(_int_vector), draw(_int_vector)
+    return int_mul(c, u), int_mul(c, v)
+
+
+def _same_up_to_sign(g, h) -> bool:
+    return g == h or g == [-x for x in h]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_planted_pair())
+def test_heuristic_gcd_is_the_prs_gcd_up_to_sign(pair):
+    a, b = pair
+    assert _same_up_to_sign(int_poly_gcd(a, b), _prs_gcd(_primitive(a), _primitive(b)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_planted_pair())
+def test_poly_gcd_is_the_monic_gcd_of_sympy(pair):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    a, b = (Poly(v) for v in pair)
+    expected = _from_sympy(_to_sympy(sympy, x, a).gcd(_to_sympy(sympy, x, b)))
+    assert poly_gcd(a, b) == expected.monic()
+
+
+def test_without_tries_the_gcd_is_the_prs_gcd(monkeypatch):
+    # with no evaluation point to try, every gcd of two nonconstant inputs
+    # is the fallback's answer, vector for vector
+    monkeypatch.setattr(polyx, "_HEU_TRIES", 0)
+    rng = random.Random(31)
+    for _ in range(40):
+        a, b = (int_coeffs(p) for p in _random_pair(rng))
+        if len(a) > 1 and len(b) > 1:
+            assert int_poly_gcd(a, b) == _prs_gcd(a, b)
+
+
+def test_a_wrong_first_candidate_fails_the_division_test(monkeypatch):
+    """a = (x - 3)(x + 1) and b = (3x + 1)(x + 1), with the gcd x + 1.
+
+    Found by a search over pairs of primitive integer polynomials of degree
+    1 to 3 with coefficients in -3..3, in lexicographic order, for the first
+    pair whose candidate at the first evaluation point fails the division
+    test: x - 3 and 3x + 1, coprime, where xi = 2 * min(3, 3) + 2 = 8 gives
+    gcd(5, 25) = 5, whose digits 8 - 3 read x - 3.  With the common factor
+    x + 1 planted, gamma = gcd(45, 225) = 45 reads back as a itself, which
+    does not divide b.  The next point, xi = 21, gives x + 1."""
+    a, b = int_mul([-3, 1], [1, 1]), int_mul([1, 3], [1, 1])
+    assert _heu_candidate(a, b, 8) == a
+    with pytest.raises(ValueError):
+        int_exact_div(b, a)
+
+    def no_fallback(a, b):
+        raise AssertionError("the second point must decide")
+
+    monkeypatch.setattr(polyx, "_prs_gcd", no_fallback)
+    assert int_poly_gcd(a, b) == [1, 1]
 
 
 # -- an outside oracle ------------------------------------------------------

@@ -9,7 +9,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hypercycles import rootclass
-from hypercycles.families import construct_case_i, construct_high_n, construct_n_2m
+from hypercycles.families import (
+    construct,
+    construct_case_i,
+    construct_high_n,
+    construct_n_2m,
+)
 from hypercycles.lienard import HyperellipticCurve, certify
 from hypercycles.polyx import (
     Poly,
@@ -175,9 +180,8 @@ def test_root_exponent_bounds_every_complex_root():
 
 
 def test_sturm_count_after_isolation_builds_no_chain():
-    # squarefree and not monic: isolation builds the chain of its monic
-    # factor, which has the same primitive integer vector, so p's chain reads
-    # the (p, p') sequence off the memo entry that isolation started
+    # squarefree and not monic: isolation bisects on p's own chain, so the
+    # count reads it off the chain memo and starts no remainder sequence
     p = parse_poly("3 (x^2-2)(x^3-3x+1)(x+5)")
     assert len(isolate_real_roots(p)) == 6
     before = int_remainder_sequence.cache_info().misses
@@ -185,20 +189,38 @@ def test_sturm_count_after_isolation_builds_no_chain():
     assert int_remainder_sequence.cache_info().misses == before
 
 
-def test_sturm_count_after_isolation_starts_no_new_p_dp_sequence():
-    # isolation's squarefree decomposition ran the remainder sequence of
-    # (p, p'), and p's chain reads its gcd off the same memo entry.  Here
-    # the squarefree part is Yun's only factor, whose chain isolation built
+def _recording_sequences(monkeypatch) -> list:
+    """Every vector `rootclass` hands to `int_remainder_sequence` from now
+    on, with the chain memo emptied so that chains are built again."""
+    seen = []
+
+    def recording(a):
+        seen.append(a)
+        return int_remainder_sequence(a)
+
+    rootclass._sturm_chain_int.cache_clear()
+    monkeypatch.setattr(rootclass, "int_remainder_sequence", recording)
+    return seen
+
+
+def test_sturm_count_after_isolation_starts_no_new_p_dp_sequence(monkeypatch):
+    # Yun's gcds run by integer evaluation, and p's chain takes gcd(p, p')
+    # from the same kernel, so the (p, p') sequence never runs for this
+    # non-squarefree p: only the sequence of its squarefree part does, once,
+    # for the chain that isolation bisects on and the count reads again
+    seen = _recording_sequences(monkeypatch)
     p = parse_poly("(x^2-2)^2 (x+3)^2")
     assert len(isolate_real_roots(p)) == 3
     before = int_remainder_sequence.cache_info().misses
     assert sturm_count(p, -10, 10) == 3
     assert int_remainder_sequence.cache_info().misses == before
+    assert seen == [int_key(int_coeffs(squarefree_part(p)))]
+    assert int_key(int_coeffs(p)) not in seen
 
 
 def test_isolation_after_count_roots_starts_no_new_sequence():
-    # count_roots built p's chain from the (p, p') sequence, and isolating
-    # the squarefree p reads that sequence off the same memo entry
+    # count_roots built the chain of the squarefree p, and isolation bisects
+    # on that same memoized chain; Yun's gcds run no sequence
     p = parse_poly("7x^5 - 3x^4 - 11x^2 + 2x + 5/3")
     assert count_roots(p) == RootCount(distinct_real=3, imaginary_pairs=1)
     before = int_remainder_sequence.cache_info().misses
@@ -208,8 +230,8 @@ def test_isolation_after_count_roots_starts_no_new_sequence():
 
 def test_sturm_count_after_isolating_several_factors_starts_no_new_sequence():
     # Yun splits off (x^2-2)(x+3) and x - 1, but isolation bisects on p's
-    # own chain, the one the Sturm count reads, so the count starts no
-    # sequence: neither (p, p') nor that of the squarefree part
+    # own chain, the sequence of the squarefree part, which the Sturm count
+    # reads, so the count starts no sequence
     p = parse_poly("(x-1)^2 (x^2-2)(x+3)")
     assert len(isolate_real_roots(p)) == 4
     before = int_remainder_sequence.cache_info().misses
@@ -217,6 +239,18 @@ def test_sturm_count_after_isolating_several_factors_starts_no_new_sequence():
     assert int_remainder_sequence.cache_info().misses == before
     int_remainder_sequence(int_key(int_coeffs(squarefree_part(p))))
     assert int_remainder_sequence.cache_info().misses == before
+
+
+@pytest.mark.parametrize("m, n", [(10, 17), (9, 19)])
+def test_constructions_run_remainder_sequences_on_squarefree_vectors_only(
+        monkeypatch, m, n):
+    # (10,17) builds a lemma 7 ladder and (9,19) a product family with the
+    # factor (x+s)^k in Q: every Q is non-squarefree, yet each sequence runs
+    # on a squarefree vector, whose sequence ends at a constant
+    seen = _recording_sequences(monkeypatch)
+    construct(m, n)
+    assert seen
+    assert all(len(int_remainder_sequence(a)[-1]) == 1 for a in seen)
 
 
 # -- signs at dyadic points ------------------------------------------------------
