@@ -418,7 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("roots", help="classify the real roots of a polynomial")
-    p.add_argument("poly")
+    p.add_argument("poly", help="the polynomial; one with a leading minus "
+                   "goes after --, as in: roots -- -x^2+2")
     p.set_defaults(func=_cmd_roots)
 
     p = sub.add_parser("bounds", help="look up the known bounds for type (m,n)")

@@ -19,12 +19,14 @@ reads a coefficient does, through `coeffs`, `p[k]` or `leading()`, and
 `squarefree_part` and `squarefree_decomposition` (Yun) run on primitive
 integer coefficient lists (`int_coeffs`), with an exact division in Z[x]
 (Gauss's lemma, `int_exact_div`), and every gcd among them, Yun's first
-gcd(p, p') included, comes from `int_poly_gcd`.  Each converts back to a
-`Poly` once, at the end; the monic results are the unique ones, so they
-are the same as Euclid over Q would give.  `Poly.divrem`, `Poly.content`
-and `Poly.primitive` stay over `Fraction`: the integer-kernel tests use
-them as the rational reference, and the bench trace
-(`perfbench/tracing.py`) wraps `divrem`.
+gcd(p, p') included, comes from `int_poly_gcd`.  Yun's steps after that
+first gcd are `_yun`'s, which `rootclass` starts from the gcd(p, p') that
+its Sturm chain of p already took, so no polynomial pays for it twice.
+Each converts back to a `Poly` once, at the end; the monic results are the
+unique ones, so they are the same as Euclid over Q would give.
+`Poly.divrem`, `Poly.content` and `Poly.primitive` stay over `Fraction`:
+the integer-kernel tests use them as the rational reference, and the bench
+trace (`perfbench/tracing.py`) wraps `divrem`.
 
 `int_poly_gcd` is GCDHEU (B. W. Char, K. O. Geddes and G. H. Gonnet,
 "GCDHEU: Heuristic polynomial GCD algorithm based on integer GCD
@@ -553,20 +555,31 @@ def squarefree_part(p: Poly) -> Poly:
 
 def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
     """Yun's algorithm: [(g_k, k)] with p ~ prod g_k^k, g_k squarefree monic.
-    Every gcd, the first one gcd(p, p') included, runs `int_poly_gcd`.
-    Every factor is made monic, so neither the sign of a gcd nor the scale
-    of any vector moves them."""
+    Every gcd, the first one gcd(p, p') included, runs `int_poly_gcd`, and
+    the steps after that first gcd are `_yun`'s.  Every factor is made
+    monic, so neither the sign of a gcd nor the scale of any vector moves
+    them."""
     if p.is_zero():
         raise ValueError("square-free decomposition of the zero polynomial")
     if p.degree == 0:
         return []
+    a = int_coeffs(p)
+    dp = int_derivative(a)
+    return _yun(a, dp, int_poly_gcd(a, dp))
+
+
+def _yun(a: Sequence[int], dp: Sequence[int], g: Sequence[int]) -> list[tuple[Poly, int]]:
+    """Yun's algorithm from its first gcd: a is the primitive vector of p, of
+    degree >= 1, dp = a' and g = gcd(a, dp) as `int_poly_gcd` gives it.  A
+    constant g leaves p squarefree, [(monic p, 1)] at once.  `rootclass`
+    passes the g its Sturm chain of p already took, so gcd(p, p') runs once
+    per polynomial."""
+    if len(g) == 1:
+        return [(_monic_poly(a), 1)]
     out: list[tuple[Poly, int]] = []
     # b and d must carry the same scale: dp is the derivative of this very
     # vector a, never made primitive on its own, and each step divides both
     # by the same g.
-    a = int_coeffs(p)
-    dp = int_derivative(a)
-    g = int_poly_gcd(a, dp)
     b = int_exact_div(a, g)
     d = _int_sub(int_exact_div(dp, g), int_derivative(b))
     k = 1

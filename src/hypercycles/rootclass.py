@@ -15,6 +15,8 @@ Two independent routes to root counts live here on purpose:
   p / gcd(p, p') (`polyx.int_remainder_sequence`, memoized per primitive
   integer vector), of p itself when the gcd is a constant.  So the
   sequence only ever runs as a Sturm chain, never just to find a gcd.
+  The chain keeps that gcd, and Yun's algorithm in `isolate_real_roots`
+  starts from it (`polyx._yun`), so gcd(p, p') runs once per polynomial.
   Isolation bisects on p's own chain and labels each cell with its Yun
   factor, so isolating p and then counting on its chain runs one sequence.
   Chains are memoized per polynomial in one small bounded cache, and the
@@ -35,14 +37,17 @@ Two independent routes to root counts live here on purpose:
   so counting, isolating and Sturm-counting one polynomial runs one
   remainder sequence, the chain of its squarefree part.
 
-Each Sturm chain is evaluated once per point: isolation carries the sign
-variations of each interval's endpoints down its bisection stack, so a split
-evaluates the chain at the midpoint only, and the one refinement loop of an
-isolated root (`RealRoot.sign_of`) recounts only the endpoint that a
-refinement step moved.  Signs of a polynomial at a point come from its
-stored integer form (`Poly.int_form`) by one homogeneous Horner on the
-point as an integer pair p/q (`_sign_at`, and `_chain_signs` for a whole
-chain), with no `Fraction` built.  Nearly every point isolation
+Each Sturm chain is evaluated at most once per point, and isolation
+evaluates it only where the head's sign cannot decide: it carries the sign
+variations and the head's sign at each interval's endpoints down its
+bisection stack, so a split evaluates the chain at the midpoint only, the
+box ends read theirs off the signs at +-inf, and a cell with one root
+inside and one at an end halves on the head's sign alone.  The one
+refinement loop of an isolated root (`RealRoot.sign_of`) recounts only the
+endpoint that a refinement step moved.  Signs of a polynomial at a point
+come from its stored integer form (`Poly.int_form`) by one homogeneous
+Horner on the point as an integer pair p/q (`_sign_at`, and `_chain_signs`
+for a whole chain), with no `Fraction` built.  Nearly every point isolation
 and refinement visit is dyadic, k/2**j; there the powers of q are shifts,
 acc = acc*k + (c << s) with s growing by j per coefficient (`_sign_dyadic`),
 which `_sign_int` and `_chain_signs` choose whenever q is a power of two.
@@ -68,15 +73,25 @@ drops the cell, a count of 1 with no root at either end returns it, and
 every other cell splits at its midpoint; a midpoint that is a root is
 returned as an exact point.  The chain's head is the squarefree part of f,
 so the count is of distinct roots and the rule needs no squarefree f.
+The sign variation count V changes only at roots of the head (Sturm's
+theorem), which gives two shortcuts with the same cells.  (A) No root of
+the head lies in [2**e, +inf) or (-inf, -2**e], so V(+-2**e) = V(+-inf)
+and the head's sign there is its sign at +-inf, all read off the chain's
+leading coefficients and degrees.  (B) A cell with a count of 1 and a
+root at exactly one end holds one simple root of the head inside, across
+which alone the head changes sign, so one sign of the head at each
+midpoint halves it: the half without the root, which the rule would drop
+at a count of 0, is never counted.  A cell with a count of 1 and roots at
+both ends, and every cell with a larger count, splits on the chain.
 Every point it visits is dyadic, k/2**j, held as the integers k and j: a
-midpoint is one add, and the chain is evaluated on (k, 2**j); `Fraction`s
-are built only for the intervals returned.  `isolate_real_roots` runs it
-once on f and hands each cell to the one Yun factor that changes sign
-across it (or vanishes at an exact point), so its roots come out in order,
-and no two of them overlap under any later refinement.  The canonical cell
-of an irrational root (`RealRoot.canonical`) is its cell in the isolation
-of its own factor, so every report prints cells that the isolation of one
-factor finds.
+midpoint is one add, and the chain or the head is evaluated on (k, 2**j);
+`Fraction`s are built only for the intervals returned.
+`isolate_real_roots` runs it once on f and hands each cell to the one Yun
+factor that changes sign across it (or vanishes at an exact point), so its
+roots come out in order, and no two of them overlap under any later
+refinement.  The canonical cell of an irrational root (`RealRoot.canonical`)
+is its cell in the isolation of its own factor, so every report prints
+cells that the isolation of one factor finds.
 
 A `RealRoot` holds its ends as integers a/d and b/d over one common
 denominator d: a power of two for every root isolation returns, any
@@ -119,6 +134,7 @@ from math import gcd as int_gcd, lcm
 from typing import Sequence
 
 from .polyx import (
+    _yun,
     Poly,
     RationalLike,
     int_coeffs,
@@ -129,7 +145,6 @@ from .polyx import (
     int_remainder_sequence,
     poly_gcd,
     rat,
-    squarefree_decomposition,
 )
 
 
@@ -390,9 +405,12 @@ def _sign_at_infinity(c: tuple[int, ...], positive: bool) -> int:
 class _Chain(tuple):
     """Sturm chain members, primitive integer coefficient tuples.  ends[i]
     is (e, sign at -inf, sign at +inf) of member i, where every complex
-    root z of the member has |z| < 2**e (`_root_exponent`)."""
+    root z of the member has |z| < 2**e (`_root_exponent`).  gcd is
+    gcd(a, a') of the primitive vector a of the polynomial the chain was
+    built for (`_sturm_chain_int`)."""
 
     ends: tuple[tuple[int, int, int], ...]
+    gcd: tuple[int, ...]
 
 
 def _make_chain(members: Sequence[tuple[int, ...]]) -> _Chain:
@@ -436,14 +454,17 @@ def _sturm_chain_int(p: Poly) -> _Chain:
     (`polyx.int_remainder_sequence`, memoized per vector) of a when g is a
     constant, and otherwise of the quotient a / g, which is squarefree and
     primitive by Gauss's lemma.  So the sequence only ever runs on a
-    squarefree vector, and ends at a constant.  Memoized per `Poly`
+    squarefree vector, and ends at a constant.  The chain keeps g as
+    `gcd`, as it keeps `ends`: `isolate_real_roots` starts Yun's algorithm
+    from it and takes no second gcd(a, a').  Memoized per `Poly`
     (immutable and hashable); the chain is returned as nested tuples so
     callers cannot alter the shared value."""
     a = int_coeffs(p)
     g = int_poly_gcd(a, int_derivative(a))
-    if len(g) > 1:
-        a = int_exact_div(a, g)
-    return _make_chain(int_remainder_sequence(int_key(a)))
+    chain = _make_chain(int_remainder_sequence(
+        int_key(int_exact_div(a, g) if len(g) > 1 else a)))
+    chain.gcd = tuple(g)
+    return chain
 
 
 def _chain_signs(chain: _Chain, p: int, q: int) -> list[int]:
@@ -789,49 +810,82 @@ def _isolate_squarefree(g: Poly) -> list[tuple[Fraction, Fraction]]:
 
     Bisection splits the box [-2**e, 2**e] at 0 first, whatever it holds,
     e the `_root_exponent` that the chain's head (which has the roots of g)
-    carries, so the box's ends lie strictly beyond every root.  From there
+    carries, so the box's ends lie strictly beyond every root.  V changes
+    only at roots of the head (Sturm's theorem), so V(+-2**e) = V(+-inf)
+    and the head's sign there is its sign at +-inf: both come from
+    `chain.ends`, and no chain is evaluated at the box's ends.  From there
     one rule decides each cell [a, b]: its open count
     V(a) - V(b) - [g(b) = 0] (module docstring) drops it at 0 and returns it
-    at 1 when neither end is a root; every other cell splits at its
-    midpoint, and a midpoint that is a root is returned as an exact point.
+    at 1 when neither end is a root; a cell with a count of 1 and a root at
+    exactly one end finishes on the head's sign (below); every other cell
+    splits at its midpoint on the chain, and a midpoint that is a root is
+    returned as an exact point.
+
+    The head is squarefree, so inside a cell with one root it changes sign
+    only across that root: it has its sign at the clean end (the end that is
+    no root) up to the root, and the opposite sign beyond.  Such a cell
+    halves on one sign of the head at the midpoint m (`_sign_dyadic`): a 0
+    makes m the exact point, a sign unlike the clean end's returns the half
+    between the clean end and m, and a sign like it makes m the clean end.
+    That visits the midpoints and returns the cell that splitting on the
+    chain would, where the half without the root has a count of 0 and is
+    dropped.  A cell with a count of 1 and no root at either end is
+    returned as it is.
+
     Every point is dyadic and held as integers: a stack entry
-    (ka, kb, j, at_a, at_b) is the cell [ka/2**j, kb/2**j] with (sign
-    variations of the chain, g vanishes) at both ends, so a split takes one
-    add for the midpoint (ka + kb)/2**(j+1) and evaluates the chain there
-    only, on the integer pair (`_chain_signs`).  `Fraction`s are built only
-    for the intervals returned."""
+    (ka, kb, j, va, sa, vb, sb) is the cell [ka/2**j, kb/2**j] with the sign
+    variations of the chain and the sign of the head at both ends, so a
+    split takes one add for the midpoint (ka + kb)/2**(j+1) and evaluates
+    the chain there only, on the integer pair (`_chain_signs`).  `Fraction`s
+    are built only for the intervals returned."""
     if g.degree < 1:
         return []
     chain = SturmChain(g).chain
-
-    def at(k: int, j: int) -> tuple[int, bool]:
-        signs = _chain_signs(chain, k, 1 << j)
-        return _sign_changes(signs), not signs[0]
-
+    head = chain[0]
     top = 1 << chain.ends[0][0]
-    stack = [(-top, top, 0, at(-top, 0), at(top, 0))]
+    stack = [(-top, top, 0,
+              _sign_changes([end[1] for end in chain.ends]), chain.ends[0][1],
+              _sign_changes([end[2] for end in chain.ends]), chain.ends[0][2])]
     found = []
     while stack:
-        ka, kb, j, at_a, at_b = stack.pop()
-        count = at_a[0] - at_b[0] - at_b[1]
+        ka, kb, j, va, sa, vb, sb = stack.pop()
+        count = va - vb - (not sb)
         if count == 0:
             continue
         # j = 0 only for the box, which splits at 0 whatever it holds
-        if count == 1 and j and not (at_a[1] or at_b[1]):
+        if count == 1 and j and (sa or sb):
+            # halve on the head's sign until neither end is a root.  Just
+            # inside the cell, a root end has the sign unlike the clean
+            # end's, and the midpoint takes the place of the end whose sign
+            # it has
+            while not (sa and sb):
+                km = ka + kb
+                ka, kb, j = 2 * ka, 2 * kb, j + 1
+                s = _sign_dyadic(head, km, j)
+                if not s:
+                    ka = kb = km
+                    break
+                if s == (sa or -sb):
+                    ka, sa = km, s
+                else:
+                    kb, sb = km, s
             found.append((ka, kb, j))
             continue
         km = ka + kb
-        at_m = at(km, j + 1)
-        if at_m[1]:
+        signs = _chain_signs(chain, km, 1 << (j + 1))
+        vm, sm = _sign_changes(signs), signs[0]
+        if not sm:
             found.append((km, km, j + 1))
-        stack.append((2 * ka, km, j + 1, at_a, at_m))
-        stack.append((km, 2 * kb, j + 1, at_m, at_b))
+        stack.append((2 * ka, km, j + 1, va, sa, vm, sm))
+        stack.append((km, 2 * kb, j + 1, vm, sm, vb, sb))
     return sorted((Fraction(ka, 1 << j), Fraction(kb, 1 << j)) for ka, kb, j in found)
 
 
 def isolate_real_roots(f: Poly) -> list[RealRoot]:
     """The distinct real roots of f in ascending order, each held by its
-    Yun factor (`squarefree_decomposition`) with its multiplicity in f.
+    Yun factor with its multiplicity in f.  The factors are those of
+    `squarefree_decomposition`, from Yun's algorithm started on the
+    gcd(a, a') that f's chain keeps (`polyx._yun`).
 
     One isolation of f (`_isolate_squarefree`) finds them all, and each
     cell is labelled by the one factor that holds its root: the factor that
@@ -848,7 +902,11 @@ def isolate_real_roots(f: Poly) -> list[RealRoot]:
     is the cell's root, and then the root turns exact."""
     if f.is_zero():
         raise ValueError("cannot isolate roots of the zero polynomial")
-    factors = [(g, g.int_form()[0], mult) for g, mult in squarefree_decomposition(f)]
+    if f.degree < 1:
+        return []
+    a = int_coeffs(f)
+    factors = [(g, g.int_form()[0], mult)
+               for g, mult in _yun(a, int_derivative(a), _sturm_chain_int(f).gcd)]
     roots: list[RealRoot] = []
     for lo, hi in _isolate_squarefree(f):
         g, mult = next((g, mult) for g, ints, mult in factors

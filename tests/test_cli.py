@@ -41,6 +41,17 @@ def test_roots_command():
     assert all(isinstance(s, str) for s in doc["discriminant_sequence"])
 
 
+def test_roots_reads_a_leading_minus_after_a_double_dash():
+    # argparse reads -x^2+2 as an option and then misses the polynomial;
+    # after "--" it is the polynomial
+    proc = run_cli(["roots", "-x^2+2"])
+    assert proc.returncode == 2
+    assert "the following arguments are required: poly" in proc.stderr
+    proc = run_cli(["roots", "--", "-x^2+2"])
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["distinct_real"] == 2
+
+
 # `roots` documents of the Bareiss-minor implementation, frozen: polynomials
 # with repeated roots, whose discriminant sequences end in zero runs
 _FROZEN_ROOTS = {

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hypercycles import rootclass
+from hypercycles import polyx, rootclass
 from hypercycles.families import (
     construct,
     construct_case_i,
@@ -19,9 +19,11 @@ from hypercycles.lienard import HyperellipticCurve, certify
 from hypercycles.polyx import (
     Poly,
     int_coeffs,
+    int_derivative,
     int_key,
     int_remainder_sequence,
     parse_poly,
+    poly_gcd,
     squarefree_part,
 )
 from hypercycles.rootclass import (
@@ -239,6 +241,36 @@ def test_sturm_count_after_isolating_several_factors_starts_no_new_sequence():
     assert int_remainder_sequence.cache_info().misses == before
     int_remainder_sequence(int_key(int_coeffs(squarefree_part(p))))
     assert int_remainder_sequence.cache_info().misses == before
+
+
+@pytest.mark.parametrize("text, mults", [
+    ("(x-1)^3 (x^2-2)^2 (x+3)(x^2-5)", [1, 1, 2, 3, 2, 1]),
+    ("7x^5 - 3x^4 - 11x^2 + 2x + 5/3", [1, 1, 1]),
+])
+def test_counting_then_isolating_takes_gcd_p_dp_once(text, mults, monkeypatch):
+    # the chain that count_roots builds keeps gcd(a, a') of p's primitive
+    # vector a, and isolation starts Yun's algorithm from it instead of
+    # taking that gcd again; a squarefree p needs no other gcd at all
+    p = parse_poly(text)
+    a = int_coeffs(p)
+    pair = (a, int_derivative(a))
+    seen = []
+    gcd = polyx.int_poly_gcd
+
+    def recording(x, y):
+        seen.append((list(x), list(y)))
+        return gcd(x, y)
+
+    for memo in (rootclass._sturm_chain_int, int_remainder_sequence, poly_gcd):
+        memo.cache_clear()
+    monkeypatch.setattr(polyx, "int_poly_gcd", recording)
+    monkeypatch.setattr(rootclass, "int_poly_gcd", recording)
+    count_roots(p)
+    roots = isolate_real_roots(p)
+    assert [r.multiplicity for r in roots] == mults
+    assert seen.count(pair) == 1
+    if mults == [1] * len(mults):
+        assert seen == [pair]
 
 
 @pytest.mark.parametrize("m, n", [(10, 17), (9, 19)])

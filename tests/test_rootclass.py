@@ -22,10 +22,12 @@ from hypercycles.rootclass import (
     RealRoot,
     RootCount,
     SturmChain,
+    _chain_signs,
     _int_det,
     _isolate_squarefree,
     _root_exponent,
     _sign_at,
+    _sign_changes,
     _sign_int,
     cauchy_bound,
     count_roots,
@@ -886,9 +888,10 @@ def test_isolation_cells_follow_one_rule(case):
 
 def test_isolation_lands_on_a_root_at_a_bisection_midpoint():
     # x^3 - x has root exponent 2: bisection starts from [-4, 0] and [0, 4],
-    # whose common end 0 is a root.  Each half holds one more root, but
-    # with a root at its end it splits, at -+2 and then at the roots -+1
-    # themselves, and the cells left over hold no root
+    # whose common end 0 is a root.  Each half holds one more root beside
+    # the root at its end, so it halves on the head's sign alone: the sign
+    # at -+2 is the sign at the clean end -+4, and at -+1, the roots
+    # themselves, it is 0
     p = P(0, -1, 0, 1)
     got = _isolate_squarefree(p)
     assert got == [(-1, -1), (0, 0), (1, 1)]
@@ -918,6 +921,93 @@ def test_isolation_builds_fractions_only_for_the_intervals_it_returns(p, monkeyp
     monkeypatch.undo()
     assert any(lo == hi for lo, hi in got)
     assert len(got) == count_roots(p).distinct_real and len(built) <= 2 * len(got)
+
+
+# -- the whole chain only where the head's sign cannot decide ------------------
+#
+# Isolation reads V(+-2**e) off the chain's signs at +-inf, and a cell with
+# one root inside and one at an end halves on the head's sign alone.  The
+# bisection that evaluated the whole chain at every point, box ends
+# included, is kept below verbatim as the reference: the cells must be the
+# same, in the same order.
+
+
+def ref_bisect_whole_chain(g: Poly) -> list[tuple[Fraction, Fraction]]:
+    if g.degree < 1:
+        return []
+    chain = SturmChain(g).chain
+
+    def at(k: int, j: int) -> tuple[int, bool]:
+        signs = _chain_signs(chain, k, 1 << j)
+        return _sign_changes(signs), not signs[0]
+
+    top = 1 << chain.ends[0][0]
+    stack = [(-top, top, 0, at(-top, 0), at(top, 0))]
+    found = []
+    while stack:
+        ka, kb, j, at_a, at_b = stack.pop()
+        count = at_a[0] - at_b[0] - at_b[1]
+        if count == 0:
+            continue
+        # j = 0 only for the box, which splits at 0 whatever it holds
+        if count == 1 and j and not (at_a[1] or at_b[1]):
+            found.append((ka, kb, j))
+            continue
+        km = ka + kb
+        at_m = at(km, j + 1)
+        if at_m[1]:
+            found.append((km, km, j + 1))
+        stack.append((2 * ka, km, j + 1, at_a, at_m))
+        stack.append((km, 2 * kb, j + 1, at_m, at_b))
+    return sorted((Fraction(ka, 1 << j), Fraction(kb, 1 << j)) for ka, kb, j in found)
+
+
+@st.composite
+def _irrational_beside_dyadic(draw):
+    """p with the irrational roots +-sqrt(k) and dyadic roots beside them:
+    sqrt(k) cut to j bits, from below or above, and of either sign, some
+    repeated, so that isolation must part an exact root at a bisection
+    midpoint from an irrational one close to it."""
+    p = Poly([draw(st.sampled_from([Fraction(-2), Fraction(1), Fraction(3, 2)]))])
+    for k in draw(st.lists(st.sampled_from([2, 3, 5, 7, 10]),
+                           min_size=1, max_size=2, unique=True)):
+        p = p * P(-k, 0, 1)
+        for _ in range(draw(st.integers(1, 2))):
+            j = draw(st.integers(0, 8))
+            r = Fraction(isqrt(k << 2 * j) + draw(st.integers(0, 1)), 1 << j)
+            p = p * Poly([-r * draw(st.sampled_from([1, -1])), 1]) ** draw(st.integers(1, 2))
+    return p
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.one_of(
+    _isolation_input().filter(lambda t: 1 <= t[0].degree <= 20).map(lambda t: t[0]),
+    _irrational_beside_dyadic()))
+def test_isolation_returns_the_cells_of_the_whole_chain_bisection(p):
+    for g in [p] + [g for g, _ in squarefree_decomposition(p)]:
+        assert _isolate_squarefree(g) == ref_bisect_whole_chain(g)
+
+
+@pytest.mark.parametrize("text, calls", [
+    # two cells beside the exact root 0 finish on the head's sign
+    ("x(1000x^2-1)", 1),
+    ("x^3-x", 1),
+    ("x(2x-1)(x^2-2)", 3),
+    # 1 and 257/256 are exact midpoints, sqrt(2) lies beside them
+    ("(x-1)(256x-257)(x-3)(x^2-2)", 7),
+])
+def test_isolation_evaluates_the_chain_only_where_the_head_cannot_decide(
+        text, calls, monkeypatch):
+    p = parse_poly(text)
+    want = ref_bisect_whole_chain(p)
+    top = 2 ** SturmChain(p).chain.ends[0][0]
+    points = []
+    chain_signs = rootclass._chain_signs
+    monkeypatch.setattr(rootclass, "_chain_signs", lambda chain, k, q:
+                        points.append(Fraction(k, q)) or chain_signs(chain, k, q))
+    assert _isolate_squarefree(p) == want
+    # none at the box ends +-2**e, whose signs are those at +-inf
+    assert len(points) == calls and all(-top < x < top for x in points)
 
 
 # -- open counts with rational endpoint roots, against deflation --------------
