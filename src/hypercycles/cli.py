@@ -30,7 +30,12 @@ from .lienard import (
 )
 from .polyx import Poly, coeff_strings, json_rational, json_scalar, parse_poly
 from .portrait import PortraitSpec, render_portrait
-from .recover import DegenerateLeadingCoefficient, UndeterminedType, recover_curve
+from .recover import (
+    DegenerateLeadingCoefficient,
+    TooManyTerms,
+    UndeterminedType,
+    recover_curve,
+)
 from .rootclass import (
     RootCount,
     discriminant_sequence,
@@ -221,6 +226,8 @@ def _cmd_reconstruct(args) -> dict:
     try:
         sys_ = LienardSystem(f=f, g=g)
         outcome = recover_curve(sys_)
+    except TooManyTerms as exc:
+        raise _usage("reconstruct", exc) from None
     except (UndeterminedType, DegenerateLeadingCoefficient, ValueError) as exc:
         raise DomainFailure.of(exc)
     if outcome.found:

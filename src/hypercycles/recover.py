@@ -11,39 +11,45 @@ by matching coefficients from the top degree downward.  Every coefficient
 p_i of P and q_j of Q is one unknown, so the coefficient of x^d in (I) or
 (II) is a closed-form sum over index pairs (index triples for the cubic
 term Q' P^2); `_equations` writes each one down directly as a polynomial in
-the unknowns.  Each equation is an integer vector over one positive
-denominator, as `Poly.int_form` is for a polynomial: (I) is written times
-the common denominator of f, (II) times that of g.  The two top unknowns
-are seeded with their closed forms, and a propagation solve follows:
-repeatedly find a coefficient equation that has become affine in one
-unknown (or a block of equations jointly affine), divide by its pivot, and
-substitute.  Each equation keeps its reduced form and is reduced again only
-when an unknown it holds has been assigned since and the reduction can
-leave it affine; that reduction touches only the terms holding a newly
-assigned unknown, scales every other term by the lcm of the denominators
-the touched ones picked up, and divides the equation by the common factor
-of its integers and its denominator.  No coefficient becomes a `Fraction`;
-only the assigned values and the pivots are, and an affine block is
-eliminated on its integer rows.
+the unknowns.  Its coefficients are integers, except on the data terms
+(those of 2 Q f or 2 Q g, the only terms of one unknown), which are over
+the common denominator of f or g, as `Poly.int_form` writes f and g.  The
+two top unknowns are seeded with their closed forms, and a propagation
+solve follows: repeatedly find a coefficient equation that has become
+affine in one unknown (or a block of equations jointly affine), divide by
+its pivot, and substitute.
+
+The assignment is held as integers over one common denominator D, each
+value vals[v] / D, and every numerator is rescaled when a value's
+denominator makes D grow.  An equation is never rewritten: it is
+evaluated afresh from its written terms, a term with k assigned unknowns
+scaled by D^(top - k), where top bounds the unknowns in one of its
+monomials (2 for (I) and degree-match, 3 for (II)), and a term other than
+a data term by the data terms' denominator as well.  That gives its
+integer (constant, linear part) over that denominator times D^top.  A
+pivot, a value and an `rref` row are the same for every positive multiple
+of an equation, so the scale never shows.  An equation is evaluated again
+only when an unknown it holds has been assigned since and it can come out
+affine.  No coefficient becomes a `Fraction`; only the pivots and the
+values read off the solve are, and an affine block is eliminated on its
+integer rows.
 The executed schedule, with every pivot, is recorded for audit.
 
 Two monomials of one coefficient equation share at most one unknown,
 counted with multiplicity (the terms of (I) are p_i q_j and q_j, those of
-(II) p_a p_b q_j, q_a q_b and q_j, with the index sum fixed by the degree),
-and a reduced monomial is part of an original one, so the same holds for
-every reduced form.  A term left with two or more unassigned unknowns thus
-never meets another term when reduced, and no cancellation can remove it.
-So a stale equation stays non-affine exactly when one of its monomials
-holds two unassigned unknowns (with multiplicity) and no unknown assigned
-the value 0 (`_Equation.may_be_affine`).  Such an equation is left stale:
-its reduced form, with gcd 1, is canonical, so a later reduction gives the
-same integers, pivots and schedule.
+(II) p_a p_b q_j, q_a q_b and q_j, with the index sum fixed by the degree).
+A monomial left with two or more unassigned unknowns thus never meets
+another monomial under an assignment, and no cancellation can remove it.
+So an equation stays non-affine exactly when one of its monomials holds
+two unassigned unknowns (with multiplicity) and no unknown assigned the
+value 0 (`_Equation.may_be_affine`); such an equation is not evaluated.
 
 When n < 2m+1 the top of (II) forces the coefficients of x^{n+2}..x^{2m+2}
 of P^2 and Q to agree; these derived equations are labeled "degree-match" and fed to
-the solver alongside (I) ("f-identity") and (II) ("g-identity").
+the solver alongside (I) ("f-identity") and (II) ("g-identity").  Their one
+term of one unknown, -q_d, is over the denominator 1.
 
-A candidate assignment is always verified exactly: every equation is reduced
+A candidate assignment is always verified exactly: every equation is evaluated
 under the full assignment, and failure reports the first equation
 (f-identity before g-identity before degree-match, descending degree) with a
 nonzero residual.
@@ -53,7 +59,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Optional
 
 from .lienard import HyperellipticCurve, LienardSystem
@@ -68,68 +74,34 @@ class DegenerateLeadingCoefficient(ValueError):
     """A pivot the uniqueness argument needs turned out to vanish."""
 
 
+class TooManyTerms(ValueError):
+    """The type's coefficient equations could hold more than MAX_TERMS
+    terms; recovery is refused before any is written."""
+
+
+# the most monomial terms the coefficient equations of a type may hold.  A
+# written term costs about 150 bytes: f = x^120, g = x^180 writes 1.95
+# million of them and recovers in 0.9 s with a 288 MB peak (1.6 s for dense
+# f and g), while (200, 300) writes 8.4 million and took 1.29 GB before this
+# limit refused it
+MAX_TERMS = 2_000_000
+
+
+def _term_bound(m: int, n: int, deg_q: int) -> int:
+    """An upper bound, for any f and g, on the terms `_equations` writes:
+    per unknown q_j, at most m+1 and n+1 data terms, m+2 terms p_i q_j,
+    (m+2)(m+3)/2 terms p_a p_b q_j and (deg_q + 2)/2 terms q_a q_b, with
+    room left for degree-match."""
+    return (deg_q + 1) * ((m + 4) * (m + 5) // 2 + n + deg_q)
+
+
 # -- polynomials in the unknowns ---------------------------------------------
 # monomial: sorted tuple of variable ids; MPoly: {monomial: coefficient}.
-# Coefficients are ints: an equation is an integer vector over one positive
+# Coefficients are ints: those of one unknown are over the positive
 # denominator that its `_Equation` keeps, as `Poly.int_form` is for a Poly.
 
 Mono = tuple[int, ...]
 MPoly = dict[Mono, int]
-
-
-def _mp_reduce(a: MPoly, assign: dict[int, Fraction]) -> tuple[MPoly, int]:
-    """(b, L) with b / L equal to a under `assign`: L is the lcm of the
-    denominators the touched terms pick up, so every coefficient of b is an
-    int.  Every coefficient of a is nonzero, so a term with no assigned
-    unknown is kept as c * L, the same object when L = 1, and only added to
-    when a reduced term lands on its monomial."""
-    assigned = assign.keys()
-    terms = []   # (monomial, numerator, denominator); 0 marks an untouched term
-    scale = 1
-    for mono, coeff in a.items():
-        if assigned.isdisjoint(mono):
-            terms.append((mono, coeff, 0))
-            continue
-        den = 1
-        rest = []
-        for v in mono:
-            if v in assign:
-                value = assign[v]
-                coeff *= value.numerator
-                den *= value.denominator
-            else:
-                rest.append(v)
-        if coeff:
-            terms.append((tuple(rest), coeff, den))
-            if den != 1:
-                scale = lcm(scale, den)
-    out: MPoly = {}
-    for mono, coeff, den in terms:
-        if den:
-            coeff *= scale // den
-        elif scale != 1:
-            coeff *= scale
-        if mono in out:
-            coeff = out[mono] + coeff
-            if not coeff:
-                del out[mono]
-                continue
-        out[mono] = coeff
-    return out, scale
-
-
-def _mp_affine(a: MPoly) -> Optional[tuple[int, dict[int, int]]]:
-    """(constant, {var: coeff}) when a is affine, else None."""
-    const = 0
-    lin: dict[int, int] = {}
-    for mono, c in a.items():
-        if len(mono) == 0:
-            const = c
-        elif len(mono) == 1:
-            lin[mono[0]] = c
-        else:
-            return None
-    return const, lin
 
 
 # -- outcome -------------------------------------------------------------------
@@ -147,80 +119,114 @@ class RecoveryOutcome:
         return self.curve is not None and self.verified
 
 
-def _blocks(mono: Mono, assign: dict[int, Fraction]) -> bool:
+def _blocks(mono: Mono, vals: dict[int, int]) -> bool:
     """The monomial holds two unassigned unknowns (with multiplicity) and no
-    unknown assigned 0, so reducing under `assign` leaves it non-affine."""
+    unknown assigned 0, so it leaves its equation non-affine under `vals`."""
     free = 0
     for v in mono:
-        if v not in assign:
+        if v not in vals:
             free += 1
-        elif not assign[v]:
+        elif not vals[v]:
             return False
     return free > 1
 
 
 class _Equation:
-    """One coefficient equation: its reduced form under the assignment as of
-    its last reduction, over the positive denominator `den` (the coefficient
-    of a monomial is expr[mono] / den), and that form's integer (constant,
-    linear part) when affine.  `block` is the monomial that last kept the
-    form from being affine, and `scan` iterates over the monomials after
+    """One coefficient equation as written: the coefficient of a monomial is
+    expr[mono] / den when it holds one unknown and expr[mono] otherwise, and
+    no monomial holds more than `top` unknowns.
+    `affine` is its integer (constant, linear part) under the assignment of
+    its last evaluation, over `scale` = den D^top with D the common
+    denominator the assignment had then.  `block` is the monomial that last
+    kept it from being affine, and `scan` iterates over the monomials after
     it."""
 
-    __slots__ = ("family", "degree", "expr", "den", "affine", "stale", "block", "scan")
+    __slots__ = ("family", "degree", "expr", "den", "top", "affine", "scale", "stale",
+                 "block", "scan")
 
     def __init__(self, family: str, degree: int, expr: MPoly, den: int):
         self.family = family
         self.degree = degree
         self.expr = expr
         self.den = den
+        self.top = 3 if family == "g-identity" else 2
         self.affine = None
+        self.scale = None
         self.stale = True
         self.block = None
         self.scan = iter(expr)
 
-    def may_be_affine(self, assign: dict[int, Fraction]) -> bool:
-        """False when reducing under `assign` must leave a monomial of two
-        unassigned unknowns: one that holds them and no unknown assigned 0
+    def may_be_affine(self, vals: dict[int, int]) -> bool:
+        """False when the equation must stay non-affine under `vals`: a
+        monomial holds two unassigned unknowns and no unknown assigned 0
         (see the module docstring).
 
         The assignment only grows and never changes a value, so a monomial
         that has stopped blocking never blocks again.  The monomial that
         blocked last time is tested first, and when it no longer blocks the
-        scan goes on after it: between two reductions, no monomial is
-        examined again once it has been found not to block."""
-        if self.block is not None and _blocks(self.block, assign):
+        scan goes on after it: no monomial is examined again once it has
+        been found not to block."""
+        if self.block is not None and _blocks(self.block, vals):
             return False
         for mono in self.scan:
-            if len(mono) > 1 and _blocks(mono, assign):
+            if len(mono) > 1 and _blocks(mono, vals):
                 self.block = mono
                 return False
         self.block = None
         return True
 
-    def refresh(self, assign: dict[int, Fraction]) -> None:
-        expr, scale = _mp_reduce(self.expr, assign)
-        den = self.den * scale
-        # divide out the common factor, so the integers stay small
-        common = gcd(den, *expr.values())
-        if common != 1:
-            den //= common
-            expr = {mono: c // common for mono, c in expr.items()}
-        self.expr = expr
-        self.den = den
-        self.affine = _mp_affine(expr) if expr else None
+    def evaluate(self, vals: dict[int, int], powers: tuple[int, ...]) -> None:
+        """Set `affine` and `scale`: the equation times den D^top under the
+        assignment vals[v] / D, with powers[i] = D^i.  A term with k
+        assigned unknowns is scaled by D^(top - k), and a term of more than
+        one unknown by den as well.  So a term of j unknowns is summed times
+        D^(top - j), and the linear part takes the one factor D its terms
+        lack once per unknown, at the end; the constant terms of more than
+        one unknown are summed before they are scaled by den.  A term left
+        with two unassigned unknowns and a nonzero coefficient is an error,
+        which `may_be_affine` rules out."""
+        top = self.top
+        den = self.den
+        const = data = 0   # the constant terms of more than one unknown, and of one
+        lin: dict[int, int] = {}
+        for mono, c in self.expr.items():
+            free = None
+            for v in mono:
+                if v in vals:
+                    c *= vals[v]
+                elif free is None:
+                    free = v
+                else:
+                    free = -1   # a second unassigned unknown
+            if not c:
+                continue
+            size = len(mono)
+            if size < top:
+                c *= powers[top - size]
+            if free is None:
+                if size == 1:
+                    data += c
+                else:
+                    const += c
+            elif free < 0:
+                raise ValueError(f"{self.family} x^{self.degree} is not affine: {mono}")
+            else:
+                if size > 1:
+                    c *= den
+                lin[free] = lin.get(free, 0) + c
+        D = powers[1]
+        self.affine = (const * den + data, {v: c * D for v, c in lin.items() if c})
+        self.scale = den * powers[top]
         self.stale = False
-        self.block = None
-        self.scan = iter(expr)
 
 
 def _equations(f: Poly, g: Poly, m: int, n: int, deg_q: int) -> list[_Equation]:
     """The coefficient equations of (I), (II) and, when n < 2m+1,
     degree-match, in witness priority order; p_i is unknown i and q_j is
     unknown m+2+j.  An equation whose every coefficient vanishes is left
-    out.  (I) and (II) are written times the common denominator D_f of f
-    (D_g of g), so the data terms are 2 F_k with f = F / D_f and every
-    structural term is scaled by D_f."""
+    out.  The data terms of (I) are 2 F_k q_j over the common denominator
+    D_f of f = F / D_f (those of (II) 2 G_k q_j over D_g), and every other
+    term has its integer coefficient."""
     q0 = m + 2
     top_p = m + 1
     f_nums, f_den = f.int_form()
@@ -239,7 +245,7 @@ def _equations(f: Poly, g: Poly, m: int, n: int, deg_q: int) -> list[_Equation]:
         data_terms(expr, d, f_nums)
         for i in range(max(0, d + 1 - deg_q), min(top_p, d + 1) + 1):
             j = d + 1 - i
-            expr[(i, q0 + j)] = -(2 * i + j) * f_den
+            expr[(i, q0 + j)] = -(2 * i + j)
         if expr:
             equations.append(_Equation("f-identity", d, expr, f_den))
     # (II): 2 Q g - Q' P^2 + Q' Q
@@ -250,11 +256,11 @@ def _equations(f: Poly, g: Poly, m: int, n: int, deg_q: int) -> list[_Equation]:
         for j in range(max(1, d + 1 - 2 * top_p), min(deg_q, d + 1) + 1):
             s = d + 1 - j
             for a in range(max(0, s - top_p), s // 2 + 1):
-                expr[(a, s - a, q0 + j)] = (-j if 2 * a == s else -2 * j) * g_den
+                expr[(a, s - a, q0 + j)] = -j if 2 * a == s else -2 * j
         # +Q' Q: a q_a q_b at x^{a-1+b}, ordered pairs (a, b)
         for a in range(max(0, d + 1 - deg_q), (d + 1) // 2 + 1):
             b = d + 1 - a
-            expr[(q0 + a, q0 + b)] = (a if a == b else d + 1) * g_den
+            expr[(q0 + a, q0 + b)] = a if a == b else d + 1
         if expr:
             equations.append(_Equation("g-identity", d, expr, g_den))
     if n < 2 * m + 1:
@@ -270,7 +276,7 @@ def _equations(f: Poly, g: Poly, m: int, n: int, deg_q: int) -> list[_Equation]:
 def _affine_block_solve(rows):
     """Gauss-Jordan elimination (`rref`) over the currently-affine equations.
     Each row is an equation's integer (constant, linear part), which is its
-    rational row times its `den`; scaling a row leaves the reduced row echelon
+    rational row times its `scale`; scaling a row leaves the reduced row echelon
     form as it is, so `rref` takes the integer rows as they are.  A value is
     read off a reduced row as minus its constant over its pivot, the one
     `Fraction` built per solved variable.
@@ -308,36 +314,25 @@ def _affine_block_solve(rows):
 def recover_curve(sys: LienardSystem) -> RecoveryOutcome:
     """Unique-candidate recovery of (P, Q) from (f, g); see module docstring.
 
-    Raises UndeterminedType when n = 2m+1 and DegenerateLeadingCoefficient
+    Raises UndeterminedType when n = 2m+1, TooManyTerms when the equations
+    could hold more than MAX_TERMS terms, and DegenerateLeadingCoefficient
     when the triangular solve stalls on a vanished pivot."""
     m, n = sys.m, sys.n
     if n == 2 * m + 1:
         raise UndeterminedType(f"type ({m},{n}) has n = 2m+1; curve may not be unique")
+    deg_q = n + 1 if n > 2 * m + 1 else 2 * m + 2
+    terms = _term_bound(m, n, deg_q)
+    if terms > MAX_TERMS:
+        raise TooManyTerms(f"type ({m},{n}) could need {terms:,} equation terms, "
+                           f"above MAX_TERMS = {MAX_TERMS:,}")
     f, g = sys.f, sys.g
     a_m = f.leading()
     b_n = g.leading()
 
-    deg_q = n + 1 if n > 2 * m + 1 else 2 * m + 2
     q_first = m + 2   # p_0..p_{m+1}, then q_0..q_{deg_q}
 
     def pname(v: int) -> str:
         return f"p{v}" if v < q_first else f"q{v - q_first}"
-
-    assign: dict[int, Fraction] = {}
-    schedule: list[dict] = []
-
-    # seeds from the top-degree comparisons
-    if n > 2 * m + 1:
-        assign[m + 1] = 2 * a_m / (2 * m + n + 3)
-        assign[q_first + n + 1] = -2 * b_n / (n + 1)
-        schedule.append({"unknowns": [f"p{m+1}", f"q{n+1}"],
-                         "equations": ["seed f-identity top", "seed g-identity top"],
-                         "pivots": [str(2 * m + n + 3), str(n + 1)]})
-    else:
-        assign[m + 1] = a_m / (2 * (m + 1))
-        schedule.append({"unknowns": [f"p{m+1}"],
-                         "equations": ["seed f-identity top"],
-                         "pivots": [str(2 * (m + 1))]})
 
     equations = _equations(f, g, m, n, deg_q)
     holders: dict[int, list[_Equation]] = {}
@@ -345,14 +340,40 @@ def recover_curve(sys: LienardSystem) -> RecoveryOutcome:
         for v in {v for mono in eq.expr for v in mono}:
             holders.setdefault(v, []).append(eq)
 
+    # the assignment: unknown v is vals[v] / D, and powers[i] = D^i
+    vals: dict[int, int] = {}
+    D = 1
+    powers = (1, 1, 1, 1)
+
     def set_var(var: int, value: Fraction) -> None:
-        assign[var] = value
+        nonlocal D, powers
+        grow = value.denominator // gcd(D, value.denominator)
+        if grow != 1:
+            for v in vals:
+                vals[v] *= grow
+            D *= grow
+            powers = (1, D, D * D, D * D * D)
+        vals[var] = value.numerator * (D // value.denominator)
         for eq in holders.get(var, ()):
             eq.stale = True
 
+    schedule: list[dict] = []
+    # seeds from the top-degree comparisons
+    if n > 2 * m + 1:
+        set_var(m + 1, 2 * a_m / (2 * m + n + 3))
+        set_var(q_first + n + 1, -2 * b_n / (n + 1))
+        schedule.append({"unknowns": [f"p{m+1}", f"q{n+1}"],
+                         "equations": ["seed f-identity top", "seed g-identity top"],
+                         "pivots": [str(2 * m + n + 3), str(n + 1)]})
+    else:
+        set_var(m + 1, a_m / (2 * (m + 1)))
+        schedule.append({"unknowns": [f"p{m+1}"],
+                         "equations": ["seed f-identity top"],
+                         "pivots": [str(2 * (m + 1))]})
+
     n_unknowns = q_first + deg_q + 1
 
-    while len(assign) < n_unknowns:
+    while len(vals) < n_unknowns:
         # single-unknown equations first: these are the schedule steps the
         # uniqueness argument walks through explicitly.  An equation later
         # in the pass sees the assignments made earlier in it
@@ -360,22 +381,21 @@ def recover_curve(sys: LienardSystem) -> RecoveryOutcome:
         affine_rows: list[tuple[_Equation, int, dict[int, int]]] = []
         for eq in equations:
             if eq.stale:
-                if not eq.may_be_affine(assign):
-                    # still non-affine (its `affine` is None); reduced later
+                if not eq.may_be_affine(vals):
                     continue
-                eq.refresh(assign)
-            if eq.affine is None:
-                continue
+                eq.evaluate(vals, powers)
             const, lin = eq.affine
             if not lin:
-                return RecoveryOutcome(None, False, witness=(eq.family, eq.degree),
-                                       schedule=tuple(schedule))
+                if const:
+                    return RecoveryOutcome(None, False, witness=(eq.family, eq.degree),
+                                           schedule=tuple(schedule))
+                continue
             if len(lin) == 1:
                 (var, coeff), = lin.items()
                 set_var(var, Fraction(-const, coeff))
                 schedule.append({"unknowns": [pname(var)],
                                  "equations": [f"{eq.family} x^{eq.degree}"],
-                                 "pivots": [str(Fraction(coeff, eq.den))]})
+                                 "pivots": [str(Fraction(coeff, eq.scale))]})
                 progressed = True
             else:
                 affine_rows.append((eq, const, lin))
@@ -390,7 +410,7 @@ def recover_curve(sys: LienardSystem) -> RecoveryOutcome:
                                    schedule=tuple(schedule))
         if not outcome:
             raise DegenerateLeadingCoefficient(
-                f"solve stalled with {n_unknowns - len(assign)} unknowns left; "
+                f"solve stalled with {n_unknowns - len(vals)} unknowns left; "
                 "a pivot the uniqueness argument assumes nonzero vanished"
             )
         for var, value in outcome:
@@ -400,17 +420,17 @@ def recover_curve(sys: LienardSystem) -> RecoveryOutcome:
                          "pivots": ["affine block elimination"]})
 
     # full verification of both identities: every unknown is assigned, so
-    # each equation reduces to a constant, and `equations` is already in
+    # each equation evaluates to a constant, and `equations` is already in
     # witness priority order
     for eq in equations:
         if eq.stale:
-            eq.refresh(assign)
-        if eq.expr:
+            eq.evaluate(vals, powers)
+        if eq.affine[0]:
             return RecoveryOutcome(None, False, witness=(eq.family, eq.degree),
                                    schedule=tuple(schedule))
 
-    P = Poly([assign[i] for i in range(q_first)])
-    Q = Poly([assign[q_first + i] for i in range(deg_q + 1)])
+    P = Poly([Fraction(vals[i], D) for i in range(q_first)])
+    Q = Poly([Fraction(vals[q_first + i], D) for i in range(deg_q + 1)])
     if Q.is_zero():
         return RecoveryOutcome(None, False, witness=("g-identity", 0), schedule=tuple(schedule))
     curve = HyperellipticCurve(P=P, Q=Q)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -127,6 +128,20 @@ def test_reconstruct_undetermined_type_exit_2():
     proc = run_cli(["reconstruct", "--stdin"], stdin_text=construct.stdout)
     assert proc.returncode == 2
     assert json.loads(proc.stdout)["error"] == "UndeterminedType"
+
+
+def test_reconstruct_of_a_type_above_max_terms_is_a_usage_error():
+    # f = x^300, g = x^450 parse well below MAX_DEGREE, but their
+    # equations would hold about 28 million terms; the type is refused
+    # before any is written, not after the memory runs out
+    start = time.perf_counter()
+    proc = run_cli(["reconstruct", "--f", "x^300", "--g", "x^450"])
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: reconstruct: type (300,450) could need")
+    assert "above MAX_TERMS = 2,000,000" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_pipeline_construct_certify():

@@ -15,13 +15,88 @@ from hypercycles.lienard import (
 from hypercycles import recover
 from hypercycles.polyx import Poly, parse_poly
 from hypercycles.recover import (
+    MAX_TERMS,
+    TooManyTerms,
     UndeterminedType,
     _affine_block_solve,
     _equations,
     _Equation,
-    _mp_reduce,
+    _term_bound,
     recover_curve,
 )
+
+
+def ref_mp_reduce(a, assign):
+    """(b, L) with b / L equal to a under `assign`: L is the lcm of the
+    denominators the touched terms pick up, so every coefficient of b is an
+    int.  Every coefficient of a is nonzero, so a term with no assigned
+    unknown is kept as c * L, the same object when L = 1, and only added to
+    when a reduced term lands on its monomial.  This is the incremental
+    reduction the solver ran before it evaluated each equation from its
+    written terms; it is kept as the reference the evaluation must agree
+    with."""
+    assigned = assign.keys()
+    terms = []   # (monomial, numerator, denominator); 0 marks an untouched term
+    scale = 1
+    for mono, coeff in a.items():
+        if assigned.isdisjoint(mono):
+            terms.append((mono, coeff, 0))
+            continue
+        den = 1
+        rest = []
+        for v in mono:
+            if v in assign:
+                value = assign[v]
+                coeff *= value.numerator
+                den *= value.denominator
+            else:
+                rest.append(v)
+        if coeff:
+            terms.append((tuple(rest), coeff, den))
+            if den != 1:
+                scale = math.lcm(scale, den)
+    out = {}
+    for mono, coeff, den in terms:
+        if den:
+            coeff *= scale // den
+        elif scale != 1:
+            coeff *= scale
+        if mono in out:
+            coeff = out[mono] + coeff
+            if not coeff:
+                del out[mono]
+                continue
+        out[mono] = coeff
+    return out, scale
+
+
+def _int_form(eq):
+    """The written equation as one integer vector over its `den`: the
+    terms of more than one unknown are written without it."""
+    return {mono: c if len(mono) == 1 else c * eq.den for mono, c in eq.expr.items()}
+
+
+def _over_q(eq, assign):
+    """The reduced form of the written equation under the `Fraction`
+    assignment, by the reference: {monomial: rational coefficient}."""
+    form, scale = ref_mp_reduce(_int_form(eq), assign)
+    return {mono: Fraction(c, eq.den * scale) for mono, c in form.items()}
+
+
+def _evaluate(eq, assign):
+    """Evaluate eq under the `Fraction` assignment, held as the solver holds
+    it (numerators over one common denominator D), and read the result
+    over Q as {(): constant, (v,): coefficient}, zeros left out."""
+    D = math.lcm(1, *(value.denominator for value in assign.values()))
+    vals = {v: int(value * D) for v, value in assign.items()}
+    eq.evaluate(vals, (1, D, D * D, D * D * D))
+    const, lin = eq.affine
+    assert type(eq.scale) is int and eq.scale == eq.den * D ** eq.top
+    assert type(const) is int and all(type(c) is int and c for c in lin.values())
+    form = {(v,): Fraction(c, eq.scale) for v, c in lin.items()}
+    if const:
+        form[()] = Fraction(const, eq.scale)
+    return form
 
 
 def _roundtrip(curve: HyperellipticCurve):
@@ -156,8 +231,12 @@ def test_equations_match_sympy_expansion(m, n):
         assert all(type(c) is int and c != 0 for c in eq.expr.values())
         assert type(eq.den) is int and eq.den > 0
         assert all(list(mono) == sorted(mono) for mono in eq.expr)
+        # the evaluation scales a term by D^(top - k), so no term holds more
+        assert all(len(mono) <= eq.top for mono in eq.expr)
+        # only the data terms, the terms of one unknown, are over den
         got[(eq.family, eq.degree)] = sympy.expand(sum(
-            sympy.Rational(c, eq.den) * sympy.Mul(*(unknowns[v] for v in mono))
+            sympy.Rational(c, eq.den if len(mono) == 1 else 1)
+            * sympy.Mul(*(unknowns[v] for v in mono))
             for mono, c in eq.expr.items()))
     assert got.keys() == {k for k, c in expected.items() if c != 0}
     for key, value in got.items():
@@ -180,7 +259,7 @@ def test_derived_curve_zeroes_every_equation(curve):
     def residuals(Q):
         assign = dict(enumerate(curve.P.coeffs))
         assign.update({m + 2 + j: c for j, c in enumerate(Q.coeffs)})
-        return [(eq.family, eq.degree) for eq in equations if _mp_reduce(eq.expr, assign)[0]]
+        return [(eq.family, eq.degree) for eq in equations if _evaluate(eq, assign)]
 
     assert residuals(curve.Q) == []
     bumped = curve.Q + Poly([0, Fraction(1, 7)])
@@ -189,7 +268,7 @@ def test_derived_curve_zeroes_every_equation(curve):
 
 def _mp_reduce_rebuild(a, assign):
     """The reduction that rebuilds every coefficient, 0 + coeff included:
-    the reference `_mp_reduce` must agree with."""
+    the reference `ref_mp_reduce` must agree with."""
     out = {}
     for mono, coeff in a.items():
         rest = []
@@ -210,51 +289,48 @@ def _mp_reduce_rebuild(a, assign):
 
 
 def test_refresh_keeps_the_coefficients_of_untouched_terms():
-    # an assignment that touches some terms of an equation leaves every
-    # other term as it was, over the denominator times the lcm L of the
-    # denominators the touched terms picked up: when L = 1 the coefficient
-    # object itself is kept, otherwise it becomes c * L
+    # an assignment that touches some terms of an equation leaves the
+    # others as written: evaluating scales each term as it scales the
+    # result, so over Q a term of one unknown keeps its written coefficient
+    # over den, plus what the touched terms land on its monomial; with
+    # D = 1 and with D = 4
     sys = derive_system(HyperellipticCurve(
         P=parse_poly("(x-1)(x-2)(x+5)"), Q=parse_poly("(x-1)(x-2)(x+5)^5").scale(-5)))
     m, n = sys.m, sys.n
-    for value, scale in [(Fraction(3), 1), (Fraction(3, 4), 4)]:
+    for value, D in [(Fraction(3), 1), (Fraction(3, 4), 4)]:
         eq = next(e for e in _equations(sys.f, sys.g, m, n, _deg_q(m, n))
                   if e.family == "f-identity" and len(e.expr) >= 6)
-        eq.refresh({})   # divides out the content the equation was written with
-        before, den = dict(eq.expr), eq.den
-        var = max(v for mono in before for v in mono)
-        assign = {var: value}
-        eq.refresh(assign)
-        assert eq.den == den * scale
-        landed = {tuple(v for v in mono if v != var) for mono in before if var in mono}
-        kept = [mono for mono in before if var not in mono and mono not in landed]
+        written = dict(eq.expr)
+        # every p_i: each term p_i q_j then holds one unassigned unknown
+        assign = {v: value for mono in written for v in mono if v < m + 2}
+        form = _evaluate(eq, assign)
+        assert eq.expr == written and eq.scale == eq.den * D ** 2
+        kept = [mono for mono in written if len(mono) == 1]
         assert kept
         for mono in kept:
-            if scale == 1:
-                assert eq.expr[mono] is before[mono]
-            else:
-                assert eq.expr[mono] == before[mono] * scale
-        assert all(type(c) is int for c in eq.expr.values())
-        reference = _mp_reduce_rebuild({mono: Fraction(c, den) for mono, c in before.items()},
-                                       assign)
-        assert {mono: Fraction(c, eq.den) for mono, c in eq.expr.items()} == reference
+            landed = sum(c * assign[mono2[0]]
+                         for mono2, c in written.items() if mono2[1:] == mono)
+            assert form.get(mono, 0) == Fraction(written[mono], eq.den) + landed
+        assert form == _over_q(eq, assign)
 
 
 def test_every_refresh_leaves_int_coefficients(monkeypatch):
-    # through whole solves of both branches, with fractional data: no
-    # reduced equation holds a Fraction, its denominator is positive, and
-    # the integers share no factor with it, so they stay small
-    refresh = _Equation.refresh
+    # through whole solves of both branches, with fractional data: every
+    # evaluation gives an int constant and nonzero int coefficients over the
+    # positive int scale den D^top, and D grows past 1
+    evaluate = _Equation.evaluate
     seen = []
 
-    def checked(eq, assign):
-        refresh(eq, assign)
-        assert type(eq.den) is int and eq.den > 0
-        assert all(type(c) is int and c != 0 for c in eq.expr.values())
-        assert math.gcd(eq.den, *eq.expr.values()) == 1
-        seen.append(eq.den)
+    def checked(eq, vals, powers):
+        evaluate(eq, vals, powers)
+        const, lin = eq.affine
+        assert type(eq.scale) is int and eq.scale == eq.den * powers[eq.top] > 0
+        assert type(const) is int
+        assert all(type(c) is int and c != 0 for c in lin.values())
+        assert all(type(v) is int for v in vals.values())
+        seen.append(powers[1])
 
-    monkeypatch.setattr(_Equation, "refresh", checked)
+    monkeypatch.setattr(_Equation, "evaluate", checked)
     for P, Q in [("(x-1/2)(x+3)", "-(x-1/2)(x+3)^5"),
                  ("(x-1/2)(x+2)(2/3x+1)", "4/9(x-1/2)^3(x+2)^3")]:
         curve = HyperellipticCurve(P=parse_poly(P), Q=parse_poly(Q))
@@ -305,7 +381,7 @@ def test_mp_reduce_matches_the_rebuild(expr, den, batches):
     for batch in batches:
         for v, value in batch.items():
             assign.setdefault(v, value)
-        fast, scale = _mp_reduce(fast, assign)
+        fast, scale = ref_mp_reduce(fast, assign)
         den *= scale
         slow = _mp_reduce_rebuild(slow, assign)
         assert [(mono, Fraction(c, den)) for mono, c in fast.items()] == list(slow.items())
@@ -338,18 +414,19 @@ def test_two_monomials_of_an_equation_share_at_most_one_unknown():
     assert checked > 4000
 
 
-_values = st.sampled_from([Fraction(0), Fraction(0), Fraction(1), Fraction(-2),
-                           Fraction(1, 2), Fraction(-3, 4)])
+_VALUES = [Fraction(0), Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 2), Fraction(-3, 4)]
+_values = st.sampled_from(_VALUES)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.sampled_from(ORACLE_TYPES + [(3, 4), (3, 8)]), st.data())
 def test_may_be_affine_is_exactly_what_a_reduction_finds(mn, data):
     # batches of assignments, zeros included, to the unknowns of one
-    # equation.  Before each reduction, `may_be_affine` must say False
-    # exactly when reducing leaves a non-empty form that is not affine.
-    # The equation is reduced only when it says True, as the solve does;
-    # the result must equal the form of a twin reduced after every batch
+    # equation.  Before each batch's evaluation, `may_be_affine` must say
+    # False exactly when the reference reduction of the written equation
+    # leaves a form that is not affine; its memo of the last blocker
+    # carries over from batch to batch, as in the solve.  When it says
+    # True, the evaluation read over Q is that reduction
     m, n = mn
     deg_q = _deg_q(m, n)
     rng = random.Random(data.draw(st.integers(0, 10**6)))
@@ -357,31 +434,74 @@ def test_may_be_affine_is_exactly_what_a_reduction_finds(mn, data):
     g = Poly([Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)] + [-2])
     equations = _equations(f, g, m, n, deg_q)
     eq = data.draw(st.sampled_from(equations))
-    twin = _Equation(eq.family, eq.degree, dict(eq.expr), eq.den)
     unknowns = sorted({v for mono in eq.expr for v in mono})
     assign = {}
     for _ in range(data.draw(st.integers(1, 4))):
         for v in data.draw(st.lists(st.sampled_from(unknowns), min_size=1, max_size=3)):
             assign.setdefault(v, data.draw(_values))
-        probe = _Equation(eq.family, eq.degree, dict(eq.expr), eq.den)
-        probe.refresh(assign)
+        reduced = _over_q(eq, assign)
         may = eq.may_be_affine(assign)
-        assert may == (not probe.expr or probe.affine is not None)
-        twin.refresh(assign)
+        assert may == all(len(mono) <= 1 for mono in reduced)
         if may:
-            eq.refresh(assign)
-            assert (eq.expr, eq.den, eq.affine) == (twin.expr, twin.den, twin.affine)
-    eq.refresh(assign)
-    assert (eq.expr, eq.den) == (twin.expr, twin.den)
+            assert _evaluate(eq, assign) == reduced
+
+
+_fracs = st.sampled_from([Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 2),
+                          Fraction(-3, 4), Fraction(5, 3)])
+_nonzero_fracs = st.sampled_from([Fraction(1), Fraction(-2), Fraction(2, 3), Fraction(-3, 4)])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_evaluation_matches_the_reference_reduction(data):
+    # a type with m <= 6 and n != 2m+1, fractional f and g with zero
+    # coefficients, and a partial assignment with zeros in it.  For every
+    # equation, `may_be_affine` is true exactly when the reference reduction
+    # of the written equation is affine; then the evaluation read over Q is
+    # that reduction, and otherwise evaluating raises
+    m = data.draw(st.integers(1, 6))
+    n = data.draw(st.integers(1, 2 * m + 4).filter(lambda n: n != 2 * m + 1))
+    f = Poly(data.draw(st.lists(_fracs, min_size=m, max_size=m)) + [data.draw(_nonzero_fracs)])
+    g = Poly(data.draw(st.lists(_fracs, min_size=n, max_size=n)) + [data.draw(_nonzero_fracs)])
+    deg_q = _deg_q(m, n)
+    free = data.draw(st.integers(1, 8))
+    drawn = data.draw(st.lists(st.sampled_from([None] * free + _VALUES),
+                               min_size=m + deg_q + 3, max_size=m + deg_q + 3))
+    assign = {v: value for v, value in enumerate(drawn) if value is not None}
+    for eq in _equations(f, g, m, n, deg_q):
+        reduced = _over_q(eq, assign)
+        affine = all(len(mono) <= 1 for mono in reduced)
+        assert eq.may_be_affine(assign) == affine, (eq.family, eq.degree)
+        if affine:
+            assert _evaluate(eq, assign) == reduced, (eq.family, eq.degree)
+        else:
+            with pytest.raises(ValueError, match="is not affine"):
+                _evaluate(eq, assign)
+
+
+def test_evaluating_a_term_with_two_unassigned_unknowns_raises():
+    # a term left with two unassigned unknowns, counted with multiplicity,
+    # and a nonzero coefficient cannot be skipped: the evaluation raises.
+    # One that holds an unknown assigned 0 vanishes
+    expr = {(0, 2, 7): -1, (0, 1): 2, (7,): 3}
+    eq = _Equation("g-identity", 4, dict(expr), 1)
+    for assign in [{1: Fraction(1)}, {1: Fraction(1), 2: Fraction(5)}]:
+        with pytest.raises(ValueError, match="g-identity x\\^4 is not affine"):
+            _evaluate(eq, assign)
+    assert _evaluate(eq, {1: Fraction(1), 2: Fraction(0)}) == {(0,): 2, (7,): 3}
+    square = _Equation("g-identity", 2, {(0, 0, 7): 1, (7,): 1}, 1)
+    with pytest.raises(ValueError, match="is not affine"):
+        _evaluate(square, {7: Fraction(1, 2)})
+    assert _evaluate(square, {0: Fraction(2)}) == {(7,): 5}
 
 
 def test_an_unknown_assigned_zero_can_make_an_equation_affine():
     # -p0 p2 q3 holds two unassigned unknowns, but p2 = 0 drops it
     expr = {(0, 2, 7): -1, (0, 1): 2, (7,): 3}
     eq = _Equation("g-identity", 4, dict(expr), 1)
-    assert not eq.may_be_affine({1: Fraction(1), 2: Fraction(5)})
-    assert eq.may_be_affine({1: Fraction(1), 2: Fraction(0)})
-    eq.refresh({1: Fraction(1), 2: Fraction(0)})
+    assert not eq.may_be_affine({1: 1, 2: 5})
+    assert eq.may_be_affine({1: 1, 2: 0})
+    eq.evaluate({1: 1, 2: 0}, (1, 1, 1, 1))
     assert eq.affine == (0, {0: 2, 7: 3})
     # P = x^3 - x, Q = x^6 - x^4, type (2,3): p2 = 0 and q5 = 0 are assigned
     # before the last affine block, and they make g-identity x^4 affine in
@@ -398,41 +518,43 @@ def test_may_be_affine_resumes_after_the_monomial_that_blocked(monkeypatch):
     # a monomial that stops blocking never blocks again, since the
     # assignment only grows: the last blocker is tried first, and the scan
     # goes on after it, so no monomial is examined once it has stopped
-    # blocking, and a reduction starts the scan over on the new form
+    # blocking.  The scan runs over the written monomials, so an
+    # evaluation does not start it over
     examined = []
     blocks = recover._blocks
     monkeypatch.setattr(recover, "_blocks",
-                        lambda mono, assign: examined.append(mono) or blocks(mono, assign))
+                        lambda mono, vals: examined.append(mono) or blocks(mono, vals))
     eq = _Equation("g-identity", 4, {(0, 1, 7): 1, (2, 8): 2, (9,): 3}, 1)
     assert not eq.may_be_affine({})
-    assert not eq.may_be_affine({0: Fraction(2)})
+    assert not eq.may_be_affine({0: 2})
     assert examined == [(0, 1, 7), (0, 1, 7)]
     examined.clear()
-    assign = {0: Fraction(2), 1: Fraction(1)}
-    assert not eq.may_be_affine(assign)
+    vals = {0: 2, 1: 1}
+    assert not eq.may_be_affine(vals)
     assert examined == [(0, 1, 7), (2, 8)]
     examined.clear()
-    assign[8] = Fraction(1)
-    assert eq.may_be_affine(assign)
+    vals[8] = 1
+    assert eq.may_be_affine(vals)
     assert examined == [(2, 8)]
-    eq.refresh(assign)
+    eq.evaluate(vals, (1, 1, 1, 1))
     assert eq.affine == (0, {7: 2, 2: 2, 9: 3})
-    assert eq.may_be_affine(assign) and examined == [(2, 8)]
+    vals[9] = 1
+    assert eq.may_be_affine(vals) and examined == [(2, 8)]
 
 
 def test_no_reduction_is_wasted_on_an_equation_that_stays_non_affine(monkeypatch):
-    # through whole solves of both branches, with and without a curve,
-    # every reduction leaves an affine or empty form: one that must stay
-    # non-affine is left stale until it can help
-    refresh = _Equation.refresh
-    reductions = []
+    # through whole solves of both branches, with and without a curve, an
+    # equation is evaluated only when it comes out affine (evaluating one
+    # that is not raises): one that must stay non-affine is left stale
+    # until it can help
+    evaluate = _Equation.evaluate
+    evaluations = []
 
-    def checked(eq, assign):
-        refresh(eq, assign)
-        assert not eq.expr or eq.affine is not None, (eq.family, eq.degree)
-        reductions.append(eq)
+    def checked(eq, vals, powers):
+        evaluate(eq, vals, powers)
+        evaluations.append(eq)
 
-    monkeypatch.setattr(_Equation, "refresh", checked)
+    monkeypatch.setattr(_Equation, "evaluate", checked)
     for P, Q in [("(x-1)(x-2)(x+5)", "-5(x-1)(x-2)(x+5)^5"),
                  ("(x-1)(x-2)(x-3)(x-4)(x+5)", "(x-1)(x-2)(x-3)(x-4)(x+5)^6"),
                  ("(x-1/2)(x+2)(2/3x+1)", "4/9(x-1/2)^3(x+2)^3"),
@@ -442,4 +564,27 @@ def test_no_reduction_is_wasted_on_an_equation_that_stays_non_affine(monkeypatch
                  ("2/3x^2-4x+1", "-2/3x^7+7/2x^6-5/3x^4-2x^3-5x^2-6x+2")]:
         out = recover_curve(LienardSystem(f=parse_poly(f), g=parse_poly(g)))
         assert not out.found and out.witness is not None
-    assert len(reductions) > 100
+    assert len(evaluations) > 100
+
+
+# -- the size limit -------------------------------------------------------------
+
+
+def test_term_bound_holds_for_dense_data():
+    # f and g with no zero coefficient write every data term they can
+    for m in range(1, 13):
+        for n in range(1, 2 * m + 7):
+            if n == 2 * m + 1:
+                continue
+            deg_q = _deg_q(m, n)
+            written = sum(len(eq.expr) for eq in _equations(
+                Poly([1] * (m + 1)), Poly([1] * (n + 1)), m, n, deg_q))
+            assert written <= _term_bound(m, n, deg_q), (m, n)
+
+
+def test_a_type_above_max_terms_is_refused_before_anything_is_built(monkeypatch):
+    monkeypatch.setattr(recover, "_equations", None)   # never reached
+    sys = LienardSystem(f=parse_poly("x^300"), g=parse_poly("x^450"))
+    with pytest.raises(TooManyTerms, match="above MAX_TERMS = 2,000,000"):
+        recover_curve(sys)
+    assert _term_bound(100, 150, _deg_q(100, 150)) <= MAX_TERMS
