@@ -38,8 +38,9 @@ gamma's symmetric xi-adic digits, made primitive.  A candidate that
 divides both a and b exactly is their gcd, by the theorem of that paper,
 so the answer is exact; a constant candidate is the gcd 1.  Otherwise xi
 grows, `_HEU_TRIES` times by `_HEU_GROWTH`, and then the primitive PRS
-(`_prs_gcd`, on `int_rem`, a remainder scaled by |lc(b)| only, so a
-positive multiple of the rational remainder) answers instead.  The
+(`_prs_gcd`) answers instead.  Its remainder, `int_rem`, scales by |lc(b)|
+at each elimination step, so it is a positive multiple of the rational
+remainder, and takes the content out once, by one gcd at the end.  The
 remainder sequence of p and p' (`int_remainder_sequence`) is what
 `rootclass` reads the Sturm chain of a squarefree p from; no gcd here
 reads it.
@@ -376,23 +377,26 @@ def int_coeffs(p: Poly) -> list[int]:
 def int_rem(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """The primitive positive multiple of rem(a, b) over Q, for b nonzero.
 
-    Each elimination step scales the running remainder by |lc(b)| divided
-    by its gcd with the coefficient being removed, so only positive factors
-    enter and the sign of the rational remainder is kept."""
+    Each elimination step scales the running remainder by |lc(b)| and
+    subtracts sign(lc(b)) * c * x**k * b, c the coefficient being removed,
+    so only positive factors enter and the sign of the rational remainder
+    is kept.  The content comes out once, by one gcd at the end.  A
+    nonzero rational polynomial has exactly one primitive multiple with a
+    leading coefficient of its own sign, so the result is the same vector
+    that a gcd at every step would give."""
     r = list(a)
     db = len(b) - 1
     lb = b[-1]
-    sb = 1 if lb > 0 else -1
     alb = abs(lb)
     while len(r) > db:
         c = r.pop()
         k = len(r) - db
-        g = int_gcd(alb, c)
-        s, t = alb // g, sb * (c // g)
-        if s != 1:
-            r = [s * v for v in r]
+        if lb < 0:
+            c = -c
+        if alb != 1:
+            r = [alb * v for v in r]
         for i in range(db):
-            r[k + i] -= t * b[i]
+            r[k + i] -= c * b[i]
         while r and r[-1] == 0:
             r.pop()
     return _primitive(r)

@@ -51,6 +51,9 @@ for a whole chain), with no `Fraction` built.  Nearly every point isolation
 and refinement visit is dyadic, k/2**j; there the powers of q are shifts,
 acc = acc*k + (c << s) with s growing by j per coefficient (`_sign_dyadic`),
 which `_sign_int` and `_chain_signs` choose whenever q is a power of two.
+At 0, where isolation first splits, `_chain_signs` reads each member's
+constant term, and the sign variations come from one pass over the signs
+(`_sign_changes`).
 
 Each chain member carries an exponent e with every complex root z of the
 member inside |z| < 2**e: Fujiwara's bound 2 max_i |a_{n-i}/a_n|^(1/i)
@@ -84,14 +87,18 @@ midpoint halves it: the half without the root, which the rule would drop
 at a count of 0, is never counted.  A cell with a count of 1 and roots at
 both ends, and every cell with a larger count, splits on the chain.
 Every point it visits is dyadic, k/2**j, held as the integers k and j: a
-midpoint is one add, and the chain or the head is evaluated on (k, 2**j);
-`Fraction`s are built only for the intervals returned.
-`isolate_real_roots` runs it once on f and hands each cell to the one Yun
-factor that changes sign across it (or vanishes at an exact point), so its
-roots come out in order, and no two of them overlap under any later
-refinement.  The canonical cell of an irrational root (`RealRoot.canonical`)
-is its cell in the isolation of its own factor, so every report prints
-cells that the isolation of one factor finds.
+midpoint is one add, the chain or the head is evaluated on (k, 2**j), and
+the cells (ka, kb, j) are sorted on those integers (`_dyadic_cells`);
+`_isolate_squarefree` builds each cell's `Fraction` pair once, after the
+sort.  `isolate_real_roots` runs it once on f and hands each cell to the
+one Yun factor that changes sign across it (or vanishes at an exact
+point), with no sign evaluated when f has a single Yun factor, and builds
+each root on the integer ends of its cell.  So its roots come out in
+order, and no two of them overlap under any later refinement.  The
+canonical cell of an irrational root (`RealRoot.canonical`) is its cell in
+the isolation of its own factor, kept per factor in a small bounded memo
+(`_factor_cells`), so every report prints cells that the isolation of one
+factor finds and isolates each factor once.
 
 A `RealRoot` holds its ends as integers a/d and b/d over one common
 denominator d: a power of two for every root isolation returns, any
@@ -355,8 +362,16 @@ def revised_sign_list(signs: list[int]) -> list[int]:
 
 
 def _sign_changes(signs: Sequence[int]) -> int:
-    nz = [s for s in signs if s != 0]
-    return sum(1 for a, b in zip(nz, nz[1:]) if a * b < 0)
+    """Sign changes between consecutive nonzero entries, zeros skipped, in
+    one pass."""
+    changes = 0
+    last = 0
+    for s in signs:
+        if s:
+            if s * last < 0:
+                changes += 1
+            last = s
+    return changes
 
 
 # ---------------------------------------------------------------------------
@@ -429,13 +444,15 @@ def _root_exponent(c: Sequence[int]) -> int:
     |c_{n-i}/c_n| < 2**(b_i - t), so each term is below 2**ceil((b_i - t)/i)
     and e = 1 + max_i ceil((b_i - t)/i) will do; a zero c_{n-i} adds no
     term, and e is kept at least 0 so that 2**e is an integer."""
-    n = len(c) - 1
     top = abs(c[-1]).bit_length() - 1
     e = 0
-    for i in range(1, n + 1):
-        a = c[n - i]
-        if a:
-            e = max(e, 1 - (top - abs(a).bit_length()) // i)
+    i = len(c)
+    for a in c:
+        i -= 1      # a = c_{n-i}
+        if a and i:
+            t = 1 - (top - abs(a).bit_length()) // i
+            if t > e:
+                e = t
     return e
 
 
@@ -468,9 +485,12 @@ def _sturm_chain_int(p: Poly) -> _Chain:
 
 
 def _chain_signs(chain: _Chain, p: int, q: int) -> list[int]:
-    """Signs of the chain's members at p/q, q > 0: beyond a member's root
-    bound, |p| > q * 2**e, its sign at +-inf, and otherwise Horner, by
-    shifts (`_sign_dyadic`) for a dyadic q = 2**j."""
+    """Signs of the chain's members at p/q, q > 0: at 0 the signs of their
+    constant terms, beyond a member's root bound, |p| > q * 2**e, its sign
+    at +-inf, and otherwise Horner, by shifts (`_sign_dyadic`) for a dyadic
+    q = 2**j."""
+    if not p:
+        return [(c[0] > 0) - (c[0] < 0) for c in chain]
     ap = abs(p)
     k = 2 if p > 0 else 1
     if q & (q - 1):
@@ -627,6 +647,17 @@ class RealRoot:
         # keeps it
         self._at_hi: int | None = None
 
+    @classmethod
+    def _from_ints(cls, poly: Poly, a: int, b: int, d: int,
+                   multiplicity: int) -> "RealRoot":
+        """The root of poly in [a/d, b/d], d > 0, with the integer ends
+        held as given."""
+        r = cls.__new__(cls)
+        r.poly, r.multiplicity = poly, multiplicity
+        r._a, r._b, r._d = a, b, d
+        r._at_hi = None
+        return r
+
     def _put(self, lo: Fraction, hi: Fraction) -> None:
         d = lcm(lo.denominator, hi.denominator)
         self._a = lo.numerator * (d // lo.denominator)
@@ -734,11 +765,14 @@ class RealRoot:
         most one such candidate, and one evaluation decides it.  That width
         loop is `refine` on the integer ends, and the candidate is tested on
         integers too.  An irrational root gives its cell in the isolation of
-        poly (`_isolate_squarefree`): the first cell of the dyadic halving of
-        [0, 2**e] or [-2**e, 0] toward the root (e the `_root_exponent` of
-        poly) whose ends are no roots of poly and which holds no other root
-        of poly.  The copy is refined until no cell end lies strictly inside
-        it, and the cell that then holds it is the answer."""
+        poly (`_dyadic_cells`, the cells of `_isolate_squarefree`): the first
+        cell of the dyadic halving of [0, 2**e] or [-2**e, 0] toward the
+        root (e the `_root_exponent` of poly) whose ends are no roots of
+        poly and which holds no other root of poly.  The copy is refined
+        until no cell end lies strictly inside it, and the cell that then
+        holds it is the answer, found by comparing integers.  The cells come
+        from a bounded memo per `poly` (`_factor_cells`), so the roots of one
+        factor share one isolation."""
         if self.is_exact():
             return self.lo, self.hi
         ints = int_coeffs(self.poly)
@@ -755,11 +789,12 @@ class RealRoot:
         # the root is irrational, so it lies inside one cell of poly's
         # isolation and at no cell end: refined far enough, the copy lies in
         # that cell
-        cells = _isolate_squarefree(self.poly)
+        cells = _factor_cells(self.poly)
         while True:
-            for lo, hi in cells:
-                if lo <= r.lo and r.hi <= hi:
-                    return lo, hi
+            a, b, d = r._a, r._b, r._d
+            for ka, kb, j in cells:
+                if ka * d <= a << j and b << j <= kb * d:
+                    return Fraction(ka, 1 << j), Fraction(kb, 1 << j)
             r.refine()
 
     # -- relations ----------------------------------------------------------
@@ -805,8 +840,27 @@ class RealRoot:
 def _isolate_squarefree(g: Poly) -> list[tuple[Fraction, Fraction]]:
     """Disjoint, sorted intervals, one per distinct real root of the nonzero
     polynomial g: open cells whose ends are no roots of g, and exact points
-    lo == hi.  Bisection runs on g's chain, whose head is the squarefree
-    part of g, so a repeated root is one root here.
+    lo == hi.  They are the cells of `_dyadic_cells`, each built as a pair
+    of `Fraction`s once, after the cells are sorted."""
+    return [(Fraction(ka, 1 << j), Fraction(kb, 1 << j)) for ka, kb, j in _dyadic_cells(g)]
+
+
+# A report asks `canonical` for several roots of one factor (the two ends of
+# neighbouring candidate intervals share a root); a bounded memo, sized like
+# the chain memo, isolates each factor once.
+@lru_cache(maxsize=64)
+def _factor_cells(g: Poly) -> tuple[tuple[int, int, int], ...]:
+    """The cells of `_dyadic_cells(g)`, as a tuple that no caller can alter;
+    memoized per `Poly`."""
+    return tuple(_dyadic_cells(g))
+
+
+def _dyadic_cells(g: Poly) -> list[tuple[int, int, int]]:
+    """The isolation of the nonzero polynomial g, sorted: one cell
+    (ka, kb, j), the interval [ka/2**j, kb/2**j], per distinct real root,
+    an open cell whose ends are no roots of g or an exact point ka == kb.
+    Bisection runs on g's chain, whose head is the squarefree part of g, so
+    a repeated root is one root here.
 
     Bisection splits the box [-2**e, 2**e] at 0 first, whatever it holds,
     e the `_root_exponent` that the chain's head (which has the roots of g)
@@ -836,8 +890,9 @@ def _isolate_squarefree(g: Poly) -> list[tuple[Fraction, Fraction]]:
     (ka, kb, j, va, sa, vb, sb) is the cell [ka/2**j, kb/2**j] with the sign
     variations of the chain and the sign of the head at both ends, so a
     split takes one add for the midpoint (ka + kb)/2**(j+1) and evaluates
-    the chain there only, on the integer pair (`_chain_signs`).  `Fraction`s
-    are built only for the intervals returned."""
+    the chain there only, on the integer pair (`_chain_signs`), and no
+    `Fraction` is built.  No two cells share a lower end, so they sort on
+    integers, each lower end scaled to the deepest level."""
     if g.degree < 1:
         return []
     chain = SturmChain(g).chain
@@ -878,7 +933,9 @@ def _isolate_squarefree(g: Poly) -> list[tuple[Fraction, Fraction]]:
             found.append((km, km, j + 1))
         stack.append((2 * ka, km, j + 1, va, sa, vm, sm))
         stack.append((km, 2 * kb, j + 1, vm, sm, vb, sb))
-    return sorted((Fraction(ka, 1 << j), Fraction(kb, 1 << j)) for ka, kb, j in found)
+    deepest = max((j for _, _, j in found), default=0)
+    found.sort(key=lambda cell: cell[0] << (deepest - cell[2]))
+    return found
 
 
 def isolate_real_roots(f: Poly) -> list[RealRoot]:
@@ -894,7 +951,12 @@ def isolate_real_roots(f: Poly) -> list[RealRoot]:
     coprime and an open cell's ends are no roots of f, so the factor with
     the cell's root changes sign across it and every other factor keeps
     one sign on it; one test, sign(lo) * sign(hi) <= 0, picks the factor
-    in both cases.
+    in both cases.  When f has one Yun factor, every cell is that factor's
+    and no sign is evaluated.
+
+    Each root is built on the integer ends of its cell: both ends have a
+    power-of-two denominator, so the larger is the common one, and the
+    ends are held over it as `RealRoot(g, lo, hi, mult)` would hold them.
 
     Neighbours satisfy r_i.hi <= r_{i+1}.lo, and may share an end, which is
     then no root of f.  That holds under every refinement: a step moves one
@@ -909,10 +971,16 @@ def isolate_real_roots(f: Poly) -> list[RealRoot]:
                for g, mult in _yun(a, int_derivative(a), _sturm_chain_int(f).gcd)]
     roots: list[RealRoot] = []
     for lo, hi in _isolate_squarefree(f):
-        g, mult = next((g, mult) for g, ints, mult in factors
-                       if _sign_int(ints, lo.numerator, lo.denominator)
-                       * _sign_int(ints, hi.numerator, hi.denominator) <= 0)
-        r = RealRoot(poly=g, lo=lo, hi=hi, multiplicity=mult)
+        # both denominators are powers of two, so the larger is their lcm
+        ld, hd = lo.denominator, hi.denominator
+        d = max(ld, hd)
+        na, nb = lo.numerator * (d // ld), hi.numerator * (d // hd)
+        g, _, mult = factors[0]
+        if len(factors) > 1:
+            j = d.bit_length() - 1
+            g, _, mult = next(fac for fac in factors
+                              if _sign_dyadic(fac[1], na, j) * _sign_dyadic(fac[1], nb, j) <= 0)
+        r = RealRoot._from_ints(g, na, nb, d, mult)
         r.try_exact()
         roots.append(r)
     return roots

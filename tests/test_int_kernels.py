@@ -5,10 +5,10 @@ sympy."""
 
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd as int_gcd, lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hypercycles import polyx
 from hypercycles.polyx import (
@@ -19,9 +19,11 @@ from hypercycles.polyx import (
     _prs_gcd,
     int_coeffs,
     int_exact_div,
+    int_key,
     int_mul,
     int_poly_gcd,
     int_rem,
+    int_remainder_sequence,
     parse_poly,
     poly_gcd,
     squarefree_decomposition,
@@ -226,6 +228,105 @@ def test_int_rem_is_a_positive_multiple_of_the_rational_remainder(samples):
         r = int_rem(int_coeffs(a), int_coeffs(b))
         expected = Poly(int_coeffs(a)).divrem(Poly(int_coeffs(b)))[1]
         assert r == int_coeffs(expected)
+
+
+# -- one content gcd per remainder, against the gcd at every step -------------
+#
+# `int_rem` scales by |lc(b)| at each elimination step and takes the content
+# out once, at the end.  The version it replaced divided each step's scale by
+# its gcd with the coefficient being removed; it is kept below verbatim as
+# the reference.  Both return the one primitive multiple of the rational
+# remainder whose leading coefficient has that remainder's sign, so they
+# must agree vector for vector.
+
+
+def ref_int_rem(a, b):
+    """The primitive positive multiple of rem(a, b) over Q, for b nonzero.
+
+    Each elimination step scales the running remainder by |lc(b)| divided
+    by its gcd with the coefficient being removed, so only positive factors
+    enter and the sign of the rational remainder is kept."""
+    r = list(a)
+    db = len(b) - 1
+    lb = b[-1]
+    sb = 1 if lb > 0 else -1
+    alb = abs(lb)
+    while len(r) > db:
+        c = r.pop()
+        k = len(r) - db
+        g = int_gcd(alb, c)
+        s, t = alb // g, sb * (c // g)
+        if s != 1:
+            r = [s * v for v in r]
+        for i in range(db):
+            r[k + i] -= t * b[i]
+        while r and r[-1] == 0:
+            r.pop()
+    return _primitive(r)
+
+
+def _int_poly(max_size, lead=st.integers(-40, 40).filter(bool)):
+    """Integer vectors with a nonzero top and zeros among the other
+    coefficients."""
+    return st.builds(lambda low, top: low + [top],
+                     st.lists(st.sampled_from([0, 0, 1, -1, 2, -3, 6, 10**12, -7 * 10**9]),
+                              max_size=max_size - 1),
+                     lead)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_int_poly(10), _int_poly(5, st.sampled_from([1, -1, 2, -2, 3, -6, 12, -10**9 - 7])))
+# a negative leading coefficient, |lc(b)| = 1, a constant b, and degree gaps
+# of 0, 2 and 5 with zero coefficients in both
+@example([1, 0, 0, 0, 3], [5, 0, -2])
+@example([0, 4, 0, -6, 0, 9], [2, 0, -1])
+@example([7, 0, 2, -3, 0, 0, 5], [-4])
+@example([-3, 0, 0, 0, 0, 0, 0, 2], [1, 0, 1])
+@example([6, 0, 0, 10, -4], [3, 0, 0, 0, -8])
+@example([1, 2, 3], [3, 5, 0, 0, 1])
+def test_int_rem_is_the_per_step_gcd_remainder(a, b):
+    assert int_rem(a, b) == ref_int_rem(a, b)
+
+
+def ref_remainder_sequence(a):
+    seq = [a]
+    if len(a) > 1:
+        seq.append(tuple(_primitive([i * c for i, c in enumerate(a)][1:])))
+        while len(seq[-1]) > 1:
+            r = ref_int_rem(seq[-2], seq[-1])
+            if not r:
+                break
+            seq.append(tuple(-c for c in r))
+    return tuple(seq)
+
+
+def _classify_shaped(rng: random.Random, degree: int) -> Poly:
+    """A squarefree product shaped like the classify benchmark's inputs:
+    planted rational roots, some in close pairs (a, a + 2^-k), times
+    quadratics (x - a)^2 + b^2 with no real root, under a rational lead."""
+    p = Poly([Fraction(rng.choice([-5, -2, 1, 3, 7]), rng.randint(1, 4))])
+    roots = set()
+    while len(roots) < degree // 2:
+        a = Fraction(rng.randint(-20, 20), rng.randint(1, 4))
+        roots.add(a)
+        if rng.random() < 0.3:
+            roots.add(a + Fraction(1, 2 ** rng.randint(3, 8)))
+    for r in roots:
+        p = p * Poly([-r, 1])
+    while p.degree + 2 <= degree:
+        a = Fraction(rng.randint(-9, 9), rng.randint(1, 3))
+        b = Fraction(rng.randint(1, 6), rng.randint(1, 3))
+        p = p * Poly([a * a + b * b, -2 * a, 1])
+    return p
+
+
+def test_remainder_sequence_is_the_per_step_gcd_sequence():
+    rng = random.Random(3301)
+    for degree in list(range(2, 19)) * 3:
+        p = _classify_shaped(rng, degree)
+        assert squarefree_part(p) == p.monic()
+        a = int_key(int_coeffs(p))
+        assert int_remainder_sequence(a) == ref_remainder_sequence(a)
 
 
 def test_int_exact_div_recovers_the_cofactor(samples):

@@ -10,7 +10,9 @@ from hypercycles.polyx import (
     ONE,
     Poly,
     X,
+    _yun,
     int_coeffs,
+    int_derivative,
     parse_poly,
     poly_gcd,
     squarefree_decomposition,
@@ -29,6 +31,7 @@ from hypercycles.rootclass import (
     _sign_at,
     _sign_changes,
     _sign_int,
+    _sturm_chain_int,
     cauchy_bound,
     count_roots,
     discriminant_sequence,
@@ -1366,3 +1369,139 @@ def test_canonical_matches_the_halving_walk_it_replaced(p, steps):
                 else:
                     root.sign_of(others[step])
                 assert root.canonical() == ref_canonical_cell(root) == want
+
+
+# -- isolation bookkeeping on integers, against the code it replaced -----------
+#
+# `_sign_changes` counts in one pass, `_root_exponent` walks the coefficients
+# once (its exponent fixes the root box, and so every cell), and
+# `isolate_real_roots` builds each root on the integer ends of its cell and
+# labels cells only when f has more than one Yun factor.  The earlier
+# implementations are kept below verbatim as the reference.
+
+
+def ref_sign_changes(signs) -> int:
+    nz = [s for s in signs if s != 0]
+    return sum(1 for a, b in zip(nz, nz[1:]) if a * b < 0)
+
+
+def ref_root_exponent(c) -> int:
+    n = len(c) - 1
+    top = abs(c[-1]).bit_length() - 1
+    e = 0
+    for i in range(1, n + 1):
+        a = c[n - i]
+        if a:
+            e = max(e, 1 - (top - abs(a).bit_length()) // i)
+    return e
+
+
+def ref_labelled_isolation(f: Poly) -> list[RealRoot]:
+    a = int_coeffs(f)
+    factors = [(g, g.int_form()[0], mult)
+               for g, mult in _yun(a, int_derivative(a), _sturm_chain_int(f).gcd)]
+    roots: list[RealRoot] = []
+    for lo, hi in _isolate_squarefree(f):
+        g, mult = next((g, mult) for g, ints, mult in factors
+                       if _sign_int(ints, lo.numerator, lo.denominator)
+                       * _sign_int(ints, hi.numerator, hi.denominator) <= 0)
+        r = RealRoot(poly=g, lo=lo, hi=hi, multiplicity=mult)
+        r.try_exact()
+        roots.append(r)
+    return roots
+
+
+_signs = st.lists(st.sampled_from([-1, 0, 0, 1]), max_size=30)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_signs)
+def test_sign_changes_match_the_list_and_zip_count(signs):
+    assert _sign_changes(signs) == ref_sign_changes(signs)
+    # and through the revised sign list that Yang's count reads
+    revised = revised_sign_list(signs)
+    v = ref_sign_changes(revised)
+    nonzero = sum(1 for s in revised if s)
+    assert RootCount.from_revised(revised) == RootCount(nonzero - 2 * v, v)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.integers(-10**9, 10**9), max_size=14),
+       st.integers(-10**40, 10**40).filter(bool))
+def test_root_exponent_matches_the_indexed_walk(low, top):
+    c = low + [top]
+    assert _root_exponent(c) == ref_root_exponent(c)
+
+
+def _assert_same_roots(got: list[RealRoot], want: list[RealRoot]) -> None:
+    assert ([(r.poly, r.lo, r.hi, r.multiplicity) for r in got]
+            == [(r.poly, r.lo, r.hi, r.multiplicity) for r in want])
+    # and the same integer ends, a common denominator of the two ends
+    assert [r.int_ends() for r in got] == [r.int_ends() for r in want]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_product_input().filter(lambda t: t[0].degree <= 20))
+def test_isolation_builds_the_roots_that_rat_and_lcm_built(case):
+    f, _ = case
+    _assert_same_roots(isolate_real_roots(f), ref_labelled_isolation(f))
+
+
+@pytest.mark.parametrize("text", [
+    # one Yun factor: squarefree, and a power of a squarefree factor
+    "(x^2-2)(x-3)(x^2+1)", "x(2x-1)(x^2-2)", "x^3-2", "(x-1)(256x-257)(x-3)(x^2-2)",
+    "x(1000x^2-1)", "(x^2-3)^3", "-5(3x-1)^2 (x^2-2)^2",
+    # several
+    "x^2(3x-1)^3(x^2+1)", "(x^2-3)(x^2-2)(x-1)^2", "(x-1)^3 (x^2-2)^2 (x+3)(x^2-5)"])
+def test_isolation_builds_the_roots_that_rat_and_lcm_built_by_example(text):
+    f = parse_poly(text)
+    _assert_same_roots(isolate_real_roots(f), ref_labelled_isolation(f))
+
+
+@pytest.mark.parametrize("text, factors, real", [
+    ("(x^2-2)(x-3)(x^2+1)", 1, 3), ("x(2x-1)(x^2-2)(x+5)", 1, 5), ("(x^2-3)^3", 1, 2),
+    ("(x^2-3)(x^2-2)(x-1)^2", 2, 5)])
+def test_isolation_labels_cells_only_with_several_yun_factors(text, factors, real,
+                                                              monkeypatch):
+    # every sign evaluated after the isolation returns, with `try_exact`
+    # switched off, is a labelling sign
+    f = parse_poly(text)
+    assert len(squarefree_decomposition(f)) == factors
+    after = []
+    isolate = rootclass._isolate_squarefree
+
+    def isolated(g):
+        cells = isolate(g)
+        after.append("isolated")
+        return cells
+
+    def counting(kernel):
+        return lambda *a: (after and after.append(kernel.__name__)) or kernel(*a)
+
+    monkeypatch.setattr(rootclass, "_isolate_squarefree", isolated)
+    monkeypatch.setattr(RealRoot, "try_exact", lambda self: None)
+    for name in ("_sign_at", "_sign_dyadic", "_sign_int"):
+        monkeypatch.setattr(rootclass, name, counting(getattr(rootclass, name)))
+    roots = isolate_real_roots(f)
+    assert after[0] == "isolated" and len(roots) == real
+    if factors == 1:
+        assert after == ["isolated"]
+    else:
+        assert len(after) > 1
+
+
+def test_canonical_isolates_each_factor_once(monkeypatch):
+    # the roots of one factor share one isolation, however often each is asked
+    f = parse_poly("(x^2-2)(x^2-3)(x^3-3x+1)")
+    roots = isolate_real_roots(f)
+    want = [r.canonical() for r in roots]
+    rootclass._factor_cells.cache_clear()
+    isolated = []
+    cells = rootclass._dyadic_cells
+    monkeypatch.setattr(rootclass, "_dyadic_cells",
+                        lambda g: isolated.append(g) or cells(g))
+    for _ in range(3):
+        assert [r.canonical() for r in roots] == want
+    assert isolated == [f.monic()]
+    memo = rootclass._factor_cells(f.monic())
+    assert type(memo) is tuple and all(type(cell) is tuple for cell in memo)
