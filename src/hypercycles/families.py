@@ -53,7 +53,6 @@ from .polyx import ONE, Poly, X, poly_gcd, rref
 from .rootclass import (
     SturmChain,
     all_roots_real_simple,
-    cauchy_bound,
     isolate_real_roots,
     sign_on_interval,
     simplest_in_interval,
@@ -205,22 +204,17 @@ def lift(
 
 
 def _next_integer_above_roots(q: Poly) -> int:
-    """The least integer k >= 1 above every real root of q, decided exactly:
-    q(k) != 0 and no root of q in (k, top), with top an integer past the
-    Cauchy bound.  Every integer past the least one passes too, so a
-    bisection on the integers in [1, top] finds it."""
-    if q.degree < 1:
+    """The least integer k >= 1 above every real root of q: 1 when q has no
+    real root, else floor(lo) + 1 for the largest root that
+    `isolate_real_roots` returns, refined until no integer lies strictly
+    inside its [lo, hi]; no integer then lies between lo and the root."""
+    roots = isolate_real_roots(q) if q.degree >= 1 else []
+    if not roots:
         return 1
-    chain = SturmChain(q)
-    top = math.floor(cauchy_bound(q)) + 1
-    lo, hi = 0, top  # the least such k lies in (lo, hi]
-    while hi - lo > 1:
-        k = (lo + hi) // 2
-        if chain.sign(k) != 0 and chain.count_open(k, top) == 0:
-            hi = k
-        else:
-            lo = k
-    return hi
+    top = roots[-1]
+    while math.floor(top.lo) + 1 < top.hi:
+        top.refine()
+    return max(1, math.floor(top.lo) + 1)
 
 
 # ---------------------------------------------------------------------------

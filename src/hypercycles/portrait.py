@@ -31,11 +31,31 @@ class PortraitSpec:
     seeds: Sequence[tuple] = field(default_factory=list)
 
     def __post_init__(self):
-        x0, y0, x1, y1 = self.window
+        # every value that rendering reads, as a float once: one beyond the
+        # float range is a ValueError here, not an OverflowError mid-render
+        polys = {"f": self.system.f, "g": self.system.g}
+        if self.curve is not None:
+            polys.update(P=self.curve.P, Q=self.curve.Q)
+        self._coeffs = {k: [_float(c, f"{k} coefficient of x^{i}")
+                            for i, c in enumerate(p.coeffs)] for k, p in polys.items()}
+        self._window = [_float(v, f"window {corner}")
+                        for v, corner in zip(self.window, ("x0", "y0", "x1", "y1"))]
+        self._seeds = [[_float(v, f"seed point {i} {c}") for v, c in zip(seed, "xy")]
+                       for i, seed in enumerate(self.seeds, 1)]
+        # rounding keeps the order, and corners that round to one float
+        # leave nothing to draw
+        x0, y0, x1, y1 = self._window
         if not (x0 < x1 and y0 < y1):
             raise ValueError("window must be a nonempty rectangle")
         if self.step <= 0:
             raise ValueError("step must be positive")
+
+
+def _float(value, what: str) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{what} is beyond the float range") from None
 
 
 def _fmt(v: float) -> str:
@@ -44,7 +64,7 @@ def _fmt(v: float) -> str:
 
 class _Mapper:
     def __init__(self, spec: PortraitSpec):
-        self.x0, self.y0, self.x1, self.y1 = (float(v) for v in spec.window)
+        self.x0, self.y0, self.x1, self.y1 = spec._window
         self.w, self.h = _SIZE
 
     def to_svg(self, x: float, y: float) -> tuple[float, float]:
@@ -77,8 +97,7 @@ def _curve_branches(spec: PortraitSpec, mapper: _Mapper) -> list[str]:
     curve = spec.curve
     if curve is None:
         return []
-    Pf = [float(c) for c in curve.P.coeffs]
-    Qf = [float(c) for c in curve.Q.coeffs]
+    Pf, Qf = spec._coeffs["P"], spec._coeffs["Q"]
 
     n = _SAMPLES
     xs = [mapper.x0 + (mapper.x1 - mapper.x0) * i / (n - 1) for i in range(n)]
@@ -100,14 +119,13 @@ def _curve_branches(spec: PortraitSpec, mapper: _Mapper) -> list[str]:
 
 
 def _trajectory(spec: PortraitSpec, mapper: _Mapper, seed) -> Optional[str]:
-    f = [float(c) for c in spec.system.f.coeffs]
-    g = [float(c) for c in spec.system.g.coeffs]
+    f, g = spec._coeffs["f"], spec._coeffs["g"]
 
     def rhs(x, y):
         return y, -_horner(f, x) * y - _horner(g, x)
 
     h = spec.step
-    x, y = float(seed[0]), float(seed[1])
+    x, y = seed
     pts = []
     for _ in range(_STEPS):
         if not mapper.inside(x, y):
@@ -139,7 +157,7 @@ def render_portrait(spec: PortraitSpec) -> str:
     if mapper.y0 < 0 < mapper.y1:
         y_axis = mapper.to_svg(0.0, 0.0)[1]
         parts.append(_polyline([(0.0, y_axis), (float(w), y_axis)], "axis", "#bbbbbb"))
-    for seed in spec.seeds:
+    for seed in spec._seeds:
         path = _trajectory(spec, mapper, seed)
         if path:
             parts.append(path)

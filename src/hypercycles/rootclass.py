@@ -68,7 +68,7 @@ box of its polynomial, where the test never holds.  Each step compares that
 one sign with the polynomial's sign at hi, which the root keeps and no
 refinement step changes.
 
-Isolation (`_isolate_squarefree`) bisects from the halves [-2**e, 0] and
+Isolation (`_dyadic_cells`) bisects from the halves [-2**e, 0] and
 [0, 2**e] of the root box, e the exponent of the chain's head, whose outer
 ends the strict bound keeps from being roots.  One rule decides every cell
 [a, b], on the open count V(a) - V(b) - [f(b) = 0] below: a count of 0
@@ -88,17 +88,16 @@ at a count of 0, is never counted.  A cell with a count of 1 and roots at
 both ends, and every cell with a larger count, splits on the chain.
 Every point it visits is dyadic, k/2**j, held as the integers k and j: a
 midpoint is one add, the chain or the head is evaluated on (k, 2**j), and
-the cells (ka, kb, j) are sorted on those integers (`_dyadic_cells`);
-`_isolate_squarefree` builds each cell's `Fraction` pair once, after the
-sort.  `isolate_real_roots` runs it once on f and hands each cell to the
-one Yun factor that changes sign across it (or vanishes at an exact
-point), with no sign evaluated when f has a single Yun factor, and builds
-each root on the integer ends of its cell.  So its roots come out in
+the cells (ka, kb, j) are sorted on those integers.  These cells, memoized
+per polynomial as an immutable tuple, are the one isolation result that
+every caller reads.  `isolate_real_roots` hands each cell of f to the one
+Yun factor that changes sign across it (or vanishes at an exact point),
+with no sign evaluated when f has a single Yun factor, and builds each
+root, a new object, on the integers of its cell.  So its roots come out in
 order, and no two of them overlap under any later refinement.  The
 canonical cell of an irrational root (`RealRoot.canonical`) is its cell in
-the isolation of its own factor, kept per factor in a small bounded memo
-(`_factor_cells`), so every report prints cells that the isolation of one
-factor finds and isolates each factor once.
+the memoized isolation of its own factor, so every report prints cells
+that the isolation of one factor finds and isolates each factor once.
 
 A `RealRoot` holds its ends as integers a/d and b/d over one common
 denominator d: a power of two for every root isolation returns, any
@@ -765,14 +764,13 @@ class RealRoot:
         most one such candidate, and one evaluation decides it.  That width
         loop is `refine` on the integer ends, and the candidate is tested on
         integers too.  An irrational root gives its cell in the isolation of
-        poly (`_dyadic_cells`, the cells of `_isolate_squarefree`): the first
-        cell of the dyadic halving of [0, 2**e] or [-2**e, 0] toward the
-        root (e the `_root_exponent` of poly) whose ends are no roots of
-        poly and which holds no other root of poly.  The copy is refined
-        until no cell end lies strictly inside it, and the cell that then
-        holds it is the answer, found by comparing integers.  The cells come
-        from a bounded memo per `poly` (`_factor_cells`), so the roots of one
-        factor share one isolation."""
+        poly (`_dyadic_cells`): the first cell of the dyadic halving of
+        [0, 2**e] or [-2**e, 0] toward the root (e the `_root_exponent` of
+        poly) whose ends are no roots of poly and which holds no other root
+        of poly.  The copy is refined until no cell end lies strictly inside
+        it, and the cell that then holds it is the answer, found by comparing
+        integers.  The isolation is memoized per `poly`, so the roots of one
+        factor share it."""
         if self.is_exact():
             return self.lo, self.hi
         ints = int_coeffs(self.poly)
@@ -789,7 +787,7 @@ class RealRoot:
         # the root is irrational, so it lies inside one cell of poly's
         # isolation and at no cell end: refined far enough, the copy lies in
         # that cell
-        cells = _factor_cells(self.poly)
+        cells = _dyadic_cells(self.poly)
         while True:
             a, b, d = r._a, r._b, r._d
             for ka, kb, j in cells:
@@ -837,30 +835,18 @@ class RealRoot:
         return _sign_int(ints, self._a, self._d)
 
 
-def _isolate_squarefree(g: Poly) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint, sorted intervals, one per distinct real root of the nonzero
-    polynomial g: open cells whose ends are no roots of g, and exact points
-    lo == hi.  They are the cells of `_dyadic_cells`, each built as a pair
-    of `Fraction`s once, after the cells are sorted."""
-    return [(Fraction(ka, 1 << j), Fraction(kb, 1 << j)) for ka, kb, j in _dyadic_cells(g)]
-
-
-# A report asks `canonical` for several roots of one factor (the two ends of
-# neighbouring candidate intervals share a root); a bounded memo, sized like
-# the chain memo, isolates each factor once.
+# In one grid pass 37 of 114 isolations repeat an earlier one (a lift's
+# start on its base Q, a Q certified again, a ladder's derivative), and
+# `canonical` asks once per root for its factor's cells; a bounded memo,
+# sized like the chain memo, keeps that reuse.
 @lru_cache(maxsize=64)
-def _factor_cells(g: Poly) -> tuple[tuple[int, int, int], ...]:
-    """The cells of `_dyadic_cells(g)`, as a tuple that no caller can alter;
-    memoized per `Poly`."""
-    return tuple(_dyadic_cells(g))
-
-
-def _dyadic_cells(g: Poly) -> list[tuple[int, int, int]]:
+def _dyadic_cells(g: Poly) -> tuple[tuple[int, int, int], ...]:
     """The isolation of the nonzero polynomial g, sorted: one cell
     (ka, kb, j), the interval [ka/2**j, kb/2**j], per distinct real root,
     an open cell whose ends are no roots of g or an exact point ka == kb.
     Bisection runs on g's chain, whose head is the squarefree part of g, so
-    a repeated root is one root here.
+    a repeated root is one root here.  Memoized per `Poly`, as nested
+    tuples that no caller can alter.
 
     Bisection splits the box [-2**e, 2**e] at 0 first, whatever it holds,
     e the `_root_exponent` that the chain's head (which has the roots of g)
@@ -892,9 +878,8 @@ def _dyadic_cells(g: Poly) -> list[tuple[int, int, int]]:
     split takes one add for the midpoint (ka + kb)/2**(j+1) and evaluates
     the chain there only, on the integer pair (`_chain_signs`), and no
     `Fraction` is built.  No two cells share a lower end, so they sort on
-    integers, each lower end scaled to the deepest level."""
-    if g.degree < 1:
-        return []
+    integers, each lower end scaled to the deepest level.  A constant g
+    has a chain of one member and no sign variation, so no cell."""
     chain = SturmChain(g).chain
     head = chain[0]
     top = 1 << chain.ends[0][0]
@@ -935,7 +920,7 @@ def _dyadic_cells(g: Poly) -> list[tuple[int, int, int]]:
         stack.append((km, 2 * kb, j + 1, vm, sm, vb, sb))
     deepest = max((j for _, _, j in found), default=0)
     found.sort(key=lambda cell: cell[0] << (deepest - cell[2]))
-    return found
+    return tuple(found)
 
 
 def isolate_real_roots(f: Poly) -> list[RealRoot]:
@@ -944,19 +929,19 @@ def isolate_real_roots(f: Poly) -> list[RealRoot]:
     `squarefree_decomposition`, from Yun's algorithm started on the
     gcd(a, a') that f's chain keeps (`polyx._yun`).
 
-    One isolation of f (`_isolate_squarefree`) finds them all, and each
+    One isolation of f (`_dyadic_cells`, memoized) finds them all, and each
     cell is labelled by the one factor that holds its root: the factor that
     vanishes at an exact point, and the factor whose signs at the two ends
     of an open cell differ.  The factors are squarefree and pairwise
     coprime and an open cell's ends are no roots of f, so the factor with
     the cell's root changes sign across it and every other factor keeps
     one sign on it; one test, sign(lo) * sign(hi) <= 0, picks the factor
-    in both cases.  When f has one Yun factor, every cell is that factor's
-    and no sign is evaluated.
+    in both cases, taken on the cell's integers.  When f has one Yun
+    factor, every cell is that factor's and no sign is evaluated.
 
-    Each root is built on the integer ends of its cell: both ends have a
-    power-of-two denominator, so the larger is the common one, and the
-    ends are held over it as `RealRoot(g, lo, hi, mult)` would hold them.
+    Each root is a new `RealRoot` on its cell's ends ka/2**j and kb/2**j,
+    with the power of two that ka, kb and 2**j share stripped, as
+    `RealRoot(g, lo, hi, mult)` would hold them; no `Fraction` is built.
 
     Neighbours satisfy r_i.hi <= r_{i+1}.lo, and may share an end, which is
     then no root of f.  That holds under every refinement: a step moves one
@@ -970,17 +955,15 @@ def isolate_real_roots(f: Poly) -> list[RealRoot]:
     factors = [(g, g.int_form()[0], mult)
                for g, mult in _yun(a, int_derivative(a), _sturm_chain_int(f).gcd)]
     roots: list[RealRoot] = []
-    for lo, hi in _isolate_squarefree(f):
-        # both denominators are powers of two, so the larger is their lcm
-        ld, hd = lo.denominator, hi.denominator
-        d = max(ld, hd)
-        na, nb = lo.numerator * (d // ld), hi.numerator * (d // hd)
+    for ka, kb, j in _dyadic_cells(f):
         g, _, mult = factors[0]
         if len(factors) > 1:
-            j = d.bit_length() - 1
             g, _, mult = next(fac for fac in factors
-                              if _sign_dyadic(fac[1], na, j) * _sign_dyadic(fac[1], nb, j) <= 0)
-        r = RealRoot._from_ints(g, na, nb, d, mult)
+                              if _sign_dyadic(fac[1], ka, j) * _sign_dyadic(fac[1], kb, j) <= 0)
+        # strip 2**t, the power of two that ka, kb and 2**j share
+        low = ka | kb | 1 << j
+        t = (low & -low).bit_length() - 1
+        r = RealRoot._from_ints(g, ka >> t, kb >> t, 1 << (j - t), mult)
         r.try_exact()
         roots.append(r)
     return roots

@@ -253,6 +253,15 @@ def test_usage_error_exit_1():
          "error: --seed-point: expected 2"),
         (["portrait", "--f", "x", "--g", "x", "--window", "1,1,0,0"], None,
          "error: portrait: window must be a nonempty rectangle"),
+        (["portrait", "--f", "1", "--g", "x", "--window", "0,0,1e999,1"], None,
+         "error: portrait: window x1 is beyond the float range"),
+        (["portrait", "--f", "1", "--g", "x", "--seed-point", "1e400,1"], None,
+         "error: portrait: seed point 1 x is beyond the float range"),
+        (["portrait", "--f", '["1e400"]', "--g", "x", "--seed-point", "0,1"], None,
+         "error: portrait: f coefficient of x^0 is beyond the float range"),
+        (["portrait", "--f", "1", "--g", "x", "--window", "1,0,1.00000000000000000001,1",
+          "--seed-point", "1,1/2"], None,
+         "error: portrait: window must be a nonempty rectangle"),
         (["suite", "--criteria", "a"], None, "error: --criteria: invalid literal"),
         (["suite", "--criteria", "1,99"], None, "error: --criteria: unknown criteria [99]"),
         (["suite", "--criteria", ""], None, "error: --criteria: invalid literal"),
@@ -283,8 +292,9 @@ def test_usage_error_exit_1():
     ids=["dangling_power", "zero_denominator", "roots_dangling_power",
          "stdin_not_json", "stdin_not_object", "stdin_zero_denominator",
          "stdin_not_a_list", "window_three_values", "seed_point_one_value",
-         "window_empty", "criteria_not_integer", "criteria_unknown",
-         "criteria_empty",
+         "window_empty", "window_beyond_float", "seed_point_beyond_float",
+         "coefficient_beyond_float", "window_empty_in_float", "criteria_not_integer",
+         "criteria_unknown", "criteria_empty",
          "float_coefficient", "boolean_coefficient", "null_coefficient",
          "stdin_float_coefficient", "stdin_boolean_coefficient",
          "stdin_null_coefficient", "portrait_lone_Q", "portrait_stdin_lone_Q",

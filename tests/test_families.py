@@ -32,6 +32,7 @@ from hypercycles.rootclass import (
     RealRoot,
     SturmChain,
     all_roots_real_simple,
+    cauchy_bound,
     isolate_real_roots,
     sign_on_interval,
 )
@@ -403,6 +404,70 @@ def test_lift_skips_an_s_that_certifies_too_many(monkeypatch):
 def test_lift_starts_at_the_least_integer_above_every_root(q, start):
     # decided exactly, whatever the width of the isolating intervals
     assert families._next_integer_above_roots(parse_poly(q)) == start
+
+
+# The bisection that `_next_integer_above_roots` replaced, verbatim: the
+# reference that the start read off the shared isolation is checked against.
+def ref_next_integer_above_roots(q: Poly) -> int:
+    """The least integer k >= 1 above every real root of q, decided exactly:
+    q(k) != 0 and no root of q in (k, top), with top an integer past the
+    Cauchy bound.  Every integer past the least one passes too, so a
+    bisection on the integers in [1, top] finds it."""
+    if q.degree < 1:
+        return 1
+    chain = SturmChain(q)
+    top = math.floor(cauchy_bound(q)) + 1
+    lo, hi = 0, top  # the least such k lies in (lo, hi]
+    while hi - lo > 1:
+        k = (lo + hi) // 2
+        if chain.sign(k) != 0 and chain.count_open(k, top) == 0:
+            hi = k
+        else:
+            lo = k
+    return hi
+
+
+_NEAR = Fraction(1, 2**30)
+
+
+def _minus(c) -> Poly:
+    """x - c."""
+    return Poly([-Fraction(c), Fraction(1)])
+
+
+@st.composite
+def _lift_start_input(draw):
+    """A product of a nonzero constant and factors from one family: roots
+    at integers, roots within 2**-30 of an integer (rational, or the
+    irrational k +- 2**-30.5), only negative roots, no real roots, or any of
+    these factors repeated."""
+    k = st.integers(-30, 30)
+    factories = {
+        "integer": lambda: _minus(draw(k)),
+        "near_integer": lambda: draw(st.sampled_from([
+            _minus(draw(k) + draw(st.sampled_from([-1, 1])) * _NEAR),
+            _minus(draw(k)) ** 2 - Poly([_NEAR**2 / 2])])),
+        "negative": lambda: draw(st.sampled_from([
+            _minus(-draw(st.fractions(Fraction(1, 64), 40))),
+            Poly([2, draw(st.integers(3, 9)), 1])])),
+        "no_real": lambda: (_minus(draw(k)) ** 2
+                            + Poly([draw(st.fractions(Fraction(1, 2**40), 9))])),
+    }
+    family = draw(st.sampled_from(sorted(factories) + ["repeated"]))
+    q = Poly([draw(st.sampled_from([Fraction(-3), Fraction(1, 7), Fraction(5)]))])
+    for _ in range(draw(st.integers(1, 4))):
+        if family == "repeated":
+            factor = factories[draw(st.sampled_from(sorted(factories)))]()
+            q = q * factor ** draw(st.integers(2, 3))
+        else:
+            q = q * factories[family]()
+    return q
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_lift_start_input())
+def test_lift_start_matches_the_bisection_it_replaced(q):
+    assert families._next_integer_above_roots(q) == ref_next_integer_above_roots(q)
 
 
 def test_lift_degree_contract():

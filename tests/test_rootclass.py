@@ -25,8 +25,8 @@ from hypercycles.rootclass import (
     RootCount,
     SturmChain,
     _chain_signs,
+    _dyadic_cells,
     _int_det,
-    _isolate_squarefree,
     _root_exponent,
     _sign_at,
     _sign_changes,
@@ -49,6 +49,11 @@ from hypercycles.rootclass import (
 
 def P(*coeffs):
     return Poly(coeffs)
+
+
+def _isolate_squarefree(g: Poly) -> list[tuple[Fraction, Fraction]]:
+    """The isolation of g, `_dyadic_cells`, as pairs of `Fraction`s."""
+    return [(Fraction(ka, 1 << j), Fraction(kb, 1 << j)) for ka, kb, j in _dyadic_cells(g)]
 
 
 def _discrimination_count(p: Poly) -> RootCount:
@@ -669,11 +674,12 @@ def test_isolation_of_three_yun_factors_bisects_once(monkeypatch):
     p = parse_poly("(x-1)^3 (x^2-2)^2 (x+3)(x^2-5)")
     assert len(squarefree_decomposition(p)) == 3
     isolated = []
-    isolate = rootclass._isolate_squarefree
-    monkeypatch.setattr(rootclass, "_isolate_squarefree",
-                        lambda g: isolated.append(g) or isolate(g))
+    _dyadic_cells.cache_clear()
+    monkeypatch.setattr(rootclass, "_dyadic_cells",
+                        lambda g: isolated.append(g) or _dyadic_cells(g))
     roots = isolate_real_roots(p)
     assert isolated == [p]
+    assert _dyadic_cells.cache_info().misses == 1
     assert [r.multiplicity for r in roots] == [1, 1, 2, 3, 2, 1]
 
 
@@ -1468,17 +1474,16 @@ def test_isolation_labels_cells_only_with_several_yun_factors(text, factors, rea
     f = parse_poly(text)
     assert len(squarefree_decomposition(f)) == factors
     after = []
-    isolate = rootclass._isolate_squarefree
 
     def isolated(g):
-        cells = isolate(g)
+        cells = _dyadic_cells(g)
         after.append("isolated")
         return cells
 
     def counting(kernel):
         return lambda *a: (after and after.append(kernel.__name__)) or kernel(*a)
 
-    monkeypatch.setattr(rootclass, "_isolate_squarefree", isolated)
+    monkeypatch.setattr(rootclass, "_dyadic_cells", isolated)
     monkeypatch.setattr(RealRoot, "try_exact", lambda self: None)
     for name in ("_sign_at", "_sign_dyadic", "_sign_int"):
         monkeypatch.setattr(rootclass, name, counting(getattr(rootclass, name)))
@@ -1490,18 +1495,33 @@ def test_isolation_labels_cells_only_with_several_yun_factors(text, factors, rea
         assert len(after) > 1
 
 
-def test_canonical_isolates_each_factor_once(monkeypatch):
+def test_canonical_isolates_each_factor_once():
     # the roots of one factor share one isolation, however often each is asked
     f = parse_poly("(x^2-2)(x^2-3)(x^3-3x+1)")
     roots = isolate_real_roots(f)
     want = [r.canonical() for r in roots]
-    rootclass._factor_cells.cache_clear()
-    isolated = []
-    cells = rootclass._dyadic_cells
-    monkeypatch.setattr(rootclass, "_dyadic_cells",
-                        lambda g: isolated.append(g) or cells(g))
+    _dyadic_cells.cache_clear()
     for _ in range(3):
         assert [r.canonical() for r in roots] == want
-    assert isolated == [f.monic()]
-    memo = rootclass._factor_cells(f.monic())
+    # the one isolation is of the factor f.monic(), whose cells the memo holds
+    memo = _dyadic_cells(f.monic())
+    assert _dyadic_cells.cache_info().misses == 1
     assert type(memo) is tuple and all(type(cell) is tuple for cell in memo)
+
+
+def test_isolating_one_polynomial_twice_bisects_once():
+    # the second call reads the memoized cells and builds new roots on them:
+    # refining the first call's roots moves nothing that it returns
+    p = parse_poly("(x^2-2)(x-3)(x^3-3x+1)")
+    _dyadic_cells.cache_clear()
+    first = isolate_real_roots(p)
+    ends = [r.int_ends() for r in first]
+    for r in first:
+        for _ in range(20):
+            r.refine()
+    assert [r.int_ends() for r in first] != ends
+    second = isolate_real_roots(p)
+    assert _dyadic_cells.cache_info().misses == 1
+    assert _dyadic_cells.cache_info().hits == 1
+    assert not any(r is s for r, s in zip(first, second))
+    assert [r.int_ends() for r in second] == ends
