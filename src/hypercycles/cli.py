@@ -179,7 +179,7 @@ def _read_stdin_doc(args) -> dict | None:
         return None
     try:
         doc = json.loads(sys.stdin.read())
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise _usage("--stdin", f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise _usage("--stdin", "the top level must be a JSON object")
@@ -269,7 +269,9 @@ def _load_pattern(path: str) -> "families.CaseIPattern":
             doc = json.load(fh)
     except OSError as exc:
         raise usage(exc.strerror or str(exc)) from None
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+    # JSONDecodeError, UnicodeDecodeError, and RecursionError for a document
+    # nested too deeply
+    except (ValueError, RecursionError) as exc:
         raise usage(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise usage("the top level must be a JSON object")

@@ -242,8 +242,7 @@ class _Bracket:
     rad*|p'(mid)| = w|P_x|/(den D^n) and rad^2 M2 = w^2 M2/D^2, and both
     ends are built over the one denominator den * den(M2) * D^n.  They are
     held as (numerator, denominator) pairs, `lo_q` and `hi_q`, which
-    `_pick_window` compares by cross-multiplication; `lo` and `hi` read
-    them as `Fraction`s."""
+    `_pick_window` compares by cross-multiplication."""
 
     def __init__(self, p: Poly, root):
         self.root = root
@@ -269,14 +268,6 @@ class _Bracket:
         spread = w * (abs(P_x) * m2d + w * m2n * self.den * (Dpow // (D * D)))
         base = self.den * m2d * Dpow
         self.lo_q, self.hi_q = (center - spread, base), (center + spread, base)
-
-    @property
-    def lo(self) -> Fraction:
-        return Fraction(*self.lo_q)
-
-    @property
-    def hi(self) -> Fraction:
-        return Fraction(*self.hi_q)
 
     def refine(self):
         self.root.refine()

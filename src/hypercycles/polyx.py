@@ -791,7 +791,11 @@ def json_scalar(value, expected: str):
     would truncate a float or take its binary value, and read a boolean as
     0 or 1.  Anything else raises TypeError naming `expected`."""
     if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise TypeError(f"expected {expected}, got {json.dumps(value)}")
+        try:
+            got = json.dumps(value)
+        except RecursionError:  # a list that decoded just short of the limit
+            got = "a value nested too deeply"
+        raise TypeError(f"expected {expected}, got {got}")
     return value
 
 
@@ -804,7 +808,8 @@ def parse_poly(text: str) -> Poly:
     """Parse either '[c0, c1, ...]' (each a JSON integer or a 'p/q' string)
     or an expression like '(x - 1/2)^2 * (x+3)' / 'x^2 + 1'.  Any malformed
     text, a zero denominator, a float, a boolean or null included, raises
-    ValueError."""
+    ValueError; so does text nested deeper than the parsers' recursion
+    reaches, without echoing it."""
     text = text.strip()
     if not text:
         raise ValueError("empty polynomial text")
@@ -816,6 +821,8 @@ def parse_poly(text: str) -> Poly:
         p = parser.parse_expr()
     except (ZeroDivisionError, TypeError) as exc:
         raise ValueError(f"bad polynomial {text!r}: {exc}") from None
+    except RecursionError:
+        raise ValueError("polynomial nested too deeply") from None
     if parser.peek() is not None:
         raise ValueError(f"trailing input in polynomial: {parser.toks[parser.i:]!r}")
     return p

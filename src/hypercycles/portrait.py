@@ -47,8 +47,9 @@ class PortraitSpec:
         x0, y0, x1, y1 = self._window
         if not (x0 < x1 and y0 < y1):
             raise ValueError("window must be a nonempty rectangle")
-        if self.step <= 0:
-            raise ValueError("step must be positive")
+        # a nan or infinite step would draw no trajectory at all
+        if not 0 < self.step < math.inf:
+            raise ValueError("step must be positive and finite")
 
 
 def _float(value, what: str) -> float:

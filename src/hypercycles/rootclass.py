@@ -99,13 +99,15 @@ canonical cell of an irrational root (`RealRoot.canonical`) is its cell in
 the memoized isolation of its own factor, so every report prints cells
 that the isolation of one factor finds and isolates each factor once.
 
-A `RealRoot` holds its ends as integers a/d and b/d over one common
-denominator d: a power of two for every root isolation returns, any
-positive integer for a root built by hand.  `lo` and `hi` read them as
-`Fraction`s.  A refinement step is one add and one sign on the integer
-pair, and `try_exact` (up to its candidate, the integer continued-fraction
-walk `_simplest`) and the width loop of `canonical` run on those integers,
-so none of them builds a `Fraction` per step.
+A `RealRoot` is built on integers, `RealRoot(poly, a, b, d, multiplicity)`
+for the root in [a/d, b/d], and holds its ends that way, over one common
+denominator d > 0: a power of two for every root isolation returns.  The
+read-only `lo` and `hi` give them as `Fraction`s, and only refinement
+moves them, so the sign of poly at hi that `refine` keeps stays true.  A
+refinement step is one add and one sign on the integer pair, and
+`try_exact` (up to its candidate, the integer continued-fraction walk
+`_simplest`) and the width loop of `canonical` run on those integers, so
+none of them builds a `Fraction` per step.
 
 Every refinement step of an isolated root (`RealRoot.refine`) bisects at the
 midpoint (lo + hi) / 2, whatever other polynomial vanishes there: a midpoint
@@ -136,7 +138,7 @@ import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd as int_gcd, lcm
+from math import gcd as int_gcd
 from typing import Sequence
 
 from .polyx import (
@@ -634,50 +636,26 @@ class RealRoot:
     The ends are held as integers over one common denominator, lo = a/d and
     hi = b/d with d > 0, not necessarily in lowest terms; d is a power of
     two for every root that isolation returns, but need not be.  `lo` and
-    `hi` read (and set) them as `Fraction`s.
+    `hi` read them as `Fraction`s; only refinement moves them.
     """
 
-    def __init__(self, poly: Poly, lo: RationalLike, hi: RationalLike,
-                 multiplicity: int = 1):
+    def __init__(self, poly: Poly, a: int, b: int, d: int, multiplicity: int):
+        """The root of poly in [a/d, b/d], d > 0, with the integer ends held
+        as given."""
         self.poly = poly
         self.multiplicity = multiplicity
-        self._put(rat(lo), rat(hi))
+        self._a, self._b, self._d = a, b, d
         # the sign of poly at hi, read by the first `refine`; every step
         # keeps it
         self._at_hi: int | None = None
-
-    @classmethod
-    def _from_ints(cls, poly: Poly, a: int, b: int, d: int,
-                   multiplicity: int) -> "RealRoot":
-        """The root of poly in [a/d, b/d], d > 0, with the integer ends
-        held as given."""
-        r = cls.__new__(cls)
-        r.poly, r.multiplicity = poly, multiplicity
-        r._a, r._b, r._d = a, b, d
-        r._at_hi = None
-        return r
-
-    def _put(self, lo: Fraction, hi: Fraction) -> None:
-        d = lcm(lo.denominator, hi.denominator)
-        self._a = lo.numerator * (d // lo.denominator)
-        self._b = hi.numerator * (d // hi.denominator)
-        self._d = d
 
     @property
     def lo(self) -> Fraction:
         return Fraction(self._a, self._d)
 
-    @lo.setter
-    def lo(self, value: RationalLike) -> None:
-        self._put(rat(value), self.hi)
-
     @property
     def hi(self) -> Fraction:
         return Fraction(self._b, self._d)
-
-    @hi.setter
-    def hi(self, value: RationalLike) -> None:
-        self._put(self.lo, rat(value))
 
     def int_ends(self) -> tuple[int, int, int]:
         """(a, b, d): the ends lo = a/d and hi = b/d as held."""
@@ -687,27 +665,10 @@ class RealRoot:
         return (f"RealRoot(poly={self.poly!r}, lo={self.lo!r}, hi={self.hi!r}, "
                 f"multiplicity={self.multiplicity!r})")
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RealRoot):
-            return NotImplemented
-        return ((self.poly, self.lo, self.hi, self.multiplicity)
-                == (other.poly, other.lo, other.hi, other.multiplicity))
-
-    __hash__ = None  # mutable: refinement moves the ends
-
     # -- basics ---------------------------------------------------------
 
     def is_exact(self) -> bool:
         return self._a == self._b
-
-    @property
-    def value(self) -> Fraction:
-        if not self.is_exact():
-            raise ValueError("root not exact")
-        return self.lo
-
-    def width(self) -> Fraction:
-        return Fraction(self._b - self._a, self._d)
 
     def equals_rational(self, r: RationalLike) -> bool:
         r = rat(r)
@@ -940,8 +901,8 @@ def isolate_real_roots(f: Poly) -> list[RealRoot]:
     factor, every cell is that factor's and no sign is evaluated.
 
     Each root is a new `RealRoot` on its cell's ends ka/2**j and kb/2**j,
-    with the power of two that ka, kb and 2**j share stripped, as
-    `RealRoot(g, lo, hi, mult)` would hold them; no `Fraction` is built.
+    with the power of two that ka, kb and 2**j share stripped, so d is the
+    least common denominator of lo and hi; no `Fraction` is built.
 
     Neighbours satisfy r_i.hi <= r_{i+1}.lo, and may share an end, which is
     then no root of f.  That holds under every refinement: a step moves one
@@ -963,7 +924,7 @@ def isolate_real_roots(f: Poly) -> list[RealRoot]:
         # strip 2**t, the power of two that ka, kb and 2**j share
         low = ka | kb | 1 << j
         t = (low & -low).bit_length() - 1
-        r = RealRoot._from_ints(g, ka >> t, kb >> t, 1 << (j - t), mult)
+        r = RealRoot(g, ka >> t, kb >> t, 1 << (j - t), mult)
         r.try_exact()
         roots.append(r)
     return roots

@@ -288,6 +288,18 @@ def test_usage_error_exit_1():
         (["roots", "7" * 5000 + "x + 1"], None, "error: POLY: Exceeds the limit"),
         (["certify", "--stdin"], '{"P": [' + "7" * 5000 + '], "Q": [1]}',
          "error: --stdin: not valid JSON: Exceeds the limit"),
+        (["roots", "(" * 5000 + "x" + ")" * 5000], None,
+         "error: POLY: polynomial nested too deeply"),
+        (["roots", "--", "2*" + "-" * 5000 + "x"], None,
+         "error: POLY: polynomial nested too deeply"),
+        (["roots", "[" * 30000 + "]" * 30000], None,
+         "error: POLY: polynomial nested too deeply"),
+        (["certify", "--stdin"], '{"P": ' + "[" * 100000 + "]" * 100000 + ', "Q": [1]}',
+         "error: --stdin: not valid JSON"),
+        (["portrait", "--f", "x", "--g", "x", "--seed-point", "1,1", "--step", "nan"], None,
+         "error: portrait: step must be positive and finite"),
+        (["portrait", "--f", "x", "--g", "x", "--seed-point", "1,1", "--step", "inf"], None,
+         "error: portrait: step must be positive and finite"),
     ],
     ids=["dangling_power", "zero_denominator", "roots_dangling_power",
          "stdin_not_json", "stdin_not_object", "stdin_zero_denominator",
@@ -299,7 +311,9 @@ def test_usage_error_exit_1():
          "stdin_float_coefficient", "stdin_boolean_coefficient",
          "stdin_null_coefficient", "portrait_lone_Q", "portrait_stdin_lone_Q",
          "exponent_above_max_degree", "product_above_max_degree",
-         "coefficient_digits_above_limit", "stdin_digits_above_limit"],
+         "coefficient_digits_above_limit", "stdin_digits_above_limit",
+         "nested_parentheses", "repeated_unary_minus", "nested_json_coefficients",
+         "stdin_nested_json", "step_nan", "step_inf"],
 )
 def test_bad_input_is_a_usage_error(args, stdin_text, complaint):
     proc = run_cli(args, stdin_text=stdin_text)
@@ -378,11 +392,12 @@ def test_load_pattern_keeps_pin_fractions(tmp_path):
          "bad value for 'pin_fractions': TypeError: expected an integer or a string"),
         ("{not json", "not valid JSON"),
         (None, "No such file or directory"),
+        ('{"signs": ' + "[" * 100000 + "]" * 100000 + "}", "not valid JSON"),
     ],
     ids=["not_an_object", "misspelled_key", "non_integer", "float_integer",
          "boolean_integer", "float_steps", "float_sign", "zero_sign", "boolean_sign",
          "not_a_list", "zero_denominator", "float_rational", "boolean_rational",
-         "null_rational", "not_json", "missing_file"],
+         "null_rational", "not_json", "missing_file", "nested_json"],
 )
 def test_construct_rejects_bad_pattern_file(tmp_path, text, complaint):
     path = tmp_path / "pattern.json"

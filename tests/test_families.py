@@ -29,13 +29,13 @@ from hypercycles.families import (
 from hypercycles.lienard import bounds, certify, invariance_check
 from hypercycles.polyx import Poly, X, parse_poly, rref
 from hypercycles.rootclass import (
-    RealRoot,
     SturmChain,
     all_roots_real_simple,
     cauchy_bound,
     isolate_real_roots,
     sign_on_interval,
 )
+from test_rootclass import root_between
 
 
 def _certified_pairs(report):
@@ -60,8 +60,9 @@ def test_high_n_37_interval():
 def test_high_n_49_intervals():
     res = construct_high_n(4, 9)
     pairs = _certified_pairs(res.report)
+    assert all(p.is_exact() and q.is_exact() for p, q in pairs)
     assert [(1, 2), (3, 4)] == [
-        (int(p.value), int(q.value)) for p, q in pairs
+        (int(p.lo), int(q.lo)) for p, q in pairs
     ]
 
 
@@ -602,8 +603,8 @@ def test_critical_values_bracket_the_extrema():
     [top], [bottom] = _critical_values(_CUBIC, 1), _critical_values(_CUBIC, -1)
     for bracket, alpha_sign in ((top, -1), (bottom, 1)):
         assert bracket.root.sign_of(X) == alpha_sign
-        assert bracket.root.sign_of(_CUBIC - Poly([bracket.lo])) > 0
-        assert bracket.root.sign_of(_CUBIC - Poly([bracket.hi])) < 0
+        assert bracket.root.sign_of(_CUBIC - Poly([Fraction(*bracket.lo_q)])) > 0
+        assert bracket.root.sign_of(_CUBIC - Poly([Fraction(*bracket.hi_q)])) < 0
     # kind 0 keeps the critical points strictly inside the interval only
     assert len(_critical_values(_CUBIC, 0, (Fraction(-1), Fraction(1)))) == 2
     assert len(_critical_values(_CUBIC, 0, (Fraction(0), Fraction(1)))) == 1
@@ -620,7 +621,7 @@ def test_critical_values_leave_out_a_critical_point_at_an_end():
     # and a root of its polynomial there: the end is the root itself
     dp = p.derivative()
     for end in (Fraction(1), Fraction(-1)):
-        root = RealRoot(poly=dp, lo=end - Fraction(1, 3), hi=end + Fraction(1, 5))
+        root = root_between(dp, end - Fraction(1, 3), end + Fraction(1, 5))
         assert not families._inside(root, (end, end + 5))
         assert not families._inside(root, (end - 5, end))
         assert families._inside(root, (end - Fraction(1, 2), end + Fraction(1, 2)))
@@ -679,7 +680,8 @@ def test_integer_bracket_ends_are_the_fraction_formula(coeffs, k):
         bracket = families._Bracket(p, root)
         assert bracket.m2 == m2
         for _ in range(k + 1):
-            assert (bracket.lo, bracket.hi) == _fraction_bracket(p, root, m2)
+            assert ((Fraction(*bracket.lo_q), Fraction(*bracket.hi_q))
+                    == _fraction_bracket(p, root, m2))
             bracket.refine()
 
 

@@ -17,7 +17,7 @@ from hypercycles.lienard import (
 )
 from hypercycles.polyx import ONE, Poly, X, parse_poly, poly_gcd, squarefree_part
 from hypercycles.rootclass import RealRoot, SturmChain, isolate_real_roots
-from test_rootclass import ref_separate_from
+from test_rootclass import ref_separate_from, root_between, root_key
 
 
 def P(*coeffs):
@@ -297,16 +297,16 @@ def test_count_strictly_between_two_exact_roots_builds_at_most_one_chain():
     # w vanishes at 2 and at sqrt(5) between the endpoints 1 and 3, and at
     # -4 and nowhere else on the real line
     w = P(-2, 1) * P(-5, 0, 1) * P(1, 0, 1) * P(4, 1)
-    r1 = RealRoot(poly=P(-1, 1), lo=Fraction(1), hi=Fraction(1))
-    r2 = RealRoot(poly=P(-3, 1), lo=Fraction(3), hi=Fraction(3))
+    r1 = root_between(P(-1, 1), Fraction(1), Fraction(1))
+    r2 = root_between(P(-3, 1), Fraction(3), Fraction(3))
     before = (copy.copy(r1), copy.copy(r2))
     rootclass._sturm_chain_int.cache_clear()
     assert lienard._count_strictly_between(w, r1, r2) == 2
     assert rootclass._sturm_chain_int.cache_info().misses <= 1
-    assert (r1, r2) == before
+    assert [root_key(r) for r in (r1, r2)] == [root_key(r) for r in before]
     # the same roots held in open brackets take the refining route
-    s1 = RealRoot(poly=P(-1, 1), lo=Fraction(2, 3), hi=Fraction(6, 5))
-    s2 = RealRoot(poly=P(-3, 1), lo=Fraction(8, 3), hi=Fraction(16, 5))
+    s1 = root_between(P(-1, 1), Fraction(2, 3), Fraction(6, 5))
+    s2 = root_between(P(-3, 1), Fraction(8, 3), Fraction(16, 5))
     assert lienard._count_strictly_between(w, s1, s2) == 2
 
 
@@ -335,7 +335,8 @@ def test_dividing_q_out_of_h_takes_two_passes_at_a_double_root():
     assert H1.degree == 3 and poly_gcd(H1, curve.Q).degree == 0
     report = certify(curve)
     assert (report.m, report.n, report.certified_count) == (4, 9, 1)
-    assert [(v.s1.value, v.s2.value, v.q_positive_between, v.p2_minus_q_negative,
+    assert all(v.s1.is_exact() and v.s2.is_exact() for v in report.intervals)
+    assert [(v.s1.lo, v.s2.lo, v.q_positive_between, v.p2_minus_q_negative,
              v.no_common_root_qprime_f, v.certified) for v in report.intervals] == [
         (1, 2, False, False, False, False),
         (2, 3, True, True, True, True),
@@ -395,7 +396,7 @@ def test_each_gap_of_a_real_rooted_q_holds_one_simple_critical_point():
         Qp = Q.derivative()
         qp_roots = isolate_real_roots(Qp)
         for a, b in zip(roots, roots[1:]):
-            ends = [RealRoot(poly=Poly([-r, 1]), lo=r, hi=r) for r in (a, b)]
+            ends = [root_between(Poly([-r, 1]), r, r) for r in (a, b)]
             inside = [c for c in map(copy.copy, qp_roots)
                       if not (c.equals_rational(a) or c.equals_rational(b))
                       and ref_separate_from(c, ends[0]) == 1

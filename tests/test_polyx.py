@@ -10,6 +10,7 @@ from hypercycles.polyx import (
     Poly,
     X,
     int_coeffs,
+    json_scalar,
     parse_poly,
     poly_gcd,
     rref,
@@ -119,6 +120,16 @@ def test_parse_expressions():
 def test_parse_malformed_text_raises_value_error(text):
     with pytest.raises(ValueError):
         parse_poly(text)
+
+
+def test_a_value_too_deep_to_show_is_named_not_dumped():
+    # json.dumps of a list nested past the recursion limit raises
+    # RecursionError; the TypeError names it instead
+    deep = []
+    for _ in range(100000):
+        deep = [deep]
+    with pytest.raises(TypeError, match="expected an integer, got a value nested too deeply"):
+        json_scalar(deep, "an integer")
 
 
 def test_str_roundtrip():

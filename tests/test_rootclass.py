@@ -51,6 +51,21 @@ def P(*coeffs):
     return Poly(coeffs)
 
 
+def root_between(poly: Poly, lo, hi, multiplicity: int = 1) -> RealRoot:
+    """The root of poly in [lo, hi], built on the ends' numerators over
+    their least common denominator: the lowest-terms integer ends that the
+    reference cases compare isolation's integer ends with."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    d = lcm(lo.denominator, hi.denominator)
+    return RealRoot(poly, lo.numerator * (d // lo.denominator),
+                    hi.numerator * (d // hi.denominator), d, multiplicity)
+
+
+def root_key(root: RealRoot):
+    """What two roots must share to be the same root, held the same way."""
+    return root.poly, root.int_ends(), root.multiplicity
+
+
 def _isolate_squarefree(g: Poly) -> list[tuple[Fraction, Fraction]]:
     """The isolation of g, `_dyadic_cells`, as pairs of `Fraction`s."""
     return [(Fraction(ka, 1 << j), Fraction(kb, 1 << j)) for ka, kb, j in _dyadic_cells(g)]
@@ -267,7 +282,7 @@ def test_isolate_sqrt2():
 def test_isolate_exact_rational_roots():
     roots = isolate_real_roots(P(-1, 1) ** 2 * P(-3, 1))
     assert [(r.is_exact(), r.multiplicity) for r in roots] == [(True, 2), (True, 1)]
-    assert roots[0].value == 1 and roots[1].value == 3
+    assert roots[0].lo == 1 and roots[1].lo == 3
 
 
 def test_isolate_no_real_roots():
@@ -285,7 +300,7 @@ def test_isolate_counts_match_classifier():
         assert len(roots) == count_roots(p).distinct_real
         # intervals disjoint and sorted
         for a, b in zip(roots, roots[1:]):
-            assert a.hi < b.lo or (a.is_exact() and a.value < b.lo) or a.hi <= b.lo
+            assert a.hi < b.lo or (a.is_exact() and a.lo < b.lo) or a.hi <= b.lo
 
 
 def test_root_multiplicity_sum():
@@ -434,13 +449,13 @@ def test_sign_on_interval_worked_cycle_strip():
 def _third_root():
     # the root -1/3 of x + 1/3 held inexact in (-2/3, 0), where the next
     # bisection point is the root itself
-    return RealRoot(poly=P(Fraction(1, 3), 1), lo=Fraction(-2, 3), hi=Fraction(0))
+    return root_between(P(Fraction(1, 3), 1), Fraction(-2, 3), Fraction(0))
 
 
 def test_sign_of_when_a_refinement_step_lands_on_the_root():
     r = _third_root()
     assert r.sign_of(P(Fraction(1, 7), 1)) == -1     # -1/3 + 1/7 < 0
-    assert r.is_exact() and r.value == Fraction(-1, 3)
+    assert r.is_exact() and r.lo == Fraction(-1, 3)
 
 
 def test_count_strictly_between_refuses_a_w_that_vanishes_at_an_inexact_root():
@@ -448,15 +463,16 @@ def test_count_strictly_between_refuses_a_w_that_vanishes_at_an_inexact_root():
     # says so and moves nothing, and a count with sqrt(2) as either end
     # raises and leaves both roots as they were
     for w in (P(-2, 0, 1) * P(5, 1), P(-2, 0, 1).scale(3), Poly()):
-        r = RealRoot(poly=P(-2, 0, 1), lo=1, hi=2)
+        r = root_between(P(-2, 0, 1), 1, 2)
         assert r.sign_of(w) == 0
         assert (r.lo, r.hi, r.is_exact()) == (1, 2, False)
-        for pair in ((r, RealRoot(poly=P(-3, 1), lo=3, hi=3)),
-                     (RealRoot(poly=P(3, 1), lo=-3, hi=-3), r)):
+        for pair in ((r, root_between(P(-3, 1), 3, 3)),
+                     (root_between(P(3, 1), -3, -3), r)):
             before = [copy.copy(s) for s in pair]
             with pytest.raises(ValueError, match="vanishes at the root in"):
                 lienard._count_strictly_between(w, *pair)
-            assert list(pair) == before and not r.is_exact()
+            assert [root_key(s) for s in pair] == [root_key(s) for s in before]
+            assert not r.is_exact()
 
 
 def test_sign_of_builds_no_chain_of_the_gcd(monkeypatch):
@@ -468,11 +484,11 @@ def test_sign_of_builds_no_chain_of_the_gcd(monkeypatch):
     chain_of = rootclass._sturm_chain_int
     monkeypatch.setattr(rootclass, "_sturm_chain_int",
                         lambda p: built.append(p) or chain_of(p))
-    assert RealRoot(poly=poly, lo=1, hi=Fraction(3, 2)).sign_of(w) == -1
+    assert root_between(poly, 1, Fraction(3, 2)).sign_of(w) == -1
     assert built and all(p == w for p in built)
     # a w that vanishes at the root needs no chain at all
     built.clear()
-    assert RealRoot(poly=poly, lo=1, hi=Fraction(3, 2)).sign_of(P(-2, 0, 1) * P(7, 1)) == 0
+    assert root_between(poly, 1, Fraction(3, 2)).sign_of(P(-2, 0, 1) * P(7, 1)) == 0
     assert built == []
 
 
@@ -487,12 +503,31 @@ def test_sign_of_an_inexact_root_looks_up_one_gcd(w, want, monkeypatch):
     monkeypatch.setattr(rootclass, "poly_gcd",
                         lambda a, b: gcds.append((a, b)) or gcd_of(a, b))
     poly = P(-2, 0, 1) * P(-3, 0, 1)
-    assert RealRoot(poly=poly, lo=1, hi=Fraction(3, 2)).sign_of(w) == want
+    assert root_between(poly, 1, Fraction(3, 2)).sign_of(w) == want
     assert gcds == [(poly, w)]
     # an exact root and a constant w look up none
-    assert RealRoot(poly=P(-1, 1), lo=1, hi=1).sign_of(w) != 0
-    assert RealRoot(poly=poly, lo=1, hi=Fraction(3, 2)).sign_of(P(-2)) == -1
+    assert root_between(P(-1, 1), 1, 1).sign_of(w) != 0
+    assert root_between(poly, 1, Fraction(3, 2)).sign_of(P(-2)) == -1
     assert len(gcds) == 1
+
+
+def test_a_root_is_built_on_integers_and_its_ends_are_read_only():
+    # only refinement moves the ends: the sign at hi that refine keeps can
+    # never go stale, and a call with Fraction ends is refused outright
+    r = RealRoot(P(-2, 0, 1), 2, 4, 2, 1)
+    assert (r.lo, r.hi, r.int_ends()) == (1, 2, (2, 4, 2))
+    r.refine()
+    for end in ("lo", "hi"):
+        with pytest.raises(AttributeError):
+            setattr(r, end, -2)
+    assert r.int_ends() == (4, 6, 4)
+    for _ in range(3):
+        r.refine()
+    assert r.lo * r.lo < 2 < r.hi * r.hi
+    with pytest.raises(TypeError):
+        RealRoot(P(-2, 0, 1), 1, 2)
+    with pytest.raises(TypeError):
+        RealRoot(P(-2, 0, 1), Fraction(1), Fraction(2), 1)
 
 
 def test_refine_evaluates_its_polynomial_once_per_step(monkeypatch):
@@ -501,11 +536,11 @@ def test_refine_evaluates_its_polynomial_once_per_step(monkeypatch):
     sign_int = rootclass._sign_int
     monkeypatch.setattr(rootclass, "_sign_int",
                         lambda *a: calls.append(a) or sign_int(*a))
-    r = RealRoot(poly=P(-2, 0, 1), lo=Fraction(0), hi=Fraction(3))
+    r = root_between(P(-2, 0, 1), Fraction(0), Fraction(3))
     for step in range(1, 21):
         r.refine()
         assert len(calls) == step + 1
-    assert r.lo * r.lo < 2 < r.hi * r.hi and r.width() == Fraction(3, 2**20)
+    assert r.lo * r.lo < 2 < r.hi * r.hi and r.hi - r.lo == Fraction(3, 2**20)
 
 
 @pytest.mark.parametrize("poly, exact", [
@@ -525,7 +560,7 @@ def test_try_exact_builds_no_fraction_however_many_halvings(poly, exact, monkeyp
 
     counts, canonical_counts = [], []
     for e in (10, 20, 40):
-        root = RealRoot(poly=poly, lo=Fraction(0), hi=Fraction(2 ** e))
+        root = root_between(poly, Fraction(0), Fraction(2 ** e))
         other = copy.copy(root)
         monkeypatch.setattr(Fraction, "__new__", counting)
         root.try_exact()
@@ -572,9 +607,9 @@ def ref_separate_from(root: RealRoot, other: RealRoot) -> int:
         if root.is_exact() and other.is_exact():
             if root.lo == other.lo:
                 raise RootsCoincide("isolated roots coincide")
-        elif root.is_exact() and other.poly.eval(root.value) == 0:
+        elif root.is_exact() and other.poly.eval(root.lo) == 0:
             raise RootsCoincide("isolated roots coincide")
-        elif other.is_exact() and root.poly.eval(other.value) == 0:
+        elif other.is_exact() and root.poly.eval(other.lo) == 0:
             raise RootsCoincide("isolated roots coincide")
         if rounds >= 8:
             if d is None:
@@ -605,7 +640,7 @@ def ref_isolate_real_roots(f: Poly) -> list[RealRoot]:
     roots: list[RealRoot] = []
     for factor, mult in squarefree_decomposition(f):
         for lo, hi in _isolate_squarefree(factor):
-            r = RealRoot(poly=factor, lo=lo, hi=hi, multiplicity=mult)
+            r = root_between(factor, lo, hi, mult)
             r.try_exact()
             roots.append(r)
     # cross-factor separation (factors are pairwise coprime, so roots differ)
@@ -661,11 +696,11 @@ def test_isolation_of_a_product_matches_the_per_factor_isolation(case):
             if op == "refine":
                 r.refine()
             else:
-                before, sign = copy.copy(r), ref_sign_of(copy.copy(r), w)
+                before, sign = copy.copy(r), ref_sign_of(RefRoot(r), w)
                 assert r.sign_of(w) == sign
                 if sign == 0 and not before.is_exact():
                     # w vanishes at the inexact root: sign_of moves nothing
-                    assert r == before
+                    assert root_key(r) == root_key(before)
             _assert_ordered_on_non_roots(f, roots)
     assert [r.canonical() for r in roots] == [r.canonical() for r in want]
 
@@ -751,7 +786,18 @@ def ref_isolate_squarefree(g: Poly) -> list[tuple[Fraction, Fraction]]:
     return sorted(out)
 
 
-def ref_refine(root: RealRoot) -> None:
+class RefRoot:
+    """A root of poly held in [lo, hi] by `Fraction` ends of its own, which
+    `ref_refine` moves; made from a `RealRoot` at its ends."""
+
+    def __init__(self, root: RealRoot):
+        self.poly, self.lo, self.hi = root.poly, root.lo, root.hi
+
+    def is_exact(self) -> bool:
+        return self.lo == self.hi
+
+
+def ref_refine(root: RefRoot) -> None:
     if root.is_exact():
         return
     c = (root.lo + root.hi) / 2
@@ -765,7 +811,7 @@ def ref_refine(root: RealRoot) -> None:
         root.lo = c
 
 
-def ref_sign_of(root: RealRoot, w: Poly) -> int:
+def ref_sign_of(root: RefRoot, w: Poly) -> int:
     if w.is_zero():
         return 0
     if not root.is_exact():
@@ -783,7 +829,7 @@ def ref_sign_of(root: RealRoot, w: Poly) -> int:
             ):
                 return slo
             ref_refine(root)
-    v = w.eval(root.value)
+    v = w.eval(root.lo)
     return (v > 0) - (v < 0)
 
 
@@ -824,7 +870,7 @@ def _others(p: Poly, g: Poly) -> list[Poly]:
     return [p.derivative(), g, P(-2, 0, 1), g + ONE, P(-2)]
 
 
-def _same_refinement(a: RealRoot, b: RealRoot, steps: int) -> None:
+def _same_refinement(a: RealRoot, b: RefRoot, steps: int) -> None:
     for _ in range(steps):
         a.refine()
         ref_refine(b)
@@ -859,18 +905,18 @@ def test_isolation_refine_and_sign_of_match_the_reference(case):
         for x in {x for iv in intervals for x in iv}:
             assert x.denominator & (x.denominator - 1) == 0 and -edge <= x <= edge
         for lo, hi in intervals:
-            root = RealRoot(poly=g, lo=lo, hi=hi)
-            _same_refinement(root, copy.copy(root), 6)
+            root = root_between(g, lo, hi)
+            _same_refinement(root, RefRoot(root), 6)
             for w in _others(p, g):
-                got, want = copy.copy(root), copy.copy(root)
+                got, want = copy.copy(root), RefRoot(root)
                 assert got.sign_of(w) == ref_sign_of(want, w)
                 assert (got.lo, got.hi, got.is_exact()) == (want.lo, want.hi, want.is_exact())
     # bisection from [-top, top] lands on a root planted at one of its
     # dyadic midpoints
     for m in planted:
-        root = RealRoot(poly=Poly([-m, 1]), lo=-top, hi=top)
-        _same_refinement(root, copy.copy(root), 5)
-        assert root.is_exact() and root.value == m
+        root = root_between(Poly([-m, 1]), -top, top)
+        _same_refinement(root, RefRoot(root), 5)
+        assert root.is_exact() and root.lo == m
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -1203,14 +1249,14 @@ def test_count_strictly_between_matches_sympy(case):
 def test_count_strictly_between_when_a_refinement_step_lands_on_the_root():
     # the roots of x + 1/7 and x + 3/7 lie in the bracket (-2/3, 0) of
     # -1/3, so clearing it bisects at -1/3 itself, and the root turns exact
-    one = RealRoot(poly=P(-1, 1), lo=Fraction(1), hi=Fraction(1))
+    one = root_between(P(-1, 1), Fraction(1), Fraction(1))
     r = _third_root()
     assert lienard._count_strictly_between(P(Fraction(1, 7), 1), r, one) == 1
-    assert r.is_exact() and r.value == Fraction(-1, 3)
-    minus_one = RealRoot(poly=P(1, 1), lo=Fraction(-1), hi=Fraction(-1))
+    assert r.is_exact() and r.lo == Fraction(-1, 3)
+    minus_one = root_between(P(1, 1), Fraction(-1), Fraction(-1))
     r = _third_root()
     assert lienard._count_strictly_between(P(Fraction(3, 7), 1), minus_one, r) == 1
-    assert r.is_exact() and r.value == Fraction(-1, 3)
+    assert r.is_exact() and r.lo == Fraction(-1, 3)
     # a w that vanishes at the inexact root breaks the precondition of the
     # count, which raises before any refinement step
     w = P(Fraction(1, 3), 1) * P(Fraction(1, 7), 1) * P(Fraction(-1, 2), 1)
@@ -1309,7 +1355,7 @@ def test_isolation_cell_of_an_irrational_root_is_its_canonical_cell(p, cells):
     got = [(lo, hi) for lo, hi in _isolate_squarefree(p) if lo < hi]
     assert got == cells
     for lo, hi in got:
-        assert RealRoot(poly=p, lo=lo, hi=hi).canonical() == (lo, hi)
+        assert root_between(p, lo, hi).canonical() == (lo, hi)
 
 
 # -- canonical cells, against the halving walk they replaced -------------------
@@ -1364,7 +1410,7 @@ def test_canonical_matches_the_halving_walk_it_replaced(p, steps):
     for g, _ in squarefree_decomposition(p):
         others = _others(p, g)
         for lo, hi in _isolate_squarefree(g):
-            root = RealRoot(poly=g, lo=lo, hi=hi)
+            root = root_between(g, lo, hi)
             want = ref_canonical_cell(root)
             assert root.canonical() == want
             # an irrational root's canonical cell is its isolation cell
@@ -1411,7 +1457,7 @@ def ref_labelled_isolation(f: Poly) -> list[RealRoot]:
         g, mult = next((g, mult) for g, ints, mult in factors
                        if _sign_int(ints, lo.numerator, lo.denominator)
                        * _sign_int(ints, hi.numerator, hi.denominator) <= 0)
-        r = RealRoot(poly=g, lo=lo, hi=hi, multiplicity=mult)
+        r = root_between(g, lo, hi, mult)
         r.try_exact()
         roots.append(r)
     return roots
