@@ -28,7 +28,7 @@ from .lienard import (
     bounds,
     certify,
 )
-from .polyx import Poly, coeff_strings, json_rational, json_scalar, parse_poly
+from .polyx import Poly, clip, coeff_strings, json_rational, json_scalar, parse_poly
 from .portrait import PortraitSpec, render_portrait
 from .recover import (
     DegenerateLeadingCoefficient,
@@ -165,7 +165,7 @@ def _poly_arg(args, name: str, stdin_doc: dict | None) -> Poly:
     if stdin_doc is not None and name in stdin_doc:
         coeffs = stdin_doc[name]
         if not isinstance(coeffs, list):
-            raise _usage(f"--stdin {name!r}", f"expected a list, got {json.dumps(coeffs)}")
+            raise _usage(f"--stdin {name!r}", f"expected a list, got {clip(json.dumps(coeffs))}")
         try:
             return Poly([json_rational(c) for c in coeffs])
         except (TypeError, ValueError, ZeroDivisionError) as exc:
@@ -253,7 +253,7 @@ def _pattern_int(value) -> int:
 
 def _pattern_sign(value) -> int:
     if _pattern_int(value) not in (-1, 1):
-        raise ValueError(f"a sign must be -1 or 1, got {json.dumps(value)}")
+        raise ValueError(f"a sign must be -1 or 1, got {clip(json.dumps(value))}")
     return int(value)
 
 
@@ -285,7 +285,7 @@ def _load_pattern(path: str) -> "families.CaseIPattern":
             if key in ("halving_steps", "max_seeds"):
                 kwargs[key] = _pattern_int(value)
             elif not isinstance(value, list):
-                raise TypeError(f"expected a list, got {json.dumps(value)}")
+                raise TypeError(f"expected a list, got {clip(json.dumps(value))}")
             else:
                 convert = _pattern_sign if key == "signs" else json_rational
                 kwargs[key] = tuple(convert(v) for v in value)

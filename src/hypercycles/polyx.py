@@ -758,7 +758,7 @@ class _Parser:
                 raise ValueError("negative exponents not supported")
             k = int(tok)
             if k > MAX_DEGREE:
-                raise ValueError(f"exponent {k} is above MAX_DEGREE = {MAX_DEGREE}")
+                raise ValueError(f"exponent {clip(str(k))} is above MAX_DEGREE = {MAX_DEGREE}")
             _check_degree(base.degree * k)
             return base ** k
         return base
@@ -786,13 +786,26 @@ class _Parser:
         raise ValueError(f"unexpected token {tok!r}")
 
 
+# the most characters of an input value that an error message repeats
+ECHO_LIMIT = 60
+
+
+def clip(text: str) -> str:
+    """text, an input value as an error message repeats it: whole when it
+    has at most ECHO_LIMIT characters, else its first ECHO_LIMIT and its
+    length, so a message stays one short line whatever the input."""
+    if len(text) <= ECHO_LIMIT:
+        return text
+    return f"{text[:ECHO_LIMIT]}... ({len(text):,} characters)"
+
+
 def json_scalar(value, expected: str):
     """value if it is a JSON integer or string: `int` and `Fraction` alone
     would truncate a float or take its binary value, and read a boolean as
     0 or 1.  Anything else raises TypeError naming `expected`."""
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         try:
-            got = json.dumps(value)
+            got = clip(json.dumps(value))
         except RecursionError:  # a list that decoded just short of the limit
             got = "a value nested too deeply"
         raise TypeError(f"expected {expected}, got {got}")
@@ -801,7 +814,12 @@ def json_scalar(value, expected: str):
 
 def json_rational(value) -> Fraction:
     """A JSON coefficient, an integer or a string such as "3/2", as a Fraction."""
-    return Fraction(json_scalar(value, 'an integer or a string such as "3/2"'))
+    value = json_scalar(value, 'an integer or a string such as "3/2"')
+    try:
+        return Fraction(value)
+    except ValueError as exc:
+        # Fraction's "Invalid literal" message repeats the whole string
+        raise ValueError(str(exc).replace(repr(value), clip(repr(value)))) from None
 
 
 def parse_poly(text: str) -> Poly:
@@ -820,11 +838,11 @@ def parse_poly(text: str) -> Poly:
         parser = _Parser(_tokenize(text))
         p = parser.parse_expr()
     except (ZeroDivisionError, TypeError) as exc:
-        raise ValueError(f"bad polynomial {text!r}: {exc}") from None
+        raise ValueError(f"bad polynomial {clip(repr(text))}: {exc}") from None
     except RecursionError:
         raise ValueError("polynomial nested too deeply") from None
     if parser.peek() is not None:
-        raise ValueError(f"trailing input in polynomial: {parser.toks[parser.i:]!r}")
+        raise ValueError(f"trailing input in polynomial: {clip(repr(parser.toks[parser.i:]))}")
     return p
 
 

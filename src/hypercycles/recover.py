@@ -10,11 +10,21 @@ identities
 by matching coefficients from the top degree downward.  Every coefficient
 p_i of P and q_j of Q is one unknown, so the coefficient of x^d in (I) or
 (II) is a closed-form sum over index pairs (index triples for the cubic
-term Q' P^2); `_equations` writes each one down directly as a polynomial in
-the unknowns.  Its coefficients are integers, except on the data terms
-(those of 2 Q f or 2 Q g, the only terms of one unknown), which are over
-the common denominator of f or g, as `Poly.int_form` writes f and g.  The
-two top unknowns are seeded with their closed forms, and a propagation
+term Q' P^2), written down directly as a polynomial in the unknowns.  Its
+terms of two or more unknowns, its row, have integer coefficients that
+depend on the type alone.  Its data terms (those of 2 Q f or 2 Q g, and
+degree-match's -q_d below, the only terms of one unknown) carry f and g,
+over the common denominator of f or g as `Poly.int_form` writes them.
+So a type's rows, with an index from each unknown to the equations that
+hold it, are written once, as its plan (`_build_plan`), and a call writes
+only its data terms, one list of coefficients per family that each
+equation takes a slice of, and its own solve state (`_equations`).
+A bounded memo (`_PlanMemo`) keeps the plans of recent types, at most
+`PLAN_TERMS` row terms together, with equal monomials and rows held once.
+Its bound is in terms, not entries, because one type near `MAX_TERMS`
+holds hundreds of megabytes of rows: a type whose `_term_bound` is above
+`PLAN_TERMS` gets a plan for its call alone.
+The two top unknowns are seeded with their closed forms, and a propagation
 solve follows: repeatedly find a coefficient equation that has become
 affine in one unknown (or a block of equations jointly affine), divide by
 its pivot, and substitute.
@@ -57,10 +67,12 @@ nonzero residual.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Optional
+from typing import Optional, Sequence
 
 from .lienard import HyperellipticCurve, LienardSystem
 from .polyx import Poly, rref
@@ -80,28 +92,28 @@ class TooManyTerms(ValueError):
 
 
 # the most monomial terms the coefficient equations of a type may hold.  A
-# written term costs about 150 bytes: f = x^120, g = x^180 writes 1.95
-# million of them and recovers in 0.9 s with a 288 MB peak (1.6 s for dense
-# f and g), while (200, 300) writes 8.4 million and took 1.29 GB before this
-# limit refused it
+# row term costs about 125 bytes: f = x^120, g = x^180 writes 1.95 million
+# of them and recovers in about 1.3 s with a 245 MB peak (about 2 s for
+# dense f and g), while (200, 300) writes 8.4 million and took 1.29 GB
+# before this limit refused it
 MAX_TERMS = 2_000_000
 
 
 def _term_bound(m: int, n: int, deg_q: int) -> int:
-    """An upper bound, for any f and g, on the terms `_equations` writes:
-    per unknown q_j, at most m+1 and n+1 data terms, m+2 terms p_i q_j,
+    """An upper bound, for any f and g, on the terms of a type's equations,
+    its plan's rows and a call's data terms: per unknown q_j, at most m+1
+    and n+1 data terms, m+2 terms p_i q_j,
     (m+2)(m+3)/2 terms p_a p_b q_j and (deg_q + 2)/2 terms q_a q_b, with
     room left for degree-match."""
     return (deg_q + 1) * ((m + 4) * (m + 5) // 2 + n + deg_q)
 
 
 # -- polynomials in the unknowns ---------------------------------------------
-# monomial: sorted tuple of variable ids; MPoly: {monomial: coefficient}.
-# Coefficients are ints: those of one unknown are over the positive
-# denominator that its `_Equation` keeps, as `Poly.int_form` is for a Poly.
+# monomial: sorted tuple of variable ids.  Coefficients are ints: those of
+# one unknown are over the positive denominator that its `_Equation` keeps,
+# as `Poly.int_form` is for a Poly.
 
 Mono = tuple[int, ...]
-MPoly = dict[Mono, int]
 
 
 # -- outcome -------------------------------------------------------------------
@@ -132,29 +144,37 @@ def _blocks(mono: Mono, vals: dict[int, int]) -> bool:
 
 
 class _Equation:
-    """One coefficient equation as written: the coefficient of a monomial is
-    expr[mono] / den when it holds one unknown and expr[mono] otherwise, and
-    no monomial holds more than `top` unknowns.
+    """One coefficient equation of one call.  Its row, the terms of two or
+    more unknowns, is `monos` with the integer `coeffs`, shared with every
+    call of the type.  Its data terms, the terms of one unknown, are
+    unknowns[k] with coefficient data[k] / den, for the positive `den` and
+    the integers `data` that the call wrote; a zero one contributes
+    nothing.  No term holds more than `top` unknowns.
     `affine` is its integer (constant, linear part) under the assignment of
     its last evaluation, over `scale` = den D^top with D the common
     denominator the assignment had then.  `block` is the monomial that last
-    kept it from being affine, and `scan` iterates over the monomials after
-    it."""
+    kept it from being affine, and `scan` iterates over the row's monomials
+    after it."""
 
-    __slots__ = ("family", "degree", "expr", "den", "top", "affine", "scale", "stale",
-                 "block", "scan")
+    __slots__ = ("family", "degree", "monos", "coeffs", "unknowns", "data", "den", "top",
+                 "affine", "scale", "stale", "block", "scan")
 
-    def __init__(self, family: str, degree: int, expr: MPoly, den: int):
+    def __init__(self, family: str, degree: int, monos: tuple[Mono, ...],
+                 coeffs: tuple[int, ...], unknowns: Sequence[int], data: Sequence[int],
+                 den: int):
         self.family = family
         self.degree = degree
-        self.expr = expr
+        self.monos = monos
+        self.coeffs = coeffs
+        self.unknowns = unknowns
+        self.data = data
         self.den = den
         self.top = 3 if family == "g-identity" else 2
         self.affine = None
         self.scale = None
         self.stale = True
         self.block = None
-        self.scan = iter(expr)
+        self.scan = iter(monos)
 
     def may_be_affine(self, vals: dict[int, int]) -> bool:
         """False when the equation must stay non-affine under `vals`: a
@@ -169,7 +189,7 @@ class _Equation:
         if self.block is not None and _blocks(self.block, vals):
             return False
         for mono in self.scan:
-            if len(mono) > 1 and _blocks(mono, vals):
+            if _blocks(mono, vals):
                 self.block = mono
                 return False
         self.block = None
@@ -178,18 +198,24 @@ class _Equation:
     def evaluate(self, vals: dict[int, int], powers: tuple[int, ...]) -> None:
         """Set `affine` and `scale`: the equation times den D^top under the
         assignment vals[v] / D, with powers[i] = D^i.  A term with k
-        assigned unknowns is scaled by D^(top - k), and a term of more than
-        one unknown by den as well.  So a term of j unknowns is summed times
-        D^(top - j), and the linear part takes the one factor D its terms
-        lack once per unknown, at the end; the constant terms of more than
-        one unknown are summed before they are scaled by den.  A term left
-        with two unassigned unknowns and a nonzero coefficient is an error,
-        which `may_be_affine` rules out."""
+        assigned unknowns is scaled by D^(top - k), and a row term by den as
+        well.  So a term of j unknowns is summed times D^(top - j), and the
+        linear part takes the one factor D its terms lack once per unknown,
+        at the end; the constant terms are summed before they are scaled,
+        those of the row by den.  A row term left with two unassigned
+        unknowns and a nonzero coefficient is an error, which
+        `may_be_affine` rules out."""
         top = self.top
         den = self.den
-        const = data = 0   # the constant terms of more than one unknown, and of one
+        const = data = 0   # the constant terms of the row, and of the data
         lin: dict[int, int] = {}
-        for mono, c in self.expr.items():
+        low = powers[top - 1]
+        for v, c in zip(self.unknowns, self.data):
+            if v in vals:
+                data += c * vals[v]
+            elif c:
+                lin[v] = lin.get(v, 0) + c * low
+        for mono, c in zip(self.monos, self.coeffs):
             free = None
             for v in mono:
                 if v in vals:
@@ -204,72 +230,151 @@ class _Equation:
             if size < top:
                 c *= powers[top - size]
             if free is None:
-                if size == 1:
-                    data += c
-                else:
-                    const += c
+                const += c
             elif free < 0:
                 raise ValueError(f"{self.family} x^{self.degree} is not affine: {mono}")
             else:
-                if size > 1:
-                    c *= den
-                lin[free] = lin.get(free, 0) + c
+                lin[free] = lin.get(free, 0) + c * den
         D = powers[1]
-        self.affine = (const * den + data, {v: c * D for v, c in lin.items() if c})
+        self.affine = (const * den + data * low, {v: c * D for v, c in lin.items() if c})
         self.scale = den * powers[top]
         self.stale = False
 
 
-def _equations(f: Poly, g: Poly, m: int, n: int, deg_q: int) -> list[_Equation]:
-    """The coefficient equations of (I), (II) and, when n < 2m+1,
-    degree-match, in witness priority order; p_i is unknown i and q_j is
-    unknown m+2+j.  An equation whose every coefficient vanishes is left
-    out.  The data terms of (I) are 2 F_k q_j over the common denominator
-    D_f of f = F / D_f (those of (II) 2 G_k q_j over D_g), and every other
-    term has its integer coefficient."""
+@dataclass(frozen=True)
+class _Plan:
+    """The part of a type's coefficient equations that no call changes.
+    `rows` holds, per equation in witness priority order, (family, degree,
+    monos, coeffs, unknowns, start, stop): its row terms, and the unknowns
+    of its data terms, whose coefficients a call reads off as
+    data[start:stop] of its family's data list (`_equations`).  `holders`
+    maps each unknown to the positions of the equations that hold it, and
+    `terms` counts the row terms."""
+
+    rows: tuple[tuple[str, int, tuple[Mono, ...], tuple[int, ...], range, int, int], ...]
+    holders: dict[int, tuple[int, ...]]
+    terms: int
+
+
+def _build_plan(m: int, n: int, deg_q: int, shared: Optional[dict] = None) -> _Plan:
+    """The plan of type (m, n): p_i is unknown i and q_j is unknown m+2+j.
+    Every row is nonempty, so which equations a type has does not depend
+    on f and g, and it holds the unknown of each data term written beside
+    it, except degree-match's q_d, which `holders` takes in as well.
+    Given `shared`, monomials and rows are taken from it where an equal
+    one is there, and put there otherwise."""
     q0 = m + 2
     top_p = m + 1
-    f_nums, f_den = f.int_form()
-    g_nums, g_den = g.int_form()
+    rows = []
 
-    def data_terms(expr: MPoly, d: int, nums: tuple[int, ...]) -> None:
-        # 2 Q h at x^d times D_h, for h = F / D_h = f or g
-        for j in range(max(0, d - len(nums) + 1), min(deg_q, d) + 1):
-            if nums[d - j]:
-                expr[(q0 + j,)] = 2 * nums[d - j]
+    def add(family: str, d: int, row: dict, unknowns: range, start: int, stop: int) -> None:
+        monos, coeffs = tuple(row), tuple(row.values())
+        if shared is not None:
+            monos = tuple(shared.setdefault(mono, mono) for mono in monos)
+            monos, coeffs = shared.setdefault(monos, monos), shared.setdefault(coeffs, coeffs)
+        rows.append((family, d, monos, coeffs, unknowns, start, stop))
 
-    equations = []
+    def identity(family: str, d: int, row: dict, size: int) -> None:
+        # the data terms 2 H_k q_j at x^d, j + k = d, for h = f or g of
+        # degree size - 1; the call's data list is 2 H_k for k descending
+        lo = max(0, d - size + 1)
+        unknowns = range(q0 + lo, q0 + min(deg_q, d) + 1)
+        start = size - 1 - d + lo
+        add(family, d, row, unknowns, start, start + len(unknowns))
+
     # (I): 2 Q f - 2 Q P' - P Q'; p_i q_j sits at x^{i+j-1} with -(2i + j)
     for d in range(deg_q + m, -1, -1):
-        expr: MPoly = {}
-        data_terms(expr, d, f_nums)
+        row = {}
         for i in range(max(0, d + 1 - deg_q), min(top_p, d + 1) + 1):
             j = d + 1 - i
-            expr[(i, q0 + j)] = -(2 * i + j)
-        if expr:
-            equations.append(_Equation("f-identity", d, expr, f_den))
+            row[(i, q0 + j)] = -(2 * i + j)
+        identity("f-identity", d, row, m + 1)
     # (II): 2 Q g - Q' P^2 + Q' Q
     for d in range(max(deg_q + n, deg_q + 2 * m + 1, 2 * deg_q - 1), -1, -1):
-        expr = {}
-        data_terms(expr, d, g_nums)
+        row = {}
         # -Q' P^2: j q_j p_a p_b at x^{j-1+a+b}, ordered pairs (a, b)
         for j in range(max(1, d + 1 - 2 * top_p), min(deg_q, d + 1) + 1):
             s = d + 1 - j
             for a in range(max(0, s - top_p), s // 2 + 1):
-                expr[(a, s - a, q0 + j)] = -j if 2 * a == s else -2 * j
+                row[(a, s - a, q0 + j)] = -j if 2 * a == s else -2 * j
         # +Q' Q: a q_a q_b at x^{a-1+b}, ordered pairs (a, b)
         for a in range(max(0, d + 1 - deg_q), (d + 1) // 2 + 1):
             b = d + 1 - a
-            expr[(q0 + a, q0 + b)] = a if a == b else d + 1
-        if expr:
-            equations.append(_Equation("g-identity", d, expr, g_den))
+            row[(q0 + a, q0 + b)] = a if a == b else d + 1
+        identity("g-identity", d, row, n + 1)
     if n < 2 * m + 1:
-        # matching coefficients of P^2 and Q above degree n+1
+        # matching coefficients of P^2 and Q above degree n+1; the one data
+        # term, -q_d, is the call's degree-match data list (-1,)
         for d in range(2 * m + 2, n + 1, -1):
-            expr = {(a, d - a): 1 if 2 * a == d else 2
-                    for a in range(max(0, d - top_p), d // 2 + 1)}
-            expr[(q0 + d,)] = -1
-            equations.append(_Equation("degree-match", d, expr, 1))
+            add("degree-match", d, {(a, d - a): 1 if 2 * a == d else 2
+                                    for a in range(max(0, d - top_p), d // 2 + 1)},
+                range(q0 + d, q0 + d + 1), 0, 1)
+    holders: dict[int, list[int]] = {}
+    for k, (_, _, monos, _, unknowns, _, _) in enumerate(rows):
+        for v in {v for mono in monos for v in mono}.union(unknowns):
+            holders.setdefault(v, []).append(k)
+    return _Plan(tuple(rows), {v: tuple(ks) for v, ks in holders.items()},
+                 sum(len(monos) for _, _, monos, _, _, _, _ in rows))
+
+
+class _PlanMemo:
+    """The plans of the types recovered last, least recent first, holding
+    at most `budget` row terms together, counted once per plan.  A type
+    whose `_term_bound` is above the budget gets a plan for its call alone,
+    so one large type holds no memory after its recovery.  `shared` holds
+    the monomials and rows of the plans kept since the last eviction, so
+    that types with equal rows (those of one m, and of one deg Q where the
+    degree reaches it) hold them once; an eviction empties it, so it never
+    keeps what no kept plan holds."""
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.plans: OrderedDict[tuple[int, int], _Plan] = OrderedDict()
+        self.terms = 0
+        self.shared: dict = {}
+        self._lock = threading.Lock()
+
+    def get(self, m: int, n: int, deg_q: int) -> _Plan:
+        if _term_bound(m, n, deg_q) > self.budget:
+            return _build_plan(m, n, deg_q)
+        key = (m, n)
+        with self._lock:
+            plan = self.plans.get(key)
+            if plan is not None:
+                self.plans.move_to_end(key)
+                return plan
+            plan = _build_plan(m, n, deg_q, self.shared)
+            self.plans[key] = plan
+            self.terms += plan.terms
+            while self.terms > self.budget:
+                self.terms -= self.plans.popitem(last=False)[1].terms
+                self.shared.clear()
+            return plan
+
+
+# the most row terms the plan memo keeps, counted once per plan.  Unshared,
+# a kept term costs about 130 bytes with its share of the plan, so the memo
+# holds at most about 6.5 MB.  The 41 types of m <= 6 that the roundtrip
+# benchmark draws hold 14,083 terms, and with their rows shared 0.8 MB
+PLAN_TERMS = 50_000
+_PLANS = _PlanMemo(PLAN_TERMS)
+
+
+def _equations(plan: _Plan, f: Poly, g: Poly) -> list[_Equation]:
+    """The coefficient equations of (I), (II) and, when n < 2m+1,
+    degree-match for (f, g), in witness priority order: the plan's rows,
+    and the data terms this call writes.  Those of (I) are 2 F_k q_j over
+    the common denominator D_f of f = F / D_f (those of (II) 2 G_k q_j over
+    D_g), and degree-match's one, -q_d, is over 1.  Each family's data list
+    is written once per call, and an equation takes its slice of it."""
+    data = {"degree-match": ((-1,), 1)}
+    for family, h in (("f-identity", f), ("g-identity", g)):
+        nums, den = h.int_form()
+        data[family] = ([2 * c for c in reversed(nums)], den)
+    equations = []
+    for family, d, monos, coeffs, unknowns, start, stop in plan.rows:
+        twice, den = data[family]
+        equations.append(_Equation(family, d, monos, coeffs, unknowns, twice[start:stop], den))
     return equations
 
 
@@ -334,11 +439,9 @@ def recover_curve(sys: LienardSystem) -> RecoveryOutcome:
     def pname(v: int) -> str:
         return f"p{v}" if v < q_first else f"q{v - q_first}"
 
-    equations = _equations(f, g, m, n, deg_q)
-    holders: dict[int, list[_Equation]] = {}
-    for eq in equations:
-        for v in {v for mono in eq.expr for v in mono}:
-            holders.setdefault(v, []).append(eq)
+    plan = _PLANS.get(m, n, deg_q)
+    equations = _equations(plan, f, g)
+    holders = plan.holders
 
     # the assignment: unknown v is vals[v] / D, and powers[i] = D^i
     vals: dict[int, int] = {}
@@ -354,8 +457,8 @@ def recover_curve(sys: LienardSystem) -> RecoveryOutcome:
             D *= grow
             powers = (1, D, D * D, D * D * D)
         vals[var] = value.numerator * (D // value.denominator)
-        for eq in holders.get(var, ()):
-            eq.stale = True
+        for k in holders.get(var, ()):
+            equations[k].stale = True
 
     schedule: list[dict] = []
     # seeds from the top-degree comparisons
@@ -429,8 +532,8 @@ def recover_curve(sys: LienardSystem) -> RecoveryOutcome:
             return RecoveryOutcome(None, False, witness=(eq.family, eq.degree),
                                    schedule=tuple(schedule))
 
-    P = Poly([Fraction(vals[i], D) for i in range(q_first)])
-    Q = Poly([Fraction(vals[q_first + i], D) for i in range(deg_q + 1)])
+    P = Poly.from_int_form([vals[i] for i in range(q_first)], D)
+    Q = Poly.from_int_form([vals[q_first + i] for i in range(deg_q + 1)], D)
     if Q.is_zero():
         return RecoveryOutcome(None, False, witness=("g-identity", 0), schedule=tuple(schedule))
     curve = HyperellipticCurve(P=P, Q=Q)

@@ -300,6 +300,12 @@ def test_usage_error_exit_1():
          "error: portrait: step must be positive and finite"),
         (["portrait", "--f", "x", "--g", "x", "--seed-point", "1,1", "--step", "inf"], None,
          "error: portrait: step must be positive and finite"),
+        (["certify", "--stdin"], json.dumps({"P": ["1" * 3000 + "x"], "Q": [1]}),
+         "error: --stdin 'P': ValueError: Invalid literal for Fraction: '1111"),
+        (["construct", "--m", "2", "--n", "4", "--pattern", "/dev/stdin"],
+         '{"signs": [' + "[" * 500 + "]" * 500 + "]}",
+         "error: --pattern /dev/stdin: bad value for 'signs': TypeError: expected an integer, "
+         "got [[[["),
     ],
     ids=["dangling_power", "zero_denominator", "roots_dangling_power",
          "stdin_not_json", "stdin_not_object", "stdin_zero_denominator",
@@ -313,7 +319,8 @@ def test_usage_error_exit_1():
          "exponent_above_max_degree", "product_above_max_degree",
          "coefficient_digits_above_limit", "stdin_digits_above_limit",
          "nested_parentheses", "repeated_unary_minus", "nested_json_coefficients",
-         "stdin_nested_json", "step_nan", "step_inf"],
+         "stdin_nested_json", "step_nan", "step_inf", "stdin_long_coefficient",
+         "pattern_deep_list"],
 )
 def test_bad_input_is_a_usage_error(args, stdin_text, complaint):
     proc = run_cli(args, stdin_text=stdin_text)
@@ -321,6 +328,8 @@ def test_bad_input_is_a_usage_error(args, stdin_text, complaint):
     assert proc.stdout == ""
     assert proc.stderr.startswith(complaint)
     assert "Traceback" not in proc.stderr
+    # an echoed input value is cut short, so the complaint is one short line
+    assert proc.stderr.count("\n") == 1 and len(proc.stderr.encode()) < 300
 
 
 def test_roots_prints_exact_values_of_any_length():

@@ -132,6 +132,38 @@ def test_a_value_too_deep_to_show_is_named_not_dumped():
         json_scalar(deep, "an integer")
 
 
+# pieces of malformed and well-formed polynomial text: digit runs past
+# the int conversion limit, brackets and parentheses nested thousands deep,
+# and stray tokens.  Pieces are joined by spaces, so two digit runs never
+# make one number and an exponent is one digit at most: a short text cannot
+# ask for a long expansion
+_text_pieces = st.one_of(
+    st.sampled_from(["7" * 300, "7" * 5000, "1" * 3000 + "x"]),
+    st.builds(lambda c, k: c * k, st.sampled_from("([)]{\""), st.integers(1, 3000)),
+    st.sampled_from(["x", "+", "-", "*", "^", "/", ",", "1", "9", "0", "1/0", "0.5", "true",
+                     "null", '"3/2"', "@", "y", "x^", "[1,", '"1/2"]', "x^99999999999"]),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(_text_pieces, min_size=1, max_size=8).map(" ".join))
+@example("[" + '"' + "1" * 3000 + 'x"]')
+@example("x" + ")" * 3000)
+@example("[" + "[" * 500 + "]" * 500 + "]")
+def test_parse_poly_returns_a_poly_or_one_short_complaint(text):
+    # whatever the text, parse_poly returns a Poly or raises ValueError, and
+    # an echoed piece of the text is cut short: the complaint is one line
+    # under 250 bytes, so a CLI usage error, its source named in front,
+    # stays under 300
+    try:
+        p = parse_poly(text)
+    except ValueError as exc:
+        message = str(exc)
+        assert "\n" not in message and len(message.encode()) < 250, message[:200]
+    else:
+        assert isinstance(p, Poly)
+
+
 def test_str_roundtrip():
     p = P(Fraction(1, 2), 0, -3, 1)
     assert parse_poly(str(p)) == p

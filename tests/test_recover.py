@@ -1,9 +1,12 @@
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from hypercycles.lienard import (
     HyperellipticCurve,
@@ -16,11 +19,14 @@ from hypercycles import recover
 from hypercycles.polyx import Poly, parse_poly
 from hypercycles.recover import (
     MAX_TERMS,
+    PLAN_TERMS,
     TooManyTerms,
     UndeterminedType,
     _affine_block_solve,
+    _build_plan,
     _equations,
     _Equation,
+    _PlanMemo,
     _term_bound,
     recover_curve,
 )
@@ -70,10 +76,80 @@ def ref_mp_reduce(a, assign):
     return out, scale
 
 
+def ref_equations(f, g, m, n, deg_q):
+    """The coefficient equations as `recover._equations` wrote them before
+    a type's rows were kept in a plan, every term of every call written
+    afresh: [(family, degree, {monomial: coefficient}, den)] in witness
+    priority order, with the data terms (the terms of one unknown) over den
+    and the others integer.  Kept as the reference the plan rows and a
+    call's data terms must give."""
+    q0 = m + 2
+    top_p = m + 1
+    f_nums, f_den = f.int_form()
+    g_nums, g_den = g.int_form()
+
+    def data_terms(expr, d, nums):
+        for j in range(max(0, d - len(nums) + 1), min(deg_q, d) + 1):
+            if nums[d - j]:
+                expr[(q0 + j,)] = 2 * nums[d - j]
+
+    equations = []
+    for d in range(deg_q + m, -1, -1):
+        expr = {}
+        data_terms(expr, d, f_nums)
+        for i in range(max(0, d + 1 - deg_q), min(top_p, d + 1) + 1):
+            j = d + 1 - i
+            expr[(i, q0 + j)] = -(2 * i + j)
+        if expr:
+            equations.append(("f-identity", d, expr, f_den))
+    for d in range(max(deg_q + n, deg_q + 2 * m + 1, 2 * deg_q - 1), -1, -1):
+        expr = {}
+        data_terms(expr, d, g_nums)
+        for j in range(max(1, d + 1 - 2 * top_p), min(deg_q, d + 1) + 1):
+            s = d + 1 - j
+            for a in range(max(0, s - top_p), s // 2 + 1):
+                expr[(a, s - a, q0 + j)] = -j if 2 * a == s else -2 * j
+        for a in range(max(0, d + 1 - deg_q), (d + 1) // 2 + 1):
+            b = d + 1 - a
+            expr[(q0 + a, q0 + b)] = a if a == b else d + 1
+        if expr:
+            equations.append(("g-identity", d, expr, g_den))
+    if n < 2 * m + 1:
+        for d in range(2 * m + 2, n + 1, -1):
+            expr = {(a, d - a): 1 if 2 * a == d else 2
+                    for a in range(max(0, d - top_p), d // 2 + 1)}
+            expr[(q0 + d,)] = -1
+            equations.append(("degree-match", d, expr, 1))
+    return equations
+
+
+def _expr(eq):
+    """The terms an `_Equation` holds for its call, as {monomial:
+    coefficient}: its data terms with a nonzero coefficient, over `den`,
+    then its row."""
+    expr = {(v,): c for v, c in zip(eq.unknowns, eq.data) if c}
+    expr.update(zip(eq.monos, eq.coeffs))
+    return expr
+
+
+def _written(family, degree, expr, den):
+    """The `_Equation` of the terms `expr`, {monomial: coefficient}, whose
+    terms of one unknown are over `den`."""
+    data = [(mono[0], c) for mono, c in expr.items() if len(mono) == 1]
+    row = {mono: c for mono, c in expr.items() if len(mono) > 1}
+    return _Equation(family, degree, tuple(row), tuple(row.values()),
+                     tuple(v for v, _ in data), [c for _, c in data], den)
+
+
+def _eqs(f, g, m, n):
+    """The equations `recover_curve` writes for (f, g) of type (m, n)."""
+    return _equations(recover._PLANS.get(m, n, _deg_q(m, n)), f, g)
+
+
 def _int_form(eq):
     """The written equation as one integer vector over its `den`: the
     terms of more than one unknown are written without it."""
-    return {mono: c if len(mono) == 1 else c * eq.den for mono, c in eq.expr.items()}
+    return {mono: c if len(mono) == 1 else c * eq.den for mono, c in _expr(eq).items()}
 
 
 def _over_q(eq, assign):
@@ -198,7 +274,7 @@ def test_equations_match_sympy_expansion(m, n):
     # the closed-form coefficient equations against a direct expansion of
     # (I) 2Qf - 2QP' - PQ', (II) 2Qg - Q'(P^2 - Q) and, when n < 2m+1, the
     # coefficients of P^2 - Q above degree n+1; f and g have zero
-    # coefficients, whose terms must be left out
+    # coefficients, whose data terms must add nothing
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
     deg_q = _deg_q(m, n)
@@ -227,17 +303,18 @@ def test_equations_match_sympy_expansion(m, n):
             expected[("degree-match", d)] = square.coeff_monomial(x**d)
 
     got = {}
-    for eq in _equations(f, g, m, n, deg_q):
-        assert all(type(c) is int and c != 0 for c in eq.expr.values())
+    for eq in _eqs(f, g, m, n):
+        expr = _expr(eq)
+        assert all(type(c) is int and c != 0 for c in expr.values())
         assert type(eq.den) is int and eq.den > 0
-        assert all(list(mono) == sorted(mono) for mono in eq.expr)
+        assert all(list(mono) == sorted(mono) for mono in expr)
         # the evaluation scales a term by D^(top - k), so no term holds more
-        assert all(len(mono) <= eq.top for mono in eq.expr)
+        assert all(len(mono) <= eq.top for mono in expr)
         # only the data terms, the terms of one unknown, are over den
         got[(eq.family, eq.degree)] = sympy.expand(sum(
             sympy.Rational(c, eq.den if len(mono) == 1 else 1)
             * sympy.Mul(*(unknowns[v] for v in mono))
-            for mono, c in eq.expr.items()))
+            for mono, c in expr.items()))
     assert got.keys() == {k for k, c in expected.items() if c != 0}
     for key, value in got.items():
         assert sympy.expand(value - expected[key]) == 0, key
@@ -252,8 +329,7 @@ def test_equations_match_sympy_expansion(m, n):
 def test_derived_curve_zeroes_every_equation(curve):
     sys = derive_system(curve)
     m, n = sys.m, sys.n
-    deg_q = _deg_q(m, n)
-    equations = _equations(sys.f, sys.g, m, n, deg_q)
+    equations = _eqs(sys.f, sys.g, m, n)
     assert {eq.family for eq in equations} >= {"f-identity", "g-identity"}
 
     def residuals(Q):
@@ -298,13 +374,13 @@ def test_refresh_keeps_the_coefficients_of_untouched_terms():
         P=parse_poly("(x-1)(x-2)(x+5)"), Q=parse_poly("(x-1)(x-2)(x+5)^5").scale(-5)))
     m, n = sys.m, sys.n
     for value, D in [(Fraction(3), 1), (Fraction(3, 4), 4)]:
-        eq = next(e for e in _equations(sys.f, sys.g, m, n, _deg_q(m, n))
-                  if e.family == "f-identity" and len(e.expr) >= 6)
-        written = dict(eq.expr)
+        eq = next(e for e in _eqs(sys.f, sys.g, m, n)
+                  if e.family == "f-identity" and len(_expr(e)) >= 6)
+        written = _expr(eq)
         # every p_i: each term p_i q_j then holds one unassigned unknown
         assign = {v: value for mono in written for v in mono if v < m + 2}
         form = _evaluate(eq, assign)
-        assert eq.expr == written and eq.scale == eq.den * D ** 2
+        assert _expr(eq) == written and eq.scale == eq.den * D ** 2
         kept = [mono for mono in written if len(mono) == 1]
         assert kept
         for mono in kept:
@@ -341,7 +417,7 @@ def test_every_refresh_leaves_int_coefficients(monkeypatch):
 def test_affine_block_solve_of_integer_rows_is_exact():
     # the rows are integer (constant, linear part) pairs; a solve that
     # divided ints would return floats
-    eq = _Equation("f-identity", 3, {}, 1)
+    eq = _written("f-identity", 3, {}, 1)
     # 2x + 3y + 1 = 0 and x - y - 2 = 0: x = 1, y = -1
     solved = _affine_block_solve([(eq, 1, {0: 2, 1: 3}), (eq, -2, {0: 1, 1: -1})])
     assert sorted(solved) == [(0, Fraction(1)), (1, Fraction(-1))]
@@ -351,7 +427,7 @@ def test_affine_block_solve_of_integer_rows_is_exact():
     assert all(type(value) is Fraction for _, value in solved)
     # x + y = 1 and 2x + 2y = 3 contradict each other: the witness is the
     # first equation of the block
-    first = _Equation("g-identity", 5, {}, 1)
+    first = _written("g-identity", 5, {}, 1)
     assert _affine_block_solve([(first, -1, {0: 1, 1: 1}), (eq, -3, {0: 2, 1: 2})]) == (
         "g-identity", 5)
 
@@ -406,8 +482,8 @@ def test_two_monomials_of_an_equation_share_at_most_one_unknown():
             if n == 2 * m + 1:
                 continue
             f, g = Poly([1] * (m + 1)), Poly([1] * (n + 1))
-            for eq in _equations(f, g, m, n, _deg_q(m, n)):
-                monos = list(eq.expr)
+            for eq in _eqs(f, g, m, n):
+                monos = list(_expr(eq))
                 for i, a in enumerate(monos):
                     assert all(_shared(a, b) <= 1 for b in monos[:i]), (m, n, eq.family)
                 checked += 1
@@ -432,9 +508,9 @@ def test_may_be_affine_is_exactly_what_a_reduction_finds(mn, data):
     rng = random.Random(data.draw(st.integers(0, 10**6)))
     f = Poly([Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(m)] + [1])
     g = Poly([Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)] + [-2])
-    equations = _equations(f, g, m, n, deg_q)
+    equations = _eqs(f, g, m, n)
     eq = data.draw(st.sampled_from(equations))
-    unknowns = sorted({v for mono in eq.expr for v in mono})
+    unknowns = sorted({v for mono in _expr(eq) for v in mono})
     assign = {}
     for _ in range(data.draw(st.integers(1, 4))):
         for v in data.draw(st.lists(st.sampled_from(unknowns), min_size=1, max_size=3)):
@@ -468,7 +544,7 @@ def test_evaluation_matches_the_reference_reduction(data):
     drawn = data.draw(st.lists(st.sampled_from([None] * free + _VALUES),
                                min_size=m + deg_q + 3, max_size=m + deg_q + 3))
     assign = {v: value for v, value in enumerate(drawn) if value is not None}
-    for eq in _equations(f, g, m, n, deg_q):
+    for eq in _eqs(f, g, m, n):
         reduced = _over_q(eq, assign)
         affine = all(len(mono) <= 1 for mono in reduced)
         assert eq.may_be_affine(assign) == affine, (eq.family, eq.degree)
@@ -484,12 +560,12 @@ def test_evaluating_a_term_with_two_unassigned_unknowns_raises():
     # and a nonzero coefficient cannot be skipped: the evaluation raises.
     # One that holds an unknown assigned 0 vanishes
     expr = {(0, 2, 7): -1, (0, 1): 2, (7,): 3}
-    eq = _Equation("g-identity", 4, dict(expr), 1)
+    eq = _written("g-identity", 4, expr, 1)
     for assign in [{1: Fraction(1)}, {1: Fraction(1), 2: Fraction(5)}]:
         with pytest.raises(ValueError, match="g-identity x\\^4 is not affine"):
             _evaluate(eq, assign)
     assert _evaluate(eq, {1: Fraction(1), 2: Fraction(0)}) == {(0,): 2, (7,): 3}
-    square = _Equation("g-identity", 2, {(0, 0, 7): 1, (7,): 1}, 1)
+    square = _written("g-identity", 2, {(0, 0, 7): 1, (7,): 1}, 1)
     with pytest.raises(ValueError, match="is not affine"):
         _evaluate(square, {7: Fraction(1, 2)})
     assert _evaluate(square, {0: Fraction(2)}) == {(7,): 5}
@@ -498,7 +574,7 @@ def test_evaluating_a_term_with_two_unassigned_unknowns_raises():
 def test_an_unknown_assigned_zero_can_make_an_equation_affine():
     # -p0 p2 q3 holds two unassigned unknowns, but p2 = 0 drops it
     expr = {(0, 2, 7): -1, (0, 1): 2, (7,): 3}
-    eq = _Equation("g-identity", 4, dict(expr), 1)
+    eq = _written("g-identity", 4, expr, 1)
     assert not eq.may_be_affine({1: 1, 2: 5})
     assert eq.may_be_affine({1: 1, 2: 0})
     eq.evaluate({1: 1, 2: 0}, (1, 1, 1, 1))
@@ -524,7 +600,7 @@ def test_may_be_affine_resumes_after_the_monomial_that_blocked(monkeypatch):
     blocks = recover._blocks
     monkeypatch.setattr(recover, "_blocks",
                         lambda mono, vals: examined.append(mono) or blocks(mono, vals))
-    eq = _Equation("g-identity", 4, {(0, 1, 7): 1, (2, 8): 2, (9,): 3}, 1)
+    eq = _written("g-identity", 4, {(0, 1, 7): 1, (2, 8): 2, (9,): 3}, 1)
     assert not eq.may_be_affine({})
     assert not eq.may_be_affine({0: 2})
     assert examined == [(0, 1, 7), (0, 1, 7)]
@@ -576,15 +652,206 @@ def test_term_bound_holds_for_dense_data():
         for n in range(1, 2 * m + 7):
             if n == 2 * m + 1:
                 continue
-            deg_q = _deg_q(m, n)
-            written = sum(len(eq.expr) for eq in _equations(
-                Poly([1] * (m + 1)), Poly([1] * (n + 1)), m, n, deg_q))
-            assert written <= _term_bound(m, n, deg_q), (m, n)
+            written = sum(len(_expr(eq)) for eq in _eqs(
+                Poly([1] * (m + 1)), Poly([1] * (n + 1)), m, n))
+            assert written <= _term_bound(m, n, _deg_q(m, n)), (m, n)
 
 
 def test_a_type_above_max_terms_is_refused_before_anything_is_built(monkeypatch):
     monkeypatch.setattr(recover, "_equations", None)   # never reached
+    monkeypatch.setattr(recover, "_build_plan", None)
     sys = LienardSystem(f=parse_poly("x^300"), g=parse_poly("x^450"))
     with pytest.raises(TooManyTerms, match="above MAX_TERMS = 2,000,000"):
         recover_curve(sys)
     assert _term_bound(100, 150, _deg_q(100, 150)) <= MAX_TERMS
+
+
+# -- the per-type plan ----------------------------------------------------------
+
+
+def _plan_types(top_m):
+    return [(m, n) for m in range(top_m + 1) for n in range(1, 2 * m + 7) if n != 2 * m + 1]
+
+
+def _data_variants(m, n):
+    """Dense, sparse and fractional (f, g) of type (m, n)."""
+    rng = random.Random(1000 * m + n)
+    yield Poly([1] * (m + 1)), Poly([1] * (n + 1))
+    yield Poly([0] * m + [3]), Poly([5] + [0] * (n - 1) + [-1])
+    yield (Poly([Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(m)]
+                + [Fraction(rng.choice([-3, 1, 5]), rng.randint(1, 4))]),
+           Poly([Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)]
+                + [Fraction(rng.choice([-2, 1, 7]), rng.randint(1, 4))]))
+
+
+def test_plan_rows_and_data_terms_give_the_reference_equations():
+    # every type with m <= 12, n <= 2m+6 and n != 2m+1, with dense, sparse
+    # and fractional data: the same equations in the same order, each with
+    # the same family, degree and den, its row the reference's terms of two
+    # or more unknowns in order, and its nonzero data terms the reference's
+    # terms of one unknown in order
+    checked = 0
+    for m, n in _plan_types(12):
+        for f, g in _data_variants(m, n):
+            got = _eqs(f, g, m, n)
+            ref = ref_equations(f, g, m, n, _deg_q(m, n))
+            assert [(e.family, e.degree, e.den) for e in got] == [
+                (family, d, den) for family, d, _, den in ref], (m, n)
+            for eq, (_, _, expr, _) in zip(got, ref):
+                assert list(zip(eq.monos, eq.coeffs)) == [
+                    (mono, c) for mono, c in expr.items() if len(mono) > 1]
+                assert [((v,), c) for v, c in zip(eq.unknowns, eq.data) if c] == [
+                    (mono, c) for mono, c in expr.items() if len(mono) == 1]
+                assert all(type(c) is int for c in eq.data)
+                checked += 1
+    assert checked > 20000
+
+
+def test_the_holder_index_serves_every_call():
+    # every unknown of a data term lies among its row's unknowns, but for
+    # degree-match's q_d, and the holder index lists an equation under
+    # exactly the unknowns of its row and its data terms, so which
+    # equations an assignment makes stale does not depend on f and g
+    for m, n in _plan_types(12):
+        plan = _build_plan(m, n, _deg_q(m, n))
+        held = {}
+        for k, (family, d, monos, _, unknowns, start, stop) in enumerate(plan.rows):
+            row = {v for mono in monos for v in mono}
+            assert set(unknowns) <= row or (family, list(unknowns)) == (
+                "degree-match", [m + 2 + d]), (m, n, family, d)
+            assert len(unknowns) == stop - start
+            for v in row | set(unknowns):
+                held.setdefault(v, []).append(k)
+        assert plan.holders == {v: tuple(ks) for v, ks in held.items()}
+        assert plan.terms == sum(len(row[2]) for row in plan.rows)
+
+
+def _outcome(out):
+    curve = out.curve and (out.curve.P, out.curve.Q)
+    return out.found, out.witness, out.schedule, curve
+
+
+_small_fracs = st.builds(Fraction, st.integers(-10, 10), st.integers(1, 4))
+_leads = st.builds(Fraction, st.sampled_from([-3, -2, -1, 1, 2, 3]), st.integers(1, 3))
+
+
+@st.composite
+def _curve_systems(draw):
+    """The system of a curve (P, Q) with sqfree(Q) | P, as roundtrip draws
+    them: Q a signed product of powers of linear factors of P."""
+    roots = draw(st.lists(st.integers(-4, 6), min_size=2, max_size=4, unique=True))
+    P = Poly([1])
+    for r in roots:
+        P = P * Poly([-r, 1])
+    for c in draw(st.lists(_small_fracs, max_size=2)):
+        P = P * Poly([c, 1])
+    Q = Poly([draw(_leads)])
+    for r in roots:
+        Q = Q * Poly([-r, 1]) ** draw(st.integers(1, 4))
+    return derive_system(HyperellipticCurve(P=P, Q=Q))
+
+
+def _system_of_type(draw, m, n):
+    return LienardSystem(f=Poly(draw(st.lists(_small_fracs, min_size=m, max_size=m))
+                                + [draw(_leads)]),
+                         g=Poly(draw(st.lists(_small_fracs, min_size=n, max_size=n))
+                                + [draw(_leads)]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_a_kept_plan_gives_each_system_its_own_answer(data):
+    # recovering A, then B of the same type, then A again: the second
+    # recovery of A reads the plan that A's first recovery built and B's
+    # used, and must give A's first answer.  A is the system of a curve or
+    # a random system of a type that roundtrip draws, B a random system
+    if data.draw(st.booleans()):
+        a = data.draw(_curve_systems())
+    else:
+        m = data.draw(st.integers(1, 5))
+        n = data.draw(st.integers(m + 1, 2 * m + 4).filter(lambda n: n != 2 * m + 1))
+        a = _system_of_type(data.draw, m, n)
+    assume(a.n != 2 * a.m + 1)
+    b = _system_of_type(data.draw, a.m, a.n)
+    memo = _PlanMemo(PLAN_TERMS)
+    with mock.patch.object(recover, "_PLANS", memo):
+        first = _outcome(recover_curve(a))
+        plan = memo.plans[a.type]
+        recover_curve(b)
+        assert _outcome(recover_curve(a)) == first
+        assert list(memo.plans.items()) == [(a.type, plan)]
+    assert _outcome(recover_curve(a)) == first
+
+
+def test_a_type_above_the_plan_budget_leaves_no_plan(monkeypatch):
+    # f = x^120, g = x^180 holds 1.95 million row terms: its plan is built
+    # for the call and dropped, and the memo stays within its budget.  A
+    # small type recovered again afterwards is a hit
+    assert _term_bound(120, 180, 181) > PLAN_TERMS
+    out = recover_curve(LienardSystem(f=parse_poly("x^120"), g=parse_poly("x^180")))
+    assert not out.found
+    memo = recover._PLANS
+    assert (120, 180) not in memo.plans
+    assert memo.terms == sum(plan.terms for plan in memo.plans.values()) <= PLAN_TERMS
+    small = LienardSystem(f=parse_poly("2x+1"), g=parse_poly("x^4+x+1"))
+    first = _outcome(recover_curve(small))
+    built = []
+    build = recover._build_plan
+    monkeypatch.setattr(recover, "_build_plan", lambda *args: built.append(args) or build(*args))
+    assert _outcome(recover_curve(small)) == first
+    assert built == [] and (1, 4) in memo.plans
+
+
+def test_the_plan_memo_keeps_the_most_recent_plans_within_its_budget():
+    # a budget of three plans: the least recently used plan goes first,
+    # the terms stay counted, and plans kept since the last eviction hold
+    # equal rows once
+    types = [(3, 4), (3, 5), (3, 6), (3, 8), (3, 9)]
+    sizes = {t: _build_plan(*t, _deg_q(*t)).terms for t in types}
+    memo = _PlanMemo(sizes[(3, 4)] + sizes[(3, 6)] + sizes[(3, 8)])
+    plans = {t: memo.get(*t, _deg_q(*t)) for t in types[:3]}
+    assert list(memo.plans) == types[:3]
+    assert memo.terms == sizes[(3, 4)] + sizes[(3, 5)] + sizes[(3, 6)] <= memo.budget
+    # the rows of (3,4) and (3,5), both with deg Q = 8, are the same objects
+    assert plans[(3, 4)].rows[0][2] is plans[(3, 5)].rows[0][2]
+    assert memo.get(3, 4, 8) is plans[(3, 4)]
+    memo.get(3, 8, 9)
+    assert list(memo.plans) == [(3, 6), (3, 4), (3, 8)] and memo.shared == {}
+    assert memo.terms == memo.budget
+    for t in types:
+        plan = memo.get(*t, _deg_q(*t))
+        assert plan.rows == _build_plan(*t, _deg_q(*t)).rows
+        assert memo.terms == sum(p.terms for p in memo.plans.values()) <= memo.budget
+
+
+def test_threads_sharing_the_plan_memo_keep_its_count():
+    # more threads than cores, a short switch interval and a budget of a
+    # few plans, so lookups, insertions and evictions interleave: a lost
+    # update would leave the count of kept terms off their sum
+    types = [(m, n) for m in range(1, 5) for n in range(m + 1, 2 * m + 5) if n != 2 * m + 1]
+    sizes = {t: _build_plan(*t, _deg_q(*t)).terms for t in types}
+    memo = _PlanMemo(3 * max(sizes.values()))
+    errors = []
+
+    def work(seed):
+        rng = random.Random(seed)
+        try:
+            for _ in range(200):
+                m, n = rng.choice(types)
+                assert memo.get(m, n, _deg_q(m, n)).terms == sizes[(m, n)]
+        except AssertionError as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert memo.terms == sum(plan.terms for plan in memo.plans.values()) <= memo.budget
