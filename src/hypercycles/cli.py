@@ -18,7 +18,6 @@ import functools
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import families, suite as suite_mod
 from .lienard import (
@@ -75,15 +74,6 @@ def _interval_json(root) -> dict:
     }
 
 
-def _bounds_json(b) -> dict:
-    return {
-        "lower": b.lower,
-        "upper": b.upper,
-        "exact": b.exact,
-        "note": b.note,
-    }
-
-
 def _report_json(report) -> dict:
     return {
         "schema": SCHEMA,
@@ -108,7 +98,7 @@ def _report_json(report) -> dict:
             for v in report.intervals
         ],
         "certified_count": report.certified_count,
-        "bounds": _bounds_json(report.bounds),
+        "bounds": dataclasses.asdict(report.bounds),
         "bound_consistent": report.bound_consistent,
     }
 
@@ -189,7 +179,7 @@ def _read_stdin_doc(args) -> dict | None:
 @_reads_input
 def _rationals(source: str, text: str, count: int) -> tuple:
     try:
-        values = tuple(Fraction(v) for v in text.split(","))
+        values = tuple(json_rational(v) for v in text.split(","))
     except (ValueError, ZeroDivisionError) as exc:
         raise _usage(source, exc) from None
     if len(values) != count:
@@ -248,7 +238,12 @@ def _cmd_reconstruct(args) -> dict:
 
 
 def _pattern_int(value) -> int:
-    return int(json_scalar(value, "an integer"))
+    value = json_scalar(value, "an integer")
+    try:
+        return int(value)
+    except ValueError as exc:
+        # int's invalid-literal message repeats up to 200 characters of the string
+        raise ValueError(str(exc).replace(repr(value)[:200], clip(repr(value)))) from None
 
 
 def _pattern_sign(value) -> int:
@@ -278,7 +273,7 @@ def _load_pattern(path: str) -> "families.CaseIPattern":
     known = {f.name for f in dataclasses.fields(families.CaseIPattern)}
     unknown = sorted(set(doc) - known)
     if unknown:
-        raise usage(f"unknown keys {unknown}; known keys are {sorted(known)}")
+        raise usage(f"unknown keys {clip(str(unknown))}; known keys are {sorted(known)}")
     kwargs = {}
     for key, value in doc.items():
         try:
@@ -334,7 +329,7 @@ def _cmd_bounds(args) -> dict:
     except ValueError as exc:
         raise DomainFailure.of(exc)
     out = {"schema": SCHEMA, "m": args.m, "n": args.n}
-    out.update(_bounds_json(b))
+    out.update(dataclasses.asdict(b))
     return out
 
 
@@ -370,7 +365,7 @@ def _criteria(text: str) -> list[int] | None:
         raise _usage("--criteria", exc) from None
     unknown = sorted(set(criteria) - set(suite_mod.CRITERIA))
     if unknown:
-        raise _usage("--criteria", f"unknown criteria {unknown}; "
+        raise _usage("--criteria", f"unknown criteria {clip(str(unknown))}; "
                                    f"known are {sorted(suite_mod.CRITERIA)}")
     return criteria
 

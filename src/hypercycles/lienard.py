@@ -26,9 +26,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from math import lcm
-from typing import Optional, Sequence
+from typing import Optional
 
-from .polyx import BivarPoly, Poly, int_coeffs, int_derivative, int_exact_div, int_mul, poly_gcd
+from .polyx import (BivarPoly, Poly, int_coeffs, int_combine, int_derivative,
+                    int_exact_div, int_mul, poly_gcd)
 from .rootclass import RealRoot, SturmChain, isolate_real_roots
 
 
@@ -102,15 +103,6 @@ def derive_system(curve: HyperellipticCurve) -> LienardSystem:
     return LienardSystem(f=f, g=g)
 
 
-def _int_combine(*terms: tuple[int, Sequence[int]]) -> list[int]:
-    """The sum of scale * a over the (scale, a) pairs."""
-    out = [0] * max(len(a) for _, a in terms)
-    for scale, a in terms:
-        for i, v in enumerate(a):
-            out[i] += scale * v
-    return out
-
-
 def invariance_residual(sys: LienardSystem, curve: HyperellipticCurve) -> BivarPoly:
     """y*F_x - (f*y + g)*F_y - K*F for F = (y + P)^2 - Q, fully expanded.
 
@@ -127,15 +119,15 @@ def invariance_residual(sys: LienardSystem, curve: HyperellipticCurve) -> BivarP
     (f, df), (g, dg) = sys.f.int_form(), sys.g.int_form()
     D = lcm(dg * dp, dk * dh, df * dp, dk * dp)
     ycoeffs = [
-        _int_combine((-2 * (D // (dg * dp)), int_mul(g, p)),
-                     (-(D // (dk * dh)), int_mul(k, h))),
-        _int_combine((D // dh, int_derivative(h)),
-                     (-2 * (D // (df * dp)), int_mul(f, p)),
-                     (-2 * (D // (dk * dp)), int_mul(k, p)),
-                     (-2 * (D // dg), g)),
-        _int_combine((2 * (D // dp), int_derivative(p)),
-                     (-2 * (D // df), f),
-                     (-(D // dk), k)),
+        int_combine((-2 * (D // (dg * dp)), int_mul(g, p)),
+                    (-(D // (dk * dh)), int_mul(k, h))),
+        int_combine((D // dh, int_derivative(h)),
+                    (-2 * (D // (df * dp)), int_mul(f, p)),
+                    (-2 * (D // (dk * dp)), int_mul(k, p)),
+                    (-2 * (D // dg), g)),
+        int_combine((2 * (D // dp), int_derivative(p)),
+                    (-2 * (D // df), f),
+                    (-(D // dk), k)),
     ]
     return BivarPoly([Poly.from_int_form(nums, D) for nums in ycoeffs])
 

@@ -8,14 +8,19 @@ equality and hashing compare pairs; the zero polynomial is ((), 1) and
 reports degree -1.  `Poly.int_form` returns the stored pair, and
 `Poly.from_int_form` builds a `Poly` from any integer list over a nonzero
 denominator, dividing out the common factor.  The ring operations run on
-the pairs: a sum over the lcm of the denominators, a product as an integer
-convolution over their product, `scale`, `derivative`, `shift_up` and `**`
-on the numerators (a power needs no gcd, by Gauss's lemma), and
-`exact_div` as an exact division in Z[x] by the primitive part of the
-divisor (`int_exact_div`).  Each ends with at most one gcd over the
-result, and none builds a `Fraction`: only a caller that
+the pairs: a sum over the lcm of the denominators (`int_combine`), a
+product as an integer convolution over their product, `scale`,
+`derivative`, `shift_up` and `**` on the numerators (a power needs no gcd,
+by Gauss's lemma), and `exact_div` as an exact division in Z[x] by the
+primitive part of the divisor (`int_exact_div`).  Each ends with at most
+one gcd over the result, and none builds a `Fraction`: only a caller that
 reads a coefficient does, through `coeffs`, `p[k]` or `leading()`, and
-`eval` builds one at the end of its integer Horner.  `poly_gcd`,
+`eval` builds one at the end of its integer Horner (`int_eval`).  The two
+kernels are written once: `int_eval`, q**n * a(p/q) by homogeneous
+Horner, is also GCDHEU's evaluation and the sign of a polynomial at a
+rational point in `rootclass`, and `int_combine`, an integer linear
+combination of coefficient lists, is also each step of Yun's algorithm and
+each y-coefficient of the invariance residual in `lienard`.  `poly_gcd`,
 `squarefree_part` and `squarefree_decomposition` (Yun) run on primitive
 integer coefficient lists (`int_coeffs`), with an exact division in Z[x]
 (Gauss's lemma, `int_exact_div`), and every gcd among them, Yun's first
@@ -193,11 +198,8 @@ class Poly:
             return NotImplemented
         (a, da), (b, db) = self._form, other._form
         g = int_gcd(da, db)
-        sa, sb = db // g, sign * (da // g)
-        out = [sa * c for c in a] + [0] * (len(b) - len(a))
-        for i, c in enumerate(b):
-            out[i] += sb * c
-        return Poly.from_int_form(out, da * sa)
+        sa = db // g
+        return Poly.from_int_form(int_combine((sa, a), (sign * (da // g), b)), da * sa)
 
     def __add__(self, other: "Poly") -> "Poly":
         return self._combine(other, 1)
@@ -257,19 +259,14 @@ class Poly:
         return Poly.from_int_form([i * c for i, c in enumerate(nums)][1:], den)
 
     def eval(self, x: RationalLike) -> Fraction:
-        """p(x), by homogeneous integer Horner over the integer form; one
-        `Fraction` is built at the end."""
+        """p(x), by homogeneous integer Horner over the integer form
+        (`int_eval`); one `Fraction` is built at the end."""
         x = rat(x)
         nums, den = self._form
         if not nums:
             return Fraction(0)
-        p, q = x.numerator, x.denominator
-        acc = nums[-1]
-        qpow = 1
-        for c in reversed(nums[:-1]):
-            qpow *= q
-            acc = acc * p + c * qpow
-        return Fraction(acc, den * qpow)
+        q = x.denominator
+        return Fraction(int_eval(nums, x.numerator, q), den * q ** (len(nums) - 1))
 
     # -- division -------------------------------------------------------
 
@@ -354,6 +351,29 @@ def int_derivative(a: Sequence[int]) -> list[int]:
     return [i * c for i, c in enumerate(a)][1:]
 
 
+def int_eval(a: Sequence[int], p: int, q: int = 1) -> int:
+    """q**n * a(p/q), n = len(a) - 1, by homogeneous Horner: an integer,
+    with the sign of a(p/q) for q > 0; 0 for the empty a."""
+    acc = 0
+    qpow = 1
+    for c in reversed(a):
+        acc = acc * p + c * qpow
+        qpow *= q
+    return acc
+
+
+def int_combine(*terms: tuple[int, Sequence[int]]) -> list[int]:
+    """The sum of scale * a over the (scale, a) pairs, with the zero top
+    stripped."""
+    out = [0] * max(len(a) for _, a in terms)
+    for scale, a in terms:
+        for i, v in enumerate(a):
+            out[i] += scale * v
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
 def int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """The product a * b, by convolution."""
     if not a or not b:
@@ -435,9 +455,9 @@ _HEU_GROWTH = (73794, 27011)
 
 def _heu_candidate(a: Sequence[int], b: Sequence[int], xi: int) -> list[int]:
     """The GCDHEU candidate at xi: gamma = gcd(a(xi), b(xi)) by integer
-    Horner, written in symmetric xi-adic digits (each in (-xi/2, xi/2]) as
-    the coefficients of a polynomial, made primitive."""
-    gamma = int_gcd(_int_eval(a, xi), _int_eval(b, xi))
+    Horner (`int_eval`), written in symmetric xi-adic digits (each in
+    (-xi/2, xi/2]) as the coefficients of a polynomial, made primitive."""
+    gamma = int_gcd(int_eval(a, xi), int_eval(b, xi))
     half = xi // 2
     digits = []
     while gamma:
@@ -447,13 +467,6 @@ def _heu_candidate(a: Sequence[int], b: Sequence[int], xi: int) -> list[int]:
             gamma += 1
         digits.append(r)
     return _primitive(digits)
-
-
-def _int_eval(a: Sequence[int], xi: int) -> int:
-    acc = 0
-    for c in reversed(a):
-        acc = acc * xi + c
-    return acc
 
 
 def _prs_gcd(a: list[int], b: list[int]) -> list[int]:
@@ -494,15 +507,6 @@ def int_poly_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
 
 def _monic_poly(a: Sequence[int]) -> Poly:
     return Poly.from_int_form(a, a[-1])
-
-
-def _int_sub(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    out = list(a) + [0] * (len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] -= c
-    while out and out[-1] == 0:
-        out.pop()
-    return out
 
 
 # Certification asks the gcd of the same few pairs over and over (a root's
@@ -586,14 +590,14 @@ def _yun(a: Sequence[int], dp: Sequence[int], g: Sequence[int]) -> list[tuple[Po
     # vector a, never made primitive on its own, and each step divides both
     # by the same g.
     b = int_exact_div(a, g)
-    d = _int_sub(int_exact_div(dp, g), int_derivative(b))
+    d = int_combine((1, int_exact_div(dp, g)), (-1, int_derivative(b)))
     k = 1
     while len(b) > 1:
         g = int_poly_gcd(b, d) if d else b
         if len(g) > 1:
             out.append((_monic_poly(g), k))
         b = int_exact_div(b, g)
-        d = _int_sub(int_exact_div(d, g), int_derivative(b))
+        d = int_combine((1, int_exact_div(d, g)), (-1, int_derivative(b)))
         k += 1
     return out
 
@@ -782,7 +786,7 @@ class _Parser:
             return X
         if tok[0].isdigit():
             self.next()
-            return Poly.constant(Fraction(tok))
+            return Poly.constant(json_rational(tok))
         raise ValueError(f"unexpected token {tok!r}")
 
 
@@ -813,13 +817,17 @@ def json_scalar(value, expected: str):
 
 
 def json_rational(value) -> Fraction:
-    """A JSON coefficient, an integer or a string such as "3/2", as a Fraction."""
+    """A JSON coefficient or a command-line rational, an integer or a string
+    such as "3/2", as a Fraction."""
     value = json_scalar(value, 'an integer or a string such as "3/2"')
     try:
         return Fraction(value)
     except ValueError as exc:
         # Fraction's "Invalid literal" message repeats the whole string
         raise ValueError(str(exc).replace(repr(value), clip(repr(value)))) from None
+    except ZeroDivisionError:
+        # and its zero-denominator message the whole numerator
+        raise ZeroDivisionError(f"zero denominator in {clip(repr(value))}") from None
 
 
 def parse_poly(text: str) -> Poly:

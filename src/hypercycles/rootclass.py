@@ -37,23 +37,24 @@ Two independent routes to root counts live here on purpose:
   so counting, isolating and Sturm-counting one polynomial runs one
   remainder sequence, the chain of its squarefree part.
 
-Each Sturm chain is evaluated at most once per point, and isolation
-evaluates it only where the head's sign cannot decide: it carries the sign
-variations and the head's sign at each interval's endpoints down its
-bisection stack, so a split evaluates the chain at the midpoint only, the
-box ends read theirs off the signs at +-inf, and a cell with one root
-inside and one at an end halves on the head's sign alone.  The one
-refinement loop of an isolated root (`RealRoot.sign_of`) recounts only the
-endpoint that a refinement step moved.  Signs of a polynomial at a point
-come from its stored integer form (`Poly.int_form`) by one homogeneous
-Horner on the point as an integer pair p/q (`_sign_at`, and `_chain_signs`
-for a whole chain), with no `Fraction` built.  Nearly every point isolation
-and refinement visit is dyadic, k/2**j; there the powers of q are shifts,
-acc = acc*k + (c << s) with s growing by j per coefficient (`_sign_dyadic`),
-which `_sign_int` and `_chain_signs` choose whenever q is a power of two.
-At 0, where isolation first splits, `_chain_signs` reads each member's
-constant term, and the sign variations come from one pass over the signs
-(`_sign_changes`).
+Within one isolation, and within one `sign_of` loop, each Sturm chain is
+evaluated at most once per point; separate calls may evaluate it at the
+same point again (adjacent roots' `sign_of` calls that share a cell end,
+say).  Isolation evaluates it only where the head's sign cannot decide: it
+carries the sign variations and the head's sign at each interval's
+endpoints down its bisection stack, so a split evaluates the chain at the
+midpoint only, the box ends read theirs off the signs at +-inf, and a cell
+with one root inside and one at an end halves on the head's sign alone.
+The one refinement loop of an isolated root (`RealRoot.sign_of`) recounts
+only the endpoint that a refinement step moved.  Signs of a polynomial at a
+point come from its stored integer form (`Poly.int_form`) by one
+homogeneous Horner on the point as an integer pair p/q (`_sign_at` on
+`polyx.int_eval`, and `_chain_signs` for a whole chain), with no `Fraction`
+built.  Nearly every point isolation and refinement visit is dyadic,
+k/2**j; there the powers of q are shifts, acc = acc*k + (c << s) with s
+growing by j per coefficient (`_sign_dyadic`), which `_sign_int` and
+`_chain_signs` choose whenever q is a power of two.  The sign variations
+come from one pass over the signs (`_sign_changes`).
 
 Each chain member carries an exponent e with every complex root z of the
 member inside |z| < 2**e: Fujiwara's bound 2 max_i |a_{n-i}/a_n|^(1/i)
@@ -138,7 +139,7 @@ import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd as int_gcd
+from math import lcm
 from typing import Sequence
 
 from .polyx import (
@@ -147,6 +148,7 @@ from .polyx import (
     RationalLike,
     int_coeffs,
     int_derivative,
+    int_eval,
     int_exact_div,
     int_key,
     int_poly_gcd,
@@ -166,20 +168,15 @@ class EndpointRootError(ValueError):
 
 
 def _sign_at(ints: Sequence[int], p: int, q: int) -> int:
-    """Sign of the integer polynomial at p/q, q > 0, via homogeneous Horner."""
-    if not ints:
-        return 0
-    acc = 0
-    qpow = 1
-    for c in reversed(ints):
-        acc = acc * p + c * qpow
-        qpow *= q
-    return (acc > 0) - (acc < 0)
+    """Sign of the integer polynomial at p/q, q > 0, via homogeneous Horner
+    (`polyx.int_eval`)."""
+    v = int_eval(ints, p, q)
+    return (v > 0) - (v < 0)
 
 
 def _sign_dyadic(ints: Sequence[int], k: int, j: int) -> int:
     """Sign of the integer polynomial at k/2**j, j >= 0: the homogeneous
-    Horner of `_sign_at` with each power of 2**j applied as a shift."""
+    Horner of `polyx.int_eval` with each power of 2**j applied as a shift."""
     acc = 0
     s = 0
     for c in reversed(ints):
@@ -287,10 +284,7 @@ def rational_det(rows: list[list[Fraction]]) -> Fraction:
     n = len(rows)
     if n == 0:
         return Fraction(1)
-    den = 1
-    for row in rows:
-        for c in row:
-            den = den * c.denominator // int_gcd(den, c.denominator)
+    den = lcm(*[c.denominator for row in rows for c in row])
     scaled = [[int(c * den) for c in row] for row in rows]
     return Fraction(_int_det(scaled), den**n)
 
@@ -486,12 +480,9 @@ def _sturm_chain_int(p: Poly) -> _Chain:
 
 
 def _chain_signs(chain: _Chain, p: int, q: int) -> list[int]:
-    """Signs of the chain's members at p/q, q > 0: at 0 the signs of their
-    constant terms, beyond a member's root bound, |p| > q * 2**e, its sign
-    at +-inf, and otherwise Horner, by shifts (`_sign_dyadic`) for a dyadic
-    q = 2**j."""
-    if not p:
-        return [(c[0] > 0) - (c[0] < 0) for c in chain]
+    """Signs of the chain's members at p/q, q > 0: beyond a member's root
+    bound, |p| > q * 2**e, its sign at +-inf, and otherwise Horner, by
+    shifts (`_sign_dyadic`) for a dyadic q = 2**j."""
     ap = abs(p)
     k = 2 if p > 0 else 1
     if q & (q - 1):

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,9 +8,11 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypercycles import cli, rootclass
 from hypercycles.cli import _load_pattern, main
+from hypercycles.polyx import parse_poly
 
 
 def run_cli(args, stdin_text=None):
@@ -306,6 +310,17 @@ def test_usage_error_exit_1():
          '{"signs": [' + "[" * 500 + "]" * 500 + "]}",
          "error: --pattern /dev/stdin: bad value for 'signs': TypeError: expected an integer, "
          "got [[[["),
+        (["portrait", "--f", "x", "--g", "x", "--seed-point", "y" * 3000 + ",1"], None,
+         "error: --seed-point: Invalid literal for Fraction: 'yyyy"),
+        (["portrait", "--f", "x", "--g", "x", "--window", "y" * 3000 + ",1,2,3"], None,
+         "error: --window: Invalid literal for Fraction: 'yyyy"),
+        (["portrait", "--f", "x", "--g", "x", "--seed-point", "1" * 3000 + "/0,1"], None,
+         "error: --seed-point: zero denominator in '1111"),
+        (["roots", "1" * 3000 + "/0"], None, "error: POLY: bad polynomial '1111"),
+        (["certify", "--stdin"], json.dumps({"P": ["1" * 3000 + "/0"], "Q": [1]}),
+         "error: --stdin 'P': ZeroDivisionError: zero denominator in '1111"),
+        (["suite", "--criteria", ",".join(map(str, range(10, 2000)))], None,
+         "error: --criteria: unknown criteria [10, 11"),
     ],
     ids=["dangling_power", "zero_denominator", "roots_dangling_power",
          "stdin_not_json", "stdin_not_object", "stdin_zero_denominator",
@@ -320,7 +335,9 @@ def test_usage_error_exit_1():
          "coefficient_digits_above_limit", "stdin_digits_above_limit",
          "nested_parentheses", "repeated_unary_minus", "nested_json_coefficients",
          "stdin_nested_json", "step_nan", "step_inf", "stdin_long_coefficient",
-         "pattern_deep_list"],
+         "pattern_deep_list", "seed_point_long", "window_long",
+         "seed_point_long_zero_denominator", "long_zero_denominator",
+         "stdin_long_zero_denominator", "criteria_many_unknown"],
 )
 def test_bad_input_is_a_usage_error(args, stdin_text, complaint):
     proc = run_cli(args, stdin_text=stdin_text)
@@ -402,11 +419,16 @@ def test_load_pattern_keeps_pin_fractions(tmp_path):
         ("{not json", "not valid JSON"),
         (None, "No such file or directory"),
         ('{"signs": ' + "[" * 100000 + "]" * 100000 + "}", "not valid JSON"),
+        (json.dumps({"max_seeds": "y" * 3000}),
+         "bad value for 'max_seeds': ValueError: invalid literal for int() with base 10: '"
+         + "y" * 59 + "... (3,002 characters)"),
+        (json.dumps({"y" * 3000: 1}), "unknown keys ['yyyy"),
     ],
     ids=["not_an_object", "misspelled_key", "non_integer", "float_integer",
          "boolean_integer", "float_steps", "float_sign", "zero_sign", "boolean_sign",
          "not_a_list", "zero_denominator", "float_rational", "boolean_rational",
-         "null_rational", "not_json", "missing_file", "nested_json"],
+         "null_rational", "not_json", "missing_file", "nested_json", "long_integer",
+         "long_key"],
 )
 def test_construct_rejects_bad_pattern_file(tmp_path, text, complaint):
     path = tmp_path / "pattern.json"
@@ -418,6 +440,10 @@ def test_construct_rejects_bad_pattern_file(tmp_path, text, complaint):
     assert proc.stderr.startswith(f"error: --pattern {path}: ")
     assert complaint in proc.stderr
     assert "Traceback" not in proc.stderr
+    # an echoed value is cut short, so the complaint after the path, which
+    # the test's temporary directory makes long, is one short line
+    why = proc.stderr[len(f"error: --pattern {path}: "):]
+    assert proc.stderr.count("\n") == 1 and len(why.encode()) < 300
 
 
 def test_out_path_that_cannot_be_opened_is_a_usage_error(tmp_path):
@@ -488,3 +514,149 @@ def test_reader_gone_before_any_output_ends_quietly():
         os.close(write_end)
     assert proc.returncode == 1
     assert proc.stderr == ""
+
+
+# -- the CLI contract, on argvs drawn from a small grammar ---------------------
+
+# values that are long, beyond a limit or beyond the float range
+_LONG = ["y" * 3000, "1" * 3000 + "x", "1" * 3000 + "/0", "9" * 4400]
+
+_GOOD_POLY = st.sampled_from(["x", "0", "1", "x^2-1", "(x-1/2)^2*(x+3)", "2x^3-x", "x^8-1",
+                              "-x^2+2", "1-x^2", "x^4+x+1", "(x^2-1)^3", "x(x^2-4)(x^2-1)",
+                              "[1, 0, -1]", '["1/2", 3]', '["1e400", 1]'])
+_POLY_TEXT = st.one_of(
+    _GOOD_POLY, _GOOD_POLY,
+    st.sampled_from(["x^", "3/0", "(x", "x)", "", " ", "x^-1", "x^1.5", "1e5", "x**2",
+                     "[0.5]", "[true]", "[null]", "[[1]]", "{}", "[", "x^99999999999",
+                     "x^10001", "x^5000 x^5001", "(" * 3000 + "x" + ")" * 3000,
+                     "2*" + "-" * 3000 + "x", *_LONG]),
+    # token soup; a drawn polynomial above degree 8 is dropped, so every
+    # command stays cheap
+    st.lists(st.sampled_from(["x", "2", "1/2", "0", "3/0", "^", "3", "(", ")", "+", "-",
+                              "*", " ", "[", "]", ",", "y", "9" * 30]),
+             max_size=10).map("".join).filter(lambda t: _degree_at_most(t, 8)),
+)
+
+_COEFF = st.one_of(
+    st.integers(-10**30, 10**30), st.integers(-3, 3),
+    st.sampled_from(["1/2", "-3", "1/0", "x", "", "1e400", "0.5", *_LONG]),
+    st.floats(), st.booleans(), st.none(), st.lists(st.integers(), max_size=2))
+_JSON = st.recursive(st.none() | st.booleans() | st.integers(-3, 3) | st.floats()
+                     | st.sampled_from(["", "1/2", "y" * 3000]),
+                     lambda inner: st.lists(inner, max_size=3)
+                     | st.dictionaries(st.sampled_from(["a", "signs"]), inner, max_size=2),
+                     max_leaves=6)
+_RATIONALS = st.one_of(
+    st.sampled_from(["-3,-3,3,3", "0,1", "1/2,-1", "-2,-2,2,2"]),
+    st.lists(st.sampled_from(["0", "1", "-2", "1/2", "1/0", "", "y", "1e400", "1e999",
+                              "1e-400", "nan", *_LONG]),
+             min_size=1, max_size=5).map(",".join))
+_PATTERN_KEYS = ["x0_candidates", "odd_nodes", "even_nodes", "signs", "pin_fractions",
+                 "halving_steps", "max_seeds", "max_seed", "y" * 3000]
+
+
+def _degree_at_most(text: str, bound: int) -> bool:
+    try:
+        return parse_poly(text).degree <= bound
+    except ValueError:
+        return True
+
+
+@st.composite
+def _polys(draw, names):
+    """Options or a --stdin document for the polynomials `names`."""
+    argv, doc = [], {}
+    for name in names:
+        how = draw(st.sampled_from(["option", "option", "stdin", "stdin", "missing"]))
+        if how == "option":
+            argv += [f"--{name}", draw(_POLY_TEXT)]
+        elif how == "stdin":
+            doc[name] = draw(st.one_of(st.lists(st.integers(-3, 3), max_size=9),
+                                       st.lists(_COEFF, max_size=9), _JSON))
+    if not doc and draw(st.booleans()):
+        return argv, None
+    text = draw(st.one_of(st.just(json.dumps(doc)),
+                          st.sampled_from(["{not json", "", "[1, 2]", "[" * 5000 + "]" * 5000])))
+    return argv + ["--stdin"], text
+
+
+@st.composite
+def _invocations(draw):
+    """(argv, stdin text, --pattern document) of one cheap command."""
+    command = draw(st.sampled_from(["roots", "certify", "reconstruct", "portrait",
+                                    "construct", "bounds", "suite"]))
+    stdin, pattern = None, None
+    if command == "roots":
+        argv = ["roots", *draw(st.sampled_from([[], ["--"]])), draw(_POLY_TEXT)]
+    elif command in ("certify", "reconstruct"):
+        argv, stdin = draw(_polys("PQ" if command == "certify" else "fg"))
+        argv = [command, *argv]
+    elif command == "portrait":
+        argv, stdin = draw(_polys("fgPQ"))
+        argv = ["portrait", *argv]
+        if draw(st.booleans()):
+            argv += ["--window", draw(_RATIONALS)]
+        for point in draw(st.lists(_RATIONALS, max_size=2)):
+            argv += ["--seed-point", point]
+        if draw(st.booleans()):
+            argv += ["--step", draw(st.sampled_from(
+                ["0.25", "1", "0", "-1", "nan", "inf", "1e400", "", "abc"]))]
+    elif command in ("construct", "bounds"):
+        argv = [command, "--m", draw(st.sampled_from(["-1", "0", "1", "2", "3", "4"] * 2 + ["", "x"])),
+                "--n", draw(st.sampled_from([str(n) for n in range(-1, 12)] + ["", "9" * 4400]))]
+        if command == "construct" and draw(st.booleans()):
+            argv += ["--s-cap", draw(st.sampled_from(["-1", "0", "1", "3", "x"]))]
+        if command == "construct" and draw(st.booleans()):
+            pattern = draw(st.one_of(
+                st.dictionaries(st.sampled_from(_PATTERN_KEYS), st.one_of(
+                    st.lists(_COEFF, max_size=3),
+                    st.sampled_from([-1, 0, 1, 40, 2.5, True, "7", "y" * 3000]), _JSON),
+                    max_size=3).map(json.dumps),
+                st.sampled_from(["{not json", "[1]", "", '{"signs": ' + "[" * 5000 + "]" * 5000 + "}"])))
+    else:
+        argv = ["suite", "--criteria", draw(st.sampled_from(
+            ["", "a", "0", "99", "1,,2", "4,x", ",".join(map(str, range(10, 2000))), *_LONG]))]
+    return argv, stdin, pattern
+
+
+def _run_in_process(argv, stdin_text) -> tuple[int, str]:
+    """cli.main(argv) with stdin_text on stdin: the exit status and stderr, as
+    the interpreter would give them for a SystemExit that leaves main."""
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin_text or "")
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                status = main(argv)
+            except SystemExit as exc:
+                if isinstance(exc.code, str):
+                    err.write(exc.code + "\n")
+                    status = 1
+                else:
+                    status = exc.code or 0
+    finally:
+        sys.stdin = saved
+    return status, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def pattern_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("contract") / "pattern.json"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_invocations())
+def test_every_drawn_argv_keeps_the_cli_contract(pattern_path, invocation):
+    # exit 0, 1 or 2 and nothing raised but SystemExit; a usage error (exit
+    # 1) is one short stderr line, whatever the input.  The pattern file's
+    # path is the test's own, so it is left out of the length
+    argv, stdin_text, pattern = invocation
+    if pattern is not None:
+        pattern_path.write_text(pattern)
+        argv = [*argv, "--pattern", str(pattern_path)]
+    status, stderr = _run_in_process(argv, stdin_text)
+    assert status in (0, 1, 2), (argv, status)
+    if status == 1:
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1, stderr
+        assert len(stderr.replace(str(pattern_path), "").encode()) < 300, stderr

@@ -18,6 +18,8 @@ from hypercycles.polyx import (
     _primitive,
     _prs_gcd,
     int_coeffs,
+    int_combine,
+    int_eval,
     int_exact_div,
     int_key,
     int_mul,
@@ -228,6 +230,105 @@ def test_int_rem_is_a_positive_multiple_of_the_rational_remainder(samples):
         r = int_rem(int_coeffs(a), int_coeffs(b))
         expected = Poly(int_coeffs(a)).divrem(Poly(int_coeffs(b)))[1]
         assert r == int_coeffs(expected)
+
+
+# -- one Horner and one linear combination, against the loops they replaced ---
+#
+# `int_eval` and `int_combine` are the only evaluation and linear-combination
+# loops of the integer layer.  The hand-written loops they replaced are kept
+# below verbatim as the references: GCDHEU's evaluation at an integer xi,
+# `rootclass._sign_at`, the Horner of `Poly.eval`, Yun's subtraction and the
+# invariance residual's combination.
+
+
+def ref_int_eval(a, xi):
+    acc = 0
+    for c in reversed(a):
+        acc = acc * xi + c
+    return acc
+
+
+def ref_sign_at(ints, p, q):
+    """Sign of the integer polynomial at p/q, q > 0, via homogeneous Horner."""
+    if not ints:
+        return 0
+    acc = 0
+    qpow = 1
+    for c in reversed(ints):
+        acc = acc * p + c * qpow
+        qpow *= q
+    return (acc > 0) - (acc < 0)
+
+
+def ref_poly_eval(poly, x):
+    """p(x), by homogeneous integer Horner over the integer form; one
+    `Fraction` is built at the end."""
+    nums, den = poly.int_form()
+    if not nums:
+        return Fraction(0)
+    p, q = x.numerator, x.denominator
+    acc = nums[-1]
+    qpow = 1
+    for c in reversed(nums[:-1]):
+        qpow *= q
+        acc = acc * p + c * qpow
+    return Fraction(acc, den * qpow)
+
+
+def ref_int_sub(a, b):
+    out = list(a) + [0] * (len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] -= c
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def ref_int_combine(*terms):
+    """The sum of scale * a over the (scale, a) pairs."""
+    out = [0] * max(len(a) for _, a in terms)
+    for scale, a in terms:
+        for i, v in enumerate(a):
+            out[i] += scale * v
+    return out
+
+
+# integer vectors with zero coefficients, the empty vector included
+_VECTORS = st.lists(st.sampled_from([0, 0, 1, -1, 2, -3, 7, 10**12, -5 * 10**20]), max_size=9)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_VECTORS, st.integers(-10**6, 10**6), st.sampled_from([1, 1, 2, 3, 8, 10**9 + 7]))
+@example([], 5, 3)
+@example([4, 0, -1], -7, 1)
+@example([0, 0, 0, 2], 0, 9)
+def test_int_eval_is_the_horner_it_replaced(a, p, q):
+    v = int_eval(a, p, q)
+    n = len(a) - 1
+    assert v == sum(c * p ** i * q ** (n - i) for i, c in enumerate(a))
+    assert (v > 0) - (v < 0) == ref_sign_at(a, p, q)
+    if q == 1:
+        assert v == int_eval(a, p) == ref_int_eval(a, p)
+    poly = Poly.from_int_form(a, 3)
+    assert poly.eval(Fraction(p, q)) == ref_poly_eval(poly, Fraction(p, q))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.integers(-9, 9), _VECTORS), min_size=1, max_size=4))
+@example([(1, [])])
+@example([(1, [1, 2, 3]), (-1, [1, 2, 3])])
+@example([(2, [1, 2]), (-1, [2, 4, 0, 0])])
+@example([(1, [0, 0, 5]), (3, [1])])
+def test_int_combine_is_the_combination_it_replaced(terms):
+    out = int_combine(*terms)
+    assert out == ref_int_sub(ref_int_combine(*terms), [])
+    assert not out or out[-1] != 0
+    if len(terms) == 2:
+        (s, a), (t, b) = terms
+        if (s, t) == (1, -1):
+            assert out == ref_int_sub(a, b)
+        # a combination with itself negated cancels to the zero vector
+        assert int_combine((s, a), (-s, a)) == []
 
 
 # -- one content gcd per remainder, against the gcd at every step -------------
