@@ -257,7 +257,7 @@ def _load_pattern(path: str) -> "families.CaseIPattern":
     """The --pattern file as a `CaseIPattern`; any fault in the file is a
     usage error (exit 1), never a traceback."""
     def usage(why: str) -> SystemExit:
-        return _usage(f"--pattern {path}", why)
+        return _usage(f"--pattern {clip(path)}", why)
 
     try:
         with open(path) as fh:
@@ -480,7 +480,7 @@ def _emit(args, text: str) -> None:
             with open(out_path, "w") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise _usage(f"--out {out_path}", exc.strerror or exc) from None
+            raise _usage(f"--out {clip(out_path)}", exc.strerror or exc) from None
         return
     if not text.endswith("\n"):
         text += "\n"

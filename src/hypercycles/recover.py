@@ -15,10 +15,9 @@ terms of two or more unknowns, its row, have integer coefficients that
 depend on the type alone.  Its data terms (those of 2 Q f or 2 Q g, and
 degree-match's -q_d below, the only terms of one unknown) carry f and g,
 over the common denominator of f or g as `Poly.int_form` writes them.
-So a type's rows, with an index from each unknown to the equations that
-hold it, are written once, as its plan (`_build_plan`), and a call writes
-only its data terms, one list of coefficients per family that each
-equation takes a slice of, and its own solve state (`_equations`).
+So a type's rows are written once, as its plan (`_build_plan`), and a
+call writes only its data terms, one list of coefficients per family that
+each equation takes a slice of, and its own solve state (`_equations`).
 A bounded memo (`_PlanMemo`) keeps the plans of recent types, at most
 `PLAN_TERMS` row terms together, with equal monomials and rows held once.
 Its bound is in terms, not entries, because one type near `MAX_TERMS`
@@ -30,19 +29,21 @@ affine in one unknown (or a block of equations jointly affine), divide by
 its pivot, and substitute.
 
 The assignment is held as integers over one common denominator D, each
-value vals[v] / D, and every numerator is rescaled when a value's
-denominator makes D grow.  An equation is never rewritten: it is
-evaluated afresh from its written terms, a term with k assigned unknowns
-scaled by D^(top - k), where top bounds the unknowns in one of its
-monomials (2 for (I) and degree-match, 3 for (II)), and a term other than
-a data term by the data terms' denominator as well.  That gives its
-integer (constant, linear part) over that denominator times D^top.  A
-pivot, a value and an `rref` row are the same for every positive multiple
-of an equation, so the scale never shows.  An equation is evaluated again
-only when an unknown it holds has been assigned since and it can come out
-affine.  No coefficient becomes a `Fraction`; only the pivots and the
-values read off the solve are, and an affine block is eliminated on its
-integer rows.
+value vals[v] / D (None while v is unassigned), and every numerator is
+rescaled when a value's denominator makes D grow.  Each equation is
+evaluated once, when it may first come out affine: from its written terms,
+a term with k assigned unknowns scaled by D^(top - k), where top bounds
+the unknowns in one of its monomials (2 for (I) and degree-match, 3 for
+(II)), and a term other than a data term by the data terms' denominator
+as well.  That gives its integer affine form, (constant, linear part) over
+that denominator times D^top.  From then on it is only substituted into:
+an assignment x_v = p/q takes the constant to const q + c_v p, drops c_v,
+and multiplies every other coefficient and the form's scale by q.  Each
+step leaves a positive multiple of the same equation, and a pivot, a value
+and an `rref` row are the same for every positive multiple of an
+equation, so the scale never shows.  No coefficient becomes a `Fraction`;
+only the pivots and the values read off the solve are, and an affine
+block is eliminated on its integer rows.
 The executed schedule, with every pivot, is recorded for audit.
 
 Two monomials of one coefficient equation share at most one unknown,
@@ -53,14 +54,23 @@ another monomial under an assignment, and no cancellation can remove it.
 So an equation stays non-affine exactly when one of its monomials holds
 two unassigned unknowns (with multiplicity) and no unknown assigned the
 value 0 (`_Equation.may_be_affine`); such an equation is not evaluated.
+It sleeps on the unassigned unknowns of the monomial that blocked it, and
+it is checked again only once one of them is assigned, 0 included: until
+then that monomial still blocks.  A pass visits the equations in witness
+priority order and skips those asleep and those already satisfied (whose
+form is the constant 0); one that a step wakes at a lower position than
+the current one waits for the next pass.  An evaluated equation is
+substituted into through an index from each unknown to the evaluated
+equations whose linear part holds it.
 
 When n < 2m+1 the top of (II) forces the coefficients of x^{n+2}..x^{2m+2}
 of P^2 and Q to agree; these derived equations are labeled "degree-match" and fed to
 the solver alongside (I) ("f-identity") and (II) ("g-identity").  Their one
 term of one unknown, -q_d, is over the denominator 1.
 
-A candidate assignment is always verified exactly: every equation is evaluated
-under the full assignment, and failure reports the first equation
+A candidate assignment is always verified exactly: every equation, evaluated
+now if it never was, must be 0 under the full assignment, and failure
+reports the first equation
 (f-identity before g-identity before degree-match, descending degree) with a
 nonzero residual.
 """
@@ -131,14 +141,15 @@ class RecoveryOutcome:
         return self.curve is not None and self.verified
 
 
-def _blocks(mono: Mono, vals: dict[int, int]) -> bool:
+def _blocks(mono: Mono, vals: list[Optional[int]]) -> bool:
     """The monomial holds two unassigned unknowns (with multiplicity) and no
     unknown assigned 0, so it leaves its equation non-affine under `vals`."""
     free = 0
     for v in mono:
-        if v not in vals:
+        x = vals[v]
+        if x is None:
             free += 1
-        elif not vals[v]:
+        elif not x:
             return False
     return free > 1
 
@@ -150,14 +161,16 @@ class _Equation:
     unknowns[k] with coefficient data[k] / den, for the positive `den` and
     the integers `data` that the call wrote; a zero one contributes
     nothing.  No term holds more than `top` unknowns.
-    `affine` is its integer (constant, linear part) under the assignment of
-    its last evaluation, over `scale` = den D^top with D the common
-    denominator the assignment had then.  `block` is the monomial that last
-    kept it from being affine, and `scan` iterates over the row's monomials
-    after it."""
+    It is evaluated at most once per call (`evaluate`), and from then on
+    `const` and `lin` are its integer affine form under the current
+    assignment, over `scale`: each assignment to an unknown of `lin` is
+    substituted into them in place (`substitute`).  Until then `lin` is
+    None, `block` is the monomial that last kept it from being affine,
+    `scan` iterates over the row's monomials after it, and `asleep` says
+    that `block` still blocks: no unknown of it has been assigned since."""
 
     __slots__ = ("family", "degree", "monos", "coeffs", "unknowns", "data", "den", "top",
-                 "affine", "scale", "stale", "block", "scan")
+                 "const", "lin", "scale", "block", "scan", "asleep")
 
     def __init__(self, family: str, degree: int, monos: tuple[Mono, ...],
                  coeffs: tuple[int, ...], unknowns: Sequence[int], data: Sequence[int],
@@ -170,13 +183,14 @@ class _Equation:
         self.data = data
         self.den = den
         self.top = 3 if family == "g-identity" else 2
-        self.affine = None
+        self.const = None
+        self.lin = None
         self.scale = None
-        self.stale = True
         self.block = None
         self.scan = iter(monos)
+        self.asleep = False
 
-    def may_be_affine(self, vals: dict[int, int]) -> bool:
+    def may_be_affine(self, vals: list[Optional[int]]) -> bool:
         """False when the equation must stay non-affine under `vals`: a
         monomial holds two unassigned unknowns and no unknown assigned 0
         (see the module docstring).
@@ -195,15 +209,15 @@ class _Equation:
         self.block = None
         return True
 
-    def evaluate(self, vals: dict[int, int], powers: tuple[int, ...]) -> None:
-        """Set `affine` and `scale`: the equation times den D^top under the
-        assignment vals[v] / D, with powers[i] = D^i.  A term with k
-        assigned unknowns is scaled by D^(top - k), and a row term by den as
-        well.  So a term of j unknowns is summed times D^(top - j), and the
-        linear part takes the one factor D its terms lack once per unknown,
-        at the end; the constant terms are summed before they are scaled,
-        those of the row by den.  A row term left with two unassigned
-        unknowns and a nonzero coefficient is an error, which
+    def evaluate(self, vals: list[Optional[int]], powers: tuple[int, ...]) -> None:
+        """Set `const`, `lin` and `scale`: the equation times den D^top
+        under the assignment vals[v] / D, with powers[i] = D^i.  A term with
+        k assigned unknowns is scaled by D^(top - k), and a row term by den
+        as well.  So a term of j unknowns is summed times D^(top - j), and
+        the linear part takes the one factor D its terms lack once per
+        unknown, at the end; the constant terms are summed before they are
+        scaled, those of the row by den.  A row term left with two
+        unassigned unknowns and a nonzero coefficient is an error, which
         `may_be_affine` rules out."""
         top = self.top
         den = self.den
@@ -211,15 +225,17 @@ class _Equation:
         lin: dict[int, int] = {}
         low = powers[top - 1]
         for v, c in zip(self.unknowns, self.data):
-            if v in vals:
-                data += c * vals[v]
+            x = vals[v]
+            if x is not None:
+                data += c * x
             elif c:
                 lin[v] = lin.get(v, 0) + c * low
         for mono, c in zip(self.monos, self.coeffs):
             free = None
             for v in mono:
-                if v in vals:
-                    c *= vals[v]
+                x = vals[v]
+                if x is not None:
+                    c *= x
                 elif free is None:
                     free = v
                 else:
@@ -236,9 +252,22 @@ class _Equation:
             else:
                 lin[free] = lin.get(free, 0) + c * den
         D = powers[1]
-        self.affine = (const * den + data * low, {v: c * D for v, c in lin.items() if c})
+        self.const = const * den + data * low
+        self.lin = {v: c * D for v, c in lin.items() if c}
         self.scale = den * powers[top]
-        self.stale = False
+
+    def substitute(self, var: int, p: int, q: int) -> None:
+        """Put var = p / q, q > 0, into the affine form, whose `lin` holds
+        var: the form times q, a positive multiple of the same equation."""
+        lin = self.lin
+        c = lin.pop(var)
+        if q == 1:
+            self.const += c * p
+            return
+        self.const = self.const * q + c * p
+        for v in lin:
+            lin[v] *= q
+        self.scale *= q
 
 
 @dataclass(frozen=True)
@@ -247,22 +276,18 @@ class _Plan:
     `rows` holds, per equation in witness priority order, (family, degree,
     monos, coeffs, unknowns, start, stop): its row terms, and the unknowns
     of its data terms, whose coefficients a call reads off as
-    data[start:stop] of its family's data list (`_equations`).  `holders`
-    maps each unknown to the positions of the equations that hold it, and
+    data[start:stop] of its family's data list (`_equations`), and
     `terms` counts the row terms."""
 
     rows: tuple[tuple[str, int, tuple[Mono, ...], tuple[int, ...], range, int, int], ...]
-    holders: dict[int, tuple[int, ...]]
     terms: int
 
 
 def _build_plan(m: int, n: int, deg_q: int, shared: Optional[dict] = None) -> _Plan:
     """The plan of type (m, n): p_i is unknown i and q_j is unknown m+2+j.
     Every row is nonempty, so which equations a type has does not depend
-    on f and g, and it holds the unknown of each data term written beside
-    it, except degree-match's q_d, which `holders` takes in as well.
-    Given `shared`, monomials and rows are taken from it where an equal
-    one is there, and put there otherwise."""
+    on f and g.  Given `shared`, monomials and rows are taken from it where
+    an equal one is there, and put there otherwise."""
     q0 = m + 2
     top_p = m + 1
     rows = []
@@ -309,12 +334,7 @@ def _build_plan(m: int, n: int, deg_q: int, shared: Optional[dict] = None) -> _P
             add("degree-match", d, {(a, d - a): 1 if 2 * a == d else 2
                                     for a in range(max(0, d - top_p), d // 2 + 1)},
                 range(q0 + d, q0 + d + 1), 0, 1)
-    holders: dict[int, list[int]] = {}
-    for k, (_, _, monos, _, unknowns, _, _) in enumerate(rows):
-        for v in {v for mono in monos for v in mono}.union(unknowns):
-            holders.setdefault(v, []).append(k)
-    return _Plan(tuple(rows), {v: tuple(ks) for v, ks in holders.items()},
-                 sum(len(monos) for _, _, monos, _, _, _, _ in rows))
+    return _Plan(tuple(rows), sum(len(monos) for _, _, monos, _, _, _, _ in rows))
 
 
 class _PlanMemo:
@@ -439,26 +459,38 @@ def recover_curve(sys: LienardSystem) -> RecoveryOutcome:
     def pname(v: int) -> str:
         return f"p{v}" if v < q_first else f"q{v - q_first}"
 
-    plan = _PLANS.get(m, n, deg_q)
-    equations = _equations(plan, f, g)
-    holders = plan.holders
+    n_unknowns = q_first + deg_q + 1
+    equations = _equations(_PLANS.get(m, n, deg_q), f, g)
 
-    # the assignment: unknown v is vals[v] / D, and powers[i] = D^i
-    vals: dict[int, int] = {}
+    # the assignment: unknown v is vals[v] / D, None while unassigned, and
+    # powers[i] = D^i.  users[v] holds the evaluated equations whose linear
+    # part holds v, and sleepers[v] the blocked equations whose blocking
+    # monomial held v unassigned when they fell asleep
+    vals: list[Optional[int]] = [None] * n_unknowns
     D = 1
     powers = (1, 1, 1, 1)
+    assigned = 0
+    users: list[list[_Equation]] = [[] for _ in range(n_unknowns)]
+    sleepers: list[list[_Equation]] = [[] for _ in range(n_unknowns)]
 
     def set_var(var: int, value: Fraction) -> None:
-        nonlocal D, powers
-        grow = value.denominator // gcd(D, value.denominator)
+        nonlocal D, powers, assigned
+        p, q = value.numerator, value.denominator
+        grow = q // gcd(D, q)
         if grow != 1:
-            for v in vals:
-                vals[v] *= grow
+            for v, x in enumerate(vals):
+                if x is not None:
+                    vals[v] = x * grow
             D *= grow
             powers = (1, D, D * D, D * D * D)
-        vals[var] = value.numerator * (D // value.denominator)
-        for k in holders.get(var, ()):
-            equations[k].stale = True
+        vals[var] = p * (D // q)
+        assigned += 1
+        for eq in users[var]:
+            eq.substitute(var, p, q)
+        for eq in sleepers[var]:
+            # an equation asleep on another monomial since stays asleep
+            if eq.asleep and var in eq.block:
+                eq.asleep = False
 
     schedule: list[dict] = []
     # seeds from the top-degree comparisons
@@ -474,34 +506,49 @@ def recover_curve(sys: LienardSystem) -> RecoveryOutcome:
                          "equations": ["seed f-identity top"],
                          "pivots": [str(2 * (m + 1))]})
 
-    n_unknowns = q_first + deg_q + 1
-
-    while len(vals) < n_unknowns:
+    live = equations   # the equations not yet satisfied, in priority order
+    while assigned < n_unknowns:
         # single-unknown equations first: these are the schedule steps the
         # uniqueness argument walks through explicitly.  An equation later
         # in the pass sees the assignments made earlier in it
         progressed = False
         affine_rows: list[tuple[_Equation, int, dict[int, int]]] = []
-        for eq in equations:
-            if eq.stale:
+        visit, live = live, []
+        for eq in visit:
+            lin = eq.lin
+            if lin is None:
+                if eq.asleep:
+                    live.append(eq)
+                    continue
                 if not eq.may_be_affine(vals):
+                    eq.asleep = True
+                    for v in eq.block:
+                        if vals[v] is None:
+                            sleepers[v].append(eq)
+                    live.append(eq)
                     continue
                 eq.evaluate(vals, powers)
-            const, lin = eq.affine
+                lin = eq.lin
+                for v in lin:
+                    users[v].append(eq)
             if not lin:
-                if const:
+                if eq.const:
                     return RecoveryOutcome(None, False, witness=(eq.family, eq.degree),
                                            schedule=tuple(schedule))
                 continue
             if len(lin) == 1:
                 (var, coeff), = lin.items()
-                set_var(var, Fraction(-const, coeff))
+                # the pivot over the scale the equation has before its own
+                # unknown is substituted into it; it is satisfied after
+                pivot = Fraction(coeff, eq.scale)
+                set_var(var, Fraction(-eq.const, coeff))
                 schedule.append({"unknowns": [pname(var)],
                                  "equations": [f"{eq.family} x^{eq.degree}"],
-                                 "pivots": [str(Fraction(coeff, eq.scale))]})
+                                 "pivots": [str(pivot)]})
                 progressed = True
             else:
-                affine_rows.append((eq, const, lin))
+                live.append(eq)
+                affine_rows.append((eq, eq.const, lin))
         if progressed:
             continue
 
@@ -513,7 +560,7 @@ def recover_curve(sys: LienardSystem) -> RecoveryOutcome:
                                    schedule=tuple(schedule))
         if not outcome:
             raise DegenerateLeadingCoefficient(
-                f"solve stalled with {n_unknowns - len(vals)} unknowns left; "
+                f"solve stalled with {n_unknowns - assigned} unknowns left; "
                 "a pivot the uniqueness argument assumes nonzero vanished"
             )
         for var, value in outcome:
@@ -523,17 +570,17 @@ def recover_curve(sys: LienardSystem) -> RecoveryOutcome:
                          "pivots": ["affine block elimination"]})
 
     # full verification of both identities: every unknown is assigned, so
-    # each equation evaluates to a constant, and `equations` is already in
-    # witness priority order
+    # each equation is a constant, evaluated now if it never was, and
+    # `equations` is already in witness priority order
     for eq in equations:
-        if eq.stale:
+        if eq.lin is None:
             eq.evaluate(vals, powers)
-        if eq.affine[0]:
+        if eq.const:
             return RecoveryOutcome(None, False, witness=(eq.family, eq.degree),
                                    schedule=tuple(schedule))
 
-    P = Poly.from_int_form([vals[i] for i in range(q_first)], D)
-    Q = Poly.from_int_form([vals[q_first + i] for i in range(deg_q + 1)], D)
+    P = Poly.from_int_form(vals[:q_first], D)
+    Q = Poly.from_int_form(vals[q_first:], D)
     if Q.is_zero():
         return RecoveryOutcome(None, False, witness=("g-identity", 0), schedule=tuple(schedule))
     curve = HyperellipticCurve(P=P, Q=Q)

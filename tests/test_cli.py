@@ -12,7 +12,12 @@ from hypothesis import given, settings, strategies as st
 
 from hypercycles import cli, rootclass
 from hypercycles.cli import _load_pattern, main
-from hypercycles.polyx import parse_poly
+from hypercycles.polyx import clip, parse_poly
+
+
+# twelve directories of 250 characters: a path of over 3,000 characters,
+# each of its names within the file system's limit
+_LONG_DIRS = "/".join(["d" * 250] * 12)
 
 
 def run_cli(args, stdin_text=None):
@@ -397,8 +402,8 @@ def test_load_pattern_keeps_pin_fractions(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "text, complaint",
-    [
+    "where, text, complaint",
+    [("pattern.json", text, complaint) for text, complaint in [
         (json.dumps([1, 2]), "JSON object"),
         (json.dumps({"max_seed": 1}), "unknown keys ['max_seed']"),
         (json.dumps({"max_seeds": "many"}), "bad value for 'max_seeds': ValueError"),
@@ -423,37 +428,46 @@ def test_load_pattern_keeps_pin_fractions(tmp_path):
          "bad value for 'max_seeds': ValueError: invalid literal for int() with base 10: '"
          + "y" * 59 + "... (3,002 characters)"),
         (json.dumps({"y" * 3000: 1}), "unknown keys ['yyyy"),
+    ]] + [
+        # a file whose path, about 3,000 characters, is echoed cut short
+        (_LONG_DIRS + "/pattern.json", "{not json", "not valid JSON"),
     ],
     ids=["not_an_object", "misspelled_key", "non_integer", "float_integer",
          "boolean_integer", "float_steps", "float_sign", "zero_sign", "boolean_sign",
          "not_a_list", "zero_denominator", "float_rational", "boolean_rational",
          "null_rational", "not_json", "missing_file", "nested_json", "long_integer",
-         "long_key"],
+         "long_key", "long_path"],
 )
-def test_construct_rejects_bad_pattern_file(tmp_path, text, complaint):
-    path = tmp_path / "pattern.json"
+def test_construct_rejects_bad_pattern_file(tmp_path, where, text, complaint):
+    path = tmp_path / where
     if text is not None:
+        path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text)
     proc = run_cli(["construct", "--m", "4", "--n", "6", "--pattern", str(path)])
     assert proc.returncode == 1
     assert proc.stdout == ""
-    assert proc.stderr.startswith(f"error: --pattern {path}: ")
+    # the path, which the test's temporary directory makes longer than the
+    # echo limit, is echoed cut short
+    prefix = f"error: --pattern {clip(str(path))}: "
+    assert proc.stderr.startswith(prefix)
     assert complaint in proc.stderr
     assert "Traceback" not in proc.stderr
-    # an echoed value is cut short, so the complaint after the path, which
-    # the test's temporary directory makes long, is one short line
-    why = proc.stderr[len(f"error: --pattern {path}: "):]
+    # so is an echoed value, so the complaint after the path is one short line
+    why = proc.stderr[len(prefix):]
     assert proc.stderr.count("\n") == 1 and len(why.encode()) < 300
 
 
 def test_out_path_that_cannot_be_opened_is_a_usage_error(tmp_path):
-    target = tmp_path / "missing" / "x.json"
-    proc = run_cli(["bounds", "--m", "4", "--n", "6", "--out", str(target)])
-    assert proc.returncode == 1
-    assert proc.stdout == ""
-    assert proc.stderr.startswith(f"error: --out {target}: ")
-    assert "Traceback" not in proc.stderr
-    assert not target.parent.exists()
+    # in a missing directory, and in one whose path of about 3,000
+    # characters is echoed cut short
+    for target in (tmp_path / "missing" / "x.json", tmp_path / _LONG_DIRS / "x.json"):
+        proc = run_cli(["bounds", "--m", "4", "--n", "6", "--out", str(target)])
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(f"error: --out {clip(str(target))}: ")
+        assert proc.stderr.count("\n") == 1 and len(proc.stderr.encode()) < 300
+        assert "Traceback" not in proc.stderr
+        assert not target.parent.exists()
 
 
 def _portrait_read_one_line(env) -> tuple[int, str]:
@@ -613,9 +627,14 @@ def _invocations(draw):
                     st.sampled_from([-1, 0, 1, 40, 2.5, True, "7", "y" * 3000]), _JSON),
                     max_size=3).map(json.dumps),
                 st.sampled_from(["{not json", "[1]", "", '{"signs": ' + "[" * 5000 + "]" * 5000 + "}"])))
+        elif command == "construct" and draw(st.booleans()):
+            argv += ["--pattern", _LONG_DIRS + "/pattern.json"]
     else:
         argv = ["suite", "--criteria", draw(st.sampled_from(
             ["", "a", "0", "99", "1,,2", "4,x", ",".join(map(str, range(10, 2000))), *_LONG]))]
+    if draw(st.integers(0, 3)) == 0:
+        # a file in directories that do not exist, so nothing is written
+        argv += ["--out", _LONG_DIRS + "/x.json"]
     return argv, stdin, pattern
 
 
@@ -649,8 +668,9 @@ def pattern_path(tmp_path_factory):
 @given(_invocations())
 def test_every_drawn_argv_keeps_the_cli_contract(pattern_path, invocation):
     # exit 0, 1 or 2 and nothing raised but SystemExit; a usage error (exit
-    # 1) is one short stderr line, whatever the input.  The pattern file's
-    # path is the test's own, so it is left out of the length
+    # 1) is one short stderr line, whatever the input, a --pattern or --out
+    # path of 3,000 characters included.  The pattern file's path is the
+    # test's own, so its echo is left out of the length
     argv, stdin_text, pattern = invocation
     if pattern is not None:
         pattern_path.write_text(pattern)
@@ -659,4 +679,4 @@ def test_every_drawn_argv_keeps_the_cli_contract(pattern_path, invocation):
     assert status in (0, 1, 2), (argv, status)
     if status == 1:
         assert stderr.startswith("error: ") and stderr.count("\n") == 1, stderr
-        assert len(stderr.replace(str(pattern_path), "").encode()) < 300, stderr
+        assert len(stderr.replace(clip(str(pattern_path)), "").encode()) < 300, stderr
