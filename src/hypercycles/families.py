@@ -27,9 +27,10 @@ every construction attempt certifies through `_try_certify`; lemmas 7 and 8
 share one inductive routine, `_perturb_ladder`, whose inductive levels pick d
 and b as the simplest rationals in the middle thirds of exact windows between
 bracketed critical values (`_pick_window`), with no float anywhere.  Each
-level isolates each derivative once (`_extrema` splits the critical points
-of B and of q into minima and maxima), and the brackets (`_Bracket`) and
-the window ends they bound are computed and compared on integers.
+level isolates each derivative once, in one helper (`_critical_roots`, the
+roots of p' inside an optional interval); `_extrema` splits those of x c*,
+B and q into minima and maxima, and the brackets (`_Bracket`) and the
+window ends they bound are computed and compared on integers.
 """
 
 from __future__ import annotations
@@ -279,27 +280,24 @@ def _below(x: tuple[int, int], y: tuple[int, int]) -> bool:
     return x[0] * y[1] < y[0] * x[1]
 
 
-def _critical_values(p: Poly, kind: int, interval=None) -> list:
-    """Brackets of the critical values of p at its local maxima (kind 1),
-    its local minima (kind -1) or all its critical points (kind 0), keeping
-    only the points strictly inside `interval` when one is given."""
-    dp = p.derivative()
-    ddp = dp.derivative()
-    out = []
-    for r in isolate_real_roots(dp):
-        inside = interval is None or _inside(r, interval)
-        if inside and (not kind or r.sign_of(ddp) == -kind):
-            out.append(_Bracket(p, r))
-    return out
+def _critical_roots(p: Poly, interval=None) -> list:
+    """The isolated roots of p', keeping only those strictly inside
+    `interval` when one is given (`_inside`): the one place a ladder level
+    isolates a derivative."""
+    return [r for r in isolate_real_roots(p.derivative())
+            if interval is None or _inside(r, interval)]
 
 
-def _extrema(p: Poly) -> tuple[list, list]:
+def _extrema(p: Poly, interval=None) -> tuple[list, list]:
     """Brackets of the critical values of p at its local minima and at its
-    local maxima, from one isolation of p'.  A critical point where p'' is 0
-    is in neither list."""
+    local maxima, from one isolation of p' (`_critical_roots`, so only the
+    points strictly inside `interval` when one is given).  A critical point
+    where p'' is 0 is in neither list.  Each root is sorted by the sign of
+    p'' before its bracket is built, so the bracket starts from the interval
+    that sign left."""
     ddp = p.derivative().derivative()
     minima, maxima = [], []
-    for r in isolate_real_roots(p.derivative()):
+    for r in _critical_roots(p, interval):
         s = r.sign_of(ddp)
         if s:
             (minima if s > 0 else maxima).append(_Bracket(p, r))
@@ -401,12 +399,14 @@ def _pick_d_then_b(Q1: Poly, cstar: Poly, slots, pos_interval):
     from below.  b comes from the window where A - dx + b = b - q keeps
     every root real and simple (local minima of q below b, local maxima
     above) and c = b - g stays positive on pos_interval (b above g at both
-    ends and at g's critical points inside), with q = -(A - dx).  The exact
-    gates accept the pick."""
+    ends and at g's critical points inside), with q = -(A - dx).  The
+    critical points come from `_critical_roots`: those of x c* on (0, hi)
+    and of B and q through `_extrema`, g's on pos_interval directly.  The
+    exact gates accept the pick."""
     A = Q1 + cstar.shift_up(2)
     B = A.exact_div(X)
     lo, hi = pos_interval
-    dips = _critical_values(X * cstar, -1, (Fraction(0), hi))
+    dips, _ = _extrema(X * cstar, (Fraction(0), hi))
     minima, maxima = _extrema(B)
     d = _pick_window(Fraction(0), minima, maxima + dips)
     if d is None:
@@ -417,7 +417,7 @@ def _pick_d_then_b(Q1: Poly, cstar: Poly, slots, pos_interval):
     q = -after_d
     g = X.scale(d) - cstar.shift_up(2)
     minima, maxima = _extrema(q)
-    floor = _critical_values(g, 0, pos_interval) + minima
+    floor = [_Bracket(g, r) for r in _critical_roots(g, pos_interval)] + minima
     b = _pick_window(max(g.eval(lo), g.eval(hi)), floor, maxima)
     if b is None:
         return None

@@ -795,12 +795,12 @@ ECHO_LIMIT = 60
 
 
 def clip(text: str) -> str:
-    """text, an input value as an error message repeats it: whole when it
-    has at most ECHO_LIMIT characters, else its first ECHO_LIMIT and its
-    length, so a message stays one short line whatever the input."""
-    if len(text) <= ECHO_LIMIT:
-        return text
-    return f"{text[:ECHO_LIMIT]}... ({len(text):,} characters)"
+    """text, an input value as an error message repeats it: its first
+    ECHO_LIMIT characters and its length when that cut form is shorter,
+    else the whole text, so a message stays one short line whatever the
+    input, and no echo is longer than its value."""
+    cut = f"{text[:ECHO_LIMIT]}... ({len(text):,} characters)"
+    return cut if len(cut) < len(text) else text
 
 
 def json_scalar(value, expected: str):

@@ -4,9 +4,9 @@ Two independent routes to root counts live here on purpose:
 
 * the Sturm-sequence route, the engine behind certification and the family
   searches: interval isolation, exact sign certificates, and the root
-  counts of `count_roots` (behind `distinct_real_roots` and the "all roots
-  real and simple" screen), read off the chain's signs at +-inf and the
-  degree of its head, the squarefree part.
+  counts of `count_roots` (and the "all roots real and simple" screen),
+  read off the chain's signs at +-inf and the degree of its head, the
+  squarefree part.
   Chains are built on primitive integer polynomials: each member is minus
   the primitive integer remainder (`polyx.int_rem`) of the two before it,
   so no `Fraction` division runs.  gcd(p, p') comes first, by integer
@@ -516,19 +516,12 @@ def count_roots(f: Poly) -> RootCount:
                      imaginary_pairs=(len(chain[0]) - 1 - real) // 2)
 
 
-def distinct_real_roots(f: Poly) -> int:
-    """Number of distinct real roots of f, on the chain `count_roots`
-    reads; 0 for a constant."""
-    if f.degree < 1:
-        return 0
-    return _real_roots_on(_sturm_chain_int(f))
-
-
 def all_roots_real_simple(f: Poly) -> bool:
     """True when f has degree >= 1 and all its roots are real and simple:
     f has deg f distinct real roots, which leaves no room for a repeated or
-    a non-real root."""
-    return f.degree >= 1 and distinct_real_roots(f) == f.degree
+    a non-real root.  The count is read off the chain `count_roots`
+    reads."""
+    return f.degree >= 1 and _real_roots_on(_sturm_chain_int(f)) == f.degree
 
 
 class SturmChain:

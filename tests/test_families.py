@@ -10,7 +10,9 @@ from hypothesis import assume, given, settings, strategies as st
 from hypercycles import families
 from hypercycles.families import (
     CaseIPattern,
-    _critical_values,
+    _Bracket,
+    _critical_roots,
+    _extrema,
     _ladder_slots,
     _pick_window,
     _roots_fit_slots,
@@ -589,34 +591,34 @@ _CUBIC = Poly([0, -2, 0, 1])
 
 
 def _xi_bracket():
-    [top] = _critical_values(_CUBIC, 1)
+    _, [top] = _extrema(_CUBIC)
     return top
 
 
 def _xi_plus(k):
     # k - p has its local maximum k - p(a) = k + xi at x = a
-    [top] = _critical_values(Poly([k]) - _CUBIC, 1)
+    _, [top] = _extrema(Poly([k]) - _CUBIC)
     return top
 
 
 def test_critical_values_bracket_the_extrema():
-    [top], [bottom] = _critical_values(_CUBIC, 1), _critical_values(_CUBIC, -1)
+    [bottom], [top] = _extrema(_CUBIC)
     for bracket, alpha_sign in ((top, -1), (bottom, 1)):
         assert bracket.root.sign_of(X) == alpha_sign
         assert bracket.root.sign_of(_CUBIC - Poly([Fraction(*bracket.lo_q)])) > 0
         assert bracket.root.sign_of(_CUBIC - Poly([Fraction(*bracket.hi_q)])) < 0
-    # kind 0 keeps the critical points strictly inside the interval only
-    assert len(_critical_values(_CUBIC, 0, (Fraction(-1), Fraction(1)))) == 2
-    assert len(_critical_values(_CUBIC, 0, (Fraction(0), Fraction(1)))) == 1
+    # an interval keeps the critical points strictly inside it only
+    assert len(_critical_roots(_CUBIC, (Fraction(-1), Fraction(1)))) == 2
+    assert len(_critical_roots(_CUBIC, (Fraction(0), Fraction(1)))) == 1
 
 
 def test_critical_values_leave_out_a_critical_point_at_an_end():
     # p = x^3 - 3x has critical points -+1, both rational: one at an end of
     # the interval is not inside, whether isolation made it exact or not
     p = Poly([0, -3, 0, 1])
-    assert len(_critical_values(p, 0, (Fraction(-1), Fraction(1)))) == 0
-    assert len(_critical_values(p, 0, (Fraction(-1), Fraction(2)))) == 1
-    assert len(_critical_values(p, 0, (Fraction(-2), Fraction(2)))) == 2
+    assert len(_critical_roots(p, (Fraction(-1), Fraction(1)))) == 0
+    assert len(_critical_roots(p, (Fraction(-1), Fraction(2)))) == 1
+    assert len(_critical_roots(p, (Fraction(-2), Fraction(2)))) == 2
     # an end of the interval strictly inside the root's isolating interval,
     # and a root of its polynomial there: the end is the root itself
     dp = p.derivative()
@@ -625,6 +627,72 @@ def test_critical_values_leave_out_a_critical_point_at_an_end():
         assert not families._inside(root, (end, end + 5))
         assert not families._inside(root, (end - 5, end))
         assert families._inside(root, (end - Fraction(1, 2), end + Fraction(1, 2)))
+
+
+def ref_critical_values(p: Poly, kind: int, interval=None) -> list:
+    """Brackets of the critical values of p at its local maxima (kind 1),
+    its local minima (kind -1) or all its critical points (kind 0), keeping
+    only the points strictly inside `interval` when one is given."""
+    dp = p.derivative()
+    ddp = dp.derivative()
+    out = []
+    for r in isolate_real_roots(dp):
+        inside = interval is None or families._inside(r, interval)
+        if inside and (not kind or r.sign_of(ddp) == -kind):
+            out.append(_Bracket(p, r))
+    return out
+
+
+def _bracket_key(brackets):
+    return [(b.lo_q, b.hi_q, b.root.int_ends()) for b in brackets]
+
+
+_SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def _critical_case(draw):
+    """An integer polynomial p of degree 3..9 and an open interval.  Most
+    draws build p' from rational roots and from x^2 - k (an irrational
+    pair when k > 0 is no square, none when k < 0), so p has several real
+    critical points, some rational, as x^3 - 3x has; the interval's ends
+    fall on, beside or away from those rational points."""
+    if draw(st.booleans()):
+        rational = draw(st.lists(_SMALL, max_size=5))
+        ks = draw(st.lists(st.integers(-3, 8), max_size=3))
+        assume(2 <= len(rational) + 2 * len(ks) <= 8)
+        dp = Poly([draw(st.sampled_from([-3, -1, 1, 2]))])
+        for z in rational:
+            dp = dp * Poly([-z, 1])
+        for k in ks:
+            dp = dp * Poly([-k, 0, 1])
+        coeffs = [draw(st.integers(-5, 5))] + [c / (i + 1) for i, c in enumerate(dp.coeffs)]
+        nums, _ = Poly(coeffs).int_form()
+        p = Poly(nums)
+    else:
+        rational = []
+        p = Poly(draw(st.lists(st.integers(-9, 9), min_size=4, max_size=10)))
+        assume(p.degree >= 3)
+    near = [z + e for z in rational for e in (0, 0, Fraction(-1, 7), Fraction(1, 5))]
+    end = st.sampled_from(near) if near else _SMALL
+    ends = draw(st.lists(st.one_of(end, _SMALL, st.integers(-5, 5).map(Fraction)),
+                         min_size=2, max_size=2, unique=True))
+    return p, tuple(sorted(ends))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_critical_case())
+def test_critical_helpers_give_the_reference_brackets(case):
+    # every bracket starts from the interval its root was left at by
+    # `_inside` and then by the sign of p'' (extrema only), as the
+    # reference builds them, so the ends and the root's interval agree
+    p, interval = case
+    for I in (interval, None):
+        minima, maxima = _extrema(p, I)
+        every = [_Bracket(p, r) for r in _critical_roots(p, I)]
+        assert _bracket_key(minima) == _bracket_key(ref_critical_values(p, -1, I))
+        assert _bracket_key(maxima) == _bracket_key(ref_critical_values(p, 1, I))
+        assert _bracket_key(every) == _bracket_key(ref_critical_values(p, 0, I))
 
 
 def test_pick_window_is_none_on_an_empty_window():

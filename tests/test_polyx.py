@@ -8,7 +8,9 @@ from hypothesis import example, given, settings, strategies as st
 from hypercycles.polyx import (
     ONE,
     Poly,
+    ECHO_LIMIT,
     X,
+    clip,
     int_coeffs,
     json_scalar,
     parse_poly,
@@ -457,3 +459,15 @@ def test_exact_div_in_z_x_matches_fraction_division():
     assert Poly().exact_div(P(3, 1)) == Poly()
     with pytest.raises(ZeroDivisionError):
         P(3, 1).exact_div(Poly())
+
+
+def test_clip_never_lengthens_what_it_echoes():
+    # the cut form, the first 60 characters and "... (N characters)", is no
+    # shorter than a text of up to 79 characters, so those come back whole
+    for n in range(201):
+        text = "7" * n
+        echo = clip(text)
+        assert len(echo) <= len(text) and len(echo) <= ECHO_LIMIT + 25, n
+        assert echo == text or echo.startswith(text[:ECHO_LIMIT] + "... ("), n
+    assert clip("7" * 79) == "7" * 79
+    assert clip("7" * 80) == "7" * 60 + "... (80 characters)"

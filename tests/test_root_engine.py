@@ -36,7 +36,6 @@ from hypercycles.rootclass import (
     all_roots_real_simple,
     count_roots,
     discriminant_sequence,
-    distinct_real_roots,
     isolate_real_roots,
     revised_sign_list,
     sign_list,
@@ -83,7 +82,7 @@ def _discrimination_count(p: Poly) -> RootCount:
 @given(_polys)
 def test_sturm_count_at_infinity_matches_discrimination(p):
     rc = _discrimination_count(p)
-    assert distinct_real_roots(p) == rc.distinct_real
+    assert count_roots(p).distinct_real == rc.distinct_real
     expected = rc.imaginary_pairs == 0 and rc.distinct_real == p.degree
     assert all_roots_real_simple(p) == expected
 
@@ -109,7 +108,7 @@ def test_count_roots_runs_no_subresultant_pass(monkeypatch):
     monkeypatch.setattr(rootclass, "_signed_subresultant_coeffs", refuse)
     p = parse_poly("(x-1)^2 (x^2+1)(3x+7)")
     assert count_roots(p) == RootCount(distinct_real=2, imaginary_pairs=1)
-    assert distinct_real_roots(p) == 2 and not all_roots_real_simple(p)
+    assert count_roots(p).distinct_real == 2 and not all_roots_real_simple(p)
 
 
 def test_real_simple_predicate_edge_cases():
@@ -117,8 +116,7 @@ def test_real_simple_predicate_edge_cases():
     assert not all_roots_real_simple(parse_poly("(x-1)^2 (x+2)"))
     assert not all_roots_real_simple(parse_poly("(x-1)(x^2+1)"))
     assert not all_roots_real_simple(Poly([3]))
-    assert distinct_real_roots(Poly([3])) == 0
-    assert distinct_real_roots(parse_poly("-(x-1)^3 (x+1)^2 (x^2+4)")) == 2
+    assert count_roots(parse_poly("-(x-1)^3 (x+1)^2 (x^2+4)")).distinct_real == 2
 
 
 def test_memo_returns_shared_immutable_chain():

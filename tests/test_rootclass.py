@@ -35,7 +35,6 @@ from hypercycles.rootclass import (
     cauchy_bound,
     count_roots,
     discriminant_sequence,
-    distinct_real_roots,
     hankel_minor,
     isolate_real_roots,
     power_sums,
@@ -929,7 +928,7 @@ def test_isolation_cells_follow_one_rule(case):
     for g, _ in squarefree_decomposition(p):
         chain = SturmChain(g)
         cells = _isolate_squarefree(g)
-        assert len(cells) == distinct_real_roots(g)
+        assert len(cells) == count_roots(g).distinct_real
         for lo, hi in cells:
             if lo == hi:
                 assert g.eval(lo) == 0
