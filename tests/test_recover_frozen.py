@@ -9,6 +9,12 @@ symmetric pairs and include 0, and T has zero coefficients, so many
 unknowns come out 0.  Each entry is the whole `RecoveryOutcome`: curve,
 verified, witness and the schedule with every pivot, or the name of the
 exception.  A faster solver must give the same outcomes.
+
+A second digest freezes the verdicts alone, over those draws, 1,000
+zero-heavy draws and every constructing grid cell with n != 2m+1: per
+system, P, Q and `verified`, or "no curve", or the name of the exception.
+It holds no schedule and no witness, so any solver, whatever its steps,
+must give the same verdicts.
 """
 
 import hashlib
@@ -16,11 +22,18 @@ import json
 import random
 from fractions import Fraction
 
-from hypercycles.lienard import HyperellipticCurve, LienardSystem, derive_system
+from hypercycles.families import PatternNotAchieved, construct
+from hypercycles.lienard import (
+    HyperellipticCurve,
+    LienardSystem,
+    NonPolynomialSystem,
+    derive_system,
+)
 from hypercycles.polyx import Poly, coeff_strings
 from hypercycles.recover import recover_curve
 
 DIGEST = "594dba03c9ddf85cdb5a84ae89c5349d81525500256c4ed3679152adcb34f558"
+OUTCOME_DIGEST = "219d27491ad3374d1c9098632f33197f61a4bc87ece175957e0f9624e48e49d1"
 KINDS = ("lo", "none", "hi", "eq", "lo", "none", "hi", "lo")
 DRAWS = 300
 
@@ -112,3 +125,86 @@ def test_recover_curve_outcomes_are_frozen():
     assert min(seen.values()) >= 20, seen
     text = json.dumps(entries, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == DIGEST
+
+
+# -- outcomes alone -------------------------------------------------------------
+
+
+_ZERO_HEAVY = [Fraction(0)] * 4 + [Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2),
+                                   Fraction(-2, 3)]
+_ROOTS = [0, 1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2)]
+
+
+def _lead(rng: random.Random) -> Fraction:
+    return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+
+
+def _zero_heavy_system(rng: random.Random) -> LienardSystem:
+    """A system of type (m, n) with m <= 6 and n != 2m+1 whose recovery
+    assigns coefficients 0: f and g drawn from a set heavy in 0, or the
+    system of a curve P = R T, Q = c R_1^e_1 ... R_k^e_k with R the product
+    of the linear factors R_i, their roots among 0, +-1, +-2 and +-1/2, and
+    T drawn from that set.  A curve of the kind "hi" has deg Q > 2 deg P,
+    one of the kind "lo" deg Q = 2 deg P and c = lc(P)^2."""
+    kind = rng.choice(["lo", "hi", "none"])
+    if kind == "none":
+        m = rng.randint(1, 6)
+        n = rng.choice([n for n in range(1, 2 * m + 5) if n != 2 * m + 1])
+        return LienardSystem(f=Poly([rng.choice(_ZERO_HEAVY) for _ in range(m)] + [_lead(rng)]),
+                             g=Poly([rng.choice(_ZERO_HEAVY) for _ in range(n)] + [_lead(rng)]))
+    while True:
+        roots = rng.sample(_ROOTS, rng.randint(1, 4))
+        mults = [rng.randint(1, 4) for _ in roots]
+        k, q = len(roots), sum(mults)
+        t = q // 2 - k if kind == "lo" else rng.randint(0, 2)
+        if not (0 <= t and k + t <= 7 and (q == 2 * (k + t) if kind == "lo" else q > 2 * (k + t))):
+            continue
+        lead = _lead(rng)
+        P = Poly.from_roots(roots) * Poly([rng.choice(_ZERO_HEAVY) for _ in range(t)] + [lead])
+        Q = Poly.constant(lead * lead if kind == "lo" else _lead(rng))
+        for a, e in zip(roots, mults):
+            Q = Q * Poly([-a, 1]) ** e
+        try:
+            sys = derive_system(HyperellipticCurve(P=P, Q=Q))
+        except NonPolynomialSystem:
+            continue
+        if sys.n != 2 * sys.m + 1:
+            return sys
+
+
+def _verdict(sys: LienardSystem):
+    """[P, Q] and `verified`, or "no curve", or the name of the exception:
+    what any solver must answer, with no schedule and no witness."""
+    try:
+        out = recover_curve(sys)
+    except ValueError as exc:
+        return type(exc).__name__
+    if out.curve is None:
+        return "no curve"
+    return [[coeff_strings(out.curve.P), coeff_strings(out.curve.Q)], out.verified]
+
+
+def test_recover_curve_verdicts_are_frozen():
+    # the 300 draws above, 1,000 zero-heavy draws and every constructing
+    # grid cell (m = 2..10, n = m+2..2m+2) with n != 2m+1
+    rng = random.Random(33)
+    systems = []
+    for i in range(DRAWS):
+        kind = KINDS[i % len(KINDS)]
+        systems.append(_system(rng) if kind == "none" else derive_system(_curve(rng, kind)))
+    rng = random.Random(41)
+    systems += [_zero_heavy_system(rng) for _ in range(1000)]
+    for m in range(2, 11):
+        for n in range(m + 2, 2 * m + 3):
+            if n != 2 * m + 1:
+                try:
+                    systems.append(construct(m, n).system)
+                except (ValueError, PatternNotAchieved):
+                    pass   # the cell admits, or here reaches, no curve
+    verdicts = [_verdict(sys) for sys in systems]
+    kinds = {"found": 0, "no curve": 0, "UndeterminedType": 0}
+    for verdict in verdicts:
+        kinds["found" if isinstance(verdict, list) else verdict] += 1
+    assert min(kinds.values()) >= 20, kinds
+    text = json.dumps(verdicts, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == OUTCOME_DIGEST
