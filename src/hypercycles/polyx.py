@@ -50,8 +50,8 @@ remainder sequence of p and p' (`int_remainder_sequence`) is what
 `rootclass` reads the Sturm chain of a squarefree p from; no gcd here
 reads it.
 
-`rref` is the one Gauss-Jordan elimination (the case (i) node solve and the
-affine blocks of curve recovery both use it).  It runs fraction-free on
+`rref` is the one Gauss-Jordan elimination (the case (i) node solve uses
+it).  It runs fraction-free on
 integer rows, each kept primitive, and returns the reduced row echelon form
 as primitive integer rows with a positive pivot: a caller that scales its
 rational rows to integers first gets the unique reduced rows over Q back as

@@ -1,91 +1,63 @@
 """Reconstruct the hyperelliptic invariant curve of a Lienard system.
 
-For a type-(m, n) system with n != 2m+1 the curve (y + P)^2 - Q = 0, when it
-exists, is unique, and its coefficients fall out of the two polynomial
-identities
+A curve (y + P)^2 = Q of the type-(m, n) system (f, g), deg P = m + 1,
+satisfies
 
     (I)   2 Q f = 2 Q P' + P Q'
-    (II)  2 Q g = Q' (P^2 - Q)
+    (II)  2 Q g = Q' (P^2 - Q).
 
-by matching coefficients from the top degree downward.  Every coefficient
-p_i of P and q_j of Q is one unknown, so the coefficient of x^d in (I) or
-(II) is a closed-form sum over index pairs (index triples for the cubic
-term Q' P^2), written down directly as a polynomial in the unknowns.  Its
-terms of two or more unknowns, its row, have integer coefficients that
-depend on the type alone.  Its data terms (those of 2 Q f or 2 Q g, and
-degree-match's -q_d below, the only terms of one unknown) carry f and g,
-over the common denominator of f or g as `Poly.int_form` writes them.
-So a type's rows are written once, as its plan (`_build_plan`), and a
-call writes only its data terms, one list of coefficients per family that
-each equation takes a slice of, and its own solve state (`_equations`).
-A bounded memo (`_PlanMemo`) keeps the plans of recent types, at most
-`PLAN_TERMS` row terms together, with equal monomials and rows held once.
-Its bound is in terms, not entries, because one type near `MAX_TERMS`
-holds hundreds of megabytes of rows: a type whose `_term_bound` is above
-`PLAN_TERMS` gets a plan for its call alone.
-The two top unknowns are seeded with their closed forms, and a propagation
-solve follows: repeatedly find a coefficient equation that has become
-affine in one unknown (or a block of equations jointly affine), divide by
-its pivot, and substitute.
+Q can be eliminated.  Put u = f - P' and W = P u - g.  (I) reads
+u = P Q' / (2Q), (II) then gives P g = u (P^2 - Q), so Q = P W / u, and (I)
+becomes Q' = 2W.  With S = P W, (S/u)' = 2W times u^2 is one polynomial
+equation in P alone:
 
-The assignment is held as integers over one common denominator D, each
-value vals[v] / D (None while v is unassigned), and every numerator is
-rescaled when a value's denominator makes D grow.  Each equation is
-evaluated once, when it may first come out affine: from its written terms,
-a term with k assigned unknowns scaled by D^(top - k), where top bounds
-the unknowns in one of its monomials (2 for (I) and degree-match, 3 for
-(II)), and a term other than a data term by the data terms' denominator
-as well.  That gives its integer affine form, (constant, linear part) over
-that denominator times D^top.  From then on it is only substituted into:
-an assignment x_v = p/q takes the constant to const q + c_v p, drops c_v,
-and multiplies every other coefficient and the form's scale by q.  Each
-step leaves a positive multiple of the same equation, and a pivot, a value
-and an `rref` row are the same for every positive multiple of an
-equation, so the scale never shows.  No coefficient becomes a `Fraction`;
-only the pivots and the values read off the solve are, and an affine
-block is eliminated on its integer rows.
-The executed schedule, with every pivot, is recorded for audit.
+    E = S' u - S u' - 2 W u^2 = 0.
 
-Two monomials of one coefficient equation share at most one unknown,
-counted with multiplicity (the terms of (I) are p_i q_j and q_j, those of
-(II) p_a p_b q_j, q_a q_b and q_j, with the index sum fixed by the degree).
-A monomial left with two or more unassigned unknowns thus never meets
-another monomial under an assignment, and no cancellation can remove it.
-So an equation stays non-affine exactly when one of its monomials holds
-two unassigned unknowns (with multiplicity) and no unknown assigned the
-value 0 (`_Equation.may_be_affine`); such an equation is not evaluated.
-It sleeps on the unassigned unknowns of the monomial that blocked it, and
-it is checked again only once one of them is assigned, 0 included: until
-then that monomial still blocks.  A pass visits the equations in witness
-priority order and skips those asleep and those already satisfied (whose
-form is the constant 0); one that a step wakes at a lower position than
-the current one waits for the next pass.  An evaluated equation is
-substituted into through an index from each unknown to the evaluated
-equations whose linear part holds it.
+Conversely, E = 0 gives S/u the polynomial derivative 2W, so S/u is a
+polynomial Q, and u = P Q' / (2Q), g = Q' (P^2 - Q) / (2Q) are (I) and
+(II).  (H. Zoladek, "Algebraic invariant curves for the Lienard equation",
+Trans. AMS 350, 1998, treats such curves in general.)  For n != 2m+1 at
+most one P solves E = 0, and it is found coefficient by coefficient from
+the top.
 
-When n < 2m+1 the top of (II) forces the coefficients of x^{n+2}..x^{2m+2}
-of P^2 and Q to agree; these derived equations are labeled "degree-match" and fed to
-the solver alongside (I) ("f-identity") and (II) ("g-identity").  Their one
-term of one unknown, -q_d, is over the denominator 1.
+With q = deg Q, 2m + 2 for n <= 2m and n + 1 for n > 2m + 1, the top of (I)
+gives lc(P) = lc(f) / (m + 1 + q/2).  Let P_j be the coefficient of
+x^(m+1-j) and E_j that of x^(deg E - j), deg E = 2m + q - 1.  E_j depends
+on P_0..P_j alone, and for j >= 1 it is affine in P_j, with the pivot
 
-A candidate assignment is always verified exactly: every equation, evaluated
-now if it never was, must be 0 under the full assignment, and failure
-reports the first equation
-(f-identity before g-identity before degree-match, descending degree) with a
-nonzero residual.
+    n > 2m + 1:  -lc(f) lc(g) (n + 1 - j)(2m + n + 3 - 2j) / (2m + n + 3),
+    n <= 2m:     lc(f)^3 (m + 1 - j) / (2m + 2).
+
+The first never vanishes for j <= m + 1, so E_j fixes P_j down to p_0.  The
+second vanishes at j = m + 1 alone: p_0 resonates.  E_(m+1) does not hold
+it and must vanish, and the first E_k, k <= 2m + 1, that holds p_0 fixes
+it (E_k is affine in p_0 up to there: p_0^2 enters S = P (P u - g) at x^m
+and below), each E_k above it vanishing too.  If none up to E_(2m+1) holds
+p_0, DegenerateLeadingCoefficient is raised; no system has been seen to.
+Then E = u^2 (Q' - 2W) is 0 exactly when u divides S and Q = S/u has
+Q' = 2W, and `derive_system(P, Q)` must give back f and g (`verified`).
+
+All of it is on integers.  P, u, W, S and u^2 are top-aligned lists over D,
+D, D^2, D^3 and D^2 for one common denominator D, a multiple of those of f
+and g, so E_j, over D^4, is one convolution step per series.  When a
+coefficient's denominator makes D grow, every list is rescaled.
+
+The schedule has one step per coefficient of P: the unknown, the equation
+that fixed it ("seed f-identity top" for lc(P), "E x^d" for a coefficient
+of E) and its pivot.  With no curve, the witness is ("f-identity", d): x^d
+is the top nonzero coefficient of E, which is (I) with Q eliminated.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Optional, Sequence
+from math import gcd, lcm
+from operator import mul
+from typing import Optional
 
-from .lienard import HyperellipticCurve, LienardSystem
-from .polyx import Poly, rref
+from .lienard import HyperellipticCurve, LienardSystem, derive_system
+from .polyx import Poly, int_combine, int_derivative, int_exact_div, int_mul
 
 
 class UndeterminedType(ValueError):
@@ -97,36 +69,21 @@ class DegenerateLeadingCoefficient(ValueError):
 
 
 class TooManyTerms(ValueError):
-    """The type's coefficient equations could hold more than MAX_TERMS
-    terms; recovery is refused before any is written."""
+    """The type's size measure is above MAX_TERMS; recovery is refused
+    before any work is done."""
 
 
-# the most monomial terms the coefficient equations of a type may hold.  A
-# row term costs about 125 bytes: f = x^120, g = x^180 writes 1.95 million
-# of them and recovers in about 1.3 s with a 245 MB peak (about 2 s for
-# dense f and g), while (200, 300) writes 8.4 million and took 1.29 GB
-# before this limit refused it
+# the largest `_term_bound` that `recover_curve` accepts.  It bounds time:
+# (300, 450), refused, would take about 0.02 s for f = x^300, g = x^450 and
+# about 3 s for dense f and g
 MAX_TERMS = 2_000_000
 
 
 def _term_bound(m: int, n: int, deg_q: int) -> int:
-    """An upper bound, for any f and g, on the terms of a type's equations,
-    its plan's rows and a call's data terms: per unknown q_j, at most m+1
-    and n+1 data terms, m+2 terms p_i q_j,
-    (m+2)(m+3)/2 terms p_a p_b q_j and (deg_q + 2)/2 terms q_a q_b, with
-    room left for degree-match."""
+    """The size measure of type (m, n): the number of monomial terms that
+    the coefficient equations of (I) and (II), one unknown per coefficient
+    of P and of Q, could hold for any f and g."""
     return (deg_q + 1) * ((m + 4) * (m + 5) // 2 + n + deg_q)
-
-
-# -- polynomials in the unknowns ---------------------------------------------
-# monomial: sorted tuple of variable ids.  Coefficients are ints: those of
-# one unknown are over the positive denominator that its `_Equation` keeps,
-# as `Poly.int_form` is for a Poly.
-
-Mono = tuple[int, ...]
-
-
-# -- outcome -------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -141,307 +98,85 @@ class RecoveryOutcome:
         return self.curve is not None and self.verified
 
 
-def _blocks(mono: Mono, vals: list[Optional[int]]) -> bool:
-    """The monomial holds two unassigned unknowns (with multiplicity) and no
-    unknown assigned 0, so it leaves its equation non-affine under `vals`."""
-    free = 0
-    for v in mono:
-        x = vals[v]
-        if x is None:
-            free += 1
-        elif not x:
-            return False
-    return free > 1
+def _dot(x: list[int], y: list[int], k: int) -> int:
+    """Entry k of the top-aligned product of x and y."""
+    lo, hi = max(0, k - len(y) + 1), min(k, len(x) - 1)
+    return sum(map(mul, x[lo:hi + 1], reversed(y[k - hi:k - lo + 1]))) if lo <= hi else 0
 
 
-class _Equation:
-    """One coefficient equation of one call.  Its row, the terms of two or
-    more unknowns, is `monos` with the integer `coeffs`, shared with every
-    call of the type.  Its data terms, the terms of one unknown, are
-    unknowns[k] with coefficient data[k] / den, for the positive `den` and
-    the integers `data` that the call wrote; a zero one contributes
-    nothing.  No term holds more than `top` unknowns.
-    It is evaluated at most once per call (`evaluate`), and from then on
-    `const` and `lin` are its integer affine form under the current
-    assignment, over `scale`: each assignment to an unknown of `lin` is
-    substituted into them in place (`substitute`).  Until then `lin` is
-    None, `block` is the monomial that last kept it from being affine,
-    `scan` iterates over the row's monomials after it, and `asleep` says
-    that `block` still blocks: no unknown of it has been assigned since."""
-
-    __slots__ = ("family", "degree", "monos", "coeffs", "unknowns", "data", "den", "top",
-                 "const", "lin", "scale", "block", "scan", "asleep")
-
-    def __init__(self, family: str, degree: int, monos: tuple[Mono, ...],
-                 coeffs: tuple[int, ...], unknowns: Sequence[int], data: Sequence[int],
-                 den: int):
-        self.family = family
-        self.degree = degree
-        self.monos = monos
-        self.coeffs = coeffs
-        self.unknowns = unknowns
-        self.data = data
-        self.den = den
-        self.top = 3 if family == "g-identity" else 2
-        self.const = None
-        self.lin = None
-        self.scale = None
-        self.block = None
-        self.scan = iter(monos)
-        self.asleep = False
-
-    def may_be_affine(self, vals: list[Optional[int]]) -> bool:
-        """False when the equation must stay non-affine under `vals`: a
-        monomial holds two unassigned unknowns and no unknown assigned 0
-        (see the module docstring).
-
-        The assignment only grows and never changes a value, so a monomial
-        that has stopped blocking never blocks again.  The monomial that
-        blocked last time is tested first, and when it no longer blocks the
-        scan goes on after it: no monomial is examined again once it has
-        been found not to block."""
-        if self.block is not None and _blocks(self.block, vals):
-            return False
-        for mono in self.scan:
-            if _blocks(mono, vals):
-                self.block = mono
-                return False
-        self.block = None
-        return True
-
-    def evaluate(self, vals: list[Optional[int]], powers: tuple[int, ...]) -> None:
-        """Set `const`, `lin` and `scale`: the equation times den D^top
-        under the assignment vals[v] / D, with powers[i] = D^i.  A term with
-        k assigned unknowns is scaled by D^(top - k), and a row term by den
-        as well.  So a term of j unknowns is summed times D^(top - j), and
-        the linear part takes the one factor D its terms lack once per
-        unknown, at the end; the constant terms are summed before they are
-        scaled, those of the row by den.  A row term left with two
-        unassigned unknowns and a nonzero coefficient is an error, which
-        `may_be_affine` rules out."""
-        top = self.top
-        den = self.den
-        const = data = 0   # the constant terms of the row, and of the data
-        lin: dict[int, int] = {}
-        low = powers[top - 1]
-        for v, c in zip(self.unknowns, self.data):
-            x = vals[v]
-            if x is not None:
-                data += c * x
-            elif c:
-                lin[v] = lin.get(v, 0) + c * low
-        for mono, c in zip(self.monos, self.coeffs):
-            free = None
-            for v in mono:
-                x = vals[v]
-                if x is not None:
-                    c *= x
-                elif free is None:
-                    free = v
-                else:
-                    free = -1   # a second unassigned unknown
-            if not c:
-                continue
-            size = len(mono)
-            if size < top:
-                c *= powers[top - size]
-            if free is None:
-                const += c
-            elif free < 0:
-                raise ValueError(f"{self.family} x^{self.degree} is not affine: {mono}")
-            else:
-                lin[free] = lin.get(free, 0) + c * den
-        D = powers[1]
-        self.const = const * den + data * low
-        self.lin = {v: c * D for v, c in lin.items() if c}
-        self.scale = den * powers[top]
-
-    def substitute(self, var: int, p: int, q: int) -> None:
-        """Put var = p / q, q > 0, into the affine form, whose `lin` holds
-        var: the form times q, a positive multiple of the same equation."""
-        lin = self.lin
-        c = lin.pop(var)
-        if q == 1:
-            self.const += c * p
-            return
-        self.const = self.const * q + c * p
-        for v in lin:
-            lin[v] *= q
-        self.scale *= q
+def _wronskian(x: list[int], y: list[int], k: int) -> int:
+    """Entry k of the top-aligned x' y - x y', for x and y of degrees
+    len(x) - 1 and len(y) - 1: the sum of x_a y_b (dx - a - dy + b)."""
+    dx, dy = len(x) - 1, len(y) - 1
+    lo, hi = max(0, k - dy), min(k, dx)
+    if lo > hi:
+        return 0
+    return sum(map(mul, map(mul, x[lo:hi + 1], reversed(y[k - hi:k - lo + 1])),
+                   range(dx - dy + k - 2 * lo, dx - dy + k - 2 * hi - 1, -2)))
 
 
-@dataclass(frozen=True)
-class _Plan:
-    """The part of a type's coefficient equations that no call changes.
-    `rows` holds, per equation in witness priority order, (family, degree,
-    monos, coeffs, unknowns, start, stop): its row terms, and the unknowns
-    of its data terms, whose coefficients a call reads off as
-    data[start:stop] of its family's data list (`_equations`), and
-    `terms` counts the row terms."""
+class _Expansion:
+    """E for P = P_0 x^(m+1) + ... + P_(m+1), on top-aligned integers: P, f
+    and u over D, W, g and u^2 over D^2, S over D^3, with g aligned as W
+    is.  Entry i of a series is right once `fill(i)` has run with P_0..P_i
+    set; an unset P_i is 0."""
 
-    rows: tuple[tuple[str, int, tuple[Mono, ...], tuple[int, ...], range, int, int], ...]
-    terms: int
+    def __init__(self, f: Poly, g: Poly, w: int):
+        m, n = f.degree, g.degree
+        (fs, df), (gs, dg) = f.int_form(), g.int_form()
+        self.D = D = lcm(df, dg)
+        self.f = [c * (D // df) for c in reversed(fs)]
+        self.g = [0] * (w - n) + [c * (D * D // dg) for c in reversed(gs)]
+        self.P = [0] * (m + 2)
+        self.u = [0] * (m + 1)
+        self.W = [0] * (w + 1)
+        self.S = [0] * (m + w + 2)
+        self.uu = [0] * (2 * m + 1)
+        self.shift = w - 2 * m - 1   # P u sits this far below the top of W
 
+    def put(self, i: int, value: Fraction) -> None:
+        """P_i = value, rescaling every series when D must grow."""
+        q = value.denominator
+        grow = q // gcd(self.D, q)
+        if grow != 1:
+            for series, k in ((self.P, 1), (self.f, 1), (self.u, 1), (self.W, 2),
+                              (self.g, 2), (self.uu, 2), (self.S, 3)):
+                scale = grow ** k
+                series[:] = [c * scale for c in series]
+            self.D *= grow
+        self.P[i] = value.numerator * (self.D // q)
 
-def _build_plan(m: int, n: int, deg_q: int, shared: Optional[dict] = None) -> _Plan:
-    """The plan of type (m, n): p_i is unknown i and q_j is unknown m+2+j.
-    Every row is nonempty, so which equations a type has does not depend
-    on f and g.  Given `shared`, monomials and rows are taken from it where
-    an equal one is there, and put there otherwise."""
-    q0 = m + 2
-    top_p = m + 1
-    rows = []
+    def fill(self, i: int) -> None:
+        P, u, W, S, uu = self.P, self.u, self.W, self.S, self.uu
+        m = len(u) - 1
+        if i <= m:
+            u[i] = self.f[i] - (m + 1 - i) * P[i]
+        if i < len(W):
+            W[i] = _dot(P, u, i - self.shift) - self.g[i]
+        if i < len(S):
+            S[i] = _dot(P, W, i)
+        if i < len(uu):
+            uu[i] = _dot(u, u, i)
 
-    def add(family: str, d: int, row: dict, unknowns: range, start: int, stop: int) -> None:
-        monos, coeffs = tuple(row), tuple(row.values())
-        if shared is not None:
-            monos = tuple(shared.setdefault(mono, mono) for mono in monos)
-            monos, coeffs = shared.setdefault(monos, monos), shared.setdefault(coeffs, coeffs)
-        rows.append((family, d, monos, coeffs, unknowns, start, stop))
+    def coefficient(self, k: int) -> int:
+        """E_k over D^4."""
+        return _wronskian(self.S, self.u, k) - 2 * _dot(self.W, self.uu, k)
 
-    def identity(family: str, d: int, row: dict, size: int) -> None:
-        # the data terms 2 H_k q_j at x^d, j + k = d, for h = f or g of
-        # degree size - 1; the call's data list is 2 H_k for k descending
-        lo = max(0, d - size + 1)
-        unknowns = range(q0 + lo, q0 + min(deg_q, d) + 1)
-        start = size - 1 - d + lo
-        add(family, d, row, unknowns, start, start + len(unknowns))
-
-    # (I): 2 Q f - 2 Q P' - P Q'; p_i q_j sits at x^{i+j-1} with -(2i + j)
-    for d in range(deg_q + m, -1, -1):
-        row = {}
-        for i in range(max(0, d + 1 - deg_q), min(top_p, d + 1) + 1):
-            j = d + 1 - i
-            row[(i, q0 + j)] = -(2 * i + j)
-        identity("f-identity", d, row, m + 1)
-    # (II): 2 Q g - Q' P^2 + Q' Q
-    for d in range(max(deg_q + n, deg_q + 2 * m + 1, 2 * deg_q - 1), -1, -1):
-        row = {}
-        # -Q' P^2: j q_j p_a p_b at x^{j-1+a+b}, ordered pairs (a, b)
-        for j in range(max(1, d + 1 - 2 * top_p), min(deg_q, d + 1) + 1):
-            s = d + 1 - j
-            for a in range(max(0, s - top_p), s // 2 + 1):
-                row[(a, s - a, q0 + j)] = -j if 2 * a == s else -2 * j
-        # +Q' Q: a q_a q_b at x^{a-1+b}, ordered pairs (a, b)
-        for a in range(max(0, d + 1 - deg_q), (d + 1) // 2 + 1):
-            b = d + 1 - a
-            row[(q0 + a, q0 + b)] = a if a == b else d + 1
-        identity("g-identity", d, row, n + 1)
-    if n < 2 * m + 1:
-        # matching coefficients of P^2 and Q above degree n+1; the one data
-        # term, -q_d, is the call's degree-match data list (-1,)
-        for d in range(2 * m + 2, n + 1, -1):
-            add("degree-match", d, {(a, d - a): 1 if 2 * a == d else 2
-                                    for a in range(max(0, d - top_p), d // 2 + 1)},
-                range(q0 + d, q0 + d + 1), 0, 1)
-    return _Plan(tuple(rows), sum(len(monos) for _, _, monos, _, _, _, _ in rows))
-
-
-class _PlanMemo:
-    """The plans of the types recovered last, least recent first, holding
-    at most `budget` row terms together, counted once per plan.  A type
-    whose `_term_bound` is above the budget gets a plan for its call alone,
-    so one large type holds no memory after its recovery.  `shared` holds
-    the monomials and rows of the plans kept since the last eviction, so
-    that types with equal rows (those of one m, and of one deg Q where the
-    degree reaches it) hold them once; an eviction empties it, so it never
-    keeps what no kept plan holds."""
-
-    def __init__(self, budget: int):
-        self.budget = budget
-        self.plans: OrderedDict[tuple[int, int], _Plan] = OrderedDict()
-        self.terms = 0
-        self.shared: dict = {}
-        self._lock = threading.Lock()
-
-    def get(self, m: int, n: int, deg_q: int) -> _Plan:
-        if _term_bound(m, n, deg_q) > self.budget:
-            return _build_plan(m, n, deg_q)
-        key = (m, n)
-        with self._lock:
-            plan = self.plans.get(key)
-            if plan is not None:
-                self.plans.move_to_end(key)
-                return plan
-            plan = _build_plan(m, n, deg_q, self.shared)
-            self.plans[key] = plan
-            self.terms += plan.terms
-            while self.terms > self.budget:
-                self.terms -= self.plans.popitem(last=False)[1].terms
-                self.shared.clear()
-            return plan
-
-
-# the most row terms the plan memo keeps, counted once per plan.  Unshared,
-# a kept term costs about 130 bytes with its share of the plan, so the memo
-# holds at most about 6.5 MB.  The 41 types of m <= 6 that the roundtrip
-# benchmark draws hold 14,083 terms, and with their rows shared 0.8 MB
-PLAN_TERMS = 50_000
-_PLANS = _PlanMemo(PLAN_TERMS)
-
-
-def _equations(plan: _Plan, f: Poly, g: Poly) -> list[_Equation]:
-    """The coefficient equations of (I), (II) and, when n < 2m+1,
-    degree-match for (f, g), in witness priority order: the plan's rows,
-    and the data terms this call writes.  Those of (I) are 2 F_k q_j over
-    the common denominator D_f of f = F / D_f (those of (II) 2 G_k q_j over
-    D_g), and degree-match's one, -q_d, is over 1.  Each family's data list
-    is written once per call, and an equation takes its slice of it."""
-    data = {"degree-match": ((-1,), 1)}
-    for family, h in (("f-identity", f), ("g-identity", g)):
-        nums, den = h.int_form()
-        data[family] = ([2 * c for c in reversed(nums)], den)
-    equations = []
-    for family, d, monos, coeffs, unknowns, start, stop in plan.rows:
-        twice, den = data[family]
-        equations.append(_Equation(family, d, monos, coeffs, unknowns, twice[start:stop], den))
-    return equations
-
-
-def _affine_block_solve(rows):
-    """Gauss-Jordan elimination (`rref`) over the currently-affine equations.
-    Each row is an equation's integer (constant, linear part), which is its
-    rational row times its `scale`; scaling a row leaves the reduced row echelon
-    form as it is, so `rref` takes the integer rows as they are.  A value is
-    read off a reduced row as minus its constant over its pivot, the one
-    `Fraction` built per solved variable.
-
-    Returns the [(variable, value)] that the subsystem pins uniquely (their
-    reduced row holds a single variable), empty when it pins none, or a
-    witness tuple when the affine subsystem is inconsistent (no curve can
-    exist)."""
-    if not rows:
-        return []
-    variables = sorted({v for _, _, lin in rows for v in lin}, reverse=True)
-    index = {v: i for i, v in enumerate(variables)}
-    nv = len(variables)
-    mat = []
-    for eq, const, lin in rows:
-        row = [0] * (nv + 1)
-        for v, c in lin.items():
-            row[index[v]] = c
-        row[nv] = const
-        mat.append(row)
-    mat, pivots = rref(mat)
-    if nv in pivots:
-        # a pivot in the constant column is a row 0 = 1.  Elimination mixes
-        # equations, so the contradiction is attributed to the
-        # highest-priority equation that entered the block
-        return (rows[0][0].family, rows[0][0].degree)
-    solved = []
-    for row, col in zip(mat, pivots):
-        # the pivot is the row's first nonzero entry
-        if not any(row[col + 1:nv]):
-            solved.append((variables[col], Fraction(-row[nv], row[col])))
-    return solved
+    def slope(self, k: int) -> int:
+        """The coefficient of p_0 in E_k over D^3, for k <= 2m + 1: entry
+        k - m - 1 of V' u - V u' - 2 u^3, V = 2W + g, the derivative of E
+        in p_0, which p_0 does not enter up to there."""
+        t = k - len(self.u)
+        V = [2 * a + b for a, b in zip(self.W, self.g)]
+        return _wronskian(V, self.u, t) - 2 * _dot(self.u, self.uu, t)
 
 
 def recover_curve(sys: LienardSystem) -> RecoveryOutcome:
     """Unique-candidate recovery of (P, Q) from (f, g); see module docstring.
 
-    Raises UndeterminedType when n = 2m+1, TooManyTerms when the equations
-    could hold more than MAX_TERMS terms, and DegenerateLeadingCoefficient
-    when the triangular solve stalls on a vanished pivot."""
+    Raises UndeterminedType when n = 2m+1, TooManyTerms when the type's
+    size measure is above MAX_TERMS, and DegenerateLeadingCoefficient when
+    p_0 is still free after E_(2m+1)."""
     m, n = sys.m, sys.n
     if n == 2 * m + 1:
         raise UndeterminedType(f"type ({m},{n}) has n = 2m+1; curve may not be unique")
@@ -451,137 +186,62 @@ def recover_curve(sys: LienardSystem) -> RecoveryOutcome:
         raise TooManyTerms(f"type ({m},{n}) could need {terms:,} equation terms, "
                            f"above MAX_TERMS = {MAX_TERMS:,}")
     f, g = sys.f, sys.g
-    a_m = f.leading()
-    b_n = g.leading()
+    a, b = f.leading(), g.leading()
+    w = deg_q - 1
+    top = 2 * m + w   # deg E
+    ex = _Expansion(f, g, w)
+    lead = Fraction(2 * m + 2 + deg_q, 2)
+    ex.put(0, a / lead)
+    ex.fill(0)   # E_0 = 0 for this lc(P)
+    schedule = [{"unknowns": [f"p{m + 1}"], "equations": ["seed f-identity top"],
+                 "pivots": [str(lead)]}]
 
-    q_first = m + 2   # p_0..p_{m+1}, then q_0..q_{deg_q}
+    def no_curve(d: int) -> RecoveryOutcome:
+        return RecoveryOutcome(None, False, witness=("f-identity", d), schedule=tuple(schedule))
 
-    def pname(v: int) -> str:
-        return f"p{v}" if v < q_first else f"q{v - q_first}"
+    def step(j: int, c: int, pivot: Fraction, k: int) -> None:
+        # P_j = -c / (D^4 pivot)
+        ex.put(j, Fraction(-c * pivot.denominator, ex.D ** 4 * pivot.numerator))
+        schedule.append({"unknowns": [f"p{m + 1 - j}"], "equations": [f"E x^{top - k}"],
+                         "pivots": [str(pivot)]})
 
-    n_unknowns = q_first + deg_q + 1
-    equations = _equations(_PLANS.get(m, n, deg_q), f, g)
-
-    # the assignment: unknown v is vals[v] / D, None while unassigned, and
-    # powers[i] = D^i.  users[v] holds the evaluated equations whose linear
-    # part holds v, and sleepers[v] the blocked equations whose blocking
-    # monomial held v unassigned when they fell asleep
-    vals: list[Optional[int]] = [None] * n_unknowns
-    D = 1
-    powers = (1, 1, 1, 1)
-    assigned = 0
-    users: list[list[_Equation]] = [[] for _ in range(n_unknowns)]
-    sleepers: list[list[_Equation]] = [[] for _ in range(n_unknowns)]
-
-    def set_var(var: int, value: Fraction) -> None:
-        nonlocal D, powers, assigned
-        p, q = value.numerator, value.denominator
-        grow = q // gcd(D, q)
-        if grow != 1:
-            for v, x in enumerate(vals):
-                if x is not None:
-                    vals[v] = x * grow
-            D *= grow
-            powers = (1, D, D * D, D * D * D)
-        vals[var] = p * (D // q)
-        assigned += 1
-        for eq in users[var]:
-            eq.substitute(var, p, q)
-        for eq in sleepers[var]:
-            # an equation asleep on another monomial since stays asleep
-            if eq.asleep and var in eq.block:
-                eq.asleep = False
-
-    schedule: list[dict] = []
-    # seeds from the top-degree comparisons
-    if n > 2 * m + 1:
-        set_var(m + 1, 2 * a_m / (2 * m + n + 3))
-        set_var(q_first + n + 1, -2 * b_n / (n + 1))
-        schedule.append({"unknowns": [f"p{m+1}", f"q{n+1}"],
-                         "equations": ["seed f-identity top", "seed g-identity top"],
-                         "pivots": [str(2 * m + n + 3), str(n + 1)]})
-    else:
-        set_var(m + 1, a_m / (2 * (m + 1)))
-        schedule.append({"unknowns": [f"p{m+1}"],
-                         "equations": ["seed f-identity top"],
-                         "pivots": [str(2 * (m + 1))]})
-
-    live = equations   # the equations not yet satisfied, in priority order
-    while assigned < n_unknowns:
-        # single-unknown equations first: these are the schedule steps the
-        # uniqueness argument walks through explicitly.  An equation later
-        # in the pass sees the assignments made earlier in it
-        progressed = False
-        affine_rows: list[tuple[_Equation, int, dict[int, int]]] = []
-        visit, live = live, []
-        for eq in visit:
-            lin = eq.lin
-            if lin is None:
-                if eq.asleep:
-                    live.append(eq)
-                    continue
-                if not eq.may_be_affine(vals):
-                    eq.asleep = True
-                    for v in eq.block:
-                        if vals[v] is None:
-                            sleepers[v].append(eq)
-                    live.append(eq)
-                    continue
-                eq.evaluate(vals, powers)
-                lin = eq.lin
-                for v in lin:
-                    users[v].append(eq)
-            if not lin:
-                if eq.const:
-                    return RecoveryOutcome(None, False, witness=(eq.family, eq.degree),
-                                           schedule=tuple(schedule))
-                continue
-            if len(lin) == 1:
-                (var, coeff), = lin.items()
-                # the pivot over the scale the equation has before its own
-                # unknown is substituted into it; it is satisfied after
-                pivot = Fraction(coeff, eq.scale)
-                set_var(var, Fraction(-eq.const, coeff))
-                schedule.append({"unknowns": [pname(var)],
-                                 "equations": [f"{eq.family} x^{eq.degree}"],
-                                 "pivots": [str(pivot)]})
-                progressed = True
-            else:
-                live.append(eq)
-                affine_rows.append((eq, eq.const, lin))
-        if progressed:
-            continue
-
-        # joint elimination over every equation that is affine right now;
-        # variables whose reduced row pins them uniquely get assigned
-        outcome = _affine_block_solve(affine_rows)
-        if isinstance(outcome, tuple):
-            return RecoveryOutcome(None, False, witness=outcome,
-                                   schedule=tuple(schedule))
-        if not outcome:
+    resonant = n <= 2 * m
+    base = a ** 3 / (2 * m + 2) if resonant else -a * b / (2 * m + n + 3)
+    for j in range(1, m + 1 if resonant else m + 2):
+        ex.fill(j)
+        step(j, ex.coefficient(j), base * ((m + 1 - j) if resonant
+                                           else (n + 1 - j) * (2 * m + n + 3 - 2 * j)), j)
+        ex.fill(j)
+    if resonant:
+        # p_0 does not enter E_(m+1); the first E_k below that it enters fixes it
+        for k in range(m + 1, 2 * m + 2):
+            ex.fill(k)
+            c, slope = ex.coefficient(k), ex.slope(k)
+            if slope:
+                step(m + 1, c, Fraction(slope, ex.D ** 3), k)
+                break
+            if c:
+                return no_curve(top - k)
+        else:
             raise DegenerateLeadingCoefficient(
-                f"solve stalled with {n_unknowns - assigned} unknowns left; "
-                "a pivot the uniqueness argument assumes nonzero vanished"
-            )
-        for var, value in outcome:
-            set_var(var, value)
-        schedule.append({"unknowns": [pname(var) for var, _ in outcome],
-                         "equations": [f"{eq.family} x^{eq.degree}" for eq, _, _ in affine_rows],
-                         "pivots": ["affine block elimination"]})
+                f"type ({m},{n}): p0 is still free after E x^{top - 2 * m - 1}")
 
-    # full verification of both identities: every unknown is assigned, so
-    # each equation is a constant, evaluated now if it never was, and
-    # `equations` is already in witness priority order
-    for eq in equations:
-        if eq.lin is None:
-            eq.evaluate(vals, powers)
-        if eq.const:
-            return RecoveryOutcome(None, False, witness=(eq.family, eq.degree),
-                                   schedule=tuple(schedule))
-
-    P = Poly.from_int_form(vals[:q_first], D)
-    Q = Poly.from_int_form(vals[q_first:], D)
-    if Q.is_zero():
-        return RecoveryOutcome(None, False, witness=("g-identity", 0), schedule=tuple(schedule))
-    curve = HyperellipticCurve(P=P, Q=Q)
-    return RecoveryOutcome(curve, True, schedule=tuple(schedule))
+    # the whole of P: E = u^2 ((S/u)' - 2W) is 0 exactly when u divides S
+    # and Q = S/u has Q' = 2W (u / content is primitive, so Q is on integers)
+    P, u = ex.P[::-1], ex.u[::-1]
+    W = int_combine((1, int_mul(P, u)), (-1, ex.g[::-1]))
+    S = int_mul(P, W)
+    content = gcd(*u)
+    try:
+        Q = int_exact_div(S, [c // content for c in u])
+    except ValueError:
+        Q = None
+    if Q is None or int_derivative(Q) != [2 * content * c for c in W]:
+        # the top nonzero coefficient of E, all of whose coefficients above are 0
+        E = int_combine((1, int_mul(int_derivative(S), u)), (-1, int_mul(S, int_derivative(u))),
+                        (-2, int_mul(W, int_mul(u, u))))
+        return no_curve(len(E) - 1)
+    curve = HyperellipticCurve(P=Poly.from_int_form(P, ex.D),
+                               Q=Poly.from_int_form(Q, content * ex.D ** 2))
+    back = derive_system(curve)
+    return RecoveryOutcome(curve, (back.f, back.g) == (f, g), schedule=tuple(schedule))

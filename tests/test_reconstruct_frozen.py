@@ -11,7 +11,10 @@ Three sets of inputs:
 * seeded random systems of both branches (n < 2m+1 and n > 2m+1) that carry
   no curve: the witness equation and degree, and the schedule up to it.
 
-A faster solver must print the same bytes.
+A faster solver that takes the same steps must print the same bytes.  The
+digests pin the schedule and the witness of the top-down solve on E(P)
+(see `recover`); a solver that takes other steps changes them, and then
+the verdict digest of `test_recover_frozen` must hold unedited.
 """
 
 import hashlib
@@ -27,77 +30,77 @@ from hypercycles.lienard import HyperellipticCurve, derive_system
 from hypercycles.polyx import Poly, coeff_strings
 
 CELL_DIGESTS = {
-    (2, 6): "f6e07f470334ea57a337acaa0666478ed819f5bcd2cbfcc5a1bd3d7edf950862",
-    (3, 6): "646279996f2f7ba16e4c457b9b7ddbbb0aa51e6d9a16987a11088d1b41245541",
-    (3, 8): "cd6003fa94243ce99c366052092658a92d9ba97e0e4658e9a356614035d72f5c",
-    (4, 6): "979059c38cef4d7602a56b151fb6d479b77c4925624dbd8bb3f39fd6c051ef00",
-    (4, 8): "f40c613aab61b08ddea8b419cb1d6a033f8c92bf8b4cb3c75fcc2e90a4d3b5d4",
-    (4, 10): "434cacc3e206d1e065b480d05037dbf6a27f3123f2a7c4c9660aebd595e6b059",
-    (5, 7): "032e77afcbdca0f958a86f252e14d791d5a1f772d80e7d488cbc0b10a444f35b",
-    (5, 8): "7e8f31f6f99a4fe407f5fd338688aa5e310eb6ab2b9e0afe52ffeb5127bc6756",
-    (5, 9): "e9c17c192330968a1f9178ebfb0759c5ac5ccd3d7466b0ebbf5dfa401f37ca5f",
-    (5, 10): "667401f20bda05529de189240d8e4aeecf5a96dde5da6421329a95bc086846c6",
-    (5, 12): "2c35147ac91301c99da8b07548ca8314f869118eaa56e9e2073d86b2ef94e614",
-    (6, 8): "5b66eda45b9dba5240bab054ac93f681f353412b5ef9eac3e8b0136c484fd3f0",
-    (6, 9): "c4b30d54b423f1ef24328f76ff156b164612435355d5b1bb5600842277228810",
-    (6, 10): "306ccfab42a0e0d99ebd3d5b477982b6be8fbf7951712111c8d2ef6a04182eed",
-    (6, 11): "a7ae4250d215b536ee56600955161e1032893705b44f822b850fa1d2009f2efe",
-    (6, 12): "7a66d3543c9b5b75dde7365cf53e2e43b94ac12e67ab72d8e70d6029426c5740",
-    (6, 14): "fa4d908700cba4255ee3183f744521825cf31f7de2ec2a66acc754772c60f4c2",
-    (7, 10): "9a724b52504a693ba23de503dae76ad7c806d6bb22997432e6d31d01829d5e8d",
-    (7, 11): "a13cb3fb2f86325db40d4dea426f34d32d646e935716600b84cad74826b39b8c",
-    (7, 12): "632bb3f0d04b68a4b17ab3503fece62dea3c182e956bf86c90cb24fce61e941e",
-    (7, 13): "43f93b9fdb49fd19fcf026dc1b69d76e24194fb524ca4d2fc86b12ac4790e897",
-    (7, 14): "28dc6db5e0f99645b97a1c5d4c8b30a86b542329d5eaba5f27aeddbdf6f17d83",
-    (7, 16): "0a86257b8f18321919f6c73a2f4d94fa8b9ce1ac04d9f029360a8bf4360096b9",
-    (8, 10): "2caa5db342bdd685735d1257eae985a504ce3dbd40c1983e589ab697beca7617",
-    (8, 11): "1c3fe1732fd57833f107083c7cca1a42014f3d7629a0c84a6c7ddf2be6387400",
-    (8, 12): "f780e41273819108fea65e5c68eaf640ee86c21e03b62454966e7a0c68246fda",
-    (8, 13): "9ca7e27434383410651aa35055b710416b658c630b9dc3e65c88ff2c5ca9fc2c",
-    (8, 14): "62e60761900178e5c74a1223e1b117856708c49f5f35f8535d87445069731449",
-    (8, 15): "1e6f6057eaa06f5360d62c92ad0b3b15e8b6bab7b9a76adba35a207467cdd1af",
-    (8, 16): "0e69ff985f16e72bbfe86758ce2208e23e194cdb4dab8be4fa724a84e24d3581",
-    (8, 18): "77993364a099855dad11aa268f1538b7820bb7f32559dda0c117d1d6532b1091",
-    (9, 13): "5021217354b0165c9ed6b9731718567bb69ef29b48710dc67f71a76b48f1baf4",
-    (9, 14): "29d93e33a5b354882920c1f2394e6d68905176b90c48868976c20d3d76e5e6bb",
-    (9, 15): "1ba7d3908134c3e9f0b91d3cffd3513d9886b2e67991b28714b950d1d46bfd4c",
-    (9, 16): "f99d33e1061a0fb18b76bf520e7381b3287cace09c564f55fc7905fa97050602",
-    (9, 17): "b8d06a72ff31c61d930755648e0c1f46a6011c312ad1fbaa12faaffa353a590d",
-    (9, 18): "44da697da28ea3ceb0ba7ab386c11c13b52b0493ae951a0b6a6b5f663122d466",
-    (9, 20): "13782a9f4f6c965cfe2d1a7f809f3d4e2e98a72a1d5f05a14f5a359b0be07b6a",
-    (10, 13): "69156675378b2cf17f4f931907aeaf8846fbabbed1cc24e758f510fb3e46c35d",
-    (10, 14): "883aad6564e8325fda4d6152871bdf4fb5ca2aab7a29145ad53f43059fc6848b",
-    (10, 15): "0f084fffe335f5c8495e2de1e8e7ce82f11b528cb8b30bde812c338e75962a58",
-    (10, 16): "2c813f2b9c859f1b518e4d8cc23c63c9ee685729b739da30f001a39d63e6d3f6",
-    (10, 17): "b8ed37aca99bc41f900735308a583a1f46a8c8066ab60ef29b8df0726df37ace",
-    (10, 18): "1555e25fb9a45742fd6dea65995d479f9114127bafaae2f36eeb4856b9a4e4f1",
-    (10, 19): "fe4efb5f14b01afa4cb3c41aadc665b6a3e262b245e65c51152799eb21a9efb1",
-    (10, 20): "992ed102281eae05f8ffef86dfd4b6c2b1f6326ce057fc77cc6b6c1326f33ed4",
-    (10, 22): "3c26a0121f1d16254bd1a53d711142a7595d09e275067859dfc0ee8b697ff552",
+    (2, 6): "ea51d4cabaf9f852796b863681a2c26299a573994d13d300baaee247967e222c",
+    (3, 6): "e1ced490f6633ba8ca51e271060765768fa39563379bd9074159b3cf6485aa5b",
+    (3, 8): "455166dbf2f0fa4622ed0e3f720e86db4f1640ca71d4cd785645cfe74a99f3d3",
+    (4, 6): "96b9597b8acd80bc38816752edb194faff81c78500636f13b3af4be98324a9f5",
+    (4, 8): "ebcc408782b83de91067e24c22c3421ae6d60f3788f5b46b0dadba3eea81c1aa",
+    (4, 10): "89b1052a0165ffc2a5804fba73d9a7259adf9b1207588403970aaf3f0d028c84",
+    (5, 7): "b57e654b9c15a01fd18d095b6bcfcf110b38581326bf1ff713a4f5671c4fdf94",
+    (5, 8): "6d5cab33bdb6cbbba23cb9b4487053d019880bc886e3897f17fc4e4208c2e42f",
+    (5, 9): "a0117d7adda9423763201e06cdb16fef3711bd1bf2811d0215cfcf280b57b076",
+    (5, 10): "20b1257f9d5b02d9f5e59846a230a95c37f0b6d3d4423710003bb735847bb06c",
+    (5, 12): "ab002dd33a9e7e143a2ed3d3b757814b86187ea42320648b764a6be306d85d85",
+    (6, 8): "0fd11d0b491fce6062984917fb26c56886d8faa65f0b50f95fc6f9424683ed16",
+    (6, 9): "6c4356d168256302911b76c5838653746b2eb195713e177094eed2ce92fe932e",
+    (6, 10): "3932af92ecb6ee610ee21b1a03a03b1b3d09569eb457b5cf675d78b00e331e8e",
+    (6, 11): "bd6e6b69c095aa8192edcc659f4574e6cf20ddf833f895efb78e6ba2134e8399",
+    (6, 12): "9da41f4edb86af645111532b813a4e6e5c702979f92e831cb364ca69adc94b5e",
+    (6, 14): "8e7dd5b3c42dc18347afd03047e05aa2aae079d164335367b0edd7b7780da093",
+    (7, 10): "b095da352b81951dc921adcc01927926ca10a0e00c68f8887052092e712cdaab",
+    (7, 11): "f6f127807d9bde5a181190feab38a00d096a58ae1f2ba726f3a1084eda6fa94c",
+    (7, 12): "aafa823430851d1a7d90963a278adc58338f476c6649a5388bead08474b67246",
+    (7, 13): "f058241bbe48e00016199b9461f878201e9369fdbb3af24c6b721b5b097fe323",
+    (7, 14): "f15e33e89efa7c2281a73df8dbe4a99e91850304f0b0618bfd3eb791e4d5e9a2",
+    (7, 16): "5b9be610351acd54191da8d60411c399979d49a888ecf4c944eb4b989a379bff",
+    (8, 10): "38374b87a146bac07f0e9fb0afc4c2f1434f73b5f2e0faf5e8f32c26bb1109ca",
+    (8, 11): "0ba757f146b0d90d9da23504ed89768430544d8ed996ae1b8b96b1d5b54bf42f",
+    (8, 12): "f747d0004c3a041664febaa404746a0cbf969839315f54af2440dadd66d5edd0",
+    (8, 13): "0983725d5e474a8caaebbcf9aae30c25b14aefe1f7764174c4137420f9c2d9ee",
+    (8, 14): "f1dcda47275b29996262fea28134ac4b1fc20232db9300548bfb9904d9d71b7f",
+    (8, 15): "62f06b90210e0c718fa76f1cf2ee4bfeabcace881ad2a63d44c01cdcb5f2317a",
+    (8, 16): "309018d407904834b2001453065f73568c62775103734e6aa0f1927d0efef075",
+    (8, 18): "0d2d8781b3e8717274bb1d94c7ea91571b5d07e2642cd728cc4647891b0339a3",
+    (9, 13): "8a6c3ce76fc062549528d1932d41d6232c722d69f7580647d4f3e5566b71b422",
+    (9, 14): "cb6957b57ded36770b21794afd088386ea111ca06c26dfa4b2417753f302f0db",
+    (9, 15): "b49b9d105bd6cd66998b762f3b295d234c40118e0c62521aad9a872f7e9ebd60",
+    (9, 16): "c5f8b920d25320d2bd2f5e1f0ceb7bfe342b8eede992408f85f418f284a35925",
+    (9, 17): "beb94b0549ddfcf80c5609a1ec2860abd140089c3c741785c4bcf2a9ba83f588",
+    (9, 18): "92c17927db091326c6a1092f3e7f7c7c462107d1caadf067cdd2009a3179eccf",
+    (9, 20): "28b32f20be2969dd4f409278501cb80037cbc90099de04208bb5ceeaa5877592",
+    (10, 13): "9f4e2bffff7b0b749801ac567d9350c6d616dec1c4461f454a77e4cfba1b0b05",
+    (10, 14): "eb0226c801cdf5e80c77df590fdc53942e9459844ad3754c2682fc83247d6a55",
+    (10, 15): "7afbc30065f54fb1e46b6b6477d8a67f2f8bf1e36e57d0aeb4be67aa95daf624",
+    (10, 16): "c78f7ae63cdb3ba69b1664edc8e8e612314cece95e84898516d7661ca2842639",
+    (10, 17): "be1e5f15c689bd3f5397c1a58b8c7ce45534c7a6c0d8a51b11b1501b5b541c7f",
+    (10, 18): "992e95996749c2f612e83b16d6c7f3390dfdf2021cf5a0f1610a366e3125e5ef",
+    (10, 19): "55e396ea9e2de59aa5655a05b5e213cd0f1abe91b2ef71cc7f2b099b4882ffc3",
+    (10, 20): "d86b9771080aea7f5db13d5f8efc2d510f68e97ee986f33b56827b1385129b4f",
+    (10, 22): "097ee1330fc81e894ae42b6bc06fa1ea63efee44279720ceef6722c40eb92ff7",
 }
 
 CURVE_DIGESTS = {
-    0: "15a9196defa7dbe844a246a3a2a5e33125faa4278cbdb11989f4c1572616a94b",  # (2,7)
-    1: "e6d3c412934a36edb6d6a23609fbaf0088dc819e77c3c87e35bb01ac631ce3e9",  # (1,2)
-    2: "a91d3b4c1ca3249440f167eafb51a458403820825a3bb9e9f306dd8a9d2bf711",  # (2,7)
-    3: "21907913062e80a54239428898b2f1e570b834cc01314023b87994ed33095011",  # (2,4)
-    4: "2ac8ea61fe9464db35c086e0dfacf57e4259cae9000cbabf1802b2d20efab39c",  # (2,6)
-    5: "518e8d65f2868191cffc20db13244b7b38de41c4e8149e590a3ba560971c1d68",  # (3,6)
-    6: "f909bc735642df535cdf22a2751081363c1a41ebf2f25afb4e41679c14f51ec6",  # (1,6)
-    7: "40e84ea271be0af79139c2ca2bca37ced77de588031d90ca5aed0fedafb394a7",  # (1,2)
+    0: "b342de05da8c8acabace7e4a8bc2531612ec85cc70d31129be5f5a105150058e",  # (2,7)
+    1: "bc784741a74dacec5f27ec0a68dea7bc7f732db4d58d85518062e447d53825b4",  # (1,2)
+    2: "e77ae7540aee577ead72778687a26b161a97a43d9cab7294413e13c76a60829c",  # (2,7)
+    3: "7e777e7946d2c5f84ee09b3767ad8ee6089f0c899f3b90df2ba66d6d0a9cd75b",  # (2,4)
+    4: "1fae66e025c05543a612545d9cca85ef835c5f017913571f82dde18972ffd4f5",  # (2,6)
+    5: "46db178ed55c6f9fe1d8d1fef2c84772b351496142a29d55c97aebe091f11274",  # (3,6)
+    6: "efefe4b7bda20a997eb082a4424b59820508956a45f0286808eae30e6d98fb5d",  # (1,6)
+    7: "f6813827de0f6690754fb38a45dd9e97e75167e02d3183855b197771669114e9",  # (1,2)
 }
 
 NO_CURVE_DIGESTS = {
-    0: "1817017eeaa3dd11f267526db66ac3176f73e096d95691d7222e221735c51eb1",  # f-identity x^10
-    1: "f9ff5988cb06c0bcb69ad0f482527105de123362169e45c5e823a3cc2813dbad",  # f-identity x^6
-    2: "9fbfc678d52f765423f8e01b3eb5d508e16c79208067227d0230a0b6803fb622",  # f-identity x^0
-    4: "ee2e83e7c5303eaaca2964ea2b0f768db337e09604d9f0d797a8d399eb1ea063",  # f-identity x^6
-    5: "7c4b0bf8d5e2c326d31a0a7293c0f5da6bf9018bc8545ae763aff14d8e9ee76b",  # f-identity x^13
-    6: "a57a0b832dd165534d52df4fd6734fbb52a162c4409427cb8e9ecb1ae2c8c3f7",  # f-identity x^4
-    7: "52e72d415042f283e568573a0c1591ea36ab6c2ee7472334eaa358686c17ddbb",  # g-identity x^10
-    8: "90a34b9f2dc1809a0be96119f3a27d985e16813e82e09fab4e4fadde806a841d",  # f-identity x^6
-    9: "7e6aa743ef43fcbf1bdf133ca00d89bfaf6300f0a17240caaa2b82c4fb4ae03b",  # f-identity x^10
-    25: "b60dfbd40983b0ef88015c4cfff904f53b4b2355650bd6c94e030795e7e739b6",  # g-identity x^13
+    0: "7b2af4df8026d0e624320e13cf61782e70a101af16b9f0e895d053bb1018dfbb",  # f-identity x^13
+    1: "7fec77bacb5f57fc8b29cf1b183c240bdc1a8066a4249a91725f35c50cee07b8",  # f-identity x^6
+    2: "8f8c8df37a41c40e05a12ac78613e97de9cb6ef7e21ac6320578111f59128759",  # f-identity x^3
+    4: "8fafb4c1114e71b5d7d93bd5e6bc63b1fcc74cf9714ddfcd1101fadab04e1fa9",  # f-identity x^7
+    5: "c7bef71ca36acc349cb9e58a3046a3832653d5febecfaeda5ec15752f47e0476",  # f-identity x^15
+    6: "2636a908ed45c2313651453be6a99397ff32fe5429887097cb83c7ea3a3de3df",  # f-identity x^15
+    7: "9510794716fc81f600ccbb28d4ba0a921ec05ef0db71d9a1ffcb20b9c6720c40",  # f-identity x^9
+    8: "3809492d07648b95e3ee6c8e2a9a742b5191e9fd234d016b60564ef4426bc4aa",  # f-identity x^7
+    9: "8cd995adc9a11af5fa6a4136e297759b08e1d9cc614d7700f4bbedf178cc6ece",  # f-identity x^12
+    25: "e3cc2c95feda0300dc3f3cc96ab4b86ea33b828c219b6d3d8f31aea7140b457f",  # f-identity x^12
 }
 
 
