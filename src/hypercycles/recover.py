@@ -53,7 +53,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
 from typing import Optional
 
 from .lienard import HyperellipticCurve, LienardSystem, derive_system
@@ -65,7 +64,7 @@ class UndeterminedType(ValueError):
 
 
 class DegenerateLeadingCoefficient(ValueError):
-    """A pivot the uniqueness argument needs turned out to vanish."""
+    """p_0 of an n <= 2m type enters no coefficient of E that may fix it."""
 
 
 class TooManyTerms(ValueError):
@@ -100,19 +99,15 @@ class RecoveryOutcome:
 
 def _dot(x: list[int], y: list[int], k: int) -> int:
     """Entry k of the top-aligned product of x and y."""
-    lo, hi = max(0, k - len(y) + 1), min(k, len(x) - 1)
-    return sum(map(mul, x[lo:hi + 1], reversed(y[k - hi:k - lo + 1]))) if lo <= hi else 0
+    return sum(x[a] * y[k - a] for a in range(max(0, k - len(y) + 1), min(k, len(x) - 1) + 1))
 
 
 def _wronskian(x: list[int], y: list[int], k: int) -> int:
     """Entry k of the top-aligned x' y - x y', for x and y of degrees
-    len(x) - 1 and len(y) - 1: the sum of x_a y_b (dx - a - dy + b)."""
+    len(x) - 1 and len(y) - 1."""
     dx, dy = len(x) - 1, len(y) - 1
-    lo, hi = max(0, k - dy), min(k, dx)
-    if lo > hi:
-        return 0
-    return sum(map(mul, map(mul, x[lo:hi + 1], reversed(y[k - hi:k - lo + 1])),
-                   range(dx - dy + k - 2 * lo, dx - dy + k - 2 * hi - 1, -2)))
+    return sum(x[a] * y[k - a] * (dx - dy + k - 2 * a)
+               for a in range(max(0, k - dy), min(k, dx) + 1))
 
 
 class _Expansion:
