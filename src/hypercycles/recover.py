@@ -72,9 +72,10 @@ class TooManyTerms(ValueError):
     before any work is done."""
 
 
-# the largest `_term_bound` that `recover_curve` accepts.  It bounds time:
-# (300, 450), refused, would take about 0.02 s for f = x^300, g = x^450 and
-# about 3 s for dense f and g
+# the largest `_term_bound` that `recover_curve` accepts.  It bounds time,
+# loosely, as the size of the coefficients also counts: (300, 450), refused,
+# would take about 0.02 s for f = x^300, g = x^450 and about 3 s with every
+# coefficient 1 (2-CPU Xeon)
 MAX_TERMS = 2_000_000
 
 
