@@ -80,13 +80,18 @@ def _discrimination_count(p: Poly) -> RootCount:
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(_polys)
+def test_sturm_count_at_infinity_matches_discrimination(p):
+    rc = _discrimination_count(p)
+    assert count_roots(p).distinct_real == rc.distinct_real
+    expected = rc.imaginary_pairs == 0 and rc.distinct_real == p.degree
+    assert all_roots_real_simple(p) == expected
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_polys)
 @example(_DEFECTIVE)
 def test_count_roots_matches_the_discrimination_route(p):
-    # one discrimination-route count per draw: the Sturm count at infinity
-    # and the all-real-simple predicate both read against it
-    rc = _discrimination_count(p)
-    assert count_roots(p) == rc
-    assert all_roots_real_simple(p) == (rc.imaginary_pairs == 0 and rc.distinct_real == p.degree)
+    assert count_roots(p) == _discrimination_count(p)
 
 
 def test_defective_sign_list_is_counted_after_revision():
