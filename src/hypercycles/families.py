@@ -28,9 +28,10 @@ share one inductive routine, `_perturb_ladder`, whose inductive levels pick d
 and b as the simplest rationals in the middle thirds of exact windows between
 bracketed critical values (`_pick_window`), with no float anywhere.  Each
 level isolates each derivative once, in one helper (`_critical_roots`, the
-roots of p' inside an optional interval); `_extrema` splits those of x c*,
-B and q into minima and maxima, and the brackets (`_Bracket`) and the
-window ends they bound are computed and compared on integers.
+roots of p' inside an optional interval); `_extrema` splits those of B and
+q into minima and maxima and keeps only the minima of x c*, and the
+brackets (`_Bracket`) and the window ends they bound are computed and
+compared on integers.
 """
 
 from __future__ import annotations
@@ -288,20 +289,23 @@ def _critical_roots(p: Poly, interval=None) -> list:
             if interval is None or _inside(r, interval)]
 
 
-def _extrema(p: Poly, interval=None) -> tuple[list, list]:
+def _extrema(p: Poly, interval=None, maxima: bool = True) -> tuple[list, list]:
     """Brackets of the critical values of p at its local minima and at its
     local maxima, from one isolation of p' (`_critical_roots`, so only the
     points strictly inside `interval` when one is given).  A critical point
-    where p'' is 0 is in neither list.  Each root is sorted by the sign of
-    p'' before its bracket is built, so the bracket starts from the interval
-    that sign left."""
+    where p'' is 0 is in neither list, and with `maxima` false no bracket is
+    built for a maximum and the second list is empty.  Each root is sorted
+    by the sign of p'' before its bracket is built, so the bracket starts
+    from the interval that sign left."""
     ddp = p.derivative().derivative()
-    minima, maxima = [], []
+    lows, highs = [], []
     for r in _critical_roots(p, interval):
         s = r.sign_of(ddp)
-        if s:
-            (minima if s > 0 else maxima).append(_Bracket(p, r))
-    return minima, maxima
+        if s > 0:
+            lows.append(_Bracket(p, r))
+        elif s < 0 and maxima:
+            highs.append(_Bracket(p, r))
+    return lows, highs
 
 
 def _inside(r, interval) -> bool:
@@ -406,7 +410,7 @@ def _pick_d_then_b(Q1: Poly, cstar: Poly, slots, pos_interval):
     A = Q1 + cstar.shift_up(2)
     B = A.exact_div(X)
     lo, hi = pos_interval
-    dips, _ = _extrema(X * cstar, (Fraction(0), hi))
+    dips, _ = _extrema(X * cstar, (Fraction(0), hi), maxima=False)
     minima, maxima = _extrema(B)
     d = _pick_window(Fraction(0), minima, maxima + dips)
     if d is None:

@@ -24,8 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Optional
 
 from .polyx import (BivarPoly, Poly, int_coeffs, int_combine, int_derivative,
@@ -41,7 +40,14 @@ class NonPolynomialSystem(ValueError):
 class HyperellipticCurve:
     """F(x, y) = (y + P(x))^2 - Q(x), with `H` = P^2 - Q and the cofactor
     `K` = -PQ'/Q computed on first use and kept; the cache writes to the
-    instance `__dict__`, which a frozen dataclass allows."""
+    instance `__dict__`, which a frozen dataclass allows.
+
+    Both are computed on the integer forms p/dp and q/dq of P and Q, with
+    one `Poly.from_int_form` (one gcd) at the end: H = (L/dp^2 p^2 -
+    L/dq q) / L over L = lcm(dp^2, dq), and K = -p q' / (dp c q0) for the
+    primitive part q0 = q / c of q, by one exact division in Z[x]
+    (`int_exact_div`; Gauss's lemma puts the quotient on integers when Q
+    divides PQ')."""
 
     P: Poly
     Q: Poly
@@ -52,15 +58,20 @@ class HyperellipticCurve:
 
     @cached_property
     def H(self) -> Poly:
-        return self.P * self.P - self.Q
+        (p, dp), (q, dq) = self.P.int_form(), self.Q.int_form()
+        L = lcm(dp * dp, dq)
+        return Poly.from_int_form(int_combine((L // (dp * dp), int_mul(p, p)), (-(L // dq), q)), L)
 
     @cached_property
     def K(self) -> Poly:
         """-PQ'/Q, or NonPolynomialSystem when 2Q does not divide PQ'."""
+        (p, dp), (q, dq) = self.P.int_form(), self.Q.int_form()
+        c = gcd(*q)
         try:
-            return -(self.P * self.Q.derivative()).exact_div(self.Q)
+            k = int_exact_div(int_mul(p, int_derivative(q)), [v // c for v in q])
         except ValueError:
             raise NonPolynomialSystem("2Q does not divide P*Q'") from None
+        return Poly.from_int_form(k, -dp * c)
 
 
 @dataclass(frozen=True)
@@ -90,10 +101,16 @@ class LienardSystem:
 def derive_system(curve: HyperellipticCurve) -> LienardSystem:
     """f = P' - K/2 = P' + PQ'/(2Q) and g = -(PK + Q')/2 = Q'H/(2Q), or
     NonPolynomialSystem when Q does not divide PQ' (K is no polynomial);
-    once K is one, g needs no second division."""
-    half = Fraction(1, 2)
-    f = curve.P.derivative() - curve.K.scale(half)
-    g = -(curve.P * curve.K + curve.Q.derivative()).scale(half)
+    once K is one, g needs no second division.  Both are computed on the
+    integer forms p/dp, k/dk and q/dq of P, K and Q, each an integer
+    combination over one common denominator and one `Poly.from_int_form`:
+    f = (2 dk p' - dp k) / (2 dp dk) and g = -(L/(dp dk) p k + L/dq q') / 2L
+    over L = lcm(dp dk, dq)."""
+    (p, dp), (k, dk), (q, dq) = curve.P.int_form(), curve.K.int_form(), curve.Q.int_form()
+    f = Poly.from_int_form(int_combine((2 * dk, int_derivative(p)), (-dp, k)), 2 * dp * dk)
+    L = lcm(dp * dk, dq)
+    g = Poly.from_int_form(int_combine((L // (dp * dk), int_mul(p, k)),
+                                       (L // dq, int_derivative(q))), -2 * L)
     if f.is_zero():
         raise NonPolynomialSystem("derived f vanishes; system degree m undefined")
     if g.degree < 1:

@@ -34,13 +34,22 @@ it and must vanish, and the first E_k, k <= 2m + 1, that holds p_0 fixes
 it (E_k is affine in p_0 up to there: p_0^2 enters S = P (P u - g) at x^m
 and below), each E_k above it vanishing too.  If none up to E_(2m+1) holds
 p_0, DegenerateLeadingCoefficient is raised; no system has been seen to.
-Then E = u^2 (Q' - 2W) is 0 exactly when u divides S and Q = S/u has
-Q' = 2W, and `derive_system(P, Q)` must give back f and g (`verified`).
+
+Once P is whole, E_0 down to the E_k that fixed its last coefficient are 0,
+so a nonzero E_(k+1) is the top of E: the no-curve witness, read with one
+more convolution step.  On the n <= 2m branch the entries m+1..k, filled
+while p_0 was unset, are filled again first.  Only when E_(k+1) is 0 is
+the rest of E decided: E = u^2 (Q' - 2W) is 0 exactly when u divides S and
+Q = S/u has Q' = 2W, else its top nonzero coefficient is the witness.  A
+curve found must make `derive_system(P, Q)` give back f and g
+(`verified`).
 
 All of it is on integers.  P, u, W, S and u^2 are top-aligned lists over D,
 D, D^2, D^3 and D^2 for one common denominator D, a multiple of those of f
 and g, so E_j, over D^4, is one convolution step per series.  When a
-coefficient's denominator makes D grow, every list is rescaled.
+coefficient's denominator makes D grow, every list is rescaled.  Entry j of
+each series is filled once with P_j unset, to read E_j, and then updated
+for the P_j that E_j fixed by a few products (`_Expansion.settle`).
 
 The schedule has one step per coefficient of P: the unknown, the equation
 that fixed it ("seed f-identity top" for lc(P), "E x^d" for a coefficient
@@ -98,24 +107,35 @@ class RecoveryOutcome:
         return self.curve is not None and self.verified
 
 
+# the two products below are plain loops: on the few terms an entry holds,
+# they run faster than `sum` over a generator or over `map` (Python 3.11)
+
+
 def _dot(x: list[int], y: list[int], k: int) -> int:
     """Entry k of the top-aligned product of x and y."""
-    return sum(x[a] * y[k - a] for a in range(max(0, k - len(y) + 1), min(k, len(x) - 1) + 1))
+    total = 0
+    for a in range(max(0, k - len(y) + 1), min(k, len(x) - 1) + 1):
+        total += x[a] * y[k - a]
+    return total
 
 
 def _wronskian(x: list[int], y: list[int], k: int) -> int:
     """Entry k of the top-aligned x' y - x y', for x and y of degrees
     len(x) - 1 and len(y) - 1."""
     dx, dy = len(x) - 1, len(y) - 1
-    return sum(x[a] * y[k - a] * (dx - dy + k - 2 * a)
-               for a in range(max(0, k - dy), min(k, dx) + 1))
+    c = dx - dy + k
+    total = 0
+    for a in range(max(0, k - dy), min(k, dx) + 1):
+        total += x[a] * y[k - a] * (c - 2 * a)
+    return total
 
 
 class _Expansion:
     """E for P = P_0 x^(m+1) + ... + P_(m+1), on top-aligned integers: P, f
     and u over D, W, g and u^2 over D^2, S over D^3, with g aligned as W
     is.  Entry i of a series is right once `fill(i)` has run with P_0..P_i
-    set; an unset P_i is 0."""
+    set, or once `settle(i)` has run after `put(i)` on an entry i filled
+    with P_i unset; an unset P_i is 0."""
 
     def __init__(self, f: Poly, g: Poly, w: int):
         m, n = f.degree, g.degree
@@ -143,6 +163,7 @@ class _Expansion:
         self.P[i] = value.numerator * (self.D // q)
 
     def fill(self, i: int) -> None:
+        """Entry i of every series, from P_0..P_i and the entries below i."""
         P, u, W, S, uu = self.P, self.u, self.W, self.S, self.uu
         m = len(u) - 1
         if i <= m:
@@ -153,6 +174,21 @@ class _Expansion:
             S[i] = _dot(P, W, i)
         if i < len(uu):
             uu[i] = _dot(u, u, i)
+
+    def settle(self, j: int) -> None:
+        """Entry j of every series after `put(j)`, for j >= 1, where
+        `fill(j)` ran with P_j unset: P_j enters entry j only through P_j u_0
+        and P_0 u_j in P u (when it is not shifted), P_j W_0 and P_0 W_j in
+        S and 2 u_0 u_j in u^2, so each entry takes one update."""
+        P, u, W = self.P, self.u, self.W
+        p = P[j]
+        du = (j - len(u)) * p   # -(m + 1 - j) P_j
+        if j < len(u):
+            u[j] += du
+            self.uu[j] += 2 * u[0] * du
+        dW = p * u[0] + P[0] * du if self.shift == 0 else 0
+        W[j] += dW
+        self.S[j] += p * W[0] + P[0] * dW
 
     def coefficient(self, k: int) -> int:
         """E_k over D^4."""
@@ -207,7 +243,8 @@ def recover_curve(sys: LienardSystem) -> RecoveryOutcome:
         ex.fill(j)
         step(j, ex.coefficient(j), base * ((m + 1 - j) if resonant
                                            else (n + 1 - j) * (2 * m + n + 3 - 2 * j)), j)
-        ex.fill(j)
+        ex.settle(j)
+    k = m + 1   # the E_k that fixes p_0
     if resonant:
         # p_0 does not enter E_(m+1); the first E_k below that it enters fixes it
         for k in range(m + 1, 2 * m + 2):
@@ -221,6 +258,14 @@ def recover_curve(sys: LienardSystem) -> RecoveryOutcome:
         else:
             raise DegenerateLeadingCoefficient(
                 f"type ({m},{n}): p0 is still free after E x^{top - 2 * m - 1}")
+        # entries m+1..k were filled with p_0 unset
+        for i in range(m + 1, k + 1):
+            ex.fill(i)
+
+    # E_0..E_k are 0, so a nonzero E_(k+1) is the top of E: the witness
+    ex.fill(k + 1)
+    if ex.coefficient(k + 1):
+        return no_curve(top - k - 1)
 
     # the whole of P: E = u^2 ((S/u)' - 2W) is 0 exactly when u divides S
     # and Q = S/u has Q' = 2W (u / content is primitive, so Q is on integers)

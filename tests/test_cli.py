@@ -126,7 +126,8 @@ def test_reconstruct_no_curve():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["no_curve"] is True
-    assert doc["witness_equation"] in ("f-identity", "g-identity", "degree-match")
+    # E is (I) with Q eliminated: the one equation family a witness names
+    assert doc["witness_equation"] == "f-identity"
     assert isinstance(doc["witness_degree"], int)
 
 

@@ -693,6 +693,8 @@ def test_critical_helpers_give_the_reference_brackets(case):
         assert _bracket_key(minima) == _bracket_key(ref_critical_values(p, -1, I))
         assert _bracket_key(maxima) == _bracket_key(ref_critical_values(p, 1, I))
         assert _bracket_key(every) == _bracket_key(ref_critical_values(p, 0, I))
+        lows, highs = _extrema(p, I, maxima=False)
+        assert (_bracket_key(lows), highs) == (_bracket_key(minima), [])
 
 
 def test_pick_window_is_none_on_an_empty_window():

@@ -15,7 +15,8 @@ from hypercycles.lienard import (
     invariance_check,
     invariance_residual,
 )
-from hypercycles.polyx import ONE, Poly, X, parse_poly, poly_gcd, squarefree_part
+from hypercycles.polyx import (ONE, Poly, X, int_coeffs, int_derivative, int_mul, parse_poly,
+                              poly_gcd, squarefree_part)
 from hypercycles.rootclass import RealRoot, SturmChain, isolate_real_roots
 from test_rootclass import ref_separate_from, root_between, root_key
 
@@ -406,17 +407,24 @@ def test_each_gap_of_a_real_rooted_q_holds_one_simple_critical_point():
 
 
 def test_a_curve_divides_out_k_once_per_derivation(monkeypatch):
+    # K = -PQ'/Q is one exact division in Z[x], of the numerators of PQ' by
+    # the primitive part of Q's, through `int_exact_div` as `lienard` binds it
     curve = worked_25_curve()
-    divisors = []
-    exact_div = Poly.exact_div
-    monkeypatch.setattr(Poly, "exact_div",
-                        lambda self, other: divisors.append(other) or exact_div(self, other))
+    divisions = []
+    exact_div = lienard.int_exact_div
+    monkeypatch.setattr(lienard, "int_exact_div",
+                        lambda a, b: divisions.append((list(a), list(b))) or exact_div(a, b))
+    (p, _), (q, _) = curve.P.int_form(), curve.Q.int_form()
+    by_q = (int_mul(p, int_derivative(q)), int_coeffs(curve.Q))
     sys = derive_system(curve)
     assert invariance_residual(sys, curve).is_zero()
     K = curve.K
-    assert certify(curve).certified_count == 1
     # K by Q, once; g = -(PK + Q')/2 needs no division of its own
-    assert divisors == [curve.Q]
+    assert divisions == [by_q]
+    assert certify(curve).certified_count == 1
+    # certify reads the kept K: any division it makes is by a gcd with Q
+    # (`_coprime_part`), never PQ' by Q again
+    assert by_q not in divisions[1:]
     assert K is curve.K
 
 
